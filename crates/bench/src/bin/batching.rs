@@ -10,6 +10,12 @@
 //! a single decode — repeated questions amortize almost the whole
 //! generation stage.
 //!
+//! Formation is work-conserving — a worker batches what is already queued
+//! and never waits for more — so a burst batches because it queues behind
+//! the busy worker, and a lone closed-loop caller (one request in flight
+//! at a time, nothing ever queued behind it) must see the same latency
+//! with batching on as with it off. The last two rows check exactly that.
+//!
 //! Run with: `cargo run --release -p codes-bench --bin batching`
 
 use std::sync::Arc;
@@ -36,43 +42,45 @@ struct Pass {
     p95_ms: f64,
 }
 
-/// Drive one burst of `work` through a fresh single-worker pool with the
-/// given `max_batch` and report wall-clock throughput plus per-request
+/// Drive `work` through a fresh single-worker pool with the given
+/// `max_batch` — as one offered burst, or (`closed_loop`) one request at
+/// a time — and report wall-clock throughput plus per-request
 /// submit-to-resolve latency quantiles.
 fn run_pass(
     max_batch: usize,
     sys: &Arc<codes::CodesSystem>,
     dbs: &[sqlengine::Database],
     work: &[(String, String)],
+    closed_loop: bool,
 ) -> Pass {
     let config = ServeConfig {
         workers: 1,
         queue_capacity: work.len() + 8,
         default_deadline: Duration::from_secs(60),
         max_batch,
-        batch_linger: Duration::from_millis(4),
         ..ServeConfig::default()
     };
     let backend = SystemBackend::new(Arc::clone(sys), dbs.to_vec());
     let pool = Pool::start(backend, config);
 
     let started = Instant::now();
-    let tickets: Vec<(Instant, codes_serve::Ticket)> = work
-        .iter()
-        .map(|(db_id, question)| {
-            let submitted = Instant::now();
-            let ticket =
-                pool.submit(InferenceRequest::new(db_id, question)).expect("queue has headroom");
-            (submitted, ticket)
-        })
-        .collect();
-    let mut latencies: Vec<f64> = tickets
-        .into_iter()
-        .map(|(submitted, ticket)| {
-            ticket.wait().expect("benchmark inference succeeds");
-            submitted.elapsed().as_secs_f64()
-        })
-        .collect();
+    let submit = |(db_id, question): &(String, String)| {
+        let submitted = Instant::now();
+        let ticket =
+            pool.submit(InferenceRequest::new(db_id, question)).expect("queue has headroom");
+        (submitted, ticket)
+    };
+    let resolve = |(submitted, ticket): (Instant, codes_serve::Ticket)| {
+        ticket.wait().expect("benchmark inference succeeds");
+        submitted.elapsed().as_secs_f64()
+    };
+    let mut latencies: Vec<f64> = if closed_loop {
+        // One caller, one request in flight: submit, wait, repeat.
+        work.iter().map(|w| resolve(submit(w))).collect()
+    } else {
+        let tickets: Vec<_> = work.iter().map(submit).collect();
+        tickets.into_iter().map(resolve).collect()
+    };
     let wall = started.elapsed().as_secs_f64();
     pool.shutdown();
 
@@ -137,8 +145,17 @@ fn main() {
         .iter()
         .map(|&b| {
             (0..3)
-                .map(|_| run_pass(b, &sys, &spider.databases, &work))
+                .map(|_| run_pass(b, &sys, &spider.databases, &work, false))
                 .max_by(|a, b| a.qps.total_cmp(&b.qps))
+                .expect("three trials ran")
+        })
+        .collect();
+    let lone: Vec<Pass> = [1usize, 4]
+        .iter()
+        .map(|&b| {
+            (0..3)
+                .map(|_| run_pass(b, &sys, &spider.databases, &work, true))
+                .min_by(|a, b| a.p50_ms.total_cmp(&b.p50_ms))
                 .expect("three trials ran")
         })
         .collect();
@@ -157,11 +174,23 @@ fn main() {
         records.push(workbench::record("batching", "SFT CodeS-1B", "spider", &format!("{label} p95_ms"), pass.p95_ms, n));
         eprintln!("done: max_batch {}", pass.max_batch);
     }
+    for pass in &lone {
+        t.row(vec![
+            format!("{} (lone caller)", pass.max_batch),
+            format!("{:.1}", pass.qps),
+            format!("{:.3}", pass.p50_ms),
+            format!("{:.3}", pass.p95_ms),
+            "-".to_string(),
+        ]);
+        let label = format!("lone batch{}", pass.max_batch);
+        records.push(workbench::record("batching", "SFT CodeS-1B", "spider", &format!("{label} p50_ms"), pass.p50_ms, n));
+    }
     println!("{}", t.render());
     println!("expected shape: throughput rises with max_batch — each dispatch amortizes queue");
     println!("handoff, breaker accounting and value-index resolution; the batched decode shares");
     println!("one LM score memo and collapses duplicate members (a hot query burst is in flight");
     println!("together, so the full-result cache cannot catch it); latency falls with the backlog.");
+    println!("a lone closed-loop caller never has company queued, so max_batch costs it nothing.");
     workbench::save_records("batching", &records);
 
     for pass in &passes[1..] {
@@ -173,4 +202,11 @@ fn main() {
             unbatched_qps
         );
     }
+    // Batching may not tax a caller it cannot help: nothing is ever queued
+    // behind a lone closed-loop request, so its p50 is the unbatched p50.
+    let (off, on) = (lone[0].p50_ms, lone[1].p50_ms);
+    assert!(
+        (on - off).abs() <= 0.2 * off,
+        "a lone caller's p50 must not depend on max_batch: {on:.3} ms at 4 vs {off:.3} ms at 1"
+    );
 }

@@ -7,16 +7,14 @@
 //!   hence one revision);
 //! * a batch never mixes config fingerprints or deadline classes;
 //! * a batch never exceeds `max_batch` members;
-//! * the linger window never pushes a member past its deadline — a seed
-//!   that cannot comfortably afford the linger bypasses batching
-//!   ([`BypassReason::Deadline`]), and a drained candidate that is
-//!   incompatible or too close to its deadline stops formation and seeds
-//!   the next dispatch ([`BypassReason::Mismatch`] / `Deadline`).
+//! * the first drained candidate that does not fit stops formation and
+//!   seeds the next dispatch — nothing is reordered or dropped.
 //!
-//! The pool's worker loop drives this state machine against its shared
-//! queue: dequeue a seed, ask [`BatchPolicy::seed_can_linger`], then feed
-//! each further dequeued job through [`Formation::consider`] until the
-//! batch is full, the linger expires, or a verdict says stop.
+//! Formation is work-conserving: the pool's worker loop dequeues a seed
+//! and [`BatchPolicy::drain`] feeds each job that is *already queued*
+//! through [`Formation::consider`] until the batch is full, the queue is
+//! empty, or the verdict says stop — then the worker dispatches at once.
+//! Nothing here waits, so no deadline can be missed because of batching.
 
 // The scheduler decides who waits for whom under a deadline — a stray
 // unwrap here would turn a malformed edge case into a hung batch.
@@ -25,29 +23,6 @@
 use std::time::Duration;
 
 use codes::{config_fingerprint, Config, InferenceRequest};
-
-/// Why a request was dispatched outside a multi-member batch (the
-/// `reason` label of `codes_serve_batch_bypass_total`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BypassReason {
-    /// The member's remaining deadline could not survive the linger
-    /// window, so it was dispatched solo immediately.
-    Deadline,
-    /// A drained job was incompatible with the forming batch (different
-    /// database, config fingerprint, or deadline class); it stops
-    /// formation and becomes the seed of the next batch.
-    Mismatch,
-}
-
-impl BypassReason {
-    /// Metric label value.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            BypassReason::Deadline => "deadline",
-            BypassReason::Mismatch => "mismatch",
-        }
-    }
-}
 
 /// Batch-compatibility key: two queued requests may share a dispatch only
 /// when every component matches. `db_id` pins the batch to one database
@@ -106,22 +81,38 @@ impl MemberInfo {
     }
 }
 
-/// Batching knobs (mirrors `ServeConfig::{max_batch, batch_linger}`).
+/// Batching knobs (mirrors `ServeConfig::max_batch`).
 #[derive(Debug, Clone, Copy)]
 pub struct BatchPolicy {
     /// Largest batch a worker may form; 1 disables batching.
     pub max_batch: usize,
-    /// How long a worker holding a seed waits for compatible followers.
-    pub linger: Duration,
 }
 
 impl BatchPolicy {
-    /// Whether a freshly dequeued seed can afford to wait out the linger
-    /// window at all. Requires at least double the linger left on the
-    /// seed's budget so the wait can never be the reason it misses its
-    /// deadline. False also when batching is disabled (`max_batch <= 1`).
-    pub fn seed_can_linger(&self, seed: &MemberInfo) -> bool {
-        self.max_batch > 1 && seed.remaining > self.linger.saturating_mul(2)
+    /// Form one batch around `seed` from jobs that are already queued.
+    /// `next` must not block — `None` means the queue is empty right now —
+    /// and is never called once the batch is full, so nothing is dequeued
+    /// that this dispatch cannot take. Returns the batch in queue order
+    /// plus, when a dequeued job was refused, that job: it must seed the
+    /// next dispatch.
+    pub fn drain<T>(
+        &self,
+        seed: T,
+        info: impl Fn(&T) -> MemberInfo,
+        mut next: impl FnMut() -> Option<T>,
+    ) -> (Vec<T>, Option<T>) {
+        let mut formation = Formation::new(info(&seed));
+        let mut batch = vec![seed];
+        while !formation.is_full(self) {
+            let Some(job) = next() else {
+                break;
+            };
+            match formation.consider(self, &info(&job)) {
+                Verdict::Joined => batch.push(job),
+                Verdict::Stop => return (batch, Some(job)),
+            }
+        }
+        (batch, None)
     }
 }
 
@@ -130,10 +121,10 @@ impl BatchPolicy {
 pub enum Verdict {
     /// The candidate joined the batch; keep draining while room remains.
     Joined,
-    /// The candidate did not fit: dispatch the batch as formed, count a
-    /// bypass under the given reason, and seed the next dispatch with
-    /// the candidate.
-    Stop(BypassReason),
+    /// The candidate did not fit (the batch is full, or its database,
+    /// config fingerprint or deadline class differs): dispatch the batch
+    /// as formed and seed the next dispatch with the candidate.
+    Stop,
 }
 
 /// Pure formation state: the compatibility key fixed by the seed plus the
@@ -175,16 +166,8 @@ impl Formation {
 
     /// Offer a drained candidate to the batch.
     pub fn consider(&mut self, policy: &BatchPolicy, candidate: &MemberInfo) -> Verdict {
-        if self.is_full(policy) {
-            return Verdict::Stop(BypassReason::Mismatch);
-        }
-        if candidate.key != self.key {
-            return Verdict::Stop(BypassReason::Mismatch);
-        }
-        // A compatible candidate with almost no budget left must not be
-        // held for the rest of the window: stop and dispatch it solo next.
-        if candidate.remaining <= policy.linger {
-            return Verdict::Stop(BypassReason::Deadline);
+        if self.is_full(policy) || candidate.key != self.key {
+            return Verdict::Stop;
         }
         self.len += 1;
         self.min_remaining = self.min_remaining.min(candidate.remaining);
@@ -220,37 +203,17 @@ mod tests {
     }
 
     #[test]
-    fn seeds_without_linger_headroom_bypass() {
-        let policy = BatchPolicy { max_batch: 4, linger: Duration::from_millis(2) };
-        assert!(policy.seed_can_linger(&info("db", 1, 100)));
-        assert!(!policy.seed_can_linger(&info("db", 1, 4)), "2x linger is not enough");
-        assert!(!policy.seed_can_linger(&info("db", 1, 0)));
-        let disabled = BatchPolicy { max_batch: 1, linger: Duration::from_millis(2) };
-        assert!(!disabled.seed_can_linger(&info("db", 1, 100)));
-    }
-
-    #[test]
     fn formation_rejects_mismatches_and_respects_capacity() {
-        let policy = BatchPolicy { max_batch: 3, linger: Duration::from_millis(2) };
+        let policy = BatchPolicy { max_batch: 3 };
         let mut f = Formation::new(info("bank", 7, 900));
-        assert_eq!(f.consider(&policy, &info("retail", 7, 900)), Verdict::Stop(BypassReason::Mismatch));
-        assert_eq!(f.consider(&policy, &info("bank", 8, 900)), Verdict::Stop(BypassReason::Mismatch));
-        assert_eq!(f.consider(&policy, &info("bank", 7, 90)), Verdict::Stop(BypassReason::Mismatch), "deadline class differs");
+        assert_eq!(f.consider(&policy, &info("retail", 7, 900)), Verdict::Stop);
+        assert_eq!(f.consider(&policy, &info("bank", 8, 900)), Verdict::Stop);
+        assert_eq!(f.consider(&policy, &info("bank", 7, 90)), Verdict::Stop, "deadline class differs");
         assert_eq!(f.consider(&policy, &info("bank", 7, 800)), Verdict::Joined);
         assert_eq!(f.consider(&policy, &info("bank", 7, 700)), Verdict::Joined);
         assert!(f.is_full(&policy));
-        assert_eq!(f.consider(&policy, &info("bank", 7, 600)), Verdict::Stop(BypassReason::Mismatch));
+        assert_eq!(f.consider(&policy, &info("bank", 7, 600)), Verdict::Stop);
         assert_eq!(f.len(), 3);
         assert_eq!(f.min_remaining(), Duration::from_millis(700));
-    }
-
-    #[test]
-    fn starved_candidates_stop_formation_with_deadline_reason() {
-        let policy = BatchPolicy { max_batch: 4, linger: Duration::from_millis(50) };
-        // Same class as the seed but with less than one linger left.
-        let mut f = Formation::new(info("bank", 7, 100));
-        let mut starving = info("bank", 7, 40);
-        starving.key.deadline_class = f.key.deadline_class;
-        assert_eq!(f.consider(&policy, &starving), Verdict::Stop(BypassReason::Deadline));
     }
 }

@@ -5,6 +5,11 @@
 //! threshold, or fails with budget exhaustion. Keying on the request id
 //! (assigned at submission) rather than invocation order makes chaos
 //! outcomes reproducible regardless of how the OS schedules workers.
+//!
+//! [`GatedBackend`] is the scheduling counterpart: it parks a worker
+//! inside a dispatch until the test opens the gate, so a test decides
+//! exactly what is queued behind a busy worker instead of hoping a burst
+//! lands inside a timing window.
 
 use std::time::Duration;
 
@@ -13,6 +18,7 @@ use rand::{RngExt, SeedableRng};
 use sqlengine::{Error, Resource};
 
 use codes::InferenceRequest;
+use crossbeam::channel::{self, Receiver, Sender};
 
 use crate::pool::{Backend, BackendReply};
 
@@ -119,6 +125,88 @@ impl<B: Backend> Backend for FaultyBackend<B> {
                 Err(Error::BudgetExceeded { resource: Resource::Time, spent: 1_000, limit: 1_000 })
             }
         }
+    }
+
+    fn has_database(&self, db_id: &str) -> Option<bool> {
+        self.inner.has_database(db_id)
+    }
+}
+
+/// Test scaffolding, not serving API: wraps any [`Backend`] with a gate.
+/// A dispatch — solo or batch — carrying a request whose question is
+/// [`Gate::HOLD`] parks its worker inside the backend until [`Gate::open`]
+/// is called. Everything else passes straight through.
+#[doc(hidden)]
+pub struct GatedBackend<B> {
+    inner: B,
+    parked: Sender<()>,
+    release: Receiver<()>,
+}
+
+/// The test's side of a [`GatedBackend`].
+#[doc(hidden)]
+pub struct Gate {
+    parked: Receiver<()>,
+    release: Sender<()>,
+}
+
+impl<B> GatedBackend<B> {
+    /// Wrap `inner`; the returned [`Gate`] controls the parked worker.
+    pub fn new(inner: B) -> (GatedBackend<B>, Gate) {
+        let (parked_tx, parked_rx) = channel::unbounded();
+        let (release_tx, release_rx) = channel::unbounded();
+        (
+            GatedBackend { inner, parked: parked_tx, release: release_rx },
+            Gate { parked: parked_rx, release: release_tx },
+        )
+    }
+
+    fn hold_if_asked(&self, request: &InferenceRequest) {
+        if request.question == Gate::HOLD {
+            let _ = self.parked.send(());
+            // A dropped gate releases the worker rather than wedging it.
+            let _ = self.release.recv();
+        }
+    }
+}
+
+impl Gate {
+    /// The question that parks its worker at the gate.
+    pub const HOLD: &'static str = "hold the worker";
+
+    /// Block until a worker is parked at the gate (it has dequeued the
+    /// [`Gate::HOLD`] request and is inside the backend).
+    pub fn wait_parked(&self) {
+        // A dropped backend means the pool is gone; nothing to wait for.
+        let _ = self.parked.recv();
+    }
+
+    /// Let one parked worker continue.
+    pub fn open(&self) {
+        let _ = self.release.send(());
+    }
+}
+
+impl<B: Backend> Backend for GatedBackend<B> {
+    fn infer(
+        &self,
+        request: &InferenceRequest,
+        id: u64,
+        config: &codes::Config,
+    ) -> Result<BackendReply, Error> {
+        self.hold_if_asked(request);
+        self.inner.infer(request, id, config)
+    }
+
+    fn infer_batch(
+        &self,
+        requests: &[(&InferenceRequest, u64)],
+        config: &codes::Config,
+    ) -> Vec<Result<BackendReply, Error>> {
+        for (request, _) in requests {
+            self.hold_if_asked(request);
+        }
+        self.inner.infer_batch(requests, config)
     }
 
     fn has_database(&self, db_id: &str) -> Option<bool> {

@@ -17,13 +17,13 @@
 //!   ([`codes::Config::clamped_to_deadline`]), so nearly-out-of-time
 //!   requests degrade to greedy decoding instead of missing their SLO, and
 //!   requests that expire while queued are shed without running.
-//! * **Dynamic micro-batching** ([`crate::batch`]) — a worker that
-//!   dequeues a request with deadline headroom lingers briefly
-//!   (`ServeConfig::batch_linger`) for compatible followers (same
-//!   database, config fingerprint, and deadline class) and dispatches up
-//!   to `ServeConfig::max_batch` of them through the backend's batched
-//!   path in one pass; requests that cannot afford the wait bypass
-//!   batching entirely.
+//! * **Work-conserving micro-batching** ([`crate::batch`]) — a worker
+//!   that dequeues a request drains the compatible requests *already
+//!   queued* behind it (same database, config fingerprint, and deadline
+//!   class), up to `ServeConfig::max_batch`, and dispatches them through
+//!   the backend's batched path in one pass. It never waits for company:
+//!   batches form when every worker is busy and the queue has built up,
+//!   and an idle pool dispatches every request solo, at once.
 //! * **Per-database circuit breakers** ([`CircuitBreaker`]) — N
 //!   consecutive failures trip a database out of rotation; recovery is
 //!   probed under deterministic jittered exponential backoff
@@ -51,12 +51,12 @@ pub mod metrics;
 pub mod pool;
 pub mod progress;
 
-pub use batch::{deadline_class, BatchPolicy, BypassReason, CompatKey, Formation, MemberInfo, Verdict};
+pub use batch::{deadline_class, BatchPolicy, CompatKey, Formation, MemberInfo, Verdict};
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 // The unified request type consumed by both direct inference and the pool.
 pub use codes::InferenceRequest;
 pub use error::ServeError;
-pub use fault::{Fault, FaultPlan, FaultyBackend};
+pub use fault::{Fault, FaultPlan, FaultyBackend, Gate, GatedBackend};
 pub use metrics::MetricsSnapshot;
 pub use pool::{
     Backend, BackendReply, HealthSnapshot, Outcome, Pool, ServeConfig, ServedInference,

@@ -28,10 +28,7 @@ pub const BREAKER_TRANSITIONS: &str = "codes_serve_breaker_transitions_total";
 /// Batch-size histogram name: one sample per dispatch (solo dispatches
 /// record 1), in members.
 pub const BATCH_SIZE: &str = "codes_serve_batch_size";
-/// Batch-linger histogram name: how long a worker actually waited for
-/// followers before dispatching a lingering-eligible batch.
-pub const BATCH_LINGER: &str = "codes_serve_batch_linger_seconds";
-/// Batch-bypass counter name (`reason` label: deadline / mismatch).
+/// Batch-bypass counter name (`reason` label: mismatch).
 pub const BATCH_BYPASS: &str = "codes_serve_batch_bypass_total";
 
 impl BreakerState {
@@ -62,8 +59,6 @@ pub(crate) struct ServeMetrics {
     pub(crate) replaced_panic: Arc<Counter>,
     pub(crate) replaced_wedged: Arc<Counter>,
     pub(crate) batch_size: Arc<Histogram>,
-    pub(crate) batch_linger: Arc<Histogram>,
-    pub(crate) batch_bypass_deadline: Arc<Counter>,
     pub(crate) batch_bypass_mismatch: Arc<Counter>,
 }
 
@@ -82,18 +77,8 @@ impl ServeMetrics {
             replaced_panic: registry.counter(WORKERS_REPLACED, &[("cause", "panic")]),
             replaced_wedged: registry.counter(WORKERS_REPLACED, &[("cause", "wedged")]),
             batch_size: registry.histogram(BATCH_SIZE, &[]),
-            batch_linger: registry.histogram(BATCH_LINGER, &[]),
-            batch_bypass_deadline: registry.counter(BATCH_BYPASS, &[("reason", "deadline")]),
             batch_bypass_mismatch: registry.counter(BATCH_BYPASS, &[("reason", "mismatch")]),
             registry,
-        }
-    }
-
-    /// Count one batching bypass under its reason label.
-    pub(crate) fn batch_bypass(&self, reason: crate::batch::BypassReason) -> &Counter {
-        match reason {
-            crate::batch::BypassReason::Deadline => &self.batch_bypass_deadline,
-            crate::batch::BypassReason::Mismatch => &self.batch_bypass_mismatch,
         }
     }
 
@@ -131,8 +116,6 @@ impl ServeMetrics {
             shed_deadline: self.shed_deadline.get(),
             breaker_transitions,
             batch_size: self.batch_size.snapshot(),
-            batch_linger: self.batch_linger.snapshot(),
-            batch_bypass_deadline: self.batch_bypass_deadline.get(),
             batch_bypass_mismatch: self.batch_bypass_mismatch.get(),
         }
     }
@@ -169,11 +152,6 @@ pub struct MetricsSnapshot {
     /// Dispatch-size distribution (one sample per dispatch; solo
     /// dispatches record 1 member).
     pub batch_size: HistogramSnapshot,
-    /// Actual linger-wait distribution of lingering-eligible dispatches.
-    pub batch_linger: HistogramSnapshot,
-    /// Requests dispatched solo because their deadline could not survive
-    /// the linger window.
-    pub batch_bypass_deadline: u64,
     /// Drained jobs that stopped batch formation because they were
     /// incompatible with the forming batch.
     pub batch_bypass_mismatch: u64,

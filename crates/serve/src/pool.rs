@@ -7,14 +7,13 @@
 //! its remaining time budget is clamped into the inference [`Config`] and
 //! the backend runs under the engine's retry/backoff policy.
 //!
-//! A worker that dequeues a request with deadline headroom **lingers**
-//! briefly ([`ServeConfig::batch_linger`]) for compatible followers (same
-//! database, same config fingerprint, same deadline class — see
-//! [`crate::batch`]) and dispatches up to [`ServeConfig::max_batch`] of
-//! them through [`Backend::infer_batch`] in one pass. Requests whose
-//! remaining budget cannot survive the linger bypass batching and run
-//! solo immediately; degradations, stage timings and cache admissions
-//! stay per-member.
+//! A worker that dequeues a request drains the compatible requests
+//! **already queued** behind it (same database, same config fingerprint,
+//! same deadline class — see [`crate::batch`]), up to
+//! [`ServeConfig::max_batch`], and dispatches them through
+//! [`Backend::infer_batch`] in one pass. It never waits for followers, so
+//! batches form only when every worker is busy and a backlog has built
+//! up; degradations, stage timings and cache admissions stay per-member.
 //!
 //! A supervisor thread watches the workers: a panicked worker is joined,
 //! its orphaned request resolved with [`ServeError::WorkerPanic`], and the
@@ -41,7 +40,7 @@ use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use sqlengine::{with_retry_paced, Backoff, Database, Error};
 
-use crate::batch::{BatchPolicy, BypassReason, Formation, MemberInfo, Verdict};
+use crate::batch::{BatchPolicy, MemberInfo};
 use crate::breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 use crate::error::ServeError;
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
@@ -277,14 +276,10 @@ pub struct ServeConfig {
     pub base_config: Config,
     /// Largest micro-batch one worker may form from compatible queued
     /// requests (same database, config fingerprint, and deadline class).
-    /// `1` disables batching entirely.
+    /// `1` disables batching entirely. Only requests already queued when
+    /// a worker picks up the first one are batched with it; a worker
+    /// never delays a dispatch to wait for more.
     pub max_batch: usize,
-    /// How long a worker holding a request with deadline headroom waits
-    /// for compatible followers before dispatching. A request without at
-    /// least `2 * batch_linger` of remaining budget bypasses batching
-    /// (counted under `codes_serve_batch_bypass_total{reason="deadline"}`),
-    /// so the linger can never be the reason a deadline is missed.
-    pub batch_linger: Duration,
     /// Per-database circuit-breaker policy.
     pub breaker: BreakerConfig,
     /// How often idle workers stamp their heartbeat and the supervisor
@@ -314,7 +309,6 @@ impl Default for ServeConfig {
             default_deadline: Duration::from_secs(2),
             base_config: Config::serving(),
             max_batch: 4,
-            batch_linger: Duration::from_millis(2),
             breaker: BreakerConfig::default(),
             heartbeat_interval: Duration::from_millis(20),
             wedged_after: Duration::from_secs(5),
@@ -730,48 +724,20 @@ impl Inner {
         )
     }
 
-    /// Drain compatible followers behind `seed` for up to the linger
-    /// window, returning the formed batch plus — when a drained job
-    /// stopped formation — the job that must seed the next dispatch.
+    /// Drain the compatible followers already queued behind `seed`,
+    /// returning the formed batch plus — when a drained job stopped
+    /// formation — the job that must seed the next dispatch. Never blocks:
+    /// an empty queue dispatches what has been gathered so far.
     fn form_batch(&self, seed: Job) -> (Vec<Job>, Option<Job>) {
-        let policy =
-            BatchPolicy { max_batch: self.config.max_batch.max(1), linger: self.config.batch_linger };
-        let seed_info = self.member_info(&seed, Instant::now());
-        if !policy.seed_can_linger(&seed_info) {
-            // Bypass is only meaningful when batching is on at all.
-            if policy.max_batch > 1 {
-                self.metrics.batch_bypass(BypassReason::Deadline).inc();
-            }
-            return (vec![seed], None);
+        let policy = BatchPolicy { max_batch: self.config.max_batch.max(1) };
+        let (batch, leftover) = policy.drain(
+            seed,
+            |job| self.member_info(job, Instant::now()),
+            || self.queue_rx.try_recv().ok(),
+        );
+        if leftover.is_some() {
+            self.metrics.batch_bypass_mismatch.inc();
         }
-        let mut formation = Formation::new(seed_info);
-        let mut batch = vec![seed];
-        let linger_start = Instant::now();
-        let linger_end = linger_start + policy.linger;
-        let mut leftover = None;
-        while !formation.is_full(&policy) {
-            let now = Instant::now();
-            let Some(wait) = linger_end.checked_duration_since(now).filter(|w| !w.is_zero())
-            else {
-                break;
-            };
-            match self.queue_rx.recv_timeout(wait) {
-                Ok(job) => {
-                    let info = self.member_info(&job, Instant::now());
-                    match formation.consider(&policy, &info) {
-                        Verdict::Joined => batch.push(job),
-                        Verdict::Stop(reason) => {
-                            self.metrics.batch_bypass(reason).inc();
-                            leftover = Some(job);
-                            break;
-                        }
-                    }
-                }
-                Err(channel::RecvTimeoutError::Timeout)
-                | Err(channel::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        self.metrics.batch_linger.record(linger_start.elapsed());
         (batch, leftover)
     }
 
@@ -788,8 +754,8 @@ impl Inner {
         }
 
         let now = Instant::now();
-        // Per-member deadline sheds first: a member that expired during the
-        // linger must not drag the batch (its class-mates still have time —
+        // Per-member deadline sheds first: a member that expired while
+        // queued must not drag the batch (its class-mates still have time —
         // classes bound budgets within 2×).
         let mut live: Vec<(Job, Duration, Duration)> = Vec::with_capacity(jobs.len());
         for job in jobs {
@@ -1534,121 +1500,116 @@ mod tests {
         assert!(!health.ready);
     }
 
-    /// Counts how many members each `infer_batch` dispatch carried.
-    struct BatchCountingBackend {
-        dispatches: Arc<Mutex<Vec<usize>>>,
-    }
-
-    impl Backend for BatchCountingBackend {
-        fn infer(
-            &self,
-            request: &InferenceRequest,
-            _id: u64,
-            _config: &Config,
-        ) -> Result<BackendReply, Error> {
-            Ok(BackendReply {
-                sql: format!("SELECT '{}'", request.question),
-                degradations: vec![],
-                latency_seconds: 0.0,
-                prompt_tokens: 1,
-                ..BackendReply::default()
-            })
-        }
-
-        fn infer_batch(
-            &self,
-            requests: &[(&InferenceRequest, u64)],
-            config: &Config,
-        ) -> Vec<Result<BackendReply, Error>> {
-            self.dispatches.lock().push(requests.len());
-            requests.iter().map(|(r, id)| self.infer(r, *id, config)).collect()
-        }
-    }
-
-    #[test]
-    fn compatible_requests_form_a_batch_within_the_linger_window() {
-        let dispatches = Arc::new(Mutex::new(Vec::new()));
-        let registry = Arc::new(codes_obs::Registry::new());
+    /// One worker parked inside a dispatch behind a [`crate::GatedBackend`],
+    /// so whatever the test submits next is queued — not racing the worker
+    /// — until the gate opens.
+    fn parked_single_worker(max_batch: usize) -> (Pool, crate::Gate, Ticket) {
         let config = ServeConfig {
             workers: 1,
             queue_capacity: 16,
-            // A generous linger so all four submissions land inside the
-            // window regardless of scheduling noise.
-            max_batch: 4,
-            batch_linger: Duration::from_millis(250),
+            max_batch,
             default_deadline: Duration::from_secs(30),
             heartbeat_interval: Duration::from_millis(5),
             ..ServeConfig::default()
         };
-        let pool = Pool::start_with_registry(
-            BatchCountingBackend { dispatches: Arc::clone(&dispatches) },
-            config,
-            registry,
-        );
-        let tickets: Vec<Ticket> = (0..4)
-            .map(|i| pool.submit(InferenceRequest::new("db", format!("q{i}"))).expect("admitted"))
-            .collect();
+        let (backend, gate) = crate::GatedBackend::new(EchoBackend { delay: Duration::ZERO });
+        let pool =
+            Pool::start_with_registry(backend, config, Arc::new(codes_obs::Registry::new()));
+        let hold = pool
+            .submit(InferenceRequest::new("db", crate::Gate::HOLD))
+            .expect("admitted");
+        gate.wait_parked();
+        (pool, gate, hold)
+    }
+
+    /// Submit with a lifecycle observer feeding `events`.
+    fn submit_observed(pool: &Pool, db: &str, question: &str, events: &Sender<Progress>) -> Ticket {
+        let (ticket, reply_tx) = Ticket::detached(0);
+        pool.submit_routed_with_progress(
+            InferenceRequest::new(db, question),
+            reply_tx,
+            Some(Arc::new(events.clone())),
+        )
+        .expect("admitted");
+        ticket
+    }
+
+    /// The `batch_size` of every `Dispatched` notification, in order.
+    fn dispatched_sizes(events: &Receiver<Progress>) -> Vec<usize> {
+        std::iter::from_fn(|| events.try_recv().ok())
+            .filter_map(|p| match p {
+                Progress::Dispatched { batch_size, .. } => Some(batch_size),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_backlog_behind_a_busy_worker_dispatches_as_full_batches() {
+        let (pool, gate, hold) = parked_single_worker(4);
+        let (events_tx, events) = channel::unbounded();
+        // Six compatible jobs queue up behind the parked worker: the next
+        // dispatch takes `max_batch` of them, the one after takes the rest.
+        let tickets: Vec<Ticket> =
+            (0..6).map(|i| submit_observed(&pool, "db", &format!("q{i}"), &events_tx)).collect();
+        gate.open();
+        hold.wait().expect("held request completes once released");
         for (i, t) in tickets.into_iter().enumerate() {
             let served = t.wait().expect("echo cannot fail");
             assert_eq!(served.sql, format!("SELECT 'q{i}'"), "batching must not reorder replies");
         }
         let health = pool.shutdown();
-        let sizes = dispatches.lock().clone();
-        assert!(
-            sizes.iter().any(|&n| n >= 2),
-            "four compatible submissions inside a 250ms linger must share a dispatch: {sizes:?}"
-        );
-        assert_eq!(health.stats.completed, 4);
-        // Every dispatch (solo or batched) records one size sample; only
-        // multi-member dispatches reach infer_batch.
-        assert!(health.metrics.batch_size.count as usize >= sizes.len());
-        assert!(
-            health.metrics.batch_size.max_ns >= 2,
-            "batch-size histogram must witness a multi-member dispatch"
-        );
-        assert!(health.metrics.batch_linger.count >= 1, "lingering dispatches record their wait");
+        assert_eq!(dispatched_sizes(&events), vec![4, 4, 4, 4, 2, 2]);
+        assert_eq!(health.stats.completed, 7);
+        // One size sample per dispatch: the solo hold, the four, the two.
+        assert_eq!(health.metrics.batch_size.count, 3);
+        assert_eq!(health.metrics.batch_size.max_ns, 4);
+        assert_eq!(health.metrics.batch_bypass_mismatch, 0);
+    }
+
+    /// The converse of the gated tests, sink-ordered: a lone request is
+    /// dispatched alone while no second job exists. Event order cannot see
+    /// a timer — that formation never waits is `BatchPolicy::drain`
+    /// stopping at the first empty poll (`tests/batch_props.rs`) and the
+    /// lone-caller row of `bench --bin batching`.
+    #[test]
+    fn a_lone_request_is_dispatched_alone_before_a_second_is_submitted() {
+        let config = ServeConfig { workers: 1, max_batch: 8, ..quick_config() };
+        let pool = Pool::start(EchoBackend { delay: Duration::ZERO }, config);
+        let (events_tx, events) = channel::unbounded();
+        let first = submit_observed(&pool, "db", "first", &events_tx);
+        let dispatched = std::iter::from_fn(|| events.recv().ok())
+            .find(|p| matches!(p, Progress::Dispatched { .. }))
+            .expect("the lone request is dispatched");
+        assert_eq!(dispatched, Progress::Dispatched { worker: 0, batch_size: 1 });
+        let second = submit_observed(&pool, "db", "second", &events_tx);
+        first.wait().expect("echo cannot fail");
+        second.wait().expect("echo cannot fail");
+        pool.shutdown();
+        assert_eq!(dispatched_sizes(&events), vec![1]);
     }
 
     #[test]
     fn incompatible_requests_never_share_a_dispatch() {
-        let dispatches = Arc::new(Mutex::new(Vec::new()));
-        let registry = Arc::new(codes_obs::Registry::new());
-        let config = ServeConfig {
-            workers: 1,
-            queue_capacity: 16,
-            max_batch: 8,
-            batch_linger: Duration::from_millis(250),
-            default_deadline: Duration::from_secs(30),
-            heartbeat_interval: Duration::from_millis(5),
-            ..ServeConfig::default()
-        };
-        let pool = Pool::start_with_registry(
-            BatchCountingBackend { dispatches: Arc::clone(&dispatches) },
-            config,
-            Arc::clone(&registry),
-        );
+        let (pool, gate, hold) = parked_single_worker(8);
+        let (events_tx, events) = channel::unbounded();
         // Alternate databases: every drained follower mismatches the seed,
         // stops formation, and seeds the next dispatch itself.
         let tickets: Vec<Ticket> = (0..4)
             .map(|i| {
                 let db = if i % 2 == 0 { "alpha" } else { "beta" };
-                pool.submit(InferenceRequest::new(db, format!("q{i}"))).expect("admitted")
+                submit_observed(&pool, db, &format!("q{i}"), &events_tx)
             })
             .collect();
+        gate.open();
+        hold.wait().expect("held request completes once released");
         for t in tickets {
             t.wait().expect("echo cannot fail");
         }
         let health = pool.shutdown();
-        let sizes = dispatches.lock().clone();
-        assert!(
-            sizes.iter().all(|&n| n == 1) || sizes.is_empty(),
-            "cross-database requests must never batch: {sizes:?}"
-        );
-        assert!(
-            health.metrics.batch_bypass_mismatch >= 1,
-            "mismatch bypasses must be counted: {:?}",
-            health.metrics
-        );
+        assert_eq!(dispatched_sizes(&events), vec![1, 1, 1, 1], "cross-database requests never batch");
+        // q1, q2 and q3 each stopped the formation ahead of them.
+        assert_eq!(health.metrics.batch_bypass_mismatch, 3);
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Property tests for the batch-formation state machine: whatever the job
-//! stream looks like, a formed batch never mixes compatibility keys (hence
-//! never mixes databases or configs), never exceeds `max_batch`, and the
-//! linger can never push a joined member past its deadline.
+//! Property tests for work-conserving batch formation: whatever is queued
+//! when a worker picks up a seed, one drain loses nothing and reorders
+//! nothing, never exceeds `max_batch`, never mixes compatibility keys
+//! (hence never mixes databases or configs), and hands back exactly the
+//! first job it could not take.
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
-use codes_serve::{BatchPolicy, BypassReason, CompatKey, Formation, MemberInfo, Verdict};
+use codes_serve::{BatchPolicy, CompatKey, Formation, MemberInfo, Verdict};
 use proptest::prelude::*;
 
 /// Decode one queued job's formation view from a single generated word
@@ -26,114 +28,116 @@ fn member(raw: u64) -> MemberInfo {
     }
 }
 
-/// Drive the full worker-side formation loop over a job stream: seed each
-/// batch from the stream head (or the previous stop-candidate), offer the
-/// rest, and collect the batches as the real worker loop would.
-fn form_all(policy: &BatchPolicy, jobs: &[MemberInfo]) -> Vec<Vec<MemberInfo>> {
-    let mut batches = Vec::new();
-    let mut pending = jobs.iter().cloned().collect::<std::collections::VecDeque<_>>();
-    while let Some(seed) = pending.pop_front() {
-        if !policy.seed_can_linger(&seed) {
-            batches.push(vec![seed]);
-            continue;
-        }
-        let mut formation = Formation::new(seed.clone());
-        let mut batch = vec![seed];
-        while !formation.is_full(policy) {
-            let Some(candidate) = pending.pop_front() else {
-                break;
-            };
-            match formation.consider(policy, &candidate) {
-                Verdict::Joined => batch.push(candidate),
-                Verdict::Stop(_) => {
-                    pending.push_front(candidate);
-                    break;
-                }
-            }
-        }
-        batches.push(batch);
-    }
-    batches
+/// A queued job: its position in the submitted stream plus its view.
+type Job = (usize, MemberInfo);
+
+fn jobs(words: &[u64]) -> Vec<Job> {
+    words.iter().map(|&w| member(w)).enumerate().collect()
+}
+
+/// One worker-side drain: the stream head seeds, the rest is the queue.
+/// Also returns how often the queue was polled.
+fn drain_once(
+    policy: &BatchPolicy,
+    stream: &[Job],
+) -> (Vec<Job>, Option<Job>, VecDeque<Job>, usize) {
+    let mut queue: VecDeque<Job> = stream.iter().cloned().collect();
+    let seed = queue.pop_front().expect("streams are generated non-empty");
+    let mut polls = 0;
+    let (batch, leftover) = policy.drain(seed, |(_, m)| m.clone(), || {
+        polls += 1;
+        queue.pop_front()
+    });
+    (batch, leftover, queue, polls)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn batches_never_mix_keys_or_exceed_capacity(
-        jobs in prop::collection::vec(0u64..u64::MAX, 1..40),
+    fn one_drain_conserves_order_and_respects_capacity_and_keys(
+        words in prop::collection::vec(0u64..u64::MAX, 1..40),
         max_batch in 1usize..9,
-        linger_ms in 0u64..60,
     ) {
-        let policy = BatchPolicy { max_batch, linger: Duration::from_millis(linger_ms) };
-        let members: Vec<MemberInfo> = jobs.iter().map(|&j| member(j)).collect();
-        let batches = form_all(&policy, &members);
+        let policy = BatchPolicy { max_batch };
+        let stream = jobs(&words);
+        let (batch, leftover, undrained, polls) = drain_once(&policy, &stream);
 
-        // Every job lands in exactly one batch — formation loses nothing.
-        prop_assert_eq!(batches.iter().map(Vec::len).sum::<usize>(), members.len());
-        for batch in &batches {
-            // Capacity.
-            prop_assert!(batch.len() <= policy.max_batch.max(1));
-            // Homogeneity: one database, one config fingerprint, one
-            // deadline class per dispatch.
-            let key = &batch[0].key;
-            for m in batch {
-                prop_assert_eq!(&m.key, key);
-            }
-            // The linger never pushes a member past its deadline: every
-            // member of a multi-member batch entered with more than one
-            // linger of slack (the seed with more than two).
-            if batch.len() > 1 {
-                prop_assert!(batch[0].remaining > policy.linger.saturating_mul(2));
-                for m in &batch[1..] {
-                    prop_assert!(m.remaining > policy.linger);
-                }
-            }
+        // Conservation, FIFO: batch, then leftover, then what was never
+        // dequeued is the submitted stream, in the submitted order.
+        let seen: Vec<usize> =
+            batch.iter().chain(leftover.iter()).chain(undrained.iter()).map(|(i, _)| *i).collect();
+        prop_assert_eq!(seen, (0..stream.len()).collect::<Vec<_>>());
+        // Capacity.
+        prop_assert!(batch.len() <= max_batch);
+        // Homogeneity: one database, one config fingerprint, one deadline
+        // class per dispatch.
+        for (_, m) in &batch {
+            prop_assert_eq!(&m.key, &stream[0].1.key);
         }
+        // The batch is the longest compatible prefix that fits, and the
+        // leftover is exactly the first job that was refused: present only
+        // when a dequeued job mismatched, never because the batch filled
+        // (a full batch dequeues nothing more) or the queue ran dry.
+        let compatible =
+            stream.iter().take_while(|(_, m)| m.key == stream[0].1.key).count();
+        prop_assert_eq!(batch.len(), compatible.min(max_batch));
+        let refused = (compatible < max_batch && compatible < stream.len()).then_some(compatible);
+        prop_assert_eq!(leftover.map(|(i, _)| i), refused);
+        // Work-conserving: one poll per dequeued job, plus the single
+        // empty poll that ends a drain the queue could not fill — an
+        // empty queue is never asked twice, so a lone seed waits for
+        // nobody.
+        let ran_dry = batch.len() < max_batch && refused.is_none();
+        prop_assert_eq!(polls, batch.len() - 1 + refused.iter().count() + ran_dry as usize);
     }
 
     #[test]
-    fn disabled_batching_always_dispatches_solo(
-        jobs in prop::collection::vec(0u64..u64::MAX, 1..20),
-        linger_ms in 0u64..60,
+    fn chained_drains_dispatch_the_whole_stream_in_order(
+        words in prop::collection::vec(0u64..u64::MAX, 1..40),
+        max_batch in 1usize..9,
     ) {
-        let policy = BatchPolicy { max_batch: 1, linger: Duration::from_millis(linger_ms) };
-        let members: Vec<MemberInfo> = jobs.iter().map(|&j| member(j)).collect();
-        for batch in form_all(&policy, &members) {
-            prop_assert_eq!(batch.len(), 1);
+        // The worker loop: a leftover seeds the next dispatch, otherwise
+        // the next dequeued job does.
+        let policy = BatchPolicy { max_batch };
+        let mut queue: VecDeque<Job> = jobs(&words).into();
+        let mut carried = None;
+        let mut dispatched = Vec::new();
+        while let Some(seed) = carried.take().or_else(|| queue.pop_front()) {
+            let (batch, leftover) = policy.drain(seed, |(_, m)| m.clone(), || queue.pop_front());
+            if max_batch == 1 {
+                // Batching disabled: solo, and nothing dequeued to find out.
+                prop_assert_eq!(batch.len(), 1);
+                prop_assert!(leftover.is_none());
+            }
+            dispatched.extend(batch.into_iter().map(|(i, _)| i));
+            carried = leftover;
         }
+        prop_assert_eq!(dispatched, (0..words.len()).collect::<Vec<_>>());
     }
 
     #[test]
-    fn verdicts_are_exhaustive_and_deterministic(
+    fn verdicts_are_deterministic_and_decided_by_key_alone(
         seed in 0u64..u64::MAX,
         candidate in 0u64..u64::MAX,
         max_batch in 2usize..9,
-        linger_ms in 1u64..60,
     ) {
-        let policy = BatchPolicy { max_batch, linger: Duration::from_millis(linger_ms) };
+        let policy = BatchPolicy { max_batch };
         let seed = member(seed);
         let candidate = member(candidate);
         let mut a = Formation::new(seed.clone());
         let mut b = Formation::new(seed.clone());
         let va = a.consider(&policy, &candidate);
-        let vb = b.consider(&policy, &candidate);
         // Same inputs, same verdict (formation is pure state).
-        prop_assert_eq!(va, vb);
+        prop_assert_eq!(va, b.consider(&policy, &candidate));
         match va {
             Verdict::Joined => {
                 prop_assert_eq!(&candidate.key, &seed.key);
-                prop_assert!(candidate.remaining > policy.linger);
                 prop_assert_eq!(a.len(), 2);
                 prop_assert_eq!(a.min_remaining(), seed.remaining.min(candidate.remaining));
             }
-            Verdict::Stop(BypassReason::Mismatch) => {
+            Verdict::Stop => {
                 prop_assert_ne!(&candidate.key, &seed.key);
-                prop_assert_eq!(a.len(), 1);
-            }
-            Verdict::Stop(BypassReason::Deadline) => {
-                prop_assert_eq!(&candidate.key, &seed.key);
-                prop_assert!(candidate.remaining <= policy.linger);
                 prop_assert_eq!(a.len(), 1);
             }
         }

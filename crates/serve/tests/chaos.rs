@@ -8,8 +8,8 @@ use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
 use codes_serve::{
-    Backend, BackendReply, BreakerConfig, FaultPlan, FaultyBackend, InferenceRequest, Pool,
-    ServeConfig, ServeError, Ticket,
+    Backend, BackendReply, BreakerConfig, FaultPlan, FaultyBackend, Gate, GatedBackend,
+    InferenceRequest, Pool, Progress, ServeConfig, ServeError, Ticket,
 };
 use sqlengine::Backoff;
 
@@ -524,44 +524,63 @@ impl Backend for PoisonBackend {
 #[test]
 fn mid_batch_panic_resolves_every_member_exactly_once() {
     silence_injected_panics();
-    // One worker with a generous linger so the four submissions below
-    // coalesce into a single dispatch; the poison member panics the whole
-    // batch out from under the other three.
+    // One worker, parked at the gate while the four submissions below
+    // queue up behind it: released, it drains all four into one dispatch,
+    // and the poison member panics the whole batch out from under the
+    // other three.
     let config = ServeConfig {
         workers: 1,
         queue_capacity: 16,
         max_batch: 4,
-        batch_linger: Duration::from_millis(300),
         default_deadline: Duration::from_secs(30),
         heartbeat_interval: Duration::from_millis(5),
         ..ServeConfig::default()
     };
-    let pool = Pool::start(PoisonBackend, config);
+    let (backend, gate) = GatedBackend::new(PoisonBackend);
+    let pool = Pool::start(backend, config);
+    let hold = pool
+        .submit(InferenceRequest::new("db", Gate::HOLD))
+        .expect("admitted");
+    gate.wait_parked();
+    let (events_tx, events) = crossbeam::channel::unbounded::<Progress>();
     let tickets: Vec<Ticket> = ["q0", "boom", "q2", "q3"]
         .into_iter()
-        .map(|q| pool.submit(InferenceRequest::new("db", q)).expect("admitted"))
+        .map(|q| {
+            let (ticket, reply_tx) = Ticket::detached(0);
+            pool.submit_routed_with_progress(
+                InferenceRequest::new("db", q),
+                reply_tx,
+                Some(Arc::new(events_tx.clone())),
+            )
+            .expect("admitted");
+            ticket
+        })
         .collect();
+    gate.open();
+    hold.wait().expect("held request completes once released");
 
     // Every member resolves — none hang — and each resolves exactly once
     // (a second resolution would leave a stray message in the ticket's
     // single-slot channel, which `wait` consuming the ticket rules out).
-    let mut panics = 0;
-    let mut served = 0;
+    // The batch unwinds as one: no member was answered before the panic.
     for ticket in tickets {
         match ticket
             .wait_timeout(Duration::from_secs(10))
             .expect("every batch member resolves despite the mid-batch panic")
         {
-            Ok(_) => served += 1,
             Err(ServeError::WorkerPanic(msg)) => {
                 assert!(msg.contains("injected fault"), "panic message surfaces: {msg}");
-                panics += 1;
             }
-            Err(other) => panic!("unexpected outcome: {other}"),
+            other => panic!("unexpected outcome: {other:?}"),
         }
     }
-    assert_eq!(panics + served, 4);
-    assert!(panics >= 1, "the poison member itself must resolve as a worker panic");
+    let batch_sizes: Vec<usize> = std::iter::from_fn(|| events.try_recv().ok())
+        .filter_map(|p| match p {
+            Progress::Dispatched { batch_size, .. } => Some(batch_size),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(batch_sizes, vec![4; 4], "the backlog formed one four-member dispatch");
 
     // The supervisor replaced the worker; the pool still serves.
     let after = pool

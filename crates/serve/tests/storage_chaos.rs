@@ -57,7 +57,9 @@ fn chaos_storm_recycles_broken_connections_and_enforces_the_revision_fence() {
     let memory = MemoryBackend::new(vec![bank_financials_db(1)]);
     let store = memory.store();
     let flaky = FlakyBackend::new(memory, storm_spec(0xD1CE));
-    let storage_pool = ConnectionPool::new(
+    // A private registry: pools built with `ConnectionPool::new` share the
+    // process-global one, and the accounting below must see this pool only.
+    let storage_pool = ConnectionPool::with_registry(
         Arc::new(flaky),
         PoolConfig {
             capacity: 4,
@@ -65,6 +67,7 @@ fn chaos_storm_recycles_broken_connections_and_enforces_the_revision_fence() {
             connect_attempts: 2,
             ..PoolConfig::default()
         },
+        &registry,
     );
     let service = Arc::new(CatalogService::new(storage_pool, IntrospectOptions::default()));
     let backend = SystemBackend::with_catalogs(Arc::clone(&system), Arc::clone(&service));
@@ -116,7 +119,17 @@ fn chaos_storm_recycles_broken_connections_and_enforces_the_revision_fence() {
         let outcome = ticket
             .wait_timeout(Duration::from_secs(15))
             .expect("phase-1 ticket resolved — storage faults must not hang requests");
-        assert!(outcome.is_ok(), "stale-serve degradation, not failure: {outcome:?}");
+        let served = outcome.expect("stale-serve degradation, not failure");
+        // The catalog is unchanged in this phase, so every sync is the one
+        // revision read. The pool parks connections unprobed after a clean
+        // round trip; one that broke silently must cost the sync a retry,
+        // never a stale-serve — those are for faults on a live connection.
+        for note in served.degradations.iter().filter(|d| d.contains("storage sync failed")) {
+            assert!(
+                !note.contains("connection is broken"),
+                "a connection that died while parked failed a dispatch's sync: {note}"
+            );
+        }
     }
 
     // Mid-storm catalog change: a live mutation moves the backend's
@@ -213,7 +226,11 @@ fn chaos_storm_recycles_broken_connections_and_enforces_the_revision_fence() {
 fn sync_failure_serves_the_stale_catalog_with_a_degradation_note() {
     let system = sft_system(None);
     let memory = MemoryBackend::new(vec![bank_financials_db(1)]);
-    let storage_pool = ConnectionPool::new(Arc::new(memory), PoolConfig::default());
+    let storage_pool = ConnectionPool::with_registry(
+        Arc::new(memory),
+        PoolConfig::default(),
+        &codes_obs::Registry::new(),
+    );
     let service = Arc::new(CatalogService::new(storage_pool, IntrospectOptions::default()));
     let backend = SystemBackend::with_catalogs(system, Arc::clone(&service));
 

@@ -10,10 +10,15 @@
 //! how many threads race.
 //!
 //! Recycling is health-checked: a connection that errored during use is
-//! probed before reuse, every checkin optionally probes
-//! ([`PoolConfig::ping_on_checkin`]), and a probe failure discards the
-//! connection — its slot returns empty, and the next checkout
-//! re-establishes against the backend with jittered exponential backoff.
+//! probed before reuse, a connection that completed no round trip while
+//! checked out is probed too ([`PoolConfig::ping_on_checkin`]), and a
+//! probe failure discards the connection — its slot returns empty, and
+//! the next checkout re-establishes against the backend with jittered
+//! exponential backoff. A connection that just answered an operation is
+//! parked as is: that round trip was the liveness proof. One that dies
+//! after it fails its next caller's first operation and is discarded at
+//! that checkin; [`ConnectionPool::checkout_probed`] is the hand-out for
+//! retrying past it (`CatalogService` does, for its catalog reads).
 //! Idle connections past [`PoolConfig::idle_timeout`] are reaped at
 //! checkout instead of being handed out stale.
 
@@ -38,9 +43,18 @@ pub struct PoolConfig {
     /// Idle connections older than this are discarded at checkout and
     /// replaced with a fresh establishment. `None` disables reaping.
     pub idle_timeout: Option<Duration>,
-    /// Probe liveness on every checkin (not just after an error). Costs
-    /// one `ping` per recycle; guarantees the free list only ever holds
-    /// connections that were healthy when parked.
+    /// Probe liveness at checkin when the checkout itself proved nothing:
+    /// a connection that completed no operation while checked out is
+    /// pinged before it is parked. One that completed an operation
+    /// without a transport error is parked unprobed — that round trip
+    /// already proved it live, and a second one would only prove it again
+    /// a moment later. (A connection that *reported* a transport error is
+    /// always probed, whatever this is set to.) Guarantees the free list
+    /// only holds connections that answered a round trip during the
+    /// checkout that parked them; one that dies afterwards fails its next
+    /// caller's first operation and is discarded at that checkin — a
+    /// caller that can repeat the operation does so on
+    /// [`ConnectionPool::checkout_probed`].
     pub ping_on_checkin: bool,
     /// Connect attempts per establishment before giving up.
     pub connect_attempts: u32,
@@ -201,7 +215,33 @@ impl ConnectionPool {
 
         self.inner.metrics.checkouts.inc();
         self.inner.metrics.in_use.add(1);
-        Ok(PooledConn { pool: Arc::clone(&self.inner), conn: Some(conn), tainted: false })
+        Ok(PooledConn {
+            pool: Arc::clone(&self.inner),
+            conn: Some(conn),
+            tainted: false,
+            proved_live: false,
+        })
+    }
+
+    /// Check out a connection that answered a probe at hand-out. A parked
+    /// connection is only as live as the round trip that parked it; this is
+    /// the checkout for a caller whose first operation on a recycled
+    /// connection just failed at the transport. Each connection that fails
+    /// the probe is discarded, so after at most `capacity` dead parked ones
+    /// the next is a fresh establishment.
+    pub fn checkout_probed(&self) -> Result<PooledConn, StorageError> {
+        let mut last = StorageError::Connect("no pooled connection answered a probe".to_string());
+        for _ in 0..=self.inner.config.capacity {
+            let mut conn = self.checkout()?;
+            match conn.ping() {
+                Ok(()) => return Ok(conn),
+                Err(e) => {
+                    last = e;
+                    conn.discard();
+                }
+            }
+        }
+        Err(last)
     }
 
     /// Establish a fresh connection, retrying with backoff. The caller
@@ -245,7 +285,7 @@ impl ConnectionPool {
                 break;
             };
             if slot.conn.is_some() {
-                self.inner.metrics.discarded_closed.inc();
+                self.inner.metrics.discarded_drained.inc();
                 self.inner.metrics.idle.add(-1);
             }
             let _ = self.inner.slots_tx.try_send(Slot { conn: None });
@@ -261,8 +301,9 @@ impl ConnectionPool {
             established: m.established.get(),
             discarded_broken: m.discarded_broken.get(),
             discarded_ping: m.discarded_ping.get(),
-            discarded_idle: m.discarded_idle.get(),
             discarded_closed: m.discarded_closed.get(),
+            discarded_idle: m.discarded_idle.get(),
+            discarded_drained: m.discarded_drained.get(),
             connect_failures: m.connect_failures.get(),
             exhausted: m.exhausted.get(),
             in_use: m.in_use.get(),
@@ -274,12 +315,16 @@ impl ConnectionPool {
 /// RAII checkout guard. Implements [`Connection`] by delegation, tracking
 /// connection-level failures so drop can decide between recycling and
 /// discarding. Dropping the guard checks the connection in; a connection
-/// that errored (or, with [`PoolConfig::ping_on_checkin`], any connection)
-/// is probed first and discarded on failure.
+/// that errored (or, with [`PoolConfig::ping_on_checkin`], one that
+/// completed no round trip on this checkout) is probed first and
+/// discarded on failure.
 pub struct PooledConn {
     pool: Arc<PoolInner>,
     conn: Option<Box<dyn Connection>>,
     tainted: bool,
+    /// A delegated operation completed without a transport error: the
+    /// backend answered on this connection during this checkout.
+    proved_live: bool,
 }
 
 impl std::fmt::Debug for PooledConn {
@@ -308,6 +353,8 @@ impl PooledConn {
         let result = f(conn.as_mut());
         if matches!(result, Err(StorageError::Connect(_))) {
             self.tainted = true;
+        } else {
+            self.proved_live = true;
         }
         result
     }
@@ -324,6 +371,13 @@ impl PooledConn {
     /// Whether a connection-level failure was observed on this checkout.
     pub fn is_tainted(&self) -> bool {
         self.tainted
+    }
+
+    /// Whether the backend answered any operation on this checkout. A
+    /// tainted guard that never did failed on its first operation: nothing
+    /// ran, and the connection most likely died while parked.
+    pub fn proved_live(&self) -> bool {
+        self.proved_live
     }
 }
 
@@ -373,7 +427,7 @@ impl Drop for PooledConn {
                 let _ = self.pool.slots_tx.try_send(Slot { conn: None });
                 return;
             }
-        } else if self.pool.config.ping_on_checkin && conn.ping().is_err() {
+        } else if self.pool.config.ping_on_checkin && !self.proved_live && conn.ping().is_err() {
             self.pool.metrics.discarded_ping.inc();
             let _ = self.pool.slots_tx.try_send(Slot { conn: None });
             return;
@@ -492,7 +546,12 @@ mod tests {
         assert_eq!(pool.checkout().expect_err("closed").kind(), "shutting_down");
         let stats = pool.stats();
         assert_eq!(stats.idle, 0, "idle connections drained on close");
-        assert_eq!(stats.discarded_closed, 1);
+        assert_eq!(stats.discarded_drained, 1);
+        assert_eq!(
+            stats.checkouts,
+            stats.checkins + stats.discarded(),
+            "a parked connection was checked in; draining it is not a second ending: {stats:?}"
+        );
     }
 
     #[test]

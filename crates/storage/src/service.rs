@@ -20,7 +20,7 @@ use sqlengine::Database;
 use crate::backend::Connection;
 use crate::error::StorageError;
 use crate::introspect::{introspect, Catalog, IntrospectOptions};
-use crate::pool::ConnectionPool;
+use crate::pool::{ConnectionPool, PooledConn};
 
 /// Callback invoked with the fresh mirror whenever an attach or sync
 /// installs a catalog (first sighting included).
@@ -79,12 +79,30 @@ impl CatalogService {
         }
     }
 
+    /// Run an idempotent read over a pooled connection. The pool parks a
+    /// connection on the strength of its last round trip, so one that died
+    /// afterwards is found by the next caller's first operation; when that
+    /// is what failed — a transport error before the backend answered
+    /// anything on this checkout — the read runs once more on a connection
+    /// that just answered a probe, instead of failing the caller.
+    fn read<R>(
+        &self,
+        op: impl Fn(&mut PooledConn) -> Result<R, StorageError>,
+    ) -> Result<R, StorageError> {
+        let mut conn = self.pool.checkout()?;
+        match op(&mut conn) {
+            Err(StorageError::Connect(_)) if !conn.proved_live() => {
+                drop(conn);
+                op(&mut self.pool.checkout_probed()?)
+            }
+            result => result,
+        }
+    }
+
     /// Attach (or re-attach) a database: introspect it over a pooled
     /// connection and install the catalog.
     pub fn attach(&self, db_id: &str) -> Result<Arc<Catalog>, StorageError> {
-        let mut conn = self.pool.checkout()?;
-        let catalog = Arc::new(introspect(&mut conn, db_id, &self.options)?);
-        drop(conn);
+        let catalog = Arc::new(self.read(|conn| introspect(conn, db_id, &self.options))?);
         self.catalogs.write().insert(db_id.to_string(), Arc::clone(&catalog));
         self.notify(&catalog.database);
         Ok(catalog)
@@ -93,10 +111,7 @@ impl CatalogService {
     /// Attach every database the backend reports. Returns the attached
     /// ids, sorted.
     pub fn attach_all(&self) -> Result<Vec<String>, StorageError> {
-        let ids = {
-            let mut conn = self.pool.checkout()?;
-            conn.databases()?
-        };
+        let ids = self.read(|conn| conn.databases())?;
         for db_id in &ids {
             self.attach(db_id)?;
         }
@@ -110,10 +125,7 @@ impl CatalogService {
             self.attach(db_id)?;
             return Ok(SyncOutcome::Attached);
         };
-        let live = {
-            let mut conn = self.pool.checkout()?;
-            conn.revision(db_id)?
-        };
+        let live = self.read(|conn| conn.revision(db_id))?;
         if live == current.revision {
             return Ok(SyncOutcome::Unchanged);
         }
@@ -206,6 +218,48 @@ mod tests {
         assert_eq!(observed.load(Ordering::SeqCst), 2, "swap notifies the observer");
         let mirrored = service.catalog("d").expect("attached");
         assert_eq!(mirrored.database.table("t").expect("t").rows.len(), 1, "fresh rows visible");
+    }
+
+    /// The pool parks a connection on the strength of its last operation,
+    /// so one that broke silently right after it is handed to the next
+    /// sync. That sync must not fail for it: with silent breaks as the
+    /// only fault no sync fails at all, and under the full storm the only
+    /// errors left are the ones the injector raised on a live connection.
+    #[test]
+    fn a_connection_that_died_while_parked_never_fails_a_sync() {
+        use crate::flaky::{FaultSpec, FlakyBackend};
+        let storm = |spec: FaultSpec| {
+            let mut db = Database::new("d");
+            db.create_table(TableSchema::new("t", vec![Column::new("c", DataType::Integer)]))
+                .expect("fresh table");
+            let pool = ConnectionPool::with_registry(
+                Arc::new(FlakyBackend::new(MemoryBackend::new(vec![db]), spec)),
+                PoolConfig { capacity: 2, ..PoolConfig::default() },
+                &codes_obs::Registry::new(),
+            );
+            let service = CatalogService::new(pool, IntrospectOptions::default());
+            assert!((0..50).any(|_| service.attach("d").is_ok()), "attach beats the injector");
+            let errors: Vec<String> = (0..400)
+                .filter_map(|_| service.sync("d").err())
+                .map(|e| e.to_string())
+                .collect();
+            (errors, service.pool().stats())
+        };
+
+        let (errors, stats) =
+            storm(FaultSpec { seed: 7, silent_break: 0.2, ..FaultSpec::default() });
+        assert!(errors.is_empty(), "silent breaks alone must never fail a sync: {errors:?}");
+        assert!(stats.discarded_broken > 20, "the storm did park dead connections: {stats:?}");
+        assert_eq!(stats.checkouts, stats.checkins + stats.discarded(), "{stats:?}");
+
+        let (errors, stats) = storm(FaultSpec { silent_break: 0.2, ..FaultSpec::chaos(7) });
+        assert!(!errors.is_empty(), "injected I/O faults and refusals still surface");
+        assert!(
+            errors.iter().all(|e| e.contains("injected")),
+            "every failed sync is an injected fault on a live connection, \
+             never a connection that was parked dead: {errors:?}"
+        );
+        assert_eq!(stats.checkouts, stats.checkins + stats.discarded(), "{stats:?}");
     }
 
     #[test]

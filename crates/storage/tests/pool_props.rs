@@ -1,9 +1,12 @@
-//! Property tests for the connection pool: whatever the checkout /
-//! checkin / fault interleaving looks like, (1) live backend connections
-//! never exceed the pool's capacity, (2) every checkout is checked in or
-//! discarded exactly once, and (3) a connection handed out from the free
-//! list is always healthy — health-checked recycling means a broken
-//! connection can never be recycled into a caller's hands.
+//! Property tests for the connection pool: whatever the checkout / use /
+//! fault / drop / `discard()` / idle-reap / `close()` interleaving looks
+//! like, (1) live backend connections never exceed the pool's capacity,
+//! (2) every checkout is checked in or discarded exactly once and every
+//! established connection is parked, held or discarded, and (3) a
+//! connection handed out from the free list is healthy wherever a probe
+//! vouches for it; one that broke silently after its last clean operation
+//! fails exactly one first operation and is discarded at that checkin,
+//! and a catalog read retries past it.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -25,18 +28,38 @@ fn fixture() -> Database {
     db
 }
 
-/// Wraps any backend and counts live connections from the backend's own
-/// point of view, recording the peak — the occupancy bound is asserted
-/// against ground truth, not against the pool's self-reported gauges.
+/// Ground truth from the backend's own point of view — the properties are
+/// asserted against this, not against the pool's self-reported gauges.
+#[derive(Default)]
+struct Truth {
+    /// Connections alive right now, and the most there ever were.
+    live: AtomicI64,
+    peak: AtomicI64,
+    /// Live connections that have returned a transport error to someone.
+    live_faulted: AtomicI64,
+    /// Liveness probes the backend has answered.
+    pings: AtomicI64,
+}
+
 struct CountingBackend<B> {
     inner: B,
-    live: Arc<AtomicI64>,
-    peak: Arc<AtomicI64>,
+    truth: Arc<Truth>,
 }
 
 struct CountingConnection {
     inner: Box<dyn Connection>,
-    live: Arc<AtomicI64>,
+    truth: Arc<Truth>,
+    faulted: bool,
+}
+
+impl CountingConnection {
+    fn observe<R>(&mut self, result: Result<R, StorageError>) -> Result<R, StorageError> {
+        if matches!(result, Err(StorageError::Connect(_))) && !self.faulted {
+            self.faulted = true;
+            self.truth.live_faulted.fetch_add(1, Ordering::SeqCst);
+        }
+        result
+    }
 }
 
 impl<B: Backend> Backend for CountingBackend<B> {
@@ -46,60 +69,106 @@ impl<B: Backend> Backend for CountingBackend<B> {
 
     fn connect(&self) -> Result<Box<dyn Connection>, StorageError> {
         let inner = self.inner.connect()?;
-        let live = self.live.fetch_add(1, Ordering::SeqCst) + 1;
-        self.peak.fetch_max(live, Ordering::SeqCst);
-        Ok(Box::new(CountingConnection { inner, live: Arc::clone(&self.live) }))
+        let live = self.truth.live.fetch_add(1, Ordering::SeqCst) + 1;
+        self.truth.peak.fetch_max(live, Ordering::SeqCst);
+        Ok(Box::new(CountingConnection { inner, truth: Arc::clone(&self.truth), faulted: false }))
     }
 }
 
 impl Drop for CountingConnection {
     fn drop(&mut self) {
-        self.live.fetch_sub(1, Ordering::SeqCst);
+        self.truth.live.fetch_sub(1, Ordering::SeqCst);
+        if self.faulted {
+            self.truth.live_faulted.fetch_sub(1, Ordering::SeqCst);
+        }
     }
 }
 
 impl Connection for CountingConnection {
     fn execute(&mut self, db_id: &str, sql: &str) -> Result<QueryResult, StorageError> {
-        self.inner.execute(db_id, sql)
+        let result = self.inner.execute(db_id, sql);
+        self.observe(result)
     }
 
     fn ping(&mut self) -> Result<(), StorageError> {
-        self.inner.ping()
+        self.truth.pings.fetch_add(1, Ordering::SeqCst);
+        let result = self.inner.ping();
+        self.observe(result)
     }
 
     fn databases(&mut self) -> Result<Vec<String>, StorageError> {
-        self.inner.databases()
+        let result = self.inner.databases();
+        self.observe(result)
     }
 
     fn tables(&mut self, db_id: &str) -> Result<Vec<String>, StorageError> {
-        self.inner.tables(db_id)
+        let result = self.inner.tables(db_id);
+        self.observe(result)
     }
 
     fn table_schema(&mut self, db_id: &str, table: &str) -> Result<TableSchema, StorageError> {
-        self.inner.table_schema(db_id, table)
+        let result = self.inner.table_schema(db_id, table);
+        self.observe(result)
     }
 
     fn revision(&mut self, db_id: &str) -> Result<u64, StorageError> {
-        self.inner.revision(db_id)
+        let result = self.inner.revision(db_id);
+        self.observe(result)
     }
 }
 
 struct Harness {
     pool: ConnectionPool,
-    live: Arc<AtomicI64>,
-    peak: Arc<AtomicI64>,
+    truth: Arc<Truth>,
+}
+
+impl Harness {
+    /// The accounting identities that must hold whenever no guard is held
+    /// (see [`codes_storage::PoolStats`]), checked against ground truth.
+    fn assert_conserved(&self, capacity: usize) {
+        let stats = self.pool.stats();
+        let live = self.truth.live.load(Ordering::SeqCst);
+        assert!(
+            self.truth.peak.load(Ordering::SeqCst) <= capacity as i64,
+            "occupancy bound held: {stats:?}"
+        );
+        assert_eq!(
+            stats.checkouts,
+            stats.checkins + stats.discarded(),
+            "every checkout checked in or discarded exactly once: {stats:?}"
+        );
+        assert_eq!(stats.in_use, 0, "no guard outlives the sequence: {stats:?}");
+        assert_eq!(live, stats.idle, "live backend connections are exactly the parked ones: {stats:?}");
+        assert_eq!(
+            stats.established,
+            live as u64 + stats.discarded() + stats.discarded_parked(),
+            "every established connection is parked or was discarded once: {stats:?}"
+        );
+        assert_eq!(
+            self.truth.live_faulted.load(Ordering::SeqCst),
+            0,
+            "no connection that reported a transport failure is parked: {stats:?}"
+        );
+    }
 }
 
 fn harness(seed: u64, capacity: usize, spec: FaultSpec) -> Harness {
-    let live = Arc::new(AtomicI64::new(0));
-    let peak = Arc::new(AtomicI64::new(0));
+    harness_with(seed, capacity, spec, PoolConfig::default().idle_timeout)
+}
+
+fn harness_with(
+    seed: u64,
+    capacity: usize,
+    spec: FaultSpec,
+    idle_timeout: Option<Duration>,
+) -> Harness {
+    let truth = Arc::new(Truth::default());
     let backend = CountingBackend {
         inner: FlakyBackend::new(
             MemoryBackend::new(vec![fixture()]),
             FaultSpec { seed, ..spec },
         ),
-        live: Arc::clone(&live),
-        peak: Arc::clone(&peak),
+        truth: Arc::clone(&truth),
     };
     let registry = codes_obs::Registry::new();
     let pool = ConnectionPool::with_registry(
@@ -107,13 +176,14 @@ fn harness(seed: u64, capacity: usize, spec: FaultSpec) -> Harness {
         PoolConfig {
             capacity,
             checkout_timeout: Duration::from_millis(20),
+            idle_timeout,
             connect_attempts: 2,
             backoff: Backoff::new(Duration::from_micros(50), Duration::from_micros(200), seed),
             ..PoolConfig::default()
         },
         &registry,
     );
-    Harness { pool, live, peak }
+    Harness { pool, truth }
 }
 
 const STORM: FaultSpec = FaultSpec {
@@ -128,70 +198,131 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Decode an op sequence from generated words (the vendored proptest
-    /// has no tuple combinators): `word % 3` picks checkout / checkin /
-    /// execute, the remaining bits pick which held guard to act on. The
-    /// first word seeds the fault stream.
+    /// has no tuple combinators): `word % 64` picks checkout / drop / use
+    /// (which the fault stream may fail) / `discard()` / `close()`, the
+    /// remaining bits pick which held guard to act on. The first word
+    /// seeds the fault stream, the second decides whether parked
+    /// connections are reaped (a zero idle timeout makes every recycle a
+    /// reap).
     #[test]
-    fn occupancy_bound_and_checkout_conservation(
-        words in prop::collection::vec(0u64..u64::MAX, 2..120),
+    fn occupancy_bound_and_conservation_over_arbitrary_op_sequences(
+        words in prop::collection::vec(0u64..u64::MAX, 3..160),
     ) {
         let capacity = 3usize;
-        let h = harness(words[0], capacity, STORM);
+        let idle_timeout = (words[1] % 2 == 0).then_some(Duration::ZERO);
+        let h = harness_with(words[0], capacity, STORM, idle_timeout);
         let mut held: Vec<PooledConn> = Vec::new();
-        for &word in &words[1..] {
-            match word % 3 {
-                0 => {
-                    if let Ok(conn) = h.pool.checkout() {
+        let mut closed = false;
+        for &word in &words[2..] {
+            let pick = |held: &[PooledConn]| (word / 64) as usize % held.len();
+            match word % 64 {
+                0..=23 => match h.pool.checkout() {
+                    Ok(conn) => {
+                        prop_assert!(!closed, "a closed pool hands nothing out");
                         held.push(conn);
                     }
+                    Err(e) => prop_assert!(
+                        matches!(
+                            e,
+                            StorageError::Connect(_)
+                                | StorageError::Exhausted { .. }
+                                | StorageError::Closed
+                        ),
+                        "only connect refusals, exhaustion or closure may surface, got {e}"
+                    ),
+                },
+                24..=35 if !held.is_empty() => drop(held.remove(pick(&held))),
+                36..=53 if !held.is_empty() => {
+                    let idx = pick(&held);
+                    let _ = held[idx].execute("d", "SELECT c FROM t");
                 }
-                1 => {
-                    if !held.is_empty() {
-                        let idx = (word / 3) as usize % held.len();
-                        drop(held.remove(idx));
-                    }
+                54..=62 if !held.is_empty() => held.remove(pick(&held)).discard(),
+                63 => {
+                    h.pool.close();
+                    closed = true;
                 }
-                _ => {
-                    if !held.is_empty() {
-                        let idx = (word / 3) as usize % held.len();
-                        let _ = held[idx].execute("d", "SELECT c FROM t");
-                    }
-                }
+                _ => {}
             }
             prop_assert!(
-                h.peak.load(Ordering::SeqCst) <= capacity as i64,
+                h.truth.peak.load(Ordering::SeqCst) <= capacity as i64,
                 "live connections never exceed capacity"
             );
         }
         held.clear();
-        let stats = h.pool.stats();
-        // Every checkout is checked in or discarded exactly once, no
-        // guard outlives the sequence, and every live backend connection
-        // is parked idle — nothing leaked.
-        prop_assert_eq!(stats.checkouts, stats.checkins + stats.discarded());
-        prop_assert_eq!(stats.in_use, 0);
-        prop_assert_eq!(h.live.load(Ordering::SeqCst), stats.idle);
+        h.assert_conserved(capacity);
+        if closed {
+            prop_assert!(h.pool.stats().idle == 0, "a closed pool parks nothing");
+        }
     }
 
-    /// A connection handed out by the pool is always healthy on arrival:
-    /// checkin probes liveness, so silently broken connections are
-    /// discarded at the pool boundary, never recycled to a caller.
+    /// A recycled connection is healthy at hand-out in every case where a
+    /// probe still vouches for it — a fresh establishment, a checkout that
+    /// did no round trip (probed at checkin), one that reported a failure
+    /// (probed, then discarded) — and in the one case where nothing does,
+    /// a connection that broke silently right after its last clean
+    /// operation, the damage is one failed first operation: that checkin
+    /// discards it, so the very next hand-out is healthy again. Nothing
+    /// that has reported a transport failure is ever parked.
     #[test]
-    fn recycled_connections_are_always_healthy(
+    fn recycled_connections_are_healthy_or_fail_one_first_op_and_are_discarded(
+        words in prop::collection::vec(0u64..u64::MAX, 2..80),
+    ) {
+        let h = harness(words[0], 2, STORM);
+        // The parked connection's last round trip was an operation that may
+        // have broken it silently, and no probe has run since. One guard
+        // at a time, and checkout prefers the parked connection, so this
+        // tracks exactly the connection the next checkout hands out.
+        let mut parked_unprobed = false;
+        for &word in &words[1..] {
+            match h.pool.checkout() {
+                // Held without a round trip: the checkin probe's case, it
+                // parks the connection only if it answers.
+                Ok(conn) if word % 3 == 0 => {
+                    drop(conn);
+                    parked_unprobed = false;
+                }
+                Ok(mut conn) => {
+                    let healthy = conn.ping().is_ok();
+                    prop_assert!(
+                        healthy || parked_unprobed,
+                        "a handed-out connection that a probe vouched for must answer"
+                    );
+                    // A dead one is tainted now and discarded at checkin; a
+                    // healthy one is used (possibly breaking it) or parked
+                    // on the strength of that ping.
+                    parked_unprobed = healthy
+                        && word % 3 == 1
+                        && conn.execute("d", "SELECT c FROM t").is_ok();
+                }
+                Err(e) => prop_assert!(
+                    matches!(e, StorageError::Connect(_) | StorageError::Exhausted { .. }),
+                    "only connect refusals or exhaustion may surface, got {e}"
+                ),
+            }
+            prop_assert!(
+                h.truth.live_faulted.load(Ordering::SeqCst) == 0,
+                "a connection that reported a transport failure was parked"
+            );
+        }
+    }
+
+    /// `checkout_probed` is the hand-out that never needs the exception
+    /// above: whatever state earlier callers left the free list in, the
+    /// connection it returns answers.
+    #[test]
+    fn a_probed_checkout_is_always_healthy(
         words in prop::collection::vec(0u64..u64::MAX, 2..80),
     ) {
         let h = harness(words[0], 2, STORM);
         for &word in &words[1..] {
-            match h.pool.checkout() {
+            let checkout =
+                if word % 2 == 0 { h.pool.checkout() } else { h.pool.checkout_probed() };
+            match checkout {
                 Ok(mut conn) => {
-                    prop_assert!(
-                        conn.ping().is_ok(),
-                        "a freshly handed-out connection must pass its liveness probe"
-                    );
-                    if word % 2 == 0 {
-                        // Use it (possibly breaking it) before checkin.
-                        let _ = conn.execute("d", "SELECT c FROM t");
+                    if word % 2 == 1 {
+                        prop_assert!(conn.ping().is_ok(), "a probed checkout must answer");
                     }
+                    let _ = conn.execute("d", "SELECT c FROM t");
                 }
                 Err(e) => prop_assert!(
                     matches!(e, StorageError::Connect(_) | StorageError::Exhausted { .. }),
@@ -199,7 +330,24 @@ proptest! {
                 ),
             }
         }
+        h.assert_conserved(2);
     }
+}
+
+/// The checkin probe runs only when the checkout proved nothing: a clean
+/// round trip parks the connection without a second one, an untouched
+/// checkout is pinged before it is parked.
+#[test]
+fn checkin_pings_only_when_the_checkout_did_no_round_trip() {
+    let h = harness(1, 1, FaultSpec::default());
+    {
+        let mut conn = h.pool.checkout().expect("quiet backend");
+        conn.execute("d", "SELECT c FROM t").expect("quiet backend");
+    }
+    assert_eq!(h.truth.pings.load(Ordering::SeqCst), 0, "the operation was the liveness proof");
+    drop(h.pool.checkout().expect("recycled"));
+    assert_eq!(h.truth.pings.load(Ordering::SeqCst), 1, "an untouched connection is probed");
+    h.assert_conserved(1);
 }
 
 /// Multithreaded storm: six threads hammer a capacity-four pool over a
@@ -235,18 +383,6 @@ fn concurrent_storm_conserves_capacity_and_leaks_nothing() {
         }
     });
     assert!(result.is_ok(), "storm threads joined without panicking");
-    let stats = h.pool.stats();
-    assert!(h.peak.load(Ordering::SeqCst) <= capacity as i64, "occupancy bound held: {stats:?}");
-    assert_eq!(
-        stats.checkouts,
-        stats.checkins + stats.discarded(),
-        "every checkout checked in or discarded exactly once: {stats:?}"
-    );
-    assert_eq!(stats.in_use, 0, "no guard leaked past the storm");
-    assert_eq!(
-        h.live.load(Ordering::SeqCst),
-        stats.idle,
-        "live backend connections are exactly the parked ones: {stats:?}"
-    );
-    assert!(stats.established > 0, "the storm actually exercised the backend");
+    h.assert_conserved(capacity);
+    assert!(h.pool.stats().established > 0, "the storm actually exercised the backend");
 }
