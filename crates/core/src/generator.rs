@@ -272,10 +272,9 @@ fn esc(v: &str) -> String {
 }
 
 /// Fill the top `take` entries of a ranked `(template_id, score)` list in
-/// one pass, keeping the candidates that fill. This is the beam step
-/// shared by the solo and batched decode paths: one traversal of the
-/// ranked list per member, yielding each filled [`Candidate`] alongside
-/// its template score for the ranker.
+/// one pass, keeping the candidates that fill. This is the beam step:
+/// one traversal of the ranked list per member, yielding each filled
+/// [`Candidate`] alongside its template score for the ranker.
 pub fn fill_ranked(
     ctx: &SlotContext,
     ranked: &[(usize, f64)],

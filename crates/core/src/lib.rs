@@ -33,9 +33,8 @@ pub use config::{table4_models, Architecture, Capacity, Config, CorpusLineage, L
 pub use error::Error;
 pub use intent::{extract_intent, Intent};
 pub use model::{
-    finetune, intent_bucket, parse_knowledge, select_first_executable,
-    select_first_executable_batch, BatchSelection, CodesModel, FineTuned, Generation,
-    GenerationBatchItem,
+    finetune, intent_bucket, parse_knowledge, select_first_executable_batch, BatchSelection,
+    CodesModel, FineTuned, Generation, GenerationBatchItem,
 };
 pub use request::InferenceRequest;
 pub use pretrain::{pretrain, pretrain_with_capacity, PretrainConfig, PretrainedLm};

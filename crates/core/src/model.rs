@@ -80,7 +80,9 @@ pub struct ScoredCandidate {
     pub template_id: usize,
     /// Final ranking score.
     pub score: f64,
-    /// Whether the SQL executed successfully on the database.
+    /// Whether the SQL executed successfully on the database. Selection
+    /// stops at the first executable candidate: those ranked after the
+    /// chosen one are never run and stay `false`.
     pub executable: bool,
 }
 
@@ -99,7 +101,7 @@ pub struct Generation {
     pub selection_seconds: f64,
 }
 
-/// One member of a batched generation call: the per-member inputs that
+/// One member of a generation call: the per-member inputs that
 /// [`CodesModel::generate_governed_batch`] needs alongside the shared
 /// database.
 pub struct GenerationBatchItem<'a> {
@@ -161,15 +163,12 @@ impl CodesModel {
         external_knowledge: Option<&str>,
         demos: &[&Sample],
     ) -> Generation {
-        self.generate_with(db, prompt, question, external_knowledge, demos, &ExecLimits::unlimited(), 0, None)
+        let (config, started) = (Config::unlimited(), Instant::now());
+        self.generate_governed(db, prompt, question, external_knowledge, demos, &config, started)
     }
 
-    /// Generate SQL under a runtime [`Config`]. Candidate execution is
-    /// budgeted (`config.exec_limits`) with transient-failure retries, and
-    /// when three quarters of the inference deadline are already gone by
-    /// the time candidates are scored, the beam degrades to greedy — only
-    /// the top candidate is executed, bounding the tail latency of a
-    /// nearly-blown inference.
+    /// Generate SQL under a runtime [`Config`]: a
+    /// [`CodesModel::generate_governed_batch`] of one.
     pub fn generate_governed(
         &self,
         db: &Database,
@@ -180,45 +179,40 @@ impl CodesModel {
         config: &Config,
         started: Instant,
     ) -> Generation {
-        let beam_cap = if config.nearly_spent(started.elapsed()) { Some(1) } else { None };
-        self.generate_with(
-            db,
-            prompt,
-            question,
-            external_knowledge,
-            demos,
-            &config.exec_limits,
-            config.retry_attempts,
-            beam_cap,
-        )
+        let item =
+            GenerationBatchItem { prompt, question, external_knowledge, demos, config, started };
+        self.generate_governed_batch(db, std::slice::from_ref(&item))
+            .pop()
+            .expect("one generation per batch item")
     }
 
-    /// Generate for a whole batch of members over one database in a
-    /// single pass, with three batch economies the solo path cannot have.
-    /// The scoring phase shares an LM-likelihood memo across members
-    /// (candidate SQL repeats heavily under real traffic, and the
-    /// likelihood is a pure function of the SQL); duplicate members —
-    /// identical question, external knowledge, and beam cap, which under a
-    /// deterministic pipeline means identical decode inputs — reuse the
-    /// first copy's beam instead of re-decoding (a burst of one hot query
-    /// is in flight together, so the full-result cache cannot catch it
-    /// yet); and first-executable selection runs batched via
-    /// [`select_first_executable_batch`]:
-    /// round-robin across members with per-member early exit and shared
-    /// execution verdicts. Each member's chosen SQL is identical to what a
-    /// solo [`CodesModel::generate_governed`] of the same inputs picks;
-    /// the only observable difference is that beam candidates ranked after
-    /// a member's chosen one keep `executable: false` (they are never run).
+    /// Generate for N ≥ 1 members over one database in a single pass.
     ///
-    /// One generation span and one selection span cover the whole batch;
-    /// the per-member `generation_seconds`/`selection_seconds` on each
-    /// returned [`Generation`] carry the member's own share.
+    /// Candidate execution is budgeted (`config.exec_limits`) with
+    /// transient-failure retries, and when three quarters of a member's
+    /// inference deadline are already gone by the time its candidates are
+    /// scored, its beam degrades to greedy — only the top candidate is
+    /// executed, bounding the tail latency of a nearly-blown inference.
+    ///
+    /// Members share work that cannot change an answer. The scoring phase
+    /// shares an LM-likelihood memo (candidate SQL repeats heavily under
+    /// real traffic, and the likelihood is a pure function of the SQL);
+    /// duplicate members — identical question, external knowledge, and
+    /// beam cap, which under a deterministic pipeline means identical
+    /// decode inputs — reuse the first copy's beam instead of re-decoding
+    /// (a burst of one hot query is in flight together, so the full-result
+    /// cache cannot catch it yet); and [`select_first_executable_batch`]
+    /// shares execution verdicts. Each member's chosen SQL is what the same
+    /// item answers in a batch of one.
+    ///
+    /// Every member records one generation span and one selection span;
+    /// their durations ride along as `generation_seconds` /
+    /// `selection_seconds` on the returned [`Generation`].
     pub fn generate_governed_batch(
         &self,
         db: &Database,
         items: &[GenerationBatchItem<'_>],
     ) -> Vec<Generation> {
-        let gen_span = Span::enter(STAGE_GENERATION);
         let mut lm_memo: HashMap<String, f64> = HashMap::new();
         let mut beams: Vec<Vec<ScoredCandidate>> = Vec::with_capacity(items.len());
         let mut enriched_prompts: Vec<DbPrompt> = Vec::with_capacity(items.len());
@@ -231,7 +225,7 @@ impl CodesModel {
         // decodes and the rest clone its beam.
         let mut decoded: HashMap<(String, Option<String>, Option<usize>), usize> = HashMap::new();
         for (i, item) in items.iter().enumerate() {
-            let member_started = Instant::now();
+            let span = Span::enter(STAGE_GENERATION);
             let beam_cap =
                 if item.config.nearly_spent(item.started.elapsed()) { Some(1) } else { None };
             let key = (
@@ -251,21 +245,18 @@ impl CodesModel {
                         item.external_knowledge,
                         item.demos,
                         beam_cap,
-                        Some(&mut lm_memo),
+                        &mut lm_memo,
                     );
                     beams.push(scored);
                     enriched_prompts.push(enriched);
                     decoded.insert(key, i);
                 }
             }
-            generation_seconds.push(member_started.elapsed().as_secs_f64());
+            generation_seconds.push(span.finish().as_secs_f64());
             budgets.push((item.config.exec_limits, item.config.retry_attempts));
         }
-        gen_span.finish();
 
-        let sel_span = Span::enter(STAGE_EXECUTION_SELECTION);
         let selections = select_first_executable_batch(db, &mut beams, &budgets);
-        sel_span.finish();
 
         beams
             .into_iter()
@@ -288,39 +279,11 @@ impl CodesModel {
             .collect()
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn generate_with(
-        &self,
-        db: &Database,
-        prompt: &DbPrompt,
-        question: &str,
-        external_knowledge: Option<&str>,
-        demos: &[&Sample],
-        limits: &ExecLimits,
-        retries: u32,
-        beam_cap: Option<usize>,
-    ) -> Generation {
-        let gen_span = Span::enter(STAGE_GENERATION);
-        let (mut scored, enriched) =
-            self.decode_beam(prompt, question, external_knowledge, demos, beam_cap, None);
-        let generation_seconds = gen_span.finish().as_secs_f64();
-
-        // Pick the first executable candidate.
-        let sel_span = Span::enter(STAGE_EXECUTION_SELECTION);
-        let chosen = select_first_executable(db, &mut scored, limits, retries)
-            .map(|i| scored[i].sql.clone())
-            .or_else(|| scored.first().map(|c| c.sql.clone()))
-            .unwrap_or_else(|| fallback_sql(&enriched));
-        let selection_seconds = sel_span.finish().as_secs_f64();
-        Generation { sql: chosen, beam: scored, generation_seconds, selection_seconds }
-    }
-
-    /// The beam-decoding core shared by the solo and batched paths:
-    /// template ranking, slot filling and candidate scoring — everything
-    /// up to (but excluding) execution selection. `lm_memo` (batched path
-    /// only) memoizes `sql_log_likelihood` by candidate SQL across the
-    /// batch; the likelihood is deterministic in the SQL, so memoized
-    /// scores are identical to freshly computed ones.
+    /// The beam-decoding core: template ranking, slot filling and
+    /// candidate scoring — everything up to (but excluding) execution
+    /// selection. `lm_memo` memoizes `sql_log_likelihood` by candidate SQL
+    /// across the batch; the likelihood is deterministic in the SQL, so
+    /// memoized scores are identical to freshly computed ones.
     fn decode_beam(
         &self,
         prompt: &DbPrompt,
@@ -328,7 +291,7 @@ impl CodesModel {
         external_knowledge: Option<&str>,
         demos: &[&Sample],
         beam_cap: Option<usize>,
-        mut lm_memo: Option<&mut HashMap<String, f64>>,
+        lm_memo: &mut HashMap<String, f64>,
     ) -> (Vec<ScoredCandidate>, DbPrompt) {
         let mut intent = extract_intent(question);
         let bucket = intent_bucket(&intent);
@@ -415,16 +378,13 @@ impl CodesModel {
         for (Candidate { sql, template_id, slot_score }, template_score) in
             fill_ranked(&ctx, &ranked, 12)
         {
-            let raw_ll = match lm_memo.as_deref_mut() {
-                Some(memo) => match memo.get(&sql) {
-                    Some(&ll) => ll,
-                    None => {
-                        let ll = self.pretrained.sql_log_likelihood(&sql);
-                        memo.insert(sql.clone(), ll);
-                        ll
-                    }
-                },
-                None => self.pretrained.sql_log_likelihood(&sql),
+            let raw_ll = match lm_memo.get(&sql) {
+                Some(&ll) => ll,
+                None => {
+                    let ll = self.pretrained.sql_log_likelihood(&sql);
+                    lm_memo.insert(sql.clone(), ll);
+                    ll
+                }
             };
             let lm = normalize_ll(raw_ll);
             let noise = noise_scale * deterministic_noise(question, &sql);
@@ -471,122 +431,82 @@ impl CodesModel {
     }
 }
 
-/// Execute each beam candidate and mark its `executable` flag, returning
-/// the index of the first executable one.
-///
-/// This is the fault boundary of §9.1.4's "pick the first executable
-/// candidate": each candidate runs under `limits` with panic isolation, so
-/// a candidate that panics the engine or exhausts its budget is simply
-/// marked non-executable and selection moves on to the next — one bad
-/// statement can never abort the whole generation.
-pub fn select_first_executable(
-    db: &Database,
-    beam: &mut [ScoredCandidate],
-    limits: &ExecLimits,
-    retries: u32,
-) -> Option<usize> {
-    let mut first = None;
-    for (i, c) in beam.iter_mut().enumerate() {
-        // Pre-price before spending any retry/governor budget: a candidate
-        // whose cheapest plan is estimated far beyond the intermediate-row
-        // budget is shed with a typed transient error instead of being run
-        // (and re-run on retry) to its inevitable budget kill.
-        if preprice_query(db, &c.sql, limits).is_err() {
-            c.executable = false;
-            continue;
-        }
-        let outcome = with_retry(limits, retries, |attempt_limits| {
-            catch_panics(|| execute_query_governed(db, &c.sql, attempt_limits).map(|_| ()))
-        });
-        c.executable = outcome.is_ok();
-        if c.executable && first.is_none() {
-            first = Some(i);
-        }
-    }
-    first
-}
-
 /// The verdict of [`select_first_executable_batch`] for one member.
 #[derive(Debug, Clone)]
 pub struct BatchSelection {
     /// Index of the member's first executable candidate, when any.
     pub chosen: Option<usize>,
-    /// Wall-clock seconds of candidate execution attributed to this
-    /// member (memo hits cost effectively nothing).
+    /// Wall-clock seconds of the member's selection span (memo hits cost
+    /// effectively nothing).
     pub selection_seconds: f64,
 }
 
-/// Batched first-executable selection: §9.1.4's "pick the first
-/// executable candidate" across a whole batch of beams over one database.
+/// §9.1.4's "pick the first executable candidate" for N ≥ 1 beams over one
+/// database: each member's candidates are tried in rank order, marking
+/// `executable`, until one runs.
 ///
-/// Candidates are walked in rank order, round-robin across members, with
-/// two batch economies the solo path cannot have:
-///
-/// * **per-member early exit** — once a member's first executable
-///   candidate is found, its remaining candidates are never executed
-///   (their `executable` flags stay `false`), so one member with an
-///   expensive tail cannot starve the rest of the batch;
+/// * **early exit** — once a member's first executable candidate is
+///   found, its remaining candidates are never executed (their
+///   `executable` flags stay `false`);
 /// * **shared execution verdicts** — members running under the same
 ///   `(ExecLimits, retries)` budget share a verdict memo keyed by SQL.
 ///   Execution is deterministic, so a statement one member already tried
 ///   is not re-executed for another; budgets must match exactly because a
 ///   budget kill under tight limits says nothing about looser ones.
 ///
-/// Each member's chosen index is identical to what a per-member
-/// [`select_first_executable`] would return. The same panic-isolation /
-/// budget fault boundary applies per candidate execution.
+/// This is the fault boundary of selection: each candidate runs under its
+/// member's limits with panic isolation, so a candidate that panics the
+/// engine or exhausts its budget is simply marked non-executable and
+/// selection moves on to the next — one bad statement can never abort the
+/// whole generation. One `execution_selection` span is recorded per member.
 pub fn select_first_executable_batch(
     db: &Database,
     beams: &mut [Vec<ScoredCandidate>],
     budgets: &[(ExecLimits, u32)],
 ) -> Vec<BatchSelection> {
-    let mut out: Vec<BatchSelection> = beams
-        .iter()
-        .map(|_| BatchSelection { chosen: None, selection_seconds: 0.0 })
-        .collect();
     // One verdict memo per distinct budget; batches are small, so a linear
     // scan beats hashing the limits.
     let mut memos: Vec<(ExecLimits, u32, HashMap<String, bool>)> = Vec::new();
-    let width = beams.iter().map(Vec::len).max().unwrap_or(0);
-    for pos in 0..width {
-        for (m, beam) in beams.iter_mut().enumerate() {
-            if out[m].chosen.is_some() || pos >= beam.len() {
-                continue;
-            }
-            let (limits, retries) = budgets[m];
-            let started = Instant::now();
-            let memo_idx = match memos.iter().position(|(l, r, _)| *l == limits && *r == retries) {
-                Some(i) => i,
-                None => {
+    beams
+        .iter_mut()
+        .zip(budgets)
+        .map(|(beam, &(limits, retries))| {
+            let span = Span::enter(STAGE_EXECUTION_SELECTION);
+            let shared = memos
+                .iter()
+                .position(|(l, r, _)| *l == limits && *r == retries)
+                .unwrap_or_else(|| {
                     memos.push((limits, retries, HashMap::new()));
                     memos.len() - 1
-                }
-            };
-            let c = &mut beam[pos];
-            let verdict = match memos[memo_idx].2.get(&c.sql) {
-                Some(&v) => v,
-                None => {
-                    // Pre-pricing is deterministic, so its shed verdict is
-                    // memoized exactly like an execution verdict.
-                    let ok = preprice_query(db, &c.sql, &limits).is_ok()
-                        && with_retry(&limits, retries, |attempt_limits| {
-                            catch_panics(|| {
-                                execute_query_governed(db, &c.sql, attempt_limits).map(|_| ())
+                });
+            let memo = &mut memos[shared].2;
+            let chosen = beam.iter_mut().position(|c| {
+                c.executable = match memo.get(&c.sql) {
+                    Some(&verdict) => verdict,
+                    None => {
+                        // Pre-price before spending any retry/governor
+                        // budget: a candidate whose cheapest plan is
+                        // estimated far beyond the intermediate-row budget
+                        // is shed with a typed transient error instead of
+                        // being run (and re-run on retry) to its inevitable
+                        // budget kill. Pre-pricing is deterministic, so its
+                        // shed verdict is memoized like an execution one.
+                        let ok = preprice_query(db, &c.sql, &limits).is_ok()
+                            && with_retry(&limits, retries, |attempt_limits| {
+                                catch_panics(|| {
+                                    execute_query_governed(db, &c.sql, attempt_limits).map(|_| ())
+                                })
                             })
-                        })
-                        .is_ok();
-                    memos[memo_idx].2.insert(c.sql.clone(), ok);
-                    ok
-                }
-            };
-            c.executable = verdict;
-            out[m].selection_seconds += started.elapsed().as_secs_f64();
-            if verdict {
-                out[m].chosen = Some(pos);
-            }
-        }
-    }
-    out
+                            .is_ok();
+                        memo.insert(c.sql.clone(), ok);
+                        ok
+                    }
+                };
+                c.executable
+            });
+            BatchSelection { chosen, selection_seconds: span.finish().as_secs_f64() }
+        })
+        .collect()
 }
 
 /// Parse external-knowledge statements of the forms the benchmarks emit:
@@ -952,44 +872,44 @@ mod tests {
         let db = bank_financials_db(1);
         // Candidate 0 cross-joins itself into a budget kill; candidate 1 is
         // cheap and valid. Selection must skip to candidate 1.
-        let mut beam = vec![
+        let mut beams = vec![vec![
             candidate("SELECT * FROM client AS a, client AS b, client AS c", 0.9),
             candidate("SELECT COUNT(*) FROM client", 0.8),
-        ];
+        ]];
         let limits = sqlengine::ExecLimits {
             max_intermediate_rows: Some(500),
             ..sqlengine::ExecLimits::unlimited()
         };
-        let chosen = select_first_executable(&db, &mut beam, &limits, 0);
+        let chosen = select_first_executable_batch(&db, &mut beams, &[(limits, 0)])[0].chosen;
         assert_eq!(chosen, Some(1));
-        assert!(!beam[0].executable, "blowup candidate must be marked non-executable");
-        assert!(beam[1].executable);
+        assert!(!beams[0][0].executable, "blowup candidate must be marked non-executable");
+        assert!(beams[0][1].executable);
         // The kill is a budget verdict, not a semantic one: a two-way join
         // of the same shape fits unlimited budgets and stays executable.
-        let mut beam2 = vec![candidate("SELECT COUNT(*) FROM client AS a, client AS b", 0.9)];
-        assert_eq!(
-            select_first_executable(&db, &mut beam2, &ExecLimits::unlimited(), 0),
-            Some(0)
-        );
+        let mut beams2 =
+            vec![vec![candidate("SELECT COUNT(*) FROM client AS a, client AS b", 0.9)]];
+        let unlimited = [(ExecLimits::unlimited(), 0)];
+        assert_eq!(select_first_executable_batch(&db, &mut beams2, &unlimited)[0].chosen, Some(0));
     }
 
     #[test]
     fn panicking_candidate_never_aborts_selection() {
         let db = bank_financials_db(1);
-        let mut beam = vec![
+        let mut beams = vec![vec![
             candidate("SELECT __FAULT_PANIC()", 0.9),
             candidate("SELECT COUNT(*) FROM client", 0.8),
-        ];
-        let chosen = select_first_executable(&db, &mut beam, &ExecLimits::unlimited(), 1);
+        ]];
+        let budget = [(ExecLimits::unlimited(), 1)];
+        let chosen = select_first_executable_batch(&db, &mut beams, &budget)[0].chosen;
         assert_eq!(chosen, Some(1), "selection must survive the panicking candidate");
-        assert!(!beam[0].executable);
-        assert!(beam[1].executable);
+        assert!(!beams[0][0].executable);
+        assert!(beams[0][1].executable);
     }
 
     #[test]
     fn batched_selection_agrees_with_solo_and_early_exits() {
         let db = bank_financials_db(1);
-        let limits = ExecLimits::unlimited();
+        let budget = (ExecLimits::unlimited(), 0);
         let beam_a = vec![
             candidate("SELECT nonsense FROM nowhere", 0.9),
             candidate("SELECT COUNT(*) FROM client", 0.8),
@@ -999,22 +919,28 @@ mod tests {
             candidate("SELECT COUNT(*) FROM client", 0.9),
             candidate("SELECT city FROM client", 0.8),
         ];
-        let solo: Vec<Option<usize>> = [&beam_a, &beam_b]
-            .into_iter()
-            .map(|b| select_first_executable(&db, &mut b.clone(), &limits, 0))
+        // Duplicate included: shared verdicts must not change an answer.
+        let mut beams = vec![beam_a.clone(), beam_b, beam_a];
+        let alone: Vec<Vec<ScoredCandidate>> = beams
+            .iter()
+            .map(|beam| {
+                let mut one = vec![beam.clone()];
+                select_first_executable_batch(&db, &mut one, &[budget]);
+                one.remove(0)
+            })
             .collect();
-
-        let mut beams = vec![beam_a, beam_b];
-        let batched = select_first_executable_batch(&db, &mut beams, &[(limits, 0), (limits, 0)]);
-        for (s, b) in solo.iter().zip(&batched) {
-            assert_eq!(*s, b.chosen, "batched choice must agree with solo");
+        let batched = select_first_executable_batch(&db, &mut beams, &[budget; 3]);
+        for ((beam, alone), selection) in beams.iter().zip(&alone).zip(&batched) {
+            let flags = |b: &[ScoredCandidate]| b.iter().map(|c| c.executable).collect::<Vec<_>>();
+            assert_eq!(flags(beam), flags(alone), "a member must answer as in a batch of one");
+            assert_eq!(selection.chosen, beam.iter().position(|c| c.executable));
         }
         // Early exit: member A chose index 1, so its index-2 candidate was
-        // never executed and keeps executable=false (solo would mark it).
+        // never executed and keeps executable=false.
         assert_eq!(batched[0].chosen, Some(1));
+        assert!(!beams[0][0].executable);
         assert!(beams[0][1].executable);
         assert!(!beams[0][2].executable, "post-chosen candidates must not be executed");
-        assert!(!beams[0][0].executable);
     }
 
     #[test]
@@ -1050,9 +976,16 @@ mod tests {
             .collect();
         let batched = m.generate_governed_batch(&db, &items);
         assert_eq!(batched.len(), questions.len());
-        for (i, (prompt, q)) in prompts.iter().zip(&questions).enumerate() {
-            let solo = m.generate_governed(&db, prompt, q, None, &[], &cfg, started);
-            assert_eq!(batched[i].sql, solo.sql, "member {i} ({q}) diverged from solo");
+        // Cross-member sharing (LM memo, duplicate-decode collapse, shared
+        // verdicts) never changes an answer: each member matches the same
+        // item in a batch of one, beam flags included.
+        for (i, item) in items.iter().enumerate() {
+            let alone = m.generate_governed_batch(&db, std::slice::from_ref(item)).remove(0);
+            assert_eq!(batched[i].sql, alone.sql, "member {i} ({}) diverged", item.question);
+            let flags = |g: &Generation| {
+                g.beam.iter().map(|c| (c.sql.clone(), c.executable)).collect::<Vec<_>>()
+            };
+            assert_eq!(flags(&batched[i]), flags(&alone), "member {i} beam diverged");
         }
     }
 

@@ -228,12 +228,21 @@ impl CodesSystem {
         self
     }
 
-    /// Answer a request over a database.
+    /// Answer a request over a database: an [`CodesSystem::infer_batch`]
+    /// of one.
+    pub fn infer(&self, db: &Database, request: &InferenceRequest) -> Inference {
+        self.infer_batch(db, std::slice::from_ref(request))
+            .pop()
+            .expect("one inference per request")
+    }
+
+    /// Answer N ≥ 1 requests over one database in a single model pass
+    /// ([`CodesModel::generate_governed_batch`]).
     ///
-    /// The [`InferenceRequest`] carries the question, optional external
+    /// Each [`InferenceRequest`] carries the question, optional external
     /// knowledge, and optional per-request [`Config`]/deadline overrides
     /// (resolved via [`InferenceRequest::resolved_config`]); the same type
-    /// feeds [`CodesSystem::infer_batch`] and the serving pool's `submit`.
+    /// feeds the serving pool's `submit`.
     ///
     /// Degrades gracefully instead of failing (each degradation is recorded
     /// on the returned [`Inference`]):
@@ -243,173 +252,30 @@ impl CodesSystem {
     /// * value index missing → built lazily if the inference deadline still
     ///   allows it, otherwise value retrieval is skipped;
     /// * inference deadline nearly spent → beam truncated to greedy.
-    pub fn infer(&self, db: &Database, request: &InferenceRequest) -> Inference {
-        let config = request.resolved_config(&self.config);
-        self.infer_one(db, &request.question, request.knowledge(), &config)
-    }
-
-    fn infer_one(
-        &self,
-        db: &Database,
-        question: &str,
-        external_knowledge: Option<&str>,
-        config: &Config,
-    ) -> Inference {
+    ///
+    /// Every stage runs — and records its span — once per member, so
+    /// `StageTimings`, degradations and cache hits stay per-member. The
+    /// members share the database, so they share its value index: the
+    /// first member resolves it (and pays for any lazy build) and the
+    /// degradation that took belongs to every member. Generation shares
+    /// LM scores and execution verdicts across members, which never
+    /// changes an answer: each member's SQL is what the same request
+    /// answers in a batch of one.
+    pub fn infer_batch(&self, db: &Database, requests: &[InferenceRequest]) -> Vec<Inference> {
         let start = Instant::now();
-        let mut degradations = Vec::new();
-        let mut stages = StageTimings::zero();
-        let mut cache_hits = CacheHits::default();
+        let configs: Vec<Config> =
+            requests.iter().map(|r| r.resolved_config(&self.config)).collect();
         // Reconcile the catalog revision with the cache *before* any tier
         // lookup: a mutated database bumps its generation here, so nothing
         // below can be served a pre-mutation entry.
         let cache = self.cache.as_ref().map(|c| (c, c.observe_revision(db)));
-        let question_key =
-            cache.as_ref().map(|_| normalize_question(question, external_knowledge));
-
-        if self.options.use_schema_filter && self.classifier.is_none() {
-            degradations.push("classifier missing: unfiltered schema in prompt".to_string());
-        }
-
-        // Algorithm 1, one span per stage. Spans feed the global
-        // `codes_stage_duration_seconds` histogram and the trace ring;
-        // their durations also ride along on the returned Inference.
-        //
-        // T1: cache the filter output only when a classifier actually runs
-        // — the unfiltered fallback is too cheap to be worth entries.
-        let span = Span::enter(STAGE_SCHEMA_FILTER);
-        let run_filter = || {
-            stage_schema_filter(
-                db,
-                question,
-                external_knowledge,
-                self.classifier.as_ref(),
-                &self.options,
-            )
-        };
-        let filtered: Arc<FilteredSchema> = match (&cache, &question_key) {
-            (Some((cache, generation)), Some(key))
-                if self.options.use_schema_filter && self.classifier.is_some() =>
-            {
-                let mut computed = false;
-                let out = cache.schema_filter(&db.name, *generation, key, &self.options, || {
-                    computed = true;
-                    run_filter()
-                });
-                cache_hits.schema_filter = !computed;
-                out
-            }
-            _ => Arc::new(run_filter()),
-        };
-        stages.schema_filter = span.finish().as_secs_f64();
-
-        // Lazy index resolution is part of the retrieval stage: when the
-        // index must be built on demand, that cost IS value retrieval.
-        //
-        // T2: cache only over a cleanly resolved index — a lazily built or
-        // skipped index is itself a degradation, and degraded outputs must
-        // never populate the cache.
-        let span = Span::enter(STAGE_VALUE_RETRIEVAL);
-        let degradations_before = degradations.len();
-        let value_index = self.resolve_value_index(db, start, config, &mut degradations);
-        let index_clean = value_index.is_some() && degradations.len() == degradations_before;
-        let run_retrieval = |index: Option<&ValueIndex>| {
-            stage_value_retrieval(&filtered, question, external_knowledge, index, &self.options)
-        };
-        let matched_values: Vec<ValueMatch> = match (&cache, &question_key) {
-            (Some((cache, generation)), Some(key))
-                if self.options.use_value_retriever && index_clean =>
-            {
-                let mut computed = false;
-                let out = cache.value_matches(&db.name, *generation, key, &self.options, || {
-                    computed = true;
-                    run_retrieval(value_index.as_deref())
-                });
-                cache_hits.value_retrieval = !computed;
-                (*out).clone()
-            }
-            _ => run_retrieval(value_index.as_deref()),
-        };
-        stages.value_retrieval = span.finish().as_secs_f64();
-
-        let span = Span::enter(STAGE_METADATA);
-        let tables = stage_metadata(db, &filtered, &self.options);
-        stages.metadata = span.finish().as_secs_f64();
-
-        let span = Span::enter(STAGE_PROMPT_BUILD);
-        let prompt = stage_assemble(db, tables, matched_values, &self.options);
-        let demo_refs: Vec<&Sample> = match (&self.demo_retriever, self.few_shot) {
-            (Some(retriever), Some(fs)) => retriever
-                .retrieve(question, fs.k, fs.strategy)
-                .into_iter()
-                .map(|i| &self.demo_pool[i])
-                .collect(),
-            _ => Vec::new(),
-        };
-        stages.prompt_build = span.finish().as_secs_f64();
-
-        if config.nearly_spent(start.elapsed()) {
-            degradations.push("inference deadline nearly spent: beam truncated to greedy".to_string());
-        }
-        // Generation and execution selection record their own spans (see
-        // `CodesModel::generate_with`) and report the durations back.
-        let generation = self.model.generate_governed(
-            db,
-            &prompt,
-            question,
-            external_knowledge,
-            &demo_refs,
-            config,
-            start,
-        );
-        stages.generation = generation.generation_seconds;
-        stages.execution_selection = generation.selection_seconds;
-        Inference {
-            sql: generation.sql.clone(),
-            generation,
-            latency_seconds: start.elapsed().as_secs_f64(),
-            prompt_tokens: prompt.token_len(),
-            degradations,
-            stages,
-            cache_hits,
-        }
-    }
-
-    /// Answer a batch of requests over one database in a single batched
-    /// model pass ([`CodesModel::generate_governed_batch`]).
-    ///
-    /// Prompt-side stages (schema filter, value retrieval, metadata,
-    /// prompt assembly) still run per member, so `StageTimings`,
-    /// degradations and cache hits stay per-member; the value index is
-    /// resolved once for the whole batch (the members share the database,
-    /// so they share the index — and any degradation taken resolving it).
-    /// Generation and execution selection run batched, sharing LM scores
-    /// and execution verdicts across members with per-member early exit.
-    /// Each member's chosen SQL is identical to what a solo
-    /// [`CodesSystem::infer`] of the same request would produce.
-    pub fn infer_batch(&self, db: &Database, requests: &[InferenceRequest]) -> Vec<Inference> {
-        if requests.len() <= 1 {
-            return requests.iter().map(|r| self.infer(db, r)).collect();
-        }
-        let start = Instant::now();
-        let configs: Vec<Config> =
-            requests.iter().map(|r| r.resolved_config(&self.config)).collect();
-        let cache = self.cache.as_ref().map(|c| (c, c.observe_revision(db)));
-
-        // One index resolution (and at most one lazy build) per batch,
-        // charged to a single value-retrieval span instead of every
-        // member's. Resolved under the first member's budget — the pool
-        // only batches requests with compatible configs and deadline
-        // classes, so the members agree on whether a lazy build is
-        // affordable. The degradations it takes belong to every member.
-        let span = Span::enter(STAGE_VALUE_RETRIEVAL);
-        let mut shared_degradations: Vec<String> = Vec::new();
-        let value_index = self.resolve_value_index(db, start, &configs[0], &mut shared_degradations);
-        let index_clean = value_index.is_some() && shared_degradations.is_empty();
-        span.finish();
+        // Resolved under the first member's budget — the pool only batches
+        // requests with compatible configs and deadline classes, so the
+        // members agree on whether a lazy build is affordable.
+        let mut shared_index = None;
 
         struct Member<'a> {
             prompt: DbPrompt,
-            prompt_tokens: usize,
             demos: Vec<&'a Sample>,
             degradations: Vec<String>,
             stages: StageTimings,
@@ -429,8 +295,13 @@ impl CodesSystem {
             if self.options.use_schema_filter && self.classifier.is_none() {
                 degradations.push("classifier missing: unfiltered schema in prompt".to_string());
             }
-            degradations.extend(shared_degradations.iter().cloned());
 
+            // Algorithm 1, one span per stage. Spans feed the global
+            // `codes_stage_duration_seconds` histogram and the trace ring;
+            // their durations also ride along on the returned Inference.
+            //
+            // T1: cache the filter output only when a classifier actually
+            // runs — the unfiltered fallback is too cheap to be worth entries.
             let span = Span::enter(STAGE_SCHEMA_FILTER);
             let run_filter = || {
                 stage_schema_filter(
@@ -458,9 +329,25 @@ impl CodesSystem {
             };
             stages.schema_filter = span.finish().as_secs_f64();
 
+            // Index resolution is part of the retrieval stage: when the
+            // index must be built on demand, that cost IS value retrieval.
+            //
+            // T2: cache only over a cleanly resolved index — a lazily built
+            // or skipped index is itself a degradation, and degraded outputs
+            // must never populate the cache.
             let span = Span::enter(STAGE_VALUE_RETRIEVAL);
-            let run_retrieval = |index: Option<&ValueIndex>| {
-                stage_value_retrieval(&filtered, question, external_knowledge, index, &self.options)
+            let (value_index, index_degradation) =
+                shared_index.get_or_insert_with(|| self.resolve_value_index(db, start, config));
+            degradations.extend(index_degradation.clone());
+            let index_clean = value_index.is_some() && index_degradation.is_none();
+            let run_retrieval = || {
+                stage_value_retrieval(
+                    &filtered,
+                    question,
+                    external_knowledge,
+                    value_index.as_deref(),
+                    &self.options,
+                )
             };
             let matched_values: Vec<ValueMatch> = match (&cache, &question_key) {
                 (Some((cache, generation)), Some(key))
@@ -470,12 +357,12 @@ impl CodesSystem {
                     let out =
                         cache.value_matches(&db.name, *generation, key, &self.options, || {
                             computed = true;
-                            run_retrieval(value_index.as_deref())
+                            run_retrieval()
                         });
                     cache_hits.value_retrieval = !computed;
                     (*out).clone()
                 }
-                _ => run_retrieval(value_index.as_deref()),
+                _ => run_retrieval(),
             };
             stages.value_retrieval = span.finish().as_secs_f64();
 
@@ -499,11 +386,12 @@ impl CodesSystem {
                 degradations
                     .push("inference deadline nearly spent: beam truncated to greedy".to_string());
             }
-
-            let prompt_tokens = prompt.token_len();
-            members.push(Member { prompt, prompt_tokens, demos, degradations, stages, cache_hits });
+            members.push(Member { prompt, demos, degradations, stages, cache_hits });
         }
 
+        // Generation and execution selection record their own spans (see
+        // `CodesModel::generate_governed_batch`) and report the durations
+        // back.
         let items: Vec<GenerationBatchItem<'_>> = members
             .iter()
             .zip(requests)
@@ -531,7 +419,7 @@ impl CodesSystem {
                     sql: generation.sql.clone(),
                     generation,
                     latency_seconds: start.elapsed().as_secs_f64(),
-                    prompt_tokens: member.prompt_tokens,
+                    prompt_tokens: member.prompt.token_len(),
                     degradations: member.degradations,
                     stages,
                     cache_hits: member.cache_hits,
@@ -540,9 +428,10 @@ impl CodesSystem {
             .collect()
     }
 
-    /// Look up the value index for `db`, building it lazily when allowed.
+    /// Look up the value index for `db`, building it lazily when allowed;
+    /// the second half of the pair is the degradation taken, if any.
     ///
-    /// Returns `None` (value retrieval skipped) when the index is absent and
+    /// Returns no index (value retrieval skipped) when it is absent and
     /// either lazy builds are disabled or the inference deadline no longer
     /// leaves room for one. No-op when value retrieval is off entirely.
     fn resolve_value_index(
@@ -550,15 +439,14 @@ impl CodesSystem {
         db: &Database,
         started: Instant,
         config: &Config,
-        degradations: &mut Vec<String>,
-    ) -> Option<Arc<ValueIndex>> {
+    ) -> (Option<Arc<ValueIndex>>, Option<String>) {
         if !self.options.use_value_retriever {
-            return None;
+            return (None, None);
         }
         let stale = match self.value_indexes.read().get(&db.name) {
             // Current index: the fast path, no degradation.
             Some(idx) if idx.built_revision() == db.revision() => {
-                return Some(Arc::clone(idx));
+                return (Some(Arc::clone(idx)), None);
             }
             Some(_) => true,
             None => false,
@@ -568,18 +456,16 @@ impl CodesSystem {
             // build across threads and systems.
             let built = shared_value_index(db);
             self.value_indexes.write().insert(db.name.clone(), Arc::clone(&built));
-            degradations.push(if stale {
+            let note = if stale {
                 format!("value index for '{}' rebuilt after database change", db.name)
             } else {
                 format!("value index for '{}' built lazily", db.name)
-            });
-            Some(built)
+            };
+            (Some(built), Some(note))
         } else {
-            degradations.push(format!(
-                "value index for '{}' unavailable: value retrieval skipped",
-                db.name
-            ));
-            None
+            let note =
+                format!("value index for '{}' unavailable: value retrieval skipped", db.name);
+            (None, Some(note))
         }
     }
 }
@@ -757,35 +643,47 @@ mod tests {
         assert!(!out.sql.is_empty());
     }
 
-    #[test]
-    fn batched_inference_matches_solo_sql() {
-        let bench = mini_benchmark();
-        let clf = SchemaClassifier::train(&bench, false, 7);
-        let sys = system("CodeS-7B").with_classifier(clf).finetune_on(&bench);
-        sys.prepare_databases(bench.databases.iter());
-        let db = bench.database(&bench.dev[0].db_id).unwrap();
-        let mut requests: Vec<InferenceRequest> = bench
-            .dev
-            .iter()
-            .filter(|s| s.db_id == db.name)
-            .take(8)
-            .map(req)
-            .collect();
-        assert!(requests.len() >= 2, "need a real batch to test");
-        // Duplicate members exercise the duplicate-decode collapse: the
-        // clones must still answer identically to their solo inference.
-        requests.push(requests[0].clone());
-        requests.push(requests[1].clone());
-        let batched = sys.infer_batch(db, &requests);
-        assert_eq!(batched.len(), requests.len());
-        for (request, out) in requests.iter().zip(&batched) {
-            let solo = sys.infer(db, request);
-            assert_eq!(
-                out.sql, solo.sql,
-                "batched SQL diverged from solo for {:?}",
-                request.question
-            );
-            assert!(out.degradations.is_empty(), "{:?}", out.degradations);
+    /// A fine-tuned system over one prepared database plus a small pool of
+    /// requests against it, built once for every generated case.
+    fn batch_fixture() -> &'static (CodesSystem, Database, Vec<InferenceRequest>) {
+        static FIXTURE: std::sync::OnceLock<(CodesSystem, Database, Vec<InferenceRequest>)> =
+            std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let bench = mini_benchmark();
+            let clf = SchemaClassifier::train(&bench, false, 7);
+            let sys = system("CodeS-7B").with_classifier(clf).finetune_on(&bench);
+            sys.prepare_databases(bench.databases.iter());
+            let db = bench.database(&bench.dev[0].db_id).unwrap().clone();
+            let pool: Vec<InferenceRequest> =
+                bench.dev.iter().filter(|s| s.db_id == db.name).take(4).map(req).collect();
+            assert_eq!(pool.len(), 4, "need a question pool to draw batches from");
+            (sys, db, pool)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        /// Cross-member sharing (LM memo, duplicate-decode collapse, shared
+        /// execution verdicts) never changes an answer: each member of an
+        /// N-batch — duplicates included, which a pool of four makes common
+        /// — answers exactly as the same request in a batch of one.
+        #[test]
+        fn batched_inference_matches_solo_sql(
+            picks in proptest::prop::collection::vec(0usize..4, 1..9),
+        ) {
+            let (sys, db, pool) = batch_fixture();
+            let requests: Vec<InferenceRequest> = picks.iter().map(|&i| pool[i].clone()).collect();
+            let batched = sys.infer_batch(db, &requests);
+            proptest::prop_assert_eq!(batched.len(), requests.len());
+            for (request, out) in requests.iter().zip(&batched) {
+                let alone = sys.infer(db, request);
+                proptest::prop_assert!(
+                    out.sql == alone.sql,
+                    "batched SQL diverged from a batch of one for {:?}", request.question
+                );
+                proptest::prop_assert!(out.degradations.is_empty(), "{:?}", out.degradations);
+            }
         }
     }
 }

@@ -400,6 +400,36 @@ fn refuse(inner: &Arc<Inner>, mut stream: TcpStream, reject: &Reject, shed: Edge
     let _ = stream.write_all(&reject.response().encode(true));
 }
 
+/// Most request bytes discarded after a refusal before closing anyway.
+const REFUSAL_DRAIN_BYTES: usize = 1 << 20;
+/// Longest a refused connection may hold its handler while draining.
+const REFUSAL_DRAIN_TIME: Duration = Duration::from_millis(500);
+
+/// Close a connection whose request was refused mid-read without losing
+/// the refusal. Closing with request bytes still unread makes the kernel
+/// answer RST, and an RST can discard the response out of the client's
+/// receive buffer before it is read. So: half-close (the client sees the
+/// complete response, then EOF), and discard what is still inbound until
+/// the client closes or a cap is hit.
+fn drain_refused(mut stream: &TcpStream) {
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let deadline = Instant::now() + REFUSAL_DRAIN_TIME;
+    let mut discarded = 0usize;
+    let mut buf = [0u8; 4096];
+    while discarded < REFUSAL_DRAIN_BYTES && Instant::now() < deadline {
+        match stream.read(&mut buf) {
+            Ok(0) => return,
+            Ok(n) => discarded += n,
+            Err(e) => match e.kind() {
+                std::io::ErrorKind::WouldBlock
+                | std::io::ErrorKind::TimedOut
+                | std::io::ErrorKind::Interrupted => {}
+                _ => return,
+            },
+        }
+    }
+}
+
 /// What one attempt to read a request off the socket produced.
 enum ReadOutcome {
     /// A complete request.
@@ -454,7 +484,9 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
             }
             ReadOutcome::Reject(reject) => {
                 inner.metrics.protocol_error(reject.code()).inc();
-                let _ = write_response(inner, &stream, &reject.response(), true);
+                if write_response(inner, &stream, &reject.response(), true) {
+                    drain_refused(&stream);
+                }
                 return;
             }
         }

@@ -12,7 +12,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use codes_gateway::{Gateway, HttpClient, TenantSpec};
 use common::{fast_config, silence_injected_panics, start_gateway, test_router};
@@ -25,6 +25,9 @@ const WATCHDOG: Duration = Duration::from_secs(20);
 const CONNECTION_CAP: usize = 8;
 const FLOOD: usize = 16;
 const GOOD_CLIENTS: usize = 4;
+/// Slow writer, half-open, mid-body, torn chunk, vanishing reader and the
+/// two oversized senders: one connection each, under the cap together.
+const FAULT_CLIENTS: u64 = 7;
 const REQUESTS_PER_CLIENT: usize = 5;
 
 /// What one seeded run observed; the main thread asserts on it after the
@@ -171,8 +174,10 @@ fn oversized_head(addr: SocketAddr) -> u16 {
     for i in 0..200 {
         head.extend_from_slice(format!("x-pad-{i}: {}\r\n", "y".repeat(80)).as_bytes());
     }
+    // The gateway drains what it refuses, so the whole head goes out even
+    // though the refusal is decided a few kilobytes in.
     if stream.write_all(&head).is_err() {
-        return 431; // server already slammed the door with the typed error
+        return 0;
     }
     let mut buf = Vec::new();
     let _ = stream.read_to_end(&mut buf);
@@ -227,6 +232,13 @@ fn run_one(seed: u64, probe: &Probe) -> RunReport {
     let vanisher = std::thread::spawn(move || stream_reader_vanishes(addr));
     let big_head = std::thread::spawn(move || oversized_head(addr));
     let big_body = std::thread::spawn(move || oversized_body(addr));
+    // Every fault client is inside before the flood takes the cap: one
+    // shed at the door with the cap's 503 would never exercise its fault.
+    let accepted = gateway.registry().counter("codes_gateway_connections_total", &[]);
+    let patience = Instant::now() + Duration::from_secs(5);
+    while accepted.get() < FAULT_CLIENTS && Instant::now() < patience {
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     // Burst flood: FLOOD simultaneous holders against a cap of
     // CONNECTION_CAP. A barrier guarantees they coexist, so at least

@@ -597,3 +597,34 @@ fn chunked_request_bodies_are_decoded_end_to_end() {
     assert!(text.contains("\"v\":1"), "{text}");
     gateway.shutdown();
 }
+
+/// A refusal must survive the close that follows it. The whole over-budget
+/// body is already in flight when the gateway refuses on the declared
+/// length; closing over those unread bytes would answer RST and could wipe
+/// the 413 out of the client's receive buffer before it is read.
+#[test]
+fn refusals_survive_an_over_budget_body_sent_in_one_write() {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    let gateway = start_gateway(fast_config(Vec::new()), &[]);
+    let body = vec![b'x'; 256 * 1024];
+    let mut wire =
+        format!("POST /v1/infer HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n", body.len())
+            .into_bytes();
+    wire.extend_from_slice(&body);
+    for round in 0..50 {
+        let mut sock = TcpStream::connect(gateway.local_addr()).expect("connect");
+        sock.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        sock.write_all(&wire).expect("the gateway drains what it refuses");
+        let mut raw = Vec::new();
+        sock.read_to_end(&mut raw).expect("half-close ends the response cleanly");
+        let text = String::from_utf8_lossy(&raw);
+        assert!(text.starts_with("HTTP/1.1 413"), "round {round}: {text:?}");
+        let (_, envelope) = text.split_once("\r\n\r\n").expect("head/body split");
+        let envelope = serde_json::from_str(envelope).expect("complete JSON envelope");
+        let code = envelope.get("error").and_then(|e| e.get("code")).and_then(Json::as_str);
+        assert_eq!(code, Some("body_too_large"), "round {round}: {text:?}");
+    }
+    gateway.shutdown();
+}

@@ -133,9 +133,9 @@ impl<B: Backend> Backend for FaultyBackend<B> {
 }
 
 /// Test scaffolding, not serving API: wraps any [`Backend`] with a gate.
-/// A dispatch — solo or batch — carrying a request whose question is
-/// [`Gate::HOLD`] parks its worker inside the backend until [`Gate::open`]
-/// is called. Everything else passes straight through.
+/// A dispatch carrying a request whose question is [`Gate::HOLD`] parks
+/// its worker inside the backend until [`Gate::open`] is called.
+/// Everything else passes straight through.
 #[doc(hidden)]
 pub struct GatedBackend<B> {
     inner: B,

@@ -21,9 +21,10 @@
 //!   that dequeues a request drains the compatible requests *already
 //!   queued* behind it (same database, config fingerprint, and deadline
 //!   class), up to `ServeConfig::max_batch`, and dispatches them through
-//!   the backend's batched path in one pass. It never waits for company:
-//!   batches form when every worker is busy and the queue has built up,
-//!   and an idle pool dispatches every request solo, at once.
+//!   [`Backend::infer_batch`] in one pass — the only dispatch path, with
+//!   a lone request as its N = 1 case. It never waits for company:
+//!   batches grow past one when every worker is busy and the queue has
+//!   built up, and an idle pool dispatches every request alone, at once.
 //! * **Per-database circuit breakers** ([`CircuitBreaker`]) — N
 //!   consecutive failures trip a database out of rotation; recovery is
 //!   probed under deterministic jittered exponential backoff

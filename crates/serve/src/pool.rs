@@ -11,9 +11,11 @@
 //! **already queued** behind it (same database, same config fingerprint,
 //! same deadline class — see [`crate::batch`]), up to
 //! [`ServeConfig::max_batch`], and dispatches them through
-//! [`Backend::infer_batch`] in one pass. It never waits for followers, so
-//! batches form only when every worker is busy and a backlog has built
-//! up; degradations, stage timings and cache admissions stay per-member.
+//! [`Backend::infer_batch`] in one pass. That is the only dispatch path: a
+//! worker never waits for followers, so a request that finds the queue
+//! empty behind it is a batch of one, and batches grow only when every
+//! worker is busy and a backlog has built up. Degradations, stage timings,
+//! retries and cache admissions stay per-member.
 //!
 //! A supervisor thread watches the workers: a panicked worker is joined,
 //! its orphaned request resolved with [`ServeError::WorkerPanic`], and the
@@ -199,22 +201,10 @@ impl Backend for SystemBackend {
     fn infer(
         &self,
         request: &InferenceRequest,
-        _id: u64,
+        id: u64,
         config: &Config,
     ) -> Result<BackendReply, Error> {
-        let (catalog, degradation) = self.catalog_for(&request.db_id)?;
-        let out =
-            self.system.infer(&catalog.database, &SystemBackend::resolved(request, config));
-        let mut degradations = out.degradations;
-        degradations.extend(degradation);
-        Ok(BackendReply {
-            sql: out.sql,
-            degradations,
-            latency_seconds: out.latency_seconds,
-            prompt_tokens: out.prompt_tokens,
-            stages: out.stages,
-            cache_hits: out.cache_hits,
-        })
+        self.infer_batch(&[(request, id)], config).pop().expect("one result per batch member")
     }
 
     fn infer_batch(
@@ -437,10 +427,9 @@ impl Job {
     }
 }
 
-/// A dispatch currently running on a worker (one solo request or one
-/// micro-batch); lets the supervisor resolve every member if the worker
-/// dies. `job_id` is the first member's id — the key the worker uses to
-/// unregister only its own entry.
+/// A dispatch currently running on a worker; lets the supervisor resolve
+/// every member if the worker dies. `job_id` is the first member's id —
+/// the key the worker uses to unregister only its own entry.
 struct InFlight {
     job_id: u64,
     db_id: String,
@@ -614,105 +603,6 @@ impl Inner {
         }
     }
 
-    /// Run one dequeued job, solo, to a resolved outcome.
-    fn process(self: &Arc<Inner>, slot: usize, job: Job) {
-        let now = Instant::now();
-        let budget = job.request.deadline.unwrap_or(self.config.default_deadline);
-        let queued = now.duration_since(job.submitted);
-        // Every dequeued request contributes a queue-wait sample — sheds
-        // included, since their wait is exactly what made them sheddable.
-        self.metrics.queue_wait.record(queued);
-        if queued >= budget {
-            self.stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
-            self.metrics.shed_deadline.inc();
-            job.reply.complete(Err(ServeError::DeadlineExceeded { queued, budget }));
-            return;
-        }
-
-        let db_id = job.request.db_id.clone();
-        let admission = self.with_breaker(&db_id, |b| b.admit(now));
-        if let Admission::Reject { retry_after } = admission {
-            self.stats.shed_breaker.fetch_add(1, Ordering::Relaxed);
-            self.metrics.shed_breaker.inc();
-            job.reply.complete(Err(ServeError::CircuitOpen { db_id, retry_after }));
-            return;
-        }
-
-        // Register before touching the backend: if this worker panics or
-        // wedges in there, the supervisor finds the ticket here and
-        // resolves it.
-        {
-            let mut in_flight = self.in_flight.lock();
-            in_flight.insert(
-                slot,
-                InFlight {
-                    job_id: job.id,
-                    db_id: db_id.clone(),
-                    started: now,
-                    replies: vec![Arc::clone(&job.reply)],
-                },
-            );
-            self.sync_in_flight_gauge(&in_flight);
-        }
-        job.observe(Progress::Dispatched { worker: slot, batch_size: 1 });
-
-        let config = self.effective_config(&job.request).clamped_to_deadline(budget - queued);
-        // Decorrelate retry pacing across requests while keeping each
-        // request's schedule deterministic.
-        let backoff = Backoff { seed: self.config.retry_backoff.seed ^ job.id, ..self.config.retry_backoff };
-        let result = with_retry_paced(
-            &config.exec_limits,
-            config.retry_attempts,
-            |attempt| std::thread::sleep(backoff.delay(attempt)),
-            |limits| {
-                let mut attempt_config = config;
-                attempt_config.exec_limits = *limits;
-                self.backend.infer(&job.request, job.id, &attempt_config)
-            },
-        );
-
-        let outcome = match result {
-            Ok(reply) => {
-                self.with_breaker(&db_id, |b| b.record_success());
-                self.stats.completed.fetch_add(1, Ordering::Relaxed);
-                self.metrics.completed.inc();
-                self.admit_to_cache(&db_id, &job, &reply);
-                Ok(ServedInference {
-                    request_id: job.id,
-                    sql: reply.sql,
-                    degradations: reply.degradations,
-                    latency_seconds: reply.latency_seconds,
-                    queue_wait_seconds: queued.as_secs_f64(),
-                    prompt_tokens: reply.prompt_tokens,
-                    worker: slot,
-                    cached: false,
-                    stages: reply.stages,
-                    cache_hits: reply.cache_hits,
-                })
-            }
-            Err(e) => {
-                self.with_breaker(&db_id, |b| b.record_failure(Instant::now()));
-                self.stats.failed.fetch_add(1, Ordering::Relaxed);
-                self.metrics.failed.inc();
-                Err(ServeError::Inference(e))
-            }
-        };
-
-        // Unregister only our own entry: if the supervisor declared this
-        // worker wedged, the slot may already hold the replacement's job.
-        {
-            let mut in_flight = self.in_flight.lock();
-            if in_flight.get(&slot).is_some_and(|f| f.job_id == job.id) {
-                in_flight.remove(&slot);
-            }
-            self.sync_in_flight_gauge(&in_flight);
-        }
-        if let Ok(served) = &outcome {
-            job.observe(Progress::Generated { latency_seconds: served.latency_seconds });
-        }
-        job.reply.complete(outcome);
-    }
-
     /// The formation-relevant view of a queued job as of `now`.
     fn member_info(&self, job: &Job, now: Instant) -> MemberInfo {
         let budget = job.request.deadline.unwrap_or(self.config.default_deadline);
@@ -741,22 +631,17 @@ impl Inner {
         (batch, leftover)
     }
 
-    /// Run one formed dispatch (solo or micro-batch) to a resolved outcome
-    /// for every member. A batch failure resolves every member's
+    /// Run one formed dispatch of N ≥ 1 jobs to a resolved outcome for
+    /// every member. A batch failure resolves every member's
     /// [`ReplySlot`] exactly once — nothing hangs.
     fn process_batch(self: &Arc<Inner>, slot: usize, jobs: Vec<Job>) {
         self.metrics.batch_size.record_ns(jobs.len() as u64);
-        if jobs.len() <= 1 {
-            if let Some(job) = jobs.into_iter().next() {
-                self.process(slot, job);
-            }
-            return;
-        }
-
         let now = Instant::now();
         // Per-member deadline sheds first: a member that expired while
         // queued must not drag the batch (its class-mates still have time —
-        // classes bound budgets within 2×).
+        // classes bound budgets within 2×). Every dequeued request
+        // contributes a queue-wait sample — sheds included, since their
+        // wait is exactly what made them sheddable.
         let mut live: Vec<(Job, Duration, Duration)> = Vec::with_capacity(jobs.len());
         for job in jobs {
             let budget = job.request.deadline.unwrap_or(self.config.default_deadline);
@@ -832,26 +717,27 @@ impl Inner {
         }
 
         let mut outcomes: Vec<Outcome> = Vec::with_capacity(live.len());
-        for ((job, queued, _budget), mut result) in live.iter().zip(results) {
+        for ((job, queued, _budget), result) in live.iter().zip(results) {
             // Per-member transient retries: the batch dispatch was attempt
-            // zero at full limits, so retries resume the solo path's halving
-            // schedule from there.
-            if config.retry_attempts > 0 {
-                let backoff =
-                    Backoff { seed: self.config.retry_backoff.seed ^ job.id, ..self.config.retry_backoff };
-                let mut limits = config.exec_limits.halved();
-                let mut attempt = 0u32;
-                while attempt < config.retry_attempts
-                    && result.as_ref().err().is_some_and(|e| e.is_transient())
-                {
-                    std::thread::sleep(backoff.delay(attempt));
-                    let mut attempt_config = config;
-                    attempt_config.exec_limits = limits;
-                    result = self.backend.infer(&job.request, job.id, &attempt_config);
-                    limits = limits.halved();
-                    attempt += 1;
-                }
-            }
+            // zero at full limits, and the engine's halving schedule
+            // resumes from there one member at a time. Pacing is
+            // decorrelated across requests while each request's schedule
+            // stays deterministic.
+            let backoff =
+                Backoff { seed: self.config.retry_backoff.seed ^ job.id, ..self.config.retry_backoff };
+            let mut dispatched = Some(result);
+            let result = with_retry_paced(
+                &config.exec_limits,
+                config.retry_attempts,
+                |attempt| std::thread::sleep(backoff.delay(attempt)),
+                |limits| {
+                    dispatched.take().unwrap_or_else(|| {
+                        let mut attempt_config = config;
+                        attempt_config.exec_limits = *limits;
+                        self.backend.infer(&job.request, job.id, &attempt_config)
+                    })
+                },
+            );
             outcomes.push(match result {
                 Ok(reply) => {
                     self.with_breaker(&db_id, |b| b.record_success());
@@ -1503,7 +1389,10 @@ mod tests {
     /// One worker parked inside a dispatch behind a [`crate::GatedBackend`],
     /// so whatever the test submits next is queued — not racing the worker
     /// — until the gate opens.
-    fn parked_single_worker(max_batch: usize) -> (Pool, crate::Gate, Ticket) {
+    fn parked_single_worker<B: Backend + 'static>(
+        backend: B,
+        max_batch: usize,
+    ) -> (Pool, crate::Gate, Ticket) {
         let config = ServeConfig {
             workers: 1,
             queue_capacity: 16,
@@ -1512,7 +1401,7 @@ mod tests {
             heartbeat_interval: Duration::from_millis(5),
             ..ServeConfig::default()
         };
-        let (backend, gate) = crate::GatedBackend::new(EchoBackend { delay: Duration::ZERO });
+        let (backend, gate) = crate::GatedBackend::new(backend);
         let pool =
             Pool::start_with_registry(backend, config, Arc::new(codes_obs::Registry::new()));
         let hold = pool
@@ -1546,7 +1435,7 @@ mod tests {
 
     #[test]
     fn a_backlog_behind_a_busy_worker_dispatches_as_full_batches() {
-        let (pool, gate, hold) = parked_single_worker(4);
+        let (pool, gate, hold) = parked_single_worker(EchoBackend { delay: Duration::ZERO }, 4);
         let (events_tx, events) = channel::unbounded();
         // Six compatible jobs queue up behind the parked worker: the next
         // dispatch takes `max_batch` of them, the one after takes the rest.
@@ -1591,7 +1480,7 @@ mod tests {
 
     #[test]
     fn incompatible_requests_never_share_a_dispatch() {
-        let (pool, gate, hold) = parked_single_worker(8);
+        let (pool, gate, hold) = parked_single_worker(EchoBackend { delay: Duration::ZERO }, 8);
         let (events_tx, events) = channel::unbounded();
         // Alternate databases: every drained follower mismatches the seed,
         // stops formation, and seeds the next dispatch itself.
@@ -1610,6 +1499,108 @@ mod tests {
         assert_eq!(dispatched_sizes(&events), vec![1, 1, 1, 1], "cross-database requests never batch");
         // q1, q2 and q3 each stopped the formation ahead of them.
         assert_eq!(health.metrics.batch_bypass_mismatch, 3);
+    }
+
+    /// Echo backend that records every call's `(question, exec_limits,
+    /// time)` and fails the first `failures` calls for the question
+    /// `"flaky"` with budget exhaustion.
+    struct RecordingBackend {
+        failures: usize,
+        calls: Arc<Mutex<Vec<(String, sqlengine::ExecLimits, Instant)>>>,
+    }
+
+    impl Backend for RecordingBackend {
+        fn infer(
+            &self,
+            request: &InferenceRequest,
+            _id: u64,
+            config: &Config,
+        ) -> Result<BackendReply, Error> {
+            let mut calls = self.calls.lock();
+            let seen = calls.iter().filter(|(q, _, _)| q == "flaky").count();
+            calls.push((request.question.clone(), config.exec_limits, Instant::now()));
+            if request.question == "flaky" && seen < self.failures {
+                return Err(Error::BudgetExceeded {
+                    resource: sqlengine::Resource::Time,
+                    spent: 1,
+                    limit: 1,
+                });
+            }
+            Ok(BackendReply { sql: request.question.clone(), ..BackendReply::default() })
+        }
+    }
+
+    #[test]
+    fn a_member_retries_on_the_halving_schedule_whatever_the_batch_size() {
+        let retries = 2u32;
+        let config = Config { retry_attempts: retries, ..Config::serving() };
+        let full = config.exec_limits;
+        let schedule = [full, full.halved(), full.halved().halved()];
+        // `failures` ≤ retries recovers on the last attempt; one more
+        // exhausts the retries and fails the member.
+        for failures in [2usize, 3] {
+            let attempts = failures.min(retries as usize) + 1;
+            for members in [1usize, 3] {
+                let calls = Arc::new(Mutex::new(Vec::new()));
+                let backend = RecordingBackend { failures, calls: Arc::clone(&calls) };
+                let (pool, gate, hold) = parked_single_worker(backend, 4);
+                // The flaky request and its first-try companions queue up
+                // behind the parked worker and leave as one dispatch.
+                let tickets: Vec<Ticket> = ["flaky", "steady-1", "steady-2"][..members]
+                    .iter()
+                    .map(|q| {
+                        let request = InferenceRequest::new("db", *q).with_config(config);
+                        pool.submit(request).expect("admitted")
+                    })
+                    .collect();
+                // Pacing is seeded per request id, so the exact delays are
+                // known up front.
+                let policy = ServeConfig::default().retry_backoff;
+                let backoff = Backoff { seed: policy.seed ^ tickets[0].id, ..policy };
+                gate.open();
+                hold.wait().expect("held request completes once released");
+                let outcomes: Vec<Outcome> = tickets.into_iter().map(Ticket::wait).collect();
+                let health = pool.shutdown();
+
+                let case = format!("{failures} failures, {members} members");
+                match &outcomes[0] {
+                    Ok(served) => {
+                        assert!(failures <= retries as usize && served.sql == "flaky", "{case}")
+                    }
+                    Err(e) => assert!(
+                        failures > retries as usize
+                            && matches!(e, ServeError::Inference(Error::BudgetExceeded { .. })),
+                        "{case}: {e}"
+                    ),
+                }
+                assert!(outcomes[1..].iter().all(Result::is_ok), "{case}: companions succeed");
+                let submitted = members as u64 + 1;
+                assert_eq!(health.stats.submitted, submitted, "{case}");
+                assert_eq!(health.stats.completed + health.stats.failed, submitted, "{case}");
+                assert_eq!(health.stats.failed, u64::from(failures > retries as usize), "{case}");
+
+                let calls = calls.lock();
+                let dispatch: Vec<&str> =
+                    calls.iter().skip(1).take(members).map(|(q, _, _)| q.as_str()).collect();
+                assert_eq!(
+                    dispatch,
+                    ["flaky", "steady-1", "steady-2"][..members],
+                    "{case}: attempt zero is the batch dispatch, before any retry"
+                );
+                assert_eq!(calls.len(), members + attempts, "{case}: only the flaky member retries");
+                let flaky: Vec<_> = calls.iter().filter(|(q, _, _)| q == "flaky").collect();
+                let limits: Vec<_> = flaky.iter().map(|(_, limits, _)| *limits).collect();
+                assert_eq!(limits, schedule[..attempts], "{case}: full, ½, ¼ …");
+                // One pause sits between every two attempts, sized by the
+                // attempt it follows (sleep never undershoots, so the lower
+                // bound cannot flake).
+                for (attempt, pair) in flaky.windows(2).enumerate() {
+                    let gap = pair[1].2.duration_since(pair[0].2);
+                    let pause = backoff.delay(attempt as u32);
+                    assert!(gap >= pause, "{case}: retry {attempt} after {gap:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,9 +13,18 @@ if ! cargo run --release --offline -q --manifest-path e2e/Cargo.toml --bin e2e -
 fi
 echo "    ok"
 BINS="table1 table2 table3 table4 table5 table6 table7 table8 table9 table10 figure1 figure4 latency stages faults cache batching shards gateway streaming optimizer storage"
+failed=0
 for b in $BINS; do
   echo "=== running $b ($(date +%H:%M:%S)) ==="
-  cargo run --release -q -p codes-bench --bin "$b" >"results/logs/$b.txt" 2>"results/logs/$b.err" \
-    && echo "    ok" || echo "    FAILED (see results/logs/$b.err)"
+  if cargo run --release -q -p codes-bench --bin "$b" >"results/logs/$b.txt" 2>"results/logs/$b.err"; then
+    echo "    ok"
+  else
+    echo "    FAILED (see results/logs/$b.err)"
+    failed=$((failed + 1))
+  fi
 done
+if [ "$failed" -gt 0 ]; then
+  echo "$failed experiment(s) FAILED"
+  exit 1
+fi
 echo "all experiments done"
