@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use codes_datasets::{Benchmark, Sample};
-use codes_linker::{FilteredSchema, SchemaClassifier};
+use codes_linker::{shared_schema_profile, FilteredSchema, SchemaClassifier};
 use codes_obs::{
     Span, StageTimings, STAGE_METADATA, STAGE_PROMPT_BUILD, STAGE_SCHEMA_FILTER,
     STAGE_VALUE_RETRIEVAL,
@@ -131,19 +131,24 @@ impl CodesSystem {
         self
     }
 
-    /// Pre-build the BM25 value index of every database (the offline part
-    /// of §6.2; `prepare_database` can be called lazily too). Runtime
-    /// method: takes `&self` like every other post-construction operation.
+    /// Pre-build the BM25 value index and schema profile of every database
+    /// (the offline part of §6.1–6.2; `prepare_database` can be called
+    /// lazily too). Runtime method: takes `&self` like every other
+    /// post-construction operation.
     pub fn prepare_databases<'a>(&self, dbs: impl Iterator<Item = &'a Database>) {
         for db in dbs {
             self.prepare_database(db);
         }
     }
 
-    /// Build (or reuse) the BM25 value index of one database. Reuse is
-    /// revision-aware: an index built for an earlier catalog state is
-    /// replaced, an index current for `db.revision()` is kept as-is.
+    /// Build (or reuse) the BM25 value index of one database, and warm the
+    /// schema filter's profile of it. Reuse is revision-aware: an index
+    /// built for an earlier catalog state is replaced, an index current for
+    /// `db.revision()` is kept as-is.
     pub fn prepare_database(&self, db: &Database) {
+        if self.options.use_schema_filter && self.classifier.is_some() {
+            shared_schema_profile(db);
+        }
         let mut indexes = self.value_indexes.write();
         match indexes.get(&db.name) {
             Some(idx) if idx.built_revision() == db.revision() => {}

@@ -4,10 +4,11 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use codes_datasets::{Benchmark, Sample};
-use sqlengine::Database;
+use sqlengine::{Column, Database, Table};
 
-use crate::features::{
-    classifier_input, column_features, table_features, COLUMN_FEATURES, TABLE_FEATURES,
+use crate::profile::{
+    classifier_input, shared_schema_profile, QuestionProfile, SchemaFeatures, COLUMN_FEATURES,
+    TABLE_FEATURES,
 };
 
 /// A binary logistic-regression model trained with SGD.
@@ -79,7 +80,7 @@ pub fn auc(scored: &[(f64, bool)]) -> f64 {
     }
     // Rank-sum formulation with midranks for ties.
     let mut sorted: Vec<(f64, bool)> = scored.to_vec();
-    sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut rank_sum_pos = 0.0f64;
     let mut i = 0usize;
     while i < sorted.len() {
@@ -121,33 +122,17 @@ impl SchemaClassifier {
         }
     }
 
-    /// Relevance score for every table of `db`.
-    pub fn score_tables(&self, question: &str, ek: Option<&str>, db: &Database) -> Vec<(String, f64)> {
-        let input = self.input(question, ek);
-        db.tables
-            .iter()
-            .map(|t| {
-                let f = table_features(&input, db, t);
-                (t.schema.name.clone(), self.table_model.predict(&f))
-            })
-            .collect()
-    }
-
-    /// Relevance score for every column of `db`.
-    pub fn score_columns(&self, question: &str, ek: Option<&str>, db: &Database) -> Vec<((String, String), f64)> {
-        let input = self.input(question, ek);
-        let mut out = Vec::new();
-        for t in &db.tables {
-            for c in &t.schema.columns {
-                let f = column_features(&input, t, c);
-                out.push(((t.schema.name.clone(), c.name.clone()), self.column_model.predict(&f)));
-            }
+    /// Relevance score of every table and column of `db`.
+    pub fn score(&self, question: &str, ek: Option<&str>, db: &Database) -> SchemaScores {
+        let features = schema_features(question, ek, self.use_ek, db);
+        SchemaScores {
+            tables: features.tables.iter().map(|f| self.table_model.predict(f)).collect(),
+            columns: features
+                .columns
+                .iter()
+                .map(|rows| rows.iter().map(|f| self.column_model.predict(f)).collect())
+                .collect(),
         }
-        out
-    }
-
-    fn input(&self, question: &str, ek: Option<&str>) -> String {
-        classifier_input(question, if self.use_ek { ek } else { None })
     }
 
     /// Evaluate table and column AUC over dev samples (Table 3).
@@ -161,20 +146,44 @@ impl SchemaClassifier {
             if s.used_tables.is_empty() {
                 continue;
             }
-            for (name, score) in self.score_tables(&s.question, s.external_knowledge.as_deref(), db) {
-                let label = s.used_tables.iter().any(|t| t.eq_ignore_ascii_case(&name));
-                table_scored.push((score, label));
-            }
-            for ((t, c), score) in self.score_columns(&s.question, s.external_knowledge.as_deref(), db) {
-                let label = s
-                    .used_columns
-                    .iter()
-                    .any(|(ut, uc)| ut.eq_ignore_ascii_case(&t) && uc.eq_ignore_ascii_case(&c));
-                column_scored.push((score, label));
+            let scores = self.score(&s.question, s.external_knowledge.as_deref(), db);
+            for (t, table) in db.tables.iter().enumerate() {
+                table_scored.push((scores.tables[t], uses_table(s, table)));
+                for (c, column) in table.schema.columns.iter().enumerate() {
+                    column_scored.push((scores.columns[t][c], uses_column(s, table, column)));
+                }
             }
         }
         (auc(&table_scored), auc(&column_scored))
     }
+}
+
+/// Relevance scores index-aligned with `db.tables[i]` and
+/// `db.tables[i].schema.columns[j]`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SchemaScores {
+    /// One score per table.
+    pub tables: Vec<f64>,
+    /// One score per column, grouped by table.
+    pub columns: Vec<Vec<f64>>,
+}
+
+/// The one feature path: the database's shared profile against the
+/// classifier input.
+fn schema_features(question: &str, ek: Option<&str>, use_ek: bool, db: &Database) -> SchemaFeatures {
+    let input = classifier_input(question, if use_ek { ek } else { None });
+    shared_schema_profile(db).features(&QuestionProfile::new(&input))
+}
+
+fn uses_table(sample: &Sample, table: &Table) -> bool {
+    sample.used_tables.iter().any(|t| t.eq_ignore_ascii_case(&table.schema.name))
+}
+
+fn uses_column(sample: &Sample, table: &Table, column: &Column) -> bool {
+    sample
+        .used_columns
+        .iter()
+        .any(|(t, c)| t.eq_ignore_ascii_case(&table.schema.name) && c.eq_ignore_ascii_case(&column.name))
 }
 
 /// A labelled feature row.
@@ -195,19 +204,11 @@ fn build_training_data(
         if s.used_tables.is_empty() {
             continue; // manually annotated seeds without supervision
         }
-        let input = classifier_input(
-            &s.question,
-            if use_ek { s.external_knowledge.as_deref() } else { None },
-        );
-        for t in &db.tables {
-            let label = s.used_tables.iter().any(|ut| ut.eq_ignore_ascii_case(&t.schema.name));
-            table_data.push((table_features(&input, db, t).to_vec(), label));
-            for c in &t.schema.columns {
-                let label = s
-                    .used_columns
-                    .iter()
-                    .any(|(ut, uc)| ut.eq_ignore_ascii_case(&t.schema.name) && uc.eq_ignore_ascii_case(&c.name));
-                column_data.push((column_features(&input, t, c).to_vec(), label));
+        let features = schema_features(&s.question, s.external_knowledge.as_deref(), use_ek, db);
+        for (t, table) in db.tables.iter().enumerate() {
+            table_data.push((features.tables[t].to_vec(), uses_table(s, table)));
+            for (c, column) in table.schema.columns.iter().enumerate() {
+                column_data.push((features.columns[t][c].to_vec(), uses_column(s, table, column)));
             }
         }
     }

@@ -89,41 +89,33 @@ pub fn filter_schema(
     db: &Database,
     cfg: FilterConfig,
 ) -> FilteredSchema {
-    let mut table_scores = clf.score_tables(question, ek, db);
-    table_scores.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    table_scores.truncate(cfg.top_k1);
-    let column_scores = clf.score_columns(question, ek, db);
+    let scores = clf.score(question, ek, db);
+    let mut ranked: Vec<usize> = (0..db.tables.len()).collect();
+    ranked.sort_by(|&a, &b| {
+        scores.tables[b]
+            .total_cmp(&scores.tables[a])
+            .then_with(|| db.tables[a].schema.name.cmp(&db.tables[b].schema.name))
+    });
+    ranked.truncate(cfg.top_k1);
 
-    let tables = table_scores
+    let tables = ranked
         .into_iter()
-        .map(|(name, score)| {
-            let table = db.table(&name).expect("scored table exists");
-            let mut cols: Vec<(String, f64)> = column_scores
-                .iter()
-                .filter(|((t, _), _)| t.eq_ignore_ascii_case(&name))
-                .map(|((_, c), s)| (c.clone(), *s))
-                .collect();
+        .map(|t| {
+            let columns = &db.tables[t].schema.columns;
             // Primary keys always survive (needed for joins).
-            for c in &table.schema.columns {
-                if c.primary_key {
-                    if let Some(entry) = cols.iter_mut().find(|(n, _)| n.eq_ignore_ascii_case(&c.name)) {
-                        entry.1 = f64::MAX;
-                    }
-                }
-            }
-            cols.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-            cols.truncate(cfg.top_k2);
+            let score = |c: usize| if columns[c].primary_key { f64::MAX } else { scores.columns[t][c] };
+            let mut kept: Vec<usize> = (0..columns.len()).collect();
+            kept.sort_by(|&a, &b| {
+                score(b).total_cmp(&score(a)).then_with(|| columns[a].name.cmp(&columns[b].name))
+            });
+            kept.truncate(cfg.top_k2);
             // Restore schema order for readability of the prompt.
-            let keep: std::collections::HashSet<String> =
-                cols.into_iter().map(|(c, _)| c.to_lowercase()).collect();
-            let columns = table
-                .schema
-                .columns
-                .iter()
-                .filter(|c| keep.contains(&c.name.to_lowercase()))
-                .map(|c| c.name.clone())
-                .collect();
-            FilteredTable { name, columns, score }
+            kept.sort_unstable();
+            FilteredTable {
+                name: db.tables[t].schema.name.clone(),
+                columns: kept.into_iter().map(|c| columns[c].name.clone()).collect(),
+                score: scores.tables[t],
+            }
         })
         .collect();
     FilteredSchema { tables }
@@ -276,6 +268,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn nan_weights_filter_without_panicking_and_deterministically() {
+        let bench = mini_bench();
+        let mut clf = SchemaClassifier::train(&bench, false, 3);
+        clf.table_model.weights[0] = f64::NAN;
+        clf.column_model.weights[2] = f64::NAN;
+        let cfg = FilterConfig { top_k1: 2, top_k2: 3 };
+        for s in bench.dev.iter().take(10) {
+            let db = bench.database(&s.db_id).unwrap();
+            let first = filter_schema(&clf, &s.question, None, db, cfg);
+            assert_eq!(first.tables.len(), db.tables.len().min(2));
+            assert!(first.tables.iter().all(|t| t.score.is_nan()));
+            // NaN != NaN, so compare what was kept, not the scores.
+            let kept = |f: &FilteredSchema| -> Vec<(String, Vec<String>)> {
+                f.tables.iter().map(|t| (t.name.clone(), t.columns.clone())).collect()
+            };
+            let again = filter_schema(&clf, &s.question, None, &db.clone(), cfg);
+            assert_eq!(kept(&first), kept(&again));
+            // All scores tie at NaN, so names break the tie.
+            let mut names: Vec<&str> = db.table_names();
+            names.sort_unstable();
+            names.truncate(2);
+            assert_eq!(first.tables.iter().map(|t| t.name.as_str()).collect::<Vec<_>>(), names);
+        }
+        assert!(crate::auc(&[(f64::NAN, true), (0.5, false), (0.7, true)]).is_finite());
     }
 
     #[test]

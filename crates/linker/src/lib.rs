@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 //! # codes-linker
 //!
@@ -7,9 +8,13 @@
 //! the paper) and the §6.1 schema filter with train-time padding.
 
 pub mod classifier;
-pub mod features;
 pub mod filter;
+pub mod profile;
+#[cfg(test)]
+mod reference;
 
-pub use classifier::{auc, train_logreg, LogReg, SchemaClassifier};
-pub use features::{classifier_input, column_features, table_features};
+pub use classifier::{auc, train_logreg, LogReg, SchemaClassifier, SchemaScores};
 pub use filter::{filter_schema, filter_schema_gold, FilterConfig, FilteredSchema, FilteredTable};
+pub use profile::{
+    classifier_input, shared_schema_profile, QuestionProfile, SchemaFeatures, SchemaProfile,
+};

@@ -11,7 +11,9 @@ pub fn lcs_len(a: &str, b: &str) -> usize {
     lcs_len_chars(&a, &b)
 }
 
-fn lcs_len_chars(a: &[char], b: &[char]) -> usize {
+/// [`lcs_len`] over already lower-cased character slices, for callers that
+/// fold one side once and match it against many.
+pub fn lcs_len_chars(a: &[char], b: &[char]) -> usize {
     if a.is_empty() || b.is_empty() {
         return 0;
     }

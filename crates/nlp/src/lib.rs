@@ -25,7 +25,7 @@ pub mod tokenize;
 
 pub use bpe::{Bpe, TokenId};
 pub use embedding::{cosine, Embedder, EmbedderBuilder};
-pub use lcs::{lcs_len, lcs_substring, match_degree};
+pub use lcs::{lcs_len, lcs_len_chars, lcs_substring, match_degree};
 pub use ngram::NgramLm;
 pub use pattern::question_pattern;
 pub use tokenize::{char_ngrams, normalize_identifier, words, words_cased};

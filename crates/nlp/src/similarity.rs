@@ -21,21 +21,28 @@ pub fn jaccard_words(a: &str, b: &str) -> f64 {
 /// intersected with a sorted two-pointer sweep (no hashing, no per-gram
 /// allocation).
 pub fn dice_char_bigrams(a: &str, b: &str) -> f64 {
-    fn packed_bigrams(s: &str) -> Vec<u64> {
-        // Boundary padding '#' as in `char_ngrams(s, 2)`.
-        let mut prev = '#';
-        let mut out = Vec::with_capacity(s.len() + 1);
-        for c in s.chars().flat_map(char::to_lowercase) {
-            out.push(((prev as u64) << 32) | c as u64);
-            prev = c;
-        }
-        out.push(((prev as u64) << 32) | '#' as u64);
-        out.sort_unstable();
-        out.dedup();
-        out
+    dice_packed(&packed_bigrams(a), &packed_bigrams(b))
+}
+
+/// The distinct character bigrams of the lower-cased `s`, each packed into
+/// a `u64`, sorted. Callers that compare one string against many pack it
+/// once and sweep with [`dice_packed`].
+pub fn packed_bigrams(s: &str) -> Vec<u64> {
+    // Boundary padding '#' as in `char_ngrams(s, 2)`.
+    let mut prev = '#';
+    let mut out = Vec::with_capacity(s.len() + 1);
+    for c in s.chars().flat_map(char::to_lowercase) {
+        out.push(((prev as u64) << 32) | c as u64);
+        prev = c;
     }
-    let ga = packed_bigrams(a);
-    let gb = packed_bigrams(b);
+    out.push(((prev as u64) << 32) | '#' as u64);
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// Dice coefficient of two [`packed_bigrams`] lists.
+pub fn dice_packed(ga: &[u64], gb: &[u64]) -> f64 {
     if ga.is_empty() || gb.is_empty() {
         return 0.0;
     }

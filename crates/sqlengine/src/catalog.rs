@@ -192,14 +192,15 @@ impl Table {
         let Some(idx) = self.schema.column_index(column) else {
             return Vec::new();
         };
-        let mut seen = HashSet::new();
+        // Hashed by reference: only the values kept are cloned.
+        let mut seen: HashSet<&Value> = HashSet::new();
         let mut out = Vec::new();
         for row in self.rows.iter().take(max_scan) {
             let v = &row[idx];
             if v.is_null() {
                 continue;
             }
-            if seen.insert(v.clone()) {
+            if seen.insert(v) {
                 out.push(v.clone());
                 if out.len() >= limit {
                     break;
@@ -434,6 +435,26 @@ mod tests {
         assert_eq!(names, vec![Value::Text("Alice".into()), Value::Text("Bob".into())]);
         let balances = t.representative_values("balance", 5);
         assert_eq!(balances.len(), 2); // NULL skipped
+    }
+
+    #[test]
+    fn representative_values_capped_stops_scanning_at_max_scan() {
+        // 30 rows cycling NULL, 0, 1, 2, 3 and then one value seen nowhere else.
+        let mut t = Table::new(TableSchema::new("t", vec![Column::new("x", DataType::Integer)]));
+        for i in 0..30i64 {
+            let v = if i % 5 == 0 { Value::Null } else { Value::Integer(i % 5 - 1) };
+            t.insert(vec![v]).unwrap();
+        }
+        t.insert(vec![Value::Integer(99)]).unwrap();
+        let first_seen: Vec<Value> = (0..4).map(Value::Integer).collect();
+        // First-seen order, distinct, NULLs skipped; row 31 is past the cap.
+        assert_eq!(t.representative_values_capped("x", 16, 30), first_seen);
+        assert_eq!(t.representative_values_capped("x", 3, 30), first_seen[..3]);
+        assert_eq!(t.representative_values_capped("x", 16, 3), first_seen[..2]);
+        let mut all = first_seen.clone();
+        all.push(Value::Integer(99));
+        assert_eq!(t.representative_values("x", 16), all);
+        assert!(t.representative_values_capped("nope", 16, 30).is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use codes::{
 };
 use codes_datasets::{Benchmark, BenchmarkConfig};
 use codes_eval::{evaluate, EvalConfig};
-use codes_linker::SchemaClassifier;
+use codes_linker::{LogReg, SchemaClassifier};
 use codes_retrieval::DemoStrategy;
 
 fn mini_bench(seed: u64, bird: bool) -> Benchmark {
@@ -121,4 +121,58 @@ fn generated_sql_is_almost_always_executable() {
         executable as f64 / n as f64 >= 0.9,
         "only {executable}/{n} executable (beam should pick executable candidates)"
     );
+}
+
+/// The schema filter reads the database through a profile cached per
+/// catalog revision; a stale or mis-keyed profile would show here.
+#[test]
+fn schema_filter_answers_from_the_catalog_it_is_given() {
+    // A trained classifier over a benchmark and its rebuilt twin: equal
+    // content, every database under a revision of its own.
+    let (bench, twin) = (mini_bench(105, true), mini_bench(105, true));
+    let clf = SchemaClassifier::train(&bench, true, 1);
+    let opts = PromptOptions::sft();
+    for s in &bench.dev {
+        let ek = s.external_knowledge.as_deref();
+        let filter = |db: &sqlengine::Database| {
+            codes::stage_schema_filter(db, &s.question, ek, Some(&clf), &opts)
+        };
+        let (db, rebuilt) = (bench.database(&s.db_id).unwrap(), twin.database(&s.db_id).unwrap());
+        assert_ne!(db.revision(), rebuilt.revision());
+        let cold = filter(rebuilt);
+        assert_eq!(filter(rebuilt), cold, "warm profile: {}", s.question);
+        assert_eq!(filter(&rebuilt.clone()), cold, "clone: {}", s.question);
+        assert_eq!(filter(db), cold, "equal database: {}", s.question);
+    }
+
+    // A classifier that listens to value hits alone, so the answer is known:
+    // the key, then whichever column holds the value the question names
+    // (names break the tie while none does).
+    let mut clf = SchemaClassifier {
+        table_model: LogReg::new(8),
+        column_model: LogReg::new(10),
+        use_ek: false,
+    };
+    clf.column_model.weights[6] = 4.0;
+    let mut opts = PromptOptions::sft();
+    opts.filter.top_k2 = 2;
+    let kept = |db: &sqlengine::Database| {
+        let filtered =
+            codes::stage_schema_filter(db, "which trips went to Narnia", None, Some(&clf), &opts);
+        filtered.tables[0].columns.clone()
+    };
+    let mut db = sqlengine::database_from_script(
+        "travel",
+        "CREATE TABLE trip (trip_id INTEGER PRIMARY KEY, origin TEXT, stop TEXT, target TEXT);
+         INSERT INTO trip VALUES (1, 'Oz', 'Erewhon', 'Utopia');",
+    )
+    .unwrap();
+    let before = db.clone();
+    assert_eq!(kept(&db), ["trip_id", "origin"]);
+    db.table_mut("trip")
+        .unwrap()
+        .insert(vec![2.into(), "Oz".into(), "Erewhon".into(), "Narnia".into()])
+        .unwrap();
+    assert_eq!(kept(&db), ["trip_id", "target"], "the inserted row is seen at once");
+    assert_eq!(kept(&before), ["trip_id", "origin"], "the unmutated clone is not");
 }
