@@ -14,18 +14,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use codes::{CacheSettings, CodesSystem, InferenceRequest, SystemCache};
-use codes_bench::workbench;
+use codes_bench::workbench::{self, percentile};
 use codes_eval::TextTable;
 use codes_serve::{Pool, ServeConfig, SystemBackend};
-
-/// Percentile over a latency set (seconds); `q` in [0, 1].
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let ix = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[ix]
-}
 
 struct Pass {
     label: &'static str,

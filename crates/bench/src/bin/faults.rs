@@ -25,7 +25,7 @@ use codes::{CodesModel, CodesSystem, Config, InferenceRequest, PromptOptions};
 use codes_bench::workbench;
 use codes_eval::{evaluate, EvalConfig, TextTable};
 use codes_serve::{
-    BreakerConfig, FaultPlan, FaultyBackend, Pool, ServeConfig, ServeError, SystemBackend,
+    BreakerConfig, FaultPlan, FaultyBackend, Pool, ServeConfig, SystemBackend,
 };
 use sqlengine::{execute_query_governed, with_retry, Backoff, Error, ExecLimits};
 
@@ -240,7 +240,7 @@ fn pool_chaos(spider: &codes_datasets::Benchmark) {
         let sample = &spider.dev[i % spider.dev.len()];
         match pool.submit(InferenceRequest::new(&sample.db_id, &sample.question)) {
             Ok(t) => tickets.push(t),
-            Err(ServeError::Overloaded { .. }) => shed_at_admission += 1,
+            Err(codes::Error::Overloaded { .. }) => shed_at_admission += 1,
             Err(e) => panic!("unexpected admission failure: {e}"),
         }
         // Offered load ~2x capacity: enough pressure to demonstrate

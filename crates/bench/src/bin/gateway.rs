@@ -13,39 +13,12 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use codes::InferenceRequest;
-use codes_bench::workbench;
+use codes_bench::workbench::{self, percentile, FixedCostBackend};
 use codes_eval::TextTable;
 use codes_gateway::{Gateway, GatewayConfig, HttpClient, TenantSpec};
 use codes_router::{Router, RouterConfig, ShardSpec};
-use codes_serve::{Backend, BackendReply, ServeConfig};
+use codes_serve::ServeConfig;
 use serde::Json;
-
-/// Fixed per-request "inference": sleeps the configured compute cost and
-/// answers, so throughput and latency differences are attributable to the
-/// gateway edge alone.
-struct FixedCostBackend {
-    cost: Duration,
-}
-
-impl Backend for FixedCostBackend {
-    fn infer(
-        &self,
-        _request: &InferenceRequest,
-        _id: u64,
-        _config: &codes::Config,
-    ) -> Result<BackendReply, sqlengine::Error> {
-        std::thread::sleep(self.cost);
-        Ok(BackendReply {
-            sql: "SELECT 1".to_string(),
-            degradations: Vec::new(),
-            latency_seconds: self.cost.as_secs_f64(),
-            prompt_tokens: 8,
-            stages: codes_obs::StageTimings::zero(),
-            cache_hits: codes::CacheHits::default(),
-        })
-    }
-}
 
 const WORKERS: usize = 8;
 const COST: Duration = Duration::from_millis(2);
@@ -58,14 +31,6 @@ struct Pass {
     p50_ms: f64,
     p95_ms: f64,
     total: usize,
-}
-
-fn percentile_ms(sorted: &[Duration], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)].as_secs_f64() * 1e3
 }
 
 /// One pass: a fresh router+gateway, `connections` closed-loop clients,
@@ -143,8 +108,8 @@ fn run_pass(connections: usize) -> Pass {
     Pass {
         connections,
         qps: total as f64 / elapsed,
-        p50_ms: percentile_ms(&latencies, 0.50),
-        p95_ms: percentile_ms(&latencies, 0.95),
+        p50_ms: percentile(&latencies, 0.50).as_secs_f64() * 1e3,
+        p95_ms: percentile(&latencies, 0.95).as_secs_f64() * 1e3,
         total,
     }
 }

@@ -14,36 +14,10 @@
 use std::time::{Duration, Instant};
 
 use codes::InferenceRequest;
-use codes_bench::workbench;
+use codes_bench::workbench::{self, FixedCostBackend};
 use codes_eval::TextTable;
 use codes_router::{Router, RouterConfig, ShardSpec, TenantConfig};
-use codes_serve::{Backend, BackendReply, ServeConfig};
-
-/// Fixed per-request "inference": sleeps the configured compute cost and
-/// answers. Deterministic and database-agnostic, so throughput differences
-/// are attributable to the router topology alone.
-struct FixedCostBackend {
-    cost: Duration,
-}
-
-impl Backend for FixedCostBackend {
-    fn infer(
-        &self,
-        _request: &InferenceRequest,
-        _id: u64,
-        _config: &codes::Config,
-    ) -> Result<BackendReply, sqlengine::Error> {
-        std::thread::sleep(self.cost);
-        Ok(BackendReply {
-            sql: "SELECT 1".to_string(),
-            degradations: Vec::new(),
-            latency_seconds: self.cost.as_secs_f64(),
-            prompt_tokens: 8,
-            stages: codes_obs::StageTimings::zero(),
-            cache_hits: codes::CacheHits::default(),
-        })
-    }
-}
+use codes_serve::ServeConfig;
 
 const WORKERS_PER_SHARD: usize = 4;
 const COST: Duration = Duration::from_millis(4);

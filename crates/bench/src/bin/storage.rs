@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use codes_bench::workbench;
+use codes_bench::workbench::{self, percentile};
 use codes_datasets::finance::bank_financials_db;
 use codes_eval::TextTable;
 use codes_storage::{
@@ -24,15 +24,6 @@ use codes_storage::{
     IntrospectOptions,
     MemoryBackend, PoolConfig,
 };
-
-/// Percentile over a latency set (seconds); `q` in [0, 1].
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let ix = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[ix]
-}
 
 fn timed(iterations: usize, mut op: impl FnMut()) -> Vec<f64> {
     let mut latencies = Vec::with_capacity(iterations);

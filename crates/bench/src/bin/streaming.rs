@@ -19,38 +19,12 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use codes::InferenceRequest;
-use codes_bench::workbench;
+use codes_bench::workbench::{self, percentile, FixedCostBackend};
 use codes_eval::TextTable;
 use codes_gateway::{Gateway, GatewayConfig, HttpClient, TenantSpec};
 use codes_router::{Router, RouterConfig, ShardSpec};
-use codes_serve::{Backend, BackendReply, ServeConfig};
+use codes_serve::ServeConfig;
 use serde::Json;
-
-/// Fixed per-request "inference" cost, mirroring the gateway bench so the
-/// two result files are directly comparable.
-struct FixedCostBackend {
-    cost: Duration,
-}
-
-impl Backend for FixedCostBackend {
-    fn infer(
-        &self,
-        _request: &InferenceRequest,
-        _id: u64,
-        _config: &codes::Config,
-    ) -> Result<BackendReply, sqlengine::Error> {
-        std::thread::sleep(self.cost);
-        Ok(BackendReply {
-            sql: "SELECT 1".to_string(),
-            degradations: Vec::new(),
-            latency_seconds: self.cost.as_secs_f64(),
-            prompt_tokens: 8,
-            stages: codes_obs::StageTimings::zero(),
-            cache_hits: codes::CacheHits::default(),
-        })
-    }
-}
 
 const WORKERS: usize = 8;
 const COST: Duration = Duration::from_millis(2);
@@ -66,14 +40,6 @@ struct Pass {
     ttc_p50_ms: f64,
     ttc_p95_ms: f64,
     total: usize,
-}
-
-fn percentile_ms(sorted: &[Duration], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)].as_secs_f64() * 1e3
 }
 
 /// One pass: a fresh router+gateway, `connections` closed-loop streaming
@@ -163,10 +129,10 @@ fn run_pass(connections: usize) -> Pass {
     Pass {
         connections,
         qps: total as f64 / elapsed,
-        ttfe_p50_ms: percentile_ms(&ttfe, 0.50),
-        ttfe_p95_ms: percentile_ms(&ttfe, 0.95),
-        ttc_p50_ms: percentile_ms(&ttc, 0.50),
-        ttc_p95_ms: percentile_ms(&ttc, 0.95),
+        ttfe_p50_ms: percentile(&ttfe, 0.50).as_secs_f64() * 1e3,
+        ttfe_p95_ms: percentile(&ttfe, 0.95).as_secs_f64() * 1e3,
+        ttc_p50_ms: percentile(&ttc, 0.50).as_secs_f64() * 1e3,
+        ttc_p95_ms: percentile(&ttc, 0.95).as_secs_f64() * 1e3,
         total,
     }
 }

@@ -1,5 +1,6 @@
 //! Shared infrastructure for the experiment binaries: benchmark caches,
-//! model pre-training caches, system builders and result recording.
+//! model pre-training caches, system builders, result recording, and the
+//! serving benches' fixed-cost backend and percentile helper.
 //!
 //! Scale is controlled by the `CODES_SCALE` environment variable
 //! (1 = smoke-test, 2 = default, 4 = large) and the per-run evaluation cap
@@ -7,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Duration;
 
 use codes::{
     pretrain, pretrain_with_capacity, table4_models, Capacity, CodesModel, CodesSystem,
@@ -17,6 +19,7 @@ use codes_datasets::{Benchmark, BenchmarkConfig, Sample};
 use codes_eval::{evaluate, EvalConfig, EvalOutcome, ExperimentRecord};
 use codes_linker::SchemaClassifier;
 use codes_retrieval::{DemoRetriever, DemoStrategy, ValueIndex};
+use codes_serve::{Backend, BackendReply};
 use sqlengine::Database;
 
 /// Experiment scale multiplier.
@@ -250,6 +253,43 @@ pub fn record(experiment: &str, system: &str, dataset: &str, metric: &str, value
         value,
         n,
     }
+}
+
+/// Fixed per-request "inference" for the serving benches: sleeps the
+/// configured compute cost and answers. Deterministic and
+/// database-agnostic, so throughput and latency differences are
+/// attributable to the layers in front of it alone.
+pub struct FixedCostBackend {
+    /// What one inference costs.
+    pub cost: Duration,
+}
+
+impl Backend for FixedCostBackend {
+    fn infer(
+        &self,
+        _request: &codes::InferenceRequest,
+        _id: u64,
+        _config: &codes::Config,
+    ) -> Result<BackendReply, sqlengine::Error> {
+        std::thread::sleep(self.cost);
+        Ok(BackendReply {
+            sql: "SELECT 1".to_string(),
+            degradations: Vec::new(),
+            latency_seconds: self.cost.as_secs_f64(),
+            prompt_tokens: 8,
+            stages: codes_obs::StageTimings::zero(),
+            cache_hits: codes::CacheHits::default(),
+        })
+    }
+}
+
+/// Nearest-rank percentile of an ascending sample set; `q` in [0, 1]. An
+/// empty set reads as the type's zero.
+pub fn percentile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
 }
 
 #[cfg(test)]

@@ -1,14 +1,14 @@
-//! The unified error surface of the CodeS stack.
+//! The one failure type of the CodeS request path.
 //!
 //! The engine ([`sqlengine::Error`]) classifies failures as transient vs
-//! permanent; the serving runtime adds its own taxonomy (overload sheds,
-//! breaker rejections, worker deaths). Callers used to match on both
-//! crate-specific enums; [`Error`] bridges them behind two questions every
-//! caller actually asks: *can a retry help?* ([`Error::is_transient`]) and
-//! *was this load shedding rather than a real failure?*
-//! ([`Error::is_overload`]). The serving crate converts its `ServeError`
-//! into this type (`From<ServeError> for codes::Error` lives there); the
-//! full mapping is documented in DESIGN.md §4g.
+//! permanent; serving adds overload sheds, breaker rejections and worker
+//! deaths; storage adds refused connects, failed introspection and pool
+//! exhaustion. [`Error`] holds all of them, and is what the serving pool,
+//! the router and the gateway pass along unconverted, behind the two
+//! questions every caller actually asks: *can a retry help?*
+//! ([`Error::is_transient`]) and *was this load shedding rather than a
+//! real failure?* ([`Error::is_overload`]). The classification table is in
+//! DESIGN.md §4g, the HTTP mapping in §4i.
 
 use std::fmt;
 use std::time::Duration;
@@ -101,8 +101,7 @@ impl Error {
 
     /// True when the request was never really attempted — it was shed by
     /// admission control to protect the service (queue full, breaker open,
-    /// deadline already blown). Mirrors the serving runtime's load-shed
-    /// classification.
+    /// deadline already blown).
     pub fn is_overload(&self) -> bool {
         matches!(
             self,
@@ -189,6 +188,8 @@ mod tests {
         // Worker deaths: transient (infrastructure fault) but not overload.
         let panic = Error::WorkerPanic("boom".into());
         assert!(panic.is_transient() && !panic.is_overload());
+        let wedged = Error::WorkerWedged { stalled: Duration::from_secs(1) };
+        assert!(wedged.is_transient() && !wedged.is_overload());
         // Engine taxonomy flows through unchanged.
         let budget = Error::Engine(sqlengine::Error::BudgetExceeded {
             resource: sqlengine::Resource::Time,
@@ -198,7 +199,7 @@ mod tests {
         assert!(budget.is_transient() && !budget.is_overload());
         let parse = Error::Engine(sqlengine::Error::Parse("bad".into()));
         assert!(!parse.is_transient() && !parse.is_overload());
-        assert!(!Error::ShuttingDown.is_transient());
+        assert!(!Error::ShuttingDown.is_transient() && !Error::ShuttingDown.is_overload());
         // A misaddressed database is a caller bug, not a passing storm.
         let unknown = Error::UnknownDatabase { db_id: "nowhere".into() };
         assert!(!unknown.is_transient() && !unknown.is_overload());

@@ -19,8 +19,6 @@
 use std::fmt;
 use std::time::Duration;
 
-
-
 use crate::http::{HttpResponse, ParseError};
 
 /// An edge-level rejection: the request never made it into the router.
@@ -209,68 +207,53 @@ pub struct WireError {
 ///   a failed introspection (`storage_introspect`) is a bad-upstream `502`
 ///   with no retry hint.
 pub fn map_serve_error(err: &codes::Error) -> WireError {
-    let wire = |status: u16, code: &'static str| WireError { status, code, retry_after: None };
-    match err {
-        codes::Error::Overloaded { .. } => WireError {
-            status: 503,
-            code: "overloaded",
-            retry_after: Some(Duration::from_secs(1)),
-        },
-        codes::Error::CircuitOpen { retry_after, .. } => WireError {
-            status: 503,
-            code: "circuit_open",
-            retry_after: Some(*retry_after),
-        },
-        codes::Error::DeadlineExceeded { .. } => wire(504, "deadline"),
-        codes::Error::WorkerPanic(_) => wire(500, "worker_panic"),
-        codes::Error::WorkerWedged { .. } => wire(500, "worker_wedged"),
-        codes::Error::ShuttingDown => WireError {
-            status: 503,
-            code: "shutting_down",
-            retry_after: Some(Duration::from_secs(1)),
-        },
-        codes::Error::UnknownDatabase { .. } => wire(404, "unknown_database"),
-        // Storage-layer failures. Connect refusals and pool exhaustion are
-        // transient by construction (the backend may come back, a
-        // connection will free up) — `503` + `Retry-After`. A failed
-        // introspection means the gateway reached the backend but could
-        // not assemble a coherent catalog from it: a bad-upstream `502`,
-        // and retrying immediately won't change the backend's catalog.
-        codes::Error::Storage(e) => match e.kind() {
-            "storage_connect" => WireError {
-                status: 503,
-                code: "storage_connect",
-                retry_after: Some(Duration::from_secs(1)),
-            },
-            "storage_exhausted" => WireError {
-                status: 503,
-                code: "storage_exhausted",
-                retry_after: Some(Duration::from_secs(1)),
-            },
-            "storage_introspect" => wire(502, "storage_introspect"),
-            // Engine/UnknownDatabase/Closed never reach this arm
-            // (`From<StorageError>` collapses them into the established
-            // variants above); anything new is our bug, not the client's.
-            _ => wire(500, "storage_internal"),
-        },
-        codes::Error::Engine(e) => match e.kind() {
-            "lex" => wire(422, "engine_lex"),
-            "parse" => wire(422, "engine_parse"),
-            "bind" => wire(422, "engine_bind"),
-            "catalog" => wire(422, "engine_catalog"),
-            "type" => wire(422, "engine_type"),
-            "exec" => wire(422, "engine_exec"),
-            "unsupported" => wire(422, "engine_unsupported"),
-            "unknown_table" => wire(404, "engine_unknown_table"),
-            "budget" => wire(504, "engine_budget"),
-            // The cost-based planner shed the statement before execution:
-            // same transient class as a budget kill, same status family.
-            "cost_shed" => wire(504, "engine_cost_shed"),
-            // `internal` plus any kind a future engine adds: a bug on our
-            // side of the wire, never the client's.
-            _ => wire(500, "engine_internal"),
-        },
-    }
+    use codes::Error as E;
+    use codes_storage::StorageError as S;
+    const SOON: Option<Duration> = Some(Duration::from_secs(1));
+    let (status, retry_after) = match err {
+        E::Engine(e) => return map_engine_error(e),
+        E::Overloaded { .. } | E::ShuttingDown => (503, SOON),
+        E::CircuitOpen { retry_after, .. } => (503, Some(*retry_after)),
+        E::DeadlineExceeded { .. } => (504, None),
+        E::WorkerPanic(_) | E::WorkerWedged { .. } => (500, None),
+        E::UnknownDatabase { .. } => (404, None),
+        // Connect refusals and pool exhaustion are transient by
+        // construction (the backend may come back, a connection will free
+        // up). A failed introspection means the gateway reached the backend
+        // but could not assemble a coherent catalog from it: a bad
+        // upstream, and retrying immediately won't change its catalog.
+        E::Storage(S::Connect(_) | S::Exhausted { .. }) => (503, SOON),
+        E::Storage(S::Introspect(_)) => (502, None),
+        // `From<StorageError>` collapses these into the variants above, so
+        // one arriving wrapped is our bug, not the client's.
+        E::Storage(S::Engine(_) | S::UnknownDatabase(_) | S::Closed) => {
+            return WireError { status: 500, code: "storage_internal", retry_after: None }
+        }
+    };
+    WireError { status, code: err.kind(), retry_after }
+}
+
+/// The engine rows of [`map_serve_error`]: the code is the engine's kind
+/// under an `engine_` prefix, and no engine failure carries a retry hint.
+fn map_engine_error(err: &sqlengine::Error) -> WireError {
+    use sqlengine::Error as Q;
+    let (status, code) = match err {
+        Q::Lex(_) => (422, "engine_lex"),
+        Q::Parse(_) => (422, "engine_parse"),
+        Q::Bind(_) => (422, "engine_bind"),
+        Q::Catalog(_) => (422, "engine_catalog"),
+        Q::Type(_) => (422, "engine_type"),
+        Q::Exec(_) => (422, "engine_exec"),
+        Q::Unsupported(_) => (422, "engine_unsupported"),
+        Q::UnknownTable(_) => (404, "engine_unknown_table"),
+        Q::BudgetExceeded { .. } => (504, "engine_budget"),
+        // The cost-based planner shed the statement before execution:
+        // same transient class as a budget kill, same status family.
+        Q::CostShed { .. } => (504, "engine_cost_shed"),
+        // A bug on our side of the wire, never the client's.
+        Q::Internal(_) => (500, "engine_internal"),
+    };
+    WireError { status, code, retry_after: None }
 }
 
 /// Build the standard enveloped JSON error body

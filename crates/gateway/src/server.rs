@@ -817,10 +817,9 @@ fn admit_infer(
     let ticket = match inner.router.submit_as_with_progress(&tenant, infer_request, progress) {
         Ok(ticket) => ticket,
         Err(e) => {
-            let unified = codes::Error::from(e);
-            let mapped = map_serve_error(&unified);
+            let mapped = map_serve_error(&e);
             finish(&db_id, mapped.status, mapped.code);
-            return InferAdmission::Immediate(serve_error_response(&unified));
+            return InferAdmission::Immediate(serve_error_response(&e));
         }
     };
     inner.stats.infer_admitted.fetch_add(1, Ordering::Relaxed);
@@ -875,10 +874,9 @@ fn settle_infer(
             Ok(served_payload(&served, &ctx.tenant))
         }
         Err(e) => {
-            let unified = codes::Error::from(e);
-            let mapped = map_serve_error(&unified);
+            let mapped = map_serve_error(&e);
             finish(mapped.status, mapped.code, false);
-            Err((mapped, unified.to_string()))
+            Err((mapped, e.to_string()))
         }
     }
 }
@@ -1077,7 +1075,7 @@ fn handle_invalidate(inner: &Arc<Inner>, request: &HttpRequest) -> HttpResponse 
             ]);
             HttpResponse::json(200, &envelope::success(body))
         }
-        Err(e) => serve_error_response(&codes::Error::from(e)),
+        Err(e) => serve_error_response(&e),
     }
 }
 

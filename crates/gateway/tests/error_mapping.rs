@@ -230,3 +230,47 @@ fn status_codes_stay_within_documented_families() {
         assert!((400..600).contains(&wire.status), "{}", wire.status);
     }
 }
+
+#[test]
+fn failure_responses_are_byte_stable() {
+    // The failure path's wire contract in full: status, `retry-after`
+    // header and every body byte (message text included) for each kind in
+    // the two tables above, in table order.
+    let golden: &[(u16, Option<&str>, &str)] = &[
+        (503, Some("1"), r#"{"v":1,"error":{"code":"overloaded","message":"overloaded: admission queue full (8/8)","retryable":true,"retry_after_ms":1000}}"#),
+        (503, Some("1"), r#"{"v":1,"error":{"code":"circuit_open","message":"circuit open for 'bank': retry in 250ms","retryable":true,"retry_after_ms":250}}"#),
+        (504, None, r#"{"v":1,"error":{"code":"deadline","message":"deadline exceeded while queued (120ms of a 100ms budget)","retryable":false}}"#),
+        (500, None, r#"{"v":1,"error":{"code":"worker_panic","message":"worker panicked: boom","retryable":false}}"#),
+        (500, None, r#"{"v":1,"error":{"code":"worker_wedged","message":"worker wedged (no heartbeat for 1s)","retryable":false}}"#),
+        (503, Some("1"), r#"{"v":1,"error":{"code":"shutting_down","message":"pool shutting down","retryable":true,"retry_after_ms":1000}}"#),
+        (404, None, r#"{"v":1,"error":{"code":"unknown_database","message":"unknown database 'nowhere': not served by this pool","retryable":false}}"#),
+        (503, Some("1"), r#"{"v":1,"error":{"code":"storage_connect","message":"storage failed: storage connection failed: refused","retryable":true,"retry_after_ms":1000}}"#),
+        (502, None, r#"{"v":1,"error":{"code":"storage_introspect","message":"storage failed: introspection failed: revision kept moving","retryable":false}}"#),
+        (503, Some("1"), r#"{"v":1,"error":{"code":"storage_exhausted","message":"storage failed: connection pool exhausted: all 4 connections busy for 2000ms","retryable":true,"retry_after_ms":1000}}"#),
+        (422, None, r#"{"v":1,"error":{"code":"engine_lex","message":"inference failed: lex error: x","retryable":false}}"#),
+        (422, None, r#"{"v":1,"error":{"code":"engine_parse","message":"inference failed: parse error: x","retryable":false}}"#),
+        (422, None, r#"{"v":1,"error":{"code":"engine_bind","message":"inference failed: bind error: x","retryable":false}}"#),
+        (422, None, r#"{"v":1,"error":{"code":"engine_catalog","message":"inference failed: catalog error: x","retryable":false}}"#),
+        (422, None, r#"{"v":1,"error":{"code":"engine_type","message":"inference failed: type error: x","retryable":false}}"#),
+        (422, None, r#"{"v":1,"error":{"code":"engine_exec","message":"inference failed: execution error: x","retryable":false}}"#),
+        (422, None, r#"{"v":1,"error":{"code":"engine_unsupported","message":"inference failed: unsupported: x","retryable":false}}"#),
+        (404, None, r#"{"v":1,"error":{"code":"engine_unknown_table","message":"inference failed: unknown table: x","retryable":false}}"#),
+        (504, None, r#"{"v":1,"error":{"code":"engine_budget","message":"inference failed: budget exceeded: time (2 spent, limit 1)","retryable":false}}"#),
+        (504, None, r#"{"v":1,"error":{"code":"engine_cost_shed","message":"inference failed: cost shed: plan estimated 1000000 intermediate rows against a budget of 10000","retryable":false}}"#),
+        (500, None, r#"{"v":1,"error":{"code":"engine_internal","message":"inference failed: internal error: x","retryable":false}}"#),
+    ];
+    let mut all: Vec<codes::Error> = serve_errors();
+    all.extend(engine_errors().into_iter().map(codes::Error::Engine));
+    assert_eq!(all.len(), golden.len(), "one golden row per kind");
+    for (err, (status, retry_after, body)) in all.iter().zip(golden) {
+        let response = codes_gateway::serve_error_response(err);
+        assert_eq!(response.status, *status, "{}", err.kind());
+        let header = response
+            .headers
+            .iter()
+            .find(|(name, _)| name == "retry-after")
+            .map(|(_, value)| value.as_str());
+        assert_eq!(header, *retry_after, "{}", err.kind());
+        assert_eq!(String::from_utf8_lossy(&response.body), *body, "{}", err.kind());
+    }
+}

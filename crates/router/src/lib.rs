@@ -18,7 +18,7 @@
 //!   share.
 //! * **Shard-aware shedding** — a full tenant queue or a hopelessly open
 //!   breaker on the owning shard rejects immediately with a typed
-//!   [`codes_serve::ServeError`], before anything is queued.
+//!   [`codes::Error`], before anything is queued.
 //! * **Failover / revival / rebalancing** ([`Router::fail_over`],
 //!   [`Router::revive`], [`Router::rebalance`]) — databases remap,
 //!   destination cache generations bump *before* the liveness mask

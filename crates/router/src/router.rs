@@ -18,11 +18,12 @@
 //! The router assigns its own request ids and creates tickets through
 //! [`Ticket::detached`]; the outcome channel is bounded at one message,
 //! so whoever resolves first wins and later attempts are structurally
-//! inert. Once [`Pool::submit_routed`] returns `Ok`, the pool owns
-//! resolution (worker, supervisor, cache fast path, or shutdown cleanup —
-//! the pool's write-once `ReplySlot` discipline); on `Err`, or while the
-//! job still sits in a router queue, the router owns it. Every accepted
-//! ticket therefore resolves exactly once, through failover included.
+//! inert. Once [`Pool::submit_routed_with_progress`] returns `Ok`, the pool
+//! owns resolution (worker, supervisor, cache fast path, or shutdown
+//! cleanup — the pool's write-once `ReplySlot` discipline); on `Err`, or
+//! while the job still sits in a router queue, the router owns it. Every
+//! accepted ticket therefore resolves exactly once, through failover
+//! included.
 //!
 //! ## Failover ordering
 //!
@@ -45,10 +46,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use codes::InferenceRequest;
+use codes::{Error, InferenceRequest};
 use codes_serve::pool::{Backend, Outcome, Ticket};
 use codes_serve::progress::{Progress, ProgressSink};
-use codes_serve::{HealthSnapshot, Pool, ServeConfig, ServeError, StatsSnapshot};
+use codes_serve::{HealthSnapshot, Pool, ServeConfig, StatsSnapshot};
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use sqlengine::Database;
@@ -82,7 +83,7 @@ pub struct RouterConfig {
     /// **first** configured tenant (the default tenant).
     pub tenants: Vec<TenantConfig>,
     /// Bounded capacity of each per-tenant router queue (per shard). A
-    /// full queue sheds with a typed [`ServeError::Overloaded`] before
+    /// full queue sheds with a typed [`Error::Overloaded`] before
     /// anything reaches a pool.
     pub tenant_queue_capacity: usize,
     /// Virtual nodes per shard on the consistent-hash ring.
@@ -371,7 +372,7 @@ impl Router {
 
     /// Submit a request under the default tenant (the first configured
     /// one). See [`Router::submit_as`].
-    pub fn submit(&self, request: InferenceRequest) -> Result<Ticket, ServeError> {
+    pub fn submit(&self, request: InferenceRequest) -> Result<Ticket, Error> {
         let tenant = self.inner.tenants[0].0.clone();
         self.submit_as(&tenant, request)
     }
@@ -379,13 +380,13 @@ impl Router {
     /// Submit a request on behalf of `tenant`. The request routes to its
     /// database's owning shard; rejections are immediate and typed:
     ///
-    /// * [`ServeError::Overloaded`] — the owning shard's queue for this
+    /// * [`Error::Overloaded`] — the owning shard's queue for this
     ///   tenant is full (shard-aware shedding: other shards keep
     ///   accepting).
-    /// * [`ServeError::CircuitOpen`] — the owning shard's breaker for
+    /// * [`Error::CircuitOpen`] — the owning shard's breaker for
     ///   this database won't admit anything within the request's budget,
     ///   so queueing it would only burn queue space.
-    /// * [`ServeError::ShuttingDown`] — router shutdown, or no shard is
+    /// * [`Error::ShuttingDown`] — router shutdown, or no shard is
     ///   active.
     ///
     /// Unknown tenant names are accounted to the default (first) tenant.
@@ -393,7 +394,7 @@ impl Router {
         &self,
         tenant: &str,
         request: InferenceRequest,
-    ) -> Result<Ticket, ServeError> {
+    ) -> Result<Ticket, Error> {
         self.submit_as_with_progress(tenant, request, None)
     }
 
@@ -409,17 +410,17 @@ impl Router {
         tenant: &str,
         request: InferenceRequest,
         progress: Option<Arc<dyn ProgressSink>>,
-    ) -> Result<Ticket, ServeError> {
+    ) -> Result<Ticket, Error> {
         let inner = &self.inner;
         if inner.shutdown.load(Ordering::SeqCst) {
-            return Err(ServeError::ShuttingDown);
+            return Err(Error::ShuttingDown);
         }
         let tenant_idx =
             inner.tenants.iter().position(|(name, _)| name == tenant).unwrap_or(0);
         inner.observed_dbs.lock().insert(request.db_id.clone());
         let mask = inner.active_mask();
         let Some(owner) = inner.ring.owner(&request.db_id, &mask) else {
-            return Err(ServeError::ShuttingDown);
+            return Err(Error::ShuttingDown);
         };
         let shard = &inner.shards[owner];
         let budget = request.deadline.unwrap_or(shard.serve.default_deadline);
@@ -430,7 +431,7 @@ impl Router {
         if let Some(retry_after) = shard.pool.read().breaker_retry_after(&request.db_id) {
             if retry_after >= budget {
                 inner.metrics.shards[owner].shed(ShedReason::Breaker).inc();
-                return Err(ServeError::CircuitOpen { db_id: request.db_id, retry_after });
+                return Err(Error::CircuitOpen { db_id: request.db_id, retry_after });
             }
         }
         let id = inner.next_id.fetch_add(1, Ordering::SeqCst);
@@ -450,7 +451,7 @@ impl Router {
                     let depth = queues.len();
                     drop(queues);
                     inner.metrics.shards[owner].shed(ShedReason::Overloaded).inc();
-                    return Err(ServeError::Overloaded {
+                    return Err(Error::Overloaded {
                         queue_depth: depth,
                         capacity: inner.config.tenant_queue_capacity,
                     });
@@ -477,11 +478,11 @@ impl Router {
     /// [`Pool::invalidate_database`]: routing means the bump lands on the
     /// shard whose cache actually answers lookups for this database —
     /// addressing a database no shard's backend serves is a typed
-    /// [`ServeError::UnknownDatabase`], never a silent no-op. Returns
+    /// [`Error::UnknownDatabase`], never a silent no-op. Returns
     /// `Ok(None)` when the owning shard has no cache attached.
-    pub fn invalidate_database(&self, db_id: &str) -> Result<Option<u64>, ServeError> {
+    pub fn invalidate_database(&self, db_id: &str) -> Result<Option<u64>, Error> {
         let Some(owner) = self.inner.ring.owner(db_id, &self.inner.active_mask()) else {
-            return Err(ServeError::ShuttingDown);
+            return Err(Error::ShuttingDown);
         };
         self.inner.shards[owner].pool.read().invalidate_database(db_id)
     }
@@ -490,15 +491,15 @@ impl Router {
     /// (router-level counterpart of [`codes::SystemCache::observe_revision`]):
     /// a revision change bumps the generation so schema-stale entries die.
     /// Returns the current generation, `Ok(None)` when the owning shard
-    /// has no cache, and [`ServeError::UnknownDatabase`] when no backend
+    /// has no cache, and [`Error::UnknownDatabase`] when no backend
     /// on the owning shard serves the database.
-    pub fn observe_revision(&self, db: &Database) -> Result<Option<u64>, ServeError> {
+    pub fn observe_revision(&self, db: &Database) -> Result<Option<u64>, Error> {
         let Some(owner) = self.inner.ring.owner(&db.name, &self.inner.active_mask()) else {
-            return Err(ServeError::ShuttingDown);
+            return Err(Error::ShuttingDown);
         };
         let pool = self.inner.shards[owner].pool.read();
         if pool.has_database(&db.name) == Some(false) {
-            return Err(ServeError::UnknownDatabase { db_id: db.name.clone() });
+            return Err(Error::UnknownDatabase { db_id: db.name.clone() });
         }
         Ok(pool.cache().map(|cache| cache.observe_revision(db)))
     }
@@ -585,7 +586,7 @@ impl Router {
         // rather than leaving them to hang.
         for (idx, shard) in self.inner.shards.iter().enumerate() {
             for job in shard.queues.lock().drain_all() {
-                let _ = job.reply.try_send(Err(ServeError::ShuttingDown));
+                let _ = job.reply.try_send(Err(Error::ShuttingDown));
             }
             self.inner.metrics.shards[idx].depth.set(0);
         }
@@ -678,12 +679,12 @@ impl RouterInner {
             let queued = job.submitted.elapsed();
             let Some(remaining) = budget.checked_sub(queued) else {
                 self.metrics.shards[shard_idx].shed(ShedReason::Deadline).inc();
-                let _ = job.reply.try_send(Err(ServeError::DeadlineExceeded { queued, budget }));
+                let _ = job.reply.try_send(Err(Error::DeadlineExceeded { queued, budget }));
                 return;
             };
             if remaining.is_zero() {
                 self.metrics.shards[shard_idx].shed(ShedReason::Deadline).inc();
-                let _ = job.reply.try_send(Err(ServeError::DeadlineExceeded { queued, budget }));
+                let _ = job.reply.try_send(Err(Error::DeadlineExceeded { queued, budget }));
                 return;
             }
             // The pool charges its own queue wait against the deadline we
@@ -700,10 +701,10 @@ impl RouterInner {
                     self.metrics.shards[shard_idx].dispatched.inc();
                     return;
                 }
-                Err(ServeError::Overloaded { .. }) => {
+                Err(Error::Overloaded { .. }) => {
                     std::thread::sleep(Duration::from_micros(500));
                 }
-                Err(ServeError::ShuttingDown) => {
+                Err(Error::ShuttingDown) => {
                     // The pool under us is draining — failover raced the
                     // pop. Hand the job to the database's current owner
                     // (possibly our own fresh pool after a revive).
@@ -725,7 +726,7 @@ impl RouterInner {
     fn reroute(&self, from: usize, job: RJob) {
         let mask = self.active_mask();
         let Some(owner) = self.ring.owner(&job.request.db_id, &mask) else {
-            let _ = job.reply.try_send(Err(ServeError::ShuttingDown));
+            let _ = job.reply.try_send(Err(Error::ShuttingDown));
             return;
         };
         let shard = &self.shards[owner];
@@ -743,7 +744,7 @@ impl RouterInner {
                 let depth = queues.len();
                 drop(queues);
                 self.metrics.shards[owner].shed(ShedReason::Overloaded).inc();
-                let _ = reply.try_send(Err(ServeError::Overloaded {
+                let _ = reply.try_send(Err(Error::Overloaded {
                     queue_depth: depth,
                     capacity: self.config.tenant_queue_capacity,
                 }));

@@ -11,7 +11,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use codes_router::{Router, RouterConfig, ShardSpec, TenantConfig};
-use codes_serve::{FaultPlan, FaultyBackend, InferenceRequest, ServeError, Ticket};
+use codes::Error;
+use codes_serve::{FaultPlan, FaultyBackend, InferenceRequest, Ticket};
 use common::{chaos_serve_config, p95, shard_spec, silence_injected_panics, EpochBackend};
 
 const SHARDS: usize = 3;
@@ -138,7 +139,7 @@ fn run_storm(seed: u64, fail_mid_storm: bool) -> StormStats {
                     outstanding.push((ticket, tenant, Instant::now(), floor));
                 }
                 Err(
-                    ServeError::Overloaded { .. } | ServeError::CircuitOpen { .. },
+                    Error::Overloaded { .. } | Error::CircuitOpen { .. },
                 ) => {}
                 Err(other) => panic!("seed {seed:#x}: unexpected admission error {other}"),
             }

@@ -11,7 +11,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use codes_router::{Router, RouterConfig, RouterError, ShardSpec};
-use codes_serve::{FaultPlan, FaultyBackend, InferenceRequest, ServeError};
+use codes::Error;
+use codes_serve::{FaultPlan, FaultyBackend, InferenceRequest};
 use common::{chaos_serve_config, shard_spec, silence_injected_panics, EpochBackend};
 
 fn epoch_router(
@@ -194,7 +195,7 @@ fn every_ticket_resolves_exactly_once_through_a_mid_storm_failover() {
                 admitted += 1;
                 tickets.push(t);
             }
-            Err(ServeError::Overloaded { .. } | ServeError::CircuitOpen { .. }) => {}
+            Err(Error::Overloaded { .. } | Error::CircuitOpen { .. }) => {}
             Err(other) => panic!("unexpected admission error: {other}"),
         }
         if i == 60 {
@@ -356,7 +357,7 @@ impl codes_serve::pool::Backend for UniverseBackend {
 }
 
 /// Satellite: invalidating or observing a database the owning shard's
-/// backend does not serve is [`ServeError::UnknownDatabase`], and
+/// backend does not serve is [`Error::UnknownDatabase`], and
 /// `observe_revision` bumps on catalog changes through the router.
 #[test]
 fn unknown_databases_are_typed_errors_and_revisions_bump_through_the_router() {
@@ -380,7 +381,7 @@ fn unknown_databases_are_typed_errors_and_revisions_bump_through_the_router() {
         Router::start_with_registry(specs, RouterConfig::default(), Arc::clone(&registry));
 
     match router.invalidate_database("nobody-serves-this") {
-        Err(ServeError::UnknownDatabase { db_id }) => assert_eq!(db_id, "nobody-serves-this"),
+        Err(Error::UnknownDatabase { db_id }) => assert_eq!(db_id, "nobody-serves-this"),
         other => panic!("expected UnknownDatabase, got {other:?}"),
     }
     let mut db = sqlengine::Database::new(dbs[0].clone());
@@ -392,7 +393,7 @@ fn unknown_databases_are_typed_errors_and_revisions_bump_through_the_router() {
     let mut ghost = sqlengine::Database::new("nobody-serves-this");
     ghost.bump_revision();
     match router.observe_revision(&ghost) {
-        Err(ServeError::UnknownDatabase { db_id }) => assert_eq!(db_id, "nobody-serves-this"),
+        Err(Error::UnknownDatabase { db_id }) => assert_eq!(db_id, "nobody-serves-this"),
         other => panic!("expected UnknownDatabase, got {other:?}"),
     }
     router.shutdown();

@@ -10,7 +10,7 @@
 //!
 //! * **Supervised worker pool** ([`Pool`]) — a fixed set of worker threads
 //!   drains a **bounded** admission queue; a full queue is an explicit
-//!   [`ServeError::Overloaded`] rejection (backpressure, never unbounded
+//!   [`codes::Error::Overloaded`] rejection (backpressure, never unbounded
 //!   buffering).
 //! * **Deadline propagation** — each request's remaining time budget is
 //!   clamped into the inference [`codes::Config`]
@@ -41,12 +41,11 @@
 //!   request id, powering a reproducible chaos suite.
 //!
 //! Every submitted request resolves to exactly one of: a successful
-//! [`ServedInference`], a typed [`ServeError`], or an immediate
-//! [`ServeError::Overloaded`] rejection at admission. Nothing hangs.
+//! [`ServedInference`], a typed [`codes::Error`], or an immediate
+//! [`codes::Error::Overloaded`] rejection at admission. Nothing hangs.
 
 pub mod batch;
 pub mod breaker;
-pub mod error;
 pub mod fault;
 pub mod metrics;
 pub mod pool;
@@ -54,9 +53,11 @@ pub mod progress;
 
 pub use batch::{deadline_class, BatchPolicy, CompatKey, Formation, MemberInfo, Verdict};
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
+// The name the end-to-end benchmark knows the request path's one failure
+// type by; nothing in this workspace uses it.
+pub use codes::Error as ServeError;
 // The unified request type consumed by both direct inference and the pool.
 pub use codes::InferenceRequest;
-pub use error::ServeError;
 pub use fault::{Fault, FaultPlan, FaultyBackend, Gate, GatedBackend};
 pub use metrics::MetricsSnapshot;
 pub use pool::{

@@ -1,7 +1,7 @@
 //! The supervised worker pool.
 //!
 //! Requests enter through a **bounded** admission queue (`try_send`: a full
-//! queue is an explicit [`ServeError::Overloaded`], never unbounded
+//! queue is an explicit [`Error::Overloaded`], never unbounded
 //! buffering). A fixed set of worker threads drains the queue; each request
 //! passes a deadline check and the target database's circuit breaker before
 //! its remaining time budget is clamped into the inference [`Config`] and
@@ -18,10 +18,10 @@
 //! retries and cache admissions stay per-member.
 //!
 //! A supervisor thread watches the workers: a panicked worker is joined,
-//! its orphaned request resolved with [`ServeError::WorkerPanic`], and the
+//! its orphaned request resolved with [`Error::WorkerPanic`], and the
 //! slot respawned; a wedged worker (no heartbeat while a request is in
 //! flight) is abandoned via a per-slot generation bump, its request
-//! resolved with [`ServeError::WorkerWedged`], and the slot respawned.
+//! resolved with [`Error::WorkerWedged`], and the slot respawned.
 //! Queued requests survive both cases because every worker drains the same
 //! shared channel. Every submitted request therefore resolves to exactly
 //! one outcome — nothing hangs.
@@ -34,17 +34,16 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use codes::{
-    config_fingerprint, normalize_question, CachedAnswer, CodesSystem, Config, InferenceRequest,
-    SystemCache, SystemCacheStats,
+    config_fingerprint, normalize_question, CachedAnswer, CodesSystem, Config, Error,
+    InferenceRequest, SystemCache, SystemCacheStats,
 };
 use codes_storage::{CatalogService, ConnectionPool, IntrospectOptions, PoolConfig};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
-use sqlengine::{with_retry_paced, Backoff, Database, Error};
+use sqlengine::{with_retry_paced, Backoff, Database};
 
 use crate::batch::{BatchPolicy, MemberInfo};
 use crate::breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
-use crate::error::ServeError;
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::progress::{Progress, ProgressSink};
 
@@ -55,7 +54,7 @@ use crate::progress::{Progress, ProgressSink};
 /// `config` arrives already clamped to the request's remaining deadline;
 /// `id` is the pool-assigned request id (stable across retries, used by
 /// fault plans). Implementations may panic — the supervisor turns that
-/// into a typed [`ServeError::WorkerPanic`] for the caller.
+/// into a typed [`Error::WorkerPanic`] for the caller.
 pub trait Backend: Send + Sync {
     /// Run one inference attempt.
     fn infer(
@@ -63,7 +62,7 @@ pub trait Backend: Send + Sync {
         request: &InferenceRequest,
         id: u64,
         config: &Config,
-    ) -> Result<BackendReply, Error>;
+    ) -> Result<BackendReply, sqlengine::Error>;
 
     /// Run one micro-batch of compatible requests (same database, same
     /// effective config) in a single pass, returning one result per
@@ -78,7 +77,7 @@ pub trait Backend: Send + Sync {
         &self,
         requests: &[(&InferenceRequest, u64)],
         config: &Config,
-    ) -> Vec<Result<BackendReply, Error>> {
+    ) -> Vec<Result<BackendReply, sqlengine::Error>> {
         requests.iter().map(|(request, id)| self.infer(request, *id, config)).collect()
     }
 
@@ -87,7 +86,7 @@ pub trait Backend: Send + Sync {
     /// backends accept anything. [`SystemBackend`] answers definitively,
     /// which lets [`Pool::invalidate_database`] reject invalidations
     /// addressed to the wrong pool with a typed
-    /// [`ServeError::UnknownDatabase`] instead of silently no-opping.
+    /// [`Error::UnknownDatabase`] instead of silently no-opping.
     fn has_database(&self, _db_id: &str) -> Option<bool> {
         None
     }
@@ -171,14 +170,14 @@ impl SystemBackend {
     fn catalog_for(
         &self,
         db_id: &str,
-    ) -> Result<(Arc<codes_storage::Catalog>, Option<String>), Error> {
+    ) -> Result<(Arc<codes_storage::Catalog>, Option<String>), sqlengine::Error> {
         let degradation = match self.service.sync(db_id) {
             Ok(_) => None,
             Err(e) => Some(format!("storage sync failed ({e}); serving last-known catalog")),
         };
         match self.service.catalog(db_id) {
             Some(catalog) => Ok((catalog, degradation)),
-            None => Err(Error::UnknownTable(db_id.to_string())),
+            None => Err(sqlengine::Error::UnknownTable(db_id.to_string())),
         }
     }
 }
@@ -203,7 +202,7 @@ impl Backend for SystemBackend {
         request: &InferenceRequest,
         id: u64,
         config: &Config,
-    ) -> Result<BackendReply, Error> {
+    ) -> Result<BackendReply, sqlengine::Error> {
         self.infer_batch(&[(request, id)], config).pop().expect("one result per batch member")
     }
 
@@ -211,7 +210,7 @@ impl Backend for SystemBackend {
         &self,
         requests: &[(&InferenceRequest, u64)],
         config: &Config,
-    ) -> Vec<Result<BackendReply, Error>> {
+    ) -> Vec<Result<BackendReply, sqlengine::Error>> {
         let Some((first, _)) = requests.first() else {
             return Vec::new();
         };
@@ -220,7 +219,7 @@ impl Backend for SystemBackend {
             Err(_) => {
                 return requests
                     .iter()
-                    .map(|(r, _)| Err(Error::UnknownTable(r.db_id.clone())))
+                    .map(|(r, _)| Err(sqlengine::Error::UnknownTable(r.db_id.clone())))
                     .collect();
             }
         };
@@ -255,7 +254,7 @@ pub struct ServeConfig {
     /// Worker threads.
     pub workers: usize,
     /// Bounded admission-queue capacity; a full queue rejects with
-    /// [`ServeError::Overloaded`].
+    /// [`Error::Overloaded`].
     pub queue_capacity: usize,
     /// Time budget for requests that don't carry their own deadline.
     pub default_deadline: Duration,
@@ -277,7 +276,7 @@ pub struct ServeConfig {
     pub heartbeat_interval: Duration,
     /// A worker with a request in flight and no heartbeat for this long is
     /// declared wedged: its request is resolved with
-    /// [`ServeError::WorkerWedged`] and its slot respawned. Must exceed the
+    /// [`Error::WorkerWedged`] and its slot respawned. Must exceed the
     /// worst-case healthy inference latency.
     pub wedged_after: Duration,
     /// Pacing for transient-failure retries inside a request (sleeps
@@ -339,7 +338,7 @@ pub struct ServedInference {
 }
 
 /// What a [`Ticket`] resolves to: exactly one of these per submission.
-pub type Outcome = Result<ServedInference, ServeError>;
+pub type Outcome = Result<ServedInference, Error>;
 
 /// Write-once reply cell. The worker, the supervisor (panic/wedge path)
 /// and shutdown cleanup may all try to resolve the same request; the first
@@ -388,7 +387,7 @@ impl Ticket {
 
     /// Block until the request resolves.
     pub fn wait(self) -> Outcome {
-        self.rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
+        self.rx.recv().unwrap_or(Err(Error::ShuttingDown))
     }
 
     /// Block at most `timeout`; `None` means still pending.
@@ -396,7 +395,7 @@ impl Ticket {
         match self.rx.recv_timeout(timeout) {
             Ok(outcome) => Some(outcome),
             Err(channel::RecvTimeoutError::Timeout) => None,
-            Err(channel::RecvTimeoutError::Disconnected) => Some(Err(ServeError::ShuttingDown)),
+            Err(channel::RecvTimeoutError::Disconnected) => Some(Err(Error::ShuttingDown)),
         }
     }
 }
@@ -650,7 +649,7 @@ impl Inner {
             if queued >= budget {
                 self.stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
                 self.metrics.shed_deadline.inc();
-                job.reply.complete(Err(ServeError::DeadlineExceeded { queued, budget }));
+                job.reply.complete(Err(Error::DeadlineExceeded { queued, budget }));
                 continue;
             }
             live.push((job, queued, budget));
@@ -669,7 +668,7 @@ impl Inner {
             for (job, _, _) in live {
                 self.stats.shed_breaker.fetch_add(1, Ordering::Relaxed);
                 self.metrics.shed_breaker.inc();
-                job.reply.complete(Err(ServeError::CircuitOpen {
+                job.reply.complete(Err(Error::CircuitOpen {
                     db_id: db_id.clone(),
                     retry_after,
                 }));
@@ -713,7 +712,9 @@ impl Inner {
         // A backend returning the wrong arity is a contract violation;
         // surface it as a typed failure instead of hanging the tail.
         while results.len() < live.len() {
-            results.push(Err(Error::Exec("backend returned too few batch results".to_string())));
+            results.push(Err(sqlengine::Error::Exec(
+                "backend returned too few batch results".to_string(),
+            )));
         }
 
         let mut outcomes: Vec<Outcome> = Vec::with_capacity(live.len());
@@ -761,7 +762,7 @@ impl Inner {
                     self.with_breaker(&db_id, |b| b.record_failure(Instant::now()));
                     self.stats.failed.fetch_add(1, Ordering::Relaxed);
                     self.metrics.failed.inc();
-                    Err(ServeError::Inference(e))
+                    Err(Error::Engine(e))
                 }
             });
         }
@@ -811,7 +812,7 @@ fn worker_loop(inner: Arc<Inner>, slot: usize, generation: u64) {
                     if let Err(payload) = dispatched {
                         if let Some(job) = leftover.take() {
                             job.reply
-                                .complete(Err(ServeError::WorkerPanic(panic_message(&*payload))));
+                                .complete(Err(Error::WorkerPanic(panic_message(&*payload))));
                         }
                         std::panic::resume_unwind(payload);
                     }
@@ -825,7 +826,7 @@ fn worker_loop(inner: Arc<Inner>, slot: usize, generation: u64) {
                         // resolve it with the same verdict its batch got and
                         // bow out.
                         if let Some(job) = leftover.take() {
-                            job.reply.complete(Err(ServeError::WorkerWedged {
+                            job.reply.complete(Err(Error::WorkerWedged {
                                 stalled: inner.config.wedged_after,
                             }));
                         }
@@ -901,7 +902,7 @@ fn supervisor_loop(inner: Arc<Inner>, mut workers: Vec<Option<JoinHandle<()>>>) 
                             // ticket resolves exactly once (write-once
                             // slots), never hangs.
                             for reply in &orphan.replies {
-                                reply.complete(Err(ServeError::WorkerPanic(msg.clone())));
+                                reply.complete(Err(Error::WorkerPanic(msg.clone())));
                             }
                         }
                         inner.stats.replaced_panic.fetch_add(1, Ordering::Relaxed);
@@ -935,7 +936,7 @@ fn supervisor_loop(inner: Arc<Inner>, mut workers: Vec<Option<JoinHandle<()>>>) 
                     let stalled = inner.heartbeat_age(slot);
                     inner.with_breaker(&orphan.db_id, |b| b.record_failure(Instant::now()));
                     for reply in &orphan.replies {
-                        reply.complete(Err(ServeError::WorkerWedged { stalled }));
+                        reply.complete(Err(Error::WorkerWedged { stalled }));
                     }
                     inner.stats.replaced_wedged.fetch_add(1, Ordering::Relaxed);
                     inner.metrics.replaced_wedged.inc();
@@ -1028,9 +1029,9 @@ impl Pool {
 
     /// Submit a request. Returns a [`Ticket`] on admission, or an immediate
     /// typed rejection when the queue is full or the pool is stopping.
-    pub fn submit(&self, request: InferenceRequest) -> Result<Ticket, ServeError> {
+    pub fn submit(&self, request: InferenceRequest) -> Result<Ticket, Error> {
         let (reply_tx, reply_rx) = channel::bounded::<Outcome>(1);
-        let id = self.enqueue(request, reply_tx, None)?;
+        let id = self.submit_routed_with_progress(request, reply_tx, None)?;
         Ok(Ticket { id, rx: reply_rx })
     }
 
@@ -1040,39 +1041,23 @@ impl Pool {
     /// worker, the supervisor (panic/wedge), or shutdown cleanup. On `Err`
     /// the pool has sent nothing and the caller keeps responsibility for
     /// the ticket. Returns the pool-assigned request id.
-    pub fn submit_routed(
-        &self,
-        request: InferenceRequest,
-        reply_tx: Sender<Outcome>,
-    ) -> Result<u64, ServeError> {
-        self.enqueue(request, reply_tx, None)
-    }
-
-    /// [`Pool::submit_routed`] plus a lifecycle observer: `progress`
-    /// receives a `Queued` notification on successful admission (not on
-    /// the cache fast path — a cached answer was never queued) and rides
-    /// the job through dispatch and decode (see [`crate::progress`]).
+    ///
+    /// `progress`, when given, receives a `Queued` notification on
+    /// successful admission (not on the cache fast path — a cached answer
+    /// was never queued) and rides the job through dispatch and decode
+    /// (see [`crate::progress`]).
     pub fn submit_routed_with_progress(
         &self,
         request: InferenceRequest,
         reply_tx: Sender<Outcome>,
         progress: Option<Arc<dyn ProgressSink>>,
-    ) -> Result<u64, ServeError> {
-        self.enqueue(request, reply_tx, progress)
-    }
-
-    fn enqueue(
-        &self,
-        request: InferenceRequest,
-        reply_tx: Sender<Outcome>,
-        progress: Option<Arc<dyn ProgressSink>>,
-    ) -> Result<u64, ServeError> {
+    ) -> Result<u64, Error> {
         let queue_guard = self.queue_tx.lock();
         let Some(queue_tx) = queue_guard.as_ref() else {
-            return Err(ServeError::ShuttingDown);
+            return Err(Error::ShuttingDown);
         };
         if self.inner.shutdown.load(Ordering::SeqCst) {
-            return Err(ServeError::ShuttingDown);
+            return Err(Error::ShuttingDown);
         }
         let id = self.inner.next_id.fetch_add(1, Ordering::SeqCst);
 
@@ -1137,12 +1122,12 @@ impl Pool {
             Err(TrySendError::Full(_)) => {
                 self.inner.stats.shed_overloaded.fetch_add(1, Ordering::Relaxed);
                 self.inner.metrics.shed_overloaded.inc();
-                Err(ServeError::Overloaded {
+                Err(Error::Overloaded {
                     queue_depth: queue_tx.len(),
                     capacity: self.inner.config.queue_capacity,
                 })
             }
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::ShuttingDown),
+            Err(TrySendError::Disconnected(_)) => Err(Error::ShuttingDown),
         }
     }
 
@@ -1193,15 +1178,15 @@ impl Pool {
     /// Invalidate every cached entry for `db_id` (all tiers) by bumping its
     /// generation; call this after mutating the database out-of-band.
     /// Returns `Ok(Some(generation))` on a bump, `Ok(None)` when the pool
-    /// has no cache attached, and [`ServeError::UnknownDatabase`] when the
+    /// has no cache attached, and [`Error::UnknownDatabase`] when the
     /// backend tracks a database universe and `db_id` is not in it —
     /// invalidating a database on the wrong pool used to silently no-op,
     /// leaving the *right* pool's stale entries live. In-flight requests
     /// that started before the bump will still admit their results — under
     /// the old generation, where no future lookup can reach them.
-    pub fn invalidate_database(&self, db_id: &str) -> Result<Option<u64>, ServeError> {
+    pub fn invalidate_database(&self, db_id: &str) -> Result<Option<u64>, Error> {
         if self.inner.backend.has_database(db_id) == Some(false) {
-            return Err(ServeError::UnknownDatabase { db_id: db_id.to_string() });
+            return Err(Error::UnknownDatabase { db_id: db_id.to_string() });
         }
         Ok(self.inner.config.cache.as_ref().map(|c| c.invalidate_database(db_id)))
     }
@@ -1294,7 +1279,7 @@ mod tests {
             request: &InferenceRequest,
             _id: u64,
             _config: &Config,
-        ) -> Result<BackendReply, Error> {
+        ) -> Result<BackendReply, sqlengine::Error> {
             if !self.delay.is_zero() {
                 std::thread::sleep(self.delay);
             }
@@ -1319,7 +1304,7 @@ mod tests {
             request: &InferenceRequest,
             _id: u64,
             _config: &Config,
-        ) -> Result<BackendReply, Error> {
+        ) -> Result<BackendReply, sqlengine::Error> {
             if self.healthy.load(Ordering::SeqCst) {
                 Ok(BackendReply {
                     sql: "SELECT 1".to_string(),
@@ -1329,7 +1314,7 @@ mod tests {
                     ..BackendReply::default()
                 })
             } else {
-                Err(Error::Exec("database offline".to_string()))
+                Err(sqlengine::Error::Exec("database offline".to_string()))
             }
         }
     }
@@ -1345,7 +1330,7 @@ mod tests {
             request: &InferenceRequest,
             _id: u64,
             _config: &Config,
-        ) -> Result<BackendReply, Error> {
+        ) -> Result<BackendReply, sqlengine::Error> {
             Ok(BackendReply {
                 sql: format!("SELECT '{}'", request.question),
                 degradations: self.degradations.clone(),
@@ -1515,12 +1500,12 @@ mod tests {
             request: &InferenceRequest,
             _id: u64,
             config: &Config,
-        ) -> Result<BackendReply, Error> {
+        ) -> Result<BackendReply, sqlengine::Error> {
             let mut calls = self.calls.lock();
             let seen = calls.iter().filter(|(q, _, _)| q == "flaky").count();
             calls.push((request.question.clone(), config.exec_limits, Instant::now()));
             if request.question == "flaky" && seen < self.failures {
-                return Err(Error::BudgetExceeded {
+                return Err(sqlengine::Error::BudgetExceeded {
                     resource: sqlengine::Resource::Time,
                     spent: 1,
                     limit: 1,
@@ -1569,7 +1554,7 @@ mod tests {
                     }
                     Err(e) => assert!(
                         failures > retries as usize
-                            && matches!(e, ServeError::Inference(Error::BudgetExceeded { .. })),
+                            && matches!(e, Error::Engine(sqlengine::Error::BudgetExceeded { .. })),
                         "{case}: {e}"
                     ),
                 }
@@ -1618,7 +1603,7 @@ mod tests {
         for i in 0..6 {
             match pool.submit(InferenceRequest::new("db", format!("q{i}"))) {
                 Ok(t) => tickets.push(t),
-                Err(ServeError::Overloaded { capacity, .. }) => {
+                Err(Error::Overloaded { capacity, .. }) => {
                     assert_eq!(capacity, 1);
                     overloaded += 1;
                 }
@@ -1641,7 +1626,7 @@ mod tests {
         req.deadline = Some(Duration::ZERO);
         let outcome = pool.submit(req).expect("queue empty").wait();
         match outcome {
-            Err(ServeError::DeadlineExceeded { budget, .. }) => assert_eq!(budget, Duration::ZERO),
+            Err(Error::DeadlineExceeded { budget, .. }) => assert_eq!(budget, Duration::ZERO),
             other => panic!("expected deadline shed, got {other:?}"),
         }
         let health = pool.shutdown();
@@ -1740,14 +1725,14 @@ mod tests {
         for i in 0..3 {
             let outcome = pool.submit(InferenceRequest::new("bank", format!("q{i}"))).expect("admitted").wait();
             assert!(
-                matches!(outcome, Err(ServeError::Inference(_))),
+                matches!(outcome, Err(Error::Engine(_))),
                 "failure {i} should surface the typed engine error"
             );
         }
         // ...so the next request is shed without touching the backend.
         let outcome = pool.submit(InferenceRequest::new("bank", "q3")).expect("admitted").wait();
         match outcome {
-            Err(ServeError::CircuitOpen { db_id, retry_after }) => {
+            Err(Error::CircuitOpen { db_id, retry_after }) => {
                 assert_eq!(db_id, "bank");
                 assert!(retry_after <= Duration::from_millis(40));
             }

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use codes::Config;
 use codes_serve::{
     Admission, Backend, BackendReply, BreakerConfig, BreakerState, CircuitBreaker, FaultPlan,
-    FaultyBackend, InferenceRequest, Pool, ServeConfig, ServeError,
+    FaultyBackend, InferenceRequest, Pool, ServeConfig,
 };
 use sqlengine::{Backoff, Error};
 
@@ -277,7 +277,7 @@ fn pool_transition_counters_agree_with_observed_breaker_behavior() {
     // Three failures trip the breaker: exactly one closed→open.
     for i in 0..3 {
         let outcome = pool.submit(InferenceRequest::new("bank", format!("q{i}"))).expect("admitted").wait();
-        assert!(matches!(outcome, Err(ServeError::Inference(_))), "failure {i}: {outcome:?}");
+        assert!(matches!(outcome, Err(codes::Error::Engine(_))), "failure {i}: {outcome:?}");
     }
     let metrics = pool.health().metrics;
     assert_eq!(metrics.transitions("closed", "open"), 1);
@@ -286,7 +286,7 @@ fn pool_transition_counters_agree_with_observed_breaker_behavior() {
 
     // Inside the 40ms window: shed, no transition.
     let outcome = pool.submit(InferenceRequest::new("bank", "q3")).expect("admitted").wait();
-    assert!(matches!(outcome, Err(ServeError::CircuitOpen { .. })), "window shed: {outcome:?}");
+    assert!(matches!(outcome, Err(codes::Error::CircuitOpen { .. })), "window shed: {outcome:?}");
     let metrics = pool.health().metrics;
     assert_eq!(metrics.shed_breaker, 1);
     assert_eq!(metrics.total_transitions(), 1);
@@ -295,7 +295,7 @@ fn pool_transition_counters_agree_with_observed_breaker_behavior() {
     // fails under the plan (half_open→open). Reopened window is 80ms.
     std::thread::sleep(Duration::from_millis(60));
     let outcome = pool.submit(InferenceRequest::new("bank", "probe1")).expect("admitted").wait();
-    assert!(matches!(outcome, Err(ServeError::Inference(_))), "failed probe: {outcome:?}");
+    assert!(matches!(outcome, Err(codes::Error::Engine(_))), "failed probe: {outcome:?}");
     let metrics = pool.health().metrics;
     assert_eq!(metrics.transitions("open", "half_open"), 1);
     assert_eq!(metrics.transitions("half_open", "open"), 1);
@@ -306,7 +306,7 @@ fn pool_transition_counters_agree_with_observed_breaker_behavior() {
     // pair per elapsed-window probe and no recovery edge.
     std::thread::sleep(Duration::from_millis(100));
     let outcome = pool.submit(InferenceRequest::new("bank", "probe2")).expect("admitted").wait();
-    assert!(matches!(outcome, Err(ServeError::Inference(_))), "second probe: {outcome:?}");
+    assert!(matches!(outcome, Err(codes::Error::Engine(_))), "second probe: {outcome:?}");
     let health = pool.shutdown();
     let metrics = &health.metrics;
     assert_eq!(metrics.transitions("open", "half_open"), 2);

@@ -7,9 +7,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
+use codes::Error;
 use codes_serve::{
     Backend, BackendReply, BreakerConfig, FaultPlan, FaultyBackend, Gate, GatedBackend,
-    InferenceRequest, Pool, Progress, ServeConfig, ServeError, Ticket,
+    InferenceRequest, Pool, Progress, ServeConfig, Ticket,
 };
 use sqlengine::Backoff;
 
@@ -118,15 +119,15 @@ struct Tally {
 }
 
 impl Tally {
-    fn count(&mut self, outcome: &Result<codes_serve::ServedInference, ServeError>) {
+    fn count(&mut self, outcome: &Result<codes_serve::ServedInference, Error>) {
         match outcome {
             Ok(_) => self.served += 1,
-            Err(ServeError::Inference(_)) => self.inference += 1,
-            Err(ServeError::WorkerPanic(_)) => self.worker_panic += 1,
-            Err(ServeError::WorkerWedged { .. }) => self.worker_wedged += 1,
-            Err(ServeError::CircuitOpen { .. }) => self.circuit_open += 1,
-            Err(ServeError::DeadlineExceeded { .. }) => self.deadline += 1,
-            Err(ServeError::Overloaded { .. }) => self.overloaded += 1,
+            Err(Error::Engine(_)) => self.inference += 1,
+            Err(Error::WorkerPanic(_)) => self.worker_panic += 1,
+            Err(Error::WorkerWedged { .. }) => self.worker_wedged += 1,
+            Err(Error::CircuitOpen { .. }) => self.circuit_open += 1,
+            Err(Error::DeadlineExceeded { .. }) => self.deadline += 1,
+            Err(Error::Overloaded { .. }) => self.overloaded += 1,
             Err(_) => self.other += 1,
         }
     }
@@ -163,7 +164,7 @@ fn storm_of_200_requests_fully_drains_with_every_request_resolved() {
         match pool.submit(request) {
             Ok(ticket) => tickets.push(ticket),
             Err(e) => {
-                assert!(e.is_load_shed() || e == ServeError::ShuttingDown, "unexpected: {e}");
+                assert!(e.is_overload() || e == Error::ShuttingDown, "unexpected: {e}");
                 tally.count(&Err(e));
             }
         }
@@ -267,7 +268,7 @@ fn generation_bump_mid_storm_prevents_stale_cached_results() {
             // repeats hit T3 once a clean first computation has admitted.
             match pool.submit(InferenceRequest::new("bank", format!("question {}", i % 16))) {
                 Ok(ticket) => tickets.push(ticket),
-                Err(e) => assert!(e.is_load_shed(), "unexpected rejection: {e}"),
+                Err(e) => assert!(e.is_overload(), "unexpected rejection: {e}"),
             }
             if i % 4 == 0 {
                 std::thread::sleep(Duration::from_millis(1));
@@ -568,7 +569,7 @@ fn mid_batch_panic_resolves_every_member_exactly_once() {
             .wait_timeout(Duration::from_secs(10))
             .expect("every batch member resolves despite the mid-batch panic")
         {
-            Err(ServeError::WorkerPanic(msg)) => {
+            Err(Error::WorkerPanic(msg)) => {
                 assert!(msg.contains("injected fault"), "panic message surfaces: {msg}");
             }
             other => panic!("unexpected outcome: {other:?}"),

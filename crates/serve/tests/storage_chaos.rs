@@ -104,7 +104,7 @@ fn chaos_storm_recycles_broken_connections_and_enforces_the_revision_fence() {
             match pool.submit(InferenceRequest::new(DB, format!("question {}", i % 8))) {
                 Ok(ticket) => tickets.push(ticket),
                 Err(e) => {
-                    assert!(e.is_load_shed(), "unexpected rejection: {e}");
+                    assert!(e.is_overload(), "unexpected rejection: {e}");
                     shed += 1;
                 }
             }
