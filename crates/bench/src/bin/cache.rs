@@ -1,19 +1,16 @@
-//! Cache-tier benchmark: cold vs warm latency and per-tier hit rates for
-//! the three-tier result cache (T1 schema filter, T2 value retrieval,
-//! T3 full results).
+//! Result-cache benchmark: cold vs warm latency and the hit rate of the
+//! full-result cache (T3).
 //!
-//! Three passes over the same dev questions:
+//! Two passes over the same dev questions:
 //!
-//! 1. **cold / pool** — every tier misses; clean results are admitted.
-//! 2. **warm / direct** — `CodesSystem::infer` bypasses the pool, so T3 is
-//!    never consulted and the speedup comes from T1/T2 alone.
-//! 3. **warm / pool** — `Pool::submit` resolves at admission from T3,
+//! 1. **cold / pool** — every lookup misses; clean results are admitted.
+//! 2. **warm / pool** — `Pool::submit` resolves at admission from T3,
 //!    skipping the queue and the workers entirely.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use codes::{CacheSettings, CodesSystem, InferenceRequest, SystemCache};
+use codes::{CacheSettings, InferenceRequest, SystemCache};
 use codes_bench::workbench::{self, percentile};
 use codes_eval::TextTable;
 use codes_serve::{Pool, ServeConfig, SystemBackend};
@@ -49,20 +46,6 @@ fn pool_pass(label: &'static str, pool: &Pool, work: &[(String, String)]) -> Pas
     Pass { label, latencies }
 }
 
-fn direct_pass(label: &'static str, sys: &CodesSystem, work: &[(String, String)]) -> Pass {
-    let spider = workbench::spider();
-    let latencies = work
-        .iter()
-        .map(|(db_id, question)| {
-            let db = spider.database(db_id).expect("benchmark database exists");
-            let started = Instant::now();
-            let _ = sys.infer(db, &InferenceRequest::new(db_id, question));
-            started.elapsed().as_secs_f64()
-        })
-        .collect();
-    Pass { label, latencies }
-}
-
 fn main() {
     let spider = workbench::spider();
     let cache = Arc::new(SystemCache::with_registry(
@@ -87,14 +70,13 @@ fn main() {
     let pool = Pool::start(backend, config);
 
     let cold = pool_pass("cold / pool", &pool, &work);
-    let warm_direct = direct_pass("warm / direct (T1+T2)", &sys, &work);
     let warm_pool = pool_pass("warm / pool (T3)", &pool, &work);
 
-    let mut t = TextTable::new("Cache tiers: cold vs warm")
+    let mut t = TextTable::new("Result cache: cold vs warm")
         .headers(&["Pass", "p50 (ms)", "p95 (ms)", "mean (ms)", "speedup vs cold"]);
     let cold_mean = cold.mean();
     let mut records = Vec::new();
-    for pass in [&cold, &warm_direct, &warm_pool] {
+    for pass in [&cold, &warm_pool] {
         let sorted = pass.sorted();
         let mean = pass.mean();
         t.row(vec![
@@ -117,41 +99,35 @@ fn main() {
 
     let health = pool.shutdown();
     let stats = health.cache.expect("pool has the cache attached");
-    let mut tiers = TextTable::new("Per-tier counters")
+    let tier = &stats.full;
+    let mut counters = TextTable::new("Counters")
         .headers(&["Tier", "Hits", "Misses", "Hit rate", "Entries", "Evictions"]);
-    for (name, tier) in [
-        ("T1 schema_filter", &stats.schema),
-        ("T2 value_retrieval", &stats.values),
-        ("T3 full_result", &stats.full),
-    ] {
-        tiers.row(vec![
-            name.to_string(),
-            tier.hits.to_string(),
-            tier.misses.to_string(),
-            format!("{:.1}%", tier.hit_rate() * 100.0),
-            tier.entries.to_string(),
-            tier.evictions.to_string(),
-        ]);
-        records.push(workbench::record(
-            "cache",
-            "SFT CodeS-7B",
-            "spider",
-            &format!("{name} hit_rate"),
-            tier.hit_rate() * 100.0,
-            n,
-        ));
-    }
-    println!("{}", tiers.render());
+    counters.row(vec![
+        "T3 full_result".to_string(),
+        tier.hits.to_string(),
+        tier.misses.to_string(),
+        format!("{:.1}%", tier.hit_rate() * 100.0),
+        tier.entries.to_string(),
+        tier.evictions.to_string(),
+    ]);
+    records.push(workbench::record(
+        "cache",
+        "SFT CodeS-7B",
+        "spider",
+        "T3 full_result hit_rate",
+        tier.hit_rate() * 100.0,
+        n,
+    ));
+    println!("{}", counters.render());
     println!(
-        "served_from_cache: {} of {} warm pool submissions (invalidations: {})",
-        health.stats.served_from_cache, n, stats.invalidations
+        "served_from_cache: {} of {} submissions (invalidations: {})",
+        health.stats.served_from_cache,
+        2 * n,
+        stats.invalidations
     );
 
-    assert!(stats.schema.hits > 0, "warm passes must hit T1: {stats:?}");
-    assert!(stats.values.hits > 0, "warm passes must hit T2: {stats:?}");
-    assert!(stats.full.hits > 0, "the warm pool pass must hit T3: {stats:?}");
+    assert!(tier.hits > 0, "the warm pool pass must hit T3: {stats:?}");
     println!("expected shape: the warm pool pass skips schema filtering, value retrieval and");
-    println!("generation outright (T3 hit at admission), so its p50 sits far below the cold");
-    println!("pass; the warm direct pass keeps generation but reuses T1/T2 stage outputs.");
+    println!("generation outright (T3 hit at admission), so its p50 sits far below the cold pass.");
     workbench::save_records("cache", &records);
 }

@@ -278,7 +278,6 @@ impl Backend for FixedCostBackend {
             latency_seconds: self.cost.as_secs_f64(),
             prompt_tokens: 8,
             stages: codes_obs::StageTimings::zero(),
-            cache_hits: codes::CacheHits::default(),
         })
     }
 }

@@ -1,9 +1,9 @@
 //! Sharded in-process cache for the CodeS serving stack.
 //!
 //! Production question streams are highly repetitive per database: the same
-//! schema gets filtered, the same values get retrieved, and frequently the
+//! schema gets profiled, the same values get indexed, and frequently the
 //! same question gets answered again. This crate provides the one cache
-//! primitive the rest of the workspace builds its tiers on:
+//! primitive the rest of the workspace builds its caches on:
 //!
 //! - [`ShardedCache`] — a thread-safe LRU cache split across independently
 //!   locked shards, with optional per-entry TTL expiry (expired entries die
@@ -26,8 +26,9 @@
 //!
 //! The crate is deliberately generic — keys and values are the caller's
 //! types — and depends only on `codes-obs` and the (vendored) `parking_lot`
-//! locks. The concrete tier wiring (schema filter, value retrieval, full
-//! inference results) lives in `codes::cache`.
+//! locks. The concrete wiring lives with each user: full inference results
+//! in `codes::cache`, schema profiles in `codes-linker`, BM25 value indexes
+//! in `codes-retrieval`.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 

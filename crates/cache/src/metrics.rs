@@ -2,8 +2,8 @@
 //!
 //! Naming follows the workspace convention (`codes_<area>_<what>_<unit>`,
 //! counters end in `_total`). Every instrument carries a `tier` label so one
-//! registry can host the schema-filter, value-retrieval, and full-result
-//! tiers side by side.
+//! registry can host the full-result, schema-profile and BM25-index caches
+//! side by side.
 
 use std::sync::Arc;
 

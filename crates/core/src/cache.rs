@@ -1,22 +1,12 @@
-//! The three concrete cache tiers over [`codes_cache::ShardedCache`].
+//! One result cache with a revision fence, over [`codes_cache::ShardedCache`].
 //!
-//! Production question streams are repetitive per database, so each stage
-//! of Algorithm 1 that is a pure function of (database state, question,
-//! knobs) is cached:
-//!
-//! * **T1 — schema filter** (`tier="schema_filter"`): the
-//!   [`FilteredSchema`] for a question, keyed by (db generation, normalized
-//!   question, top-k1/top-k2). Cached only when a classifier actually ran —
-//!   the unfiltered fallback is too cheap to be worth an entry.
-//! * **T2 — value retrieval** (`tier="value_retrieval"`): the
-//!   [`ValueMatch`] list, keyed by (db generation, normalized question,
-//!   retriever knobs + filter knobs — the matches are filtered against the
-//!   T1 output, so its keying is a prefix of T2's).
-//! * **T3 — full results** (`tier="full_result"`): the final SQL for a
-//!   request, keyed by (db generation, normalized question, [`Config`]
-//!   fingerprint). Checked at pool admission in `codes-serve`, so a hit
-//!   bypasses the worker queue entirely. Degraded or deadline-clamped
-//!   inferences are never admitted.
+//! Production question streams are repetitive per database, so the final
+//! SQL for a request is cached (`tier="full_result"`, "T3"), keyed by (db
+//! generation, normalized question, [`Config`] fingerprint). It is checked
+//! at pool admission in `codes-serve`, so a hit bypasses the worker queue
+//! entirely. Degraded or deadline-clamped inferences are never admitted.
+//! The Algorithm-1 stages are not cached: they are cheap by construction
+//! and every repeat they could serve is a full-result hit first.
 //!
 //! Invalidation is generation-based: every key embeds the database's
 //! generation token, [`SystemCache::observe_revision`] auto-bumps it when
@@ -36,24 +26,12 @@ use std::time::Duration;
 use codes_cache::{
     CacheConfig, CacheStats, GenerationMap, RevisionMap, ShardedCache, INVALIDATIONS_TOTAL,
 };
-use codes_linker::FilteredSchema;
 use codes_obs::{Counter, Registry};
-use codes_retrieval::ValueMatch;
 use sqlengine::Database;
 
 use crate::config::Config;
-use crate::prompt::PromptOptions;
 
-/// Which pipeline stages of one inference were served from cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheHits {
-    /// T1: the schema filter output came from cache.
-    pub schema_filter: bool,
-    /// T2: the value-retriever matches came from cache.
-    pub value_retrieval: bool,
-}
-
-/// A cached end-to-end answer (T3). Holds what a served response needs —
+/// A cached end-to-end answer. Holds what a served response needs —
 /// not the full [`crate::Inference`], whose generation beam is heavyweight
 /// and irrelevant once a winning SQL exists.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,69 +44,38 @@ pub struct CachedAnswer {
     pub compute_latency_seconds: f64,
 }
 
-/// Capacity/TTL policy for the three tiers.
+/// Capacity/TTL policy of the result cache.
 #[derive(Debug, Clone, Copy)]
 pub struct CacheSettings {
-    /// T1 entries (filtered schemas are small: table/column name lists).
-    pub schema_capacity: usize,
-    /// T2 entries (a handful of value matches each).
-    pub value_capacity: usize,
-    /// T3 entries (one SQL string each).
+    /// Entries (one SQL string each).
     pub full_capacity: usize,
-    /// Shards per tier.
+    /// Shards.
     pub shards: usize,
-    /// Optional TTL applied to every tier; `None` relies on LRU pressure
-    /// and generation bumps alone.
+    /// Optional TTL; `None` relies on LRU pressure and generation bumps
+    /// alone.
     pub ttl: Option<Duration>,
 }
 
 impl Default for CacheSettings {
     fn default() -> CacheSettings {
-        CacheSettings {
-            schema_capacity: 4096,
-            value_capacity: 4096,
-            full_capacity: 8192,
-            shards: 8,
-            ttl: None,
-        }
+        CacheSettings { full_capacity: 8192, shards: 8, ttl: None }
     }
 }
 
-/// Per-tier counter snapshots plus the invalidation count, as surfaced in
+/// Counter snapshot plus the invalidation count, as surfaced in
 /// `HealthSnapshot` and the cache bench.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SystemCacheStats {
-    /// T1 (schema filter) counters.
+    /// Always zero: the schema-filter tier is gone, `e2e/` still reads the
+    /// field. The ROADMAP item-2 benchmark PR removes it.
     pub schema: CacheStats,
-    /// T2 (value retrieval) counters.
+    /// Always zero: the value-retrieval tier is gone, `e2e/` still reads
+    /// the field. The ROADMAP item-2 benchmark PR removes it.
     pub values: CacheStats,
-    /// T3 (full results) counters.
+    /// Full-result counters.
     pub full: CacheStats,
     /// Explicit + revision-triggered generation bumps.
     pub invalidations: u64,
-}
-
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct SchemaKey {
-    db: String,
-    generation: u64,
-    question: String,
-    top_k1: usize,
-    top_k2: usize,
-}
-
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct ValueKey {
-    db: String,
-    generation: u64,
-    question: String,
-    coarse_k: usize,
-    fine_k: usize,
-    /// `f64` bit pattern — the knob is a constant, not arithmetic output,
-    /// so bit equality is the right notion.
-    min_degree_bits: u64,
-    top_k1: usize,
-    top_k2: usize,
 }
 
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -139,15 +86,14 @@ struct FullKey {
     config_fingerprint: u64,
 }
 
-/// The multi-tier cache one serving stack shares: `CodesSystem` consults
-/// T1/T2 inside `infer`, the serve pool consults T3 at admission.
+/// The result cache one serving stack shares: `CodesSystem` reconciles
+/// catalog revisions inside `infer`, the serve pool looks answers up at
+/// admission and admits clean ones.
 pub struct SystemCache {
     generations: GenerationMap,
     /// Last-seen `sqlengine` catalog revision per database, so any mutation
     /// observed at inference time auto-bumps the generation.
     revisions: RevisionMap,
-    schema: ShardedCache<SchemaKey, Arc<FilteredSchema>>,
-    values: ShardedCache<ValueKey, Arc<Vec<ValueMatch>>>,
     full: ShardedCache<FullKey, CachedAnswer>,
     invalidations: Arc<Counter>,
 }
@@ -162,24 +108,18 @@ impl SystemCache {
     /// Cache with explicit sizing, registering metrics in `registry` —
     /// tests use a private registry for isolation.
     pub fn with_registry(registry: &Registry, settings: CacheSettings) -> SystemCache {
-        fn tier<K: std::hash::Hash + Eq + Clone, V: Clone>(
-            settings: &CacheSettings,
-            registry: &Registry,
-            capacity: usize,
-            name: &str,
-        ) -> ShardedCache<K, V> {
-            ShardedCache::with_metrics(
-                CacheConfig { capacity, shards: settings.shards, ttl: settings.ttl },
-                registry,
-                name,
-            )
-        }
         SystemCache {
             generations: GenerationMap::new(),
             revisions: RevisionMap::new(),
-            schema: tier(&settings, registry, settings.schema_capacity, "schema_filter"),
-            values: tier(&settings, registry, settings.value_capacity, "value_retrieval"),
-            full: tier(&settings, registry, settings.full_capacity, "full_result"),
+            full: ShardedCache::with_metrics(
+                CacheConfig {
+                    capacity: settings.full_capacity,
+                    shards: settings.shards,
+                    ttl: settings.ttl,
+                },
+                registry,
+                "full_result",
+            ),
             invalidations: registry.counter(INVALIDATIONS_TOTAL, &[]),
         }
     }
@@ -189,8 +129,8 @@ impl SystemCache {
         self.generations.generation(db_id)
     }
 
-    /// Explicitly invalidate everything cached for `db_id` (all tiers);
-    /// returns the new generation.
+    /// Explicitly invalidate everything cached for `db_id`; returns the new
+    /// generation.
     pub fn invalidate_database(&self, db_id: &str) -> u64 {
         self.invalidations.inc();
         self.generations.bump(db_id)
@@ -215,51 +155,7 @@ impl SystemCache {
         }
     }
 
-    /// T1 lookup/compute. `computed` distinguishes a hit from a miss for
-    /// the caller's [`CacheHits`] bookkeeping (the closure runs on miss).
-    pub fn schema_filter(
-        &self,
-        db_id: &str,
-        generation: u64,
-        question_key: &str,
-        options: &PromptOptions,
-        compute: impl FnOnce() -> FilteredSchema,
-    ) -> Arc<FilteredSchema> {
-        let key = SchemaKey {
-            db: db_id.to_string(),
-            generation,
-            question: question_key.to_string(),
-            top_k1: options.filter.top_k1,
-            top_k2: options.filter.top_k2,
-        };
-        self.schema.get_or_compute(key, || Arc::new(compute()))
-    }
-
-    /// T2 lookup/compute. Keyed by both retriever and filter knobs: the
-    /// match list is filtered against the T1 output, so everything that
-    /// shapes T1 shapes T2.
-    pub fn value_matches(
-        &self,
-        db_id: &str,
-        generation: u64,
-        question_key: &str,
-        options: &PromptOptions,
-        compute: impl FnOnce() -> Vec<ValueMatch>,
-    ) -> Arc<Vec<ValueMatch>> {
-        let key = ValueKey {
-            db: db_id.to_string(),
-            generation,
-            question: question_key.to_string(),
-            coarse_k: options.coarse_k,
-            fine_k: options.fine_k,
-            min_degree_bits: options.min_match_degree.to_bits(),
-            top_k1: options.filter.top_k1,
-            top_k2: options.filter.top_k2,
-        };
-        self.values.get_or_compute(key, || Arc::new(compute()))
-    }
-
-    /// T3 admission-path lookup.
+    /// Admission-path lookup.
     pub fn lookup_full(
         &self,
         db_id: &str,
@@ -299,13 +195,12 @@ impl SystemCache {
         );
     }
 
-    /// Point-in-time counters for all tiers.
+    /// Point-in-time counters.
     pub fn stats(&self) -> SystemCacheStats {
         SystemCacheStats {
-            schema: self.schema.stats(),
-            values: self.values.stats(),
             full: self.full.stats(),
             invalidations: self.invalidations.get(),
+            ..SystemCacheStats::default()
         }
     }
 }
@@ -350,7 +245,7 @@ pub fn normalize_question(question: &str, external_knowledge: Option<&str>) -> S
 
 /// FNV-1a fingerprint of every [`Config`] field that can change an answer.
 /// Two configs with equal fingerprints produce the same SQL for the same
-/// (database state, question), so T3 entries are keyed on it.
+/// (database state, question), so cached answers are keyed on it.
 pub fn config_fingerprint(config: &Config) -> u64 {
     let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
     let mut word = |w: u64| {
@@ -362,7 +257,6 @@ pub fn config_fingerprint(config: &Config) -> u64 {
     let duration = |d: Option<Duration>| d.map_or(u64::MAX, |d| d.as_nanos() as u64);
     word(duration(config.inference_deadline));
     word(u64::from(config.retry_attempts));
-    word(u64::from(config.lazy_value_index));
     word(duration(config.exec_limits.deadline));
     word(config.exec_limits.max_rows.unwrap_or(u64::MAX));
     word(config.exec_limits.max_intermediate_rows.unwrap_or(u64::MAX));

@@ -33,9 +33,6 @@ pub struct Config {
     /// Extra attempts for transient (budget) failures during candidate
     /// execution; each retry runs under halved budgets.
     pub retry_attempts: u32,
-    /// Build a missing value index on first use at inference time (within
-    /// the inference deadline) instead of skipping value retrieval.
-    pub lazy_value_index: bool,
 }
 
 impl Config {
@@ -47,7 +44,6 @@ impl Config {
             exec_limits: ExecLimits::unlimited(),
             inference_deadline: None,
             retry_attempts: 0,
-            lazy_value_index: true,
         }
     }
 
@@ -59,7 +55,6 @@ impl Config {
             exec_limits: ExecLimits::evaluation(),
             inference_deadline: Some(Duration::from_secs(30)),
             retry_attempts: 0,
-            lazy_value_index: true,
         }
     }
 
@@ -69,7 +64,6 @@ impl Config {
             exec_limits: ExecLimits::serving(),
             inference_deadline: Some(Duration::from_secs(2)),
             retry_attempts: 1,
-            lazy_value_index: true,
         }
     }
 
@@ -102,11 +96,10 @@ impl Config {
     /// inference: allowed only while under half the deadline, so the build
     /// cannot eat the whole budget before generation runs.
     pub fn allow_lazy_index_build(&self, elapsed: Duration) -> bool {
-        self.lazy_value_index
-            && match self.inference_deadline {
-                Some(deadline) => elapsed < deadline.mul_f64(0.5),
-                None => true,
-            }
+        match self.inference_deadline {
+            Some(deadline) => elapsed < deadline.mul_f64(0.5),
+            None => true,
+        }
     }
 }
 

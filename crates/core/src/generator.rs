@@ -9,6 +9,8 @@
 //! reliable predicates, no comments → ambiguous columns mislink, no keys →
 //! guessed join paths, no types → arithmetic on text columns.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use codes_nlp::similarity::{dice_char_bigrams, word_coverage};
 use codes_nlp::words;
 
@@ -25,6 +27,16 @@ pub struct Candidate {
     pub template_id: usize,
     /// Mean linking quality of the filled slots, in [0, 1].
     pub slot_score: f64,
+}
+
+/// The highest-scoring item, equal scores going to the smaller `position`.
+/// Scores are arithmetic over untrusted strings: `total_cmp` gives a NaN a
+/// place in the order (above every number) where `partial_cmp` panicked.
+fn best_scored<T>(
+    items: impl Iterator<Item = (T, f64)>,
+    position: impl Fn(&T) -> usize,
+) -> Option<(T, f64)> {
+    items.max_by(|a, b| a.1.total_cmp(&b.1).then(position(&b.0).cmp(&position(&a.0))))
 }
 
 /// Slot-filling context over one prompt.
@@ -95,35 +107,27 @@ impl<'a> SlotContext<'a> {
                 return Some((t, self.capacity.quantize(0.6 + 0.4 * m.degree)));
             }
         }
-        self.prompt
-            .tables
-            .iter()
-            .map(|t| (t, self.table_score(t)))
-            .max_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .unwrap()
-                    .then(self.table_mention_position(b.0).cmp(&self.table_mention_position(a.0)))
-            })
+        best_scored(self.prompt.tables.iter().map(|t| (t, self.table_score(t))), |t| {
+            self.table_mention_position(t)
+        })
     }
 
     /// Best non-PK "content" column of a table (optionally excluding one).
     /// Ties break toward the column mentioned earliest in the question.
     fn content_col<'t>(&self, t: &'t PromptTable, exclude: &[&str]) -> Option<(&'t PromptColumn, f64)> {
-        t.columns
+        let scored = t
+            .columns
             .iter()
             .filter(|c| !c.is_primary_key && !exclude.iter().any(|e| e.eq_ignore_ascii_case(&c.name)))
             .filter(|c| !c.name.to_lowercase().ends_with("_id"))
-            .map(|c| (c, self.column_score(c)))
-            .max_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .unwrap()
-                    .then(self.mention_position(b.0).cmp(&self.mention_position(a.0)))
-            })
+            .map(|c| (c, self.column_score(c)));
+        best_scored(scored, |c| self.mention_position(c))
     }
 
     /// Best numeric column of a table by linking score.
     fn numeric_col<'t>(&self, t: &'t PromptTable, exclude: &[&str]) -> Option<(&'t PromptColumn, f64)> {
-        t.columns
+        let scored = t
+            .columns
             .iter()
             .filter(|c| !c.is_primary_key && !exclude.iter().any(|e| e.eq_ignore_ascii_case(&c.name)))
             .filter(|c| !c.name.to_lowercase().ends_with("_id"))
@@ -132,12 +136,8 @@ impl<'a> SlotContext<'a> {
                 Some(false) => None,
                 // Type unknown (types + values ablated): usable but risky.
                 None => Some((c, self.column_score(c) * 0.5)),
-            })
-            .max_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .unwrap()
-                    .then(self.mention_position(b.0).cmp(&self.mention_position(a.0)))
-            })
+            });
+        best_scored(scored, |c| self.mention_position(c))
     }
 
     /// Best text-valued filter: (table, column, value literal, score).
@@ -865,16 +865,13 @@ impl<'a> SlotContext<'a> {
     /// Grouping column: prefer low-cardinality text columns that the
     /// question links to.
     fn group_col(&self, t: &'a PromptTable) -> Option<(&'a PromptColumn, f64)> {
-        t.columns
+        let scored = t
+            .columns
             .iter()
             .filter(|c| !c.is_primary_key && !c.name.to_lowercase().ends_with("_id"))
             .filter(|c| self.is_numeric(c) != Some(true))
-            .map(|c| (c, self.column_score(c)))
-            .max_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .unwrap()
-                    .then(self.mention_position(b.0).cmp(&self.mention_position(a.0)))
-            })
+            .map(|c| (c, self.column_score(c)));
+        best_scored(scored, |c| self.mention_position(c))
     }
 
     /// The join edge whose endpoints the question links to best.
@@ -886,7 +883,7 @@ impl<'a> SlotContext<'a> {
                 let parent_score = self.prompt.table(&e.2).map(|t| self.table_score(t)).unwrap_or(0.0);
                 (e, child_score + parent_score)
             })
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+            .max_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(e, _)| e)
     }
 }
@@ -978,6 +975,51 @@ mod tests {
         let c = fill_template(&ctx, 10).unwrap();
         let r = sqlengine::execute_query(&db, &c.sql);
         assert!(r.is_ok(), "{} -> {:?}", c.sql, r.err());
+    }
+
+    /// Every template filled over `prompt`, as `decode_beam` asks for them.
+    fn beam(prompt: &DbPrompt, question: &str) -> Vec<(String, u64)> {
+        let intent = extract_intent(question);
+        let cap = ModelSize::B7.capacity();
+        let ctx = SlotContext::new(prompt, question, &intent, &cap);
+        let ranked: Vec<(usize, f64)> =
+            (0..codes_datasets::TEMPLATE_COUNT).map(|id| (id, 0.0)).collect();
+        fill_ranked(&ctx, &ranked, ranked.len())
+            .into_iter()
+            .map(|(c, _)| (c.sql, c.slot_score.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn nan_match_degree_fills_a_beam_without_panicking() {
+        let q = "How many accounts were opened in the Jesenik branch?";
+        let (mut prompt, _) = ctx_fixture(q);
+        assert!(!prompt.matched_values.is_empty(), "fixture retrieves 'Jesenik'");
+        for m in &mut prompt.matched_values {
+            m.degree = f64::NAN;
+        }
+        let first = beam(&prompt, q);
+        assert!(first.iter().any(|(sql, _)| sql.contains("'Jesenik'")), "{first:?}");
+        assert_eq!(first, beam(&prompt, q), "same prompt, same beam, bit for bit");
+    }
+
+    #[test]
+    fn nan_scoring_column_has_a_place_in_the_order() {
+        let (prompt, _) = ctx_fixture("How many clients do we have?");
+        let columns = &prompt.tables[0].columns;
+        assert!(columns.len() >= 3);
+        let pick = |scores: [f64; 3]| {
+            best_scored(columns.iter().zip(scores), |c| {
+                columns.iter().position(|x| std::ptr::eq(x, *c)).unwrap_or(usize::MAX)
+            })
+            .map(|(c, _)| c.name.clone())
+        };
+        // NaN sorts above every number, wherever it sits in the input.
+        assert_eq!(pick([0.4, f64::NAN, 0.9]), Some(columns[1].name.clone()));
+        assert_eq!(pick([f64::NAN, 0.4, 0.9]), Some(columns[0].name.clone()));
+        // Among equals — NaNs included — the earliest position wins.
+        assert_eq!(pick([f64::NAN, f64::NAN, 0.9]), Some(columns[0].name.clone()));
+        assert_eq!(pick([0.5, 0.9, 0.9]), Some(columns[1].name.clone()));
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod sketch;
 pub mod system;
 
 pub use cache::{
-    config_fingerprint, normalize_question, CacheHits, CacheSettings, CachedAnswer, SystemCache,
+    config_fingerprint, normalize_question, CacheSettings, CachedAnswer, SystemCache,
     SystemCacheStats,
 };
 pub use config::{table4_models, Architecture, Capacity, Config, CorpusLineage, LmSpec, ModelSize};

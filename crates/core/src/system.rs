@@ -12,16 +12,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use codes_datasets::{Benchmark, Sample};
-use codes_linker::{shared_schema_profile, FilteredSchema, SchemaClassifier};
+use codes_linker::{shared_schema_profile, SchemaClassifier};
 use codes_obs::{
     Span, StageTimings, STAGE_METADATA, STAGE_PROMPT_BUILD, STAGE_SCHEMA_FILTER,
     STAGE_VALUE_RETRIEVAL,
 };
-use codes_retrieval::{shared_value_index, DemoRetriever, DemoStrategy, ValueIndex, ValueMatch};
+use codes_retrieval::{shared_value_index, DemoRetriever, DemoStrategy, ValueIndex};
 use parking_lot::RwLock;
 use sqlengine::Database;
 
-use crate::cache::{normalize_question, CacheHits, SystemCache};
+use crate::cache::SystemCache;
 use crate::config::Config;
 use crate::model::{finetune, CodesModel, Generation, GenerationBatchItem};
 use crate::prompt::{
@@ -48,7 +48,7 @@ pub struct CodesSystem {
     /// Prompt-construction options (incl. ablation switches).
     pub options: PromptOptions,
     /// Runtime robustness configuration (execution budgets, inference
-    /// deadline, retry policy, lazy-index permission).
+    /// deadline, retry policy).
     pub config: Config,
     /// Pre-built BM25 value indexes keyed by database id (shared between
     /// systems — building them is the offline cost of §6.2). Behind a lock
@@ -59,9 +59,9 @@ pub struct CodesSystem {
     demo_retriever: Option<Arc<DemoRetriever>>,
     /// Few-shot configuration (None = SFT/zero-shot mode).
     pub few_shot: Option<FewShot>,
-    /// Optional multi-tier cache: T1 (schema filter) and T2 (value
-    /// retrieval) are consulted inside [`CodesSystem::infer`]; the serving
-    /// pool holds the same `Arc` for T3 admission lookups.
+    /// Optional result cache: [`CodesSystem::infer`] reconciles the
+    /// database's catalog revision with it; the serving pool holds the same
+    /// `Arc` for admission lookups.
     cache: Option<Arc<SystemCache>>,
 }
 
@@ -84,9 +84,6 @@ pub struct Inference {
     /// Wall-clock seconds per Algorithm-1 stage. The same durations feed
     /// the global `codes_stage_duration_seconds` histogram via spans.
     pub stages: StageTimings,
-    /// Which stages were served from the system cache (always false when
-    /// no cache is attached).
-    pub cache_hits: CacheHits,
 }
 
 impl CodesSystem {
@@ -111,8 +108,8 @@ impl CodesSystem {
         self
     }
 
-    /// Attach a multi-tier cache. Shares the `Arc` with the serving pool so
-    /// stage-level (T1/T2) and admission-level (T3) tiers agree on
+    /// Attach a result cache. Shares the `Arc` with the serving pool so the
+    /// revision fence here and the admission lookups there agree on
     /// generations. A cache must not be shared between systems with
     /// different weights or classifiers — keys embed neither.
     pub fn with_cache(mut self, cache: Arc<SystemCache>) -> CodesSystem {
@@ -259,21 +256,21 @@ impl CodesSystem {
     /// * inference deadline nearly spent → beam truncated to greedy.
     ///
     /// Every stage runs — and records its span — once per member, so
-    /// `StageTimings`, degradations and cache hits stay per-member. The
-    /// members share the database, so they share its value index: the
-    /// first member resolves it (and pays for any lazy build) and the
-    /// degradation that took belongs to every member. Generation shares
-    /// LM scores and execution verdicts across members, which never
-    /// changes an answer: each member's SQL is what the same request
-    /// answers in a batch of one.
+    /// `StageTimings` and degradations stay per-member. The members share
+    /// the database, so they share its value index: the first member
+    /// resolves it (and pays for any lazy build) and the degradation that
+    /// took belongs to every member. Generation shares LM scores and
+    /// execution verdicts across members, which never changes an answer:
+    /// each member's SQL is what the same request answers in a batch of one.
     pub fn infer_batch(&self, db: &Database, requests: &[InferenceRequest]) -> Vec<Inference> {
         let start = Instant::now();
         let configs: Vec<Config> =
             requests.iter().map(|r| r.resolved_config(&self.config)).collect();
-        // Reconcile the catalog revision with the cache *before* any tier
-        // lookup: a mutated database bumps its generation here, so nothing
-        // below can be served a pre-mutation entry.
-        let cache = self.cache.as_ref().map(|c| (c, c.observe_revision(db)));
+        // The revision fence: a mutated database bumps its generation here,
+        // so no admission after this point is served a pre-mutation answer.
+        if let Some(cache) = self.cache.as_ref() {
+            cache.observe_revision(db);
+        }
         // Resolved under the first member's budget — the pool only batches
         // requests with compatible configs and deadline classes, so the
         // members agree on whether a lazy build is affordable.
@@ -284,7 +281,6 @@ impl CodesSystem {
             demos: Vec<&'a Sample>,
             degradations: Vec<String>,
             stages: StageTimings,
-            cache_hits: CacheHits,
         }
 
         let mut members: Vec<Member<'_>> = Vec::with_capacity(requests.len());
@@ -293,9 +289,6 @@ impl CodesSystem {
             let external_knowledge = request.knowledge();
             let mut degradations = Vec::new();
             let mut stages = StageTimings::zero();
-            let mut cache_hits = CacheHits::default();
-            let question_key =
-                cache.as_ref().map(|_| normalize_question(question, external_knowledge));
 
             if self.options.use_schema_filter && self.classifier.is_none() {
                 degradations.push("classifier missing: unfiltered schema in prompt".to_string());
@@ -304,71 +297,29 @@ impl CodesSystem {
             // Algorithm 1, one span per stage. Spans feed the global
             // `codes_stage_duration_seconds` histogram and the trace ring;
             // their durations also ride along on the returned Inference.
-            //
-            // T1: cache the filter output only when a classifier actually
-            // runs — the unfiltered fallback is too cheap to be worth entries.
             let span = Span::enter(STAGE_SCHEMA_FILTER);
-            let run_filter = || {
-                stage_schema_filter(
-                    db,
-                    question,
-                    external_knowledge,
-                    self.classifier.as_ref(),
-                    &self.options,
-                )
-            };
-            let filtered: Arc<FilteredSchema> = match (&cache, &question_key) {
-                (Some((cache, generation)), Some(key))
-                    if self.options.use_schema_filter && self.classifier.is_some() =>
-                {
-                    let mut computed = false;
-                    let out =
-                        cache.schema_filter(&db.name, *generation, key, &self.options, || {
-                            computed = true;
-                            run_filter()
-                        });
-                    cache_hits.schema_filter = !computed;
-                    out
-                }
-                _ => Arc::new(run_filter()),
-            };
+            let filtered = stage_schema_filter(
+                db,
+                question,
+                external_knowledge,
+                self.classifier.as_ref(),
+                &self.options,
+            );
             stages.schema_filter = span.finish().as_secs_f64();
 
             // Index resolution is part of the retrieval stage: when the
             // index must be built on demand, that cost IS value retrieval.
-            //
-            // T2: cache only over a cleanly resolved index — a lazily built
-            // or skipped index is itself a degradation, and degraded outputs
-            // must never populate the cache.
             let span = Span::enter(STAGE_VALUE_RETRIEVAL);
             let (value_index, index_degradation) =
                 shared_index.get_or_insert_with(|| self.resolve_value_index(db, start, config));
             degradations.extend(index_degradation.clone());
-            let index_clean = value_index.is_some() && index_degradation.is_none();
-            let run_retrieval = || {
-                stage_value_retrieval(
-                    &filtered,
-                    question,
-                    external_knowledge,
-                    value_index.as_deref(),
-                    &self.options,
-                )
-            };
-            let matched_values: Vec<ValueMatch> = match (&cache, &question_key) {
-                (Some((cache, generation)), Some(key))
-                    if self.options.use_value_retriever && index_clean =>
-                {
-                    let mut computed = false;
-                    let out =
-                        cache.value_matches(&db.name, *generation, key, &self.options, || {
-                            computed = true;
-                            run_retrieval()
-                        });
-                    cache_hits.value_retrieval = !computed;
-                    (*out).clone()
-                }
-                _ => run_retrieval(),
-            };
+            let matched_values = stage_value_retrieval(
+                &filtered,
+                question,
+                external_knowledge,
+                value_index.as_deref(),
+                &self.options,
+            );
             stages.value_retrieval = span.finish().as_secs_f64();
 
             let span = Span::enter(STAGE_METADATA);
@@ -391,7 +342,7 @@ impl CodesSystem {
                 degradations
                     .push("inference deadline nearly spent: beam truncated to greedy".to_string());
             }
-            members.push(Member { prompt, demos, degradations, stages, cache_hits });
+            members.push(Member { prompt, demos, degradations, stages });
         }
 
         // Generation and execution selection record their own spans (see
@@ -427,7 +378,6 @@ impl CodesSystem {
                     prompt_tokens: member.prompt.token_len(),
                     degradations: member.degradations,
                     stages,
-                    cache_hits: member.cache_hits,
                 }
             })
             .collect()
@@ -436,9 +386,9 @@ impl CodesSystem {
     /// Look up the value index for `db`, building it lazily when allowed;
     /// the second half of the pair is the degradation taken, if any.
     ///
-    /// Returns no index (value retrieval skipped) when it is absent and
-    /// either lazy builds are disabled or the inference deadline no longer
-    /// leaves room for one. No-op when value retrieval is off entirely.
+    /// Returns no index (value retrieval skipped) when it is absent and the
+    /// inference deadline no longer leaves room for a lazy build. No-op when
+    /// value retrieval is off entirely.
     fn resolve_value_index(
         &self,
         db: &Database,
@@ -599,39 +549,30 @@ mod tests {
     }
 
     #[test]
-    fn cached_inference_hits_t1_t2_and_respects_catalog_mutations() {
+    fn inference_over_a_mutated_catalog_bumps_the_cache_generation_once() {
         use crate::cache::CacheSettings;
 
         let bench = mini_benchmark();
-        let clf = SchemaClassifier::train(&bench, false, 7);
         let registry = codes_obs::Registry::new();
         let cache = Arc::new(SystemCache::with_registry(&registry, CacheSettings::default()));
-        let sys = system("CodeS-1B").with_classifier(clf).with_cache(Arc::clone(&cache));
+        let sys = system("CodeS-1B").with_cache(Arc::clone(&cache));
         sys.prepare_databases(bench.databases.iter());
         let s = &bench.dev[0];
         let db = bench.database(&s.db_id).unwrap();
 
-        let cold = sys.infer(db, &req(s));
-        assert_eq!(cold.cache_hits, CacheHits::default(), "first pass computes everything");
-        let warm = sys.infer(db, &req(s));
-        assert!(warm.cache_hits.schema_filter, "second pass hits T1");
-        assert!(warm.cache_hits.value_retrieval, "second pass hits T2");
-        assert_eq!(warm.sql, cold.sql, "cached stages change nothing about the answer");
-        let stats = cache.stats();
-        assert!(stats.schema.hits >= 1 && stats.values.hits >= 1);
+        let first = sys.infer(db, &req(s));
+        let unmutated = db.clone();
+        assert_eq!(sys.infer(&unmutated, &req(s)).sql, first.sql);
+        assert_eq!(cache.generation(&db.name), 0, "an unmutated clone is the same catalog state");
+        assert_eq!(cache.stats().invalidations, 0);
 
-        // Mutating the catalog bumps the generation: the same question must
-        // recompute rather than reuse pre-mutation entries.
         let mut mutated = db.clone();
         let table = mutated.tables[0].schema.name.clone();
         mutated.table_mut(&table).expect("table exists");
-        let after = sys.infer(&mutated, &req(s));
-        assert!(
-            !after.cache_hits.schema_filter && !after.cache_hits.value_retrieval,
-            "generation bump makes old entries unreachable: {:?}",
-            after.cache_hits
-        );
-        assert!(cache.stats().invalidations >= 1);
+        sys.infer(&mutated, &req(s));
+        sys.infer(&mutated, &req(s));
+        assert_eq!(cache.generation(&db.name), 1, "one mutation, one bump");
+        assert_eq!(cache.stats().invalidations, 1);
     }
 
     #[test]

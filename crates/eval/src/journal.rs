@@ -16,7 +16,6 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use codes::CacheHits;
 use codes_datasets::{Hardness, Sample};
 use codes_obs::StageTimings;
 use serde::{Json, Serialize};
@@ -205,13 +204,6 @@ fn entry_to_json(index: usize, fingerprint: u64, r: &SampleResult) -> Json {
         ("stages".into(), r.stages.to_json()),
         ("prompt_tokens".into(), Json::Int(r.prompt_tokens as i64)),
         (
-            "cache_hits".into(),
-            Json::Obj(vec![
-                ("schema_filter".into(), Json::Bool(r.cache_hits.schema_filter)),
-                ("value_retrieval".into(), Json::Bool(r.cache_hits.value_retrieval)),
-            ]),
-        ),
-        (
             "failure".into(),
             match &r.failure {
                 Some(msg) => Json::Str(msg.clone()),
@@ -263,21 +255,6 @@ fn parse_entry(line: &str) -> Result<JournalEntry, String> {
             // Tolerant: journals written before stage timings existed have
             // no `stages` object and read as all-zero.
             stages: value.get("stages").map(StageTimings::from_json).unwrap_or_default(),
-            // Same tolerance for pre-cache journals: missing reads as
-            // all-false.
-            cache_hits: value
-                .get("cache_hits")
-                .map(|hits| CacheHits {
-                    schema_filter: hits
-                        .get("schema_filter")
-                        .and_then(Json::as_bool)
-                        .unwrap_or(false),
-                    value_retrieval: hits
-                        .get("value_retrieval")
-                        .and_then(Json::as_bool)
-                        .unwrap_or(false),
-                })
-                .unwrap_or_default(),
             prompt_tokens: field("prompt_tokens")?
                 .as_i64()
                 .and_then(|i| usize::try_from(i).ok())
@@ -309,7 +286,6 @@ mod tests {
                 stages
             },
             prompt_tokens: 40 + ix,
-            cache_hits: CacheHits { schema_filter: ix % 2 == 0, value_retrieval: ix % 3 == 0 },
             failure: if ix == 3 { Some("caught panic: boom".into()) } else { None },
         }
     }
@@ -345,7 +321,6 @@ mod tests {
             // byte-identical.
             assert_eq!(entry.result.ves.to_bits(), expect.ves.to_bits());
             assert_eq!(entry.result.stages, expect.stages);
-            assert_eq!(entry.result.cache_hits, expect.cache_hits);
             assert_eq!(entry.result.failure, expect.failure);
         }
         let _ = std::fs::remove_file(&path);
@@ -353,20 +328,47 @@ mod tests {
 
     #[test]
     fn entries_without_stage_timings_load_as_zero() {
-        // A journal written before stage timings (and cache hits) existed:
-        // neither key present.
+        // A journal written before stage timings existed: no such key.
         let path = tmp("legacy");
         let mut json = match entry_to_json(0, 7, &result(0)) {
             Json::Obj(fields) => fields,
             other => panic!("expected object, got {other:?}"),
         };
-        json.retain(|(key, _)| key != "stages" && key != "cache_hits");
+        json.retain(|(key, _)| key != "stages");
         std::fs::write(&path, format!("{}\n", serde_json::to_string(&Json::Obj(json)).unwrap()))
             .expect("write legacy journal");
         let (_journal, loaded) = Journal::open(&path).expect("legacy journal loads");
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].result.stages, StageTimings::zero());
-        assert_eq!(loaded[0].result.cache_hits, CacheHits::default());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// `result(0)` and `result(3)` as the commit before the stage cache
+    /// tiers were deleted journaled them, byte for byte.
+    const LEGACY_LINES: &str = concat!(
+        r#"{"index":0,"fp":"000000000000abcd","question":"q0 with \"quotes\" and\nnewline","gold":"SELECT 0","predicted":"SELECT 0 -- pred","hardness":"medium","ex":true,"ts":false,"ves":0.30000000000000004,"he":true,"latency_seconds":0.0,"stages":{"schema_filter":0.0001,"value_retrieval":0.0,"metadata":0.0,"prompt_build":0.0,"generation":0.0,"execution_selection":0.0},"prompt_tokens":40,"cache_hits":{"schema_filter":true,"value_retrieval":true},"failure":null}"#,
+        "\n",
+        r#"{"index":3,"fp":"000000000000abd0","question":"q3 with \"quotes\" and\nnewline","gold":"SELECT 3","predicted":"SELECT 3 -- pred","hardness":"medium","ex":false,"ts":false,"ves":0.6000000000000001,"he":true,"latency_seconds":0.003,"stages":{"schema_filter":0.0001,"value_retrieval":0.0,"metadata":0.0,"prompt_build":0.0,"generation":0.006,"execution_selection":0.0},"prompt_tokens":43,"cache_hits":{"schema_filter":false,"value_retrieval":true},"failure":"caught panic: boom"}"#,
+        "\n",
+    );
+
+    #[test]
+    fn entries_with_legacy_stage_cache_hits_still_load() {
+        let path = tmp("legacy-hits");
+        std::fs::write(&path, LEGACY_LINES).expect("write legacy journal");
+        let (_journal, loaded) = Journal::open(&path).expect("legacy journal loads");
+        assert_eq!(loaded.len(), 2);
+        for (entry, ix) in loaded.iter().zip([0usize, 3]) {
+            let expect = result(ix);
+            assert_eq!(entry.index, ix);
+            assert_eq!(entry.fingerprint, 0xABCD + ix as u64);
+            assert_eq!(entry.result.predicted, expect.predicted);
+            assert_eq!(entry.result.ex, expect.ex);
+            assert_eq!(entry.result.ves.to_bits(), expect.ves.to_bits());
+            assert_eq!(entry.result.stages, expect.stages);
+            assert_eq!(entry.result.prompt_tokens, expect.prompt_tokens);
+            assert_eq!(entry.result.failure, expect.failure);
+        }
         let _ = std::fs::remove_file(&path);
     }
 

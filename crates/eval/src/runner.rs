@@ -17,7 +17,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use codes::{CacheHits, CodesSystem, InferenceRequest};
+use codes::{CodesSystem, InferenceRequest};
 use codes_datasets::{Hardness, Sample};
 use codes_obs::StageTimings;
 use codes_router::{Router, RouterConfig, ShardSpec};
@@ -88,11 +88,6 @@ pub struct EvalOutcome {
     pub avg_prompt_tokens: f64,
     /// Mean wall-clock seconds per Algorithm-1 pipeline stage.
     pub avg_stages: StageTimings,
-    /// Fraction of samples whose schema-filter output came from cache
-    /// (0 when no cache is attached to the system).
-    pub schema_cache_hit_rate: f64,
-    /// Fraction of samples whose value-retriever matches came from cache.
-    pub value_cache_hit_rate: f64,
     /// `(hardness, sample count, EX)` per Spider hardness level.
     pub per_hardness: Vec<(Hardness, usize, f64)>,
 }
@@ -147,9 +142,6 @@ pub struct SampleResult {
     pub stages: StageTimings,
     /// Prompt length (whitespace tokens).
     pub prompt_tokens: usize,
-    /// Which pipeline stages of this inference were served from cache
-    /// (all-false for cacheless systems and pre-cache journals).
-    pub cache_hits: CacheHits,
     /// Set when this sample's evaluation was cut short by a caught panic;
     /// the sample scores 0 on every metric but the run continues.
     pub failure: Option<String>,
@@ -389,7 +381,6 @@ fn failed_sample(sample: &Sample, failure: String) -> SampleResult {
         latency_seconds: 0.0,
         stages: StageTimings::zero(),
         prompt_tokens: 0,
-        cache_hits: CacheHits::default(),
         failure: Some(failure),
     }
 }
@@ -440,7 +431,6 @@ fn eval_one(
         latency_seconds: inference.latency_seconds,
         stages: inference.stages,
         prompt_tokens: inference.prompt_tokens,
-        cache_hits: inference.cache_hits,
         failure: None,
     }
 }
@@ -475,8 +465,6 @@ fn summarize(results: &[SampleResult]) -> EvalOutcome {
         avg_latency_seconds: frac(&|r| r.latency_seconds),
         avg_prompt_tokens: frac(&|r| r.prompt_tokens as f64),
         avg_stages: stage_sum.scaled(1.0 / n as f64),
-        schema_cache_hit_rate: frac(&|r| f64::from(r.cache_hits.schema_filter)),
-        value_cache_hit_rate: frac(&|r| f64::from(r.cache_hits.value_retrieval)),
         per_hardness,
     }
 }
@@ -494,29 +482,18 @@ mod tests {
         codes_datasets::build_benchmark("mini", &cfg)
     }
 
-    fn mini_system(
-        bench: &codes_datasets::Benchmark,
-        cache: Option<Arc<codes::SystemCache>>,
-    ) -> Arc<CodesSystem> {
+    fn mini_system_and_bench() -> (Arc<CodesSystem>, codes_datasets::Benchmark) {
+        let bench = mini_bench();
         let catalog = Arc::new(SketchCatalog::build());
         let spec = codes::table4_models()
             .into_iter()
             .find(|m| m.name == "CodeS-7B")
             .expect("CodeS-7B is a fixed Table 4 row");
         let lm = pretrain(&catalog, &spec, &PretrainConfig { scale: 10, seed: 3 });
-        let mut sys = CodesSystem::new(CodesModel::new(lm, catalog), PromptOptions::sft())
-            .finetune_on(bench);
-        if let Some(cache) = cache {
-            sys = sys.with_cache(cache);
-        }
+        let sys = CodesSystem::new(CodesModel::new(lm, catalog), PromptOptions::sft())
+            .finetune_on(&bench);
         sys.prepare_databases(bench.databases.iter());
-        Arc::new(sys)
-    }
-
-    fn mini_system_and_bench() -> (Arc<CodesSystem>, codes_datasets::Benchmark) {
-        let bench = mini_bench();
-        let sys = mini_system(&bench, None);
-        (sys, bench)
+        (Arc::new(sys), bench)
     }
 
     #[test]
@@ -570,7 +547,16 @@ mod tests {
             .expect("partial run");
         assert_eq!(partial.resumed, 0);
         assert_eq!(partial.executed, 5);
-        let journal_after_crash = std::fs::read_to_string(&path).expect("journal exists");
+        // The crashed run began under the previous release: its first three
+        // lines carry the per-stage `cache_hits` object this one no longer
+        // writes, so the resume reads both formats.
+        let journal_after_crash = std::fs::read_to_string(&path).expect("journal exists").replacen(
+            ",\"failure\":",
+            ",\"cache_hits\":{\"schema_filter\":false,\"value_retrieval\":true},\"failure\":",
+            3,
+        );
+        assert_eq!(journal_after_crash.matches("\"cache_hits\"").count(), 3);
+        std::fs::write(&path, &journal_after_crash).expect("rewrite journal");
 
         // Restarted run: only the missing 7 samples execute.
         let resumed = evaluate_resumable(&sys, &bench.dev, &bench.databases, &cfg, &path)
@@ -636,30 +622,6 @@ mod tests {
             other => panic!("expected JournalMismatch, got {:?}", other.map(|r| r.outcome.n)),
         }
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn cache_hit_rates_surface_in_the_outcome() {
-        let bench = mini_bench();
-        let registry = codes_obs::Registry::new();
-        let cache =
-            Arc::new(codes::SystemCache::with_registry(&registry, codes::CacheSettings::default()));
-        let sys = mini_system(&bench, Some(cache));
-        let cfg = EvalConfig { limit: Some(8), compute_ts: false, ..Default::default() };
-
-        let (cold, _) = evaluate(&sys, &bench.dev, &bench.databases, &cfg);
-        assert_eq!(cold.value_cache_hit_rate, 0.0, "first pass computes everything");
-
-        let (warm, results) = evaluate(&sys, &bench.dev, &bench.databases, &cfg);
-        assert_eq!(warm.ex, cold.ex, "caching must not change verdicts");
-        assert!(
-            warm.value_cache_hit_rate > 0.99,
-            "every repeated sample should reuse its value matches: {}",
-            warm.value_cache_hit_rate
-        );
-        assert!(results.iter().all(|r| r.cache_hits.value_retrieval));
-        // No classifier attached, so the T1 tier never engages here.
-        assert_eq!(warm.schema_cache_hit_rate, 0.0);
     }
 
     #[test]

@@ -71,6 +71,12 @@ fn infer_health_metrics_and_invalidate_round_trip() {
     assert!(text.contains("codes_gateway_requests_total{endpoint=\"infer\"} 3"), "{text}");
     assert!(text.contains("codes_gateway_infer_outcomes_total{code=\"ok\"} 3"), "{text}");
     assert!(text.contains("codes_router_submitted_total"), "{text}");
+    // One result cache: the full-result series and no stage-tier series.
+    assert!(text.contains("codes_cache_hits_total{tier=\"full_result\"} 1"), "{text}");
+    assert!(text.contains("codes_cache_misses_total{tier=\"full_result\"} 2"), "{text}");
+    assert!(text.contains("codes_cache_invalidations_total 1"), "{text}");
+    assert!(!text.contains("tier=\"schema_filter\""), "{text}");
+    assert!(!text.contains("tier=\"value_retrieval\""), "{text}");
 
     let stats = gateway.shutdown();
     assert_eq!(stats.infer_admitted, stats.infer_resolved);

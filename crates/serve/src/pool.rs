@@ -106,8 +106,6 @@ pub struct BackendReply {
     /// Per-stage wall-clock breakdown (zero for backends that don't
     /// measure stages).
     pub stages: codes_obs::StageTimings,
-    /// Which pipeline stages were served from the system cache.
-    pub cache_hits: codes::CacheHits,
 }
 
 /// [`Backend`] over a real [`CodesSystem`] and a storage-backed catalog
@@ -237,7 +235,6 @@ impl Backend for SystemBackend {
                     latency_seconds: out.latency_seconds,
                     prompt_tokens: out.prompt_tokens,
                     stages: out.stages,
-                    cache_hits: out.cache_hits,
                 })
             })
             .collect()
@@ -332,9 +329,6 @@ pub struct ServedInference {
     /// Per-stage wall-clock breakdown reported by the backend (zero for
     /// cached answers and backends that don't measure stages).
     pub stages: codes_obs::StageTimings,
-    /// Which pipeline stages were served from the system cache inside the
-    /// backend (all-false for cached answers — no stage ran at all).
-    pub cache_hits: codes::CacheHits,
 }
 
 /// What a [`Ticket`] resolves to: exactly one of these per submission.
@@ -504,7 +498,7 @@ pub struct HealthSnapshot {
     /// Registry-backed metrics: queue-wait latency distribution,
     /// in-flight gauge, shed counters, breaker transition counts.
     pub metrics: MetricsSnapshot,
-    /// Per-tier cache counters when a [`SystemCache`] is attached
+    /// Result-cache counters when a [`SystemCache`] is attached
     /// ([`ServeConfig::cache`]); `None` for cacheless pools.
     pub cache: Option<SystemCacheStats>,
     /// True when the pool is accepting requests (not shutting down and the
@@ -755,7 +749,6 @@ impl Inner {
                         worker: slot,
                         cached: false,
                         stages: reply.stages,
-                        cache_hits: reply.cache_hits,
                     })
                 }
                 Err(e) => {
@@ -1096,7 +1089,6 @@ impl Pool {
                     worker: 0,
                     cached: true,
                     stages: codes_obs::StageTimings::zero(),
-                    cache_hits: codes::CacheHits::default(),
                 }));
                 return Ok(id);
             }
@@ -1175,7 +1167,7 @@ impl Pool {
         }
     }
 
-    /// Invalidate every cached entry for `db_id` (all tiers) by bumping its
+    /// Invalidate every cached entry for `db_id` by bumping its
     /// generation; call this after mutating the database out-of-band.
     /// Returns `Ok(Some(generation))` on a bump, `Ok(None)` when the pool
     /// has no cache attached, and [`Error::UnknownDatabase`] when the
