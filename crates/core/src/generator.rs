@@ -11,7 +11,10 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use codes_nlp::similarity::{dice_char_bigrams, word_coverage};
+use std::collections::HashMap;
+
+use codes_linker::QuestionProfile;
+use codes_nlp::similarity::{packed_bigrams, singularize};
 use codes_nlp::words;
 
 use crate::config::Capacity;
@@ -39,6 +42,82 @@ fn best_scored<T>(
     items.max_by(|a, b| a.1.total_cmp(&b.1).then(position(&b.0).cmp(&position(&a.0))))
 }
 
+/// How one prompt table or column meets the question.
+#[derive(Clone, Copy)]
+struct Link {
+    /// Linking score, quantized to the model's resolution.
+    score: f64,
+    /// Byte offset of its first mention in the question (`usize::MAX` when
+    /// unmentioned) — used to order projections and break ties.
+    mention: usize,
+}
+
+/// The links of one prompt table: `columns[j]` belongs to
+/// `prompt.tables[i].columns[j]`.
+struct TableLinks {
+    table: Link,
+    columns: Vec<Link>,
+}
+
+/// How one distinct word of the prompt's names and comments meets the
+/// question.
+#[derive(Clone, Copy)]
+struct WordHit {
+    /// Its singular is the singular of a question word.
+    covered: bool,
+    /// Best dice similarity to any question word.
+    dice: f64,
+    /// Byte offset of its first occurrence in the lower-cased question
+    /// (`usize::MAX` when absent).
+    mention: usize,
+}
+
+/// Link every table and column of `prompt` against `question`: the question
+/// is read once, each distinct prompt word meets it once, and each item
+/// folds the hits of its words.
+fn link_table(prompt: &DbPrompt, question: &str, capacity: &Capacity) -> Vec<TableLinks> {
+    let profile = QuestionProfile::new(question);
+    let mut hits: HashMap<String, WordHit> = HashMap::new();
+    // Coverage of the surface's words by the question (plural-insensitive)
+    // or the best per-word dice, whichever is stronger.
+    let mut link = |nl: &str| {
+        let (mut covered, mut count, mut best_dice) = (0usize, 0usize, 0.0f64);
+        let mut mention = usize::MAX;
+        for word in words(nl) {
+            let hit = *hits.entry(word).or_insert_with_key(|word| WordHit {
+                covered: profile.has_singular(&singularize(word)),
+                dice: profile.best_dice(&packed_bigrams(word)),
+                mention: profile.lower().find(word.as_str()).unwrap_or(usize::MAX),
+            });
+            count += 1;
+            covered += usize::from(hit.covered);
+            best_dice = best_dice.max(hit.dice);
+            mention = mention.min(hit.mention);
+        }
+        let coverage = if count == 0 { 0.0 } else { covered as f64 / count as f64 };
+        Link { score: capacity.quantize(coverage.max(best_dice * 0.9)), mention }
+    };
+    prompt
+        .tables
+        .iter()
+        .map(|t| {
+            let columns: Vec<Link> = t.columns.iter().map(|c| link(&c.nl())).collect();
+            // A table links through its name or its best column.
+            let name = link(&t.nl());
+            let best_col = columns.iter().map(|c| c.score).fold(0.0f64, f64::max);
+            let score = capacity.quantize(name.score.max(0.8 * best_col));
+            TableLinks { table: Link { score, mention: name.mention }, columns }
+        })
+        .collect()
+}
+
+/// Index of `item` in `items` when it is borrowed from that slice.
+fn position_in<T>(items: &[T], item: &T) -> Option<usize> {
+    let offset = (item as *const T as usize).checked_sub(items.as_ptr() as usize)?;
+    let index = offset / std::mem::size_of::<T>();
+    items.get(index).is_some_and(|at| std::ptr::eq(at, item)).then_some(index)
+}
+
 /// Slot-filling context over one prompt.
 pub struct SlotContext<'a> {
     /// The model's view of the database.
@@ -49,43 +128,47 @@ pub struct SlotContext<'a> {
     pub intent: &'a Intent,
     /// Capacity of the generating model (quantization, beam...).
     pub capacity: &'a Capacity,
+    /// One entry per prompt table, index-aligned with `prompt.tables`.
+    links: Vec<TableLinks>,
 }
 
 impl<'a> SlotContext<'a> {
-    /// Bundle the inputs of one generation call.
+    /// Bundle the inputs of one generation call and link the prompt against
+    /// the question, once: every score and mention position the slot
+    /// fillers ask for afterwards is a look-up.
     pub fn new(prompt: &'a DbPrompt, question: &'a str, intent: &'a Intent, capacity: &'a Capacity) -> Self {
-        SlotContext { prompt, question, intent, capacity }
+        let links = link_table(prompt, question, capacity);
+        SlotContext { prompt, question, intent, capacity, links }
+    }
+
+    /// The link of a column borrowed from `self.prompt`.
+    fn column_link(&self, col: &PromptColumn) -> Link {
+        self.prompt
+            .tables
+            .iter()
+            .zip(&self.links)
+            .find_map(|(t, links)| Some(links.columns[position_in(&t.columns, col)?]))
+            .expect("slot fillers pass columns borrowed from the context's prompt")
+    }
+
+    /// The link of a table borrowed from `self.prompt`.
+    fn table_link(&self, t: &PromptTable) -> Link {
+        let index = position_in(&self.prompt.tables, t)
+            .expect("slot fillers pass tables borrowed from the context's prompt");
+        self.links[index].table
     }
 
     /// Linking score of a column NL surface against the question.
-    fn link(&self, nl: &str) -> f64 {
-        let cov = word_coverage(self.question, nl);
-        let mut best_dice = 0.0f64;
-        let qwords = words(self.question);
-        for nw in words(nl) {
-            for qw in &qwords {
-                let d = dice_char_bigrams(&nw, qw);
-                if d > best_dice {
-                    best_dice = d;
-                }
-            }
-        }
-        self.capacity.quantize(cov.max(best_dice * 0.9))
-    }
-
     fn column_score(&self, col: &PromptColumn) -> f64 {
-        self.link(&col.nl())
+        self.column_link(col).score
     }
 
     /// Linking score of a table against the question (name or best column).
+    ///
+    /// # Panics
+    /// When `t` is not borrowed from `self.prompt.tables`.
     pub fn table_score(&self, t: &PromptTable) -> f64 {
-        let name_score = self.link(&t.nl());
-        let best_col = t
-            .columns
-            .iter()
-            .map(|c| self.column_score(c))
-            .fold(0.0f64, f64::max);
-        self.capacity.quantize(name_score.max(0.8 * best_col))
+        self.table_link(t).score
     }
 
     /// Whether a column is numeric, judged from the prompt alone.
@@ -200,22 +283,12 @@ impl<'a> SlotContext<'a> {
     /// Byte offset of the column's first mention in the question
     /// (usize::MAX when unmentioned) — used to order projections.
     fn mention_position(&self, col: &PromptColumn) -> usize {
-        let lower_q = self.question.to_lowercase();
-        codes_nlp::words(&col.nl())
-            .into_iter()
-            .filter_map(|w| lower_q.find(&w))
-            .min()
-            .unwrap_or(usize::MAX)
+        self.column_link(col).mention
     }
 
     /// Byte offset of the table's first mention in the question.
     fn table_mention_position(&self, t: &PromptTable) -> usize {
-        let lower_q = self.question.to_lowercase();
-        codes_nlp::words(&t.nl())
-            .into_iter()
-            .filter_map(|w| lower_q.find(&w))
-            .min()
-            .unwrap_or(usize::MAX)
+        self.table_link(t).mention
     }
 
     /// Join edge whose parent table holds the value filter.
@@ -549,7 +622,8 @@ pub fn fill_template(ctx: &SlotContext, template_id: usize) -> Option<Candidate>
             let (c, cs) = ctx.content_col(t, &[])?;
             push(ts, &mut scores);
             push(cs, &mut scores);
-            let negated = ctx.question.to_lowercase().contains("known");
+            // The word, not the substring: "unknown" asks for the NULLs.
+            let negated = words(ctx.question).iter().any(|w| w == "known");
             format!(
                 "SELECT COUNT(*) FROM {} WHERE {} IS {}NULL",
                 t.name,
@@ -888,8 +962,80 @@ impl<'a> SlotContext<'a> {
     }
 }
 
+/// The four scoring functions as they were before the link table, verbatim:
+/// each call re-reads the question. `fill_template` reads links only through
+/// them, so a table whose every entry equals theirs fills the same beams.
+#[cfg(test)]
+mod oracle {
+    use codes_nlp::similarity::{dice_char_bigrams, word_coverage};
+    use codes_nlp::words;
+
+    use crate::config::Capacity;
+    use crate::prompt::{PromptColumn, PromptTable};
+
+    pub struct Oracle<'a> {
+        pub question: &'a str,
+        pub capacity: &'a Capacity,
+    }
+
+    impl Oracle<'_> {
+        /// Linking score of a column NL surface against the question.
+        fn link(&self, nl: &str) -> f64 {
+            let cov = word_coverage(self.question, nl);
+            let mut best_dice = 0.0f64;
+            let qwords = words(self.question);
+            for nw in words(nl) {
+                for qw in &qwords {
+                    let d = dice_char_bigrams(&nw, qw);
+                    if d > best_dice {
+                        best_dice = d;
+                    }
+                }
+            }
+            self.capacity.quantize(cov.max(best_dice * 0.9))
+        }
+
+        pub fn column_score(&self, col: &PromptColumn) -> f64 {
+            self.link(&col.nl())
+        }
+
+        /// Linking score of a table against the question (name or best column).
+        pub fn table_score(&self, t: &PromptTable) -> f64 {
+            let name_score = self.link(&t.nl());
+            let best_col = t
+                .columns
+                .iter()
+                .map(|c| self.column_score(c))
+                .fold(0.0f64, f64::max);
+            self.capacity.quantize(name_score.max(0.8 * best_col))
+        }
+
+        /// Byte offset of the column's first mention in the question
+        /// (usize::MAX when unmentioned) — used to order projections.
+        pub fn mention_position(&self, col: &PromptColumn) -> usize {
+            let lower_q = self.question.to_lowercase();
+            codes_nlp::words(&col.nl())
+                .into_iter()
+                .filter_map(|w| lower_q.find(&w))
+                .min()
+                .unwrap_or(usize::MAX)
+        }
+
+        /// Byte offset of the table's first mention in the question.
+        pub fn table_mention_position(&self, t: &PromptTable) -> usize {
+            let lower_q = self.question.to_lowercase();
+            codes_nlp::words(&t.nl())
+                .into_iter()
+                .filter_map(|w| lower_q.find(&w))
+                .min()
+                .unwrap_or(usize::MAX)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::Oracle;
     use super::*;
     use crate::config::ModelSize;
     use crate::intent::extract_intent;
@@ -1036,5 +1182,189 @@ mod tests {
         let c_with = fill_template(&ctx_with, 7).unwrap();
         let c_without = fill_template(&ctx_without, 7).unwrap();
         assert!(c_with.slot_score >= c_without.slot_score);
+    }
+
+    #[test]
+    fn null_check_negates_on_the_word_known() {
+        let cap = ModelSize::B15.capacity();
+        for (q, predicate) in [
+            ("How many clients have an unknown city?", "IS NULL"),
+            ("How many clients have a known city?", "IS NOT NULL"),
+            ("How many clients are missing a city?", "IS NULL"),
+        ] {
+            let (prompt, intent) = ctx_fixture(q);
+            assert!(intent.null_check, "{q}");
+            let ctx = SlotContext::new(&prompt, q, &intent, &cap);
+            let c = fill_template(&ctx, 20).unwrap();
+            assert!(c.sql.ends_with(predicate), "{q} -> {}", c.sql);
+        }
+    }
+
+    /// Every entry of the link table against the four functions it replaced.
+    fn links_equal_the_oracle(prompt: &DbPrompt, question: &str) -> Result<(), String> {
+        let intent = extract_intent(question);
+        for size in [ModelSize::B1, ModelSize::B3, ModelSize::B7, ModelSize::B15] {
+            let capacity = size.capacity();
+            let ctx = SlotContext::new(prompt, question, &intent, &capacity);
+            let oracle = Oracle { question, capacity: &capacity };
+            let same = |what: &str, name: &str, got: (f64, usize), want: (f64, usize)| {
+                if (got.0.to_bits(), got.1) == (want.0.to_bits(), want.1) {
+                    return Ok(());
+                }
+                Err(format!("{what} {name:?} for {question:?} at {size:?}: {got:?}, oracle {want:?}"))
+            };
+            for t in &prompt.tables {
+                same(
+                    "table",
+                    &t.name,
+                    (ctx.table_score(t), ctx.table_mention_position(t)),
+                    (oracle.table_score(t), oracle.table_mention_position(t)),
+                )?;
+                for c in &t.columns {
+                    same(
+                        "column",
+                        &c.name,
+                        (ctx.column_score(c), ctx.mention_position(c)),
+                        (oracle.column_score(c), oracle.mention_position(c)),
+                    )?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn link_table_equals_the_oracle_on_the_mini_dev_sets() {
+        let mini = |cfg: codes_datasets::BenchmarkConfig, name: &str| {
+            let cfg = codes_datasets::BenchmarkConfig {
+                train_samples_per_db: 12,
+                dev_samples_per_db: 20,
+                ..cfg
+            };
+            codes_datasets::build_benchmark(name, &cfg)
+        };
+        let sft = PromptOptions::sft();
+        let arms = [
+            sft,
+            sft.without_value_retriever(),
+            sft.without_comments(),
+            sft.without_types().without_representative_values(),
+        ];
+        let mut entries = 0usize;
+        for bench in [
+            mini(codes_datasets::BenchmarkConfig::spider(41), "mini"),
+            mini(codes_datasets::BenchmarkConfig::bird(33), "mini-bird"),
+        ] {
+            let use_ek = bench.dev.iter().any(|s| s.external_knowledge.is_some());
+            let clf = codes_linker::SchemaClassifier::train(&bench, use_ek, 3);
+            for db in &bench.databases {
+                let idx = ValueIndex::build(db);
+                for s in bench.dev.iter().filter(|s| s.db_id == db.name) {
+                    let ek = s.external_knowledge.as_deref();
+                    for opts in &arms {
+                        let prompt = build_prompt(db, &s.question, ek, Some(&clf), Some(&idx), opts);
+                        entries += prompt.tables.iter().map(|t| 1 + t.columns.len()).sum::<usize>();
+                        links_equal_the_oracle(&prompt, &s.question).unwrap();
+                    }
+                }
+            }
+        }
+        assert!(entries > 5000, "only {entries} entries compared");
+    }
+
+    /// Words that overlap each other in stems, plurals, case and script.
+    const STEMS: &[&str] = &[
+        "singer", "singers", "city", "cities", "name", "Name", "id", "Größe", "straße", "ÉCOLE",
+        "école", "年份", "İstanbul", "ΟΔΟΣ", "box", "boxes", "class", "top5", "a2", "date2009",
+    ];
+
+    /// SplitMix64 over a proptest-drawn seed.
+    struct Gen(u64);
+
+    impl Gen {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        fn stem(&mut self) -> &'static str {
+            STEMS[self.below(STEMS.len())]
+        }
+
+        /// An identifier in snake_case, camelCase or spaced upper case;
+        /// words repeat within and across identifiers.
+        fn identifier(&mut self) -> String {
+            let parts: Vec<&str> = (0..1 + self.below(3)).map(|_| self.stem()).collect();
+            match self.below(3) {
+                0 => parts.join("_"),
+                1 => parts
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| {
+                        let mut cs = p.chars();
+                        match (i, cs.next()) {
+                            (0, _) | (_, None) => p.to_string(),
+                            (_, Some(c)) => c.to_uppercase().chain(cs).collect(),
+                        }
+                    })
+                    .collect(),
+                _ => parts.join(" ").to_uppercase(),
+            }
+        }
+
+        /// 0–4 tables; comments present, empty or absent.
+        fn prompt(&mut self) -> DbPrompt {
+            let tables = (0..self.below(5))
+                .map(|_| PromptTable {
+                    name: self.identifier(),
+                    columns: (0..self.below(7))
+                        .map(|_| PromptColumn {
+                            name: self.identifier(),
+                            data_type: None,
+                            comment: match self.below(3) {
+                                0 => Some(format!("{} of the {}", self.stem(), self.stem())),
+                                1 => Some(String::new()),
+                                _ => None,
+                            },
+                            representative: Vec::new(),
+                            is_primary_key: false,
+                        })
+                        .collect(),
+                })
+                .collect();
+            DbPrompt {
+                db_id: "generated".into(),
+                tables,
+                foreign_keys: Vec::new(),
+                matched_values: Vec::new(),
+            }
+        }
+
+        /// Sometimes a question with no words at all.
+        fn question(&mut self) -> String {
+            let words: Vec<&str> = (0..self.below(9)).map(|_| self.stem()).collect();
+            match self.below(6) {
+                0 => "?! — …".to_string(),
+                1 => words.join(", "),
+                _ => format!("How many {} have {}?", words.join(" "), self.below(12)),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn link_table_equals_the_oracle_on_generated_prompts(seed in proptest::prelude::any::<u64>()) {
+            let mut g = Gen(seed);
+            let prompt = g.prompt();
+            for _ in 0..4 {
+                let question = g.question();
+                links_equal_the_oracle(&prompt, &question)?;
+            }
+        }
     }
 }

@@ -37,7 +37,7 @@ pub use model::{
     CodesModel, FineTuned, Generation, GenerationBatchItem,
 };
 pub use request::InferenceRequest;
-pub use pretrain::{pretrain, pretrain_with_capacity, PretrainConfig, PretrainedLm};
+pub use pretrain::{pretrain, pretrain_with_capacity, LmMemo, PretrainConfig, PretrainedLm};
 pub use prompt::{
     build_prompt, build_training_prompt, stage_assemble, stage_metadata, stage_schema_filter,
     stage_value_retrieval, DbPrompt, PromptOptions,

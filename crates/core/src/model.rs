@@ -16,7 +16,7 @@ use sqlengine::{
 use crate::config::{Capacity, Config};
 use crate::generator::{fill_ranked, Candidate, SlotContext};
 use crate::intent::{extract_intent, template_intent_score, Intent};
-use crate::pretrain::PretrainedLm;
+use crate::pretrain::{LmMemo, PretrainedLm};
 use crate::prompt::DbPrompt;
 use crate::sketch::SketchCatalog;
 
@@ -195,8 +195,8 @@ impl CodesModel {
     /// executed, bounding the tail latency of a nearly-blown inference.
     ///
     /// Members share work that cannot change an answer. The scoring phase
-    /// shares an LM-likelihood memo (candidate SQL repeats heavily under
-    /// real traffic, and the likelihood is a pure function of the SQL);
+    /// shares an [`LmMemo`] (candidate SQL repeats under real traffic, its
+    /// words in every beam, and the likelihood is a pure function of the SQL);
     /// duplicate members — identical question, external knowledge, and
     /// beam cap, which under a deterministic pipeline means identical
     /// decode inputs — reuse the first copy's beam instead of re-decoding
@@ -213,9 +213,8 @@ impl CodesModel {
         db: &Database,
         items: &[GenerationBatchItem<'_>],
     ) -> Vec<Generation> {
-        let mut lm_memo: HashMap<String, f64> = HashMap::new();
+        let mut lm_memo = LmMemo::default();
         let mut beams: Vec<Vec<ScoredCandidate>> = Vec::with_capacity(items.len());
-        let mut enriched_prompts: Vec<DbPrompt> = Vec::with_capacity(items.len());
         let mut generation_seconds: Vec<f64> = Vec::with_capacity(items.len());
         let mut budgets: Vec<(ExecLimits, u32)> = Vec::with_capacity(items.len());
         // Duplicate-member collapse: decode output is a pure function of
@@ -234,21 +233,16 @@ impl CodesModel {
                 beam_cap,
             );
             match decoded.get(&key) {
-                Some(&first) => {
-                    beams.push(beams[first].clone());
-                    enriched_prompts.push(enriched_prompts[first].clone());
-                }
+                Some(&first) => beams.push(beams[first].clone()),
                 None => {
-                    let (scored, enriched) = self.decode_beam(
+                    beams.push(self.decode_beam(
                         item.prompt,
                         item.question,
                         item.external_knowledge,
                         item.demos,
                         beam_cap,
                         &mut lm_memo,
-                    );
-                    beams.push(scored);
-                    enriched_prompts.push(enriched);
+                    ));
                     decoded.insert(key, i);
                 }
             }
@@ -261,14 +255,14 @@ impl CodesModel {
         beams
             .into_iter()
             .zip(selections)
-            .zip(enriched_prompts)
+            .zip(items)
             .zip(generation_seconds)
-            .map(|(((beam, selection), enriched), gen_secs)| {
+            .map(|(((beam, selection), item), gen_secs)| {
                 let sql = selection
                     .chosen
                     .and_then(|i| beam.get(i).map(|c| c.sql.clone()))
                     .or_else(|| beam.first().map(|c| c.sql.clone()))
-                    .unwrap_or_else(|| fallback_sql(&enriched));
+                    .unwrap_or_else(|| fallback_sql(item.prompt));
                 Generation {
                     sql,
                     beam,
@@ -281,9 +275,9 @@ impl CodesModel {
 
     /// The beam-decoding core: template ranking, slot filling and
     /// candidate scoring — everything up to (but excluding) execution
-    /// selection. `lm_memo` memoizes `sql_log_likelihood` by candidate SQL
-    /// across the batch; the likelihood is deterministic in the SQL, so
-    /// memoized scores are identical to freshly computed ones.
+    /// selection. `lm_memo` memoizes LM scoring across the batch, by
+    /// candidate SQL and by word; the likelihood is deterministic in the
+    /// SQL, so memoized scores are identical to freshly computed ones.
     fn decode_beam(
         &self,
         prompt: &DbPrompt,
@@ -291,8 +285,8 @@ impl CodesModel {
         external_knowledge: Option<&str>,
         demos: &[&Sample],
         beam_cap: Option<usize>,
-        lm_memo: &mut HashMap<String, f64>,
-    ) -> (Vec<ScoredCandidate>, DbPrompt) {
+        lm_memo: &mut LmMemo,
+    ) -> Vec<ScoredCandidate> {
         let mut intent = extract_intent(question);
         let bucket = intent_bucket(&intent);
         // Domain knowledge: extend the matched values with alias-derived
@@ -321,7 +315,8 @@ impl CodesModel {
                     // lacked — but only a model already fluent in SQL can
                     // absorb structure from a demonstration, and only within
                     // its capacity headroom.
-                    let fluent = self.pretrained.sql_log_likelihood(&demo.sql) > -8.5;
+                    let fluent =
+                        self.pretrained.sql_log_likelihood_memo(&demo.sql, lm_memo) > -8.5;
                     if fluent && known.len() < self.capacity().sketch_capacity + demos.len() {
                         known.push(id);
                     }
@@ -378,15 +373,7 @@ impl CodesModel {
         for (Candidate { sql, template_id, slot_score }, template_score) in
             fill_ranked(&ctx, &ranked, 12)
         {
-            let raw_ll = match lm_memo.get(&sql) {
-                Some(&ll) => ll,
-                None => {
-                    let ll = self.pretrained.sql_log_likelihood(&sql);
-                    lm_memo.insert(sql.clone(), ll);
-                    ll
-                }
-            };
-            let lm = normalize_ll(raw_ll);
+            let lm = normalize_ll(self.pretrained.sql_log_likelihood_memo(&sql, lm_memo));
             let noise = noise_scale * deterministic_noise(question, &sql);
             let score = template_score + W_SLOT * slot_score + W_LM * lm + noise;
             scored.push(ScoredCandidate { sql, template_id, score, executable: false });
@@ -397,7 +384,7 @@ impl CodesModel {
             // Deadline degradation: execute only the greedy choice.
             scored.truncate(cap.max(1));
         }
-        (scored, enriched)
+        scored
     }
 
     /// Add alias-derived value matches: EK text like

@@ -7,8 +7,10 @@
 //! SQL-related documents are seen twice, NL and NL-to-code once, matching
 //! the epoch schedule of §5.2.
 
+use std::collections::HashMap;
+
 use codes_corpus::{build_corpus, normalize_sql, Corpus, CorpusConfig, Slice};
-use codes_nlp::{Bpe, Embedder, EmbedderBuilder, NgramLm};
+use codes_nlp::{Bpe, Embedder, EmbedderBuilder, NgramLm, TokenId};
 
 use crate::config::{Capacity, CorpusLineage, LmSpec, ModelSize};
 use crate::sketch::{extract_sql, SketchCatalog, SketchLibrary};
@@ -151,15 +153,53 @@ fn train_on(catalog: &SketchCatalog, spec: &LmSpec, capacity: Capacity, corpus: 
     }
 }
 
+/// What one model's LM scoring has worked out so far in one batch: the
+/// likelihood of each SQL text and the encoding of each distinct normalized
+/// word. Both are pure functions of the text under that model, so a
+/// memoized score equals a fresh one bit for bit.
+#[derive(Debug, Default)]
+pub struct LmMemo {
+    likelihoods: HashMap<String, f64>,
+    words: HashMap<String, Vec<TokenId>>,
+}
+
 impl PretrainedLm {
     /// Average per-token log2-probability of a SQL string under the model
     /// — the LM component of candidate scoring. Higher is more fluent.
     pub fn sql_log_likelihood(&self, sql: &str) -> f64 {
-        let tokens = self.bpe.encode(&normalize_sql(sql));
+        self.mean_log2_prob(&self.bpe.encode(&normalize_sql(sql)))
+    }
+
+    /// [`PretrainedLm::sql_log_likelihood`] for one of many candidates:
+    /// a batch's candidates repeat whole statements and, far more often,
+    /// words (keywords, the prompt's table and column names), and `memo`
+    /// reads each once. It must not be shared between models.
+    pub fn sql_log_likelihood_memo(&self, sql: &str, memo: &mut LmMemo) -> f64 {
+        if let Some(&ll) = memo.likelihoods.get(sql) {
+            return ll;
+        }
+        // `Bpe::encode` word by word, through the memo.
+        let mut tokens: Vec<TokenId> = Vec::new();
+        for word in normalize_sql(sql).split_whitespace() {
+            match memo.words.get(word) {
+                Some(ids) => tokens.extend_from_slice(ids),
+                None => {
+                    let ids = self.bpe.encode_word(word);
+                    tokens.extend_from_slice(&ids);
+                    memo.words.insert(word.to_string(), ids);
+                }
+            }
+        }
+        let ll = self.mean_log2_prob(&tokens);
+        memo.likelihoods.insert(sql.to_string(), ll);
+        ll
+    }
+
+    fn mean_log2_prob(&self, tokens: &[TokenId]) -> f64 {
         if tokens.is_empty() {
             return f64::NEG_INFINITY;
         }
-        self.lm.log2_prob(&tokens) / tokens.len() as f64
+        self.lm.log2_prob(tokens) / tokens.len() as f64
     }
 
     /// Perplexity on a held-out document set (used by pre-training tests

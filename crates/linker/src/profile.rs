@@ -71,8 +71,9 @@ impl QuestionProfile {
         }
     }
 
-    /// Best dice similarity of any question word to one schema word.
-    fn best_dice(&self, bigrams: &[u64]) -> f64 {
+    /// Best dice similarity of any question word to one schema word, given
+    /// as its [`packed_bigrams`].
+    pub fn best_dice(&self, bigrams: &[u64]) -> f64 {
         let mut best = 0.0f64;
         for qw in &self.word_bigrams {
             let d = dice_packed(bigrams, qw);
@@ -81,6 +82,16 @@ impl QuestionProfile {
             }
         }
         best
+    }
+
+    /// Whether some question word has this [`singularize`]d form.
+    pub fn has_singular(&self, singular: &str) -> bool {
+        self.singulars.contains(singular)
+    }
+
+    /// The lower-cased input.
+    pub fn lower(&self) -> &str {
+        &self.lower
     }
 }
 

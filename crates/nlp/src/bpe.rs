@@ -88,38 +88,46 @@ impl Bpe {
         Bpe { vocab, tokens, merges, unk: 0 }
     }
 
-    /// Encode text into token ids.
+    /// Encode text into token ids: the concatenation of its
+    /// whitespace-delimited words' encodings, since merges never cross a
+    /// word boundary.
     pub fn encode(&self, text: &str) -> Vec<TokenId> {
         let mut out = Vec::new();
         for word in text.split_whitespace() {
-            let mut seq: Vec<TokenId> = word
-                .chars()
-                .map(|c| self.vocab.get(&c.to_string()).copied().unwrap_or(self.unk))
-                .collect();
-            if let Some(&end) = self.vocab.get("</w>") {
-                seq.push(end);
-            }
-            // Repeatedly apply the lowest-rank applicable merge.
-            loop {
-                let mut best: Option<(usize, (TokenId, usize))> = None; // (pos, (merged, rank))
-                for (i, w) in seq.windows(2).enumerate() {
-                    if let Some(&m) = self.merges.get(&(w[0], w[1])) {
-                        if best.map(|(_, (_, r))| m.1 < r).unwrap_or(true) {
-                            best = Some((i, m));
-                        }
-                    }
-                }
-                match best {
-                    Some((pos, (merged, _))) => {
-                        seq[pos] = merged;
-                        seq.remove(pos + 1);
-                    }
-                    None => break,
-                }
-            }
-            out.extend(seq);
+            out.extend(self.encode_word(word));
         }
         out
+    }
+
+    /// Encode one whitespace-free word, end marker included.
+    pub fn encode_word(&self, word: &str) -> Vec<TokenId> {
+        let mut utf8 = [0u8; 4];
+        let mut seq: Vec<TokenId> = word
+            .chars()
+            .map(|c| self.vocab.get(&*c.encode_utf8(&mut utf8)).copied().unwrap_or(self.unk))
+            .collect();
+        if let Some(&end) = self.vocab.get("</w>") {
+            seq.push(end);
+        }
+        // Repeatedly apply the lowest-rank applicable merge.
+        loop {
+            let mut best: Option<(usize, (TokenId, usize))> = None; // (pos, (merged, rank))
+            for (i, w) in seq.windows(2).enumerate() {
+                if let Some(&m) = self.merges.get(&(w[0], w[1])) {
+                    if best.map(|(_, (_, r))| m.1 < r).unwrap_or(true) {
+                        best = Some((i, m));
+                    }
+                }
+            }
+            match best {
+                Some((pos, (merged, _))) => {
+                    seq[pos] = merged;
+                    seq.remove(pos + 1);
+                }
+                None => break,
+            }
+        }
+        seq
     }
 
     /// Decode ids back to a string (lossy for unknown tokens).
@@ -216,6 +224,55 @@ mod tests {
         let large = Bpe::train(&corpus, 300);
         let text = "select count ( * ) from users where age > 10";
         assert!(large.encode(text).len() <= small.encode(text).len());
+    }
+
+    /// `Bpe::encode` as it was before `encode_word`, verbatim: the whole
+    /// text in one loop, a `String` per character.
+    fn encode_reference(bpe: &Bpe, text: &str) -> Vec<TokenId> {
+        let mut out = Vec::new();
+        for word in text.split_whitespace() {
+            let mut seq: Vec<TokenId> = word
+                .chars()
+                .map(|c| bpe.vocab.get(&c.to_string()).copied().unwrap_or(bpe.unk))
+                .collect();
+            if let Some(&end) = bpe.vocab.get("</w>") {
+                seq.push(end);
+            }
+            loop {
+                let mut best: Option<(usize, (TokenId, usize))> = None;
+                for (i, w) in seq.windows(2).enumerate() {
+                    if let Some(&m) = bpe.merges.get(&(w[0], w[1])) {
+                        if best.map(|(_, (_, r))| m.1 < r).unwrap_or(true) {
+                            best = Some((i, m));
+                        }
+                    }
+                }
+                match best {
+                    Some((pos, (merged, _))) => {
+                        seq[pos] = merged;
+                        seq.remove(pos + 1);
+                    }
+                    None => break,
+                }
+            }
+            out.extend(seq);
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// Unicode, characters the vocabulary never saw, runs of whitespace.
+        #[test]
+        fn encoding_is_the_concatenation_of_its_words(
+            text in "[ \t\nacelst(*)>日İß]{0,40}",
+            vocab in 20usize..200,
+        ) {
+            let bpe = Bpe::train(&sample_corpus(), vocab);
+            let by_word: Vec<TokenId> =
+                text.split_whitespace().flat_map(|w| bpe.encode_word(w)).collect();
+            proptest::prop_assert_eq!(&by_word, &encode_reference(&bpe, &text));
+            proptest::prop_assert_eq!(&by_word, &bpe.encode(&text));
+        }
     }
 
     #[test]

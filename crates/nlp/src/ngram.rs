@@ -14,12 +14,28 @@ use crate::bpe::TokenId;
 /// Sentinel id used for begin-of-sequence padding contexts.
 const BOS: TokenId = u32::MAX;
 
+/// What followed one context in training.
+#[derive(Debug, Clone, Default)]
+struct Successors {
+    /// successor -> count
+    counts: HashMap<TokenId, u64>,
+    /// Sum of `counts`, kept as they grow.
+    total: u64,
+}
+
+impl Successors {
+    fn add(&mut self, tok: TokenId, count: u64) {
+        *self.counts.entry(tok).or_insert(0) += count;
+        self.total += count;
+    }
+}
+
 /// An interpolated n-gram model with Witten-Bell-style smoothing.
 #[derive(Debug, Clone)]
 pub struct NgramLm {
     order: usize,
-    /// context -> (successor -> count)
-    counts: Vec<HashMap<Vec<TokenId>, HashMap<TokenId, u64>>>,
+    /// Per context length 1..order: context -> its successors.
+    counts: Vec<HashMap<Vec<TokenId>, Successors>>,
     /// Unigram totals.
     unigrams: HashMap<TokenId, u64>,
     total_tokens: u64,
@@ -56,7 +72,7 @@ impl NgramLm {
             self.total_tokens += 1;
             for n in 2..=self.order {
                 let ctx = context_at(seq, i, n - 1);
-                *self.counts[n - 2].entry(ctx).or_default().entry(tok).or_insert(0) += 1;
+                self.counts[n - 2].entry(ctx).or_default().add(tok, 1);
             }
         }
     }
@@ -64,18 +80,31 @@ impl NgramLm {
     /// Interpolated probability of `tok` following `history` (most recent
     /// token last).
     pub fn prob(&self, history: &[TokenId], tok: TokenId) -> f64 {
+        let longest = self.order - 1;
+        match history.len().checked_sub(longest) {
+            Some(start) => self.prob_after(&history[start..], tok),
+            None => {
+                let mut padded = vec![BOS; longest - history.len()];
+                padded.extend_from_slice(history);
+                self.prob_after(&padded, tok)
+            }
+        }
+    }
+
+    /// [`NgramLm::prob`] given the `order - 1` tokens before `tok`,
+    /// BOS-padded: the context of every order is a suffix of it.
+    fn prob_after(&self, context: &[TokenId], tok: TokenId) -> f64 {
         // Base: add-one smoothed unigram.
         let mut p = (self.unigrams.get(&tok).copied().unwrap_or(0) as f64 + 1.0)
             / (self.total_tokens as f64 + self.vocab_size as f64);
         // Recursively interpolate higher orders (Witten-Bell weights).
-        for n in 2..=self.order {
-            let ctx_len = n - 1;
-            let ctx: Vec<TokenId> = padded_context(history, ctx_len);
-            if let Some(successors) = self.counts[n - 2].get(&ctx) {
-                let ctx_total: u64 = successors.values().sum();
-                let distinct = successors.len() as f64;
+        for (level, contexts) in self.counts.iter().enumerate() {
+            let ctx = &context[context.len() - (level + 1)..];
+            if let Some(successors) = contexts.get(ctx) {
+                let ctx_total = successors.total;
+                let distinct = successors.counts.len() as f64;
                 let lambda = ctx_total as f64 / (ctx_total as f64 + distinct);
-                let c = successors.get(&tok).copied().unwrap_or(0) as f64;
+                let c = successors.counts.get(&tok).copied().unwrap_or(0) as f64;
                 p = lambda * (c / ctx_total as f64) + (1.0 - lambda) * p;
             }
             // Unseen context: keep lower-order estimate.
@@ -85,10 +114,12 @@ impl NgramLm {
 
     /// Total log2-probability of a sequence.
     pub fn log2_prob(&self, seq: &[TokenId]) -> f64 {
+        let longest = self.order - 1;
+        let mut padded = vec![BOS; longest];
+        padded.extend_from_slice(seq);
         let mut lp = 0.0;
         for (i, &tok) in seq.iter().enumerate() {
-            let start = i.saturating_sub(self.order - 1);
-            lp += self.prob(&seq[start..i], tok).log2();
+            lp += self.prob_after(&padded[i..i + longest], tok).log2();
         }
         lp
     }
@@ -112,8 +143,8 @@ impl NgramLm {
         for (level, contexts) in other.counts.iter().enumerate() {
             for (ctx, successors) in contexts {
                 let entry = self.counts[level].entry(ctx.clone()).or_default();
-                for (tok, c) in successors {
-                    *entry.entry(*tok).or_insert(0) += c;
+                for (tok, c) in &successors.counts {
+                    entry.add(*tok, *c);
                 }
             }
         }
@@ -129,15 +160,6 @@ fn context_at(seq: &[TokenId], i: usize, len: usize) -> Vec<TokenId> {
             ctx.push(BOS);
         }
     }
-    ctx
-}
-
-fn padded_context(history: &[TokenId], len: usize) -> Vec<TokenId> {
-    let mut ctx = Vec::with_capacity(len);
-    let deficit = len.saturating_sub(history.len());
-    ctx.extend(std::iter::repeat_n(BOS, deficit));
-    let start = history.len() - (len - deficit);
-    ctx.extend_from_slice(&history[start..]);
     ctx
 }
 
@@ -207,6 +229,37 @@ mod tests {
         a.absorb(&b);
         assert!(a.prob(&[1], 3) > p_before);
         assert_eq!(a.tokens_seen(), 4);
+    }
+
+    #[test]
+    fn successor_totals_equal_the_sum_of_their_counts() {
+        let assert_totals = |lm: &NgramLm| {
+            let mut contexts = 0;
+            for successors in lm.counts.iter().flat_map(HashMap::values) {
+                assert_eq!(successors.total, successors.counts.values().sum::<u64>());
+                contexts += 1;
+            }
+            assert!(contexts > 0);
+        };
+        let mut a = trained(3);
+        assert_totals(&a);
+        let mut b = NgramLm::new(3, 10);
+        b.observe(&[1, 2, 4, 1, 2, 5]);
+        b.observe(&[7]);
+        a.absorb(&b);
+        assert_totals(&a);
+        // [1, 2] was followed by 3 nine times and by 4 once, then by 4 and 5.
+        assert_eq!(a.counts[1][&[1, 2][..]].total, 12);
+    }
+
+    #[test]
+    fn short_histories_are_padded_like_sequence_starts() {
+        let lm = trained(3);
+        let seq = [1, 2, 3];
+        let by_token: f64 = (0..seq.len()).map(|i| lm.prob(&seq[..i], seq[i]).log2()).sum();
+        assert_eq!(lm.log2_prob(&seq).to_bits(), (0.0 + by_token).to_bits());
+        // A longer history than the order reads is cut to its tail.
+        assert_eq!(lm.prob(&[9, 9, 1, 2], 3).to_bits(), lm.prob(&[1, 2], 3).to_bits());
     }
 
     #[test]
