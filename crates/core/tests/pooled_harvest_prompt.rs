@@ -1,0 +1,49 @@
+//! A catalog harvested by several pooled connections side by side must
+//! render the database prompt a single connection's harvest renders: the
+//! Figure-4 bytes depend on table order, row order (representative values,
+//! the BM25 value index) and every schema fact, so this is where a mirror
+//! assembled in the wrong order would show.
+
+use std::sync::Arc;
+
+use codes::{build_prompt, PromptOptions};
+use codes_datasets::finance::bank_financials_db;
+use codes_retrieval::ValueIndex;
+use codes_storage::{
+    introspect, Backend, CatalogService, ConnectionPool, IntrospectOptions, MemoryBackend,
+    PoolConfig,
+};
+
+fn prompt_for(db: &sqlengine::Database) -> String {
+    let idx = ValueIndex::build(db);
+    let question = "How many clients opened their accounts in Jesenik branch were women?";
+    build_prompt(db, question, None, None, Some(&idx), &PromptOptions::sft()).serialize()
+}
+
+#[test]
+fn pooled_harvest_renders_the_single_connection_prompt() {
+    let backend = Arc::new(MemoryBackend::new(vec![bank_financials_db(1)]));
+    for (page_size, max_rows_per_table) in [(7, None), (256, None), (64, Some(100))] {
+        let options =
+            IntrospectOptions { page_size, max_rows_per_table, ..IntrospectOptions::default() };
+        let solo = introspect(&mut backend.connect().expect("connect"), "bank_financials", &options)
+            .expect("single connection");
+        let expected = prompt_for(&solo.database);
+        for capacity in [1usize, 2, 8] {
+            let pool = ConnectionPool::with_registry(
+                Arc::clone(&backend) as Arc<dyn Backend>,
+                PoolConfig { capacity, ..PoolConfig::default() },
+                &codes_obs::Registry::new(),
+            );
+            let pooled = CatalogService::new(pool, options)
+                .attach("bank_financials")
+                .expect("pooled harvest");
+            assert_eq!(pooled.revision, solo.revision);
+            assert_eq!(
+                prompt_for(&pooled.database),
+                expected,
+                "page size {page_size}, cap {max_rows_per_table:?}, pool capacity {capacity}"
+            );
+        }
+    }
+}

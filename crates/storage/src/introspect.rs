@@ -21,10 +21,14 @@
 //! invalidation), a changed schema yields a fresh token and bumps
 //! generations exactly like a local catalog mutation.
 
-use sqlengine::Database;
+use std::collections::VecDeque;
+
+use parking_lot::Mutex;
+use sqlengine::{Database, Table};
 
 use crate::backend::{quote_ident, Connection};
 use crate::error::StorageError;
+use crate::pool::ConnectionPool;
 
 /// Introspection tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -99,16 +103,34 @@ fn introspect_err(context: &str, e: StorageError) -> StorageError {
     }
 }
 
-/// Build a [`Catalog`] for `db_id` over `conn`.
+/// Build a [`Catalog`] for `db_id` over `conn` alone.
 pub fn introspect(
     conn: &mut dyn Connection,
     db_id: &str,
     options: &IntrospectOptions,
 ) -> Result<Catalog, StorageError> {
+    introspect_with(conn, None, None, db_id, options)
+}
+
+/// [`introspect`] with what a [`crate::CatalogService`] can add: `lender`,
+/// a pool whose spare connections harvest tables beside `conn`, and
+/// `known`, a revision token the caller has just read. `known` stands in
+/// for the first pass's `before` read — anything that moved since it was
+/// read still fails `before == after` — and a retry reads its own.
+pub(crate) fn introspect_with(
+    conn: &mut dyn Connection,
+    lender: Option<&ConnectionPool>,
+    mut known: Option<u64>,
+    db_id: &str,
+    options: &IntrospectOptions,
+) -> Result<Catalog, StorageError> {
     let mut last_moved = (0u64, 0u64);
     for _ in 0..=options.consistency_retries {
-        let before = conn.revision(db_id)?;
-        let database = harvest(conn, db_id, options)?;
+        let before = match known.take() {
+            Some(token) => token,
+            None => conn.revision(db_id)?,
+        };
+        let database = harvest(conn, lender, db_id, options)?;
         let after = conn.revision(db_id)?;
         if before == after {
             let mut database = database;
@@ -123,70 +145,190 @@ pub fn introspect(
     )))
 }
 
-/// One harvest pass: schemas via catalog introspection, rows via paged
-/// SELECTs through `execute`.
+/// One harvest pass: the table listing over `conn`, then every listed
+/// table pulled off a shared queue by `conn` and by as many connections
+/// as `lender` can spare without making anyone wait (none when `lender`
+/// is `None`, the pool has no free slot, or there is a single table).
+/// The mirror is assembled in listing order, so it does not depend on
+/// which connection harvested what. Returns once every lent connection
+/// is back in the pool.
 fn harvest(
     conn: &mut dyn Connection,
+    lender: Option<&ConnectionPool>,
     db_id: &str,
     options: &IntrospectOptions,
 ) -> Result<Database, StorageError> {
-    let page_size = options.page_size.max(1);
-    let mut database = Database::new(db_id);
-    for table_name in conn.tables(db_id)? {
-        let schema = conn.table_schema(db_id, &table_name)?;
-        let column_count = schema.columns.len();
-        if database.create_table(schema).is_err() {
-            return Err(StorageError::Introspect(format!(
-                "{db_id}: backend listed table '{table_name}' twice"
-            )));
+    let tables = conn.tables(db_id)?;
+    let pass = Pass {
+        db_id,
+        tables: &tables,
+        options,
+        progress: Mutex::new(Progress {
+            pending: (0..tables.len()).collect(),
+            harvested: Vec::with_capacity(tables.len()),
+            failed: None,
+        }),
+    };
+    let helpers =
+        lender.map_or(0, |pool| pool.free_slots().min(tables.len().saturating_sub(1)));
+    std::thread::scope(|scope| {
+        for _ in 0..helpers {
+            // Checked out on the helper's own thread: an establishment is
+            // a round trip the caller should not wait for.
+            let helper = std::thread::Builder::new().spawn_scoped(scope, || {
+                if let Some(mut lent) = lender.and_then(ConnectionPool::try_checkout) {
+                    pass.pull(&mut lent, true);
+                }
+            });
+            // No thread to be had: the harvest goes on with the help it has.
+            if helper.is_err() {
+                break;
+            }
         }
-        let mut offset = 0usize;
-        loop {
-            let remaining = options
-                .max_rows_per_table
-                .map_or(page_size, |cap| cap.saturating_sub(offset).min(page_size));
-            if remaining == 0 {
-                break;
-            }
-            let sql = format!(
-                "SELECT * FROM {} LIMIT {remaining} OFFSET {offset}",
-                quote_ident(&table_name)
-            );
-            let page = conn
-                .execute(db_id, &sql)
-                .map_err(|e| introspect_err(&format!("{db_id}.{table_name} row harvest"), e))?;
-            let fetched = page.rows.len();
-            if fetched == 0 {
-                break;
-            }
-            // `table_mut` stamps local revisions freely; the final
-            // `set_revision` overwrites them with the backend's token.
-            let Some(table) = database.table_mut(&table_name) else {
+        pass.pull(conn, false);
+    });
+    // Every helper has joined: a table one of them handed back after the
+    // caller's loop had run dry is harvested now.
+    pass.pull(conn, false);
+
+    let Progress { mut harvested, failed, .. } = pass.progress.into_inner();
+    if let Some((_, e)) = failed {
+        return Err(e);
+    }
+    harvested.sort_by_key(|(at, _)| *at);
+    let mut database = Database::new(db_id);
+    for (at, table) in harvested {
+        // `create_table` stamps local revisions freely; the final
+        // `set_revision` overwrites them with the backend's token.
+        match database.create_table(table.schema) {
+            Ok(created) => created.rows = table.rows,
+            Err(_) => {
                 return Err(StorageError::Introspect(format!(
-                    "{db_id}: table '{table_name}' vanished from the mirror"
-                )));
-            };
-            for row in page.rows {
-                if row.len() != column_count {
-                    return Err(StorageError::Introspect(format!(
-                        "{db_id}.{table_name}: row arity {} does not match {} columns",
-                        row.len(),
-                        column_count
-                    )));
-                }
-                if let Err(e) = table.insert(row) {
-                    return Err(StorageError::Introspect(format!(
-                        "{db_id}.{table_name}: harvested row rejected by schema: {e}"
-                    )));
-                }
-            }
-            offset += fetched;
-            if fetched < remaining {
-                break;
+                    "{db_id}: backend listed table '{}' twice",
+                    tables[at]
+                )))
             }
         }
     }
     Ok(database)
+}
+
+/// What the connections of one harvest pass share.
+struct Pass<'a> {
+    db_id: &'a str,
+    tables: &'a [String],
+    options: &'a IntrospectOptions,
+    progress: Mutex<Progress>,
+}
+
+struct Progress {
+    /// Indices into [`Pass::tables`] nobody has taken yet, in listing order.
+    pending: VecDeque<usize>,
+    harvested: Vec<(usize, Table)>,
+    /// The failure of the earliest-listed table that had one — the one a
+    /// single connection walking the listing would have reported. Once
+    /// set, nobody takes another table.
+    failed: Option<(usize, StorageError)>,
+}
+
+impl Pass<'_> {
+    /// The table loop: take the next pending table and harvest it over
+    /// `conn`, until none is left or the pass has failed. A `lent`
+    /// connection that fails at the transport (it died while parked, say)
+    /// does not fail the pass: its table goes back on the queue for the
+    /// caller's connection, which has proved itself live, and the guard,
+    /// tainted by that failure, is probed or discarded when it drops.
+    /// Every other error, and any error on the caller's connection, fails
+    /// the pass.
+    fn pull(&self, conn: &mut dyn Connection, lent: bool) {
+        loop {
+            let at = {
+                let mut progress = self.progress.lock();
+                if progress.failed.is_some() {
+                    return;
+                }
+                let Some(at) = progress.pending.pop_front() else {
+                    return;
+                };
+                at
+            };
+            let outcome = harvest_table(conn, self.db_id, &self.tables[at], self.options);
+            let mut progress = self.progress.lock();
+            match outcome {
+                Ok(table) => progress.harvested.push((at, table)),
+                Err(StorageError::Connect(_)) if lent => {
+                    progress.pending.push_front(at);
+                    return;
+                }
+                Err(e) => {
+                    match &progress.failed {
+                        Some((first, _)) if *first < at => {}
+                        _ => progress.failed = Some((at, e)),
+                    }
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// The unit of work: one table's schema via catalog introspection, then
+/// its rows via the chain of paged SELECTs through `execute`.
+fn harvest_table(
+    conn: &mut dyn Connection,
+    db_id: &str,
+    table_name: &str,
+    options: &IntrospectOptions,
+) -> Result<Table, StorageError> {
+    let page_size = options.page_size.max(1);
+    let schema = conn.table_schema(db_id, table_name)?;
+    if !schema.name.eq_ignore_ascii_case(table_name) {
+        return Err(StorageError::Introspect(format!(
+            "{db_id}: backend described table '{}' when asked for '{table_name}'",
+            schema.name
+        )));
+    }
+    let column_count = schema.columns.len();
+    let mut table = Table::new(schema);
+    let mut offset = 0usize;
+    loop {
+        let remaining = options
+            .max_rows_per_table
+            .map_or(page_size, |cap| cap.saturating_sub(offset).min(page_size));
+        if remaining == 0 {
+            break;
+        }
+        let sql = format!(
+            "SELECT * FROM {} LIMIT {remaining} OFFSET {offset}",
+            quote_ident(table_name)
+        );
+        let page = conn
+            .execute(db_id, &sql)
+            .map_err(|e| introspect_err(&format!("{db_id}.{table_name} row harvest"), e))?;
+        let fetched = page.rows.len();
+        if fetched == 0 {
+            break;
+        }
+        for row in page.rows {
+            if row.len() != column_count {
+                return Err(StorageError::Introspect(format!(
+                    "{db_id}.{table_name}: row arity {} does not match {} columns",
+                    row.len(),
+                    column_count
+                )));
+            }
+            if let Err(e) = table.insert(row) {
+                return Err(StorageError::Introspect(format!(
+                    "{db_id}.{table_name}: harvested row rejected by schema: {e}"
+                )));
+            }
+        }
+        offset += fetched;
+        if fetched < remaining {
+            break;
+        }
+    }
+    Ok(table)
 }
 
 #[cfg(test)]

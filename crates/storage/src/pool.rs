@@ -87,6 +87,11 @@ struct PoolInner {
     slots_rx: Receiver<Slot>,
     metrics: PoolMetrics,
     closed: parking_lot::RwLock<bool>,
+    /// Held while [`ConnectionPool::prefer_idle`] has empty slots out of
+    /// the channel, and by [`ConnectionPool::try_checkout`] from before
+    /// its receive: an empty channel then means no slot is free, not that
+    /// another hand-out is mid-scan.
+    scan: parking_lot::Mutex<()>,
 }
 
 /// The connection pool. Cheap to clone; all clones share the same slots.
@@ -123,6 +128,7 @@ impl ConnectionPool {
                 slots_rx,
                 metrics: PoolMetrics::new(registry),
                 closed: parking_lot::RwLock::new(false),
+                scan: parking_lot::Mutex::new(()),
             }),
         }
     }
@@ -156,12 +162,43 @@ impl ConnectionPool {
             Err(RecvTimeoutError::Disconnected) => return Err(StorageError::Closed),
         };
         self.inner.metrics.checkout_wait.record_seconds(started.elapsed().as_secs_f64());
+        let slot = {
+            let _scan = self.inner.scan.lock();
+            self.prefer_idle(slot)
+        };
+        self.hand_out(slot)
+    }
 
-        // Prefer recycling an idle connection over establishing a new one:
-        // the slot channel is FIFO, so an empty slot can sit ahead of a
-        // perfectly good idle connection. Scan the remaining slots for one
-        // (holding the empties briefly), and give every surplus slot back.
-        let mut slot = slot;
+    /// Check out a connection only if a slot is free right now: never
+    /// waits on [`PoolConfig::checkout_timeout`] and never counts as
+    /// exhaustion. `None` when every slot is taken, the pool is closed, or
+    /// the free slot's connection could not be established. For work that
+    /// can use a spare connection but must not take one from a caller that
+    /// needs it — the harvest's helpers ([`crate::introspect`]).
+    pub fn try_checkout(&self) -> Option<PooledConn> {
+        if *self.inner.closed.read() {
+            return None;
+        }
+        let slot = {
+            let _scan = self.inner.scan.lock();
+            self.prefer_idle(self.inner.slots_rx.try_recv().ok()?)
+        };
+        self.hand_out(slot).ok()
+    }
+
+    /// Slots free right now: how many [`ConnectionPool::try_checkout`]s
+    /// could succeed, stale as soon as it is read.
+    pub(crate) fn free_slots(&self) -> usize {
+        let _scan = self.inner.scan.lock();
+        self.inner.slots_rx.len()
+    }
+
+    /// Prefer recycling an idle connection over establishing a new one:
+    /// the slot channel is FIFO, so an empty slot can sit ahead of a
+    /// perfectly good idle connection. Scan the remaining slots for one
+    /// (holding the empties briefly), and give every surplus slot back.
+    /// The caller holds [`PoolInner::scan`].
+    fn prefer_idle(&self, mut slot: Slot) -> Slot {
         if slot.conn.is_none() {
             let mut empties_held = 1usize;
             for _ in 1..self.inner.config.capacity {
@@ -180,7 +217,13 @@ impl ConnectionPool {
                 self.return_empty();
             }
         }
+        slot
+    }
 
+    /// Turn a slot into a checked-out connection: its idle connection if
+    /// it holds a fresh one, else a new establishment (with backoff). On
+    /// failure the slot goes back empty.
+    fn hand_out(&self, slot: Slot) -> Result<PooledConn, StorageError> {
         let conn = match slot.conn {
             Some((conn, parked)) => {
                 let stale = self

@@ -6,20 +6,23 @@
 //! gateway's `POST /v1/databases` endpoint lands here); `sync` is the
 //! cheap per-dispatch check — one pooled revision read — that
 //! re-introspects and swaps the catalog only when the backend's token
-//! moved. Every swap that changes the revision notifies the registered
-//! revision observer, which the serving layer wires to
+//! moved, one re-introspection per database at a time however many
+//! dispatches saw the token move. An introspection borrows whatever
+//! connections the pool has free to harvest tables side by side
+//! (DESIGN.md §4k). Every swap that changes the revision notifies the
+//! registered revision observer, which the serving layer wires to
 //! `SystemCache::observe_revision`, so a schema change on the live
 //! backend bumps cache generations exactly like a local catalog mutation.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use sqlengine::Database;
 
 use crate::backend::Connection;
 use crate::error::StorageError;
-use crate::introspect::{introspect, Catalog, IntrospectOptions};
+use crate::introspect::{introspect_with, Catalog, IntrospectOptions};
 use crate::pool::{ConnectionPool, PooledConn};
 
 /// Callback invoked with the fresh mirror whenever an attach or sync
@@ -47,6 +50,9 @@ pub struct CatalogService {
     pool: ConnectionPool,
     options: IntrospectOptions,
     catalogs: RwLock<HashMap<String, Arc<Catalog>>>,
+    /// One lock per database that has ever been refreshed; `sync` holds it
+    /// across a re-introspection so concurrent dispatches share one.
+    refreshing: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     observer: RwLock<Option<RevisionObserver>>,
 }
 
@@ -57,6 +63,7 @@ impl CatalogService {
             pool,
             options,
             catalogs: RwLock::new(HashMap::new()),
+            refreshing: Mutex::new(HashMap::new()),
             observer: RwLock::new(None),
         }
     }
@@ -100,9 +107,18 @@ impl CatalogService {
     }
 
     /// Attach (or re-attach) a database: introspect it over a pooled
-    /// connection and install the catalog.
+    /// connection, helped by whatever connections the pool has free, and
+    /// install the catalog.
     pub fn attach(&self, db_id: &str) -> Result<Arc<Catalog>, StorageError> {
-        let catalog = Arc::new(self.read(|conn| introspect(conn, db_id, &self.options))?);
+        self.install(db_id, None)
+    }
+
+    /// [`CatalogService::attach`], with `known` — a revision token read a
+    /// moment ago — saving the introspection its own first read.
+    fn install(&self, db_id: &str, known: Option<u64>) -> Result<Arc<Catalog>, StorageError> {
+        let catalog = Arc::new(self.read(|conn| {
+            introspect_with(conn, Some(&self.pool), known, db_id, &self.options)
+        })?);
         self.catalogs.write().insert(db_id.to_string(), Arc::clone(&catalog));
         self.notify(&catalog.database);
         Ok(catalog)
@@ -129,7 +145,18 @@ impl CatalogService {
         if live == current.revision {
             return Ok(SyncOutcome::Unchanged);
         }
-        let fresh = self.attach(db_id)?;
+        // The token moved. Every dispatch that sees it move lands here; one
+        // re-introspects, the others wait and find its catalog installed.
+        let flight = Arc::clone(self.refreshing.lock().entry(db_id.to_string()).or_default());
+        let _refreshing = flight.lock();
+        let installed = self.catalog(db_id).map(|catalog| catalog.revision);
+        if installed == Some(live) {
+            return Ok(SyncOutcome::Refreshed { from: current.revision, to: live });
+        }
+        // `live` is as good as a `before` read now unless a refresh was
+        // installed since it was taken and is not it: then it is known stale.
+        let known = (installed == Some(current.revision)).then_some(live);
+        let fresh = self.install(db_id, known)?;
         Ok(SyncOutcome::Refreshed { from: current.revision, to: fresh.revision })
     }
 
