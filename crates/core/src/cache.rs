@@ -15,18 +15,28 @@
 //! entries become unreachable immediately and are reclaimed lazily by LRU
 //! pressure.
 //!
+//! Each generation also carries a **revision lease**: a dispatch whose
+//! revision read found the store where the installed catalog left it
+//! confirms the generation it read beforehand
+//! ([`SystemCache::confirm_revision`]), and for [`REVISION_LEASE`] after
+//! that, dispatches of the same generation skip the read
+//! ([`SystemCache::revision_lease_live`]). The lease is keyed on the
+//! generation, so every bump ends it at once (DESIGN.md §4k).
+//!
 //! One [`SystemCache`] belongs to one trained system: keys do not embed the
 //! model or classifier weights, so sharing a cache between systems with
 //! different weights would serve one system the other's answers.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use codes_cache::{
     CacheConfig, CacheStats, GenerationMap, RevisionMap, ShardedCache, INVALIDATIONS_TOTAL,
 };
-use codes_obs::{Counter, Registry};
+use codes_obs::{Clock, Counter, Registry};
+use parking_lot::Mutex;
 use sqlengine::Database;
 
 use crate::config::Config;
@@ -78,6 +88,27 @@ pub struct SystemCacheStats {
     pub invalidations: u64,
 }
 
+/// How long one confirmed revision read vouches for a database's cache
+/// generation: at most ten revision reads per second per database, and an
+/// unannounced write is served stale for at most this long.
+pub const REVISION_LEASE: Duration = Duration::from_millis(100);
+
+/// The generation a revision read last confirmed for one database, and
+/// when.
+#[derive(Debug, Clone, Copy)]
+struct Lease {
+    generation: u64,
+    confirmed_at: Instant,
+}
+
+impl Lease {
+    /// The whole rule: a lease vouches only for the generation it
+    /// confirmed, and only for [`REVISION_LEASE`].
+    fn live(self, current: u64, now: Instant) -> bool {
+        self.generation == current && now.duration_since(self.confirmed_at) < REVISION_LEASE
+    }
+}
+
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct FullKey {
     db: String,
@@ -96,6 +127,10 @@ pub struct SystemCache {
     revisions: RevisionMap,
     full: ShardedCache<FullKey, CachedAnswer>,
     invalidations: Arc<Counter>,
+    /// One revision lease per database, beside the generation it
+    /// qualifies.
+    leases: Mutex<HashMap<String, Lease>>,
+    clock: Clock,
 }
 
 impl SystemCache {
@@ -108,6 +143,12 @@ impl SystemCache {
     /// Cache with explicit sizing, registering metrics in `registry` —
     /// tests use a private registry for isolation.
     pub fn with_registry(registry: &Registry, settings: CacheSettings) -> SystemCache {
+        SystemCache::with_clock(registry, settings, Clock::real())
+    }
+
+    /// [`SystemCache::with_registry`] reading time from `clock` — tests
+    /// hand in [`Clock::manual`] to walk a revision lease to its end.
+    pub fn with_clock(registry: &Registry, settings: CacheSettings, clock: Clock) -> SystemCache {
         SystemCache {
             generations: GenerationMap::new(),
             revisions: RevisionMap::new(),
@@ -121,6 +162,8 @@ impl SystemCache {
                 "full_result",
             ),
             invalidations: registry.counter(INVALIDATIONS_TOTAL, &[]),
+            leases: Mutex::new(HashMap::new()),
+            clock,
         }
     }
 
@@ -152,6 +195,29 @@ impl SystemCache {
             self.invalidate_database(db_id)
         } else {
             self.generations.generation(db_id)
+        }
+    }
+
+    /// Whether a revision read confirmed `db_id`'s *current* generation
+    /// less than [`REVISION_LEASE`] ago, so a dispatch may take the
+    /// installed catalog without asking the store.
+    pub fn revision_lease_live(&self, db_id: &str) -> bool {
+        let lease = self.leases.lock().get(db_id).copied();
+        lease.is_some_and(|lease| lease.live(self.generation(db_id), self.clock.now()))
+    }
+
+    /// Record that a revision read found the store at the installed
+    /// catalog. `generation` is the one the caller read *before* that read
+    /// (plus the observer's one bump when its own sync refreshed), never
+    /// the one current now: an invalidation that landed in between has
+    /// moved the generation on, and a confirmation for any generation but
+    /// the current one is dropped — it vouches for nothing now, and kept,
+    /// one for a generation not reached yet would come alive at a later
+    /// bump. The next dispatch checks again.
+    pub fn confirm_revision(&self, db_id: &str, generation: u64) {
+        if generation == self.generation(db_id) {
+            let lease = Lease { generation, confirmed_at: self.clock.now() };
+            self.leases.lock().insert(db_id.to_string(), lease);
         }
     }
 
@@ -320,6 +386,124 @@ mod tests {
         let g1 = cache.observe_revision(&db);
         assert_eq!(g1, 1, "catalog mutation bumps the generation");
         assert_eq!(cache.stats().invalidations, 1);
+    }
+
+    fn manual_cache() -> (Clock, SystemCache) {
+        let clock = Clock::manual();
+        let cache =
+            SystemCache::with_clock(&Registry::new(), CacheSettings::default(), clock.clone());
+        (clock, cache)
+    }
+
+    #[test]
+    fn a_lease_vouches_for_one_generation_for_one_lease_length() {
+        let (clock, cache) = manual_cache();
+        let tick = Duration::from_nanos(1);
+        assert!(!cache.revision_lease_live("db"), "nothing was ever confirmed");
+        cache.confirm_revision("db", 0);
+        assert!(cache.revision_lease_live("db"));
+        assert!(!cache.revision_lease_live("other"), "one lease per database");
+
+        clock.advance(REVISION_LEASE - tick);
+        assert!(cache.revision_lease_live("db"), "a tick short of its end");
+        clock.advance(tick);
+        assert!(!cache.revision_lease_live("db"), "over at REVISION_LEASE exactly");
+
+        cache.confirm_revision("db", 0);
+        assert!(cache.revision_lease_live("db"));
+        cache.invalidate_database("db");
+        assert!(!cache.revision_lease_live("db"), "an explicit bump ends it with no time passed");
+        cache.confirm_revision("db", 0);
+        assert!(!cache.revision_lease_live("db"), "a confirmation for the old generation is void");
+        cache.confirm_revision("db", 1);
+        cache.confirm_revision("db", 2);
+        assert!(
+            cache.revision_lease_live("db"),
+            "one for a generation not reached yet displaces nothing"
+        );
+
+        cache.observe_revision_token("db", 7);
+        assert!(cache.revision_lease_live("db"), "a first sighting bumps nothing");
+        cache.observe_revision_token("db", 8);
+        assert_eq!(cache.generation("db"), 2, "an observed revision change bumps");
+        assert!(
+            !cache.revision_lease_live("db"),
+            "which ends the lease too; the early confirmation of 2 was dropped, not parked"
+        );
+    }
+
+    /// One step of an interleaving of dispatches, writers and time.
+    #[derive(Debug, Clone, Copy)]
+    enum LeaseOp {
+        /// A dispatch confirms `current + 1 - back`: the generation it read
+        /// before its revision read, which since fell 0–2 bumps behind — or
+        /// (`back == 0`) one it expected a refresh's bump to produce.
+        Confirm { back: u64 },
+        /// An explicit invalidation.
+        Bump,
+        /// A refresh observed under this revision token (may bump).
+        Observe(u64),
+        /// Time passes, in quarter leases.
+        Advance(u32),
+    }
+
+    /// The vendored proptest draws integers: `code % 4` picks the step,
+    /// `code / 4` (0–5) is its argument.
+    fn lease_op(code: u64) -> LeaseOp {
+        let arg = code / 4;
+        match code % 4 {
+            0 => LeaseOp::Confirm { back: arg % 4 },
+            1 => LeaseOp::Bump,
+            2 => LeaseOp::Observe(arg % 3),
+            _ => LeaseOp::Advance(arg as u32),
+        }
+    }
+
+    proptest::proptest! {
+        /// Whatever the interleaving: a live lease was confirmed for the
+        /// current generation less than a lease ago, and a bump is never
+        /// followed by a live lease without a confirmation after it.
+        #[test]
+        fn a_live_lease_is_a_fresh_confirmation_of_the_current_generation(
+            codes in proptest::prop::collection::vec(0u64..24, 0..48),
+        ) {
+            let (clock, cache) = manual_cache();
+            let mut now = Duration::ZERO;
+            // The last confirmation that named the then-current generation.
+            let mut confirmed: Option<(u64, Duration)> = None;
+            let mut bumped_since = false;
+            for op in codes.iter().copied().map(lease_op) {
+                let before = cache.generation("db");
+                match op {
+                    LeaseOp::Confirm { back } => {
+                        let generation = (before + 1).saturating_sub(back);
+                        cache.confirm_revision("db", generation);
+                        if generation == before {
+                            confirmed = Some((generation, now));
+                            bumped_since = false;
+                        }
+                    }
+                    LeaseOp::Bump => {
+                        cache.invalidate_database("db");
+                    }
+                    LeaseOp::Observe(revision) => {
+                        cache.observe_revision_token("db", revision);
+                    }
+                    LeaseOp::Advance(quarters) => {
+                        let step = REVISION_LEASE / 4 * quarters;
+                        clock.advance(step);
+                        now += step;
+                    }
+                }
+                let current = cache.generation("db");
+                bumped_since |= current != before;
+                let live = cache.revision_lease_live("db");
+                let expected = confirmed
+                    .is_some_and(|(generation, at)| generation == current && now - at < REVISION_LEASE);
+                proptest::prop_assert!(live == expected, "live {live}, expected {expected} after {op:?}");
+                proptest::prop_assert!(!(live && bumped_since), "live after a bump: {:?}", op);
+            }
+        }
     }
 
     #[test]

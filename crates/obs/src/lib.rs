@@ -23,6 +23,8 @@
 //!   in-memory trace ring and feed a per-stage duration histogram.
 //! * **Export** — [`Registry::render_prometheus`] (text exposition
 //!   format) and [`Registry::trace_dump`] (JSON array of span records).
+//! * **Clock** ([`Clock`]) — the time source a timed policy reads: real
+//!   in production, manual (advanced by hand) in tests.
 //!
 //! Metrics live in a [`Registry`]. Production code uses the process-wide
 //! [`global()`] registry; tests construct private registries
@@ -38,10 +40,12 @@
 //! are static (`stage`, `resource`, `from`, `to`); label values are the
 //! only dynamic part.
 
+pub mod clock;
 pub mod metrics;
 pub mod stages;
 pub mod trace;
 
+pub use clock::Clock;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, BUCKET_BOUNDS_NS,
 };

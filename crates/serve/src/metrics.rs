@@ -30,6 +30,11 @@ pub const BREAKER_TRANSITIONS: &str = "codes_serve_breaker_transitions_total";
 pub const BATCH_SIZE: &str = "codes_serve_batch_size";
 /// Batch-bypass counter name (`reason` label: mismatch).
 pub const BATCH_BYPASS: &str = "codes_serve_batch_bypass_total";
+/// Catalog-check counter name: how each [`crate::SystemBackend`] dispatch
+/// settled which catalog to serve (`outcome` label: leased — inside a live
+/// revision lease, the store was not asked — or what the one `sync` found:
+/// unchanged / refreshed / attached / failed).
+pub const CATALOG_CHECKS: &str = "codes_serve_catalog_checks_total";
 
 impl BreakerState {
     /// Short state name for metric labels ("closed" / "open" /
@@ -117,6 +122,29 @@ impl ServeMetrics {
             breaker_transitions,
             batch_size: self.batch_size.snapshot(),
             batch_bypass_mismatch: self.batch_bypass_mismatch.get(),
+        }
+    }
+}
+
+/// [`crate::SystemBackend`]'s handles, one per `outcome` of
+/// [`CATALOG_CHECKS`]; registered once, a dispatch touches one atomic.
+pub(crate) struct CatalogChecks {
+    pub(crate) leased: Arc<Counter>,
+    pub(crate) unchanged: Arc<Counter>,
+    pub(crate) refreshed: Arc<Counter>,
+    pub(crate) attached: Arc<Counter>,
+    pub(crate) failed: Arc<Counter>,
+}
+
+impl CatalogChecks {
+    pub(crate) fn new(registry: &Registry) -> CatalogChecks {
+        let outcome = |outcome| registry.counter(CATALOG_CHECKS, &[("outcome", outcome)]);
+        CatalogChecks {
+            leased: outcome("leased"),
+            unchanged: outcome("unchanged"),
+            refreshed: outcome("refreshed"),
+            attached: outcome("attached"),
+            failed: outcome("failed"),
         }
     }
 }

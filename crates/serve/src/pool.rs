@@ -37,14 +37,14 @@ use codes::{
     config_fingerprint, normalize_question, CachedAnswer, CodesSystem, Config, Error,
     InferenceRequest, SystemCache, SystemCacheStats,
 };
-use codes_storage::{CatalogService, ConnectionPool, IntrospectOptions, PoolConfig};
+use codes_storage::{CatalogService, ConnectionPool, IntrospectOptions, PoolConfig, SyncOutcome};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use sqlengine::{with_retry_paced, Backoff, Database};
 
 use crate::batch::{BatchPolicy, MemberInfo};
 use crate::breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
-use crate::metrics::{MetricsSnapshot, ServeMetrics};
+use crate::metrics::{CatalogChecks, MetricsSnapshot, ServeMetrics};
 use crate::progress::{Progress, ProgressSink};
 
 /// What the pool runs for each admitted request. Implemented by
@@ -113,15 +113,17 @@ pub struct BackendReply {
 ///
 /// The databases served are no longer owned `Database` values: they live
 /// behind a [`codes_storage::Backend`] and are mirrored locally through
-/// introspection. Each dispatch re-syncs the target catalog — a revision
-/// change observed on the live backend refreshes the mirror, rebuilds its
-/// value index, and bumps the system cache's generation exactly like a
-/// local catalog mutation would. A sync *failure* degrades instead of
-/// failing: the last-known catalog serves the request, with the storage
-/// failure recorded as a degradation on the reply.
+/// introspection. A dispatch outside a live revision lease
+/// ([`codes::REVISION_LEASE`]; DESIGN.md §4k) re-syncs the target catalog —
+/// a revision change observed on the live backend refreshes the mirror,
+/// rebuilds its value index, and bumps the system cache's generation
+/// exactly like a local catalog mutation would. A sync *failure* degrades
+/// instead of failing: the last-known catalog serves the request, with the
+/// storage failure recorded as a degradation on the reply.
 pub struct SystemBackend {
     system: Arc<CodesSystem>,
     service: Arc<CatalogService>,
+    checks: CatalogChecks,
 }
 
 impl SystemBackend {
@@ -145,6 +147,17 @@ impl SystemBackend {
     /// retries via sync and surfaces a typed error if the database never
     /// becomes reachable.
     pub fn with_catalogs(system: Arc<CodesSystem>, service: Arc<CatalogService>) -> SystemBackend {
+        SystemBackend::with_registry(system, service, &codes_obs::global())
+    }
+
+    /// [`SystemBackend::with_catalogs`], counting catalog checks
+    /// ([`crate::metrics::CATALOG_CHECKS`]) in `registry` instead of the
+    /// process-global one.
+    pub fn with_registry(
+        system: Arc<CodesSystem>,
+        service: Arc<CatalogService>,
+        registry: &codes_obs::Registry,
+    ) -> SystemBackend {
         let observer_system = Arc::clone(&system);
         service.set_revision_observer(Box::new(move |db| {
             observer_system.prepare_database(db);
@@ -153,7 +166,7 @@ impl SystemBackend {
             }
         }));
         let _ = service.attach_all();
-        SystemBackend { system, service }
+        SystemBackend { system, service, checks: CatalogChecks::new(registry) }
     }
 
     /// The catalog service this backend serves from (the gateway's attach
@@ -162,16 +175,43 @@ impl SystemBackend {
         &self.service
     }
 
-    /// Sync and fetch the catalog for one dispatch. A failed sync serves
-    /// the last-known catalog with a degradation note; a database with no
+    /// Fetch the catalog for one dispatch: as installed inside a live
+    /// revision lease, after a sync otherwise. A failed sync serves the
+    /// last-known catalog with a degradation note; a database with no
     /// catalog at all is the caller's addressing error.
     fn catalog_for(
         &self,
         db_id: &str,
     ) -> Result<(Arc<codes_storage::Catalog>, Option<String>), sqlengine::Error> {
-        let degradation = match self.service.sync(db_id) {
-            Ok(_) => None,
-            Err(e) => Some(format!("storage sync failed ({e}); serving last-known catalog")),
+        let cache = self.system.cache();
+        let degradation = if cache.is_some_and(|cache| cache.revision_lease_live(db_id)) {
+            self.checks.leased.inc();
+            None
+        } else {
+            // Read before the revision read: an invalidation landing
+            // anywhere after this moves the generation past the one
+            // confirmed below, and the next dispatch checks again.
+            let before = cache.map(|cache| (cache, cache.generation(db_id)));
+            match self.service.sync(db_id) {
+                Ok(outcome) => {
+                    // A refresh bumped the generation once, through the
+                    // revision observer.
+                    let (checks, bumps) = match outcome {
+                        SyncOutcome::Unchanged => (&self.checks.unchanged, 0),
+                        SyncOutcome::Refreshed { .. } => (&self.checks.refreshed, 1),
+                        SyncOutcome::Attached => (&self.checks.attached, 0),
+                    };
+                    checks.inc();
+                    if let Some((cache, generation)) = before {
+                        cache.confirm_revision(db_id, generation + bumps);
+                    }
+                    None
+                }
+                Err(e) => {
+                    self.checks.failed.inc();
+                    Some(format!("storage sync failed ({e}); serving last-known catalog"))
+                }
+            }
         };
         match self.service.catalog(db_id) {
             Some(catalog) => Ok((catalog, degradation)),

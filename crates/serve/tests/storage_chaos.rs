@@ -6,6 +6,7 @@
 //! through re-introspection must bump the cache generation so no
 //! post-change request is served a pre-change cached result.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -14,7 +15,7 @@ use codes::{
     PromptOptions, SketchCatalog, SystemCache,
 };
 use codes_datasets::finance::bank_financials_db;
-use codes_serve::{Backend, InferenceRequest, Pool, ServeConfig, SystemBackend};
+use codes_serve::{Backend, BackendReply, InferenceRequest, Pool, ServeConfig, SystemBackend};
 use codes_storage::{
     CatalogService, ConnectionPool, FaultSpec, FlakyBackend, IntrospectOptions, MemoryBackend,
     PoolConfig,
@@ -48,6 +49,45 @@ fn storm_spec(seed: u64) -> FaultSpec {
     FaultSpec { seed, connect_fail: 0.10, io_fail: 0.04, silent_break: 0.04, ..FaultSpec::default() }
 }
 
+/// [`SystemBackend`] with the revision lease ended before every dispatch
+/// while `storming` is up. A live lease keeps dispatches off storage —
+/// correctly — and a storm is here to cross the faulty wire: invalidating
+/// from the submitting side cannot do it (all 64 submissions land before
+/// the first dispatch, and one dispatch's check then shields the rest),
+/// so the bump is made where it cannot be early, at the dispatch itself.
+/// Outside a storm the lease and the result cache work as shipped.
+struct StormBackend {
+    inner: SystemBackend,
+    cache: Arc<SystemCache>,
+    storming: Arc<AtomicBool>,
+}
+
+impl Backend for StormBackend {
+    fn infer(
+        &self,
+        request: &InferenceRequest,
+        id: u64,
+        config: &codes::Config,
+    ) -> Result<BackendReply, sqlengine::Error> {
+        self.infer_batch(&[(request, id)], config).pop().expect("one result per batch member")
+    }
+
+    fn infer_batch(
+        &self,
+        requests: &[(&InferenceRequest, u64)],
+        config: &codes::Config,
+    ) -> Vec<Result<BackendReply, sqlengine::Error>> {
+        if self.storming.load(Ordering::SeqCst) {
+            self.cache.invalidate_database(DB);
+        }
+        self.inner.infer_batch(requests, config)
+    }
+
+    fn has_database(&self, db_id: &str) -> Option<bool> {
+        self.inner.has_database(db_id)
+    }
+}
+
 #[test]
 fn chaos_storm_recycles_broken_connections_and_enforces_the_revision_fence() {
     let registry = Arc::new(codes_obs::Registry::new());
@@ -70,7 +110,12 @@ fn chaos_storm_recycles_broken_connections_and_enforces_the_revision_fence() {
         &registry,
     );
     let service = Arc::new(CatalogService::new(storage_pool, IntrospectOptions::default()));
-    let backend = SystemBackend::with_catalogs(Arc::clone(&system), Arc::clone(&service));
+    let storming = Arc::new(AtomicBool::new(false));
+    let backend = StormBackend {
+        inner: SystemBackend::with_catalogs(Arc::clone(&system), Arc::clone(&service)),
+        cache: Arc::clone(&cache),
+        storming: Arc::clone(&storming),
+    };
 
     // `with_catalogs` already tried to attach, but under a 10% connect-fail
     // storm that attempt may have been refused; retry until the catalog is
@@ -96,6 +141,7 @@ fn chaos_storm_recycles_broken_connections_and_enforces_the_revision_fence() {
     let pool = Pool::start_with_registry(backend, config, registry);
 
     let storm = |pool: &Pool| {
+        storming.store(true, Ordering::SeqCst);
         let mut tickets = Vec::new();
         let mut shed = 0usize;
         for i in 0..64 {
@@ -131,6 +177,7 @@ fn chaos_storm_recycles_broken_connections_and_enforces_the_revision_fence() {
             );
         }
     }
+    storming.store(false, Ordering::SeqCst);
 
     // Mid-storm catalog change: a live mutation moves the backend's
     // revision token. Nothing local touched the mirror — only

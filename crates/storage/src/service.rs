@@ -4,7 +4,7 @@
 //! A [`CatalogService`] owns a [`ConnectionPool`] and a map of attached
 //! [`Catalog`]s. `attach` introspects a database on registration (the
 //! gateway's `POST /v1/databases` endpoint lands here); `sync` is the
-//! cheap per-dispatch check — one pooled revision read — that
+//! cheap check a dispatch makes — one pooled revision read — that
 //! re-introspects and swaps the catalog only when the backend's token
 //! moved, one re-introspection per database at a time however many
 //! dispatches saw the token move. An introspection borrows whatever
