@@ -1,6 +1,6 @@
 //! Shared infrastructure for the experiment binaries: benchmark caches,
-//! model pre-training caches, system builders, result recording, and the
-//! serving benches' fixed-cost backend and percentile helper.
+//! model pre-training caches, system builders, result recording, and a
+//! percentile helper.
 //!
 //! Scale is controlled by the `CODES_SCALE` environment variable
 //! (1 = smoke-test, 2 = default, 4 = large) and the per-run evaluation cap
@@ -8,7 +8,6 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
 
 use codes::{
     pretrain, pretrain_with_capacity, table4_models, Capacity, CodesModel, CodesSystem,
@@ -19,7 +18,6 @@ use codes_datasets::{Benchmark, BenchmarkConfig, Sample};
 use codes_eval::{evaluate, EvalConfig, EvalOutcome, ExperimentRecord};
 use codes_linker::SchemaClassifier;
 use codes_retrieval::{DemoRetriever, DemoStrategy, ValueIndex};
-use codes_serve::{Backend, BackendReply};
 use sqlengine::Database;
 
 /// Experiment scale multiplier.
@@ -182,11 +180,8 @@ pub fn classifier(benchmark: &Benchmark, use_ek: bool) -> SchemaClassifier {
     clf
 }
 
-/// Build a supervised fine-tuned system for `model_name` on `benchmark`.
-///
-/// Returned shared so it can sit behind the serving stack: evaluation now
-/// submits through a single-shard router whose backend holds a reference
-/// to the system.
+/// Build a supervised fine-tuned system for `model_name` on `benchmark`,
+/// shared so the serving benches can put it behind a pool.
 pub fn sft_system(model_name: &str, benchmark: &Benchmark, use_ek: bool) -> Arc<CodesSystem> {
     let model = CodesModel::new(pretrained(model_name), catalog());
     let sys = CodesSystem::new(model, PromptOptions::sft())
@@ -252,33 +247,6 @@ pub fn record(experiment: &str, system: &str, dataset: &str, metric: &str, value
         metric: metric.to_string(),
         value,
         n,
-    }
-}
-
-/// Fixed per-request "inference" for the serving benches: sleeps the
-/// configured compute cost and answers. Deterministic and
-/// database-agnostic, so throughput and latency differences are
-/// attributable to the layers in front of it alone.
-pub struct FixedCostBackend {
-    /// What one inference costs.
-    pub cost: Duration,
-}
-
-impl Backend for FixedCostBackend {
-    fn infer(
-        &self,
-        _request: &codes::InferenceRequest,
-        _id: u64,
-        _config: &codes::Config,
-    ) -> Result<BackendReply, sqlengine::Error> {
-        std::thread::sleep(self.cost);
-        Ok(BackendReply {
-            sql: "SELECT 1".to_string(),
-            degradations: Vec::new(),
-            latency_seconds: self.cost.as_secs_f64(),
-            prompt_tokens: 8,
-            stages: codes_obs::StageTimings::zero(),
-        })
     }
 }
 

@@ -9,7 +9,7 @@ use parking_lot::RwLock;
 /// Cache keys embed the generation current at lookup time. Bumping a
 /// database's generation therefore makes every entry keyed under the old
 /// token unreachable immediately — the entries themselves are reclaimed
-/// lazily by LRU pressure or TTL, which keeps invalidation O(1) regardless
+/// lazily by LRU pressure, which keeps invalidation O(1) regardless
 /// of how many entries the database had.
 #[derive(Default)]
 pub struct GenerationMap {

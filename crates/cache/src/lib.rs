@@ -6,8 +6,7 @@
 //! primitive the rest of the workspace builds its caches on:
 //!
 //! - [`ShardedCache`] — a thread-safe LRU cache split across independently
-//!   locked shards, with optional per-entry TTL expiry (expired entries die
-//!   lazily on lookup) and *single-flight* deduplication: when N threads miss
+//!   locked shards, with *single-flight* deduplication: when N threads miss
 //!   on the same key concurrently, exactly one computes the value and the
 //!   rest wait for it.
 //! - [`GenerationMap`] — monotonically increasing per-database generation
@@ -19,7 +18,7 @@
 //!   re-introspection of a live backend — indistinguishable here) into
 //!   first/unchanged/changed verdicts that drive generation bumps.
 //! - [`TierMetrics`] / [`CacheStats`] — every cache registers
-//!   `codes_cache_{hits,misses,evictions,expired}_total` counters and a
+//!   `codes_cache_{hits,misses,evictions}_total` counters and a
 //!   `codes_cache_entries` gauge against a [`codes_obs::Registry`], labelled
 //!   by tier, so hit rates are visible in the same Prometheus scrape as the
 //!   serving pool.
@@ -41,7 +40,7 @@ mod sharded;
 pub use generation::GenerationMap;
 pub use revision::{RevisionChange, RevisionMap};
 pub use metrics::{
-    CacheStats, TierMetrics, ENTRIES, EVICTIONS_TOTAL, EXPIRED_TOTAL, HITS_TOTAL,
-    INVALIDATIONS_TOTAL, MISSES_TOTAL,
+    CacheStats, TierMetrics, ENTRIES, EVICTIONS_TOTAL, HITS_TOTAL, INVALIDATIONS_TOTAL,
+    MISSES_TOTAL,
 };
 pub use sharded::{CacheConfig, ShardedCache};

@@ -1,27 +1,17 @@
-//! One cache shard: an LRU list with per-entry TTL, backed by a slot vector
+//! One cache shard: an LRU list, backed by a slot vector
 //! with an intrusive doubly-linked recency list and a free list. No
 //! allocation churn in steady state — slots are reused after eviction.
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::time::Instant;
 
 const NIL: usize = usize::MAX;
 
 struct Slot<K, V> {
     key: K,
     value: V,
-    expires_at: Option<Instant>,
     prev: usize,
     next: usize,
-}
-
-/// Outcome of a shard lookup, so the sharded wrapper can count expiry
-/// separately from plain misses.
-pub(crate) enum Lookup<V> {
-    Hit(V),
-    Expired,
-    Miss,
 }
 
 /// What an insert did to occupancy, so the wrapper can keep the entries
@@ -115,40 +105,27 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         slot
     }
 
-    pub(crate) fn get(&mut self, key: &K, now: Instant) -> Lookup<V> {
-        let Some(&ix) = self.map.get(key) else {
-            return Lookup::Miss;
-        };
-        if self.slot(ix).expires_at.is_some_and(|at| at <= now) {
-            self.remove_slot(ix);
-            return Lookup::Expired;
-        }
+    pub(crate) fn get(&mut self, key: &K) -> Option<V> {
+        let &ix = self.map.get(key)?;
         self.detach(ix);
         self.push_front(ix);
-        Lookup::Hit(self.slot(ix).value.clone())
+        Some(self.slot(ix).value.clone())
     }
 
-    pub(crate) fn insert(
-        &mut self,
-        key: K,
-        value: V,
-        expires_at: Option<Instant>,
-    ) -> InsertOutcome {
+    pub(crate) fn insert(&mut self, key: K, value: V) -> InsertOutcome {
         if let Some(&ix) = self.map.get(&key) {
-            let s = self.slot_mut(ix);
-            s.value = value;
-            s.expires_at = expires_at;
+            self.slot_mut(ix).value = value;
             self.detach(ix);
             self.push_front(ix);
             return InsertOutcome { replaced: true, evicted: false };
         }
         let ix = match self.free.pop() {
             Some(ix) => {
-                self.slots[ix] = Some(Slot { key: key.clone(), value, expires_at, prev: NIL, next: NIL });
+                self.slots[ix] = Some(Slot { key: key.clone(), value, prev: NIL, next: NIL });
                 ix
             }
             None => {
-                self.slots.push(Some(Slot { key: key.clone(), value, expires_at, prev: NIL, next: NIL }));
+                self.slots.push(Some(Slot { key: key.clone(), value, prev: NIL, next: NIL }));
                 self.slots.len() - 1
             }
         };
@@ -168,52 +145,38 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn evicts_least_recently_used_first() {
         let mut shard: Shard<&str, u32> = Shard::new(2);
-        let now = Instant::now();
-        shard.insert("a", 1, None);
-        shard.insert("b", 2, None);
+        shard.insert("a", 1);
+        shard.insert("b", 2);
         // Touch "a" so "b" becomes the LRU victim.
-        assert!(matches!(shard.get(&"a", now), Lookup::Hit(1)));
-        let outcome = shard.insert("c", 3, None);
+        assert_eq!(shard.get(&"a"), Some(1));
+        let outcome = shard.insert("c", 3);
         assert!(outcome.evicted);
-        assert!(matches!(shard.get(&"b", now), Lookup::Miss));
-        assert!(matches!(shard.get(&"a", now), Lookup::Hit(1)));
-        assert!(matches!(shard.get(&"c", now), Lookup::Hit(3)));
+        assert_eq!(shard.get(&"b"), None);
+        assert_eq!(shard.get(&"a"), Some(1));
+        assert_eq!(shard.get(&"c"), Some(3));
         assert_eq!(shard.len(), 2);
     }
 
     #[test]
     fn replacing_a_key_does_not_evict() {
         let mut shard: Shard<&str, u32> = Shard::new(2);
-        shard.insert("a", 1, None);
-        shard.insert("b", 2, None);
-        let outcome = shard.insert("a", 10, None);
+        shard.insert("a", 1);
+        shard.insert("b", 2);
+        let outcome = shard.insert("a", 10);
         assert!(outcome.replaced);
         assert!(!outcome.evicted);
-        assert!(matches!(shard.get(&"a", Instant::now()), Lookup::Hit(10)));
-    }
-
-    #[test]
-    fn expired_entries_are_dropped_on_lookup() {
-        let mut shard: Shard<&str, u32> = Shard::new(4);
-        let now = Instant::now();
-        shard.insert("a", 1, Some(now + Duration::from_millis(5)));
-        assert!(matches!(shard.get(&"a", now), Lookup::Hit(1)));
-        let later = now + Duration::from_millis(6);
-        assert!(matches!(shard.get(&"a", later), Lookup::Expired));
-        assert!(matches!(shard.get(&"a", later), Lookup::Miss));
-        assert_eq!(shard.len(), 0);
+        assert_eq!(shard.get(&"a"), Some(10));
     }
 
     #[test]
     fn slots_are_reused_after_eviction() {
         let mut shard: Shard<u32, u32> = Shard::new(2);
         for i in 0..100 {
-            shard.insert(i, i, None);
+            shard.insert(i, i);
         }
         assert_eq!(shard.len(), 2);
         assert!(shard.slots.len() <= 3, "slot storage stays bounded, got {}", shard.slots.len());

@@ -17,8 +17,6 @@ pub const HITS_TOTAL: &str = "codes_cache_hits_total";
 pub const MISSES_TOTAL: &str = "codes_cache_misses_total";
 /// Entries displaced by LRU capacity pressure.
 pub const EVICTIONS_TOTAL: &str = "codes_cache_evictions_total";
-/// Entries dropped because their TTL had lapsed at lookup time.
-pub const EXPIRED_TOTAL: &str = "codes_cache_expired_total";
 /// Explicit generation bumps (database invalidations). Registered by the
 /// tier owner, not per [`TierMetrics`], because invalidation is a
 /// cross-tier event.
@@ -33,7 +31,6 @@ pub struct TierMetrics {
     pub hits: Arc<Counter>,
     pub misses: Arc<Counter>,
     pub evictions: Arc<Counter>,
-    pub expired: Arc<Counter>,
     pub entries: Arc<Gauge>,
 }
 
@@ -45,7 +42,6 @@ impl TierMetrics {
             hits: registry.counter(HITS_TOTAL, labels),
             misses: registry.counter(MISSES_TOTAL, labels),
             evictions: registry.counter(EVICTIONS_TOTAL, labels),
-            expired: registry.counter(EXPIRED_TOTAL, labels),
             entries: registry.gauge(ENTRIES, labels),
         }
     }
@@ -62,7 +58,6 @@ impl TierMetrics {
             hits: self.hits.get(),
             misses: self.misses.get(),
             evictions: self.evictions.get(),
-            expired: self.expired.get(),
             entries: self.entries.get().max(0) as u64,
         }
     }
@@ -74,7 +69,6 @@ pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,
     pub evictions: u64,
-    pub expired: u64,
     pub entries: u64,
 }
 

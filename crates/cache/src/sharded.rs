@@ -3,15 +3,15 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 use codes_obs::Registry;
 use parking_lot::Mutex;
 
-use crate::lru::{Lookup, Shard};
+use crate::lru::Shard;
 use crate::metrics::{CacheStats, TierMetrics};
 
-/// Sizing and expiry policy for one cache.
+/// Sizing of one cache. Entries live until LRU pressure evicts them or
+/// their generation is abandoned.
 #[derive(Debug, Clone, Copy)]
 pub struct CacheConfig {
     /// Requested total capacity. Rounded up so it divides evenly across
@@ -19,14 +19,11 @@ pub struct CacheConfig {
     pub capacity: usize,
     /// Number of independently locked shards. More shards, less contention.
     pub shards: usize,
-    /// Per-entry time-to-live; `None` means entries live until evicted or
-    /// their generation is abandoned.
-    pub ttl: Option<Duration>,
 }
 
 impl Default for CacheConfig {
     fn default() -> CacheConfig {
-        CacheConfig { capacity: 1024, shards: 8, ttl: None }
+        CacheConfig { capacity: 1024, shards: 8 }
     }
 }
 
@@ -82,12 +79,11 @@ fn lock_flights<K, V>(
     flights.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Thread-safe LRU+TTL cache split across independently locked shards, with
+/// Thread-safe LRU cache split across independently locked shards, with
 /// single-flight deduplication of concurrent misses.
 pub struct ShardedCache<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
     flights: Vec<StdMutex<HashMap<K, Arc<Flight<V>>>>>,
-    ttl: Option<Duration>,
     per_shard: usize,
     metrics: TierMetrics,
 }
@@ -112,7 +108,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         ShardedCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::new(per_shard))).collect(),
             flights: (0..shards).map(|_| StdMutex::new(HashMap::new())).collect(),
-            ttl: config.ttl,
             per_shard,
             metrics,
         }
@@ -145,41 +140,24 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     }
 
     fn lookup(&self, key: &K, count_miss: bool) -> Option<V> {
-        let ix = self.shard_of(key);
-        let outcome = self.shards[ix].lock().get(key, Instant::now());
-        match outcome {
-            Lookup::Hit(v) => {
-                self.metrics.hits.inc();
-                Some(v)
-            }
-            Lookup::Expired => {
-                self.metrics.expired.inc();
-                self.metrics.entries.add(-1);
-                if count_miss {
-                    self.metrics.misses.inc();
-                }
-                None
-            }
-            Lookup::Miss => {
-                if count_miss {
-                    self.metrics.misses.inc();
-                }
-                None
-            }
+        let found = self.shards[self.shard_of(key)].lock().get(key);
+        match found {
+            Some(_) => self.metrics.hits.inc(),
+            None if count_miss => self.metrics.misses.inc(),
+            None => {}
         }
+        found
     }
 
-    /// Plain lookup. Counts a hit or a miss; expired entries count as both
-    /// `expired` and a miss.
+    /// Plain lookup. Counts a hit or a miss.
     pub fn get(&self, key: &K) -> Option<V> {
         self.lookup(key, true)
     }
 
-    /// Insert (or replace) an entry, applying the configured TTL.
+    /// Insert (or replace) an entry.
     pub fn insert(&self, key: K, value: V) {
-        let expires_at = self.ttl.map(|ttl| Instant::now() + ttl);
         let ix = self.shard_of(&key);
-        let outcome = self.shards[ix].lock().insert(key, value, expires_at);
+        let outcome = self.shards[ix].lock().insert(key, value);
         if outcome.evicted {
             self.metrics.evictions.inc();
         }
@@ -266,7 +244,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn small(capacity: usize, shards: usize) -> ShardedCache<u64, u64> {
-        ShardedCache::new(CacheConfig { capacity, shards, ttl: None })
+        ShardedCache::new(CacheConfig { capacity, shards })
     }
 
     #[test]
@@ -286,22 +264,6 @@ mod tests {
         assert_eq!(computed.load(Ordering::SeqCst), 1);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-    }
-
-    #[test]
-    fn ttl_expires_entries() {
-        let cache: ShardedCache<u64, u64> = ShardedCache::new(CacheConfig {
-            capacity: 8,
-            shards: 2,
-            ttl: Some(Duration::from_millis(10)),
-        });
-        cache.insert(1, 10);
-        assert_eq!(cache.get(&1), Some(10));
-        std::thread::sleep(Duration::from_millis(15));
-        assert_eq!(cache.get(&1), None);
-        let stats = cache.stats();
-        assert_eq!(stats.expired, 1);
-        assert_eq!(stats.entries, 0);
     }
 
     #[test]

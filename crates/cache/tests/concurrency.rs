@@ -26,7 +26,7 @@ proptest! {
         ops in prop::collection::vec(any::<u64>(), 1..300),
     ) {
         let cache: ShardedCache<u16, u32> =
-            ShardedCache::new(CacheConfig { capacity, shards, ttl: None });
+            ShardedCache::new(CacheConfig { capacity, shards });
         for &op in &ops {
             // The vendored proptest has no tuple strategies; decode the
             // (key, value, is_insert) triple from one generated word.
@@ -56,7 +56,7 @@ proptest! {
         ops in prop::collection::vec(any::<u64>(), 1..200),
     ) {
         let cache: ShardedCache<u16, u32> =
-            ShardedCache::new(CacheConfig { capacity: 8, shards: 2, ttl: None });
+            ShardedCache::new(CacheConfig { capacity: 8, shards: 2 });
         let mut model: HashMap<u16, u32> = HashMap::new();
         for &op in &ops {
             let key = (op % 16) as u16;
@@ -77,11 +77,8 @@ proptest! {
 fn single_flight_computes_each_key_exactly_once_under_contention() {
     const THREADS: usize = 8;
     const KEYS: u64 = 16;
-    let cache: Arc<ShardedCache<u64, u64>> = Arc::new(ShardedCache::new(CacheConfig {
-        capacity: 256,
-        shards: 4,
-        ttl: None,
-    }));
+    let cache: Arc<ShardedCache<u64, u64>> =
+        Arc::new(ShardedCache::new(CacheConfig { capacity: 256, shards: 4 }));
     let computations: Arc<Vec<AtomicU64>> =
         Arc::new((0..KEYS).map(|_| AtomicU64::new(0)).collect());
     let barrier = Arc::new(Barrier::new(THREADS));

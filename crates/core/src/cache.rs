@@ -54,21 +54,19 @@ pub struct CachedAnswer {
     pub compute_latency_seconds: f64,
 }
 
-/// Capacity/TTL policy of the result cache.
+/// Sizing of the result cache. Entries live until LRU pressure evicts
+/// them or a generation bump makes them unreachable.
 #[derive(Debug, Clone, Copy)]
 pub struct CacheSettings {
     /// Entries (one SQL string each).
     pub full_capacity: usize,
     /// Shards.
     pub shards: usize,
-    /// Optional TTL; `None` relies on LRU pressure and generation bumps
-    /// alone.
-    pub ttl: Option<Duration>,
 }
 
 impl Default for CacheSettings {
     fn default() -> CacheSettings {
-        CacheSettings { full_capacity: 8192, shards: 8, ttl: None }
+        CacheSettings { full_capacity: 8192, shards: 8 }
     }
 }
 
@@ -153,11 +151,7 @@ impl SystemCache {
             generations: GenerationMap::new(),
             revisions: RevisionMap::new(),
             full: ShardedCache::with_metrics(
-                CacheConfig {
-                    capacity: settings.full_capacity,
-                    shards: settings.shards,
-                    ttl: settings.ttl,
-                },
+                CacheConfig { capacity: settings.full_capacity, shards: settings.shards },
                 registry,
                 "full_result",
             ),

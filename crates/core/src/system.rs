@@ -138,33 +138,27 @@ impl CodesSystem {
         }
     }
 
-    /// Build (or reuse) the BM25 value index of one database, and warm the
-    /// schema filter's profile of it. Reuse is revision-aware: an index
-    /// built for an earlier catalog state is replaced, an index current for
+    /// Make one database servable: build (or reuse) its BM25 value index,
+    /// warm the schema filter's profile of it, and reconcile the attached
+    /// cache with its revision, so the cache generation reflects the state
+    /// the catalog was read from. Reuse is revision-aware: an index built
+    /// for an earlier catalog state is replaced, an index current for
     /// `db.revision()` is kept as-is.
     pub fn prepare_database(&self, db: &Database) {
         if self.options.use_schema_filter && self.classifier.is_some() {
             shared_schema_profile(db);
         }
-        let mut indexes = self.value_indexes.write();
-        match indexes.get(&db.name) {
-            Some(idx) if idx.built_revision() == db.revision() => {}
-            _ => {
-                indexes.insert(db.name.clone(), shared_value_index(db));
+        {
+            let mut indexes = self.value_indexes.write();
+            match indexes.get(&db.name) {
+                Some(idx) if idx.built_revision() == db.revision() => {}
+                _ => {
+                    indexes.insert(db.name.clone(), shared_value_index(db));
+                }
             }
         }
-    }
-
-    /// Prepare an introspected [`codes_storage::Catalog`]: build (or
-    /// revision-aware reuse) the BM25 value index over its executable
-    /// mirror and reconcile the attached cache with the backend's revision
-    /// stamp. One call makes a freshly attached live database fully
-    /// servable — value retrieval works and the cache generation reflects
-    /// the backend state the catalog was read from.
-    pub fn prepare_catalog(&self, catalog: &codes_storage::Catalog) {
-        self.prepare_database(&catalog.database);
         if let Some(cache) = self.cache.as_ref() {
-            cache.observe_revision(&catalog.database);
+            cache.observe_revision(db);
         }
     }
 

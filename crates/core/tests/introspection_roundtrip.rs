@@ -102,11 +102,11 @@ fn prepare_catalog_reconciles_value_index_and_cache_generation() {
     let catalog = introspect(&mut conn, "bank_financials", &IntrospectOptions::default())
         .expect("introspection succeeds");
 
-    system.prepare_catalog(&catalog);
+    system.prepare_database(&catalog.database);
     let generation = cache.generation("bank_financials");
     // Preparing the same catalog again is idempotent: same revision, no
     // generation bump.
-    system.prepare_catalog(&catalog);
+    system.prepare_database(&catalog.database);
     assert_eq!(cache.generation("bank_financials"), generation);
 
     // A refreshed catalog with a moved revision bumps the generation,
@@ -121,7 +121,7 @@ fn prepare_catalog_reconciles_value_index_and_cache_generation() {
         .expect("db registered");
     let refreshed = introspect(&mut conn, "bank_financials", &IntrospectOptions::default())
         .expect("re-introspection succeeds");
-    system.prepare_catalog(&refreshed);
+    system.prepare_database(&refreshed.database);
     assert!(
         cache.generation("bank_financials") > generation,
         "a schema change observed through re-introspection invalidates cached entries"

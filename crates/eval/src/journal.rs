@@ -12,12 +12,10 @@
 //! between the run that produced it and a hypothetical uninterrupted one.
 
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use codes_datasets::{Hardness, Sample};
-use codes_obs::StageTimings;
+use codes_obs::{JournalError, StageTimings};
 use serde::{Json, Serialize};
 
 use crate::runner::SampleResult;
@@ -27,24 +25,11 @@ use crate::runner::SampleResult;
 /// decision (delete and restart, or point at the right file), not a crash.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EvalError {
-    /// Filesystem failure touching the journal.
-    Io {
-        /// The journal path involved.
-        path: PathBuf,
-        /// Operating-system error text.
-        message: String,
-    },
-    /// A journal line that is not valid JSON or lacks required fields.
-    /// (A newline-less final line — the signature of a mid-write kill —
-    /// is tolerated and re-evaluated, not reported.)
-    JournalCorrupt {
-        /// The journal path involved.
-        path: PathBuf,
-        /// 1-based line number of the offending entry.
-        line: usize,
-        /// What failed to parse.
-        message: String,
-    },
+    /// The journal file could not be read, healed or appended to, or holds
+    /// a newline-terminated line that is not an entry. (A newline-less
+    /// final line — the signature of a mid-write kill — is tolerated and
+    /// re-evaluated, not reported.)
+    Journal(JournalError),
     /// A journal entry whose fingerprint does not match the sample at its
     /// index — the journal belongs to a different sample set or ordering.
     JournalMismatch {
@@ -58,12 +43,7 @@ pub enum EvalError {
 impl fmt::Display for EvalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EvalError::Io { path, message } => {
-                write!(f, "journal io error at {}: {message}", path.display())
-            }
-            EvalError::JournalCorrupt { path, line, message } => {
-                write!(f, "corrupt journal {} line {line}: {message}", path.display())
-            }
+            EvalError::Journal(e) => e.fmt(f),
             EvalError::JournalMismatch { index, detail } => {
                 write!(f, "journal does not match sample {index}: {detail}")
             }
@@ -72,6 +52,12 @@ impl fmt::Display for EvalError {
 }
 
 impl std::error::Error for EvalError {}
+
+impl From<JournalError> for EvalError {
+    fn from(e: JournalError) -> EvalError {
+        EvalError::Journal(e)
+    }
+}
 
 /// Content fingerprint binding a journal entry to its sample (FNV-1a over
 /// database id, question and gold SQL). Catches resuming against a
@@ -98,69 +84,17 @@ pub struct JournalEntry {
     pub result: SampleResult,
 }
 
-/// Append-only JSONL journal of per-sample evaluation results.
+/// Append-only JSONL journal of per-sample evaluation results (one
+/// [`codes_obs::Journal`] line per entry).
 #[derive(Debug)]
-pub struct Journal {
-    path: PathBuf,
-    file: File,
-}
+pub struct Journal(codes_obs::Journal);
 
 impl Journal {
-    /// Open `path` for appending (creating it if absent) and reload every
-    /// complete entry already present.
-    ///
-    /// Torn-write detection keys on the trailing newline, not on whether
-    /// the last line parses: [`Journal::append`] always terminates a
-    /// record with `\n`, so a file that does not end in `\n` was killed
-    /// mid-write and its final partial line is dropped **even if it
-    /// happens to parse as valid JSON** (a record torn between the payload
-    /// write and the newline write is exactly such a line — keeping it
-    /// would let the next append concatenate onto it and corrupt the
-    /// file). The partial line is also truncated away so appends resume on
-    /// a clean boundary. Conversely, every newline-terminated line was
-    /// fully written, so a parse failure there is real corruption
-    /// (`JournalCorrupt`) wherever it sits — including the last line.
+    /// Open `path` for appending (creating it if absent), heal a torn
+    /// final line, and reload every complete entry already present.
     pub fn open(path: &Path) -> Result<(Journal, Vec<JournalEntry>), EvalError> {
-        let io_err = |e: std::io::Error| EvalError::Io {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        };
-        let mut entries = Vec::new();
-        if path.exists() {
-            let content = std::fs::read_to_string(path).map_err(io_err)?;
-            let mut lines: Vec<&str> = content.split('\n').collect();
-            // `split` yields a final "" for a newline-terminated file; a
-            // non-empty final piece is a torn record.
-            let torn = match lines.pop() {
-                Some("") | None => None,
-                Some(partial) => Some(partial),
-            };
-            for (i, line) in lines.iter().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match parse_entry(line) {
-                    Ok(entry) => entries.push(entry),
-                    Err(message) => {
-                        return Err(EvalError::JournalCorrupt {
-                            path: path.to_path_buf(),
-                            line: i + 1,
-                            message,
-                        })
-                    }
-                }
-            }
-            if let Some(partial) = torn {
-                // Heal in place: cut the partial record off so the next
-                // append starts a fresh line instead of extending it.
-                let keep = (content.len() - partial.len()) as u64;
-                let file = OpenOptions::new().write(true).open(path).map_err(io_err)?;
-                file.set_len(keep).map_err(io_err)?;
-            }
-        }
-        let file =
-            OpenOptions::new().create(true).append(true).open(path).map_err(io_err)?;
-        Ok((Journal { path: path.to_path_buf(), file }, entries))
+        let (journal, entries) = codes_obs::Journal::open(path, parse_entry)?;
+        Ok((Journal(journal), entries))
     }
 
     /// Append one finished sample and flush, so a kill immediately after
@@ -171,20 +105,7 @@ impl Journal {
         fingerprint: u64,
         result: &SampleResult,
     ) -> Result<(), EvalError> {
-        let line = serde_json::to_string(&entry_to_json(index, fingerprint, result))
-            .map_err(|e| EvalError::Io { path: self.path.clone(), message: e.to_string() })?;
-        let io_err = |e: std::io::Error| EvalError::Io {
-            path: self.path.clone(),
-            message: e.to_string(),
-        };
-        self.file.write_all(line.as_bytes()).map_err(io_err)?;
-        self.file.write_all(b"\n").map_err(io_err)?;
-        self.file.flush().map_err(io_err)
-    }
-
-    /// The journal's location.
-    pub fn path(&self) -> &Path {
-        &self.path
+        Ok(self.0.append(&entry_to_json(index, fingerprint, result))?)
     }
 }
 
@@ -213,8 +134,7 @@ fn entry_to_json(index: usize, fingerprint: u64, r: &SampleResult) -> Json {
     ])
 }
 
-fn parse_entry(line: &str) -> Result<JournalEntry, String> {
-    let value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+fn parse_entry(value: &Json) -> Result<JournalEntry, String> {
     let field = |key: &str| value.get(key).ok_or_else(|| format!("missing field `{key}`"));
     let str_field = |key: &str| {
         field(key)?.as_str().map(str::to_string).ok_or_else(|| format!("`{key}` not a string"))
@@ -267,6 +187,7 @@ fn parse_entry(line: &str) -> Result<JournalEntry, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn result(ix: usize) -> SampleResult {
         SampleResult {
@@ -368,85 +289,6 @@ mod tests {
             assert_eq!(entry.result.stages, expect.stages);
             assert_eq!(entry.result.prompt_tokens, expect.prompt_tokens);
             assert_eq!(entry.result.failure, expect.failure);
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn torn_final_line_is_dropped_midfile_corruption_is_an_error() {
-        let path = tmp("torn");
-        let (mut journal, _) = Journal::open(&path).expect("open");
-        journal.append(0, 1, &result(0)).expect("append");
-        journal.append(1, 2, &result(1)).expect("append");
-        drop(journal);
-        // Simulate a kill mid-write: append half a line.
-        let mut file = OpenOptions::new().append(true).open(&path).expect("reopen raw");
-        file.write_all(b"{\"index\":2,\"fp\":\"troncat").expect("tear");
-        drop(file);
-        let (_journal, loaded) = Journal::open(&path).expect("open with torn tail");
-        assert_eq!(loaded.len(), 2, "torn tail line must be dropped");
-
-        // But garbage in the middle means the file is not our journal.
-        std::fs::write(&path, "not json at all\n{\"index\":0}\n").expect("overwrite");
-        match Journal::open(&path) {
-            Err(EvalError::JournalCorrupt { line, .. }) => assert_eq!(line, 1),
-            other => panic!("expected JournalCorrupt, got {other:?}"),
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// The adversarial torn-write case: the kill lands between the payload
-    /// write and the newline write, so the partial final line is a byte-
-    /// complete record that parses as valid JSON. Treating it as committed
-    /// would let the next append concatenate onto it; it must be dropped
-    /// and re-evaluated like any other torn line.
-    #[test]
-    fn torn_line_that_parses_as_valid_json_is_still_dropped_and_healed() {
-        let path = tmp("torn-valid-json");
-        let (mut journal, _) = Journal::open(&path).expect("open");
-        journal.append(0, 1, &result(0)).expect("append");
-        drop(journal);
-        let committed = std::fs::read_to_string(&path).expect("read");
-
-        // Record 1's payload lands in full, but the trailing newline never
-        // makes it: the tail is valid JSON yet uncommitted.
-        let torn = serde_json::to_string(&entry_to_json(1, 2, &result(1))).unwrap();
-        let mut file = OpenOptions::new().append(true).open(&path).expect("reopen raw");
-        file.write_all(torn.as_bytes()).expect("tear after payload");
-        drop(file);
-
-        let (mut journal, loaded) = Journal::open(&path).expect("open with valid-JSON tail");
-        assert_eq!(loaded.len(), 1, "newline-less tail must be dropped even when it parses");
-        assert_eq!(loaded[0].index, 0);
-        assert_eq!(
-            std::fs::read_to_string(&path).expect("read healed"),
-            committed,
-            "the torn tail must be truncated away, not left to corrupt the next append"
-        );
-
-        // The re-evaluated sample appends onto a clean boundary.
-        journal.append(1, 2, &result(1)).expect("append after heal");
-        drop(journal);
-        let (_journal, loaded) = Journal::open(&path).expect("reopen");
-        assert_eq!(loaded.len(), 2, "healed journal accepts appends on line boundaries");
-        assert_eq!(loaded[1].index, 1);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// A garbage line that IS newline-terminated was fully written — it
-    /// cannot be a torn write, so it is corruption even in final position.
-    #[test]
-    fn newline_terminated_garbage_final_line_is_corruption_not_a_torn_write() {
-        let path = tmp("terminated-garbage");
-        let (mut journal, _) = Journal::open(&path).expect("open");
-        journal.append(0, 1, &result(0)).expect("append");
-        drop(journal);
-        let mut file = OpenOptions::new().append(true).open(&path).expect("reopen raw");
-        file.write_all(b"definitely not json\n").expect("write garbage line");
-        drop(file);
-        match Journal::open(&path) {
-            Err(EvalError::JournalCorrupt { line, .. }) => assert_eq!(line, 2),
-            other => panic!("expected JournalCorrupt, got {other:?}"),
         }
         let _ = std::fs::remove_file(&path);
     }

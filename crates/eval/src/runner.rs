@@ -14,14 +14,11 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Mutex;
 
 use codes::{CodesSystem, InferenceRequest};
 use codes_datasets::{Hardness, Sample};
 use codes_obs::StageTimings;
-use codes_router::{Router, RouterConfig, ShardSpec};
-use codes_serve::{BreakerConfig, ServeConfig, SystemBackend};
 use sqlengine::{Database, ExecLimits};
 
 use crate::journal::{sample_fingerprint, EvalError, Journal};
@@ -147,14 +144,11 @@ pub struct SampleResult {
     pub failure: Option<String>,
 }
 
-/// Evaluate `system` on `samples` over the databases in `dbs`.
-///
-/// Inference is submitted through a single-shard [`Router`] over the
-/// serving stack (see [`eval_router`]), so evaluation exercises exactly
-/// the admission/dispatch path production traffic takes; scoring stays in
-/// the harness threads.
+/// Evaluate `system` on `samples` over the databases in `dbs`. Each
+/// harness thread infers its samples directly ([`CodesSystem::infer`]) and
+/// scores them.
 pub fn evaluate(
-    system: &Arc<CodesSystem>,
+    system: &CodesSystem,
     samples: &[Sample],
     dbs: &[Database],
     cfg: &EvalConfig,
@@ -164,39 +158,10 @@ pub fn evaluate(
     let samples = &samples[..limit];
     let variants = build_variants(&by_name, cfg);
     let work: Vec<(usize, &Sample)> = samples.iter().enumerate().collect();
-    let router = eval_router(system, dbs, cfg);
-    let mut results = run_indexed(&router, &work, &by_name, &variants, cfg, &|_, _| {});
-    router.shutdown();
+    let mut results = run_indexed(system, &work, &by_name, &variants, cfg, &|_, _| {});
     results.sort_by_key(|(index, _)| *index);
     let results: Vec<SampleResult> = results.into_iter().map(|(_, r)| r).collect();
     (summarize(&results), results)
-}
-
-/// The single-shard [`Router`] every evaluation run submits through.
-///
-/// Configured so the serving machinery is exercised without being able to
-/// change a verdict: `base_config` is the system's own config and the
-/// deadline is effectively unbounded, so the deadline clamp never degrades
-/// an answer; batching is off (each sample infers exactly as it would via
-/// a direct [`CodesSystem::infer`] call); the circuit breaker never opens
-/// (an evaluation must score every sample, not shed the tail of a failure
-/// run); and no result cache is attached, so repeated questions re-infer
-/// just as they did before the router existed.
-fn eval_router(system: &Arc<CodesSystem>, dbs: &[Database], cfg: &EvalConfig) -> Router {
-    let threads = cfg.threads.max(1);
-    let serve = ServeConfig {
-        workers: threads,
-        queue_capacity: threads * 2 + 8,
-        default_deadline: Duration::from_secs(3600),
-        base_config: system.config,
-        max_batch: 1,
-        breaker: BreakerConfig { failure_threshold: u32::MAX, ..BreakerConfig::default() },
-        wedged_after: Duration::from_secs(3600),
-        cache: None,
-        ..ServeConfig::default()
-    };
-    let backend = SystemBackend::new(Arc::clone(system), dbs.to_vec());
-    Router::start(vec![ShardSpec::new(Arc::new(backend), serve)], RouterConfig::default())
 }
 
 /// Outcome of a crash-resumable evaluation run (see [`evaluate_resumable`]).
@@ -218,7 +183,7 @@ pub struct ResumedEvaluation {
 /// fingerprint-match the sample set is rejected with
 /// [`EvalError::JournalMismatch`] rather than silently mixing runs.
 pub fn evaluate_resumable(
-    system: &Arc<CodesSystem>,
+    system: &CodesSystem,
     samples: &[Sample],
     dbs: &[Database],
     cfg: &EvalConfig,
@@ -268,9 +233,7 @@ pub fn evaluate_resumable(
             }
         }
     };
-    let router = eval_router(system, dbs, cfg);
-    let fresh = run_indexed(&router, &work, &by_name, &variants, cfg, &sink);
-    router.shutdown();
+    let fresh = run_indexed(system, &work, &by_name, &variants, cfg, &sink);
     let executed = fresh.len();
     let (_, sink_error) = sink_state.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner());
     if let Some(e) = sink_error {
@@ -303,7 +266,7 @@ fn build_variants<'a>(
 /// that produced it. Samples referencing an unknown database are skipped,
 /// matching the non-indexed path. Returned pairs are unordered.
 fn run_indexed(
-    router: &Router,
+    system: &CodesSystem,
     work: &[(usize, &Sample)],
     by_name: &HashMap<&str, &Database>,
     variants: &HashMap<&str, Vec<Database>>,
@@ -321,7 +284,7 @@ fn run_indexed(
                     .filter_map(|&(index, s)| {
                         let db = by_name.get(s.db_id.as_str())?;
                         let result =
-                            eval_one_isolated(router, s, db, variants.get(s.db_id.as_str()), cfg);
+                            eval_one_isolated(system, s, db, variants.get(s.db_id.as_str()), cfg);
                         sink(index, &result);
                         Some((index, result))
                     })
@@ -346,13 +309,13 @@ fn run_indexed(
 /// [`SampleResult`] (all metrics 0, [`SampleResult::failure`] set), so a
 /// single poisoned sample never aborts the evaluation run.
 fn eval_one_isolated(
-    router: &Router,
+    system: &CodesSystem,
     sample: &Sample,
     db: &Database,
     variants: Option<&Vec<Database>>,
     cfg: &EvalConfig,
 ) -> SampleResult {
-    catch_unwind(AssertUnwindSafe(|| eval_one(router, sample, db, variants, cfg)))
+    catch_unwind(AssertUnwindSafe(|| eval_one(system, sample, db, variants, cfg)))
         .unwrap_or_else(|payload| {
             let message = if let Some(s) = payload.downcast_ref::<&str>() {
                 (*s).to_string()
@@ -386,7 +349,7 @@ fn failed_sample(sample: &Sample, failure: String) -> SampleResult {
 }
 
 fn eval_one(
-    router: &Router,
+    system: &CodesSystem,
     sample: &Sample,
     db: &Database,
     variants: Option<&Vec<Database>>,
@@ -395,13 +358,7 @@ fn eval_one(
     let limits = &cfg.exec_limits;
     let mut request = InferenceRequest::new(&sample.db_id, &sample.question);
     request.external_knowledge = sample.external_knowledge.clone();
-    // Inference goes through the serving stack (router → pool worker →
-    // backend); a typed serving error is contained exactly like a caught
-    // panic — this sample scores nothing, the run continues.
-    let inference = match router.submit(request).and_then(|ticket| ticket.wait()) {
-        Ok(served) => served,
-        Err(e) => return failed_sample(sample, format!("serving error: {e}")),
-    };
+    let inference = system.infer(db, &request);
     let ex = execution_match_governed(db, &inference.sql, &sample.sql, limits);
     let ts = match (cfg.compute_ts, variants) {
         (true, Some(vs)) => {

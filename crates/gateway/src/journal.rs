@@ -1,61 +1,14 @@
-//! Torn-line-tolerant JSONL audit journal.
-//!
-//! Every `/v1/infer` request that passes authentication gets exactly one
-//! audit record once its outcome is known — success, typed serving
-//! failure, or client-gone — flushed immediately so a crash loses at most
-//! the record being written.
-//!
-//! The healing discipline is the evaluation journal's
-//! (`codes-eval::journal`): [`AuditJournal::append`] always terminates a
-//! record with `\n`, so on open a file that does **not** end in a newline
-//! was killed mid-write — its final partial line is dropped and truncated
-//! away even if it happens to parse as JSON, and appends resume on a
-//! clean boundary. A *newline-terminated* line that fails to parse was
-//! fully written and is real corruption: a typed
-//! [`AuditError::JournalCorrupt`], never a silent skip.
+//! The audit journal: one JSONL record per `/v1/infer` request that
+//! passes authentication, written once its outcome is known — success,
+//! typed serving failure, or client-gone — and flushed immediately so a
+//! crash loses at most the record being written. The file discipline
+//! (torn-tail healing, typed corruption) is [`codes_obs::Journal`]'s; this
+//! module owns the record's shape.
 
-use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
+use codes_obs::{Journal, JournalError};
 use serde::Json;
-
-/// Typed failures of the audit journal.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AuditError {
-    /// Filesystem failure touching the journal.
-    Io {
-        /// The journal path involved.
-        path: PathBuf,
-        /// Operating-system error text.
-        message: String,
-    },
-    /// A newline-terminated journal line that is not a valid record.
-    JournalCorrupt {
-        /// The journal path involved.
-        path: PathBuf,
-        /// 1-based line number of the offending entry.
-        line: usize,
-        /// What failed to parse.
-        message: String,
-    },
-}
-
-impl fmt::Display for AuditError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AuditError::Io { path, message } => {
-                write!(f, "audit journal io error at {}: {message}", path.display())
-            }
-            AuditError::JournalCorrupt { path, line, message } => {
-                write!(f, "corrupt audit journal {} line {line}: {message}", path.display())
-            }
-        }
-    }
-}
-
-impl std::error::Error for AuditError {}
 
 /// One audited request outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,90 +70,27 @@ impl AuditRecord {
 
 /// Append-only JSONL journal of request outcomes.
 #[derive(Debug)]
-pub struct AuditJournal {
-    path: PathBuf,
-    file: File,
-    appended: u64,
-}
+pub struct AuditJournal(Journal);
 
 impl AuditJournal {
     /// Open `path` for appending (creating it if absent), heal a torn
     /// final line, and reload every complete record already present.
-    pub fn open(path: &Path) -> Result<(AuditJournal, Vec<AuditRecord>), AuditError> {
-        let io_err = |e: std::io::Error| AuditError::Io {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        };
-        let mut records = Vec::new();
-        if path.exists() {
-            let content = std::fs::read_to_string(path).map_err(io_err)?;
-            let mut lines: Vec<&str> = content.split('\n').collect();
-            // `split` yields a final "" for a newline-terminated file; a
-            // non-empty final piece is a torn record.
-            let torn = match lines.pop() {
-                Some("") | None => None,
-                Some(partial) => Some(partial),
-            };
-            for (i, line) in lines.iter().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let parsed = serde_json::from_str(line)
-                    .map_err(|e| e.to_string())
-                    .and_then(|json| AuditRecord::from_json(&json));
-                match parsed {
-                    Ok(record) => records.push(record),
-                    Err(message) => {
-                        return Err(AuditError::JournalCorrupt {
-                            path: path.to_path_buf(),
-                            line: i + 1,
-                            message,
-                        })
-                    }
-                }
-            }
-            if let Some(partial) = torn {
-                // Heal in place: cut the partial record off so the next
-                // append starts a fresh line instead of extending it.
-                let keep = (content.len() - partial.len()) as u64;
-                let file = OpenOptions::new().write(true).open(path).map_err(io_err)?;
-                file.set_len(keep).map_err(io_err)?;
-            }
-        }
-        let file = OpenOptions::new().create(true).append(true).open(path).map_err(io_err)?;
-        Ok((AuditJournal { path: path.to_path_buf(), file, appended: 0 }, records))
+    pub fn open(path: &Path) -> Result<(AuditJournal, Vec<AuditRecord>), JournalError> {
+        let (journal, records) = Journal::open(path, AuditRecord::from_json)?;
+        Ok((AuditJournal(journal), records))
     }
 
     /// Append one record and flush, so a kill immediately after loses
     /// nothing.
-    pub fn append(&mut self, record: &AuditRecord) -> Result<(), AuditError> {
-        let io_err = |e: std::io::Error| AuditError::Io {
-            path: self.path.clone(),
-            message: e.to_string(),
-        };
-        let line = serde_json::to_string(&record.to_json())
-            .map_err(|e| AuditError::Io { path: self.path.clone(), message: e.to_string() })?;
-        self.file.write_all(line.as_bytes()).map_err(io_err)?;
-        self.file.write_all(b"\n").map_err(io_err)?;
-        self.file.flush().map_err(io_err)?;
-        self.appended += 1;
-        Ok(())
-    }
-
-    /// Records appended by this process (excludes reloaded history).
-    pub fn appended(&self) -> u64 {
-        self.appended
-    }
-
-    /// The journal's location.
-    pub fn path(&self) -> &Path {
-        &self.path
+    pub fn append(&mut self, record: &AuditRecord) -> Result<(), JournalError> {
+        self.0.append(&record.to_json())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn record(seq: u64) -> AuditRecord {
         AuditRecord {
@@ -237,42 +127,6 @@ mod tests {
         }
         let (_, loaded) = AuditJournal::open(&path).expect("reopen");
         assert_eq!(loaded, vec![record(0), record(1)]);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn torn_final_line_heals_even_when_it_parses() {
-        let path = temp_path("torn");
-        let _ = std::fs::remove_file(&path);
-        {
-            let (mut journal, _) = AuditJournal::open(&path).expect("open");
-            journal.append(&record(0)).expect("append");
-        }
-        // Simulate a kill between the payload write and the newline: a
-        // complete JSON record with no trailing newline.
-        let mut content = std::fs::read_to_string(&path).expect("read");
-        content.push_str(
-            r#"{"seq":1,"tenant":"acme","db_id":"bank","status":200,"code":"ok","latency_ms":1,"cached":false}"#,
-        );
-        std::fs::write(&path, &content).expect("write torn");
-        let (mut journal, loaded) = AuditJournal::open(&path).expect("heal");
-        assert_eq!(loaded, vec![record(0)], "torn line dropped despite parsing");
-        journal.append(&record(2)).expect("append after heal");
-        let (_, reloaded) = AuditJournal::open(&path).expect("reopen");
-        assert_eq!(reloaded.len(), 2);
-        assert_eq!(reloaded[1].seq, 2);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn newline_terminated_garbage_is_corrupt() {
-        let path = temp_path("corrupt");
-        let _ = std::fs::remove_file(&path);
-        std::fs::write(&path, "not json\n").expect("write");
-        match AuditJournal::open(&path) {
-            Err(AuditError::JournalCorrupt { line: 1, .. }) => {}
-            other => panic!("expected corruption, got {other:?}"),
-        }
         let _ = std::fs::remove_file(&path);
     }
 }

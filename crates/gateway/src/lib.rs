@@ -53,6 +53,6 @@ pub use http::{
     encode_chunk, ChunkDecoder, ChunkedWriter, HttpRequest, HttpResponse, ParseError,
     ParseLimits, RequestHead, RequestParser,
 };
-pub use journal::{AuditError, AuditJournal, AuditRecord};
+pub use journal::{AuditJournal, AuditRecord};
 pub use limiter::TokenBucket;
 pub use server::{Gateway, GatewayConfig, GatewayStats, StartError};

@@ -61,7 +61,7 @@ use crate::auth::{AuthTable, TenantAccount, TenantSpec};
 use crate::envelope;
 use crate::error::{error_response, map_serve_error, serve_error_response, Reject, WireError};
 use crate::http::{ChunkedWriter, HttpRequest, HttpResponse, ParseLimits, RequestParser};
-use crate::journal::{AuditError, AuditJournal, AuditRecord};
+use crate::journal::{AuditJournal, AuditRecord};
 use crate::metrics::{EdgeShed, GatewayMetrics};
 
 /// Gateway tuning knobs.
@@ -87,14 +87,9 @@ pub struct GatewayConfig {
     pub idle_keep_alive: Duration,
     /// Byte budgets for request heads and bodies.
     pub limits: ParseLimits,
-    /// Requests served per connection before the gateway closes it
-    /// (resource-leak hygiene under very long-lived clients).
-    pub max_requests_per_connection: usize,
     /// Tenant table; empty runs the gateway open (all traffic under an
     /// implicit `"default"` tenant, no rate limits or budgets).
     pub tenants: Vec<TenantSpec>,
-    /// Upper clamp on the client-supplied `deadline_ms`.
-    pub max_deadline: Duration,
     /// Audit journal path; `None` disables journaling.
     pub journal_path: Option<PathBuf>,
 }
@@ -110,9 +105,7 @@ impl Default for GatewayConfig {
             body_budget: Duration::from_secs(5),
             idle_keep_alive: Duration::from_secs(10),
             limits: ParseLimits::default(),
-            max_requests_per_connection: 1024,
             tenants: Vec::new(),
-            max_deadline: Duration::from_secs(30),
             journal_path: None,
         }
     }
@@ -124,7 +117,7 @@ pub enum StartError {
     /// Could not bind the listener.
     Bind(std::io::Error),
     /// Could not open (or heal) the audit journal.
-    Journal(AuditError),
+    Journal(codes_obs::JournalError),
 }
 
 impl std::fmt::Display for StartError {
@@ -443,6 +436,10 @@ enum ReadOutcome {
     Reject(Reject),
 }
 
+/// Requests served per connection before the gateway closes it
+/// (resource-leak hygiene under very long-lived clients).
+const MAX_REQUESTS_PER_CONNECTION: usize = 1024;
+
 fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(inner.config.read_slice));
@@ -454,7 +451,7 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
             ReadOutcome::Request(request) => {
                 served += 1;
                 let close = request.head.wants_close()
-                    || served >= inner.config.max_requests_per_connection
+                    || served >= MAX_REQUESTS_PER_CONNECTION
                     || inner.shutdown.load(Ordering::SeqCst);
                 if wants_stream(&request.head) {
                     // Streaming bypasses the buffered-response path: the
@@ -704,13 +701,20 @@ fn authenticate<'a>(
     inner.auth.authenticate(&request.head).map(Some)
 }
 
-/// Parse the infer body. Required: `db_id`, `question`; optional:
-/// `external_knowledge`, `deadline_ms`.
-fn parse_infer_body(body: &[u8], max_deadline: Duration) -> Result<InferenceRequest, Reject> {
+/// A request body as JSON.
+fn json_body(body: &[u8]) -> Result<Json, Reject> {
     let text = std::str::from_utf8(body)
         .map_err(|_| Reject::BadRequest("body is not valid UTF-8".to_string()))?;
-    let json = serde_json::from_str(text)
-        .map_err(|e| Reject::BadRequest(format!("invalid JSON: {e}")))?;
+    serde_json::from_str(text).map_err(|e| Reject::BadRequest(format!("invalid JSON: {e}")))
+}
+
+/// Upper clamp on the client-supplied `deadline_ms`.
+const MAX_DEADLINE: Duration = Duration::from_secs(30);
+
+/// Parse the infer body. Required: `db_id`, `question`; optional:
+/// `external_knowledge`, `deadline_ms`.
+fn parse_infer_body(body: &[u8]) -> Result<InferenceRequest, Reject> {
+    let json = json_body(body)?;
     let str_field = |name: &str| -> Result<String, Reject> {
         json.get(name)
             .and_then(Json::as_str)
@@ -736,7 +740,7 @@ fn parse_infer_body(body: &[u8], max_deadline: Duration) -> Result<InferenceRequ
             let ms = value.as_i64().filter(|ms| *ms > 0).ok_or_else(|| {
                 Reject::BadRequest("'deadline_ms' must be a positive integer".to_string())
             })?;
-            request = request.with_deadline(Duration::from_millis(ms as u64).min(max_deadline));
+            request = request.with_deadline(Duration::from_millis(ms as u64).min(MAX_DEADLINE));
         }
     }
     Ok(request)
@@ -806,7 +810,7 @@ fn admit_infer(
             return InferAdmission::Immediate(reject.response());
         }
     }
-    let infer_request = match parse_infer_body(&request.body, inner.config.max_deadline) {
+    let infer_request = match parse_infer_body(&request.body) {
         Ok(parsed) => parsed,
         Err(reject) => {
             finish("", reject.status(), reject.code());
@@ -1044,30 +1048,37 @@ fn handle_infer_stream(
     }
 }
 
-fn handle_invalidate(inner: &Arc<Inner>, request: &HttpRequest) -> HttpResponse {
-    if let Err(reject) = authenticate(inner, request) {
-        return reject.response();
-    }
+/// The prologue `/v1/invalidate` and `/v1/databases` share, in order:
+/// auth, drain check, `target` (what the endpoint acts through, or why it
+/// cannot), then the body's required `db_id`.
+fn admin_request<T>(
+    inner: &Arc<Inner>,
+    request: &HttpRequest,
+    target: Result<T, Reject>,
+) -> Result<(T, String), HttpResponse> {
+    authenticate(inner, request).map_err(|reject| reject.response())?;
     if inner.shutdown.load(Ordering::SeqCst) {
         inner.metrics.shed(EdgeShed::ShuttingDown).inc();
-        return Reject::ShuttingDown.response();
+        return Err(Reject::ShuttingDown.response());
     }
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return Reject::BadRequest("body is not valid UTF-8".to_string()).response(),
+    let target = target.map_err(|reject| reject.response())?;
+    let json = json_body(&request.body).map_err(|reject| reject.response())?;
+    match json.get("db_id").and_then(Json::as_str).filter(|s| !s.is_empty()) {
+        Some(db_id) => Ok((target, db_id.to_string())),
+        None => Err(Reject::BadRequest("missing required string field 'db_id'".to_string())
+            .response()),
+    }
+}
+
+fn handle_invalidate(inner: &Arc<Inner>, request: &HttpRequest) -> HttpResponse {
+    let ((), db_id) = match admin_request(inner, request, Ok(())) {
+        Ok(admitted) => admitted,
+        Err(response) => return response,
     };
-    let json = match serde_json::from_str(text) {
-        Ok(json) => json,
-        Err(e) => return Reject::BadRequest(format!("invalid JSON: {e}")).response(),
-    };
-    let Some(db_id) = json.get("db_id").and_then(Json::as_str).filter(|s| !s.is_empty()) else {
-        return Reject::BadRequest("missing required string field 'db_id'".to_string())
-            .response();
-    };
-    match inner.router.invalidate_database(db_id) {
+    match inner.router.invalidate_database(&db_id) {
         Ok(generation) => {
             let body = Json::Obj(vec![
-                ("db_id".to_string(), Json::Str(db_id.to_string())),
+                ("db_id".to_string(), Json::Str(db_id)),
                 (
                     "generation".to_string(),
                     generation.map_or(Json::Null, |g| Json::Int(g as i64)),
@@ -1086,30 +1097,14 @@ fn handle_invalidate(inner: &Arc<Inner>, request: &HttpRequest) -> HttpResponse 
 /// indexes and cache generations are current before the response leaves.
 /// Re-attaching an already-served database refreshes it.
 fn handle_attach(inner: &Arc<Inner>, request: &HttpRequest) -> HttpResponse {
-    if let Err(reject) = authenticate(inner, request) {
-        return reject.response();
-    }
-    if inner.shutdown.load(Ordering::SeqCst) {
-        inner.metrics.shed(EdgeShed::ShuttingDown).inc();
-        return Reject::ShuttingDown.response();
-    }
-    let Some(catalogs) = inner.catalogs.as_ref() else {
-        return Reject::Unimplemented("database attachment (no storage service configured)")
-            .response();
+    let catalogs = inner.catalogs.as_ref().ok_or(Reject::Unimplemented(
+        "database attachment (no storage service configured)",
+    ));
+    let (catalogs, db_id) = match admin_request(inner, request, catalogs) {
+        Ok(admitted) => admitted,
+        Err(response) => return response,
     };
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return Reject::BadRequest("body is not valid UTF-8".to_string()).response(),
-    };
-    let json = match serde_json::from_str(text) {
-        Ok(json) => json,
-        Err(e) => return Reject::BadRequest(format!("invalid JSON: {e}")).response(),
-    };
-    let Some(db_id) = json.get("db_id").and_then(Json::as_str).filter(|s| !s.is_empty()) else {
-        return Reject::BadRequest("missing required string field 'db_id'".to_string())
-            .response();
-    };
-    match catalogs.attach(db_id) {
+    match catalogs.attach(&db_id) {
         Ok(catalog) => {
             let body = Json::Obj(vec![
                 ("db_id".to_string(), Json::Str(catalog.db_id().to_string())),
@@ -1156,11 +1151,4 @@ fn audit(
         inner.metrics.journal_lines.inc();
         inner.stats.journal_records.fetch_add(1, Ordering::Relaxed);
     }
-}
-
-/// Convenience used by error paths that need a response but have no
-/// specific message.
-#[allow(dead_code)]
-fn simple_error(status: u16, code: &str) -> HttpResponse {
-    error_response(status, code, code, None)
 }

@@ -469,11 +469,7 @@ fn profile_cache() -> &'static ShardedCache<u64, Arc<SchemaProfile>> {
 
 fn new_profile_cache(registry: &codes_obs::Registry) -> ShardedCache<u64, Arc<SchemaProfile>> {
     ShardedCache::with_metrics(
-        CacheConfig {
-            capacity: 128,
-            shards: 4,
-            ttl: None,
-        },
+        CacheConfig { capacity: 128, shards: 4 },
         registry,
         "schema_profile",
     )

@@ -25,6 +25,8 @@
 //!   format) and [`Registry::trace_dump`] (JSON array of span records).
 //! * **Clock** ([`Clock`]) — the time source a timed policy reads: real
 //!   in production, manual (advanced by hand) in tests.
+//! * **Journal** ([`Journal`]) — the append-only JSONL file the eval
+//!   harness and the gateway audit log both write, healing a torn tail.
 //!
 //! Metrics live in a [`Registry`]. Production code uses the process-wide
 //! [`global()`] registry; tests construct private registries
@@ -41,11 +43,13 @@
 //! only dynamic part.
 
 pub mod clock;
+pub mod journal;
 pub mod metrics;
 pub mod stages;
 pub mod trace;
 
 pub use clock::Clock;
+pub use journal::{Journal, JournalError};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, BUCKET_BOUNDS_NS,
 };

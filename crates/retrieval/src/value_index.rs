@@ -122,7 +122,7 @@ fn index_cache() -> &'static ShardedCache<u64, Arc<ValueIndex>> {
     static CACHE: OnceLock<ShardedCache<u64, Arc<ValueIndex>>> = OnceLock::new();
     CACHE.get_or_init(|| {
         ShardedCache::with_metrics(
-            CacheConfig { capacity: 128, shards: 4, ttl: None },
+            CacheConfig { capacity: 128, shards: 4 },
             &codes_obs::global(),
             "bm25_index",
         )

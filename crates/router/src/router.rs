@@ -52,7 +52,6 @@ use codes_serve::progress::{Progress, ProgressSink};
 use codes_serve::{HealthSnapshot, Pool, ServeConfig, StatsSnapshot};
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
-use sqlengine::Database;
 
 use crate::drr::TenantQueues;
 use crate::metrics::{RouterMetrics, ShedReason};
@@ -86,8 +85,6 @@ pub struct RouterConfig {
     /// full queue sheds with a typed [`Error::Overloaded`] before
     /// anything reaches a pool.
     pub tenant_queue_capacity: usize,
-    /// Virtual nodes per shard on the consistent-hash ring.
-    pub vnodes: usize,
     /// Sweep period of the health monitor that auto-fails-over churning
     /// or wedged shards; `None` disables auto-failover (operator-invoked
     /// [`Router::fail_over`] / [`Router::rebalance`] still work).
@@ -95,10 +92,6 @@ pub struct RouterConfig {
     /// Worker replacements (panic + wedged) within one monitor sweep that
     /// mark a shard as persistently churning and trigger failover.
     pub churn_threshold: u64,
-    /// Consecutive monitor sweeps in which a shard holds queued work but
-    /// makes zero progress (no completions, failures, or sheds) before it
-    /// is declared wedged and failed over.
-    pub stall_sweeps: u32,
 }
 
 impl Default for RouterConfig {
@@ -106,13 +99,14 @@ impl Default for RouterConfig {
         RouterConfig {
             tenants: Vec::new(),
             tenant_queue_capacity: 64,
-            vnodes: 64,
             monitor_interval: None,
             churn_threshold: 4,
-            stall_sweeps: 3,
         }
     }
 }
+
+/// Virtual nodes per shard on the consistent-hash ring.
+const VNODES: usize = 64;
 
 /// Everything needed to run (and re-run, after failover) one shard.
 pub struct ShardSpec {
@@ -314,7 +308,7 @@ impl Router {
         };
         let tenant_names: Vec<String> = tenants.iter().map(|(n, _)| n.clone()).collect();
         let metrics = RouterMetrics::new(&registry, shards.len(), &tenant_names);
-        let ring = HashRing::new(shards.len(), config.vnodes);
+        let ring = HashRing::new(shards.len(), VNODES);
         let shards: Vec<Shard> = shards
             .into_iter()
             .map(|spec| {
@@ -487,23 +481,6 @@ impl Router {
         self.inner.shards[owner].pool.read().invalidate_database(db_id)
     }
 
-    /// Reconcile the owning shard's cache with `db`'s catalog revision
-    /// (router-level counterpart of [`codes::SystemCache::observe_revision`]):
-    /// a revision change bumps the generation so schema-stale entries die.
-    /// Returns the current generation, `Ok(None)` when the owning shard
-    /// has no cache, and [`Error::UnknownDatabase`] when no backend
-    /// on the owning shard serves the database.
-    pub fn observe_revision(&self, db: &Database) -> Result<Option<u64>, Error> {
-        let Some(owner) = self.inner.ring.owner(&db.name, &self.inner.active_mask()) else {
-            return Err(Error::ShuttingDown);
-        };
-        let pool = self.inner.shards[owner].pool.read();
-        if pool.has_database(&db.name) == Some(false) {
-            return Err(Error::UnknownDatabase { db_id: db.name.clone() });
-        }
-        Ok(pool.cache().map(|cache| cache.observe_revision(db)))
-    }
-
     /// Fail shard `shard` over: its databases remap to surviving shards
     /// (destination generations bumped **before** the mask flips, so no
     /// pre-failover T3 entry survives a post-failover lookup), its queued
@@ -551,11 +528,6 @@ impl Router {
     /// feed it to [`codes_obs::Registry::render_prometheus`].
     pub fn registry(&self) -> &Arc<codes_obs::Registry> {
         &self.inner.registry
-    }
-
-    /// `(name, weight)` tenant rows in configuration order.
-    pub fn tenants(&self) -> Vec<(String, u64)> {
-        self.inner.tenants.clone()
     }
 
     /// Stop accepting, drain every router queue into the pools, drain the
@@ -890,6 +862,11 @@ fn dispatcher_loop(inner: &Arc<RouterInner>, idx: usize) {
     }
 }
 
+/// Consecutive monitor sweeps in which a shard holds queued work but makes
+/// zero progress (no completions, failures, or sheds) before it is
+/// declared wedged and failed over.
+const STALL_SWEEPS: u32 = 3;
+
 /// Per-shard churn/stall bookkeeping between monitor sweeps.
 #[derive(Default, Clone, Copy)]
 struct MonitorState {
@@ -900,7 +877,7 @@ struct MonitorState {
 
 /// Auto-failover monitor: a shard replacing workers faster than
 /// `churn_threshold` per sweep, or holding queued work with zero progress
-/// for `stall_sweeps` consecutive sweeps, is failed over (unless it is
+/// for [`STALL_SWEEPS`] consecutive sweeps, is failed over (unless it is
 /// the last active shard — then there is nowhere to move its databases
 /// and the router keeps limping on it).
 fn monitor_loop(inner: &Arc<RouterInner>, interval: Duration) {
@@ -939,7 +916,7 @@ fn monitor_loop(inner: &Arc<RouterInner>, interval: Duration) {
             }
             state.progress = progress;
             if churn_delta >= inner.config.churn_threshold
-                || state.stalled_sweeps >= inner.config.stall_sweeps
+                || state.stalled_sweeps >= STALL_SWEEPS
             {
                 *state = MonitorState::default();
                 let _guard = inner.topology_lock.lock();

@@ -314,9 +314,7 @@ fn rebalance_is_a_timed_drain_move_bump_cycle() {
     router.shutdown();
 }
 
-/// Satellite: the router-level invalidation/observe counterparts route to
-/// the owning shard, and a database nobody serves is a typed error, not a
-/// silent no-op.
+/// Satellite: the router-level invalidation routes to the owning shard.
 #[test]
 fn router_invalidation_routes_to_the_owning_shard() {
     let epoch = Arc::new(AtomicU64::new(0));
@@ -332,6 +330,29 @@ fn router_invalidation_routes_to_the_owning_shard() {
     assert_eq!(recomputed.sql, "SELECT 1", "invalidation must reach the owner's cache");
     assert!(!recomputed.cached);
     router.shutdown();
+}
+
+/// Bugfix: a shard's health counts only its own pool's requests. The
+/// registry's request series carry no pool label, so across shards they
+/// are the sum — the total, never one shard's count.
+#[test]
+fn each_shards_stats_count_only_its_own_requests() {
+    let epoch = Arc::new(AtomicU64::new(0));
+    let (router, registry) = epoch_router(2, &epoch, false);
+    let (db0, db1) = (db_owned_by(&router, 0), db_owned_by(&router, 1));
+    for i in 0..3 {
+        ask(&router, &db0, &format!("q{i}"));
+    }
+    for i in 0..5 {
+        ask(&router, &db1, &format!("q{i}"));
+    }
+    let health = router.shutdown();
+    let completed: Vec<u64> = health.shards.iter().map(|s| s.pool.stats.completed).collect();
+    assert_eq!(completed, vec![3, 5]);
+    let series = registry.counters_by_name(codes_serve::metrics::REQUESTS);
+    let outcome = vec![("outcome".to_string(), "completed".to_string())];
+    let total = series.iter().find(|(labels, _)| *labels == outcome).map(|(_, n)| *n);
+    assert_eq!(total, Some(8), "codes_serve_requests_total{{outcome=\"completed\"}} is the sum");
 }
 
 /// A backend that tracks a database universe, so misaddressed
@@ -356,11 +377,10 @@ impl codes_serve::pool::Backend for UniverseBackend {
     }
 }
 
-/// Satellite: invalidating or observing a database the owning shard's
-/// backend does not serve is [`Error::UnknownDatabase`], and
-/// `observe_revision` bumps on catalog changes through the router.
+/// Satellite: invalidating a database the owning shard's backend does not
+/// serve is [`Error::UnknownDatabase`], not a silent no-op.
 #[test]
-fn unknown_databases_are_typed_errors_and_revisions_bump_through_the_router() {
+fn misaddressed_invalidations_are_typed_errors() {
     let epoch = Arc::new(AtomicU64::new(0));
     let registry = Arc::new(codes_obs::Registry::new());
     let dbs: Vec<String> = (0..6).map(|i| format!("db{i}")).collect();
@@ -384,17 +404,6 @@ fn unknown_databases_are_typed_errors_and_revisions_bump_through_the_router() {
         Err(Error::UnknownDatabase { db_id }) => assert_eq!(db_id, "nobody-serves-this"),
         other => panic!("expected UnknownDatabase, got {other:?}"),
     }
-    let mut db = sqlengine::Database::new(dbs[0].clone());
-    let first = router.observe_revision(&db).expect("known db").expect("cache attached");
-    db.bump_revision();
-    let second = router.observe_revision(&db).expect("known db").expect("cache attached");
-    assert!(second > first, "a catalog revision change must bump the generation");
-
-    let mut ghost = sqlengine::Database::new("nobody-serves-this");
-    ghost.bump_revision();
-    match router.observe_revision(&ghost) {
-        Err(Error::UnknownDatabase { db_id }) => assert_eq!(db_id, "nobody-serves-this"),
-        other => panic!("expected UnknownDatabase, got {other:?}"),
-    }
+    assert!(router.invalidate_database(&dbs[0]).expect("known db").is_some());
     router.shutdown();
 }

@@ -112,13 +112,6 @@ impl ServeMetrics {
         MetricsSnapshot {
             queue_wait: self.queue_wait.snapshot(),
             in_flight: self.in_flight.get(),
-            submitted: self.submitted.get(),
-            served_from_cache: self.served_from_cache.get(),
-            completed: self.completed.get(),
-            failed: self.failed.get(),
-            shed_overloaded: self.shed_overloaded.get(),
-            shed_breaker: self.shed_breaker.get(),
-            shed_deadline: self.shed_deadline.get(),
             breaker_transitions,
             batch_size: self.batch_size.snapshot(),
             batch_bypass_mismatch: self.batch_bypass_mismatch.get(),
@@ -150,10 +143,9 @@ impl CatalogChecks {
 }
 
 /// Point-in-time copy of the pool's registry-backed metrics, merged into
-/// [`crate::HealthSnapshot`]. The counters mirror
-/// [`crate::StatsSnapshot`] (the two are recorded at the same call
-/// sites); the histogram, gauge, and breaker transition counts exist
-/// only here.
+/// [`crate::HealthSnapshot`]. The series carry no per-pool label, so pools
+/// recording into one registry (a router's shards, a revived pool) share
+/// them; per-pool request counts are [`crate::StatsSnapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Queue-wait latency distribution (every dequeued request records
@@ -161,20 +153,6 @@ pub struct MetricsSnapshot {
     pub queue_wait: HistogramSnapshot,
     /// Requests currently running on workers.
     pub in_flight: i64,
-    /// Requests accepted into the queue.
-    pub submitted: u64,
-    /// Requests resolved from the full-result cache at admission.
-    pub served_from_cache: u64,
-    /// Requests that produced an inference.
-    pub completed: u64,
-    /// Requests that failed in the backend.
-    pub failed: u64,
-    /// Admission rejections: queue full.
-    pub shed_overloaded: u64,
-    /// Sheds after dequeue: circuit breaker open.
-    pub shed_breaker: u64,
-    /// Sheds after dequeue: deadline expired while queued.
-    pub shed_deadline: u64,
     /// `(from, to, count)` per observed breaker state transition.
     pub breaker_transitions: Vec<(String, String, u64)>,
     /// Dispatch-size distribution (one sample per dispatch; solo

@@ -159,12 +159,7 @@ impl SystemBackend {
         registry: &codes_obs::Registry,
     ) -> SystemBackend {
         let observer_system = Arc::clone(&system);
-        service.set_revision_observer(Box::new(move |db| {
-            observer_system.prepare_database(db);
-            if let Some(cache) = observer_system.cache() {
-                cache.observe_revision(db);
-            }
-        }));
+        service.set_revision_observer(Box::new(move |db| observer_system.prepare_database(db)));
         let _ = service.attach_all();
         SystemBackend { system, service, checks: CatalogChecks::new(registry) }
     }
@@ -285,6 +280,15 @@ impl Backend for SystemBackend {
     }
 }
 
+/// Pacing for transient-failure retries inside a request (sleeps
+/// `delay(attempt)`, seed decorrelated per request id).
+const RETRY_BACKOFF: Backoff = Backoff {
+    base: Duration::from_millis(5),
+    max: Duration::from_millis(200),
+    jitter: 0.5,
+    seed: 0xC0DE5,
+};
+
 /// Pool tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -316,9 +320,6 @@ pub struct ServeConfig {
     /// [`Error::WorkerWedged`] and its slot respawned. Must exceed the
     /// worst-case healthy inference latency.
     pub wedged_after: Duration,
-    /// Pacing for transient-failure retries inside a request (sleeps
-    /// `delay(attempt)`, seed decorrelated per request id).
-    pub retry_backoff: Backoff,
     /// Optional result cache shared with the backend's [`CodesSystem`].
     /// When set, [`Pool::submit`] checks the full-result tier (T3) at
     /// admission — a hit resolves immediately without touching the queue —
@@ -338,7 +339,6 @@ impl Default for ServeConfig {
             breaker: BreakerConfig::default(),
             heartbeat_interval: Duration::from_millis(20),
             wedged_after: Duration::from_secs(5),
-            retry_backoff: Backoff::new(Duration::from_millis(5), Duration::from_millis(200), 0xC0DE5),
             cache: None,
         }
     }
@@ -533,10 +533,10 @@ pub struct HealthSnapshot {
     pub workers: Vec<WorkerHealth>,
     /// Breaker state per database seen so far.
     pub breakers: Vec<(String, BreakerState)>,
-    /// Lifetime counters.
+    /// Lifetime counters of this pool alone.
     pub stats: StatsSnapshot,
     /// Registry-backed metrics: queue-wait latency distribution,
-    /// in-flight gauge, shed counters, breaker transition counts.
+    /// in-flight gauge, breaker transition counts, batch sizes.
     pub metrics: MetricsSnapshot,
     /// Result-cache counters when a [`SystemCache`] is attached
     /// ([`ServeConfig::cache`]); `None` for cacheless pools.
@@ -758,8 +758,7 @@ impl Inner {
             // resumes from there one member at a time. Pacing is
             // decorrelated across requests while each request's schedule
             // stays deterministic.
-            let backoff =
-                Backoff { seed: self.config.retry_backoff.seed ^ job.id, ..self.config.retry_backoff };
+            let backoff = Backoff { seed: RETRY_BACKOFF.seed ^ job.id, ..RETRY_BACKOFF };
             let mut dispatched = Some(result);
             let result = with_retry_paced(
                 &config.exec_limits,
@@ -1223,29 +1222,6 @@ impl Pool {
         Ok(self.inner.config.cache.as_ref().map(|c| c.invalidate_database(db_id)))
     }
 
-    /// The pool's shard-local result cache, when one is attached
-    /// ([`ServeConfig::cache`]).
-    pub fn cache(&self) -> Option<&Arc<SystemCache>> {
-        self.inner.config.cache.as_ref()
-    }
-
-    /// Whether the backend serves `db_id` (`None` when the backend doesn't
-    /// track a database universe — see [`Backend::has_database`]).
-    pub fn has_database(&self, db_id: &str) -> Option<bool> {
-        self.inner.backend.has_database(db_id)
-    }
-
-    /// Requests currently waiting in the admission queue (cheap; no metric
-    /// snapshotting — routing layers poll this on the submit path).
-    pub fn queue_depth(&self) -> usize {
-        self.inner.queue_rx.len()
-    }
-
-    /// Configured admission-queue capacity.
-    pub fn queue_capacity(&self) -> usize {
-        self.inner.config.queue_capacity
-    }
-
     /// Non-mutating peek at `db_id`'s circuit breaker: `Some(retry_after)`
     /// while the breaker is open, `None` when it is closed, half-open, or
     /// has never seen the database. Unlike admission this never transitions
@@ -1572,8 +1548,7 @@ mod tests {
                     .collect();
                 // Pacing is seeded per request id, so the exact delays are
                 // known up front.
-                let policy = ServeConfig::default().retry_backoff;
-                let backoff = Backoff { seed: policy.seed ^ tickets[0].id, ..policy };
+                let backoff = Backoff { seed: RETRY_BACKOFF.seed ^ tickets[0].id, ..RETRY_BACKOFF };
                 gate.open();
                 hold.wait().expect("held request completes once released");
                 let outcomes: Vec<Outcome> = tickets.into_iter().map(Ticket::wait).collect();
@@ -1700,7 +1675,10 @@ mod tests {
 
         let health = pool.shutdown();
         assert_eq!(health.stats.served_from_cache, 1);
-        assert_eq!(health.metrics.served_from_cache, 1);
+        assert_eq!(
+            registry.counters_by_name(crate::metrics::SERVED_FROM_CACHE),
+            vec![(vec![], 1)]
+        );
         assert_eq!(health.stats.submitted, 3);
         assert_eq!(health.stats.completed, 3);
         let stats = health.cache.expect("cache attached");

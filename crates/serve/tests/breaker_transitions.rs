@@ -240,6 +240,21 @@ impl Backend for SwitchBackend {
     }
 }
 
+/// One `codes_serve_*` counter series, read back from the registry.
+fn series(registry: &codes_obs::Registry, name: &str, label: (&str, &str)) -> u64 {
+    let label = vec![(label.0.to_string(), label.1.to_string())];
+    let found = registry.counters_by_name(name).into_iter().find(|(labels, _)| *labels == label);
+    found.map_or(0, |(_, count)| count)
+}
+
+fn failed(registry: &codes_obs::Registry) -> u64 {
+    series(registry, codes_serve::metrics::REQUESTS, ("outcome", "failed"))
+}
+
+fn shed_breaker(registry: &codes_obs::Registry) -> u64 {
+    series(registry, codes_serve::metrics::SHED, ("reason", "breaker"))
+}
+
 fn pool_config() -> ServeConfig {
     let mut config = ServeConfig {
         workers: 1,
@@ -282,13 +297,13 @@ fn pool_transition_counters_agree_with_observed_breaker_behavior() {
     let metrics = pool.health().metrics;
     assert_eq!(metrics.transitions("closed", "open"), 1);
     assert_eq!(metrics.total_transitions(), 1);
-    assert_eq!(metrics.failed, 3);
+    assert_eq!(failed(&registry), 3);
 
     // Inside the 40ms window: shed, no transition.
     let outcome = pool.submit(InferenceRequest::new("bank", "q3")).expect("admitted").wait();
     assert!(matches!(outcome, Err(codes::Error::CircuitOpen { .. })), "window shed: {outcome:?}");
     let metrics = pool.health().metrics;
-    assert_eq!(metrics.shed_breaker, 1);
+    assert_eq!(shed_breaker(&registry), 1);
     assert_eq!(metrics.total_transitions(), 1);
 
     // Past the window: the request becomes the probe (open→half_open) and
@@ -316,9 +331,10 @@ fn pool_transition_counters_agree_with_observed_breaker_behavior() {
     assert_eq!(metrics.total_transitions(), 5);
 
     // The registry counters mirror the pool's own lifetime stats.
-    assert_eq!(metrics.submitted, health.stats.submitted);
-    assert_eq!(metrics.failed, health.stats.failed);
-    assert_eq!(metrics.shed_breaker, health.stats.shed_breaker);
+    let submitted = registry.counters_by_name(codes_serve::metrics::SUBMITTED);
+    assert_eq!(submitted, vec![(vec![], health.stats.submitted)]);
+    assert_eq!(failed(&registry), health.stats.failed);
+    assert_eq!(shed_breaker(&registry), health.stats.shed_breaker);
     assert_eq!(metrics.queue_wait.count, 6, "every dequeued request samples queue wait");
     assert_eq!(metrics.in_flight, 0);
 }
@@ -349,8 +365,8 @@ fn pool_counts_recovery_transition_when_probe_succeeds() {
     assert_eq!(metrics.transitions("half_open", "closed"), 1);
     assert_eq!(metrics.transitions("half_open", "open"), 0);
     assert_eq!(metrics.total_transitions(), 3);
-    assert_eq!(metrics.completed, 1);
-    assert_eq!(metrics.failed, 3);
+    assert_eq!(series(&registry, codes_serve::metrics::REQUESTS, ("outcome", "completed")), 1);
+    assert_eq!(failed(&registry), 3);
     // The final closed state in the snapshot agrees with the ledger.
     assert!(matches!(
         health.breakers.iter().find(|(d, _)| d == "bank").expect("breaker exists").1,

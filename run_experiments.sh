@@ -12,7 +12,7 @@ if ! cargo run --release --offline -q --manifest-path e2e/Cargo.toml --bin e2e -
   exit 1
 fi
 echo "    ok"
-BINS="table1 table2 table3 table4 table5 table6 table7 table8 table9 table10 figure1 figure4 latency stages faults cache batching shards gateway streaming optimizer storage"
+BINS="table1 table2 table3 table4 table5 table6 table7 table8 table9 table10 figure1 figure4 latency stages faults cache batching optimizer storage"
 failed=0
 for b in $BINS; do
   echo "=== running $b ($(date +%H:%M:%S)) ==="
