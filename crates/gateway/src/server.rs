@@ -647,8 +647,6 @@ fn health_response(inner: &Arc<Inner>) -> HttpResponse {
         .map(|s| {
             Json::Obj(vec![
                 ("index".to_string(), Json::Int(s.index as i64)),
-                ("active".to_string(), Json::Bool(s.active)),
-                ("draining".to_string(), Json::Bool(s.draining)),
                 ("router_depth".to_string(), Json::Int(s.router_depth as i64)),
                 ("queue_depth".to_string(), Json::Int(s.pool.queue_depth as i64)),
                 ("in_flight".to_string(), Json::Int(s.pool.in_flight as i64)),
@@ -891,7 +889,7 @@ fn handle_infer(inner: &Arc<Inner>, request: &HttpRequest) -> HttpResponse {
         InferAdmission::Admitted(ctx) => ctx,
     };
     // The router/pool guarantee exactly-once resolution for every
-    // accepted ticket (through drain, failover, and worker death), so
+    // accepted ticket (through drain and worker death), so
     // this wait cannot hang; the slice size only bounds each poll.
     let outcome = loop {
         if let Some(outcome) = ctx.ticket.wait_timeout(Duration::from_secs(3600)) {

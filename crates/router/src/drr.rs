@@ -19,7 +19,6 @@ use std::collections::VecDeque;
 /// One tenant's queue + DRR bookkeeping.
 #[derive(Debug)]
 struct TenantState<T> {
-    name: String,
     weight: u64,
     deficit: u64,
     queue: VecDeque<T>,
@@ -42,8 +41,7 @@ impl<T> TenantQueues<T> {
         TenantQueues {
             tenants: tenants
                 .iter()
-                .map(|(name, weight)| TenantState {
-                    name: name.clone(),
+                .map(|(_, weight)| TenantState {
                     weight: (*weight).max(1),
                     deficit: 0,
                     queue: VecDeque::new(),
@@ -52,16 +50,6 @@ impl<T> TenantQueues<T> {
             capacity,
             cursor: 0,
         }
-    }
-
-    /// Index of `name`, if it is a configured tenant.
-    pub fn tenant_index(&self, name: &str) -> Option<usize> {
-        self.tenants.iter().position(|t| t.name == name)
-    }
-
-    /// `(name, weight)` rows in configuration order.
-    pub fn tenants(&self) -> Vec<(String, u64)> {
-        self.tenants.iter().map(|t| (t.name.clone(), t.weight)).collect()
     }
 
     /// Enqueue for tenant `index`; a full tenant queue returns the item
@@ -122,8 +110,8 @@ impl<T> TenantQueues<T> {
         self.tenants[index].queue.len()
     }
 
-    /// Take every queued item (used by failover to re-route a dying
-    /// shard's backlog), in DRR order so fairness carries across the move.
+    /// Take every queued item, in DRR order (the router's shutdown sweep
+    /// resolves whatever raced the shutdown flag into a queue).
     pub fn drain_all(&mut self) -> Vec<T> {
         let mut out = Vec::with_capacity(self.len());
         while let Some(item) = self.pop() {

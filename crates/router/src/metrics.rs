@@ -10,26 +10,18 @@
 
 use std::sync::Arc;
 
-use codes_obs::{Counter, Gauge, Histogram, Registry};
+use codes_obs::{Counter, Gauge, Registry};
 
 /// Per-shard router queue depth gauge name (`shard` label).
 pub const SHARD_DEPTH: &str = "codes_router_shard_depth";
-/// Shed counter name (`reason` label: overloaded / breaker / deadline /
-/// no_shard; `shard` label, `"none"` when no owner existed).
+/// Shed counter name (`reason` label: overloaded / breaker / deadline;
+/// `shard` label).
 pub const SHED: &str = "codes_router_shed_total";
-/// Failover counter name (`shard` label).
-pub const FAILOVERS: &str = "codes_router_failovers_total";
-/// Rebalance wall-clock duration histogram name (drain → move → bump,
-/// one sample per completed [`crate::Router::rebalance`]).
-pub const REBALANCE_DURATION: &str = "codes_router_rebalance_duration_seconds";
 /// Accepted-submission counter name (`tenant` label).
 pub const SUBMITTED: &str = "codes_router_submitted_total";
 /// Dispatch counter name (`shard` label): jobs handed from the router's
 /// tenant queues into a shard pool.
 pub const DISPATCHED: &str = "codes_router_dispatched_total";
-/// Re-route counter name (`shard` label = the shard the job *left*):
-/// queued jobs moved to a new owner during failover/rebalance.
-pub const REROUTED: &str = "codes_router_rerouted_total";
 
 /// Why the router refused a submission before it reached any pool queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,9 +38,7 @@ pub(crate) enum ShedReason {
 /// Pre-registered handles for one shard's series.
 pub(crate) struct ShardMetrics {
     pub(crate) depth: Arc<Gauge>,
-    pub(crate) failovers: Arc<Counter>,
     pub(crate) dispatched: Arc<Counter>,
-    pub(crate) rerouted: Arc<Counter>,
     shed_overloaded: Arc<Counter>,
     shed_breaker: Arc<Counter>,
     shed_deadline: Arc<Counter>,
@@ -68,7 +58,6 @@ impl ShardMetrics {
 pub(crate) struct RouterMetrics {
     pub(crate) shards: Vec<ShardMetrics>,
     pub(crate) tenants: Vec<Arc<Counter>>,
-    pub(crate) rebalance_duration: Arc<Histogram>,
 }
 
 impl RouterMetrics {
@@ -83,9 +72,7 @@ impl RouterMetrics {
                 let shard = [("shard", idx.as_str())];
                 ShardMetrics {
                     depth: registry.gauge(SHARD_DEPTH, &shard),
-                    failovers: registry.counter(FAILOVERS, &shard),
                     dispatched: registry.counter(DISPATCHED, &shard),
-                    rerouted: registry.counter(REROUTED, &shard),
                     shed_overloaded: registry
                         .counter(SHED, &[("reason", "overloaded"), ("shard", idx.as_str())]),
                     shed_breaker: registry
@@ -99,10 +86,6 @@ impl RouterMetrics {
             .iter()
             .map(|name| registry.counter(SUBMITTED, &[("tenant", name.as_str())]))
             .collect();
-        RouterMetrics {
-            shards,
-            tenants,
-            rebalance_duration: registry.histogram(REBALANCE_DURATION, &[]),
-        }
+        RouterMetrics { shards, tenants }
     }
 }

@@ -144,8 +144,8 @@ impl CatalogChecks {
 
 /// Point-in-time copy of the pool's registry-backed metrics, merged into
 /// [`crate::HealthSnapshot`]. The series carry no per-pool label, so pools
-/// recording into one registry (a router's shards, a revived pool) share
-/// them; per-pool request counts are [`crate::StatsSnapshot`].
+/// recording into one registry (a router's shards) share them; per-pool
+/// request counts are [`crate::StatsSnapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Queue-wait latency distribution (every dequeued request records

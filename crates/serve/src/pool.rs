@@ -1019,10 +1019,8 @@ impl Pool {
         Pool::start_shared(Arc::new(backend), config, registry)
     }
 
-    /// Like [`Pool::start_with_registry`], but over an already-shared
-    /// backend. Routing layers keep the `Arc` and can respawn a fresh pool
-    /// over the same backend (and the same shard-local cache in `config`)
-    /// after a failover drain.
+    /// Like [`Pool::start_with_registry`], but over an already-shared,
+    /// type-erased backend (a router's `ShardSpec` holds one).
     pub fn start_shared(
         backend: Arc<dyn Backend>,
         config: ServeConfig,
@@ -1239,8 +1237,8 @@ impl Pool {
 
     /// Stop accepting requests, drain everything already queued or in
     /// flight, and stop the workers and supervisor. Safe to call from any
-    /// thread holding only `&Pool` (failover holds an `Arc<Pool>` and
-    /// drains from a background thread); concurrent calls are idempotent —
+    /// thread holding only `&Pool` (a router drains its shards' pools on
+    /// shutdown, and `Drop` drains again); concurrent calls are idempotent —
     /// the first one joins the supervisor, later ones return immediately.
     /// Every ticket still resolves exactly once: queued work is served (or
     /// shed on deadline/breaker) and in-flight work runs to completion,

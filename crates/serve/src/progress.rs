@@ -18,8 +18,8 @@
 //!    [`Ticket`](crate::Ticket) stays the single source of truth for the
 //!    outcome.
 //! 2. **At-least-once, monotonic-by-meaning.** A transition may be
-//!    reported more than once (a rerouted job is re-queued; both the
-//!    router queue and the pool queue report admission) and transitions
+//!    reported more than once (both the router queue and the pool queue
+//!    report admission) and transitions
 //!    may be *skipped* (a cache hit resolves with no dispatch; a shed
 //!    resolves with nothing at all). Observers must dedupe by rank —
 //!    [`Progress::rank`] — not count events.
