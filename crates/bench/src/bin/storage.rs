@@ -13,8 +13,14 @@
 //!    dispatch pays after a one-row write (revision read + harvest, the
 //!    read doubling as the harvest's `before`), and a revision-check sync
 //!    on an unchanged backend: the fast path the serving layer takes on
-//!    every dispatch. The harvest borrows the pool's free connections, so
-//!    its time is the longest connection's share, not the sum.
+//!    every dispatch. A harvest sends its round trips — listing, schemas,
+//!    row pages — in waves over the pool's free connections; a refresh
+//!    predicts all of them from the catalog it replaces, so after a
+//!    one-row write it is one wave: Bank-Financials' 16 units over the
+//!    default 8-slot pool, two round trips deep, between two revision
+//!    reads. An attach predicts nothing: the listing, then every schema
+//!    beside every first page, then one wave per further page of the
+//!    1500-row `txn` table.
 //!
 //! Beside each p50 the table prints how many wire delays fit in it: the
 //! round trips on the path's critical path.
@@ -41,12 +47,29 @@ fn timed(iterations: usize, mut op: impl FnMut()) -> Vec<f64> {
     latencies
 }
 
+/// The tree the numbers were measured on, as `git describe` names it
+/// (`-dirty` when it has uncommitted changes).
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map_or_else(|| "unknown".to_string(), |out| {
+            String::from_utf8_lossy(&out.stdout).trim().to_string()
+        })
+}
+
 fn main() {
     const DB: &str = "bank_financials";
+    const DATA_SEED: u64 = 1;
     const WIRE_DELAY: Duration = Duration::from_millis(2);
     let iterations = workbench::eval_limit().unwrap_or(100);
+    // Every record carries the tree and the data seed it was measured on.
+    let system = format!("connection pool @ {}", commit());
+    let dataset = format!("{DB} (seed {DATA_SEED})");
 
-    let store = MemoryBackend::new(vec![bank_financials_db(1)]);
+    let store = MemoryBackend::new(vec![bank_financials_db(DATA_SEED)]);
     // Writes go straight to the store, as another client's would.
     let admin = MemoryBackend::over(store.store());
     let backend: Arc<dyn Backend> =
@@ -125,8 +148,8 @@ fn main() {
         for (metric, value) in [("p50_ms", p50), ("p95_ms", p95)] {
             records.push(workbench::record(
                 "storage",
-                "connection pool",
-                "bank_financials",
+                &system,
+                &dataset,
                 &format!("{label} {metric}"),
                 value * 1000.0,
                 sorted.len(),

@@ -29,7 +29,7 @@ fn introspected_catalog_renders_a_byte_identical_figure4_prompt() {
     let backend = MemoryBackend::new(vec![bank_financials_db(1)]);
     let mut conn = backend.connect().expect("in-memory connect");
     // A small page size forces the paged row harvest to actually paginate.
-    let options = IntrospectOptions { page_size: 7, ..IntrospectOptions::default() };
+    let options = IntrospectOptions { page_size: 7 };
     let catalog =
         introspect(&mut conn, "bank_financials", &options).expect("introspection succeeds");
 

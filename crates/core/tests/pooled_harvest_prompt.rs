@@ -23,9 +23,8 @@ fn prompt_for(db: &sqlengine::Database) -> String {
 #[test]
 fn pooled_harvest_renders_the_single_connection_prompt() {
     let backend = Arc::new(MemoryBackend::new(vec![bank_financials_db(1)]));
-    for (page_size, max_rows_per_table) in [(7, None), (256, None), (64, Some(100))] {
-        let options =
-            IntrospectOptions { page_size, max_rows_per_table, ..IntrospectOptions::default() };
+    for page_size in [7, 64, 256] {
+        let options = IntrospectOptions { page_size };
         let solo = introspect(&mut backend.connect().expect("connect"), "bank_financials", &options)
             .expect("single connection");
         let expected = prompt_for(&solo.database);
@@ -42,7 +41,7 @@ fn pooled_harvest_renders_the_single_connection_prompt() {
             assert_eq!(
                 prompt_for(&pooled.database),
                 expected,
-                "page size {page_size}, cap {max_rows_per_table:?}, pool capacity {capacity}"
+                "page size {page_size}, pool capacity {capacity}"
             );
         }
     }

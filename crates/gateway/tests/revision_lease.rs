@@ -8,7 +8,6 @@
 
 mod common;
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use codes::{
@@ -19,65 +18,13 @@ use codes_gateway::{Gateway, HttpClient};
 use codes_obs::{Clock, Registry};
 use codes_router::{Router, RouterConfig, ShardSpec};
 use codes_serve::{ServeConfig, SystemBackend};
-use codes_storage::{
-    CatalogService, Connection, ConnectionPool, IntrospectOptions, MemoryBackend, PoolConfig,
-    StorageError,
-};
+use codes_storage::testing::{Hooked, Op};
+use codes_storage::{CatalogService, ConnectionPool, IntrospectOptions, MemoryBackend, PoolConfig};
 use common::fast_config;
 use serde::Json;
-use sqlengine::{Column, DataType, Database, QueryResult, TableSchema};
+use sqlengine::{Column, DataType, Database, TableSchema};
 
 const DB: &str = "shop";
-
-/// A storage backend that counts `tables()` listings — one per
-/// re-introspection.
-struct ListingCounter {
-    inner: MemoryBackend,
-    listings: Arc<AtomicU64>,
-}
-
-impl codes_storage::Backend for ListingCounter {
-    fn name(&self) -> &str {
-        "listing-counter"
-    }
-
-    fn connect(&self) -> Result<Box<dyn Connection>, StorageError> {
-        let listings = Arc::clone(&self.listings);
-        Ok(Box::new(ListingCounterConn { inner: self.inner.connect()?, listings }))
-    }
-}
-
-struct ListingCounterConn {
-    inner: Box<dyn Connection>,
-    listings: Arc<AtomicU64>,
-}
-
-impl Connection for ListingCounterConn {
-    fn execute(&mut self, db_id: &str, sql: &str) -> Result<QueryResult, StorageError> {
-        self.inner.execute(db_id, sql)
-    }
-
-    fn ping(&mut self) -> Result<(), StorageError> {
-        self.inner.ping()
-    }
-
-    fn databases(&mut self) -> Result<Vec<String>, StorageError> {
-        self.inner.databases()
-    }
-
-    fn tables(&mut self, db_id: &str) -> Result<Vec<String>, StorageError> {
-        self.listings.fetch_add(1, Ordering::SeqCst);
-        self.inner.tables(db_id)
-    }
-
-    fn table_schema(&mut self, db_id: &str, table: &str) -> Result<TableSchema, StorageError> {
-        self.inner.table_schema(db_id, table)
-    }
-
-    fn revision(&mut self, db_id: &str) -> Result<u64, StorageError> {
-        self.inner.revision(db_id)
-    }
-}
 
 fn shop() -> Database {
     let mut db = Database::new(DB);
@@ -129,11 +76,10 @@ fn a_write_costs_two_bumps_and_one_listing(announce: impl FnOnce(&mut HttpClient
     );
 
     let admin = MemoryBackend::new(vec![shop()]);
-    let listings = Arc::new(AtomicU64::new(0));
-    let store = ListingCounter {
-        inner: MemoryBackend::over(admin.store()),
-        listings: Arc::clone(&listings),
-    };
+    // A `tables()` listing is one per re-introspection.
+    let store = Hooked::new(MemoryBackend::over(admin.store()));
+    let wire = store.wire();
+    let listings = || wire.count(Op::Tables);
     let pool = ConnectionPool::with_registry(Arc::new(store), PoolConfig::default(), &registry);
     let service = Arc::new(CatalogService::new(pool, IntrospectOptions::default()));
     let backend = SystemBackend::with_registry(system, Arc::clone(&service), &registry);
@@ -148,7 +94,7 @@ fn a_write_costs_two_bumps_and_one_listing(announce: impl FnOnce(&mut HttpClient
 
     let (sql, _) = infer(&mut client, "How many tickets are there?");
     assert!(sql.contains("events"), "the attach-time mirror has no tickets table: {sql}");
-    let attach_listings = listings.load(Ordering::SeqCst);
+    let attach_listings = listings();
 
     admin
         .mutate(DB, |db| {
@@ -165,7 +111,7 @@ fn a_write_costs_two_bumps_and_one_listing(announce: impl FnOnce(&mut HttpClient
     assert!(!cached, "the invalidation put the pre-write answer out of reach");
     assert!(sql.contains("tickets"), "answered from the post-write mirror: {sql}");
     assert_eq!(cache.stats().invalidations, 2, "the invalidation, then the observed revision");
-    assert_eq!(listings.load(Ordering::SeqCst) - attach_listings, 1, "one re-introspection");
+    assert_eq!(listings() - attach_listings, 1, "one re-introspection");
 
     let checkouts = service.pool().stats().checkouts;
     for n in 0..9 {

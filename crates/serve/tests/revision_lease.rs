@@ -4,7 +4,6 @@
 //! when a test advances it, and the one forced interleaving is held by a
 //! latch (its bounded waits only turn a hang into a failure).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -15,11 +14,11 @@ use codes::{
 };
 use codes_obs::{Clock, Registry};
 use codes_serve::{Backend, BackendReply, InferenceRequest, Pool, ServeConfig, SystemBackend};
+use codes_storage::testing::{Hooked, Op, Wire};
 use codes_storage::{
-    CatalogService, Connection, ConnectionPool, IntrospectOptions, MemoryBackend, PoolConfig,
-    StorageError, SyncOutcome,
+    CatalogService, ConnectionPool, IntrospectOptions, MemoryBackend, PoolConfig, SyncOutcome,
 };
-use sqlengine::{Column, DataType, Database, QueryResult, TableSchema};
+use sqlengine::{Column, DataType, Database, TableSchema};
 
 const DB: &str = "shop";
 /// Answered `… FROM events` off the attach-time mirror and `… FROM tickets`
@@ -34,93 +33,13 @@ const REFRESH_READS: u64 = 2;
 const HANG: Duration = Duration::from_secs(30);
 
 // ---------------------------------------------------------------------
-// A storage backend that counts what crosses the wire and can hold one
-// `revision()` read, answer in hand, until the test lets it return.
+// A latch that holds one `revision()` read, answer in hand, until the test
+// lets it return; the store under the stack counts what crosses the wire.
 // ---------------------------------------------------------------------
 
 struct Latch {
     entered: Sender<()>,
     release: Receiver<()>,
-}
-
-#[derive(Default)]
-struct Wire {
-    revisions: AtomicU64,
-    listings: AtomicU64,
-    latch: Mutex<Option<Latch>>,
-}
-
-impl Wire {
-    fn revisions(&self) -> u64 {
-        self.revisions.load(Ordering::SeqCst)
-    }
-
-    fn listings(&self) -> u64 {
-        self.listings.load(Ordering::SeqCst)
-    }
-
-    /// Arm the latch: the next `revision()` reads its answer, reports on
-    /// the returned receiver and parks until the returned sender fires.
-    fn hold_next_revision(&self) -> (Receiver<()>, Sender<()>) {
-        let (entered, entered_rx) = channel();
-        let (release_tx, release) = channel();
-        *self.latch.lock().expect("latch lock") = Some(Latch { entered, release });
-        (entered_rx, release_tx)
-    }
-}
-
-struct CountingBackend {
-    inner: MemoryBackend,
-    wire: Arc<Wire>,
-}
-
-impl codes_storage::Backend for CountingBackend {
-    fn name(&self) -> &str {
-        "counting"
-    }
-
-    fn connect(&self) -> Result<Box<dyn Connection>, StorageError> {
-        Ok(Box::new(CountingConn { inner: self.inner.connect()?, wire: Arc::clone(&self.wire) }))
-    }
-}
-
-struct CountingConn {
-    inner: Box<dyn Connection>,
-    wire: Arc<Wire>,
-}
-
-impl Connection for CountingConn {
-    fn execute(&mut self, db_id: &str, sql: &str) -> Result<QueryResult, StorageError> {
-        self.inner.execute(db_id, sql)
-    }
-
-    fn ping(&mut self) -> Result<(), StorageError> {
-        self.inner.ping()
-    }
-
-    fn databases(&mut self) -> Result<Vec<String>, StorageError> {
-        self.inner.databases()
-    }
-
-    fn tables(&mut self, db_id: &str) -> Result<Vec<String>, StorageError> {
-        self.wire.listings.fetch_add(1, Ordering::SeqCst);
-        self.inner.tables(db_id)
-    }
-
-    fn table_schema(&mut self, db_id: &str, table: &str) -> Result<TableSchema, StorageError> {
-        self.inner.table_schema(db_id, table)
-    }
-
-    fn revision(&mut self, db_id: &str) -> Result<u64, StorageError> {
-        self.wire.revisions.fetch_add(1, Ordering::SeqCst);
-        let answer = self.inner.revision(db_id);
-        let held = self.wire.latch.lock().expect("latch lock").take();
-        if let Some(latch) = held {
-            latch.entered.send(()).expect("the test waits for the held read");
-            latch.release.recv_timeout(HANG).expect("the test releases the held read");
-        }
-        answer
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -149,6 +68,7 @@ struct Stack {
     /// `None`: the system has no cache attached, so no lease exists.
     cache: Option<Arc<SystemCache>>,
     wire: Arc<Wire>,
+    latch: Arc<Mutex<Option<Latch>>>,
     /// A second handle on the live store, for writes.
     admin: MemoryBackend,
     service: Arc<CatalogService>,
@@ -179,18 +99,44 @@ impl Stack {
         };
 
         let admin = MemoryBackend::new(vec![shop(DB)]);
-        let wire = Arc::new(Wire::default());
-        let counting =
-            CountingBackend { inner: MemoryBackend::over(admin.store()), wire: Arc::clone(&wire) };
+        let latch: Arc<Mutex<Option<Latch>>> = Arc::default();
+        let held = Arc::clone(&latch);
+        let counting = Hooked::new(MemoryBackend::over(admin.store())).after(move |call| {
+            if call.op != Op::Revision {
+                return;
+            }
+            let latch = held.lock().expect("latch lock").take();
+            if let Some(latch) = latch {
+                latch.entered.send(()).expect("the test waits for the held read");
+                latch.release.recv_timeout(HANG).expect("the test releases the held read");
+            }
+        });
+        let wire = counting.wire();
         let pool =
             ConnectionPool::with_registry(Arc::new(counting), PoolConfig::default(), &registry);
         let service = Arc::new(CatalogService::new(pool, IntrospectOptions::default()));
         let backend =
             SystemBackend::with_registry(Arc::new(system), Arc::clone(&service), &registry);
         assert!(service.contains(DB), "attached up front");
-        wire.revisions.store(0, Ordering::SeqCst);
-        wire.listings.store(0, Ordering::SeqCst);
-        Stack { registry, clock, cache, wire, admin, service, backend }
+        wire.reset();
+        Stack { registry, clock, cache, wire, latch, admin, service, backend }
+    }
+
+    fn revisions(&self) -> u64 {
+        self.wire.count(Op::Revision)
+    }
+
+    fn listings(&self) -> u64 {
+        self.wire.count(Op::Tables)
+    }
+
+    /// Arm the latch: the next `revision()` reads its answer, reports on
+    /// the returned receiver and parks until the returned sender fires.
+    fn hold_next_revision(&self) -> (Receiver<()>, Sender<()>) {
+        let (entered, entered_rx) = channel();
+        let (release_tx, release) = channel();
+        *self.latch.lock().expect("latch lock") = Some(Latch { entered, release });
+        (entered_rx, release_tx)
     }
 
     fn cache(&self) -> &Arc<SystemCache> {
@@ -249,18 +195,18 @@ fn one_revision_read_vouches_for_every_dispatch_inside_the_lease() {
     for _ in 0..25 {
         stack.dispatch();
     }
-    assert_eq!(stack.wire.revisions(), 1, "the clock stood still: one read, 24 leased dispatches");
+    assert_eq!(stack.revisions(), 1, "the clock stood still: one read, 24 leased dispatches");
 
     stack.clock.advance(REVISION_LEASE - Duration::from_nanos(1));
     stack.dispatch();
-    assert_eq!(stack.wire.revisions(), 1, "a nanosecond short of the lease's end it still holds");
+    assert_eq!(stack.revisions(), 1, "a nanosecond short of the lease's end it still holds");
 
     stack.clock.advance(Duration::from_nanos(1));
     for _ in 0..25 {
         stack.dispatch();
     }
-    assert_eq!(stack.wire.revisions(), 2, "at REVISION_LEASE exactly one more read, leased again");
-    assert_eq!(stack.wire.listings(), 0, "nothing changed, nothing was re-introspected");
+    assert_eq!(stack.revisions(), 2, "at REVISION_LEASE exactly one more read, leased again");
+    assert_eq!(stack.listings(), 0, "nothing changed, nothing was re-introspected");
     assert_eq!(stack.cache().stats().invalidations, 0);
     assert_eq!((stack.checks("unchanged"), stack.checks("leased")), (2, 49));
 }
@@ -271,7 +217,7 @@ fn without_a_cache_every_dispatch_reads_the_revision() {
     for _ in 0..5 {
         stack.dispatch();
     }
-    assert_eq!(stack.wire.revisions(), 5, "no generation to qualify, so no lease");
+    assert_eq!(stack.revisions(), 5, "no generation to qualify, so no lease");
     assert_eq!((stack.checks("unchanged"), stack.checks("leased")), (5, 0));
 }
 
@@ -287,19 +233,19 @@ fn an_unannounced_write_is_served_stale_inside_the_lease_and_refreshed_after_it(
     let stale = stack.dispatch();
     assert!(stale.sql.contains("events"), "inside the lease: the pre-write mirror ({})", stale.sql);
     assert!(stale.degradations.is_empty(), "and nothing says so: {:?}", stale.degradations);
-    assert_eq!((stack.wire.revisions(), stack.cache().generation(DB)), (1, 0));
+    assert_eq!((stack.revisions(), stack.cache().generation(DB)), (1, 0));
 
     stack.clock.advance(Duration::from_nanos(1));
     let fresh = stack.dispatch();
     assert!(fresh.sql.contains("tickets"), "after it: the post-write mirror ({})", fresh.sql);
     assert_eq!(stack.cache().generation(DB), 1, "one revision change, one bump");
-    assert_eq!((stack.wire.revisions(), stack.wire.listings()), (1 + REFRESH_READS, 1));
+    assert_eq!((stack.revisions(), stack.listings()), (1 + REFRESH_READS, 1));
 
     // The dispatch that refreshed confirmed the generation its own refresh
     // produced: the request behind it pays no second read.
     stack.dispatch();
     assert_eq!(
-        stack.wire.revisions(),
+        stack.revisions(),
         1 + REFRESH_READS,
         "a refreshing dispatch leaves the lease live"
     );
@@ -311,14 +257,14 @@ fn an_invalidation_ends_the_lease_at_once() {
     let stack = Stack::start(true);
     stack.dispatch();
     stack.dispatch();
-    assert_eq!(stack.wire.revisions(), 1);
+    assert_eq!(stack.revisions(), 1);
 
     // Announced with nothing written: the next dispatch checks, finds the
     // store unchanged, and that check vouches for the new generation.
     stack.cache().invalidate_database(DB);
     stack.dispatch();
     stack.dispatch();
-    assert_eq!(stack.wire.revisions(), 2, "one read after the bump, the clock standing still");
+    assert_eq!(stack.revisions(), 2, "one read after the bump, the clock standing still");
 
     // Written and announced: the dispatch behind it serves the write, for
     // two bumps (the announcement, the observed revision) and one listing.
@@ -326,13 +272,13 @@ fn an_invalidation_ends_the_lease_at_once() {
     stack.cache().invalidate_database(DB);
     let after = stack.dispatch();
     assert!(after.sql.contains("tickets"), "the post-write mirror answers: {}", after.sql);
-    assert_eq!((stack.cache().generation(DB), stack.wire.listings()), (3, 1));
+    assert_eq!((stack.cache().generation(DB), stack.listings()), (3, 1));
     let checkouts = stack.service.pool().stats().checkouts;
     for _ in 0..9 {
         stack.dispatch();
     }
     assert_eq!(stack.service.pool().stats().checkouts, checkouts, "the nine behind it: leased");
-    assert_eq!(stack.wire.revisions(), 2 + REFRESH_READS);
+    assert_eq!(stack.revisions(), 2 + REFRESH_READS);
 }
 
 #[test]
@@ -342,12 +288,12 @@ fn a_refresh_by_anyone_else_ends_the_lease() {
     stack.write();
     let outcome = stack.service.sync(DB).expect("healthy store");
     assert!(matches!(outcome, SyncOutcome::Refreshed { .. }), "{outcome:?}");
-    assert_eq!(stack.wire.revisions(), 1 + REFRESH_READS, "the dispatch's read, their refresh");
+    assert_eq!(stack.revisions(), 1 + REFRESH_READS, "the dispatch's read, their refresh");
 
     // Their refresh bumped the generation through the revision observer;
     // the lease confirmed for the old one is dead though no time passed.
     let after = stack.dispatch();
-    assert_eq!(stack.wire.revisions(), 2 + REFRESH_READS, "the next dispatch checks for itself");
+    assert_eq!(stack.revisions(), 2 + REFRESH_READS, "the next dispatch checks for itself");
     assert!(after.sql.contains("tickets"), "and serves what they installed: {}", after.sql);
     assert_eq!(stack.cache().generation(DB), 1, "their one bump; the re-check found no more");
     assert_eq!((stack.checks("unchanged"), stack.checks("refreshed")), (2, 0));
@@ -398,7 +344,7 @@ fn a_severed_store_is_not_seen_inside_the_lease_and_never_confirms_one() {
 #[test]
 fn an_invalidation_landing_mid_read_is_not_lost() {
     let stack = Stack::start(true);
-    let (entered, release) = stack.wire.hold_next_revision();
+    let (entered, release) = stack.hold_next_revision();
     let d1 = std::thread::scope(|scope| {
         let d1 = scope.spawn(|| stack.dispatch());
         entered.recv_timeout(HANG).expect("D1 reached its revision read");
@@ -408,11 +354,11 @@ fn an_invalidation_landing_mid_read_is_not_lost() {
         d1.join().expect("D1 answered")
     });
     assert!(d1.sql.contains("events"), "D1 read the pre-write revision: {}", d1.sql);
-    assert_eq!((stack.wire.revisions(), stack.cache().generation(DB)), (1, 1));
+    assert_eq!((stack.revisions(), stack.cache().generation(DB)), (1, 1));
 
     let d2 = stack.dispatch();
     assert_eq!(
-        stack.wire.revisions(),
+        stack.revisions(),
         1 + REFRESH_READS,
         "D2 makes the check the writer asked for"
     );
@@ -453,7 +399,7 @@ fn catalog_checks_are_counted_by_outcome() {
         .collect();
     assert_eq!(counts, [24 + 9 + 1, 1, 1, 1, 2]);
     assert_eq!(
-        stack.wire.revisions(),
+        stack.revisions(),
         1 + 2 * REFRESH_READS,
         "37 healthy dispatches: three checks"
     );

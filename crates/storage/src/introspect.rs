@@ -11,42 +11,49 @@
 //! execution of candidate SQL) works on the mirror exactly as it would on
 //! a hand-registered catalog.
 //!
+//! **Waves.** Every fact is one round trip — the table listing, one
+//! table's schema, one page of one table's rows — and a harvest issues
+//! them in *waves*: all the round trips it can name up front at once, over
+//! the caller's connection and whatever connections the pool can lend.
+//! A refresh names them all: the mirror it replaces predicts the listing,
+//! every schema and every page, so when nothing but rows within a page
+//! moved the harvest is one wave. What the prediction missed follows in
+//! further waves: a newly listed table's schema and first page, the next
+//! page of a table whose last page came back full.
+//!
 //! **Revision stamping.** The backend's revision token is read before and
 //! after the harvest; on mismatch (the schema moved under the reader) the
-//! harvest retries, and after [`IntrospectOptions::consistency_retries`]
-//! failures reports [`StorageError::Introspect`]. The mirror is stamped
-//! with the *backend's* token ([`sqlengine::Database::set_revision`]), so
-//! the existing cache generation-invalidation works unchanged: an
-//! unchanged schema re-introspects to the same token (no spurious
-//! invalidation), a changed schema yields a fresh token and bumps
-//! generations exactly like a local catalog mutation.
+//! harvest retries, and after `CONSISTENCY_RETRIES` failures reports
+//! [`StorageError::Introspect`]. The mirror is stamped with the
+//! *backend's* token ([`sqlengine::Database::set_revision`]), so the
+//! existing cache generation-invalidation works unchanged: an unchanged
+//! schema re-introspects to the same token (no spurious invalidation), a
+//! changed schema yields a fresh token and bumps generations exactly like
+//! a local catalog mutation.
 
 use std::collections::VecDeque;
 
 use parking_lot::Mutex;
-use sqlengine::{Database, Table};
+use sqlengine::{Database, Row, TableSchema};
 
 use crate::backend::{quote_ident, Connection};
 use crate::error::StorageError;
 use crate::pool::ConnectionPool;
+
+/// How many times a harvest restarts when the revision token moves
+/// mid-read before giving up.
+const CONSISTENCY_RETRIES: u32 = 3;
 
 /// Introspection tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct IntrospectOptions {
     /// Rows fetched per paged `SELECT` during the row harvest.
     pub page_size: usize,
-    /// Cap on harvested rows per table; `None` mirrors everything (the
-    /// right choice for in-process backends, where the mirror doubles as
-    /// the execution target).
-    pub max_rows_per_table: Option<usize>,
-    /// How many times to restart the harvest when the revision token
-    /// moves mid-read before giving up.
-    pub consistency_retries: u32,
 }
 
 impl Default for IntrospectOptions {
     fn default() -> IntrospectOptions {
-        IntrospectOptions { page_size: 256, max_rows_per_table: None, consistency_retries: 3 }
+        IntrospectOptions { page_size: 256 }
     }
 }
 
@@ -109,28 +116,31 @@ pub fn introspect(
     db_id: &str,
     options: &IntrospectOptions,
 ) -> Result<Catalog, StorageError> {
-    introspect_with(conn, None, None, db_id, options)
+    introspect_with(conn, None, None, None, db_id, options)
 }
 
 /// [`introspect`] with what a [`crate::CatalogService`] can add: `lender`,
-/// a pool whose spare connections harvest tables beside `conn`, and
-/// `known`, a revision token the caller has just read. `known` stands in
-/// for the first pass's `before` read — anything that moved since it was
-/// read still fails `before == after` — and a retry reads its own.
+/// a pool whose spare connections run round trips beside `conn`;
+/// `prediction`, the mirror this one replaces, whose tables and row counts
+/// name the first wave; and `known`, a revision token the caller has just
+/// read. `known` stands in for the first pass's `before` read — anything
+/// that moved since it was read still fails `before == after` — and a
+/// retry reads its own.
 pub(crate) fn introspect_with(
     conn: &mut dyn Connection,
     lender: Option<&ConnectionPool>,
+    prediction: Option<&Database>,
     mut known: Option<u64>,
     db_id: &str,
     options: &IntrospectOptions,
 ) -> Result<Catalog, StorageError> {
     let mut last_moved = (0u64, 0u64);
-    for _ in 0..=options.consistency_retries {
+    for _ in 0..=CONSISTENCY_RETRIES {
         let before = match known.take() {
             Some(token) => token,
             None => conn.revision(db_id)?,
         };
-        let database = harvest(conn, lender, db_id, options)?;
+        let database = harvest(conn, lender, prediction, db_id, options)?;
         let after = conn.revision(db_id)?;
         if before == after {
             let mut database = database;
@@ -145,190 +155,338 @@ pub(crate) fn introspect_with(
     )))
 }
 
-/// One harvest pass: the table listing over `conn`, then every listed
-/// table pulled off a shared queue by `conn` and by as many connections
-/// as `lender` can spare without making anyone wait (none when `lender`
-/// is `None`, the pool has no free slot, or there is a single table).
-/// The mirror is assembled in listing order, so it does not depend on
-/// which connection harvested what. Returns once every lent connection
-/// is back in the pool.
+/// One harvest pass: a first wave of the listing and everything
+/// `prediction` names, then follow-up waves for what it missed, until
+/// every listed table's page chain has ended on a short page. The mirror
+/// is assembled in listing order, so it does not depend on which
+/// connection ran what, nor on what was predicted.
 fn harvest(
     conn: &mut dyn Connection,
     lender: Option<&ConnectionPool>,
+    prediction: Option<&Database>,
     db_id: &str,
     options: &IntrospectOptions,
 ) -> Result<Database, StorageError> {
-    let tables = conn.tables(db_id)?;
-    let pass = Pass {
-        db_id,
-        tables: &tables,
-        options,
-        progress: Mutex::new(Progress {
-            pending: (0..tables.len()).collect(),
-            harvested: Vec::with_capacity(tables.len()),
-            failed: None,
-        }),
-    };
-    let helpers =
-        lender.map_or(0, |pool| pool.free_slots().min(tables.len().saturating_sub(1)));
-    std::thread::scope(|scope| {
-        for _ in 0..helpers {
-            // Checked out on the helper's own thread: an establishment is
-            // a round trip the caller should not wait for.
-            let helper = std::thread::Builder::new().spawn_scoped(scope, || {
-                if let Some(mut lent) = lender.and_then(ConnectionPool::try_checkout) {
-                    pass.pull(&mut lent, true);
-                }
-            });
-            // No thread to be had: the harvest goes on with the help it has.
-            if helper.is_err() {
-                break;
+    let mut pass = Pass { db_id, page_size: options.page_size.max(1), lender, tables: Vec::new() };
+    let predicted = prediction.map_or(&[][..], |db| &db.tables[..]);
+    let ats: Vec<usize> = predicted.iter().map(|table| pass.table(&table.schema.name)).collect();
+    let mut units: Vec<Unit> = ats.iter().map(|&at| Unit::Schema(at)).collect();
+    for (&at, table) in ats.iter().zip(predicted) {
+        for _ in 0..=table.rows.len() / pass.page_size {
+            units.push(pass.next_page(at));
+        }
+    }
+    let listing = pass.wave(conn, true, units)?;
+    // Units asked for a predicted table the listing no longer has are
+    // dropped from here on, their failures included.
+    let listed: Vec<usize> = listing.iter().map(|name| pass.table(name)).collect();
+    loop {
+        // Of the listed tables that failed, the earliest-listed one is
+        // reported: what a single connection walking the listing reports.
+        for &at in &listed {
+            if let Some((_, e)) = pass.tables[at].failed.take() {
+                return Err(e);
             }
         }
-        pass.pull(conn, false);
-    });
-    // Every helper has joined: a table one of them handed back after the
-    // caller's loop had run dry is harvested now.
-    pass.pull(conn, false);
-
-    let Progress { mut harvested, failed, .. } = pass.progress.into_inner();
-    if let Some((_, e)) = failed {
-        return Err(e);
+        let mut units = Vec::new();
+        for &at in &listed {
+            let table = &pass.tables[at];
+            if table.pages.is_empty() {
+                // Listed but not predicted: its schema beside its first page.
+                units.push(Unit::Schema(at));
+                units.push(pass.next_page(at));
+            } else if table.chain_open(pass.page_size) {
+                units.push(pass.next_page(at));
+            }
+        }
+        if units.is_empty() {
+            break;
+        }
+        pass.wave(conn, false, units)?;
     }
-    harvested.sort_by_key(|(at, _)| *at);
+
     let mut database = Database::new(db_id);
-    for (at, table) in harvested {
+    for (name, &at) in listing.iter().zip(&listed) {
+        let twice = || {
+            StorageError::Introspect(format!("{db_id}: backend listed table '{name}' twice"))
+        };
+        let table = &mut pass.tables[at];
+        // A name listed twice shares one harvest: its second sighting finds
+        // the schema already taken.
+        let Some(schema) = table.schema.take() else {
+            return Err(twice());
+        };
+        let rows = table.rows(pass.page_size);
         // `create_table` stamps local revisions freely; the final
         // `set_revision` overwrites them with the backend's token.
-        match database.create_table(table.schema) {
-            Ok(created) => created.rows = table.rows,
-            Err(_) => {
+        let created = database.create_table(schema).map_err(|_| twice())?;
+        let column_count = created.schema.columns.len();
+        for row in rows {
+            if row.len() != column_count {
                 return Err(StorageError::Introspect(format!(
-                    "{db_id}: backend listed table '{}' twice",
-                    tables[at]
-                )))
+                    "{db_id}.{name}: row arity {} does not match {column_count} columns",
+                    row.len()
+                )));
+            }
+            if let Err(e) = created.insert(row) {
+                return Err(StorageError::Introspect(format!(
+                    "{db_id}.{name}: harvested row rejected by schema: {e}"
+                )));
             }
         }
     }
     Ok(database)
 }
 
-/// What the connections of one harvest pass share.
-struct Pass<'a> {
-    db_id: &'a str,
-    tables: &'a [String],
-    options: &'a IntrospectOptions,
-    progress: Mutex<Progress>,
+/// One round trip of a harvest. The listing is not one: it is always the
+/// caller's own first round trip of a pass (see [`Pass::wave`]).
+#[derive(Debug, Clone, Copy)]
+enum Unit {
+    /// `table_schema` of [`Pass::tables`]`[at]`.
+    Schema(usize),
+    /// Page `page` of that table's rows: `LIMIT page_size OFFSET page × page_size`.
+    Page(usize, usize),
 }
 
-struct Progress {
-    /// Indices into [`Pass::tables`] nobody has taken yet, in listing order.
-    pending: VecDeque<usize>,
-    harvested: Vec<(usize, Table)>,
-    /// The failure of the earliest-listed table that had one — the one a
-    /// single connection walking the listing would have reported. Once
-    /// set, nobody takes another table.
+/// What a unit brought back.
+enum Answer {
+    Schema(usize, TableSchema),
+    Page(usize, usize, Vec<Row>),
+}
+
+/// What a pass knows of one table, predicted or listed.
+struct TableHarvest {
+    name: String,
+    schema: Option<TableSchema>,
+    /// Every page asked for so far, in order; `Some` once answered.
+    pages: Vec<Option<Vec<Row>>>,
+    /// The failure of one of its units, ranked as a serial chain would
+    /// have hit it: the schema (0) before page `p` (`p + 1`).
     failed: Option<(usize, StorageError)>,
 }
 
-impl Pass<'_> {
-    /// The table loop: take the next pending table and harvest it over
-    /// `conn`, until none is left or the pass has failed. A `lent`
-    /// connection that fails at the transport (it died while parked, say)
-    /// does not fail the pass: its table goes back on the queue for the
-    /// caller's connection, which has proved itself live, and the guard,
-    /// tainted by that failure, is probed or discarded when it drops.
-    /// Every other error, and any error on the caller's connection, fails
-    /// the pass.
-    fn pull(&self, conn: &mut dyn Connection, lent: bool) {
-        loop {
-            let at = {
-                let mut progress = self.progress.lock();
-                if progress.failed.is_some() {
-                    return;
-                }
-                let Some(at) = progress.pending.pop_front() else {
-                    return;
-                };
-                at
-            };
-            let outcome = harvest_table(conn, self.db_id, &self.tables[at], self.options);
-            let mut progress = self.progress.lock();
-            match outcome {
-                Ok(table) => progress.harvested.push((at, table)),
-                Err(StorageError::Connect(_)) if lent => {
-                    progress.pending.push_front(at);
-                    return;
-                }
-                Err(e) => {
-                    match &progress.failed {
-                        Some((first, _)) if *first < at => {}
-                        _ => progress.failed = Some((at, e)),
-                    }
-                    return;
-                }
+impl TableHarvest {
+    fn fail(&mut self, rank: usize, e: StorageError) {
+        if self.failed.as_ref().is_none_or(|(first, _)| rank < *first) {
+            self.failed = Some((rank, e));
+        }
+    }
+
+    /// Whether the page chain goes on: every page asked for has come back,
+    /// and full. A short page, the empty one included, ends it.
+    fn chain_open(&self, page_size: usize) -> bool {
+        self.pages.iter().all(|page| page.as_ref().is_some_and(|rows| rows.len() == page_size))
+    }
+
+    /// The rows, through the first short page: what the serial chain
+    /// would have fetched. Pages predicted past it come back empty.
+    fn rows(&mut self, page_size: usize) -> Vec<Row> {
+        let mut rows = Vec::new();
+        for page in self.pages.drain(..).flatten() {
+            let full = page.len() == page_size;
+            rows.extend(page);
+            if !full {
+                break;
             }
         }
+        rows
     }
 }
 
-/// The unit of work: one table's schema via catalog introspection, then
-/// its rows via the chain of paged SELECTs through `execute`.
-fn harvest_table(
-    conn: &mut dyn Connection,
-    db_id: &str,
-    table_name: &str,
-    options: &IntrospectOptions,
-) -> Result<Table, StorageError> {
-    let page_size = options.page_size.max(1);
-    let schema = conn.table_schema(db_id, table_name)?;
-    if !schema.name.eq_ignore_ascii_case(table_name) {
-        return Err(StorageError::Introspect(format!(
-            "{db_id}: backend described table '{}' when asked for '{table_name}'",
-            schema.name
-        )));
+/// One harvest pass's state between waves.
+struct Pass<'a> {
+    db_id: &'a str,
+    page_size: usize,
+    lender: Option<&'a ConnectionPool>,
+    /// Every table the pass has asked about; units index into it.
+    tables: Vec<TableHarvest>,
+}
+
+impl Pass<'_> {
+    /// The index of table `name`, added on first sight.
+    fn table(&mut self, name: &str) -> usize {
+        if let Some(at) = self.tables.iter().position(|table| table.name == name) {
+            return at;
+        }
+        self.tables.push(TableHarvest {
+            name: name.to_string(),
+            schema: None,
+            pages: Vec::new(),
+            failed: None,
+        });
+        self.tables.len() - 1
     }
-    let column_count = schema.columns.len();
-    let mut table = Table::new(schema);
-    let mut offset = 0usize;
-    loop {
-        let remaining = options
-            .max_rows_per_table
-            .map_or(page_size, |cap| cap.saturating_sub(offset).min(page_size));
-        if remaining == 0 {
-            break;
-        }
-        let sql = format!(
-            "SELECT * FROM {} LIMIT {remaining} OFFSET {offset}",
-            quote_ident(table_name)
-        );
-        let page = conn
-            .execute(db_id, &sql)
-            .map_err(|e| introspect_err(&format!("{db_id}.{table_name} row harvest"), e))?;
-        let fetched = page.rows.len();
-        if fetched == 0 {
-            break;
-        }
-        for row in page.rows {
-            if row.len() != column_count {
-                return Err(StorageError::Introspect(format!(
-                    "{db_id}.{table_name}: row arity {} does not match {} columns",
-                    row.len(),
-                    column_count
-                )));
+
+    /// Ask for the next page of table `at`.
+    fn next_page(&mut self, at: usize) -> Unit {
+        let pages = &mut self.tables[at].pages;
+        pages.push(None);
+        Unit::Page(at, pages.len() - 1)
+    }
+
+    /// Run one wave: `units`, and when `list` the table listing (returned;
+    /// empty otherwise) on the caller's connection first. Units are pulled
+    /// off one queue by `conn` and by as many connections as the lender can
+    /// spare without making anyone wait; returns once every lent
+    /// connection is back in the pool, with the answers folded in.
+    fn wave(
+        &mut self,
+        conn: &mut dyn Connection,
+        list: bool,
+        units: Vec<Unit>,
+    ) -> Result<Vec<String>, StorageError> {
+        let work = units.len() + usize::from(list);
+        let helpers = self.lender.map_or(0, |pool| pool.free_slots().min(work.saturating_sub(1)));
+        let wave = Wave {
+            db_id: self.db_id,
+            page_size: self.page_size,
+            tables: &self.tables,
+            state: Mutex::new(WaveState {
+                pending: units.into(),
+                answers: Vec::with_capacity(work),
+                failures: Vec::new(),
+                fatal: None,
+            }),
+        };
+        let lender = self.lender;
+        let listing = std::thread::scope(|scope| {
+            for _ in 0..helpers {
+                // Checked out on the helper's own thread: an establishment
+                // is a round trip the caller should not wait for.
+                let helper = std::thread::Builder::new().spawn_scoped(scope, || {
+                    if let Some(mut lent) = lender.and_then(ConnectionPool::try_checkout) {
+                        wave.pull(&mut lent, true);
+                    }
+                });
+                // No thread to be had: the wave goes on with the help it has.
+                if helper.is_err() {
+                    break;
+                }
             }
-            if let Err(e) = table.insert(row) {
-                return Err(StorageError::Introspect(format!(
-                    "{db_id}.{table_name}: harvested row rejected by schema: {e}"
-                )));
+            let listing = if list { wave.list(conn) } else { Vec::new() };
+            wave.pull(conn, false);
+            listing
+        });
+        // Every helper has joined: a unit one of them handed back after the
+        // caller's loop had run dry runs now.
+        wave.pull(conn, false);
+
+        let WaveState { answers, failures, fatal, .. } = wave.state.into_inner();
+        if let Some(e) = fatal {
+            return Err(e);
+        }
+        for answer in answers {
+            match answer {
+                Answer::Schema(at, schema) => {
+                    let table = &mut self.tables[at];
+                    if schema.name.eq_ignore_ascii_case(&table.name) {
+                        table.schema = Some(schema);
+                    } else {
+                        let e = StorageError::Introspect(format!(
+                            "{}: backend described table '{}' when asked for '{}'",
+                            self.db_id, schema.name, table.name
+                        ));
+                        table.fail(0, e);
+                    }
+                }
+                Answer::Page(at, page, rows) => self.tables[at].pages[page] = Some(rows),
             }
         }
-        offset += fetched;
-        if fetched < remaining {
-            break;
+        for (unit, e) in failures {
+            match unit {
+                Unit::Schema(at) => self.tables[at].fail(0, e),
+                Unit::Page(at, page) => self.tables[at].fail(page + 1, e),
+            }
+        }
+        Ok(listing)
+    }
+}
+
+/// What the connections of one wave share.
+struct Wave<'a> {
+    db_id: &'a str,
+    page_size: usize,
+    tables: &'a [TableHarvest],
+    state: Mutex<WaveState>,
+}
+
+struct WaveState {
+    /// Units nobody has taken yet.
+    pending: VecDeque<Unit>,
+    answers: Vec<Answer>,
+    failures: Vec<(Unit, StorageError)>,
+    /// Why the wave cannot finish: the listing failed, or the caller's own
+    /// connection failed at the transport. Once set, nobody takes another
+    /// unit.
+    fatal: Option<StorageError>,
+}
+
+impl Wave<'_> {
+    /// The table listing, over the caller's connection.
+    fn list(&self, conn: &mut dyn Connection) -> Vec<String> {
+        conn.tables(self.db_id).unwrap_or_else(|e| {
+            self.state.lock().fatal.get_or_insert(e);
+            Vec::new()
+        })
+    }
+
+    /// The unit loop: take the next pending unit and run it over `conn`,
+    /// until none is left or the wave has failed. A `lent` connection that
+    /// fails at the transport (it died while parked, say) does not fail
+    /// the wave: its unit goes back on the queue for the caller's
+    /// connection, which has proved itself live, and the guard, tainted by
+    /// that failure, is probed or discarded when it drops. A transport
+    /// failure on the caller's connection fails the wave. Any other error
+    /// is the unit's, judged once the listing is known.
+    fn pull(&self, conn: &mut dyn Connection, lent: bool) {
+        loop {
+            let unit = {
+                let mut state = self.state.lock();
+                if state.fatal.is_some() {
+                    return;
+                }
+                let Some(unit) = state.pending.pop_front() else {
+                    return;
+                };
+                unit
+            };
+            let outcome = self.run(conn, unit);
+            let mut state = self.state.lock();
+            match outcome {
+                Ok(answer) => state.answers.push(answer),
+                Err(StorageError::Connect(_)) if lent => {
+                    state.pending.push_front(unit);
+                    return;
+                }
+                Err(e @ StorageError::Connect(_)) => {
+                    state.fatal.get_or_insert(e);
+                    return;
+                }
+                Err(e) => state.failures.push((unit, e)),
+            }
         }
     }
-    Ok(table)
+
+    /// One round trip.
+    fn run(&self, conn: &mut dyn Connection, unit: Unit) -> Result<Answer, StorageError> {
+        match unit {
+            Unit::Schema(at) => {
+                conn.table_schema(self.db_id, &self.tables[at].name).map(|s| Answer::Schema(at, s))
+            }
+            Unit::Page(at, page) => {
+                let name = &self.tables[at].name;
+                let sql = format!(
+                    "SELECT * FROM {} LIMIT {} OFFSET {}",
+                    quote_ident(name),
+                    self.page_size,
+                    page * self.page_size
+                );
+                conn.execute(self.db_id, &sql)
+                    .map(|result| Answer::Page(at, page, result.rows))
+                    .map_err(|e| introspect_err(&format!("{}.{name} row harvest", self.db_id), e))
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -385,16 +543,6 @@ mod tests {
         assert_eq!(items.schema.foreign_keys.len(), 1, "FK edges survive");
         // Row content and order survive the wire.
         assert_eq!(items.rows[699][1], "item-699".into());
-    }
-
-    #[test]
-    fn row_cap_limits_the_harvest() {
-        let backend = MemoryBackend::new(vec![fixture()]);
-        let mut conn = backend.connect().expect("connect");
-        let options =
-            IntrospectOptions { max_rows_per_table: Some(10), ..IntrospectOptions::default() };
-        let catalog = introspect(&mut conn, "shop", &options).expect("introspects");
-        assert_eq!(catalog.database.table("items").expect("mirrored").rows.len(), 10);
     }
 
     #[test]

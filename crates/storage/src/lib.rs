@@ -35,6 +35,8 @@ mod memory;
 pub mod metrics;
 mod pool;
 mod service;
+#[doc(hidden)]
+pub mod testing;
 
 pub use backend::{Backend, Connection};
 pub use error::StorageError;

@@ -8,11 +8,13 @@
 //! re-introspects and swaps the catalog only when the backend's token
 //! moved, one re-introspection per database at a time however many
 //! dispatches saw the token move. An introspection borrows whatever
-//! connections the pool has free to harvest tables side by side
-//! (DESIGN.md §4k). Every swap that changes the revision notifies the
-//! registered revision observer, which the serving layer wires to
-//! `SystemCache::observe_revision`, so a schema change on the live
-//! backend bumps cache generations exactly like a local catalog mutation.
+//! connections the pool has free to run its round trips side by side, and
+//! a re-introspection asks for everything the catalog it replaces predicts
+//! in one wave (DESIGN.md §4k). Every swap that changes the revision
+//! notifies the registered revision observer, which the serving layer
+//! wires to `SystemCache::observe_revision`, so a schema change on the
+//! live backend bumps cache generations exactly like a local catalog
+//! mutation.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -114,10 +116,13 @@ impl CatalogService {
     }
 
     /// [`CatalogService::attach`], with `known` — a revision token read a
-    /// moment ago — saving the introspection its own first read.
+    /// moment ago — saving the introspection its own first read. The
+    /// installed catalog, if any, predicts what the introspection will find.
     fn install(&self, db_id: &str, known: Option<u64>) -> Result<Arc<Catalog>, StorageError> {
+        let installed = self.catalog(db_id);
+        let prediction = installed.as_ref().map(|catalog| &catalog.database);
         let catalog = Arc::new(self.read(|conn| {
-            introspect_with(conn, Some(&self.pool), known, db_id, &self.options)
+            introspect_with(conn, Some(&self.pool), prediction, known, db_id, &self.options)
         })?);
         self.catalogs.write().insert(db_id.to_string(), Arc::clone(&catalog));
         self.notify(&catalog.database);

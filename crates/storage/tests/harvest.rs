@@ -1,137 +1,28 @@
-//! The harvest under a pool: tables pulled off one queue by the caller's
-//! connection and by whatever connections the pool can lend must build
-//! the mirror a single connection builds, really overlap on the wire,
-//! never wait for or starve a checkout, issue exactly the round trips the
-//! protocol names, survive lent connections that died while parked, catch
-//! a write that lands mid-harvest — and a refresh must be single-flight
-//! per database. Interleavings are forced with counters and condition
-//! variables; no test decides anything on elapsed time (the bounded waits
-//! below only turn a hang into a failure).
+//! The harvest under a pool: round trips — the listing, one table's
+//! schema, one page of rows — pulled off one queue by the caller's
+//! connection and by whatever connections the pool can lend must build the
+//! mirror a single connection builds, really overlap on the wire, never
+//! wait for or starve a checkout, issue exactly the round trips the
+//! protocol names (a refresh whose prediction holds: revision, one wave,
+//! revision), survive lent connections that died while parked and units
+//! for tables the listing no longer has, catch a write that lands
+//! mid-harvest — and a refresh must be single-flight per database.
+//! Interleavings are forced with counters and condition variables; no test
+//! decides anything on elapsed time (the bounded waits below only turn a
+//! hang into a failure).
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use codes_storage::testing::{Call, Hooked, Op, Wire};
 use codes_storage::{
     introspect, Backend, Catalog, CatalogService, Connection, ConnectionPool, FaultSpec,
     FlakyBackend, IntrospectOptions, MemoryBackend, PoolConfig, StorageError, SyncOutcome,
 };
 use proptest::prelude::*;
-use sqlengine::{Column, DataType, Database, QueryResult, TableSchema};
-
-// ---------------------------------------------------------------------
-// A backend wrapper that counts every wire operation and runs a hook
-// before it; each test scripts its backend through the hook.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Op {
-    Execute,
-    Ping,
-    Databases,
-    Tables,
-    TableSchema,
-    Revision,
-}
-
-/// `(operation, id of the connection it runs on)`; an `Err` fails the
-/// operation without reaching the inner backend.
-type Hook = Box<dyn Fn(Op, u64) -> Result<(), StorageError> + Send + Sync>;
-
-#[derive(Default)]
-struct Wire {
-    ops: [AtomicU64; 6],
-    connects: AtomicU64,
-}
-
-impl Wire {
-    fn count(&self, op: Op) -> u64 {
-        self.ops[op as usize].load(Ordering::SeqCst)
-    }
-
-    fn reset(&self) {
-        for op in &self.ops {
-            op.store(0, Ordering::SeqCst);
-        }
-    }
-}
-
-struct Hooked<B> {
-    inner: B,
-    wire: Arc<Wire>,
-    hook: Arc<Hook>,
-}
-
-impl<B: Backend> Hooked<B> {
-    fn new(inner: B, hook: Hook) -> (Hooked<B>, Arc<Wire>) {
-        let wire = Arc::new(Wire::default());
-        (Hooked { inner, wire: Arc::clone(&wire), hook: Arc::new(hook) }, wire)
-    }
-}
-
-impl<B: Backend> Backend for Hooked<B> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn connect(&self) -> Result<Box<dyn Connection>, StorageError> {
-        let inner = self.inner.connect()?;
-        let id = self.wire.connects.fetch_add(1, Ordering::SeqCst);
-        Ok(Box::new(HookedConn {
-            inner,
-            id,
-            wire: Arc::clone(&self.wire),
-            hook: Arc::clone(&self.hook),
-        }))
-    }
-}
-
-struct HookedConn {
-    inner: Box<dyn Connection>,
-    id: u64,
-    wire: Arc<Wire>,
-    hook: Arc<Hook>,
-}
-
-impl HookedConn {
-    fn before(&self, op: Op) -> Result<(), StorageError> {
-        self.wire.ops[op as usize].fetch_add(1, Ordering::SeqCst);
-        (self.hook)(op, self.id)
-    }
-}
-
-impl Connection for HookedConn {
-    fn execute(&mut self, db_id: &str, sql: &str) -> Result<QueryResult, StorageError> {
-        self.before(Op::Execute)?;
-        self.inner.execute(db_id, sql)
-    }
-
-    fn ping(&mut self) -> Result<(), StorageError> {
-        self.before(Op::Ping)?;
-        self.inner.ping()
-    }
-
-    fn databases(&mut self) -> Result<Vec<String>, StorageError> {
-        self.before(Op::Databases)?;
-        self.inner.databases()
-    }
-
-    fn tables(&mut self, db_id: &str) -> Result<Vec<String>, StorageError> {
-        self.before(Op::Tables)?;
-        self.inner.tables(db_id)
-    }
-
-    fn table_schema(&mut self, db_id: &str, table: &str) -> Result<TableSchema, StorageError> {
-        self.before(Op::TableSchema)?;
-        self.inner.table_schema(db_id, table)
-    }
-
-    fn revision(&mut self, db_id: &str) -> Result<u64, StorageError> {
-        self.before(Op::Revision)?;
-        self.inner.revision(db_id)
-    }
-}
+use sqlengine::{Column, DataType, Database, TableSchema};
 
 /// A counter threads can wait on. `wait_for` is bounded so that a broken
 /// interleaving fails the test instead of hanging it; the bound decides
@@ -165,6 +56,12 @@ impl Arrivals {
     }
 }
 
+/// The round trips of a harvest, as opposed to the revision reads around
+/// it and the pool's probes.
+fn in_wave(call: &Call<'_>) -> bool {
+    matches!(call.op, Op::Tables | Op::TableSchema | Op::Execute)
+}
+
 // ---------------------------------------------------------------------
 // Fixtures.
 // ---------------------------------------------------------------------
@@ -177,25 +74,29 @@ const DB: &str = "d";
 fn database(rows: &[usize]) -> Database {
     let mut db = Database::new(DB);
     for (i, &n) in rows.iter().enumerate() {
-        let mut schema = TableSchema::new(
-            format!("t{i}"),
-            vec![
-                Column::new("id", DataType::Integer).primary_key(),
-                Column::new("label", DataType::Text).with_comment(format!("label of t{i}")),
-                Column::new("score", DataType::Real),
-            ],
-        );
-        if i > 0 {
-            schema = schema.with_foreign_key("id", format!("t{}", i - 1), "id");
-        }
-        let table = db.create_table(schema).expect("fresh table");
-        for j in 0..n as i64 {
-            table
-                .insert(vec![j.into(), format!("t{i}-r{j}").into(), (j as f64 * 0.25).into()])
-                .expect("row fits");
-        }
+        add_table(&mut db, &format!("t{i}"), n);
     }
     db
+}
+
+fn add_table(db: &mut Database, name: &str, rows: usize) {
+    let mut schema = TableSchema::new(
+        name,
+        vec![
+            Column::new("id", DataType::Integer).primary_key(),
+            Column::new("label", DataType::Text).with_comment(format!("label of {name}")),
+            Column::new("score", DataType::Real),
+        ],
+    );
+    if let Some(previous) = db.tables.last() {
+        schema = schema.with_foreign_key("id", previous.schema.name.clone(), "id");
+    }
+    let table = db.create_table(schema).expect("fresh table");
+    for j in 0..rows as i64 {
+        table
+            .insert(vec![j.into(), format!("{name}-r{j}").into(), (j as f64 * 0.25).into()])
+            .expect("row fits");
+    }
 }
 
 fn service_over(
@@ -224,6 +125,20 @@ fn write_row(backend: &MemoryBackend, table: &str, id: i64) {
         .expect("db exists");
 }
 
+fn drop_table(backend: &MemoryBackend, table: &str) {
+    backend
+        .mutate(DB, |db| {
+            db.tables.retain(|t| t.schema.name != table);
+            db.bump_revision();
+        })
+        .expect("db exists");
+}
+
+/// What a single connection harvests from `backend` right now.
+fn fresh_introspection(backend: &dyn Backend, options: &IntrospectOptions) -> Catalog {
+    introspect(&mut backend.connect().expect("connect"), DB, options).expect("single connection")
+}
+
 fn assert_same_mirror(pooled: &Catalog, solo: &Catalog, context: &str) {
     assert_eq!(pooled.revision, solo.revision, "{context}: revision");
     assert_eq!(pooled.database.revision(), solo.database.revision(), "{context}: stamp");
@@ -246,9 +161,28 @@ fn assert_conserved(service: &CatalogService) {
     assert_eq!(stats.exhausted, 0, "lending never waits for a slot: {stats:?}");
 }
 
+/// The `SELECT` that fetches page `page` of `table`.
+fn page_sql(table: &str, page_size: usize, page: usize) -> String {
+    format!("SELECT * FROM \"{table}\" LIMIT {page_size} OFFSET {}", page * page_size)
+}
+
 // ---------------------------------------------------------------------
 // (i) Equivalence.
 // ---------------------------------------------------------------------
+
+/// 0–6 tables; among them an empty one, exact multiples of the page size,
+/// one row short of a page, and anything up to 700 rows.
+fn table_rows(words: &[u64], page_size: usize) -> Vec<usize> {
+    words
+        .iter()
+        .map(|w| match w % 5 {
+            0 => 0,
+            1 => page_size * (1 + (w / 5 % 3) as usize),
+            2 => page_size - 1,
+            _ => (w / 5 % 701) as usize,
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -258,35 +192,75 @@ proptest! {
     /// connection builds: table order, row order, schemas, revision.
     #[test]
     fn pooled_harvest_equals_the_single_connection_harvest(
-        words in prop::collection::vec(0u64..u64::MAX, 2..9),
+        words in prop::collection::vec(0u64..u64::MAX, 1..8),
     ) {
         let page_size = 8 + (words[0] % 56) as usize;
-        let max_rows_per_table = (words[1] % 2 == 0).then_some(page_size * 2 + 3);
-        // 0–6 tables; among them an empty one, exact multiples of the page
-        // size, one row short of a page, and anything up to 700 rows.
-        let rows: Vec<usize> = words[2..]
-            .iter()
-            .map(|w| match w % 5 {
-                0 => 0,
-                1 => page_size * (1 + (w / 5 % 3) as usize),
-                2 => page_size - 1,
-                _ => (w / 5 % 701) as usize,
-            })
-            .collect();
-        let options =
-            IntrospectOptions { page_size, max_rows_per_table, ..IntrospectOptions::default() };
+        let rows = table_rows(&words[1..], page_size);
+        let options = IntrospectOptions { page_size };
         let backend = Arc::new(MemoryBackend::new(vec![database(&rows)]));
-        let solo = introspect(&mut backend.connect().expect("connect"), DB, &options)
-            .expect("single connection");
+        let solo = fresh_introspection(backend.as_ref(), &options);
         prop_assert_eq!(solo.table_count(), rows.len());
         for capacity in [1usize, 2, 8] {
             let service = service_over(Arc::clone(&backend) as Arc<dyn Backend>, capacity, options);
             let pooled = service.attach(DB).expect("pooled");
             assert_same_mirror(&pooled, &solo, &format!("capacity {capacity}, rows {rows:?}"));
             assert_conserved(&service);
-            let helpers = rows.len().saturating_sub(1).min(capacity - 1) as u64;
+            // The widest wave of an attach: every table's schema and first page.
+            let helpers = (2 * rows.len()).saturating_sub(1).min(capacity - 1) as u64;
             prop_assert!(service.pool().stats().established <= 1 + helpers);
         }
+    }
+
+    /// Whatever moved between the attach and the sync — a table added or
+    /// dropped, a column renamed, rows grown or shrunk across a page
+    /// boundary — the refresh, predicted from the mirror it replaces,
+    /// installs the mirror a fresh single-connection introspection builds.
+    #[test]
+    fn a_refreshed_mirror_equals_a_fresh_introspection_whatever_moved(
+        words in prop::collection::vec(0u64..u64::MAX, 3..9),
+    ) {
+        let page_size = 8 + (words[0] % 56) as usize;
+        let rows = table_rows(&words[3..], page_size);
+        let options = IntrospectOptions { page_size };
+        let capacity = [1usize, 2, 8][(words[1] % 3) as usize];
+        let backend = Arc::new(MemoryBackend::new(vec![database(&rows)]));
+        let service = service_over(Arc::clone(&backend) as Arc<dyn Backend>, capacity, options);
+        service.attach(DB).expect("attach");
+
+        let victim = format!("t{}", (words[2] / 5) as usize % rows.len().max(1));
+        let mutation = words[2] % 5;
+        backend
+            .mutate(DB, |db| {
+                match (mutation, db.tables.iter_mut().find(|t| t.schema.name == victim)) {
+                    (0, _) => add_table(db, "added", (words[2] / 5 % 300) as usize),
+                    (1, _) => db.tables.retain(|t| t.schema.name != victim),
+                    (2, Some(table)) => table.schema.columns[1].name = "renamed".to_string(),
+                    (3, Some(table)) => {
+                        let n = table.rows.len() as i64;
+                        for j in n..n + page_size as i64 + 1 {
+                            table.rows.push(vec![j.into(), "grown".into(), 0.0.into()]);
+                        }
+                    }
+                    (_, Some(table)) => {
+                        let keep = table.rows.len().saturating_sub(page_size + 1);
+                        table.rows.truncate(keep);
+                    }
+                    (_, None) => {}
+                }
+                db.bump_revision();
+            })
+            .expect("db exists");
+
+        let outcome = service.sync(DB).expect("refresh");
+        prop_assert!(matches!(outcome, SyncOutcome::Refreshed { .. }), "{:?}", outcome);
+        let fresh = fresh_introspection(backend.as_ref(), &options);
+        let refreshed = service.catalog(DB).expect("attached");
+        assert_same_mirror(
+            &refreshed,
+            &fresh,
+            &format!("mutation {mutation} of {victim}, capacity {capacity}, rows {rows:?}"),
+        );
+        assert_conserved(&service);
     }
 }
 
@@ -294,43 +268,111 @@ proptest! {
 // (ii) It really overlaps.
 // ---------------------------------------------------------------------
 
-/// Attach a `tables`-table database through a backend whose
-/// `table_schema` does not answer until `parties` connections are inside
-/// it at once. Returns the distinct connections that were.
-fn attach_through_a_rendezvous(tables: usize, capacity: usize, parties: u64) -> usize {
+/// Attach a `tables`-table database through a backend whose `table_schema`
+/// and `execute` do not answer until `parties` connections are inside them
+/// at once. An attach has nothing to predict from, so its first wave is
+/// the listing alone and its second every table's schema and first page.
+/// Returns the distinct connections that were inside, and the pool's
+/// establishments.
+fn attach_through_a_rendezvous(tables: usize, capacity: usize, parties: u64) -> (usize, u64) {
     let arrivals = Arc::new(Arrivals::default());
     let inside = Arc::new(Mutex::new(HashSet::new()));
     let (seen, latch) = (Arc::clone(&inside), Arc::clone(&arrivals));
-    let rows = vec![3; tables];
-    let (backend, _wire) = Hooked::new(
-        MemoryBackend::new(vec![database(&rows)]),
-        Box::new(move |op, conn| {
-            if op != Op::TableSchema {
+    let backend = Hooked::new(MemoryBackend::new(vec![database(&vec![3; tables])])).before(
+        move |call| {
+            if !matches!(call.op, Op::TableSchema | Op::Execute) {
                 return Ok(());
             }
-            seen.lock().expect("no panic under this lock").insert(conn);
+            seen.lock().expect("no panic under this lock").insert(call.conn);
             latch.arrive();
             latch.wait_for(parties)
-        }),
+        },
     );
     let service = service_over(Arc::new(backend), capacity, IntrospectOptions::default());
     let catalog = service.attach(DB).expect("the rendezvous is met");
     assert_eq!(catalog.table_count(), tables);
     assert_conserved(&service);
     let distinct = inside.lock().expect("no panic under this lock").len();
-    distinct
+    (distinct, service.pool().stats().established)
 }
 
 #[test]
 fn every_table_is_on_the_wire_at_once_when_the_pool_can_lend() {
-    assert_eq!(attach_through_a_rendezvous(4, 4, 4), 4, "four tables, four connections");
-    assert_eq!(attach_through_a_rendezvous(4, 8, 4), 4, "never more helpers than tables - 1");
-    assert_eq!(attach_through_a_rendezvous(5, 3, 3), 3, "capacity bounds the overlap");
+    assert_eq!(
+        attach_through_a_rendezvous(4, 8, 8),
+        (8, 8),
+        "four schemas and four first pages, eight connections"
+    );
+    assert_eq!(attach_through_a_rendezvous(4, 4, 4), (4, 4), "capacity bounds the overlap");
+    assert_eq!(attach_through_a_rendezvous(5, 3, 3), (3, 3), "capacity bounds the overlap");
+    assert_eq!(
+        attach_through_a_rendezvous(2, 8, 4),
+        (4, 4),
+        "never more helpers than the wave has units, less the caller's"
+    );
 }
 
 #[test]
 fn the_same_harvest_runs_serially_on_a_pool_of_one() {
-    assert_eq!(attach_through_a_rendezvous(4, 1, 1), 1);
+    assert_eq!(attach_through_a_rendezvous(4, 1, 1), (1, 1));
+}
+
+/// The tentpole's claim, forced: after a write that moves no page
+/// boundary, the refresh puts the listing, every schema and every page
+/// inside the backend at once — the rendezvous below answers nothing until
+/// all seven are in — and the whole refresh is the dispatch's revision
+/// read, that one wave, and the revision read that closes it.
+#[test]
+fn a_refresh_whose_prediction_holds_is_one_wave() {
+    const WAVE: u64 = 1 + 3 + 3;
+    let store = MemoryBackend::new(vec![database(&[3, 40, 3])]);
+    let admin = MemoryBackend::over(store.store());
+    let armed = Arc::new(AtomicBool::new(false));
+    let arrivals = Arc::new(Arrivals::default());
+    let inside = Arc::new(Mutex::new(HashSet::new()));
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let (on, latch, seen, trace) =
+        (Arc::clone(&armed), Arc::clone(&arrivals), Arc::clone(&inside), Arc::clone(&log));
+    let backend = Hooked::new(store).before(move |call| {
+        if !on.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        trace.lock().expect("no panic under this lock").push((call.op, call.target.to_string()));
+        if in_wave(call) {
+            seen.lock().expect("no panic under this lock").insert(call.conn);
+            latch.arrive();
+            latch.wait_for(WAVE)?;
+        }
+        Ok(())
+    });
+    let service = service_over(Arc::new(backend), 8, IntrospectOptions::default());
+    service.attach(DB).expect("attach");
+
+    write_row(&admin, "t1", 100);
+    armed.store(true, Ordering::SeqCst);
+    let outcome = service.sync(DB).expect("the rendezvous is met");
+    assert!(matches!(outcome, SyncOutcome::Refreshed { .. }), "{outcome:?}");
+    armed.store(false, Ordering::SeqCst);
+
+    let distinct = inside.lock().expect("no panic under this lock").len() as u64;
+    assert_eq!(distinct, WAVE, "the listing, three schemas and three pages at once");
+    let log = log.lock().expect("no panic under this lock").clone();
+    assert_eq!(log.len() as u64, 1 + WAVE + 1, "revision, the wave, revision: {log:?}");
+    assert_eq!(log[0].0, Op::Revision, "the dispatch's read opens it: {log:?}");
+    assert_eq!(log[log.len() - 1].0, Op::Revision, "`after` closes it: {log:?}");
+    let mut wave: Vec<(Op, String)> = log[1..log.len() - 1].to_vec();
+    wave.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+    let mut expected = vec![(Op::Tables, String::new())];
+    for table in ["t0", "t1", "t2"] {
+        expected.push((Op::TableSchema, table.to_string()));
+        expected.push((Op::Execute, page_sql(table, 256, 0)));
+    }
+    expected.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+    assert_eq!(wave, expected);
+
+    let fresh = fresh_introspection(&admin, &IntrospectOptions::default());
+    assert_same_mirror(&service.catalog(DB).expect("attached"), &fresh, "one-wave refresh");
+    assert_conserved(&service);
 }
 
 // ---------------------------------------------------------------------
@@ -340,7 +382,8 @@ fn the_same_harvest_runs_serially_on_a_pool_of_one() {
 #[test]
 fn a_pool_with_nothing_to_lend_harvests_on_the_callers_connection() {
     let backend = Arc::new(MemoryBackend::new(vec![database(&[5, 5, 5, 5])]));
-    let (hooked, wire) = Hooked::new(MemoryBackend::over(backend.store()), Box::new(|_, _| Ok(())));
+    let hooked = Hooked::new(MemoryBackend::over(backend.store()));
+    let wire = hooked.wire();
     let service = service_over(Arc::new(hooked), 3, IntrospectOptions::default());
 
     let held: Vec<_> =
@@ -357,7 +400,8 @@ fn a_pool_with_nothing_to_lend_harvests_on_the_callers_connection() {
     assert!(matches!(outcome, SyncOutcome::Refreshed { .. }), "{outcome:?}");
     assert_eq!(service.catalog(DB).expect("attached").database.tables[1].rows.len(), 6);
     assert_eq!(wire.count(Op::TableSchema), 4, "the whole harvest ran");
-    assert_eq!(wire.connects.load(Ordering::SeqCst), 3, "on the connection it had");
+    assert_eq!(wire.count(Op::Execute), 4, "every predicted page, once");
+    assert_eq!(wire.connects(), 3, "on the connection it had");
 
     let stats = service.pool().stats();
     assert_eq!(stats.exhausted, 0, "a helper that finds no slot does not wait for one");
@@ -382,21 +426,41 @@ fn a_refresh_issues_exactly_the_round_trips_the_protocol_names() {
     // Page size 10: 0 rows → 1 page, 5 → 1, 10 → 2 (a full page, then the
     // empty one that ends the chain), 25 → 3.
     let backend = Arc::new(MemoryBackend::new(vec![database(&[0, 5, 10, 25])]));
-    let (hooked, wire) = Hooked::new(MemoryBackend::over(backend.store()), Box::new(|_, _| Ok(())));
-    let options = IntrospectOptions { page_size: 10, ..IntrospectOptions::default() };
+    let pages = Arc::new(Mutex::new(Vec::new()));
+    let sql = Arc::clone(&pages);
+    let hooked = Hooked::new(MemoryBackend::over(backend.store())).before(move |call| {
+        if call.op == Op::Execute {
+            sql.lock().expect("no panic under this lock").push(call.target.to_string());
+        }
+        Ok(())
+    });
+    let wire = hooked.wire();
+    let options = IntrospectOptions { page_size: 10 };
     let service = service_over(Arc::new(hooked), 8, options);
+    let take_pages = || {
+        let mut taken = std::mem::take(&mut *pages.lock().expect("no panic under this lock"));
+        taken.sort();
+        taken
+    };
+    let mut every_page: Vec<String> = [("t0", 1), ("t1", 1), ("t2", 2), ("t3", 3)]
+        .into_iter()
+        .flat_map(|(table, n)| (0..n).map(move |page| page_sql(table, 10, page)))
+        .collect();
+    every_page.sort();
 
     service.attach(DB).expect("attach");
     assert_eq!(wire.count(Op::Revision), 2, "an attach reads before and after");
     assert_eq!(wire.count(Op::Tables), 1);
     assert_eq!(wire.count(Op::TableSchema), 4);
     assert_eq!(wire.count(Op::Execute), 7);
+    assert_eq!(take_pages(), every_page, "each page asked for once");
 
     wire.reset();
     assert_eq!(service.sync(DB).expect("steady"), SyncOutcome::Unchanged);
     assert_eq!(wire.count(Op::Revision), 1, "an unchanged sync is one read");
     assert_eq!(wire.count(Op::Tables) + wire.count(Op::TableSchema) + wire.count(Op::Execute), 0);
 
+    // A write inside a page: the prediction holds, one wave.
     write_row(&backend, "t1", 100);
     wire.reset();
     assert!(matches!(service.sync(DB).expect("refresh"), SyncOutcome::Refreshed { .. }));
@@ -404,6 +468,24 @@ fn a_refresh_issues_exactly_the_round_trips_the_protocol_names() {
     assert_eq!(wire.count(Op::Tables), 1);
     assert_eq!(wire.count(Op::TableSchema), 4);
     assert_eq!(wire.count(Op::Execute), 7);
+    assert_eq!(wire.count(Op::Databases), 0);
+    assert_eq!(take_pages(), every_page, "the predicted pages, each once");
+
+    // Four more rows fill t1's page: the predicted page comes back full,
+    // and one more page follows it.
+    for id in 101..105 {
+        write_row(&backend, "t1", id);
+    }
+    wire.reset();
+    assert!(matches!(service.sync(DB).expect("refresh"), SyncOutcome::Refreshed { .. }));
+    assert_eq!(wire.count(Op::Revision), 2);
+    assert_eq!(wire.count(Op::Tables), 1);
+    assert_eq!(wire.count(Op::TableSchema), 4);
+    assert_eq!(wire.count(Op::Execute), 8, "t1's second page, after its first came back full");
+    every_page.push(page_sql("t1", 10, 1));
+    every_page.sort();
+    assert_eq!(take_pages(), every_page);
+    assert_eq!(service.catalog(DB).expect("attached").database.tables[1].rows.len(), 10);
     assert_conserved(&service);
 }
 
@@ -430,55 +512,71 @@ impl Morgue {
 }
 
 /// The failure rule, interleaving forced: four connections each hold one
-/// of four tables when the three lent ones turn out to have died while
-/// parked. Their tables go back to the caller's connection, the refresh
-/// succeeds, and the dead connections are discarded at checkin.
+/// unit of the refresh's wave — the caller's the listing, the three lent
+/// ones a schema each — when the lent ones turn out to have died while
+/// parked. Their units go back to the caller's connection, which runs the
+/// whole wave, the refresh succeeds, and the dead connections are
+/// discarded at checkin.
 #[test]
 fn a_lent_connection_that_died_while_parked_hands_its_table_back() {
     let store = MemoryBackend::new(vec![database(&[4, 4, 4, 4])]);
     let admin = MemoryBackend::over(store.store());
     let (morgue, arrivals) = (Arc::new(Morgue::default()), Arc::new(Arrivals::default()));
-    let (dead, inside) = (Arc::clone(&morgue), Arc::clone(&arrivals));
-    let opened = AtomicU64::new(0);
+    let inside = Arc::new(Mutex::new(HashSet::new()));
+    let ran = Arc::new(Mutex::new(Vec::new()));
     let armed = Arc::new(AtomicBool::new(false));
-    let on = Arc::clone(&armed);
-    let (backend, wire) = Hooked::new(
-        store,
-        Box::new(move |op, conn| {
-            opened.fetch_max(conn + 1, Ordering::SeqCst);
-            match op {
-                // A pass starts: nobody is inside `table_schema`. Once
-                // armed, everything parked dies here — the connection that
-                // lists the tables is the caller's, and proves itself live.
-                Op::Tables => {
-                    inside.reset();
-                    if on.load(Ordering::SeqCst) {
-                        (0..opened.load(Ordering::SeqCst))
-                            .filter(|other| *other != conn)
-                            .for_each(|other| dead.kill(other));
-                    }
-                }
-                // All four connections take a table before any is answered.
-                Op::TableSchema => {
-                    inside.arrive();
-                    inside.wait_for(4)?;
-                }
-                _ => {}
-            }
-            dead.check(conn)
-        }),
+    let (dead, latch, seen, log, on) = (
+        Arc::clone(&morgue),
+        Arc::clone(&arrivals),
+        Arc::clone(&inside),
+        Arc::clone(&ran),
+        Arc::clone(&armed),
     );
+    let backend = Hooked::new(store).before(move |call| {
+        let refreshing = on.load(Ordering::SeqCst);
+        // Each connection's first round trip of a wave waits until four
+        // connections are inside it: the attach's second wave (its listing
+        // runs alone), and the refresh's only one.
+        if in_wave(call)
+            && (refreshing || call.op != Op::Tables)
+            && seen.lock().expect("no panic under this lock").insert(call.conn)
+        {
+            latch.arrive();
+            latch.wait_for(4)?;
+            // The caller's first round trip is the listing; every other
+            // connection in the refresh was lent, and is found dead.
+            if refreshing && call.op != Op::Tables {
+                dead.kill(call.conn);
+            }
+        }
+        if refreshing && in_wave(call) {
+            log.lock().expect("no panic under this lock").push((call.conn, call.op));
+        }
+        dead.check(call.conn)
+    });
+    let wire = backend.wire();
     let service = service_over(Arc::new(backend), 4, IntrospectOptions::default());
     service.attach(DB).expect("attach");
     assert_eq!(service.pool().stats().established, 4, "the attach left four parked connections");
 
     write_row(&admin, "t3", 100);
     wire.reset();
+    inside.lock().expect("no panic under this lock").clear();
+    arrivals.reset();
     armed.store(true, Ordering::SeqCst);
     assert!(matches!(service.sync(DB).expect("refresh"), SyncOutcome::Refreshed { .. }));
 
     assert_eq!(service.catalog(DB).expect("attached").database.tables[3].rows.len(), 5);
-    assert_eq!(wire.count(Op::TableSchema), 4 + 3, "three tables were asked for twice");
+    assert_eq!(wire.count(Op::TableSchema), 4 + 3, "three schemas were asked for twice");
+    assert_eq!(wire.count(Op::Execute), 4, "every page once");
+    let ran = ran.lock().expect("no panic under this lock").clone();
+    let caller = ran.iter().find(|(_, op)| *op == Op::Tables).expect("a listing").0;
+    assert_eq!(
+        ran.iter().filter(|(conn, _)| *conn == caller).count(),
+        1 + 4 + 4,
+        "the caller's connection ran the whole wave: {ran:?}"
+    );
+    assert_eq!(ran.len(), 1 + 4 + 4 + 3, "and each dead one a single unit: {ran:?}");
     assert_eq!(wire.count(Op::Ping), 3, "each tainted guard was probed once at checkin");
     let stats = service.pool().stats();
     assert_eq!(stats.discarded_broken, 3, "and discarded: {stats:?}");
@@ -497,22 +595,23 @@ struct Storm {
 /// checked out between syncs — and sync. `FlakyBackend`'s own
 /// `silent_break` is drawn per operation, so inside a many-operation
 /// harvest it strikes connections *in use*, the caller's included, which
-/// fails that refresh at the parent commit as well; dying while parked is
-/// what the kill schedule isolates.
+/// fails that refresh; dying while parked is what the kill schedule
+/// isolates.
 fn refresh_storm(spec: FaultSpec) -> Storm {
     let store = MemoryBackend::new(vec![database(&[4, 4, 4, 4])]);
     let admin = MemoryBackend::over(store.store());
     let morgue = Arc::new(Morgue::default());
     let dead = Arc::clone(&morgue);
-    let (backend, wire) =
-        Hooked::new(FlakyBackend::new(store, spec), Box::new(move |_, conn| dead.check(conn)));
+    let backend =
+        Hooked::new(FlakyBackend::new(store, spec)).before(move |call| dead.check(call.conn));
+    let wire = backend.wire();
     let service = service_over(Arc::new(backend), 8, IntrospectOptions::default());
     assert!((0..50).any(|_| service.attach(DB).is_ok()), "attach beats the injector");
 
     let (mut errors, mut refreshed) = (Vec::new(), 0);
     for round in 0..150u64 {
         write_row(&admin, "t2", 1000 + round as i64);
-        (0..wire.connects.load(Ordering::SeqCst))
+        (0..wire.connects())
             .filter(|conn| (conn + round).is_multiple_of(3))
             .for_each(|conn| morgue.kill(conn));
         match service.sync(DB) {
@@ -555,6 +654,56 @@ fn under_chaos_only_faults_injected_on_live_connections_fail_a_refresh() {
     assert_conserved(&storm.service);
 }
 
+/// A refresh predicts from the mirror it replaces, so when a table has
+/// been dropped its units still go out, and fail at the backend. Until
+/// the listing says the table is gone that failure could be real; once it
+/// does, it is dropped: the refresh succeeds and installs what a fresh
+/// introspection builds. A listed table's failure still fails the pass,
+/// and of several the earliest-listed one is reported.
+#[test]
+fn a_unit_for_a_table_the_listing_no_longer_has_never_fails_the_pass() {
+    let store = MemoryBackend::new(vec![database(&[4, 300, 4, 4])]);
+    let admin = MemoryBackend::over(store.store());
+    let asked = Arc::new(Mutex::new(Vec::new()));
+    let failing = Arc::new(Mutex::new(Vec::<&'static str>::new()));
+    let (log, inject) = (Arc::clone(&asked), Arc::clone(&failing));
+    let backend = Hooked::new(store).before(move |call| {
+        if call.op == Op::TableSchema {
+            log.lock().expect("no panic under this lock").push(call.target.to_string());
+        }
+        let injected = inject.lock().expect("no panic under this lock").clone();
+        match injected.into_iter().find(|table| call.target.contains(table)) {
+            Some(table) => Err(StorageError::Introspect(format!("injected failure of {table}"))),
+            None => Ok(()),
+        }
+    });
+    let service = service_over(Arc::new(backend), 8, IntrospectOptions::default());
+    service.attach(DB).expect("attach");
+    asked.lock().expect("no panic under this lock").clear();
+
+    // t1 (two pages) is gone: its schema and both pages fail at the backend.
+    drop_table(&admin, "t1");
+    let outcome = service.sync(DB).expect("a dropped table's failures do not fail the refresh");
+    assert!(matches!(outcome, SyncOutcome::Refreshed { .. }), "{outcome:?}");
+    assert!(
+        asked.lock().expect("no panic under this lock").iter().any(|table| table == "t1"),
+        "the prediction did ask for t1"
+    );
+    let fresh = fresh_introspection(&admin, &IntrospectOptions::default());
+    assert_same_mirror(&service.catalog(DB).expect("attached"), &fresh, "t1 dropped");
+
+    // Now t0 goes, and both listed tables behind it fail: t3 in its page,
+    // t2 in its schema. Listing order decides which is reported.
+    let before = service.catalog(DB).expect("attached").revision;
+    *failing.lock().expect("no panic under this lock") = vec!["t0", "\"t3\"", "t2"];
+    drop_table(&admin, "t0");
+    let err = service.sync(DB).expect_err("listed tables failed");
+    assert_eq!(err.kind(), "storage_introspect");
+    assert!(err.to_string().contains("injected failure of t2"), "earliest-listed: {err}");
+    assert_eq!(service.catalog(DB).expect("attached").revision, before, "nothing installed");
+    assert_conserved(&service);
+}
+
 // ---------------------------------------------------------------------
 // (vi) A write landing mid-harvest.
 // ---------------------------------------------------------------------
@@ -570,23 +719,21 @@ fn writing_backend(
     let admin = MemoryBackend::over(store.store());
     let inside = Arrivals::default();
     let written = AtomicU64::new(0);
-    let (backend, wire) = Hooked::new(
-        store,
-        Box::new(move |op, conn| {
-            match op {
-                Op::Tables => inside.reset(),
-                Op::TableSchema => {
-                    inside.arrive();
-                    inside.wait_for(2)?;
-                }
-                Op::Execute if when(conn) => {
-                    write_row(&admin, "t0", 1000 + written.fetch_add(1, Ordering::SeqCst) as i64);
-                }
-                _ => {}
+    let backend = Hooked::new(store).before(move |call| {
+        match call.op {
+            Op::Tables => inside.reset(),
+            Op::TableSchema => {
+                inside.arrive();
+                inside.wait_for(2)?;
             }
-            Ok(())
-        }),
-    );
+            Op::Execute if when(call.conn) => {
+                write_row(&admin, "t0", 1000 + written.fetch_add(1, Ordering::SeqCst) as i64);
+            }
+            _ => {}
+        }
+        Ok(())
+    });
+    let wire = backend.wire();
     (Arc::new(backend), wire)
 }
 
@@ -609,12 +756,11 @@ fn a_write_on_a_helpers_connection_mid_harvest_is_caught_and_retried() {
 #[test]
 fn a_revision_that_keeps_moving_is_the_same_typed_error() {
     let (backend, wire) = writing_backend(|_| true);
-    let options = IntrospectOptions { consistency_retries: 2, ..IntrospectOptions::default() };
-    let service = service_over(backend, 8, options);
+    let service = service_over(backend, 8, IntrospectOptions::default());
     let err = service.attach(DB).expect_err("never consistent");
     assert_eq!(err.kind(), "storage_introspect");
     assert!(err.to_string().contains("revision kept moving during harvest"), "{err}");
-    assert_eq!(wire.count(Op::Tables), 3, "consistency_retries + 1 passes");
+    assert_eq!(wire.count(Op::Tables), 4, "the first pass and three retries");
     assert!(!service.contains(DB), "nothing unvalidated was installed");
     assert_conserved(&service);
 }
@@ -633,20 +779,18 @@ fn concurrent_syncs_after_one_write_share_one_refresh() {
     let reads = Arc::new(Arrivals::default());
     let armed = Arc::new(AtomicBool::new(false));
     let (gate, on) = (Arc::clone(&reads), Arc::clone(&armed));
-    let (backend, wire) = Hooked::new(
-        store,
-        Box::new(move |op, _| {
-            if !on.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            match op {
-                Op::Revision => gate.arrive(),
-                Op::Tables => gate.wait_for(CALLERS)?,
-                _ => {}
-            }
-            Ok(())
-        }),
-    );
+    let backend = Hooked::new(store).before(move |call| {
+        if !on.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        match call.op {
+            Op::Revision => gate.arrive(),
+            Op::Tables => gate.wait_for(CALLERS)?,
+            _ => {}
+        }
+        Ok(())
+    });
+    let wire = backend.wire();
     let service = service_over(Arc::new(backend), 8, IntrospectOptions::default());
     let observed = Arc::new(AtomicU64::new(0));
     let counter = Arc::clone(&observed);

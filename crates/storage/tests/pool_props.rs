@@ -8,16 +8,16 @@
 //! fails exactly one first operation and is discarded at that checkin,
 //! and a catalog read retries past it.
 
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use codes_storage::testing::{Hooked, Op, Wire};
 use codes_storage::{
-    Backend, Connection, ConnectionPool, FaultSpec, FlakyBackend, MemoryBackend, PoolConfig,
-    PooledConn, StorageError,
+    Connection, ConnectionPool, FaultSpec, FlakyBackend, MemoryBackend, PoolConfig, PooledConn,
+    StorageError,
 };
 use proptest::prelude::*;
-use sqlengine::{Backoff, Column, DataType, Database, QueryResult, TableSchema};
+use sqlengine::{Backoff, Column, DataType, Database, TableSchema};
 
 fn fixture() -> Database {
     let mut db = Database::new("d");
@@ -28,98 +28,12 @@ fn fixture() -> Database {
     db
 }
 
-/// Ground truth from the backend's own point of view — the properties are
-/// asserted against this, not against the pool's self-reported gauges.
-#[derive(Default)]
-struct Truth {
-    /// Connections alive right now, and the most there ever were.
-    live: AtomicI64,
-    peak: AtomicI64,
-    /// Live connections that have returned a transport error to someone.
-    live_faulted: AtomicI64,
-    /// Liveness probes the backend has answered.
-    pings: AtomicI64,
-}
-
-struct CountingBackend<B> {
-    inner: B,
-    truth: Arc<Truth>,
-}
-
-struct CountingConnection {
-    inner: Box<dyn Connection>,
-    truth: Arc<Truth>,
-    faulted: bool,
-}
-
-impl CountingConnection {
-    fn observe<R>(&mut self, result: Result<R, StorageError>) -> Result<R, StorageError> {
-        if matches!(result, Err(StorageError::Connect(_))) && !self.faulted {
-            self.faulted = true;
-            self.truth.live_faulted.fetch_add(1, Ordering::SeqCst);
-        }
-        result
-    }
-}
-
-impl<B: Backend> Backend for CountingBackend<B> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn connect(&self) -> Result<Box<dyn Connection>, StorageError> {
-        let inner = self.inner.connect()?;
-        let live = self.truth.live.fetch_add(1, Ordering::SeqCst) + 1;
-        self.truth.peak.fetch_max(live, Ordering::SeqCst);
-        Ok(Box::new(CountingConnection { inner, truth: Arc::clone(&self.truth), faulted: false }))
-    }
-}
-
-impl Drop for CountingConnection {
-    fn drop(&mut self) {
-        self.truth.live.fetch_sub(1, Ordering::SeqCst);
-        if self.faulted {
-            self.truth.live_faulted.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-}
-
-impl Connection for CountingConnection {
-    fn execute(&mut self, db_id: &str, sql: &str) -> Result<QueryResult, StorageError> {
-        let result = self.inner.execute(db_id, sql);
-        self.observe(result)
-    }
-
-    fn ping(&mut self) -> Result<(), StorageError> {
-        self.truth.pings.fetch_add(1, Ordering::SeqCst);
-        let result = self.inner.ping();
-        self.observe(result)
-    }
-
-    fn databases(&mut self) -> Result<Vec<String>, StorageError> {
-        let result = self.inner.databases();
-        self.observe(result)
-    }
-
-    fn tables(&mut self, db_id: &str) -> Result<Vec<String>, StorageError> {
-        let result = self.inner.tables(db_id);
-        self.observe(result)
-    }
-
-    fn table_schema(&mut self, db_id: &str, table: &str) -> Result<TableSchema, StorageError> {
-        let result = self.inner.table_schema(db_id, table);
-        self.observe(result)
-    }
-
-    fn revision(&mut self, db_id: &str) -> Result<u64, StorageError> {
-        let result = self.inner.revision(db_id);
-        self.observe(result)
-    }
-}
-
+/// The pool under test, and ground truth from the backend's own point of
+/// view: the properties are asserted against the [`Wire`], not against the
+/// pool's self-reported gauges.
 struct Harness {
     pool: ConnectionPool,
-    truth: Arc<Truth>,
+    truth: Arc<Wire>,
 }
 
 impl Harness {
@@ -127,9 +41,9 @@ impl Harness {
     /// (see [`codes_storage::PoolStats`]), checked against ground truth.
     fn assert_conserved(&self, capacity: usize) {
         let stats = self.pool.stats();
-        let live = self.truth.live.load(Ordering::SeqCst);
+        let live = self.truth.live();
         assert!(
-            self.truth.peak.load(Ordering::SeqCst) <= capacity as i64,
+            self.truth.peak() <= capacity as i64,
             "occupancy bound held: {stats:?}"
         );
         assert_eq!(
@@ -145,7 +59,7 @@ impl Harness {
             "every established connection is parked or was discarded once: {stats:?}"
         );
         assert_eq!(
-            self.truth.live_faulted.load(Ordering::SeqCst),
+            self.truth.live_faulted(),
             0,
             "no connection that reported a transport failure is parked: {stats:?}"
         );
@@ -162,14 +76,9 @@ fn harness_with(
     spec: FaultSpec,
     idle_timeout: Option<Duration>,
 ) -> Harness {
-    let truth = Arc::new(Truth::default());
-    let backend = CountingBackend {
-        inner: FlakyBackend::new(
-            MemoryBackend::new(vec![fixture()]),
-            FaultSpec { seed, ..spec },
-        ),
-        truth: Arc::clone(&truth),
-    };
+    let backend =
+        Hooked::new(FlakyBackend::new(MemoryBackend::new(vec![fixture()]), FaultSpec { seed, ..spec }));
+    let truth = backend.wire();
     let registry = codes_obs::Registry::new();
     let pool = ConnectionPool::with_registry(
         Arc::new(backend),
@@ -244,7 +153,7 @@ proptest! {
                 _ => {}
             }
             prop_assert!(
-                h.truth.peak.load(Ordering::SeqCst) <= capacity as i64,
+                h.truth.peak() <= capacity as i64,
                 "live connections never exceed capacity"
             );
         }
@@ -300,7 +209,7 @@ proptest! {
                 ),
             }
             prop_assert!(
-                h.truth.live_faulted.load(Ordering::SeqCst) == 0,
+                h.truth.live_faulted() == 0,
                 "a connection that reported a transport failure was parked"
             );
         }
@@ -344,9 +253,9 @@ fn checkin_pings_only_when_the_checkout_did_no_round_trip() {
         let mut conn = h.pool.checkout().expect("quiet backend");
         conn.execute("d", "SELECT c FROM t").expect("quiet backend");
     }
-    assert_eq!(h.truth.pings.load(Ordering::SeqCst), 0, "the operation was the liveness proof");
+    assert_eq!(h.truth.count(Op::Ping), 0, "the operation was the liveness proof");
     drop(h.pool.checkout().expect("recycled"));
-    assert_eq!(h.truth.pings.load(Ordering::SeqCst), 1, "an untouched connection is probed");
+    assert_eq!(h.truth.count(Op::Ping), 1, "an untouched connection is probed");
     h.assert_conserved(1);
 }
 
