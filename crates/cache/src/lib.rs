@@ -1,14 +1,11 @@
 //! Sharded in-process cache for the CodeS serving stack.
 //!
 //! Production question streams are highly repetitive per database: the same
-//! schema gets profiled, the same values get indexed, and frequently the
-//! same question gets answered again. This crate provides the one cache
-//! primitive the rest of the workspace builds its caches on:
+//! question often gets answered again. This crate provides the one cache
+//! primitive the serving tiers build on:
 //!
 //! - [`ShardedCache`] — a thread-safe LRU cache split across independently
-//!   locked shards, with *single-flight* deduplication: when N threads miss
-//!   on the same key concurrently, exactly one computes the value and the
-//!   rest wait for it.
+//!   locked shards.
 //! - [`GenerationMap`] — monotonically increasing per-database generation
 //!   tokens. Cache keys embed the generation at lookup time, so bumping a
 //!   database's generation makes every entry cached under the old token
@@ -25,9 +22,11 @@
 //!
 //! The crate is deliberately generic — keys and values are the caller's
 //! types — and depends only on `codes-obs` and the (vendored) `parking_lot`
-//! locks. The concrete wiring lives with each user: full inference results
-//! in `codes::cache`, schema profiles in `codes-linker`, BM25 value indexes
-//! in `codes-retrieval`.
+//! locks. The concrete wiring lives in `codes::cache` (the result tiers).
+//! State derived from a catalog revision — a database's schema profile and
+//! value index — is not cached here: its reader holds the current one per
+//! database (`SchemaClassifier`, `CodesSystem`), so a superseded revision's
+//! state drops with its last `Arc`.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 

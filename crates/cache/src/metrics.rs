@@ -2,18 +2,15 @@
 //!
 //! Naming follows the workspace convention (`codes_<area>_<what>_<unit>`,
 //! counters end in `_total`). Every instrument carries a `tier` label so one
-//! registry can host the full-result, schema-profile and BM25-index caches
-//! side by side.
+//! registry can host several caches side by side.
 
 use std::sync::Arc;
 
 use codes_obs::{Counter, Gauge, Registry};
 
-/// Lookups served from the cache (including single-flight waiters that were
-/// handed the leader's result without computing).
+/// Lookups served from the cache.
 pub const HITS_TOTAL: &str = "codes_cache_hits_total";
-/// Lookups that had to compute (single-flight leaders count once per
-/// computation, so under contention misses == distinct computations).
+/// Lookups that found nothing.
 pub const MISSES_TOTAL: &str = "codes_cache_misses_total";
 /// Entries displaced by LRU capacity pressure.
 pub const EVICTIONS_TOTAL: &str = "codes_cache_evictions_total";

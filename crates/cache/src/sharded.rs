@@ -1,8 +1,6 @@
-//! The public cache: shards + single-flight miss deduplication.
+//! The public cache: independently locked LRU shards.
 
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
 
 use codes_obs::Registry;
 use parking_lot::Mutex;
@@ -27,63 +25,9 @@ impl Default for CacheConfig {
     }
 }
 
-/// State of one in-flight computation, shared between the leader and any
-/// waiters that arrived while it ran.
-enum FlightState<V> {
-    Pending,
-    Done(V),
-    /// The leader panicked (or was otherwise torn down) before publishing.
-    /// Waiters retry from scratch rather than hanging.
-    Abandoned,
-}
-
-struct Flight<V> {
-    state: StdMutex<FlightState<V>>,
-    ready: Condvar,
-}
-
-/// Poison-tolerant lock: a panicked leader must not wedge its waiters, so
-/// we take the inner state regardless (the state machine stays consistent —
-/// the panic path only ever writes `Abandoned`).
-fn lock_state<V>(flight: &Flight<V>) -> MutexGuard<'_, FlightState<V>> {
-    flight.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Removes the flight and wakes waiters with `Abandoned` if the leader
-/// unwinds before publishing a value.
-struct FlightGuard<'a, K: Hash + Eq, V> {
-    flights: &'a StdMutex<HashMap<K, Arc<Flight<V>>>>,
-    key: Option<K>,
-    flight: Arc<Flight<V>>,
-}
-
-impl<K: Hash + Eq, V> FlightGuard<'_, K, V> {
-    fn disarm(&mut self) {
-        self.key = None;
-    }
-}
-
-impl<K: Hash + Eq, V> Drop for FlightGuard<'_, K, V> {
-    fn drop(&mut self) {
-        if let Some(key) = self.key.take() {
-            lock_flights(self.flights).remove(&key);
-            *lock_state(&self.flight) = FlightState::Abandoned;
-            self.flight.ready.notify_all();
-        }
-    }
-}
-
-fn lock_flights<K, V>(
-    flights: &StdMutex<HashMap<K, Arc<Flight<V>>>>,
-) -> MutexGuard<'_, HashMap<K, Arc<Flight<V>>>> {
-    flights.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Thread-safe LRU cache split across independently locked shards, with
-/// single-flight deduplication of concurrent misses.
+/// Thread-safe LRU cache split across independently locked shards.
 pub struct ShardedCache<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
-    flights: Vec<StdMutex<HashMap<K, Arc<Flight<V>>>>>,
     per_shard: usize,
     metrics: TierMetrics,
 }
@@ -107,7 +51,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         let per_shard = config.capacity.max(1).div_ceil(shards);
         ShardedCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::new(per_shard))).collect(),
-            flights: (0..shards).map(|_| StdMutex::new(HashMap::new())).collect(),
             per_shard,
             metrics,
         }
@@ -139,19 +82,14 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         (hasher.finish() as usize) % self.shards.len()
     }
 
-    fn lookup(&self, key: &K, count_miss: bool) -> Option<V> {
+    /// Plain lookup. Counts a hit or a miss.
+    pub fn get(&self, key: &K) -> Option<V> {
         let found = self.shards[self.shard_of(key)].lock().get(key);
         match found {
             Some(_) => self.metrics.hits.inc(),
-            None if count_miss => self.metrics.misses.inc(),
-            None => {}
+            None => self.metrics.misses.inc(),
         }
         found
-    }
-
-    /// Plain lookup. Counts a hit or a miss.
-    pub fn get(&self, key: &K) -> Option<V> {
-        self.lookup(key, true)
     }
 
     /// Insert (or replace) an entry.
@@ -165,105 +103,14 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
             self.metrics.entries.add(1);
         }
     }
-
-    /// Look the key up; on a miss, compute the value exactly once across all
-    /// concurrent callers (single-flight), insert it, and hand it to every
-    /// waiter. Waiters served by the leader's computation count as hits; the
-    /// leader counts one miss. If the leader panics, one waiter retries and
-    /// becomes the new leader rather than everyone hanging.
-    pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        let mut compute = Some(compute);
-        loop {
-            if let Some(v) = self.lookup(&key, false) {
-                return v;
-            }
-            let ix = self.shard_of(&key);
-            let (flight, leader) = {
-                let mut flights = lock_flights(&self.flights[ix]);
-                match flights.get(&key) {
-                    Some(flight) => (Arc::clone(flight), false),
-                    None => {
-                        let flight = Arc::new(Flight {
-                            state: StdMutex::new(FlightState::Pending),
-                            ready: Condvar::new(),
-                        });
-                        flights.insert(key.clone(), Arc::clone(&flight));
-                        (flight, true)
-                    }
-                }
-            };
-            if leader {
-                self.metrics.misses.inc();
-                let mut guard = FlightGuard {
-                    flights: &self.flights[ix],
-                    key: Some(key.clone()),
-                    flight: Arc::clone(&flight),
-                };
-                let compute = match compute.take() {
-                    Some(f) => f,
-                    // A second leadership round can only follow an abandoned
-                    // flight, and abandonment only happens on the leader's
-                    // unwind — in which case this frame is gone too.
-                    None => unreachable!("single-flight leader elected twice in one call"),
-                };
-                let value = compute();
-                // Publish to the LRU *before* retiring the flight: a thread
-                // arriving in between sees either the cached entry or the
-                // flight, never neither, so the value is computed only once.
-                self.insert(key.clone(), value.clone());
-                *lock_state(&flight) = FlightState::Done(value.clone());
-                flight.ready.notify_all();
-                lock_flights(&self.flights[ix]).remove(&key);
-                guard.disarm();
-                return value;
-            }
-            let mut state = lock_state(&flight);
-            while matches!(*state, FlightState::Pending) {
-                state = flight
-                    .ready
-                    .wait(state)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-            }
-            match &*state {
-                FlightState::Done(v) => {
-                    self.metrics.hits.inc();
-                    return v.clone();
-                }
-                // Leader died before publishing: retry, possibly becoming
-                // the leader ourselves.
-                FlightState::Abandoned => continue,
-                FlightState::Pending => unreachable!("condvar loop exits only on a settled state"),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn small(capacity: usize, shards: usize) -> ShardedCache<u64, u64> {
         ShardedCache::new(CacheConfig { capacity, shards })
-    }
-
-    #[test]
-    fn get_or_compute_fills_and_serves() {
-        let cache = small(8, 2);
-        let computed = AtomicU64::new(0);
-        let v = cache.get_or_compute(7, || {
-            computed.fetch_add(1, Ordering::SeqCst);
-            70
-        });
-        assert_eq!(v, 70);
-        let v = cache.get_or_compute(7, || {
-            computed.fetch_add(1, Ordering::SeqCst);
-            71
-        });
-        assert_eq!(v, 70, "second call is a hit, closure untouched");
-        assert_eq!(computed.load(Ordering::SeqCst), 1);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
 
     #[test]
@@ -276,21 +123,5 @@ mod tests {
         assert_eq!(cache.len(), 4);
         assert_eq!(stats.evictions, 16);
         assert_eq!(stats.entries as usize, cache.len());
-    }
-
-    #[test]
-    fn panicking_leader_does_not_wedge_waiters() {
-        let cache = Arc::new(small(8, 1));
-        let c = Arc::clone(&cache);
-        let leader = std::thread::spawn(move || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                c.get_or_compute(3, || panic!("leader dies"))
-            }));
-            assert!(result.is_err());
-        });
-        leader.join().expect("panic captured inside the thread");
-        // The flight was abandoned; a later caller recomputes successfully.
-        let v = cache.get_or_compute(3, || 33);
-        assert_eq!(v, 33);
     }
 }

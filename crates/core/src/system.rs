@@ -12,12 +12,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use codes_datasets::{Benchmark, Sample};
-use codes_linker::{shared_schema_profile, SchemaClassifier};
+use codes_linker::SchemaClassifier;
 use codes_obs::{
     Span, StageTimings, STAGE_METADATA, STAGE_PROMPT_BUILD, STAGE_SCHEMA_FILTER,
     STAGE_VALUE_RETRIEVAL,
 };
-use codes_retrieval::{shared_value_index, DemoRetriever, DemoStrategy, ValueIndex};
+use codes_retrieval::{DemoRetriever, DemoStrategy, ValueIndex};
 use parking_lot::RwLock;
 use sqlengine::Database;
 
@@ -138,23 +138,24 @@ impl CodesSystem {
         }
     }
 
-    /// Make one database servable: build (or reuse) its BM25 value index,
-    /// warm the schema filter's profile of it, and reconcile the attached
-    /// cache with its revision, so the cache generation reflects the state
-    /// the catalog was read from. Reuse is revision-aware: an index built
-    /// for an earlier catalog state is replaced, an index current for
-    /// `db.revision()` is kept as-is.
+    /// Make one database servable: build its BM25 value index and the
+    /// schema filter's profile of it, and reconcile the attached cache with
+    /// its revision, so the cache generation reflects the state the catalog
+    /// was read from. An index current for `db.revision()` is kept as-is;
+    /// one built for an earlier catalog state is replaced, taking over its
+    /// BM25 index when no text value changed.
     pub fn prepare_database(&self, db: &Database) {
-        if self.options.use_schema_filter && self.classifier.is_some() {
-            shared_schema_profile(db);
+        if self.options.use_schema_filter {
+            if let Some(classifier) = &self.classifier {
+                classifier.profile(db);
+            }
         }
         {
             let mut indexes = self.value_indexes.write();
-            match indexes.get(&db.name) {
-                Some(idx) if idx.built_revision() == db.revision() => {}
-                _ => {
-                    indexes.insert(db.name.clone(), shared_value_index(db));
-                }
+            let previous = indexes.get(&db.name);
+            if previous.is_none_or(|idx| idx.built_revision() != db.revision()) {
+                let built = ValueIndex::build_reusing(db, previous.map(Arc::as_ref));
+                indexes.insert(db.name.clone(), Arc::new(built));
             }
         }
         if let Some(cache) = self.cache.as_ref() {
@@ -392,20 +393,17 @@ impl CodesSystem {
         if !self.options.use_value_retriever {
             return (None, None);
         }
-        let stale = match self.value_indexes.read().get(&db.name) {
+        let previous = match self.value_indexes.read().get(&db.name) {
             // Current index: the fast path, no degradation.
             Some(idx) if idx.built_revision() == db.revision() => {
                 return (Some(Arc::clone(idx)), None);
             }
-            Some(_) => true,
-            None => false,
+            previous => previous.cloned(),
         };
         if config.allow_lazy_index_build(started.elapsed()) {
-            // The shared, revision-keyed index cache single-flights the
-            // build across threads and systems.
-            let built = shared_value_index(db);
+            let built = Arc::new(ValueIndex::build_reusing(db, previous.as_deref()));
             self.value_indexes.write().insert(db.name.clone(), Arc::clone(&built));
-            let note = if stale {
+            let note = if previous.is_some() {
                 format!("value index for '{}' rebuilt after database change", db.name)
             } else {
                 format!("value index for '{}' built lazily", db.name)

@@ -35,7 +35,7 @@ impl RenameMap {
 }
 
 /// Build a renamed copy of `db` (schema names only; rows are shared
-/// content-wise).
+/// content-wise), under a revision of its own.
 pub fn rename_database(db: &Database, map: &RenameMap) -> Database {
     let mut out = db.clone();
     for table in &mut out.tables {
@@ -59,6 +59,8 @@ pub fn rename_database(db: &Database, map: &RenameMap) -> Database {
             }
         }
     }
+    // Edited in place, not through `table_mut`: stamp the new state.
+    out.bump_revision();
     out
 }
 
@@ -205,7 +207,8 @@ fn rewrite_expr(e: &mut Expr, map: &RenameMap) {
 }
 
 /// Apply a text-value transformation to every text cell of a database —
-/// the DBcontent-equivalence perturbation. Returns the transformed copy.
+/// the DBcontent-equivalence perturbation. Returns the transformed copy,
+/// under a revision of its own.
 pub fn transform_text_values(db: &Database, f: impl Fn(&str) -> String) -> Database {
     let mut out = db.clone();
     for table in &mut out.tables {
@@ -217,6 +220,7 @@ pub fn transform_text_values(db: &Database, f: impl Fn(&str) -> String) -> Datab
             }
         }
     }
+    out.bump_revision();
     out
 }
 
@@ -375,7 +379,9 @@ mod tests {
 
     #[test]
     fn database_rename_updates_schema_and_fks() {
-        let renamed = rename_database(&db(), &map());
+        let base = db();
+        let renamed = rename_database(&base, &map());
+        assert_ne!(renamed.revision(), base.revision(), "a new state, a new revision");
         assert!(renamed.table("vocalist").is_some());
         assert!(renamed.table("singer").is_none());
         assert!(renamed.table("vocalist").unwrap().schema.column("label").is_some());
@@ -410,6 +416,7 @@ mod tests {
     fn value_transformation_keeps_gold_aligned() {
         let base = db();
         let upper = transform_text_values(&base, |s| s.to_uppercase());
+        assert_ne!(upper.revision(), base.revision(), "a new state, a new revision");
         let gold = "SELECT name FROM singer WHERE country = 'France'";
         let new_gold = transform_sql_text_literals(gold, |s| s.to_uppercase()).unwrap();
         assert!(new_gold.contains("'FRANCE'"));

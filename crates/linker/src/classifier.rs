@@ -1,5 +1,7 @@
 //! Logistic-regression schema-item classifier with AUC evaluation.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -7,7 +9,7 @@ use codes_datasets::{Benchmark, Sample};
 use sqlengine::{Column, Database, Table};
 
 use crate::profile::{
-    classifier_input, shared_schema_profile, QuestionProfile, SchemaFeatures, COLUMN_FEATURES,
+    classifier_input, Profiles, QuestionProfile, SchemaFeatures, SchemaProfile, COLUMN_FEATURES,
     TABLE_FEATURES,
 };
 
@@ -100,7 +102,8 @@ pub fn auc(scored: &[(f64, bool)]) -> f64 {
 }
 
 /// The trained schema-item classifier: one model for tables, one for
-/// columns (trained jointly over a benchmark's training split).
+/// columns (trained jointly over a benchmark's training split). It holds
+/// the current profile of each database it scores.
 #[derive(Debug, Clone)]
 pub struct SchemaClassifier {
     /// Table-relevance model.
@@ -109,22 +112,45 @@ pub struct SchemaClassifier {
     pub column_model: LogReg,
     /// Whether external knowledge is appended to the question.
     pub use_ek: bool,
+    profiles: Profiles,
 }
 
 impl SchemaClassifier {
-    /// Train on the benchmark's training samples.
+    /// A classifier from its two models.
+    pub fn new(table_model: LogReg, column_model: LogReg, use_ek: bool) -> SchemaClassifier {
+        SchemaClassifier { table_model, column_model, use_ek, profiles: Profiles::default() }
+    }
+
+    /// Train on the benchmark's training samples. Each database is
+    /// profiled once per call; the classifier starts with no profiles.
     pub fn train(benchmark: &Benchmark, use_ek: bool, seed: u64) -> SchemaClassifier {
-        let (table_data, column_data) = build_training_data(&benchmark.train, benchmark, use_ek);
-        SchemaClassifier {
-            table_model: train_logreg(&table_data, 8, 0.3, 1e-4, seed),
-            column_model: train_logreg(&column_data, 8, 0.3, 1e-4, seed ^ 1),
+        let (table_data, column_data) =
+            build_training_data(&benchmark.train, benchmark, use_ek, &Profiles::default());
+        SchemaClassifier::new(
+            train_logreg(&table_data, 8, 0.3, 1e-4, seed),
+            train_logreg(&column_data, 8, 0.3, 1e-4, seed ^ 1),
             use_ek,
-        }
+        )
+    }
+
+    /// The profile of `db` at its current revision, as [`SchemaClassifier::score`]
+    /// reads it.
+    pub fn profile(&self, db: &Database) -> Arc<SchemaProfile> {
+        self.profiles.of(db)
     }
 
     /// Relevance score of every table and column of `db`.
     pub fn score(&self, question: &str, ek: Option<&str>, db: &Database) -> SchemaScores {
-        let features = schema_features(question, ek, self.use_ek, db);
+        self.score_profile(question, ek, &self.profile(db))
+    }
+
+    fn score_profile(
+        &self,
+        question: &str,
+        ek: Option<&str>,
+        profile: &SchemaProfile,
+    ) -> SchemaScores {
+        let features = schema_features(question, ek, self.use_ek, profile);
         SchemaScores {
             tables: features.tables.iter().map(|f| self.table_model.predict(f)).collect(),
             columns: features
@@ -135,8 +161,10 @@ impl SchemaClassifier {
         }
     }
 
-    /// Evaluate table and column AUC over dev samples (Table 3).
+    /// Evaluate table and column AUC over dev samples (Table 3). Each
+    /// database is profiled once per call, whatever the classifier holds.
     pub fn evaluate_auc(&self, dev: &[Sample], benchmark: &Benchmark) -> (f64, f64) {
+        let profiles = Profiles::default();
         let mut table_scored = Vec::new();
         let mut column_scored = Vec::new();
         for s in dev {
@@ -146,7 +174,8 @@ impl SchemaClassifier {
             if s.used_tables.is_empty() {
                 continue;
             }
-            let scores = self.score(&s.question, s.external_knowledge.as_deref(), db);
+            let scores =
+                self.score_profile(&s.question, s.external_knowledge.as_deref(), &profiles.of(db));
             for (t, table) in db.tables.iter().enumerate() {
                 table_scored.push((scores.tables[t], uses_table(s, table)));
                 for (c, column) in table.schema.columns.iter().enumerate() {
@@ -168,11 +197,15 @@ pub struct SchemaScores {
     pub columns: Vec<Vec<f64>>,
 }
 
-/// The one feature path: the database's shared profile against the
-/// classifier input.
-fn schema_features(question: &str, ek: Option<&str>, use_ek: bool, db: &Database) -> SchemaFeatures {
+/// The one feature path: a database's profile against the classifier input.
+fn schema_features(
+    question: &str,
+    ek: Option<&str>,
+    use_ek: bool,
+    profile: &SchemaProfile,
+) -> SchemaFeatures {
     let input = classifier_input(question, if use_ek { ek } else { None });
-    shared_schema_profile(db).features(&QuestionProfile::new(&input))
+    profile.features(&QuestionProfile::new(&input))
 }
 
 fn uses_table(sample: &Sample, table: &Table) -> bool {
@@ -189,11 +222,13 @@ fn uses_column(sample: &Sample, table: &Table, column: &Column) -> bool {
 /// A labelled feature row.
 type LabelledRows = Vec<(Vec<f64>, bool)>;
 
-/// Expand samples into per-table and per-column training rows.
+/// Expand samples into per-table and per-column training rows, profiling
+/// each database once into `profiles`.
 fn build_training_data(
     samples: &[Sample],
     benchmark: &Benchmark,
     use_ek: bool,
+    profiles: &Profiles,
 ) -> (LabelledRows, LabelledRows) {
     let mut table_data = Vec::new();
     let mut column_data = Vec::new();
@@ -204,7 +239,8 @@ fn build_training_data(
         if s.used_tables.is_empty() {
             continue; // manually annotated seeds without supervision
         }
-        let features = schema_features(&s.question, s.external_knowledge.as_deref(), use_ek, db);
+        let features =
+            schema_features(&s.question, s.external_knowledge.as_deref(), use_ek, &profiles.of(db));
         for (t, table) in db.tables.iter().enumerate() {
             table_data.push((features.tables[t].to_vec(), uses_table(s, table)));
             for (c, column) in table.schema.columns.iter().enumerate() {

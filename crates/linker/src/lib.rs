@@ -15,6 +15,4 @@ mod reference;
 
 pub use classifier::{auc, train_logreg, LogReg, SchemaClassifier, SchemaScores};
 pub use filter::{filter_schema, filter_schema_gold, FilterConfig, FilteredSchema, FilteredTable};
-pub use profile::{
-    classifier_input, shared_schema_profile, QuestionProfile, SchemaFeatures, SchemaProfile,
-};
+pub use profile::{classifier_input, QuestionProfile, SchemaFeatures, SchemaProfile};

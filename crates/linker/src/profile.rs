@@ -8,18 +8,18 @@
 //! name overlap, comment overlap (§6.3(2)), value hits and key structure.
 //!
 //! Everything that is a pure function of the catalog lives in a
-//! [`SchemaProfile`], built once per [`Database::revision`] and shared
-//! process-wide ([`shared_schema_profile`]). Everything that is a pure
+//! [`SchemaProfile`], built once per [`Database::revision`] and held by
+//! whoever scores against it ([`Profiles`]). Everything that is a pure
 //! function of the classifier input lives in a [`QuestionProfile`], built
 //! once per request. [`SchemaProfile::features`] combines the two in one
 //! pass over the schema.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use codes_cache::{CacheConfig, ShardedCache};
 use codes_nlp::similarity::{dice_packed, packed_bigrams, singularize};
 use codes_nlp::{lcs_len_chars, normalize_identifier, words};
+use parking_lot::RwLock;
 use sqlengine::{Database, Table, Value};
 
 /// Number of features per column candidate.
@@ -147,6 +147,8 @@ struct TableProfile {
 /// from a database, independent of any question.
 #[derive(Debug)]
 pub struct SchemaProfile {
+    /// The catalog revision this profile was read from.
+    revision: u64,
     words: Vec<SchemaWord>,
     /// Distinct value prefixes.
     prefixes: Strings,
@@ -171,9 +173,8 @@ fn small(n: usize) -> u32 {
     u32::try_from(n).expect("a schema profile holds under 4 GiB of sampled text")
 }
 
-/// Strings stored back to back. A profile is held per catalog revision,
-/// dead revisions included until the cache evicts them, so its many short
-/// strings share two allocations instead of owning one each.
+/// Strings stored back to back: a profile's many short strings share two
+/// allocations instead of owning one each.
 #[derive(Debug, Default)]
 struct Strings {
     text: String,
@@ -321,6 +322,7 @@ impl SchemaProfile {
             })
             .collect();
         SchemaProfile {
+            revision: db.revision(),
             words: reader
                 .words
                 .items
@@ -458,38 +460,37 @@ fn text_overlap(text: &TextProfile, hits: &[WordHit], question_words: usize) -> 
     ]
 }
 
-/// Process-wide profile cache, keyed by catalog revision — the contract of
-/// `codes_retrieval::shared_value_index`: revisions are globally unique per
-/// mutation state, so callers asking for the same unchanged database share
-/// one build, and a mutated database misses and is read again.
-fn profile_cache() -> &'static ShardedCache<u64, Arc<SchemaProfile>> {
-    static CACHE: OnceLock<ShardedCache<u64, Arc<SchemaProfile>>> = OnceLock::new();
-    CACHE.get_or_init(|| new_profile_cache(&codes_obs::global()))
+/// The current [`SchemaProfile`] of each database, by name. A profile is
+/// read on first use and replaced when the database's revision moves, so a
+/// superseded revision's profile drops with its last `Arc`. A clone starts
+/// from the same profiles and moves on independently.
+#[derive(Debug, Default)]
+pub(crate) struct Profiles(RwLock<HashMap<String, Arc<SchemaProfile>>>);
+
+impl Profiles {
+    /// The profile of `db` as it is now.
+    pub(crate) fn of(&self, db: &Database) -> Arc<SchemaProfile> {
+        if let Some(profile) = self.0.read().get(&db.name) {
+            if profile.revision == db.revision() {
+                return Arc::clone(profile);
+            }
+        }
+        let built = Arc::new(SchemaProfile::build(db));
+        self.0.write().insert(db.name.clone(), Arc::clone(&built));
+        built
+    }
 }
 
-fn new_profile_cache(registry: &codes_obs::Registry) -> ShardedCache<u64, Arc<SchemaProfile>> {
-    ShardedCache::with_metrics(
-        CacheConfig { capacity: 128, shards: 4 },
-        registry,
-        "schema_profile",
-    )
-}
-
-fn profile_in(cache: &ShardedCache<u64, Arc<SchemaProfile>>, db: &Database) -> Arc<SchemaProfile> {
-    cache.get_or_compute(db.revision(), || Arc::new(SchemaProfile::build(db)))
-}
-
-/// Build — or reuse — the schema profile of `db`. Concurrent callers asking
-/// for the same revision are single-flighted onto one build.
-pub fn shared_schema_profile(db: &Database) -> Arc<SchemaProfile> {
-    profile_in(profile_cache(), db)
+impl Clone for Profiles {
+    fn clone(&self) -> Profiles {
+        Profiles(RwLock::new(self.0.read().clone()))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sqlengine::database_from_script;
-    use std::sync::Barrier;
 
     const SCRIPT: &str = "CREATE TABLE singer (singer_id INTEGER PRIMARY KEY, name TEXT, country TEXT, im TEXT COMMENT 'whether the singer is male');
          CREATE TABLE concert (concert_id INTEGER PRIMARY KEY, singer_id INTEGER REFERENCES singer(singer_id), year INTEGER);
@@ -501,7 +502,7 @@ mod tests {
     }
 
     fn features(db: &Database, question: &str) -> SchemaFeatures {
-        shared_schema_profile(db).features(&QuestionProfile::new(question))
+        SchemaProfile::build(db).features(&QuestionProfile::new(question))
     }
 
     /// (table, column) positions in `db()`.
@@ -562,58 +563,33 @@ mod tests {
 
     #[test]
     fn a_mutation_is_seen_by_the_very_next_call() {
+        let profiles = Profiles::default();
+        let features =
+            |db: &Database| profiles.of(db).features(&QuestionProfile::new("singers from Narnia"));
         let mut db = db();
-        let question = "singers from Narnia";
-        let before = features(&db, question);
+        let before = features(&db);
         assert_eq!(before.columns[COUNTRY.0][COUNTRY.1][6], 0.0);
-
-        // An unmutated clone carries the revision, so it shares the build.
         let clone = db.clone();
-        assert!(Arc::ptr_eq(
-            &shared_schema_profile(&db),
-            &shared_schema_profile(&clone)
-        ));
 
         db.table_mut("singer")
             .unwrap()
             .insert(vec![2.into(), "Lucy".into(), "Narnia".into(), "F".into()])
             .unwrap();
-        let after = features(&db, question);
+        let after = features(&db);
         assert_eq!(after.columns[COUNTRY.0][COUNTRY.1][6], 1.0);
         // The clone was not mutated and still answers from its own state.
-        assert_eq!(features(&clone, question), before);
+        assert_eq!(features(&clone), before);
     }
 
     #[test]
     fn an_equal_database_with_its_own_revision_gets_its_own_equal_build() {
         let (a, b) = (db(), db());
         assert_ne!(a.revision(), b.revision());
-        assert!(!Arc::ptr_eq(
-            &shared_schema_profile(&a),
-            &shared_schema_profile(&b)
-        ));
-        let question = "which singers from France sang in 2014";
-        assert_eq!(features(&a, question), features(&b, question));
-    }
-
-    #[test]
-    fn eight_threads_asking_for_one_revision_run_one_build() {
-        let cache = new_profile_cache(&codes_obs::Registry::new());
-        let db = db();
-        let barrier = Barrier::new(8);
-        let profiles: Vec<Arc<SchemaProfile>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    scope.spawn(|| {
-                        barrier.wait();
-                        profile_in(&cache, &db)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert!(profiles.iter().all(|p| Arc::ptr_eq(p, &profiles[0])));
-        let stats = cache.stats();
-        assert_eq!((stats.misses, stats.hits, stats.entries), (1, 7, 1));
+        let profiles = Profiles::default();
+        let (pa, pb) = (profiles.of(&a), profiles.of(&b));
+        assert!(!Arc::ptr_eq(&pa, &pb));
+        assert!(Arc::ptr_eq(&profiles.of(&b), &pb), "the held profile is reused");
+        let question = QuestionProfile::new("which singers from France sang in 2014");
+        assert_eq!(pa.features(&question), pb.features(&question));
     }
 }

@@ -200,11 +200,11 @@ pub(crate) fn train(benchmark: &Benchmark, use_ek: bool, seed: u64) -> SchemaCla
             }
         }
     }
-    SchemaClassifier {
-        table_model: train_logreg(&table_data, 8, 0.3, 1e-4, seed),
-        column_model: train_logreg(&column_data, 8, 0.3, 1e-4, seed ^ 1),
+    SchemaClassifier::new(
+        train_logreg(&table_data, 8, 0.3, 1e-4, seed),
+        train_logreg(&column_data, 8, 0.3, 1e-4, seed ^ 1),
         use_ek,
-    }
+    )
 }
 
 /// Every dev question of `bench`: same filter from both paths, under both

@@ -68,10 +68,15 @@ impl Bm25Index {
         let n = self.doc_lens.len() as f64;
         let avg_len = self.total_len as f64 / n;
         let mut scores: HashMap<u32, f64> = HashMap::new();
-        // Deduplicate query terms but keep multiplicity as a weight.
-        let mut qtf: HashMap<String, u32> = HashMap::new();
+        // Deduplicate query terms but keep multiplicity as a weight. Terms are
+        // visited in first-occurrence order: a document's score is a sum of
+        // per-term contributions, and a fixed order keeps its bits fixed.
+        let mut qtf: Vec<(String, u32)> = Vec::new();
         for t in words(query) {
-            *qtf.entry(t).or_insert(0) += 1;
+            match qtf.iter_mut().find(|(term, _)| *term == t) {
+                Some((_, count)) => *count += 1,
+                None => qtf.push((t, 1)),
+            }
         }
         for (term, q_count) in qtf {
             let Some(posts) = self.postings.get(&term) else {

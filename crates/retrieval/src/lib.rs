@@ -21,4 +21,4 @@ pub mod value_index;
 
 pub use bm25::{Bm25Index, SearchHit};
 pub use demo::{DemoRetriever, DemoStrategy};
-pub use value_index::{shared_value_index, ValueIndex, ValueMatch};
+pub use value_index::{ValueIndex, ValueMatch};

@@ -6,9 +6,8 @@
 //! the best matches per column are serialized into the database prompt as
 //! `table.column = 'value'` hints.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use codes_cache::{CacheConfig, ShardedCache};
 use codes_nlp::match_degree;
 use sqlengine::Database;
 
@@ -36,20 +35,38 @@ impl ValueMatch {
 
 /// Pre-built index over all distinct text values of one database.
 pub struct ValueIndex {
+    corpus: Arc<Corpus>,
+    built_revision: u64,
+}
+
+/// The indexed values and their BM25 index.
+struct Corpus {
     index: Bm25Index,
     entries: Vec<(String, String, String)>, // (table, column, value)
-    built_revision: u64,
 }
 
 impl ValueIndex {
     /// Index every distinct text value of `db`.
     pub fn build(db: &Database) -> ValueIndex {
-        let mut index = Bm25Index::new();
+        ValueIndex::build_reusing(db, None)
+    }
+
+    /// Index `db`, taking over `previous`'s BM25 index whole when `db`
+    /// still holds exactly its values (compared in full, not hashed). The
+    /// result equals [`ValueIndex::build`]'s, bit for bit.
+    pub fn build_reusing(db: &Database, previous: Option<&ValueIndex>) -> ValueIndex {
         let entries = db.text_values();
-        for (_, _, value) in &entries {
-            index.add_document(value);
-        }
-        ValueIndex { index, entries, built_revision: db.revision() }
+        let corpus = match previous {
+            Some(p) if p.corpus.entries == entries => Arc::clone(&p.corpus),
+            _ => {
+                let mut index = Bm25Index::new();
+                for (_, _, value) in &entries {
+                    index.add_document(value);
+                }
+                Arc::new(Corpus { index, entries })
+            }
+        };
+        ValueIndex { corpus, built_revision: db.revision() }
     }
 
     /// The catalog revision this index was built from. An index is current
@@ -59,25 +76,30 @@ impl ValueIndex {
         self.built_revision
     }
 
+    /// Every indexed `(table, column, value)`, in document order.
+    pub fn entries(&self) -> &[(String, String, String)] {
+        &self.corpus.entries
+    }
+
     /// Number of indexed values.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.corpus.entries.len()
     }
 
     /// True when the database had no text values.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.corpus.entries.is_empty()
     }
 
     /// Coarse-to-fine retrieval: BM25 narrows the candidate set to
     /// `coarse_k` values, LCS re-ranks them, and the best `fine_k` distinct
     /// (table, column) matches with degree >= `min_degree` are returned.
     pub fn retrieve(&self, question: &str, coarse_k: usize, fine_k: usize, min_degree: f64) -> Vec<ValueMatch> {
-        let hits = self.index.search(question, coarse_k);
+        let hits = self.corpus.index.search(question, coarse_k);
         let mut matches: Vec<ValueMatch> = hits
             .into_iter()
             .map(|h| {
-                let (table, column, value) = &self.entries[h.doc];
+                let (table, column, value) = &self.corpus.entries[h.doc];
                 ValueMatch {
                     table: table.clone(),
                     column: column.clone(),
@@ -97,6 +119,7 @@ impl ValueIndex {
     /// §6.2 speedup benchmark and the correctness tests.
     pub fn retrieve_exhaustive(&self, question: &str, fine_k: usize, min_degree: f64) -> Vec<ValueMatch> {
         let mut matches: Vec<ValueMatch> = self
+            .corpus
             .entries
             .iter()
             .map(|(table, column, value)| ValueMatch {
@@ -111,30 +134,6 @@ impl ValueIndex {
         matches.truncate(fine_k);
         matches
     }
-}
-
-/// Process-wide BM25 index cache, keyed by catalog revision. Revisions are
-/// globally unique per mutation-state (see [`Database::revision`]), so two
-/// callers asking for the same unchanged database share one build — and a
-/// mutated database misses and rebuilds, because mutation stamped it with a
-/// token nothing has indexed yet.
-fn index_cache() -> &'static ShardedCache<u64, Arc<ValueIndex>> {
-    static CACHE: OnceLock<ShardedCache<u64, Arc<ValueIndex>>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        ShardedCache::with_metrics(
-            CacheConfig { capacity: 128, shards: 4 },
-            &codes_obs::global(),
-            "bm25_index",
-        )
-    })
-}
-
-/// Build — or reuse — the value index for `db`. Concurrent callers asking
-/// for the same revision are single-flighted onto one build; repeat calls
-/// for an unchanged database return the existing `Arc` without touching the
-/// row store.
-pub fn shared_value_index(db: &Database) -> Arc<ValueIndex> {
-    index_cache().get_or_compute(db.revision(), || Arc::new(ValueIndex::build(db)))
 }
 
 /// Sort by degree descending (ties: longer value first — more specific),
@@ -237,25 +236,6 @@ mod tests {
         // district_id values are integers; only text values are indexed:
         // 4 a2 + 4 a3 + 2 gender (F/M distinct)
         assert_eq!(idx.len(), 10);
-    }
-
-    #[test]
-    fn shared_index_reuses_until_the_database_mutates() {
-        let mut db = bank_db();
-        let first = shared_value_index(&db);
-        let again = shared_value_index(&db);
-        assert!(Arc::ptr_eq(&first, &again), "unchanged database shares one build");
-        assert_eq!(first.built_revision(), db.revision());
-
-        // Any catalog mutation stamps a fresh revision; the next request
-        // rebuilds rather than serving the stale index.
-        db.table_mut("client")
-            .unwrap()
-            .insert(vec![4.into(), "F".into(), 3.into()])
-            .unwrap();
-        let rebuilt = shared_value_index(&db);
-        assert!(!Arc::ptr_eq(&first, &rebuilt));
-        assert_eq!(rebuilt.built_revision(), db.revision());
     }
 
     #[test]

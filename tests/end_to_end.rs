@@ -148,11 +148,7 @@ fn schema_filter_answers_from_the_catalog_it_is_given() {
     // A classifier that listens to value hits alone, so the answer is known:
     // the key, then whichever column holds the value the question names
     // (names break the tie while none does).
-    let mut clf = SchemaClassifier {
-        table_model: LogReg::new(8),
-        column_model: LogReg::new(10),
-        use_ek: false,
-    };
+    let mut clf = SchemaClassifier::new(LogReg::new(8), LogReg::new(10), false);
     clf.column_model.weights[6] = 4.0;
     let mut opts = PromptOptions::sft();
     opts.filter.top_k2 = 2;
