@@ -100,13 +100,14 @@ fn main() {
     let health = pool.shutdown();
     let stats = health.cache.expect("pool has the cache attached");
     let tier = &stats.full;
+    let hit_rate = tier.hits as f64 / (tier.hits + tier.misses).max(1) as f64;
     let mut counters = TextTable::new("Counters")
         .headers(&["Tier", "Hits", "Misses", "Hit rate", "Entries", "Evictions"]);
     counters.row(vec![
         "T3 full_result".to_string(),
         tier.hits.to_string(),
         tier.misses.to_string(),
-        format!("{:.1}%", tier.hit_rate() * 100.0),
+        format!("{:.1}%", hit_rate * 100.0),
         tier.entries.to_string(),
         tier.evictions.to_string(),
     ]);
@@ -115,7 +116,7 @@ fn main() {
         "SFT CodeS-7B",
         "spider",
         "T3 full_result hit_rate",
-        tier.hit_rate() * 100.0,
+        hit_rate * 100.0,
         n,
     ));
     println!("{}", counters.render());

@@ -1,42 +1,32 @@
-//! One result cache with a revision fence, over [`codes_cache::ShardedCache`].
+//! One result cache with a revision fence.
 //!
-//! Production question streams are repetitive per database, so the final
-//! SQL for a request is cached (`tier="full_result"`, "T3"), keyed by (db
-//! generation, normalized question, [`Config`] fingerprint). It is checked
-//! at pool admission in `codes-serve`, so a hit bypasses the worker queue
-//! entirely. Degraded or deadline-clamped inferences are never admitted.
-//! The Algorithm-1 stages are not cached: they are cheap by construction
-//! and every repeat they could serve is a full-result hit first.
-//!
-//! Invalidation is generation-based: every key embeds the database's
-//! generation token, [`SystemCache::observe_revision`] auto-bumps it when
-//! the `sqlengine` catalog revision changes, and
-//! [`SystemCache::invalidate_database`] bumps it explicitly. Old-generation
-//! entries become unreachable immediately and are reclaimed lazily by LRU
-//! pressure.
-//!
-//! Each generation also carries a **revision lease**: a dispatch whose
-//! revision read found the store where the installed catalog left it
-//! confirms the generation it read beforehand
-//! ([`SystemCache::confirm_revision`]), and for [`REVISION_LEASE`] after
-//! that, dispatches of the same generation skip the read
-//! ([`SystemCache::revision_lease_live`]). The lease is keyed on the
-//! generation, so every bump ends it at once (DESIGN.md §4k).
+//! The final SQL for a request is cached (`tier="full_result"`, "T3") under
+//! (db, generation, normalized question, [`Config`] fingerprint) and looked
+//! up at pool admission in `codes-serve`, so a hit bypasses the worker queue.
+//! Every key embeds the database's generation: [`SystemCache::invalidate_database`]
+//! bumps it explicitly and [`SystemCache::observe_revision`] when the
+//! `sqlengine` catalog revision moved, so older entries become unreachable at
+//! once and leave by LRU pressure. A **revision lease**
+//! ([`SystemCache::confirm_revision`], [`SystemCache::revision_lease_live`])
+//! lets dispatches of a confirmed generation skip the store's revision read
+//! for [`REVISION_LEASE`]. A database's generation, last-seen revision and
+//! lease are one entry under one lock, so every bump ends the lease at once.
+//! DESIGN.md §4f tables the key, invalidation, admission, sizing and metrics;
+//! §4k the lease.
 //!
 //! One [`SystemCache`] belongs to one trained system: keys do not embed the
 //! model or classifier weights, so sharing a cache between systems with
 //! different weights would serve one system the other's answers.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use codes_cache::{
-    CacheConfig, CacheStats, GenerationMap, RevisionMap, ShardedCache, INVALIDATIONS_TOTAL,
-};
-use codes_obs::{Clock, Counter, Registry};
-use parking_lot::Mutex;
+use codes_obs::{Clock, Counter, Gauge, Registry};
+use parking_lot::{Mutex, RwLock};
 use sqlengine::Database;
 
 use crate::config::Config;
@@ -50,24 +40,32 @@ pub struct CachedAnswer {
     pub sql: String,
     /// Prompt length of the original computation, in whitespace tokens.
     pub prompt_tokens: usize,
-    /// Wall-clock latency of the original computation, in seconds.
-    pub compute_latency_seconds: f64,
 }
 
-/// Sizing of the result cache. Entries live until LRU pressure evicts
-/// them or a generation bump makes them unreachable.
-#[derive(Debug, Clone, Copy)]
-pub struct CacheSettings {
-    /// Entries (one SQL string each).
-    pub full_capacity: usize,
-    /// Shards.
-    pub shards: usize,
-}
+/// Entries the result cache holds (one SQL string each), rounded up to a
+/// multiple of [`SHARDS`].
+const CAPACITY: usize = 8192;
+/// Independently locked LRU shards.
+const SHARDS: usize = 8;
 
-impl Default for CacheSettings {
-    fn default() -> CacheSettings {
-        CacheSettings { full_capacity: 8192, shards: 8 }
-    }
+/// The result cache's sizing, which is fixed: 8192 entries over 8 shards.
+/// Kept, with no fields, for [`SystemCache::with_registry`]'s signature;
+/// build it with `CacheSettings::default()`.
+#[derive(Debug, Clone, Copy, Default)]
+#[non_exhaustive]
+pub struct CacheSettings {}
+
+/// Snapshot of one tier's counters, for health endpoints and bench reports.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups served from the cache.
+    pub hits: u64,
+    /// Lookups that found nothing.
+    pub misses: u64,
+    /// Entries displaced by LRU capacity pressure.
+    pub evictions: u64,
+    /// Live entries currently resident.
+    pub entries: u64,
 }
 
 /// Counter snapshot plus the invalidation count, as surfaced in
@@ -75,10 +73,10 @@ impl Default for CacheSettings {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SystemCacheStats {
     /// Always zero: the schema-filter tier is gone, `e2e/` still reads the
-    /// field. The ROADMAP item-2 benchmark PR removes it.
+    /// field. ROADMAP item 1(h)'s benchmark PR removes it.
     pub schema: CacheStats,
     /// Always zero: the value-retrieval tier is gone, `e2e/` still reads
-    /// the field. The ROADMAP item-2 benchmark PR removes it.
+    /// the field. ROADMAP item 1(h)'s benchmark PR removes it.
     pub values: CacheStats,
     /// Full-result counters.
     pub full: CacheStats,
@@ -91,20 +89,16 @@ pub struct SystemCacheStats {
 /// unannounced write is served stale for at most this long.
 pub const REVISION_LEASE: Duration = Duration::from_millis(100);
 
-/// The generation a revision read last confirmed for one database, and
-/// when.
-#[derive(Debug, Clone, Copy)]
-struct Lease {
+/// Everything the cache knows about one database.
+#[derive(Default)]
+struct DbState {
+    /// Embedded in every key; a bump makes older entries unreachable.
     generation: u64,
-    confirmed_at: Instant,
-}
-
-impl Lease {
-    /// The whole rule: a lease vouches only for the generation it
-    /// confirmed, and only for [`REVISION_LEASE`].
-    fn live(self, current: u64, now: Instant) -> bool {
-        self.generation == current && now.duration_since(self.confirmed_at) < REVISION_LEASE
-    }
+    /// The last `sqlengine` catalog revision observed, once one was.
+    revision: Option<u64>,
+    /// When a revision read last confirmed `generation`. Every bump clears
+    /// it, so a lease only ever vouches for the current generation.
+    confirmed_at: Option<Instant>,
 }
 
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -115,62 +109,63 @@ struct FullKey {
     config_fingerprint: u64,
 }
 
+impl FullKey {
+    fn new(db: &str, generation: u64, question: &str, config_fingerprint: u64) -> FullKey {
+        FullKey { db: db.to_string(), generation, question: question.to_string(), config_fingerprint }
+    }
+}
+
 /// The result cache one serving stack shares: `CodesSystem` reconciles
 /// catalog revisions inside `infer`, the serve pool looks answers up at
 /// admission and admits clean ones.
 pub struct SystemCache {
-    generations: GenerationMap,
-    /// Last-seen `sqlengine` catalog revision per database, so any mutation
-    /// observed at inference time auto-bumps the generation.
-    revisions: RevisionMap,
-    full: ShardedCache<FullKey, CachedAnswer>,
+    dbs: RwLock<HashMap<String, DbState>>,
+    full: Sharded<FullKey, CachedAnswer>,
     invalidations: Arc<Counter>,
-    /// One revision lease per database, beside the generation it
-    /// qualifies.
-    leases: Mutex<HashMap<String, Lease>>,
     clock: Clock,
 }
 
 impl SystemCache {
-    /// Default-sized cache registering its metrics in the global registry
-    /// (the one `codes_obs::render_prometheus` scrapes).
-    pub fn new() -> SystemCache {
-        SystemCache::with_registry(&codes_obs::global(), CacheSettings::default())
-    }
-
-    /// Cache with explicit sizing, registering metrics in `registry` —
-    /// tests use a private registry for isolation.
+    /// The result cache, registering its metrics in `registry` — the
+    /// serving stack passes `codes_obs::global()`, tests a private registry.
     pub fn with_registry(registry: &Registry, settings: CacheSettings) -> SystemCache {
         SystemCache::with_clock(registry, settings, Clock::real())
     }
 
     /// [`SystemCache::with_registry`] reading time from `clock` — tests
     /// hand in [`Clock::manual`] to walk a revision lease to its end.
-    pub fn with_clock(registry: &Registry, settings: CacheSettings, clock: Clock) -> SystemCache {
+    pub fn with_clock(registry: &Registry, _settings: CacheSettings, clock: Clock) -> SystemCache {
         SystemCache {
-            generations: GenerationMap::new(),
-            revisions: RevisionMap::new(),
-            full: ShardedCache::with_metrics(
-                CacheConfig { capacity: settings.full_capacity, shards: settings.shards },
-                registry,
-                "full_result",
-            ),
-            invalidations: registry.counter(INVALIDATIONS_TOTAL, &[]),
-            leases: Mutex::new(HashMap::new()),
+            dbs: RwLock::new(HashMap::new()),
+            full: Sharded::new(CAPACITY, SHARDS, registry),
+            invalidations: registry.counter("codes_cache_invalidations_total", &[]),
             clock,
         }
     }
 
-    /// Current generation token for a database id.
+    /// Run `f` on `db_id`'s state under the write lock.
+    fn update<R>(&self, db_id: &str, f: impl FnOnce(&mut DbState) -> R) -> R {
+        f(self.dbs.write().entry(db_id.to_string()).or_default())
+    }
+
+    /// Every bump, explicit or revision-triggered, counts as an
+    /// invalidation and ends the lease.
+    fn bump(&self, state: &mut DbState) -> u64 {
+        self.invalidations.inc();
+        state.generation += 1;
+        state.confirmed_at = None;
+        state.generation
+    }
+
+    /// Current generation token for a database id; databases start at 0.
     pub fn generation(&self, db_id: &str) -> u64 {
-        self.generations.generation(db_id)
+        self.dbs.read().get(db_id).map_or(0, |state| state.generation)
     }
 
     /// Explicitly invalidate everything cached for `db_id`; returns the new
     /// generation.
     pub fn invalidate_database(&self, db_id: &str) -> u64 {
-        self.invalidations.inc();
-        self.generations.bump(db_id)
+        self.update(db_id, |state| self.bump(state))
     }
 
     /// Reconcile the cache with the database's catalog revision and return
@@ -185,19 +180,18 @@ impl SystemCache {
     /// token without the catalog itself — e.g. a storage layer that read
     /// the token over a live connection.
     pub fn observe_revision_token(&self, db_id: &str, revision: u64) -> u64 {
-        if self.revisions.observe(db_id, revision).is_changed() {
-            self.invalidate_database(db_id)
-        } else {
-            self.generations.generation(db_id)
-        }
+        self.update(db_id, |state| match state.revision.replace(revision) {
+            Some(seen) if seen != revision => self.bump(state),
+            _ => state.generation,
+        })
     }
 
     /// Whether a revision read confirmed `db_id`'s *current* generation
     /// less than [`REVISION_LEASE`] ago, so a dispatch may take the
     /// installed catalog without asking the store.
     pub fn revision_lease_live(&self, db_id: &str) -> bool {
-        let lease = self.leases.lock().get(db_id).copied();
-        lease.is_some_and(|lease| lease.live(self.generation(db_id), self.clock.now()))
+        let confirmed_at = self.dbs.read().get(db_id).and_then(|state| state.confirmed_at);
+        confirmed_at.is_some_and(|at| self.clock.now().duration_since(at) < REVISION_LEASE)
     }
 
     /// Record that a revision read found the store at the installed
@@ -209,10 +203,12 @@ impl SystemCache {
     /// one for a generation not reached yet would come alive at a later
     /// bump. The next dispatch checks again.
     pub fn confirm_revision(&self, db_id: &str, generation: u64) {
-        if generation == self.generation(db_id) {
-            let lease = Lease { generation, confirmed_at: self.clock.now() };
-            self.leases.lock().insert(db_id.to_string(), lease);
-        }
+        let now = self.clock.now();
+        self.update(db_id, |state| {
+            if state.generation == generation {
+                state.confirmed_at = Some(now);
+            }
+        });
     }
 
     /// Admission-path lookup.
@@ -223,12 +219,7 @@ impl SystemCache {
         question_key: &str,
         config_fingerprint: u64,
     ) -> Option<CachedAnswer> {
-        self.full.get(&FullKey {
-            db: db_id.to_string(),
-            generation,
-            question: question_key.to_string(),
-            config_fingerprint,
-        })
+        self.full.get(&FullKey::new(db_id, generation, question_key, config_fingerprint))
     }
 
     /// Admit a clean end-to-end result under the generation that was
@@ -244,15 +235,7 @@ impl SystemCache {
         config_fingerprint: u64,
         answer: CachedAnswer,
     ) {
-        self.full.insert(
-            FullKey {
-                db: db_id.to_string(),
-                generation,
-                question: question_key.to_string(),
-                config_fingerprint,
-            },
-            answer,
-        );
+        self.full.insert(FullKey::new(db_id, generation, question_key, config_fingerprint), answer);
     }
 
     /// Point-in-time counters.
@@ -265,40 +248,38 @@ impl SystemCache {
     }
 }
 
-impl Default for SystemCache {
-    fn default() -> SystemCache {
-        SystemCache::new()
-    }
-}
-
 impl fmt::Debug for SystemCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SystemCache").field("stats", &self.stats()).finish()
     }
 }
 
+/// The separator between a key's question and its external knowledge. It
+/// also splits words inside either text, so its first occurrence in a key
+/// always marks where the knowledge starts.
+const KNOWLEDGE_SEPARATOR: char = '\u{1f}';
+
 /// Canonical question key: lowercased, whitespace-collapsed, with the
 /// external knowledge (same treatment) appended under a separator. Trivial
 /// reformattings of the same question share cache entries; distinct
-/// knowledge never collides with the bare question.
+/// knowledge never collides with the bare question or with a question that
+/// contains the separator itself.
 pub fn normalize_question(question: &str, external_knowledge: Option<&str>) -> String {
-    let mut key = String::with_capacity(question.len());
-    for word in question.split_whitespace() {
-        if !key.is_empty() {
-            key.push(' ');
-        }
-        for c in word.chars() {
-            key.extend(c.to_lowercase());
+    fn push_words(key: &mut String, text: &str, mut first: bool) {
+        let words = text.split(|c: char| c.is_whitespace() || c == KNOWLEDGE_SEPARATOR);
+        for word in words.filter(|word| !word.is_empty()) {
+            if !first {
+                key.push(' ');
+            }
+            first = false;
+            key.extend(word.chars().flat_map(char::to_lowercase));
         }
     }
+    let mut key = String::with_capacity(question.len());
+    push_words(&mut key, question, true);
     if let Some(ek) = external_knowledge {
-        key.push('\u{1f}');
-        for word in ek.split_whitespace() {
-            key.push(' ');
-            for c in word.chars() {
-                key.extend(c.to_lowercase());
-            }
-        }
+        key.push(KNOWLEDGE_SEPARATOR);
+        push_words(&mut key, ek, false);
     }
     key
 }
@@ -325,6 +306,160 @@ pub fn config_fingerprint(config: &Config) -> u64 {
     hash
 }
 
+/// One LRU shard: entries in a slot vector threaded on an intrusive
+/// recency list. At capacity (at least 1) an insert reuses the least
+/// recent slot in place, so a full shard never allocates a slot again.
+struct Lru<K, V> {
+    map: HashMap<K, usize>,
+    slots: Vec<Slot<K, V>>,
+    /// Most and least recently used slots (`NIL` while empty).
+    head: usize,
+    tail: usize,
+    capacity: usize,
+}
+
+struct Slot<K, V> {
+    key: K,
+    value: V,
+    prev: usize,
+    next: usize,
+}
+
+const NIL: usize = usize::MAX;
+
+/// What an insert did to occupancy.
+#[derive(Debug, PartialEq)]
+enum Insert {
+    Replaced,
+    Added,
+    Evicted,
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
+    fn new(capacity: usize) -> Lru<K, V> {
+        Lru {
+            map: HashMap::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
+            head: NIL,
+            tail: NIL,
+            capacity,
+        }
+    }
+
+    fn unlink(&mut self, ix: usize) {
+        let (prev, next) = (self.slots[ix].prev, self.slots[ix].next);
+        match prev {
+            NIL => self.head = next,
+            _ => self.slots[prev].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            _ => self.slots[next].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, ix: usize) {
+        self.slots[ix].prev = NIL;
+        self.slots[ix].next = self.head;
+        match self.head {
+            NIL => self.tail = ix,
+            head => self.slots[head].prev = ix,
+        }
+        self.head = ix;
+    }
+
+    fn touch(&mut self, ix: usize) {
+        self.unlink(ix);
+        self.push_front(ix);
+    }
+
+    fn get(&mut self, key: &K) -> Option<V> {
+        let ix = *self.map.get(key)?;
+        self.touch(ix);
+        Some(self.slots[ix].value.clone())
+    }
+
+    fn insert(&mut self, key: K, value: V) -> Insert {
+        if let Some(&ix) = self.map.get(&key) {
+            self.slots[ix].value = value;
+            self.touch(ix);
+            return Insert::Replaced;
+        }
+        if self.slots.len() < self.capacity {
+            self.slots.push(Slot { key: key.clone(), value, prev: NIL, next: NIL });
+            let ix = self.slots.len() - 1;
+            self.map.insert(key, ix);
+            self.push_front(ix);
+            return Insert::Added;
+        }
+        let ix = self.tail;
+        let slot = &mut self.slots[ix];
+        let evicted = std::mem::replace(&mut slot.key, key.clone());
+        slot.value = value;
+        self.map.remove(&evicted);
+        self.map.insert(key, ix);
+        self.touch(ix);
+        Insert::Evicted
+    }
+}
+
+/// Independently locked [`Lru`] shards, instrumented as
+/// `codes_cache_*{tier="full_result"}`.
+struct Sharded<K, V> {
+    shards: Vec<Mutex<Lru<K, V>>>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
+    entries: Arc<Gauge>,
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> Sharded<K, V> {
+    /// `capacity` (at least 1) is rounded up to a multiple of `shards`.
+    fn new(capacity: usize, shards: usize, registry: &Registry) -> Sharded<K, V> {
+        let per_shard = capacity.div_ceil(shards);
+        let labels = &[("tier", "full_result")];
+        Sharded {
+            shards: (0..shards).map(|_| Mutex::new(Lru::new(per_shard))).collect(),
+            hits: registry.counter("codes_cache_hits_total", labels),
+            misses: registry.counter("codes_cache_misses_total", labels),
+            evictions: registry.counter("codes_cache_evictions_total", labels),
+            entries: registry.gauge("codes_cache_entries", labels),
+        }
+    }
+
+    fn shard(&self, key: &K) -> &Mutex<Lru<K, V>> {
+        let mut hasher = DefaultHasher::new();
+        key.hash(&mut hasher);
+        &self.shards[(hasher.finish() as usize) % self.shards.len()]
+    }
+
+    fn get(&self, key: &K) -> Option<V> {
+        let found = self.shard(key).lock().get(key);
+        match found {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
+        }
+        found
+    }
+
+    fn insert(&self, key: K, value: V) {
+        match self.shard(&key).lock().insert(key, value) {
+            Insert::Replaced => {}
+            Insert::Added => self.entries.add(1),
+            Insert::Evicted => self.evictions.inc(),
+        }
+    }
+
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            entries: self.entries.get().max(0) as u64,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,6 +478,16 @@ mod tests {
             normalize_question("a b", None),
             normalize_question("ab", None),
             "word boundaries survive normalization"
+        );
+        assert_ne!(
+            normalize_question("a\u{1f} b", None),
+            normalize_question("a", Some("b")),
+            "the separator inside a question is a word break, not knowledge"
+        );
+        assert_eq!(normalize_question("a\u{1f} b", None), normalize_question("a b", None));
+        assert_eq!(
+            normalize_question("a", Some("b\u{1f}c")),
+            normalize_question("a", Some("b c"))
         );
     }
 
@@ -380,6 +525,62 @@ mod tests {
         let g1 = cache.observe_revision(&db);
         assert_eq!(g1, 1, "catalog mutation bumps the generation");
         assert_eq!(cache.stats().invalidations, 1);
+    }
+
+    #[test]
+    fn generations_start_at_zero_and_bump_independently() {
+        let cache = SystemCache::with_registry(&Registry::new(), CacheSettings::default());
+        assert_eq!(cache.generation("a"), 0);
+        assert_eq!(cache.invalidate_database("a"), 1);
+        assert_eq!(cache.invalidate_database("a"), 2);
+        assert_eq!(cache.generation("a"), 2);
+        assert_eq!(cache.generation("b"), 0);
+        assert_eq!(cache.stats().invalidations, 2);
+    }
+
+    /// Threads on one database interleave fresh revision tokens, explicit
+    /// bumps, confirmations and lease reads. Every bump lands exactly once,
+    /// and afterwards only a confirmation of the final generation brings
+    /// the lease back.
+    #[test]
+    fn concurrent_per_database_state_loses_no_bump() {
+        let (_clock, cache) = manual_cache();
+        cache.observe_revision_token("db", 0);
+        std::thread::scope(|scope| {
+            for thread in 0..4u64 {
+                let cache = &cache;
+                scope.spawn(move || {
+                    let mut seen = 0;
+                    for i in 0..500u64 {
+                        let read = cache.generation("db");
+                        assert!(read >= seen, "generation went back: {read} < {seen}");
+                        seen = read;
+                        match (thread + i) % 4 {
+                            // Tokens are unique across threads, so every
+                            // observation is a change.
+                            0 => {
+                                let token = (thread << 32) | (i + 1);
+                                assert!(cache.observe_revision_token("db", token) > seen);
+                            }
+                            1 => assert!(cache.invalidate_database("db") > seen),
+                            2 => cache.confirm_revision("db", read),
+                            _ => drop(cache.revision_lease_live("db")),
+                        }
+                    }
+                });
+            }
+        });
+        // Each thread made 125 observations and 125 explicit bumps.
+        assert_eq!(cache.generation("db"), 4 * 250);
+        assert_eq!(cache.stats().invalidations, 4 * 250);
+
+        let last = cache.invalidate_database("db");
+        for generation in (0..last).chain([last + 1]) {
+            cache.confirm_revision("db", generation);
+            assert!(!cache.revision_lease_live("db"), "confirmed {generation}, final is {last}");
+        }
+        cache.confirm_revision("db", last);
+        assert!(cache.revision_lease_live("db"));
     }
 
     fn manual_cache() -> (Clock, SystemCache) {
@@ -508,7 +709,6 @@ mod tests {
         let answer = CachedAnswer {
             sql: "SELECT 1".into(),
             prompt_tokens: 12,
-            compute_latency_seconds: 0.1,
         };
         cache.admit_full("db", 0, "q", fp, answer.clone());
         assert_eq!(cache.lookup_full("db", 0, "q", fp), Some(answer));
@@ -521,5 +721,125 @@ mod tests {
         );
         // Different config fingerprints never share answers either.
         assert_eq!(cache.lookup_full("db", 0, "q", fp ^ 1), None);
+    }
+
+    impl<K, V> Lru<K, V> {
+        fn len(&self) -> usize {
+            self.slots.len()
+        }
+    }
+
+    impl<K: Hash + Eq + Clone, V: Clone> Sharded<K, V> {
+        fn len(&self) -> usize {
+            self.shards.iter().map(|shard| shard.lock().len()).sum()
+        }
+
+        fn capacity(&self) -> usize {
+            self.shards.iter().map(|shard| shard.lock().capacity).sum()
+        }
+    }
+
+    #[test]
+    fn evicts_least_recently_used_first() {
+        let mut shard: Lru<&str, u32> = Lru::new(2);
+        shard.insert("a", 1);
+        shard.insert("b", 2);
+        // Touch "a" so "b" becomes the LRU victim.
+        assert_eq!(shard.get(&"a"), Some(1));
+        assert_eq!(shard.insert("c", 3), Insert::Evicted);
+        assert_eq!(shard.get(&"b"), None);
+        assert_eq!(shard.get(&"a"), Some(1));
+        assert_eq!(shard.get(&"c"), Some(3));
+        assert_eq!(shard.len(), 2);
+    }
+
+    #[test]
+    fn replacing_a_key_does_not_evict() {
+        let mut shard: Lru<&str, u32> = Lru::new(2);
+        shard.insert("a", 1);
+        shard.insert("b", 2);
+        assert_eq!(shard.insert("a", 10), Insert::Replaced);
+        assert_eq!(shard.get(&"a"), Some(10));
+        assert_eq!(shard.get(&"b"), Some(2));
+    }
+
+    #[test]
+    fn slots_are_reused_after_eviction() {
+        let mut shard: Lru<u32, u32> = Lru::new(2);
+        for i in 0..100 {
+            shard.insert(i, i);
+        }
+        assert_eq!(shard.len(), 2);
+        assert_eq!(shard.slots.len(), 2, "a full shard never grows its slot storage");
+        assert_eq!(shard.map.len(), 2);
+        assert_eq!((shard.get(&98), shard.get(&99)), (Some(98), Some(99)));
+    }
+
+    #[test]
+    fn eviction_counts_and_entries_gauge_stay_consistent() {
+        let registry = Registry::new();
+        let cache: Sharded<u64, u64> = Sharded::new(4, 1, &registry);
+        for i in 0..20 {
+            cache.insert(i, i);
+        }
+        let stats = cache.stats();
+        assert_eq!(cache.len(), 4);
+        assert_eq!(stats.evictions, 16);
+        assert_eq!(stats.entries as usize, cache.len());
+        let scrape = registry.render_prometheus();
+        assert!(scrape.contains("codes_cache_evictions_total{tier=\"full_result\"} 16"), "{scrape}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Whatever sequence of inserts and lookups lands on it, the
+        /// sharded LRU never holds more entries than its effective
+        /// capacity, and the entries gauge tracks true occupancy.
+        #[test]
+        fn occupancy_never_exceeds_capacity(
+            capacity in 1usize..24,
+            shards in 1usize..6,
+            ops in proptest::prop::collection::vec(proptest::prelude::any::<u64>(), 1..300),
+        ) {
+            let cache: Sharded<u16, u32> = Sharded::new(capacity, shards, &Registry::new());
+            for &op in &ops {
+                // The vendored proptest has no tuple strategies; decode the
+                // (key, value, is_insert) triple from one generated word.
+                let key = (op % 64) as u16;
+                let value = ((op >> 6) % 1000) as u32;
+                if (op >> 63) == 1 {
+                    cache.insert(key, value);
+                } else {
+                    let _ = cache.get(&key);
+                }
+                proptest::prop_assert!(
+                    cache.len() <= cache.capacity(),
+                    "len {} exceeded effective capacity {}",
+                    cache.len(),
+                    cache.capacity()
+                );
+            }
+            proptest::prop_assert_eq!(cache.stats().entries as usize, cache.len());
+            proptest::prop_assert!(cache.capacity() >= capacity);
+        }
+
+        /// A hit always returns the most recently inserted value for the key.
+        #[test]
+        fn lookups_never_return_stale_values(
+            ops in proptest::prop::collection::vec(proptest::prelude::any::<u64>(), 1..200),
+        ) {
+            let cache: Sharded<u16, u32> = Sharded::new(8, 2, &Registry::new());
+            let mut model: HashMap<u16, u32> = HashMap::new();
+            for &op in &ops {
+                let key = (op % 16) as u16;
+                let value = ((op >> 4) % 1000) as u32;
+                cache.insert(key, value);
+                model.insert(key, value);
+                if let Some(got) = cache.get(&key) {
+                    proptest::prop_assert_eq!(Some(&got), model.get(&key));
+                }
+            }
+        }
     }
 }

@@ -75,6 +75,10 @@ fn infer_health_metrics_and_invalidate_round_trip() {
     assert!(text.contains("codes_cache_hits_total{tier=\"full_result\"} 1"), "{text}");
     assert!(text.contains("codes_cache_misses_total{tier=\"full_result\"} 2"), "{text}");
     assert!(text.contains("codes_cache_invalidations_total 1"), "{text}");
+    // Both clean answers stay resident: the generation bump only makes the
+    // first unreachable, and nothing presses the capacity.
+    assert!(text.contains("codes_cache_entries{tier=\"full_result\"} 2"), "{text}");
+    assert!(text.contains("codes_cache_evictions_total{tier=\"full_result\"} 0"), "{text}");
     assert!(!text.contains("tier=\"schema_filter\""), "{text}");
     assert!(!text.contains("tier=\"value_retrieval\""), "{text}");
 

@@ -626,11 +626,7 @@ impl Inner {
                     *generation,
                     question_key,
                     *config_fp,
-                    CachedAnswer {
-                        sql: reply.sql.clone(),
-                        prompt_tokens: reply.prompt_tokens,
-                        compute_latency_seconds: reply.latency_seconds,
-                    },
+                    CachedAnswer { sql: reply.sql.clone(), prompt_tokens: reply.prompt_tokens },
                 );
             }
         }
@@ -1682,6 +1678,27 @@ mod tests {
         let stats = health.cache.expect("cache attached");
         assert_eq!(stats.full.hits, 1);
         assert_eq!(stats.invalidations, 1);
+    }
+
+    #[test]
+    fn a_separator_in_the_question_is_not_external_knowledge() {
+        let registry = Arc::new(codes_obs::Registry::new());
+        let cache =
+            Arc::new(codes::SystemCache::with_registry(&registry, codes::CacheSettings::default()));
+        let mut config = quick_config();
+        config.cache = Some(cache);
+        let pool = Pool::start_with_registry(EchoBackend { delay: Duration::ZERO }, config, registry);
+        let mut sqls = Vec::new();
+        for request in [
+            InferenceRequest::new("db", "a\u{1f} b"),
+            InferenceRequest::new("db", "a").with_knowledge("b"),
+        ] {
+            let served = pool.submit(request).expect("admitted").wait().expect("echo cannot fail");
+            assert!(!served.cached, "neither submission may be served the other's answer");
+            sqls.push(served.sql);
+        }
+        assert_eq!(sqls, ["SELECT 'a\u{1f} b'", "SELECT 'a'"]);
+        pool.shutdown();
     }
 
     #[test]
