@@ -2,35 +2,42 @@
 //! service actually buy on a "remote-ish" backend.
 //!
 //! The backend is the in-memory engine wrapped in a latency-only fault
-//! plan (every connect and every operation pays a fixed wire delay), so
-//! the three comparisons below isolate pooling and revision-checking:
+//! plan (every connect and every operation pays a fixed wire delay), and
+//! the database is Bank-Financials. Six rows:
 //!
 //! 1. **cold connect** — a fresh establishment per request, the no-pool
 //!    baseline.
 //! 2. **pooled checkout** — against a warm pool: the recycled connection
 //!    skips establishment entirely.
-//! 3. **introspection** — a full catalog harvest (attach), the refresh a
-//!    dispatch pays after a one-row write (revision read + harvest, the
-//!    read doubling as the harvest's `before`), and a revision-check sync
-//!    on an unchanged backend: the fast path the serving layer takes on
-//!    every dispatch. A harvest sends its round trips — listing, schemas,
-//!    row pages — in waves over the pool's free connections; a refresh
-//!    predicts all of them from the catalog it replaces, so after a
-//!    one-row write it is one wave: Bank-Financials' 16 units over the
-//!    default 8-slot pool, two round trips deep, between two revision
-//!    reads. An attach predicts nothing: the listing, then every schema
-//!    beside every first page, then one wave per further page of the
-//!    1500-row `txn` table.
+//! 3. **introspect (full harvest)** — an attach over the default 8-slot
+//!    pool. It predicts nothing: the listing, then every schema beside
+//!    every first page, then one wave per further page of the 1500-row
+//!    `txn` table.
+//! 4. **refresh after a one-row write** — what a dispatch pays after a
+//!    write: its revision read (which doubles as the harvest's `before`),
+//!    one wave predicted from the catalog it replaces (16 units over 8
+//!    connections, two round trips deep), and the closing revision read.
+//! 5. **the same refresh, observer building index + profile** — with a
+//!    revision observer that derives the BM25 value index and the schema
+//!    profile from the fresh mirror, as the serving layer's does. The
+//!    build runs while the closing revision read is on the wire, so only
+//!    what it takes beyond that one wire delay shows here (Bank-Financials'
+//!    build is longer than 2 ms); the commit that installs it is a few map
+//!    inserts.
+//! 6. **sync (revision check)** — on an unchanged backend: the fast path
+//!    the serving layer takes on every dispatch outside its revision lease.
 //!
 //! Beside each p50 the table prints how many wire delays fit in it: the
 //! round trips on the path's critical path.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use codes_bench::workbench::{self, percentile};
 use codes_datasets::finance::bank_financials_db;
 use codes_eval::TextTable;
+use codes_linker::SchemaProfile;
+use codes_retrieval::ValueIndex;
 use codes_storage::{
     Backend, CatalogService, ConnectionPool, FaultSpec, FlakyBackend, IntrospectOptions,
     MemoryBackend, PoolConfig, SyncOutcome,
@@ -60,8 +67,57 @@ fn commit() -> String {
         })
 }
 
+const DB: &str = "bank_financials";
+
+/// Write one client row, as another client would: an in-process `Vec`
+/// push, so timing it with the sync it provokes adds microseconds to tens
+/// of milliseconds.
+fn write_client(admin: &MemoryBackend, client_id: i64) {
+    admin
+        .mutate(DB, |db| {
+            let client = db.table_mut("client").expect("client table");
+            let row = vec![client_id.into(), "Zora".into(), "F".into(), "Jesenik".into(), 1.into()];
+            client.insert(row).expect("row fits");
+        })
+        .expect("db registered");
+}
+
+/// Refreshes after one-row writes, each timed from the write to the
+/// installed catalog.
+fn refreshes(
+    service: &CatalogService,
+    admin: &MemoryBackend,
+    iterations: usize,
+    client_ids: &mut std::ops::RangeFrom<i64>,
+) -> Vec<f64> {
+    timed(iterations, || {
+        write_client(admin, client_ids.next().expect("unbounded range"));
+        let outcome = service.sync(DB).expect("refresh succeeds");
+        assert!(matches!(outcome, SyncOutcome::Refreshed { .. }), "the write moved the token");
+    })
+}
+
+/// A catalog service over `backend` whose observer derives each mirror's
+/// value index (reusing the one it replaces) and schema profile, and holds
+/// the last ones committed.
+fn observed_service(backend: &Arc<dyn Backend>) -> CatalogService {
+    type Held = Option<(Arc<ValueIndex>, Arc<SchemaProfile>)>;
+    let service = CatalogService::new(
+        ConnectionPool::new(Arc::clone(backend), PoolConfig::default()),
+        IntrospectOptions::default(),
+    );
+    let held: Arc<Mutex<Held>> = Arc::default();
+    service.set_revision_observer(Box::new(move |db| {
+        let previous = held.lock().expect("no panic under this lock").clone();
+        let index = ValueIndex::build_reusing(db, previous.as_ref().map(|(index, _)| &**index));
+        let built = (Arc::new(index), Arc::new(SchemaProfile::build(db)));
+        let held = Arc::clone(&held);
+        Box::new(move || *held.lock().expect("no panic under this lock") = Some(built))
+    }));
+    service
+}
+
 fn main() {
-    const DB: &str = "bank_financials";
     const DATA_SEED: u64 = 1;
     const WIRE_DELAY: Duration = Duration::from_millis(2);
     let iterations = workbench::eval_limit().unwrap_or(100);
@@ -103,22 +159,11 @@ fn main() {
     let full = timed(iterations.min(25), || {
         service.attach(DB).expect("attach succeeds");
     });
-    // The write is an in-process `Vec` push: timing it with the sync it
-    // provokes adds microseconds to tens of milliseconds.
     let mut client_ids = 1_000_000i64..;
-    let refresh = timed(iterations.min(25), || {
-        let client_id = client_ids.next().expect("unbounded range");
-        admin
-            .mutate(DB, |db| {
-                let client = db.table_mut("client").expect("client table");
-                client
-                    .insert(vec![client_id.into(), "Zora".into(), "F".into(), "Jesenik".into(), 1.into()])
-                    .expect("row fits");
-            })
-            .expect("db registered");
-        let outcome = service.sync(DB).expect("refresh succeeds");
-        assert!(matches!(outcome, SyncOutcome::Refreshed { .. }), "the write moved the token");
-    });
+    let refresh = refreshes(&service, &admin, iterations.min(25), &mut client_ids);
+    let observed = observed_service(&backend);
+    observed.attach(DB).expect("attach succeeds");
+    let refresh_observed = refreshes(&observed, &admin, iterations.min(25), &mut client_ids);
     let sync = timed(iterations, || {
         service.sync(DB).expect("sync succeeds");
     });
@@ -133,6 +178,11 @@ fn main() {
         ("pooled checkout (recycled)", &pooled, Some(&cold)),
         ("introspect (full harvest)", &full, None),
         ("refresh after a one-row write", &refresh, None),
+        (
+            "refresh after a one-row write, observer building index + profile",
+            &refresh_observed,
+            None,
+        ),
         ("sync (revision check)", &sync, Some(&full)),
     ] {
         let p50 = percentile(sorted, 0.50);

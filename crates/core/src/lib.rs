@@ -43,4 +43,4 @@ pub use prompt::{
     stage_value_retrieval, DbPrompt, PromptOptions,
 };
 pub use sketch::{sketch_of, SketchCatalog, SketchLibrary};
-pub use system::{CodesSystem, FewShot, Inference};
+pub use system::{CodesSystem, FewShot, Inference, PreparedDatabase};

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use codes_datasets::{Benchmark, Sample};
-use codes_linker::SchemaClassifier;
+use codes_linker::{SchemaClassifier, SchemaProfile};
 use codes_obs::{
     Span, StageTimings, STAGE_METADATA, STAGE_PROMPT_BUILD, STAGE_SCHEMA_FILTER,
     STAGE_VALUE_RETRIEVAL,
@@ -63,6 +63,33 @@ pub struct CodesSystem {
     /// database's catalog revision with it; the serving pool holds the same
     /// `Arc` for admission lookups.
     cache: Option<Arc<SystemCache>>,
+}
+
+/// A database's derived serving state, built from one revision of its
+/// catalog by [`CodesSystem::build_database`] and not yet installed.
+pub struct PreparedDatabase {
+    db_id: String,
+    revision: u64,
+    index: Arc<ValueIndex>,
+    profile: Option<Arc<SchemaProfile>>,
+}
+
+impl PreparedDatabase {
+    /// The catalog revision it was built from.
+    pub fn revision(&self) -> u64 {
+        self.revision
+    }
+
+    /// The BM25 value index.
+    pub fn index(&self) -> &Arc<ValueIndex> {
+        &self.index
+    }
+
+    /// The schema filter's profile; `None` when the system filters no
+    /// schema.
+    pub fn profile(&self) -> Option<&Arc<SchemaProfile>> {
+        self.profile.as_ref()
+    }
 }
 
 /// One inference outcome.
@@ -141,25 +168,43 @@ impl CodesSystem {
     /// Make one database servable: build its BM25 value index and the
     /// schema filter's profile of it, and reconcile the attached cache with
     /// its revision, so the cache generation reflects the state the catalog
-    /// was read from. An index current for `db.revision()` is kept as-is;
-    /// one built for an earlier catalog state is replaced, taking over its
-    /// BM25 index when no text value changed.
+    /// was read from. [`CodesSystem::build_database`], then
+    /// [`CodesSystem::commit_database`].
     pub fn prepare_database(&self, db: &Database) {
-        if self.options.use_schema_filter {
-            if let Some(classifier) = &self.classifier {
-                classifier.profile(db);
+        self.commit_database(self.build_database(db));
+    }
+
+    /// The pure half of [`CodesSystem::prepare_database`]: derive `db`'s
+    /// value index and schema profile without installing either. An index
+    /// or a profile current for `db.revision()` is taken as-is; an index
+    /// built for an earlier catalog state is rebuilt, taking over its BM25
+    /// index when no text value changed.
+    pub fn build_database(&self, db: &Database) -> PreparedDatabase {
+        let profile = match &self.classifier {
+            Some(classifier) if self.options.use_schema_filter => {
+                Some(classifier.build_profile(db))
             }
+            _ => None,
+        };
+        let previous = self.value_indexes.read().get(&db.name).cloned();
+        let index = match previous {
+            Some(index) if index.built_revision() == db.revision() => index,
+            previous => Arc::new(ValueIndex::build_reusing(db, previous.as_deref())),
+        };
+        PreparedDatabase { db_id: db.name.clone(), revision: db.revision(), index, profile }
+    }
+
+    /// The installing half of [`CodesSystem::prepare_database`]: hold
+    /// `prepared`'s index and profile in place of the database's current
+    /// ones, and reconcile the attached cache with its revision.
+    pub fn commit_database(&self, prepared: PreparedDatabase) {
+        let PreparedDatabase { db_id, revision, index, profile } = prepared;
+        if let (Some(classifier), Some(profile)) = (&self.classifier, profile) {
+            classifier.install_profile(&db_id, profile);
         }
-        {
-            let mut indexes = self.value_indexes.write();
-            let previous = indexes.get(&db.name);
-            if previous.is_none_or(|idx| idx.built_revision() != db.revision()) {
-                let built = ValueIndex::build_reusing(db, previous.map(Arc::as_ref));
-                indexes.insert(db.name.clone(), Arc::new(built));
-            }
-        }
+        self.value_indexes.write().insert(db_id.clone(), index);
         if let Some(cache) = self.cache.as_ref() {
-            cache.observe_revision(db);
+            cache.observe_revision_token(&db_id, revision);
         }
     }
 

@@ -134,9 +134,22 @@ impl SchemaClassifier {
     }
 
     /// The profile of `db` at its current revision, as [`SchemaClassifier::score`]
-    /// reads it.
+    /// reads it, built and held if the one held is not it.
     pub fn profile(&self, db: &Database) -> Arc<SchemaProfile> {
         self.profiles.of(db)
+    }
+
+    /// [`SchemaClassifier::profile`] without holding it: the held profile
+    /// when it is current for `db`, otherwise a fresh one that
+    /// [`SchemaClassifier::install_profile`] can install later.
+    pub fn build_profile(&self, db: &Database) -> Arc<SchemaProfile> {
+        self.profiles.build(db)
+    }
+
+    /// Hold `profile` as the profile of database `db_id`, replacing the
+    /// one held.
+    pub fn install_profile(&self, db_id: &str, profile: Arc<SchemaProfile>) {
+        self.profiles.insert(db_id, profile);
     }
 
     /// Relevance score of every table and column of `db`.

@@ -340,6 +340,11 @@ impl SchemaProfile {
         }
     }
 
+    /// The catalog revision this profile was read from.
+    pub fn revision(&self) -> u64 {
+        self.revision
+    }
+
     /// Every column's and every table's features against one question, in
     /// one pass: each distinct schema word, value prefix and value meets
     /// the question once, and a table's aggregates fold the column rows
@@ -470,14 +475,27 @@ pub(crate) struct Profiles(RwLock<HashMap<String, Arc<SchemaProfile>>>);
 impl Profiles {
     /// The profile of `db` as it is now.
     pub(crate) fn of(&self, db: &Database) -> Arc<SchemaProfile> {
-        if let Some(profile) = self.0.read().get(&db.name) {
-            if profile.revision == db.revision() {
-                return Arc::clone(profile);
-            }
+        if let Some(profile) = self.current(db) {
+            return profile;
         }
         let built = Arc::new(SchemaProfile::build(db));
-        self.0.write().insert(db.name.clone(), Arc::clone(&built));
+        self.insert(&db.name, Arc::clone(&built));
         built
+    }
+
+    /// The profile of `db` as it is now, without holding a new one.
+    pub(crate) fn build(&self, db: &Database) -> Arc<SchemaProfile> {
+        self.current(db).unwrap_or_else(|| Arc::new(SchemaProfile::build(db)))
+    }
+
+    /// The held profile, if it was read from `db`'s revision.
+    fn current(&self, db: &Database) -> Option<Arc<SchemaProfile>> {
+        self.0.read().get(&db.name).filter(|profile| profile.revision == db.revision()).cloned()
+    }
+
+    /// Hold `profile` as `db_id`'s, in place of any other.
+    pub(crate) fn insert(&self, db_id: &str, profile: Arc<SchemaProfile>) {
+        self.0.write().insert(db_id.to_string(), profile);
     }
 }
 

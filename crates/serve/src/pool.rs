@@ -141,8 +141,10 @@ impl SystemBackend {
 
     /// Serve `system` over an existing catalog service (any backend/pool
     /// stack). Wires the service's revision observer to the system — every
-    /// attach or refresh rebuilds the database's value index and reconciles
-    /// the cache generation — then attaches every database the backend
+    /// attach or refresh builds the database's value index and schema
+    /// profile while its closing revision read is on the wire, then
+    /// installs them and reconciles the cache generation beside the
+    /// catalog — then attaches every database the backend
     /// exposes. Attach failures are not fatal here: the first dispatch
     /// retries via sync and surfaces a typed error if the database never
     /// becomes reachable.
@@ -159,7 +161,11 @@ impl SystemBackend {
         registry: &codes_obs::Registry,
     ) -> SystemBackend {
         let observer_system = Arc::clone(&system);
-        service.set_revision_observer(Box::new(move |db| observer_system.prepare_database(db)));
+        service.set_revision_observer(Box::new(move |db| {
+            let prepared = observer_system.build_database(db);
+            let system = Arc::clone(&observer_system);
+            Box::new(move || system.commit_database(prepared))
+        }));
         let _ = service.attach_all();
         SystemBackend { system, service, checks: CatalogChecks::new(registry) }
     }

@@ -32,13 +32,16 @@
 //! a local catalog mutation.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sqlengine::{Database, Row, TableSchema};
 
 use crate::backend::{quote_ident, Connection};
 use crate::error::StorageError;
+use crate::helpers::Helpers;
 use crate::pool::ConnectionPool;
+use crate::service::{Commit, Observer};
 
 /// How many times a harvest restarts when the revision token moves
 /// mid-read before giving up.
@@ -116,36 +119,64 @@ pub fn introspect(
     db_id: &str,
     options: &IntrospectOptions,
 ) -> Result<Catalog, StorageError> {
-    introspect_with(conn, None, None, None, db_id, options)
+    introspect_with(conn, None, None, None, db_id, options, None).map(|(catalog, _)| catalog)
+}
+
+/// What a [`crate::CatalogService`] lends an introspection: its pool's
+/// spare connections, and the threads that run them and the build.
+#[derive(Clone, Copy)]
+pub(crate) struct Lender<'a> {
+    pub(crate) pool: &'a ConnectionPool,
+    pub(crate) helpers: &'a Helpers,
 }
 
 /// [`introspect`] with what a [`crate::CatalogService`] can add: `lender`,
-/// a pool whose spare connections run round trips beside `conn`;
-/// `prediction`, the mirror this one replaces, whose tables and row counts
-/// name the first wave; and `known`, a revision token the caller has just
-/// read. `known` stands in for the first pass's `before` read — anything
-/// that moved since it was read still fails `before == after` — and a
-/// retry reads its own.
+/// whose spare connections run round trips beside `conn`; `prediction`,
+/// the mirror this one replaces, whose tables and row counts name the first
+/// wave; `known`, a revision token the caller has just read; and
+/// `observer`, whose build runs on the pass's mirror. `known` stands in for
+/// the first pass's `before` read — anything that moved since it was read
+/// still fails `before == after` — and a retry reads its own.
+///
+/// A pass assembles its mirror and runs the observer's build on a lent
+/// thread while `after` is on the wire, stamping the mirror with `before`:
+/// the stamp it gets if the bracket holds. A pass whose bracket fails drops
+/// what it built; the caller commits what the passing one built.
 pub(crate) fn introspect_with(
     conn: &mut dyn Connection,
-    lender: Option<&ConnectionPool>,
+    lender: Option<Lender<'_>>,
     prediction: Option<&Database>,
     mut known: Option<u64>,
     db_id: &str,
     options: &IntrospectOptions,
-) -> Result<Catalog, StorageError> {
+    observer: Option<&Observer>,
+) -> Result<(Catalog, Option<Commit>), StorageError> {
     let mut last_moved = (0u64, 0u64);
     for _ in 0..=CONSISTENCY_RETRIES {
         let before = match known.take() {
             Some(token) => token,
             None => conn.revision(db_id)?,
         };
-        let database = harvest(conn, lender, prediction, db_id, options)?;
-        let after = conn.revision(db_id)?;
-        if before == after {
-            let mut database = database;
+        let harvested = harvest(conn, lender, prediction, db_id, options)?;
+        let observer = observer.cloned();
+        let build = move || {
+            let mut database = harvested.assemble()?;
             database.set_revision(before);
-            return Ok(Catalog { revision: before, database });
+            let commit = observer.map(|observe| observe(&database));
+            Ok::<_, StorageError>((database, commit))
+        };
+        let lent = match lender {
+            Some(lender) => lender.helpers.lend(build),
+            None => Err(build),
+        };
+        let after = conn.revision(db_id);
+        // With no thread to lend, the build runs once `after` is in.
+        let built = lent.map_or_else(|build| build(), |lent| lent.join());
+        // An assembly failure is the pass's own, whatever `after` says.
+        let (database, commit) = built?;
+        let after = after?;
+        if before == after {
+            return Ok((Catalog { revision: before, database }, commit));
         }
         last_moved = (before, after);
     }
@@ -155,18 +186,16 @@ pub(crate) fn introspect_with(
     )))
 }
 
-/// One harvest pass: a first wave of the listing and everything
-/// `prediction` names, then follow-up waves for what it missed, until
-/// every listed table's page chain has ended on a short page. The mirror
-/// is assembled in listing order, so it does not depend on which
-/// connection ran what, nor on what was predicted.
+/// One harvest pass's answers: a first wave of the listing and everything
+/// `prediction` names, then follow-up waves for what it missed, until every
+/// listed table's page chain has ended on a short page.
 fn harvest(
     conn: &mut dyn Connection,
-    lender: Option<&ConnectionPool>,
+    lender: Option<Lender<'_>>,
     prediction: Option<&Database>,
     db_id: &str,
     options: &IntrospectOptions,
-) -> Result<Database, StorageError> {
+) -> Result<Harvested, StorageError> {
     let mut pass = Pass { db_id, page_size: options.page_size.max(1), lender, tables: Vec::new() };
     let predicted = prediction.map_or(&[][..], |db| &db.tables[..]);
     let ats: Vec<usize> = predicted.iter().map(|table| pass.table(&table.schema.name)).collect();
@@ -204,38 +233,63 @@ fn harvest(
         }
         pass.wave(conn, false, units)?;
     }
+    Ok(Harvested {
+        db_id: db_id.to_string(),
+        page_size: pass.page_size,
+        listing,
+        listed,
+        tables: pass.tables,
+    })
+}
 
-    let mut database = Database::new(db_id);
-    for (name, &at) in listing.iter().zip(&listed) {
-        let twice = || {
-            StorageError::Introspect(format!("{db_id}: backend listed table '{name}' twice"))
-        };
-        let table = &mut pass.tables[at];
-        // A name listed twice shares one harvest: its second sighting finds
-        // the schema already taken.
-        let Some(schema) = table.schema.take() else {
-            return Err(twice());
-        };
-        let rows = table.rows(pass.page_size);
-        // `create_table` stamps local revisions freely; the final
-        // `set_revision` overwrites them with the backend's token.
-        let created = database.create_table(schema).map_err(|_| twice())?;
-        let column_count = created.schema.columns.len();
-        for row in rows {
-            if row.len() != column_count {
-                return Err(StorageError::Introspect(format!(
-                    "{db_id}.{name}: row arity {} does not match {column_count} columns",
-                    row.len()
-                )));
-            }
-            if let Err(e) = created.insert(row) {
-                return Err(StorageError::Introspect(format!(
-                    "{db_id}.{name}: harvested row rejected by schema: {e}"
-                )));
+/// A pass's answers, owned, so the mirror can be assembled off the
+/// caller's thread.
+struct Harvested {
+    db_id: String,
+    page_size: usize,
+    listing: Vec<String>,
+    /// `tables` index of each listed name.
+    listed: Vec<usize>,
+    tables: Vec<TableHarvest>,
+}
+
+impl Harvested {
+    /// The mirror, in listing order, so it does not depend on which
+    /// connection ran what, nor on what was predicted.
+    fn assemble(mut self) -> Result<Database, StorageError> {
+        let db_id = &self.db_id;
+        let mut database = Database::new(db_id);
+        for (name, &at) in self.listing.iter().zip(&self.listed) {
+            let twice = || {
+                StorageError::Introspect(format!("{db_id}: backend listed table '{name}' twice"))
+            };
+            let table = &mut self.tables[at];
+            // A name listed twice shares one harvest: its second sighting
+            // finds the schema already taken.
+            let Some(schema) = table.schema.take() else {
+                return Err(twice());
+            };
+            let rows = table.rows(self.page_size);
+            // `create_table` stamps local revisions freely; the final
+            // `set_revision` overwrites them with the backend's token.
+            let created = database.create_table(schema).map_err(|_| twice())?;
+            let column_count = created.schema.columns.len();
+            for row in rows {
+                if row.len() != column_count {
+                    return Err(StorageError::Introspect(format!(
+                        "{db_id}.{name}: row arity {} does not match {column_count} columns",
+                        row.len()
+                    )));
+                }
+                if let Err(e) = created.insert(row) {
+                    return Err(StorageError::Introspect(format!(
+                        "{db_id}.{name}: harvested row rejected by schema: {e}"
+                    )));
+                }
             }
         }
+        Ok(database)
     }
-    Ok(database)
 }
 
 /// One round trip of a harvest. The listing is not one: it is always the
@@ -297,7 +351,7 @@ impl TableHarvest {
 struct Pass<'a> {
     db_id: &'a str,
     page_size: usize,
-    lender: Option<&'a ConnectionPool>,
+    lender: Option<Lender<'a>>,
     /// Every table the pass has asked about; units index into it.
     tables: Vec<TableHarvest>,
 }
@@ -336,42 +390,43 @@ impl Pass<'_> {
         units: Vec<Unit>,
     ) -> Result<Vec<String>, StorageError> {
         let work = units.len() + usize::from(list);
-        let helpers = self.lender.map_or(0, |pool| pool.free_slots().min(work.saturating_sub(1)));
-        let wave = Wave {
-            db_id: self.db_id,
+        let wave = Arc::new(Wave {
+            db_id: self.db_id.to_string(),
             page_size: self.page_size,
-            tables: &self.tables,
+            names: self.tables.iter().map(|table| table.name.clone()).collect(),
             state: Mutex::new(WaveState {
                 pending: units.into(),
                 answers: Vec::with_capacity(work),
                 failures: Vec::new(),
                 fatal: None,
             }),
-        };
-        let lender = self.lender;
-        let listing = std::thread::scope(|scope| {
-            for _ in 0..helpers {
-                // Checked out on the helper's own thread: an establishment
-                // is a round trip the caller should not wait for.
-                let helper = std::thread::Builder::new().spawn_scoped(scope, || {
-                    if let Some(mut lent) = lender.and_then(ConnectionPool::try_checkout) {
-                        wave.pull(&mut lent, true);
-                    }
-                });
-                // No thread to be had: the wave goes on with the help it has.
-                if helper.is_err() {
-                    break;
-                }
-            }
-            let listing = if list { wave.list(conn) } else { Vec::new() };
-            wave.pull(conn, false);
-            listing
         });
-        // Every helper has joined: a unit one of them handed back after the
+        let lent = match self.lender {
+            Some(Lender { pool, helpers }) => {
+                helpers.lend_many(pool.free_slots().min(work.saturating_sub(1)), || {
+                    let (wave, pool) = (Arc::clone(&wave), pool.clone());
+                    // Checked out on the helper's own thread: an
+                    // establishment is a round trip the caller should not
+                    // wait for.
+                    move || {
+                        if let Some(mut lent) = pool.try_checkout() {
+                            wave.pull(&mut lent, true);
+                        }
+                    }
+                })
+            }
+            None => Vec::new(),
+        };
+        let listing = if list { wave.list(conn) } else { Vec::new() };
+        wave.pull(conn, false);
+        for helper in lent {
+            helper.join();
+        }
+        // Every helper is done: a unit one of them handed back after the
         // caller's loop had run dry runs now.
         wave.pull(conn, false);
 
-        let WaveState { answers, failures, fatal, .. } = wave.state.into_inner();
+        let WaveState { answers, failures, fatal, .. } = std::mem::take(&mut *wave.state.lock());
         if let Some(e) = fatal {
             return Err(e);
         }
@@ -402,14 +457,17 @@ impl Pass<'_> {
     }
 }
 
-/// What the connections of one wave share.
-struct Wave<'a> {
-    db_id: &'a str,
+/// What the connections of one wave share; owned, so the service's
+/// long-lived helpers can hold it.
+struct Wave {
+    db_id: String,
     page_size: usize,
-    tables: &'a [TableHarvest],
+    /// [`Pass::tables`]' names, which units index.
+    names: Vec<String>,
     state: Mutex<WaveState>,
 }
 
+#[derive(Default)]
 struct WaveState {
     /// Units nobody has taken yet.
     pending: VecDeque<Unit>,
@@ -421,10 +479,10 @@ struct WaveState {
     fatal: Option<StorageError>,
 }
 
-impl Wave<'_> {
+impl Wave {
     /// The table listing, over the caller's connection.
     fn list(&self, conn: &mut dyn Connection) -> Vec<String> {
-        conn.tables(self.db_id).unwrap_or_else(|e| {
+        conn.tables(&self.db_id).unwrap_or_else(|e| {
             self.state.lock().fatal.get_or_insert(e);
             Vec::new()
         })
@@ -469,21 +527,22 @@ impl Wave<'_> {
 
     /// One round trip.
     fn run(&self, conn: &mut dyn Connection, unit: Unit) -> Result<Answer, StorageError> {
+        let db_id = &self.db_id;
         match unit {
             Unit::Schema(at) => {
-                conn.table_schema(self.db_id, &self.tables[at].name).map(|s| Answer::Schema(at, s))
+                conn.table_schema(db_id, &self.names[at]).map(|s| Answer::Schema(at, s))
             }
             Unit::Page(at, page) => {
-                let name = &self.tables[at].name;
+                let name = &self.names[at];
                 let sql = format!(
                     "SELECT * FROM {} LIMIT {} OFFSET {}",
                     quote_ident(name),
                     self.page_size,
                     page * self.page_size
                 );
-                conn.execute(self.db_id, &sql)
+                conn.execute(db_id, &sql)
                     .map(|result| Answer::Page(at, page, result.rows))
-                    .map_err(|e| introspect_err(&format!("{}.{name} row harvest", self.db_id), e))
+                    .map_err(|e| introspect_err(&format!("{db_id}.{name} row harvest"), e))
             }
         }
     }

@@ -30,6 +30,7 @@
 mod backend;
 mod error;
 mod flaky;
+mod helpers;
 mod introspect;
 mod memory;
 pub mod metrics;
@@ -45,4 +46,4 @@ pub use introspect::{introspect, Catalog, IntrospectOptions};
 pub use memory::{MemoryBackend, SharedStore};
 pub use metrics::PoolStats;
 pub use pool::{ConnectionPool, PoolConfig, PooledConn};
-pub use service::{CatalogService, RevisionObserver, SyncOutcome};
+pub use service::{CatalogService, Commit, RevisionObserver, SyncOutcome};

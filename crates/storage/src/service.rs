@@ -10,10 +10,13 @@
 //! dispatches saw the token move. An introspection borrows whatever
 //! connections the pool has free to run its round trips side by side, and
 //! a re-introspection asks for everything the catalog it replaces predicts
-//! in one wave (DESIGN.md §4k). Every swap that changes the revision
-//! notifies the registered revision observer, which the serving layer
-//! wires to `SystemCache::observe_revision`, so a schema change on the
-//! live backend bumps cache generations exactly like a local catalog
+//! in one wave (DESIGN.md §4k). Every install runs the registered revision
+//! observer in two halves: its build derives state from the fresh mirror
+//! while the harvest's closing revision read is on the wire, and its commit
+//! installs that state beside the catalog, under the database's refresh
+//! lock. The serving layer builds the value index and schema profile and
+//! commits them with `SystemCache::observe_revision`, so a schema change on
+//! the live backend bumps cache generations exactly like a local catalog
 //! mutation.
 
 use std::collections::HashMap;
@@ -24,12 +27,24 @@ use sqlengine::Database;
 
 use crate::backend::Connection;
 use crate::error::StorageError;
-use crate::introspect::{introspect_with, Catalog, IntrospectOptions};
+use crate::helpers::Helpers;
+use crate::introspect::{introspect_with, Catalog, IntrospectOptions, Lender};
 use crate::pool::{ConnectionPool, PooledConn};
 
-/// Callback invoked with the fresh mirror whenever an attach or sync
-/// installs a catalog (first sighting included).
-pub type RevisionObserver = Box<dyn Fn(&Database) + Send + Sync>;
+/// The second half of a [`RevisionObserver`]: installs what its build
+/// derived. Runs once per installed catalog, right after the insert, under
+/// the database's refresh lock.
+pub type Commit = Box<dyn FnOnce() + Send>;
+
+/// The build half of a revision observer, run on every mirror an attach or
+/// a sync harvests (first sighting included): pure work on the
+/// revision-stamped mirror, done while the harvest's closing revision read
+/// is on the wire. It returns the [`Commit`] that installs its result; a
+/// pass whose revision moved under it drops that commit unrun.
+pub type RevisionObserver = Box<dyn Fn(&Database) -> Commit + Send + Sync>;
+
+/// A registered observer, shared with the thread that runs its build.
+pub(crate) type Observer = Arc<dyn Fn(&Database) -> Commit + Send + Sync>;
 
 /// What a [`CatalogService::sync`] found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,21 +67,27 @@ pub struct CatalogService {
     pool: ConnectionPool,
     options: IntrospectOptions,
     catalogs: RwLock<HashMap<String, Arc<Catalog>>>,
-    /// One lock per database that has ever been refreshed; `sync` holds it
-    /// across a re-introspection so concurrent dispatches share one.
+    /// One lock per database that has ever been installed. `sync` holds it
+    /// across a re-introspection so concurrent dispatches share one, and
+    /// every install holds it across its insert and commit.
     refreshing: Mutex<HashMap<String, Arc<Mutex<()>>>>,
-    observer: RwLock<Option<RevisionObserver>>,
+    observer: RwLock<Option<Observer>>,
+    /// Threads for the harvests' lent connections and builds: at most one
+    /// per pool slot beyond the caller's own.
+    helpers: Helpers,
 }
 
 impl CatalogService {
     /// A service over `pool` with the given introspection options.
     pub fn new(pool: ConnectionPool, options: IntrospectOptions) -> CatalogService {
+        let helpers = Helpers::new(pool.capacity() - 1);
         CatalogService {
             pool,
             options,
             catalogs: RwLock::new(HashMap::new()),
             refreshing: Mutex::new(HashMap::new()),
             observer: RwLock::new(None),
+            helpers,
         }
     }
 
@@ -76,16 +97,21 @@ impl CatalogService {
     }
 
     /// Register the revision observer (replacing any previous one). The
-    /// serving layer points this at its cache so generation bumps happen
-    /// at swap time, before any post-change request can consult the cache.
+    /// serving layer points this at its system and cache so the derived
+    /// state and the generation bump land at swap time, before any
+    /// post-change request can consult the cache.
     pub fn set_revision_observer(&self, observer: RevisionObserver) {
-        *self.observer.write() = Some(observer);
+        *self.observer.write() = Some(Arc::from(observer));
     }
 
-    fn notify(&self, database: &Database) {
-        if let Some(observer) = self.observer.read().as_ref() {
-            observer(database);
-        }
+    /// The threads this service lends its harvests.
+    pub(crate) fn helpers(&self) -> &Helpers {
+        &self.helpers
+    }
+
+    /// The refresh lock of `db_id`.
+    fn flight(&self, db_id: &str) -> Arc<Mutex<()>> {
+        Arc::clone(self.refreshing.lock().entry(db_id.to_string()).or_default())
     }
 
     /// Run an idempotent read over a pooled connection. The pool parks a
@@ -110,23 +136,44 @@ impl CatalogService {
 
     /// Attach (or re-attach) a database: introspect it over a pooled
     /// connection, helped by whatever connections the pool has free, and
-    /// install the catalog.
+    /// install the catalog. Only the install takes the refresh lock, so an
+    /// attach and a refresh of one database harvest side by side and
+    /// commit one after the other.
     pub fn attach(&self, db_id: &str) -> Result<Arc<Catalog>, StorageError> {
-        self.install(db_id, None)
+        let harvested = self.harvest(db_id, None)?;
+        let flight = self.flight(db_id);
+        let _refreshing = flight.lock();
+        Ok(self.install(db_id, harvested))
     }
 
-    /// [`CatalogService::attach`], with `known` — a revision token read a
-    /// moment ago — saving the introspection its own first read. The
-    /// installed catalog, if any, predicts what the introspection will find.
-    fn install(&self, db_id: &str, known: Option<u64>) -> Result<Arc<Catalog>, StorageError> {
+    /// Introspect `db_id`, with `known` — a revision token read a moment
+    /// ago — saving the introspection its own first read. The installed
+    /// catalog, if any, predicts what the introspection will find.
+    fn harvest(
+        &self,
+        db_id: &str,
+        known: Option<u64>,
+    ) -> Result<(Catalog, Option<Commit>), StorageError> {
         let installed = self.catalog(db_id);
         let prediction = installed.as_ref().map(|catalog| &catalog.database);
-        let catalog = Arc::new(self.read(|conn| {
-            introspect_with(conn, Some(&self.pool), prediction, known, db_id, &self.options)
-        })?);
+        let observer = self.observer.read().clone();
+        let lender = Lender { pool: &self.pool, helpers: &self.helpers };
+        let observer = observer.as_ref();
+        self.read(|conn| {
+            introspect_with(conn, Some(lender), prediction, known, db_id, &self.options, observer)
+        })
+    }
+
+    /// Insert a harvested catalog and run its observer's commit. The
+    /// caller holds `db_id`'s refresh lock, so the catalog and the state
+    /// derived from it are installed together.
+    fn install(&self, db_id: &str, (catalog, commit): (Catalog, Option<Commit>)) -> Arc<Catalog> {
+        let catalog = Arc::new(catalog);
         self.catalogs.write().insert(db_id.to_string(), Arc::clone(&catalog));
-        self.notify(&catalog.database);
-        Ok(catalog)
+        if let Some(commit) = commit {
+            commit();
+        }
+        catalog
     }
 
     /// Attach every database the backend reports. Returns the attached
@@ -152,7 +199,7 @@ impl CatalogService {
         }
         // The token moved. Every dispatch that sees it move lands here; one
         // re-introspects, the others wait and find its catalog installed.
-        let flight = Arc::clone(self.refreshing.lock().entry(db_id.to_string()).or_default());
+        let flight = self.flight(db_id);
         let _refreshing = flight.lock();
         let installed = self.catalog(db_id).map(|catalog| catalog.revision);
         if installed == Some(live) {
@@ -161,7 +208,7 @@ impl CatalogService {
         // `live` is as good as a `before` read now unless a refresh was
         // installed since it was taken and is not it: then it is known stale.
         let known = (installed == Some(current.revision)).then_some(live);
-        let fresh = self.install(db_id, known)?;
+        let fresh = self.install(db_id, self.harvest(db_id, known)?);
         Ok(SyncOutcome::Refreshed { from: current.revision, to: fresh.revision })
     }
 
@@ -226,7 +273,10 @@ mod tests {
         let observed = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&observed);
         service.set_revision_observer(Box::new(move |_| {
-            counter.fetch_add(1, Ordering::SeqCst);
+            let counter = Arc::clone(&counter);
+            Box::new(move || {
+                counter.fetch_add(1, Ordering::SeqCst);
+            })
         }));
 
         assert_eq!(service.sync("d").expect("first sync attaches"), SyncOutcome::Attached);

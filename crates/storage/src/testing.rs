@@ -1,15 +1,30 @@
 //! Test support shared by the storage, serving and gateway suites: a
 //! [`Backend`] wrapper that counts every wire operation and connection,
 //! and runs a per-test hook before each operation (and, optionally, one
-//! after it). Not part of the crate's API.
+//! after it); and a view of a [`CatalogService`]'s helper threads. Not part
+//! of the crate's API.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use sqlengine::{QueryResult, TableSchema};
 
 use crate::backend::{Backend, Connection};
 use crate::error::StorageError;
+use crate::service::CatalogService;
+
+/// Helper threads `service` has spawned: each lives until the service
+/// drops, so this only grows.
+pub fn helper_threads(service: &CatalogService) -> usize {
+    service.helpers().spawned()
+}
+
+/// A handle whose strong count is `service`'s live helper threads plus
+/// one while the service lives, and zero once it has dropped and joined
+/// them all.
+pub fn helper_liveness(service: &CatalogService) -> Weak<()> {
+    Arc::downgrade(&service.helpers().alive)
+}
 
 /// The six [`Connection`] operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

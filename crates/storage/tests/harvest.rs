@@ -795,7 +795,10 @@ fn concurrent_syncs_after_one_write_share_one_refresh() {
     let observed = Arc::new(AtomicU64::new(0));
     let counter = Arc::clone(&observed);
     service.set_revision_observer(Box::new(move |_| {
-        counter.fetch_add(1, Ordering::SeqCst);
+        let counter = Arc::clone(&counter);
+        Box::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        })
     }));
     let stale = service.attach(DB).expect("attach").revision;
 
