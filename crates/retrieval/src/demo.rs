@@ -72,15 +72,16 @@ impl DemoRetriever {
                 let mut out = Vec::with_capacity(k.min(n));
                 let stride = (seed as usize % n.max(1)).max(1) | 1;
                 let mut pos = seed as usize % n;
-                let mut seen = std::collections::HashSet::new();
+                let mut seen = vec![false; n];
                 while out.len() < k.min(n) {
-                    if seen.insert(pos) {
-                        out.push(pos);
+                    // The stride's orbit covers only n / gcd(stride, n)
+                    // positions: on a revisit, step to the next unseen one.
+                    while seen[pos] {
+                        pos = (pos + 1) % n;
                     }
+                    seen[pos] = true;
+                    out.push(pos);
                     pos = (pos + stride) % n;
-                    if seen.len() >= n {
-                        break;
-                    }
                 }
                 out
             }

@@ -142,7 +142,7 @@ impl SystemBackend {
     /// Serve `system` over an existing catalog service (any backend/pool
     /// stack). Wires the service's revision observer to the system — every
     /// attach or refresh builds the database's value index and schema
-    /// profile while its closing revision read is on the wire, then
+    /// profile once its harvest's revision bracket has held, then
     /// installs them and reconciles the cache generation beside the
     /// catalog — then attaches every database the backend
     /// exposes. Attach failures are not fatal here: the first dispatch

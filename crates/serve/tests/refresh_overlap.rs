@@ -1,5 +1,5 @@
-//! A refresh's derived state is built while its closing revision read is
-//! on the wire, and committed beside the catalog it was built from.
+//! A refresh's derived state is built from a mirror whose revision bracket
+//! held, and committed beside the catalog it was built from.
 //!
 //! The revision observer has two halves (DESIGN.md §4k): the build derives
 //! the value index and schema profile from the harvested mirror, the commit
@@ -100,8 +100,9 @@ struct Stack {
 impl Stack {
     /// A small real system — schema filter on, so every build has a
     /// profile — with a cache, serving [`shop`] from a hooked store, attached
-    /// up front.
-    fn start(before: Before, after: After) -> Stack {
+    /// up front. An `unpipelined` store runs a pipeline's requests one at a
+    /// time, hooks between them.
+    fn start(before: Before, after: After, unpipelined: bool) -> Stack {
         let sketches = Arc::new(SketchCatalog::build());
         let spec = table4_models().into_iter().find(|m| m.name == "CodeS-1B").expect("known model");
         let lm = pretrain(&sketches, &spec, &PretrainConfig { scale: 10, seed: 3 });
@@ -113,7 +114,11 @@ impl Stack {
                 .with_cache(Arc::clone(&cache)),
         );
         let admin = MemoryBackend::new(vec![shop()]);
-        let hooked = Hooked::new(MemoryBackend::over(admin.store())).before(before).after(after);
+        let mut hooked =
+            Hooked::new(MemoryBackend::over(admin.store())).before(before).after(after);
+        if unpipelined {
+            hooked = hooked.unpipelined();
+        }
         let pool =
             ConnectionPool::with_registry(Arc::new(hooked), PoolConfig::default(), &registry);
         let service = Arc::new(CatalogService::new(pool, IntrospectOptions::default()));
@@ -225,44 +230,58 @@ impl RevisionReads {
     }
 }
 
-/// The claim, forced: the refresh's closing `revision()` does not answer
-/// until the observer's build has returned. Only a build that runs while
-/// that read is on the wire lets it answer; a build after it would wait for
-/// the read, and the read for it, until the bound fails the read.
+/// A store that does not pipeline answers the refresh's requests one at a
+/// time, and a write lands between two of them: after the listing and the
+/// schemas, before the first page. The closing revision read sees it, the
+/// pass is discarded and retried, and the retry is committed once, for the
+/// revision installed; the cache generation moves once, and the discarded
+/// pass built nothing that could stay resident.
 #[test]
-fn the_observer_builds_while_the_closing_revision_read_is_on_the_wire() {
-    let reads = RevisionReads::new();
-    let built = Arc::new(Gate::default());
-    let (counting, waiting) = (Arc::clone(&reads), Arc::clone(&built));
+fn a_write_between_two_requests_of_a_pipeline_retries_and_commits_once() {
+    let armed = Arc::new(AtomicBool::new(false));
+    let writes = Arc::new(Mutex::new(None::<MemoryBackend>));
+    let (on, writer) = (Arc::clone(&armed), Arc::clone(&writes));
     let stack = Stack::start(
-        Box::new(move |call| match counting.count(call) {
-            // The dispatch's read is the first; the one closing the
-            // harvest, the second.
-            Some(2) if !waiting.wait_for(1, HANG) => {
-                Err(StorageError::Introspect("the build never ran during the closing read".into()))
+        Box::new(move |call| {
+            if call.op == Op::Execute && on.swap(false, Ordering::SeqCst) {
+                if let Some(admin) = writer.lock().expect("writer lock").take() {
+                    write(&admin, 200);
+                }
             }
-            _ => Ok(()),
+            Ok(())
         }),
         Box::new(|_| {}),
+        true,
     );
-    let signal = Arc::clone(&built);
-    let observed = stack.observe(move |_| signal.arrive(), |_| {});
+    *writes.lock().expect("writer lock") = Some(MemoryBackend::over(stack.admin.store()));
+    let observed = stack.observe(|_| {}, |_| {});
     let from = stack.revision();
+    let generation = stack.cache.generation(DB);
 
     write(&stack.admin, 100);
-    reads.arm();
-    let outcome = stack.service.sync(DB).expect("the build answered the latch");
+    let written = live_revision(&stack.admin);
+    armed.store(true, Ordering::SeqCst);
+    let outcome = stack.service.sync(DB).expect("the retry is quiet");
     let to = stack.revision();
     assert_eq!(outcome, SyncOutcome::Refreshed { from, to });
-    assert_eq!(reads.seen.load(Ordering::SeqCst), 2, "revision, wave, revision");
+    assert_ne!(to, written, "the retry installed the write made mid-pipeline");
+    assert!(!armed.load(Ordering::SeqCst), "the write was made");
+
+    let builds = std::mem::take(&mut *observed.builds.lock().expect("log lock"));
+    let revisions: Vec<u64> = builds.iter().map(|build| build.revision).collect();
+    assert_eq!(revisions, vec![to], "only the pass whose bracket held built anything");
     assert_eq!(observed.commits(), vec![to], "one commit, for the installed revision");
+    assert_eq!(stack.cache.generation(DB), generation + 1, "one bump for the refresh");
+    let index = builds[0].index.upgrade().expect("the committed index is held");
+    assert!(builds[0].profile.upgrade().is_some(), "the committed profile is held");
+    assert!(Arc::ptr_eq(&index, &stack.system.value_index_snapshot()[DB]));
     stack.assert_consistent();
 }
 
 /// A write lands as the closing read goes out: that pass's bracket fails
-/// and it retries. Its build is dropped with its commit never run, and
-/// keeps nothing resident; the passing one is committed once, for the
-/// revision installed, and the cache generation moves once.
+/// and it retries. The failed pass builds nothing; the passing one is
+/// committed once, for the revision installed, and the cache generation
+/// moves once.
 #[test]
 fn a_write_at_the_closing_read_retries_and_commits_once() {
     let reads = RevisionReads::new();
@@ -279,6 +298,7 @@ fn a_write_at_the_closing_read_retries_and_commits_once() {
             Ok(())
         }),
         Box::new(|_| {}),
+        false,
     );
     *writes.lock().expect("writer lock") = Some(MemoryBackend::over(stack.admin.store()));
     let observed = stack.observe(|_| {}, |_| {});
@@ -296,14 +316,12 @@ fn a_write_at_the_closing_read_retries_and_commits_once() {
 
     let builds = std::mem::take(&mut *observed.builds.lock().expect("log lock"));
     let revisions: Vec<u64> = builds.iter().map(|build| build.revision).collect();
-    assert_eq!(revisions, vec![written, to], "one build per pass");
+    assert_eq!(revisions, vec![to], "a build for the pass whose bracket held, none for the other");
     assert_eq!(observed.commits(), vec![to], "one commit, for the installed revision");
     assert_eq!(stack.cache.generation(DB), generation + 1, "one bump for the refresh");
 
-    let (discarded, kept) = (&builds[0], &builds[1]);
-    assert!(discarded.index.upgrade().is_none(), "the discarded pass's index is gone");
-    assert!(discarded.profile.upgrade().is_none(), "the discarded pass's profile is gone");
-    let index = kept.index.upgrade().expect("the committed index is held");
+    let index = builds[0].index.upgrade().expect("the committed index is held");
+    assert!(builds[0].profile.upgrade().is_some(), "the committed profile is held");
     assert!(Arc::ptr_eq(&index, &stack.system.value_index_snapshot()[DB]));
     stack.assert_consistent();
 
@@ -328,6 +346,7 @@ fn a_re_attach_parked_in_its_build_commits_beside_its_own_catalog() {
                 signal.arrive();
             }
         }),
+        false,
     );
     let park = Arc::new(AtomicBool::new(false));
     let (entered, release) = (Arc::new(Gate::default()), Arc::new(Gate::default()));
@@ -349,8 +368,8 @@ fn a_re_attach_parked_in_its_build_commits_beside_its_own_catalog() {
     std::thread::scope(|scope| {
         let attach = scope.spawn(|| stack.service.attach(DB).expect("re-attach"));
         assert!(entered.wait_for(1, HANG), "the re-attach reached its build");
-        // Its opening read and the closing one that overlaps the build
-        // have answered: its bracket is settled before the write.
+        // Its opening read and its closing one have answered: its bracket
+        // is settled before the write.
         assert!(answered.wait_for(2, HANG), "the re-attach's bracket was read");
         reads.armed.store(false, Ordering::SeqCst);
 
@@ -378,7 +397,7 @@ fn a_re_attach_parked_in_its_build_commits_beside_its_own_catalog() {
 /// it cannot land between the refresh's insert and commit.
 #[test]
 fn a_re_attach_never_commits_between_a_refreshs_insert_and_commit() {
-    let stack = Stack::start(Box::new(|_| Ok(())), Box::new(|_| {}));
+    let stack = Stack::start(Box::new(|_| Ok(())), Box::new(|_| {}), false);
     let park = Arc::new(AtomicBool::new(false));
     let (entered, release) = (Arc::new(Gate::default()), Arc::new(Gate::default()));
     let (parking, entering, releasing) =

@@ -25,10 +25,14 @@ const DB: &str = "shop";
 /// off a mirror that has seen [`Stack::write`]: which catalog a dispatch
 /// was handed is read off its SQL.
 const PROBE: &str = "How many tickets are there?";
-/// What a refresh or an attach adds to the `revision()` count: the sync's
-/// read that saw the store move (an attach's opening read), and the one
-/// that closes the harvest (DESIGN.md §4k).
-const REFRESH_READS: u64 = 2;
+/// What a refresh after [`Stack::write`] adds to the `revision()` count:
+/// the sync's read that saw the store move, the one closing the pipeline
+/// the mirror it replaces predicts, and the one closing the pipeline that
+/// asks for the new table (DESIGN.md §4k).
+const REFRESH_READS: u64 = 3;
+/// What an attach adds: its opening read, and the one closing the pipeline
+/// that follows the listing.
+const ATTACH_READS: u64 = 2;
 /// Releases a held `revision()` or fails the test, never hangs it.
 const HANG: Duration = Duration::from_secs(30);
 
@@ -400,7 +404,7 @@ fn catalog_checks_are_counted_by_outcome() {
     assert_eq!(counts, [24 + 9 + 1, 1, 1, 1, 2]);
     assert_eq!(
         stack.revisions(),
-        1 + 2 * REFRESH_READS,
+        1 + REFRESH_READS + ATTACH_READS,
         "37 healthy dispatches: three checks"
     );
 }

@@ -15,6 +15,12 @@
 //! * **revision stamping** — a token that changes whenever the database's
 //!   catalog state changes, the currency of the existing cache
 //!   generation-invalidation.
+//!
+//! **Pipelining.** [`Connection::pipeline`] sends several of those
+//! requests at once and reads their replies in order, one wire delay for
+//! the lot (libpq's pipeline mode is the model). The default runs them one
+//! by one, so every connection pipelines correctly; a remote backend
+//! overrides it to pay one round trip, and a wrapper forwards it.
 
 use sqlengine::{QueryResult, TableSchema};
 
@@ -54,6 +60,57 @@ pub trait Connection: Send {
     /// mean identical catalog state; any mutation yields a fresh,
     /// never-reused token.
     fn revision(&mut self, db_id: &str) -> Result<u64, StorageError>;
+
+    /// Send `reqs` against `db_id` without waiting in between, and return
+    /// their replies in order, one per request. A backend that can should
+    /// answer them in one round trip; this default sends them one at a
+    /// time. A request that fails does not stop the later ones: on a broken
+    /// connection they fail too.
+    fn pipeline(&mut self, db_id: &str, reqs: &[Request]) -> Vec<Result<Reply, StorageError>> {
+        reqs.iter().map(|req| req.send(self, db_id)).collect()
+    }
+}
+
+/// One request of a [`Connection::pipeline`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Request {
+    /// [`Connection::tables`].
+    Tables,
+    /// [`Connection::table_schema`] of this table.
+    Schema(String),
+    /// [`Connection::execute`] of this SQL (introspection's pages).
+    Execute(String),
+    /// [`Connection::revision`].
+    Revision,
+}
+
+/// The answer to one [`Request`], of the matching kind.
+#[derive(Debug)]
+pub enum Reply {
+    /// The table names.
+    Tables(Vec<String>),
+    /// The table's schema.
+    Schema(TableSchema),
+    /// The statement's result.
+    Rows(QueryResult),
+    /// The revision token.
+    Revision(u64),
+}
+
+impl Request {
+    /// Send this request alone over `conn`.
+    pub fn send<C: Connection + ?Sized>(
+        &self,
+        conn: &mut C,
+        db_id: &str,
+    ) -> Result<Reply, StorageError> {
+        match self {
+            Request::Tables => conn.tables(db_id).map(Reply::Tables),
+            Request::Schema(table) => conn.table_schema(db_id, table).map(Reply::Schema),
+            Request::Execute(sql) => conn.execute(db_id, sql).map(Reply::Rows),
+            Request::Revision => conn.revision(db_id).map(Reply::Revision),
+        }
+    }
 }
 
 impl Connection for Box<dyn Connection> {
@@ -79,6 +136,10 @@ impl Connection for Box<dyn Connection> {
 
     fn revision(&mut self, db_id: &str) -> Result<u64, StorageError> {
         (**self).revision(db_id)
+    }
+
+    fn pipeline(&mut self, db_id: &str, reqs: &[Request]) -> Vec<Result<Reply, StorageError>> {
+        (**self).pipeline(db_id, reqs)
     }
 }
 

@@ -11,11 +11,12 @@
 //! the chaos suite assertable.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use sqlengine::{QueryResult, TableSchema};
 
-use crate::backend::{Backend, Connection};
+use crate::backend::{Backend, Connection, Reply, Request};
 use crate::error::StorageError;
 
 /// Deterministic fault plan for a [`FlakyBackend`]. Probabilities are in
@@ -33,8 +34,8 @@ pub struct FaultSpec {
     /// connection afterwards — the failure mode only a liveness probe
     /// catches.
     pub silent_break: f64,
-    /// Injected latency per operation (connect included), simulating a
-    /// network round-trip.
+    /// Injected latency per round trip (a connect, an operation, a probe,
+    /// a whole pipeline), simulating the network.
     pub latency: Duration,
 }
 
@@ -95,12 +96,26 @@ pub struct FlakyBackend<B: Backend> {
     /// Connect attempts get their own counter so refusals don't depend on
     /// how many connections were handed out before.
     attempts: AtomicU64,
+    /// Round trips paid, by every connection: see [`FlakyBackend::wire_waits`].
+    waits: Arc<AtomicU64>,
 }
 
 impl<B: Backend> FlakyBackend<B> {
     /// Wrap `inner` with the given fault plan.
     pub fn new(inner: B, spec: FaultSpec) -> FlakyBackend<B> {
-        FlakyBackend { inner, spec, conns: AtomicU64::new(0), attempts: AtomicU64::new(0) }
+        FlakyBackend {
+            inner,
+            spec,
+            conns: AtomicU64::new(0),
+            attempts: AtomicU64::new(0),
+            waits: Arc::default(),
+        }
+    }
+
+    /// Wire waits paid so far: each connect attempt, operation, probe and
+    /// pipeline is one, whatever [`FaultSpec::latency`] is.
+    pub fn wire_waits(&self) -> u64 {
+        self.waits.load(Ordering::Relaxed)
     }
 
     /// The wrapped backend.
@@ -115,36 +130,57 @@ impl<B: Backend> Backend for FlakyBackend<B> {
     }
 
     fn connect(&self) -> Result<Box<dyn Connection>, StorageError> {
-        if !self.spec.latency.is_zero() {
-            std::thread::sleep(self.spec.latency);
-        }
+        wire_wait(&self.waits, self.spec.latency);
         let attempt = self.attempts.fetch_add(1, Ordering::Relaxed);
         if unit(mix(self.spec.seed, u64::MAX, attempt)) < self.spec.connect_fail {
             return Err(StorageError::Connect("injected connect refusal".to_string()));
         }
         let id = self.conns.fetch_add(1, Ordering::Relaxed);
         let inner = self.inner.connect()?;
-        Ok(Box::new(FlakyConnection { inner, spec: self.spec, id, ops: 0, broken: false }))
+        Ok(Box::new(FlakyConnection {
+            inner,
+            spec: self.spec,
+            waits: Arc::clone(&self.waits),
+            id,
+            ops: 0,
+            broken: false,
+        }))
+    }
+}
+
+fn broken() -> StorageError {
+    StorageError::Connect("connection is broken".to_string())
+}
+
+/// One round trip: counted, and slept when there is latency to inject.
+fn wire_wait(waits: &AtomicU64, latency: Duration) {
+    waits.fetch_add(1, Ordering::Relaxed);
+    if !latency.is_zero() {
+        std::thread::sleep(latency);
     }
 }
 
 struct FlakyConnection {
     inner: Box<dyn Connection>,
     spec: FaultSpec,
+    waits: Arc<AtomicU64>,
     id: u64,
     ops: u64,
     broken: bool,
 }
 
 impl FlakyConnection {
-    /// Pre-flight for every operation: latency, broken-state check, and
-    /// the two injected failure modes.
+    /// Pre-flight for every operation: one round trip, then [`Self::draw`].
     fn gate(&mut self) -> Result<(), StorageError> {
-        if !self.spec.latency.is_zero() {
-            std::thread::sleep(self.spec.latency);
-        }
+        wire_wait(&self.waits, self.spec.latency);
+        self.draw()
+    }
+
+    /// One operation's fate: the broken-state check and the two injected
+    /// failure modes.
+    fn draw(&mut self) -> Result<(), StorageError> {
         if self.broken {
-            return Err(StorageError::Connect("connection is broken".to_string()));
+            return Err(broken());
         }
         let word = mix(self.spec.seed, self.id, self.ops);
         self.ops += 1;
@@ -172,13 +208,11 @@ impl Connection for FlakyConnection {
     }
 
     fn ping(&mut self) -> Result<(), StorageError> {
-        if !self.spec.latency.is_zero() {
-            std::thread::sleep(self.spec.latency);
-        }
+        wire_wait(&self.waits, self.spec.latency);
         // Pings answer the broken-state question truthfully and never
         // inject new faults: the probe exists to *detect* breakage.
         if self.broken {
-            return Err(StorageError::Connect("connection is broken".to_string()));
+            return Err(broken());
         }
         self.inner.ping()
     }
@@ -201,6 +235,31 @@ impl Connection for FlakyConnection {
     fn revision(&mut self, db_id: &str) -> Result<u64, StorageError> {
         self.gate()?;
         self.inner.revision(db_id)
+    }
+
+    /// One round trip for the lot, faults drawn per request as if each had
+    /// been sent alone. The requests before the first one to fail reach the
+    /// inner backend as one pipeline; that one fails, and so does every
+    /// later one: the connection is broken by then.
+    fn pipeline(&mut self, db_id: &str, reqs: &[Request]) -> Vec<Result<Reply, StorageError>> {
+        wire_wait(&self.waits, self.spec.latency);
+        let mut failed = None;
+        let mut sent = 0;
+        for _ in reqs {
+            match self.draw() {
+                Ok(()) => sent += 1,
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
+            }
+        }
+        let mut replies = self.inner.pipeline(db_id, &reqs[..sent]);
+        if let Some(e) = failed {
+            replies.push(Err(e));
+            replies.resize_with(reqs.len(), || Err(broken()));
+        }
+        replies
     }
 }
 

@@ -11,36 +11,34 @@
 //! execution of candidate SQL) works on the mirror exactly as it would on
 //! a hand-registered catalog.
 //!
-//! **Waves.** Every fact is one round trip — the table listing, one
-//! table's schema, one page of one table's rows — and a harvest issues
-//! them in *waves*: all the round trips it can name up front at once, over
-//! the caller's connection and whatever connections the pool can lend.
-//! A refresh names them all: the mirror it replaces predicts the listing,
-//! every schema and every page, so when nothing but rows within a page
-//! moved the harvest is one wave. What the prediction missed follows in
-//! further waves: a newly listed table's schema and first page, the next
-//! page of a table whose last page came back full.
+//! **Pipelines.** Every fact is one request — the table listing, one
+//! table's schema, one page of one table's rows — and a harvest sends them
+//! in [`Connection::pipeline`]s over one connection: every request it can
+//! name up front at once. A refresh names them all: the mirror it replaces
+//! predicts the listing, every schema and every page, so when nothing but
+//! rows within a page moved the harvest is one pipeline. What the
+//! prediction missed follows in further pipelines: a newly listed table's
+//! schema and first page, the next page of a table whose last page came
+//! back full.
 //!
-//! **Revision stamping.** The backend's revision token is read before and
-//! after the harvest; on mismatch (the schema moved under the reader) the
-//! harvest retries, and after `CONSISTENCY_RETRIES` failures reports
-//! [`StorageError::Introspect`]. The mirror is stamped with the
-//! *backend's* token ([`sqlengine::Database::set_revision`]), so the
-//! existing cache generation-invalidation works unchanged: an unchanged
-//! schema re-introspects to the same token (no spurious invalidation), a
-//! changed schema yields a fresh token and bumps generations exactly like
-//! a local catalog mutation.
+//! **Revision stamping.** The backend's revision token is read before the
+//! harvest (the first request of its first pipeline, unless the caller has
+//! just read it) and at the end of every later pipeline; the last of those
+//! is `after`. When one differs from `before` (the schema moved under the
+//! reader) the harvest retries, and after `CONSISTENCY_RETRIES` failures
+//! reports [`StorageError::Introspect`]. Tokens are never reused, so the
+//! bracket holds whether or not the backend runs a pipeline atomically.
+//! The mirror is stamped with the *backend's* token
+//! ([`sqlengine::Database::set_revision`]), so the existing cache
+//! generation-invalidation works unchanged: an unchanged schema
+//! re-introspects to the same token (no spurious invalidation), a changed
+//! schema yields a fresh token and bumps generations exactly like a local
+//! catalog mutation.
 
-use std::collections::VecDeque;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use sqlengine::{Database, Row, TableSchema};
 
-use crate::backend::{quote_ident, Connection};
+use crate::backend::{quote_ident, Connection, Reply, Request};
 use crate::error::StorageError;
-use crate::helpers::Helpers;
-use crate::pool::ConnectionPool;
 use crate::service::{Commit, Observer};
 
 /// How many times a harvest restarts when the revision token moves
@@ -113,38 +111,24 @@ fn introspect_err(context: &str, e: StorageError) -> StorageError {
     }
 }
 
-/// Build a [`Catalog`] for `db_id` over `conn` alone.
+/// Build a [`Catalog`] for `db_id` over `conn`.
 pub fn introspect(
     conn: &mut dyn Connection,
     db_id: &str,
     options: &IntrospectOptions,
 ) -> Result<Catalog, StorageError> {
-    introspect_with(conn, None, None, None, db_id, options, None).map(|(catalog, _)| catalog)
+    introspect_with(conn, None, None, db_id, options, None).map(|(catalog, _)| catalog)
 }
 
-/// What a [`crate::CatalogService`] lends an introspection: its pool's
-/// spare connections, and the threads that run them and the build.
-#[derive(Clone, Copy)]
-pub(crate) struct Lender<'a> {
-    pub(crate) pool: &'a ConnectionPool,
-    pub(crate) helpers: &'a Helpers,
-}
-
-/// [`introspect`] with what a [`crate::CatalogService`] can add: `lender`,
-/// whose spare connections run round trips beside `conn`; `prediction`,
-/// the mirror this one replaces, whose tables and row counts name the first
-/// wave; `known`, a revision token the caller has just read; and
-/// `observer`, whose build runs on the pass's mirror. `known` stands in for
-/// the first pass's `before` read — anything that moved since it was read
-/// still fails `before == after` — and a retry reads its own.
-///
-/// A pass assembles its mirror and runs the observer's build on a lent
-/// thread while `after` is on the wire, stamping the mirror with `before`:
-/// the stamp it gets if the bracket holds. A pass whose bracket fails drops
-/// what it built; the caller commits what the passing one built.
+/// [`introspect`] with what a [`crate::CatalogService`] can add:
+/// `prediction`, the mirror this one replaces, whose tables and row counts
+/// name the first pipeline; `known`, a revision token the caller has just
+/// read; and `observer`, whose build runs on the mirror once its bracket
+/// has held. `known` stands in for the first pass's `before` read —
+/// anything that moved since it was read still fails `before == after` —
+/// and a retry reads its own.
 pub(crate) fn introspect_with(
     conn: &mut dyn Connection,
-    lender: Option<Lender<'_>>,
     prediction: Option<&Database>,
     mut known: Option<u64>,
     db_id: &str,
@@ -153,32 +137,14 @@ pub(crate) fn introspect_with(
 ) -> Result<(Catalog, Option<Commit>), StorageError> {
     let mut last_moved = (0u64, 0u64);
     for _ in 0..=CONSISTENCY_RETRIES {
-        let before = match known.take() {
-            Some(token) => token,
-            None => conn.revision(db_id)?,
-        };
-        let harvested = harvest(conn, lender, prediction, db_id, options)?;
-        let observer = observer.cloned();
-        let build = move || {
-            let mut database = harvested.assemble()?;
-            database.set_revision(before);
-            let commit = observer.map(|observe| observe(&database));
-            Ok::<_, StorageError>((database, commit))
-        };
-        let lent = match lender {
-            Some(lender) => lender.helpers.lend(build),
-            None => Err(build),
-        };
-        let after = conn.revision(db_id);
-        // With no thread to lend, the build runs once `after` is in.
-        let built = lent.map_or_else(|build| build(), |lent| lent.join());
-        // An assembly failure is the pass's own, whatever `after` says.
-        let (database, commit) = built?;
-        let after = after?;
-        if before == after {
-            return Ok((Catalog { revision: before, database }, commit));
+        match harvest(conn, prediction, known.take(), db_id, options)? {
+            Bracket::Held(before, mut database) => {
+                database.set_revision(before);
+                let commit = observer.map(|observe| observe(&database));
+                return Ok((Catalog { revision: before, database }, commit));
+            }
+            Bracket::Moved(before, after) => last_moved = (before, after),
         }
-        last_moved = (before, after);
     }
     Err(StorageError::Introspect(format!(
         "{db_id}: revision kept moving during harvest ({} -> {} on the final attempt)",
@@ -186,17 +152,28 @@ pub(crate) fn introspect_with(
     )))
 }
 
-/// One harvest pass's answers: a first wave of the listing and everything
-/// `prediction` names, then follow-up waves for what it missed, until every
-/// listed table's page chain has ended on a short page.
+/// How one harvest pass ended.
+enum Bracket {
+    /// Every revision read matched `before`: the pass's mirror.
+    Held(u64, Database),
+    /// A revision read saw `after`, not `before`.
+    Moved(u64, u64),
+}
+
+/// One harvest pass: a first pipeline of the listing and everything
+/// `prediction` names, then follow-up pipelines for what it missed, until
+/// every listed table's page chain has ended on a short page. `before` is
+/// `known`, or the first request of the first pipeline. The first pipeline
+/// of a pass with a prediction ends in a revision read, and so does every
+/// later one: a pass stops as soon as one has moved.
 fn harvest(
     conn: &mut dyn Connection,
-    lender: Option<Lender<'_>>,
     prediction: Option<&Database>,
+    known: Option<u64>,
     db_id: &str,
     options: &IntrospectOptions,
-) -> Result<Harvested, StorageError> {
-    let mut pass = Pass { db_id, page_size: options.page_size.max(1), lender, tables: Vec::new() };
+) -> Result<Bracket, StorageError> {
+    let mut pass = Pass { db_id, page_size: options.page_size.max(1), tables: Vec::new() };
     let predicted = prediction.map_or(&[][..], |db| &db.tables[..]);
     let ats: Vec<usize> = predicted.iter().map(|table| pass.table(&table.schema.name)).collect();
     let mut units: Vec<Unit> = ats.iter().map(|&at| Unit::Schema(at)).collect();
@@ -205,17 +182,24 @@ fn harvest(
             units.push(pass.next_page(at));
         }
     }
-    let listing = pass.wave(conn, true, units)?;
+    let first = pass.send(conn, known.is_none(), true, units, prediction.is_some())?;
+    let (Some(before), Some(listing)) = (known.or(first.before), first.listing) else {
+        unreachable!("the first pipeline reads the listing, and `before` unless it is known")
+    };
+    let mut after = first.after;
     // Units asked for a predicted table the listing no longer has are
     // dropped from here on, their failures included.
     let listed: Vec<usize> = listing.iter().map(|name| pass.table(name)).collect();
     loop {
         // Of the listed tables that failed, the earliest-listed one is
-        // reported: what a single connection walking the listing reports.
+        // reported: what a serial walk of the listing reports.
         for &at in &listed {
             if let Some((_, e)) = pass.tables[at].failed.take() {
                 return Err(e);
             }
+        }
+        if let Some(after) = after.filter(|&after| after != before) {
+            return Ok(Bracket::Moved(before, after));
         }
         let mut units = Vec::new();
         for &at in &listed {
@@ -228,72 +212,15 @@ fn harvest(
                 units.push(pass.next_page(at));
             }
         }
-        if units.is_empty() {
+        if units.is_empty() && after.is_some() {
             break;
         }
-        pass.wave(conn, false, units)?;
+        after = pass.send(conn, false, false, units, true)?.after;
     }
-    Ok(Harvested {
-        db_id: db_id.to_string(),
-        page_size: pass.page_size,
-        listing,
-        listed,
-        tables: pass.tables,
-    })
+    Ok(Bracket::Held(before, pass.assemble(&listing, &listed)?))
 }
 
-/// A pass's answers, owned, so the mirror can be assembled off the
-/// caller's thread.
-struct Harvested {
-    db_id: String,
-    page_size: usize,
-    listing: Vec<String>,
-    /// `tables` index of each listed name.
-    listed: Vec<usize>,
-    tables: Vec<TableHarvest>,
-}
-
-impl Harvested {
-    /// The mirror, in listing order, so it does not depend on which
-    /// connection ran what, nor on what was predicted.
-    fn assemble(mut self) -> Result<Database, StorageError> {
-        let db_id = &self.db_id;
-        let mut database = Database::new(db_id);
-        for (name, &at) in self.listing.iter().zip(&self.listed) {
-            let twice = || {
-                StorageError::Introspect(format!("{db_id}: backend listed table '{name}' twice"))
-            };
-            let table = &mut self.tables[at];
-            // A name listed twice shares one harvest: its second sighting
-            // finds the schema already taken.
-            let Some(schema) = table.schema.take() else {
-                return Err(twice());
-            };
-            let rows = table.rows(self.page_size);
-            // `create_table` stamps local revisions freely; the final
-            // `set_revision` overwrites them with the backend's token.
-            let created = database.create_table(schema).map_err(|_| twice())?;
-            let column_count = created.schema.columns.len();
-            for row in rows {
-                if row.len() != column_count {
-                    return Err(StorageError::Introspect(format!(
-                        "{db_id}.{name}: row arity {} does not match {column_count} columns",
-                        row.len()
-                    )));
-                }
-                if let Err(e) = created.insert(row) {
-                    return Err(StorageError::Introspect(format!(
-                        "{db_id}.{name}: harvested row rejected by schema: {e}"
-                    )));
-                }
-            }
-        }
-        Ok(database)
-    }
-}
-
-/// One round trip of a harvest. The listing is not one: it is always the
-/// caller's own first round trip of a pass (see [`Pass::wave`]).
+/// One request of a harvest besides the listing and the revision reads.
 #[derive(Debug, Clone, Copy)]
 enum Unit {
     /// `table_schema` of [`Pass::tables`]`[at]`.
@@ -302,10 +229,23 @@ enum Unit {
     Page(usize, usize),
 }
 
-/// What a unit brought back.
-enum Answer {
-    Schema(usize, TableSchema),
-    Page(usize, usize, Vec<Row>),
+/// What one pipeline read besides its units' answers.
+struct Sent {
+    before: Option<u64>,
+    listing: Option<Vec<String>>,
+    after: Option<u64>,
+}
+
+/// A revision read's answer.
+fn revision(db_id: &str, reply: Result<Reply, StorageError>) -> Result<u64, StorageError> {
+    match reply? {
+        Reply::Revision(token) => Ok(token),
+        _ => Err(mismatched(db_id, "a revision read")),
+    }
+}
+
+fn mismatched(db_id: &str, request: &str) -> StorageError {
+    StorageError::Introspect(format!("{db_id}: backend answered {request} with another kind"))
 }
 
 /// What a pass knows of one table, predicted or listed.
@@ -347,11 +287,10 @@ impl TableHarvest {
     }
 }
 
-/// One harvest pass's state between waves.
+/// One harvest pass's state between pipelines.
 struct Pass<'a> {
     db_id: &'a str,
     page_size: usize,
-    lender: Option<Lender<'a>>,
     /// Every table the pass has asked about; units index into it.
     tables: Vec<TableHarvest>,
 }
@@ -378,173 +317,130 @@ impl Pass<'_> {
         Unit::Page(at, pages.len() - 1)
     }
 
-    /// Run one wave: `units`, and when `list` the table listing (returned;
-    /// empty otherwise) on the caller's connection first. Units are pulled
-    /// off one queue by `conn` and by as many connections as the lender can
-    /// spare without making anyone wait; returns once every lent
-    /// connection is back in the pool, with the answers folded in.
-    fn wave(
+    /// The mirror, in listing order, so it does not depend on what was
+    /// predicted.
+    fn assemble(
+        mut self,
+        listing: &[String],
+        listed: &[usize],
+    ) -> Result<Database, StorageError> {
+        let db_id = self.db_id;
+        let mut database = Database::new(db_id);
+        for (name, &at) in listing.iter().zip(listed) {
+            let twice = || {
+                StorageError::Introspect(format!("{db_id}: backend listed table '{name}' twice"))
+            };
+            let table = &mut self.tables[at];
+            // A name listed twice shares one harvest: its second sighting
+            // finds the schema already taken.
+            let Some(schema) = table.schema.take() else {
+                return Err(twice());
+            };
+            let rows = table.rows(self.page_size);
+            // `create_table` stamps local revisions freely; the final
+            // `set_revision` overwrites them with the backend's token.
+            let created = database.create_table(schema).map_err(|_| twice())?;
+            let column_count = created.schema.columns.len();
+            for row in rows {
+                if row.len() != column_count {
+                    return Err(StorageError::Introspect(format!(
+                        "{db_id}.{name}: row arity {} does not match {column_count} columns",
+                        row.len()
+                    )));
+                }
+                if let Err(e) = created.insert(row) {
+                    return Err(StorageError::Introspect(format!(
+                        "{db_id}.{name}: harvested row rejected by schema: {e}"
+                    )));
+                }
+            }
+        }
+        Ok(database)
+    }
+
+    /// The request that runs `unit`.
+    fn request(&self, unit: Unit) -> Request {
+        match unit {
+            Unit::Schema(at) => Request::Schema(self.tables[at].name.clone()),
+            Unit::Page(at, page) => Request::Execute(format!(
+                "SELECT * FROM {} LIMIT {} OFFSET {}",
+                quote_ident(&self.tables[at].name),
+                self.page_size,
+                page * self.page_size
+            )),
+        }
+    }
+
+    /// Send one pipeline over `conn`: a revision read when `before`, the
+    /// listing when `list`, `units`, and a revision read when `after`; fold
+    /// the units' answers in. The pass fails on a failed revision read or
+    /// listing, and on a unit that failed at the transport (the connection
+    /// is gone); any other unit failure is its table's, judged once the
+    /// listing is known.
+    fn send(
         &mut self,
         conn: &mut dyn Connection,
+        before: bool,
         list: bool,
         units: Vec<Unit>,
-    ) -> Result<Vec<String>, StorageError> {
-        let work = units.len() + usize::from(list);
-        let wave = Arc::new(Wave {
-            db_id: self.db_id.to_string(),
-            page_size: self.page_size,
-            names: self.tables.iter().map(|table| table.name.clone()).collect(),
-            state: Mutex::new(WaveState {
-                pending: units.into(),
-                answers: Vec::with_capacity(work),
-                failures: Vec::new(),
-                fatal: None,
-            }),
-        });
-        let lent = match self.lender {
-            Some(Lender { pool, helpers }) => {
-                helpers.lend_many(pool.free_slots().min(work.saturating_sub(1)), || {
-                    let (wave, pool) = (Arc::clone(&wave), pool.clone());
-                    // Checked out on the helper's own thread: an
-                    // establishment is a round trip the caller should not
-                    // wait for.
-                    move || {
-                        if let Some(mut lent) = pool.try_checkout() {
-                            wave.pull(&mut lent, true);
-                        }
-                    }
-                })
-            }
-            None => Vec::new(),
+        after: bool,
+    ) -> Result<Sent, StorageError> {
+        let db_id = self.db_id;
+        let mut reqs = Vec::with_capacity(units.len() + 3);
+        if before {
+            reqs.push(Request::Revision);
+        }
+        if list {
+            reqs.push(Request::Tables);
+        }
+        reqs.extend(units.iter().map(|&unit| self.request(unit)));
+        if after {
+            reqs.push(Request::Revision);
+        }
+        let mut replies = conn.pipeline(db_id, &reqs).into_iter();
+        let mut next = || {
+            replies.next().unwrap_or_else(|| {
+                Err(StorageError::Introspect(format!("{db_id}: backend answered a pipeline short")))
+            })
         };
-        let listing = if list { wave.list(conn) } else { Vec::new() };
-        wave.pull(conn, false);
-        for helper in lent {
-            helper.join();
-        }
-        // Every helper is done: a unit one of them handed back after the
-        // caller's loop had run dry runs now.
-        wave.pull(conn, false);
-
-        let WaveState { answers, failures, fatal, .. } = std::mem::take(&mut *wave.state.lock());
-        if let Some(e) = fatal {
-            return Err(e);
-        }
-        for answer in answers {
-            match answer {
-                Answer::Schema(at, schema) => {
+        let before = if before { Some(revision(db_id, next())?) } else { None };
+        let listing = match list.then(&mut next).transpose()? {
+            Some(Reply::Tables(names)) => Some(names),
+            Some(_) => return Err(mismatched(db_id, "the table listing")),
+            None => None,
+        };
+        for unit in units {
+            let (at, rank, outcome) = match (unit, next()) {
+                (_, Err(e @ StorageError::Connect(_))) => return Err(e),
+                (Unit::Schema(at), Ok(Reply::Schema(schema))) => {
                     let table = &mut self.tables[at];
                     if schema.name.eq_ignore_ascii_case(&table.name) {
                         table.schema = Some(schema);
-                    } else {
-                        let e = StorageError::Introspect(format!(
-                            "{}: backend described table '{}' when asked for '{}'",
-                            self.db_id, schema.name, table.name
-                        ));
-                        table.fail(0, e);
+                        continue;
                     }
+                    let e = StorageError::Introspect(format!(
+                        "{db_id}: backend described table '{}' when asked for '{}'",
+                        schema.name, table.name
+                    ));
+                    (at, 0, e)
                 }
-                Answer::Page(at, page, rows) => self.tables[at].pages[page] = Some(rows),
-            }
-        }
-        for (unit, e) in failures {
-            match unit {
-                Unit::Schema(at) => self.tables[at].fail(0, e),
-                Unit::Page(at, page) => self.tables[at].fail(page + 1, e),
-            }
-        }
-        Ok(listing)
-    }
-}
-
-/// What the connections of one wave share; owned, so the service's
-/// long-lived helpers can hold it.
-struct Wave {
-    db_id: String,
-    page_size: usize,
-    /// [`Pass::tables`]' names, which units index.
-    names: Vec<String>,
-    state: Mutex<WaveState>,
-}
-
-#[derive(Default)]
-struct WaveState {
-    /// Units nobody has taken yet.
-    pending: VecDeque<Unit>,
-    answers: Vec<Answer>,
-    failures: Vec<(Unit, StorageError)>,
-    /// Why the wave cannot finish: the listing failed, or the caller's own
-    /// connection failed at the transport. Once set, nobody takes another
-    /// unit.
-    fatal: Option<StorageError>,
-}
-
-impl Wave {
-    /// The table listing, over the caller's connection.
-    fn list(&self, conn: &mut dyn Connection) -> Vec<String> {
-        conn.tables(&self.db_id).unwrap_or_else(|e| {
-            self.state.lock().fatal.get_or_insert(e);
-            Vec::new()
-        })
-    }
-
-    /// The unit loop: take the next pending unit and run it over `conn`,
-    /// until none is left or the wave has failed. A `lent` connection that
-    /// fails at the transport (it died while parked, say) does not fail
-    /// the wave: its unit goes back on the queue for the caller's
-    /// connection, which has proved itself live, and the guard, tainted by
-    /// that failure, is probed or discarded when it drops. A transport
-    /// failure on the caller's connection fails the wave. Any other error
-    /// is the unit's, judged once the listing is known.
-    fn pull(&self, conn: &mut dyn Connection, lent: bool) {
-        loop {
-            let unit = {
-                let mut state = self.state.lock();
-                if state.fatal.is_some() {
-                    return;
+                (Unit::Page(at, page), Ok(Reply::Rows(result))) => {
+                    self.tables[at].pages[page] = Some(result.rows);
+                    continue;
                 }
-                let Some(unit) = state.pending.pop_front() else {
-                    return;
-                };
-                unit
+                (Unit::Schema(at), reply) => {
+                    (at, 0, reply.err().unwrap_or_else(|| mismatched(db_id, "a schema request")))
+                }
+                (Unit::Page(at, page), reply) => {
+                    let e = reply.err().unwrap_or_else(|| mismatched(db_id, "a page"));
+                    let name = &self.tables[at].name;
+                    (at, page + 1, introspect_err(&format!("{db_id}.{name} row harvest"), e))
+                }
             };
-            let outcome = self.run(conn, unit);
-            let mut state = self.state.lock();
-            match outcome {
-                Ok(answer) => state.answers.push(answer),
-                Err(StorageError::Connect(_)) if lent => {
-                    state.pending.push_front(unit);
-                    return;
-                }
-                Err(e @ StorageError::Connect(_)) => {
-                    state.fatal.get_or_insert(e);
-                    return;
-                }
-                Err(e) => state.failures.push((unit, e)),
-            }
+            self.tables[at].fail(rank, outcome);
         }
-    }
-
-    /// One round trip.
-    fn run(&self, conn: &mut dyn Connection, unit: Unit) -> Result<Answer, StorageError> {
-        let db_id = &self.db_id;
-        match unit {
-            Unit::Schema(at) => {
-                conn.table_schema(db_id, &self.names[at]).map(|s| Answer::Schema(at, s))
-            }
-            Unit::Page(at, page) => {
-                let name = &self.names[at];
-                let sql = format!(
-                    "SELECT * FROM {} LIMIT {} OFFSET {}",
-                    quote_ident(name),
-                    self.page_size,
-                    page * self.page_size
-                );
-                conn.execute(db_id, &sql)
-                    .map(|result| Answer::Page(at, page, result.rows))
-                    .map_err(|e| introspect_err(&format!("{db_id}.{name} row harvest"), e))
-            }
-        }
+        let after = if after { Some(revision(db_id, next())?) } else { None };
+        Ok(Sent { before, listing, after })
     }
 }
 

@@ -30,7 +30,6 @@
 mod backend;
 mod error;
 mod flaky;
-mod helpers;
 mod introspect;
 mod memory;
 pub mod metrics;
@@ -39,7 +38,7 @@ mod service;
 #[doc(hidden)]
 pub mod testing;
 
-pub use backend::{Backend, Connection};
+pub use backend::{Backend, Connection, Reply, Request};
 pub use error::StorageError;
 pub use flaky::{FaultSpec, FlakyBackend};
 pub use introspect::{introspect, Catalog, IntrospectOptions};

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use sqlengine::{Database, ExecLimits, QueryResult, TableSchema};
 
-use crate::backend::{Backend, Connection};
+use crate::backend::{Backend, Connection, Reply, Request};
 use crate::error::StorageError;
 
 /// The shared database store a [`MemoryBackend`] serves. Cloning the
@@ -105,15 +105,27 @@ impl MemoryConnection {
             .ok_or_else(|| StorageError::UnknownDatabase(db_id.to_string()))?;
         f(db)
     }
+
+    fn run_sql(&self, db: &Database, sql: &str) -> Result<QueryResult, StorageError> {
+        sqlengine::execute_query_governed(db, sql, &self.limits)
+            .map(|(result, _stats)| result)
+            .map_err(StorageError::Engine)
+    }
+}
+
+fn table_names(db: &Database) -> Vec<String> {
+    db.table_names().into_iter().map(String::from).collect()
+}
+
+fn schema_of(db: &Database, table: &str) -> Result<TableSchema, StorageError> {
+    db.table(table)
+        .map(|t| t.schema.clone())
+        .ok_or_else(|| StorageError::Introspect(format!("{}: no table '{table}'", db.name)))
 }
 
 impl Connection for MemoryConnection {
     fn execute(&mut self, db_id: &str, sql: &str) -> Result<QueryResult, StorageError> {
-        self.with_db(db_id, |db| {
-            sqlengine::execute_query_governed(db, sql, &self.limits)
-                .map(|(result, _stats)| result)
-                .map_err(StorageError::Engine)
-        })
+        self.with_db(db_id, |db| self.run_sql(db, sql))
     }
 
     fn ping(&mut self) -> Result<(), StorageError> {
@@ -128,19 +140,35 @@ impl Connection for MemoryConnection {
     }
 
     fn tables(&mut self, db_id: &str) -> Result<Vec<String>, StorageError> {
-        self.with_db(db_id, |db| Ok(db.table_names().into_iter().map(String::from).collect()))
+        self.with_db(db_id, |db| Ok(table_names(db)))
     }
 
     fn table_schema(&mut self, db_id: &str, table: &str) -> Result<TableSchema, StorageError> {
-        self.with_db(db_id, |db| {
-            db.table(table)
-                .map(|t| t.schema.clone())
-                .ok_or_else(|| StorageError::Introspect(format!("{db_id}: no table '{table}'")))
-        })
+        self.with_db(db_id, |db| schema_of(db, table))
     }
 
     fn revision(&mut self, db_id: &str) -> Result<u64, StorageError> {
         self.with_db(db_id, |db| Ok(db.revision()))
+    }
+
+    /// In order, under one read lock: no write lands between two requests,
+    /// so a trailing [`Request::Revision`] stamps everything before it.
+    fn pipeline(&mut self, db_id: &str, reqs: &[Request]) -> Vec<Result<Reply, StorageError>> {
+        let store = self.store.read();
+        let Some(db) = store.get(db_id) else {
+            return reqs
+                .iter()
+                .map(|_| Err(StorageError::UnknownDatabase(db_id.to_string())))
+                .collect();
+        };
+        reqs.iter()
+            .map(|req| match req {
+                Request::Tables => Ok(Reply::Tables(table_names(db))),
+                Request::Schema(table) => schema_of(db, table).map(Reply::Schema),
+                Request::Execute(sql) => self.run_sql(db, sql).map(Reply::Rows),
+                Request::Revision => Ok(Reply::Revision(db.revision())),
+            })
+            .collect()
     }
 }
 

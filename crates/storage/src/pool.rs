@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use sqlengine::{Backoff, QueryResult, TableSchema};
 
-use crate::backend::{Backend, Connection};
+use crate::backend::{Backend, Connection, Reply, Request};
 use crate::error::StorageError;
 use crate::metrics::{PoolMetrics, PoolStats};
 
@@ -87,11 +87,6 @@ struct PoolInner {
     slots_rx: Receiver<Slot>,
     metrics: PoolMetrics,
     closed: parking_lot::RwLock<bool>,
-    /// Held while [`ConnectionPool::prefer_idle`] has empty slots out of
-    /// the channel, and by [`ConnectionPool::try_checkout`] from before
-    /// its receive: an empty channel then means no slot is free, not that
-    /// another hand-out is mid-scan.
-    scan: parking_lot::Mutex<()>,
 }
 
 /// The connection pool. Cheap to clone; all clones share the same slots.
@@ -128,7 +123,6 @@ impl ConnectionPool {
                 slots_rx,
                 metrics: PoolMetrics::new(registry),
                 closed: parking_lot::RwLock::new(false),
-                scan: parking_lot::Mutex::new(()),
             }),
         }
     }
@@ -162,42 +156,14 @@ impl ConnectionPool {
             Err(RecvTimeoutError::Disconnected) => return Err(StorageError::Closed),
         };
         self.inner.metrics.checkout_wait.record_seconds(started.elapsed().as_secs_f64());
-        let slot = {
-            let _scan = self.inner.scan.lock();
-            self.prefer_idle(slot)
-        };
+        let slot = self.prefer_idle(slot);
         self.hand_out(slot)
-    }
-
-    /// Check out a connection only if a slot is free right now: never
-    /// waits on [`PoolConfig::checkout_timeout`] and never counts as
-    /// exhaustion. `None` when every slot is taken, the pool is closed, or
-    /// the free slot's connection could not be established. For work that
-    /// can use a spare connection but must not take one from a caller that
-    /// needs it — the harvest's helpers ([`crate::introspect`]).
-    pub fn try_checkout(&self) -> Option<PooledConn> {
-        if *self.inner.closed.read() {
-            return None;
-        }
-        let slot = {
-            let _scan = self.inner.scan.lock();
-            self.prefer_idle(self.inner.slots_rx.try_recv().ok()?)
-        };
-        self.hand_out(slot).ok()
-    }
-
-    /// Slots free right now: how many [`ConnectionPool::try_checkout`]s
-    /// could succeed, stale as soon as it is read.
-    pub(crate) fn free_slots(&self) -> usize {
-        let _scan = self.inner.scan.lock();
-        self.inner.slots_rx.len()
     }
 
     /// Prefer recycling an idle connection over establishing a new one:
     /// the slot channel is FIFO, so an empty slot can sit ahead of a
     /// perfectly good idle connection. Scan the remaining slots for one
     /// (holding the empties briefly), and give every surplus slot back.
-    /// The caller holds [`PoolInner::scan`].
     fn prefer_idle(&self, mut slot: Slot) -> Slot {
         if slot.conn.is_none() {
             let mut empties_held = 1usize;
@@ -394,12 +360,18 @@ impl PooledConn {
             None => return Err(StorageError::Closed),
         };
         let result = f(conn.as_mut());
+        self.account(&result);
+        result
+    }
+
+    /// Fold one answer into the checkout's health: a transport error
+    /// taints it, anything else proves it live.
+    fn account<R>(&mut self, result: &Result<R, StorageError>) {
         if matches!(result, Err(StorageError::Connect(_))) {
             self.tainted = true;
         } else {
             self.proved_live = true;
         }
-        result
     }
 
     /// Explicitly discard this connection instead of recycling it.
@@ -447,6 +419,17 @@ impl Connection for PooledConn {
 
     fn revision(&mut self, db_id: &str) -> Result<u64, StorageError> {
         self.run(|c| c.revision(db_id))
+    }
+
+    fn pipeline(&mut self, db_id: &str, reqs: &[Request]) -> Vec<Result<Reply, StorageError>> {
+        let replies = match self.conn.as_mut() {
+            Some(conn) => conn.pipeline(db_id, reqs),
+            None => reqs.iter().map(|_| Err(StorageError::Closed)).collect(),
+        };
+        for reply in &replies {
+            self.account(reply);
+        }
+        replies
     }
 }
 

@@ -7,17 +7,17 @@
 //! cheap check a dispatch makes — one pooled revision read — that
 //! re-introspects and swaps the catalog only when the backend's token
 //! moved, one re-introspection per database at a time however many
-//! dispatches saw the token move. An introspection borrows whatever
-//! connections the pool has free to run its round trips side by side, and
-//! a re-introspection asks for everything the catalog it replaces predicts
-//! in one wave (DESIGN.md §4k). Every install runs the registered revision
-//! observer in two halves: its build derives state from the fresh mirror
-//! while the harvest's closing revision read is on the wire, and its commit
-//! installs that state beside the catalog, under the database's refresh
-//! lock. The serving layer builds the value index and schema profile and
-//! commits them with `SystemCache::observe_revision`, so a schema change on
-//! the live backend bumps cache generations exactly like a local catalog
-//! mutation.
+//! dispatches saw the token move. An introspection runs on one pooled
+//! connection, and a re-introspection asks for everything the catalog it
+//! replaces predicts in one pipeline (DESIGN.md §4k). Every install runs
+//! the registered revision observer in two halves: its build derives state
+//! from the fresh mirror on the caller's thread once the harvest's bracket
+//! has held, and its commit installs that state beside the catalog, under
+//! the database's refresh lock. An attach builds before it takes that lock,
+//! so a re-attach busy building never holds up a refresh. The serving layer
+//! builds the value index and schema profile and commits them with
+//! `SystemCache::observe_revision`, so a schema change on the live backend
+//! bumps cache generations exactly like a local catalog mutation.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,8 +27,7 @@ use sqlengine::Database;
 
 use crate::backend::Connection;
 use crate::error::StorageError;
-use crate::helpers::Helpers;
-use crate::introspect::{introspect_with, Catalog, IntrospectOptions, Lender};
+use crate::introspect::{introspect_with, Catalog, IntrospectOptions};
 use crate::pool::{ConnectionPool, PooledConn};
 
 /// The second half of a [`RevisionObserver`]: installs what its build
@@ -37,13 +36,13 @@ use crate::pool::{ConnectionPool, PooledConn};
 pub type Commit = Box<dyn FnOnce() + Send>;
 
 /// The build half of a revision observer, run on every mirror an attach or
-/// a sync harvests (first sighting included): pure work on the
-/// revision-stamped mirror, done while the harvest's closing revision read
-/// is on the wire. It returns the [`Commit`] that installs its result; a
-/// pass whose revision moved under it drops that commit unrun.
+/// a sync installs (first sighting included): pure work on the
+/// revision-stamped mirror, done once the harvest's bracket has held and
+/// outside the refresh lock. It returns the [`Commit`] that installs its
+/// result.
 pub type RevisionObserver = Box<dyn Fn(&Database) -> Commit + Send + Sync>;
 
-/// A registered observer, shared with the thread that runs its build.
+/// A registered observer, held by a harvest without the service's lock.
 pub(crate) type Observer = Arc<dyn Fn(&Database) -> Commit + Send + Sync>;
 
 /// What a [`CatalogService::sync`] found.
@@ -72,22 +71,17 @@ pub struct CatalogService {
     /// every install holds it across its insert and commit.
     refreshing: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     observer: RwLock<Option<Observer>>,
-    /// Threads for the harvests' lent connections and builds: at most one
-    /// per pool slot beyond the caller's own.
-    helpers: Helpers,
 }
 
 impl CatalogService {
     /// A service over `pool` with the given introspection options.
     pub fn new(pool: ConnectionPool, options: IntrospectOptions) -> CatalogService {
-        let helpers = Helpers::new(pool.capacity() - 1);
         CatalogService {
             pool,
             options,
             catalogs: RwLock::new(HashMap::new()),
             refreshing: Mutex::new(HashMap::new()),
             observer: RwLock::new(None),
-            helpers,
         }
     }
 
@@ -102,11 +96,6 @@ impl CatalogService {
     /// post-change request can consult the cache.
     pub fn set_revision_observer(&self, observer: RevisionObserver) {
         *self.observer.write() = Some(Arc::from(observer));
-    }
-
-    /// The threads this service lends its harvests.
-    pub(crate) fn helpers(&self) -> &Helpers {
-        &self.helpers
     }
 
     /// The refresh lock of `db_id`.
@@ -135,8 +124,7 @@ impl CatalogService {
     }
 
     /// Attach (or re-attach) a database: introspect it over a pooled
-    /// connection, helped by whatever connections the pool has free, and
-    /// install the catalog. Only the install takes the refresh lock, so an
+    /// connection and install the catalog. Only the install takes the refresh lock, so an
     /// attach and a refresh of one database harvest side by side and
     /// commit one after the other.
     pub fn attach(&self, db_id: &str) -> Result<Arc<Catalog>, StorageError> {
@@ -157,10 +145,8 @@ impl CatalogService {
         let installed = self.catalog(db_id);
         let prediction = installed.as_ref().map(|catalog| &catalog.database);
         let observer = self.observer.read().clone();
-        let lender = Lender { pool: &self.pool, helpers: &self.helpers };
-        let observer = observer.as_ref();
         self.read(|conn| {
-            introspect_with(conn, Some(lender), prediction, known, db_id, &self.options, observer)
+            introspect_with(conn, prediction, known, db_id, &self.options, observer.as_ref())
         })
     }
 

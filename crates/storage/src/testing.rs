@@ -1,32 +1,18 @@
 //! Test support shared by the storage, serving and gateway suites: a
-//! [`Backend`] wrapper that counts every wire operation and connection,
-//! and runs a per-test hook before each operation (and, optionally, one
-//! after it); and a view of a [`CatalogService`]'s helper threads. Not part
-//! of the crate's API.
+//! [`Backend`] wrapper that counts every wire operation, pipeline and
+//! connection, and runs a per-test hook before each operation (and,
+//! optionally, one after it). Not part of the crate's API.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use sqlengine::{QueryResult, TableSchema};
 
-use crate::backend::{Backend, Connection};
+use crate::backend::{Backend, Connection, Reply, Request};
 use crate::error::StorageError;
-use crate::service::CatalogService;
 
-/// Helper threads `service` has spawned: each lives until the service
-/// drops, so this only grows.
-pub fn helper_threads(service: &CatalogService) -> usize {
-    service.helpers().spawned()
-}
-
-/// A handle whose strong count is `service`'s live helper threads plus
-/// one while the service lives, and zero once it has dropped and joined
-/// them all.
-pub fn helper_liveness(service: &CatalogService) -> Weak<()> {
-    Arc::downgrade(&service.helpers().alive)
-}
-
-/// The six [`Connection`] operations.
+/// The six [`Connection`] operations. A pipeline's requests count as the
+/// operations they name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// [`Connection::execute`].
@@ -67,6 +53,7 @@ pub type After = Box<dyn Fn(&Call<'_>) + Send + Sync>;
 #[derive(Debug, Default)]
 pub struct Wire {
     ops: [AtomicU64; 6],
+    pipelines: AtomicU64,
     connects: AtomicU64,
     live: AtomicI64,
     peak: AtomicI64,
@@ -79,11 +66,17 @@ impl Wire {
         self.ops[op as usize].load(Ordering::SeqCst)
     }
 
-    /// Zero the operation counts (connection counts are kept).
+    /// [`Connection::pipeline`] calls since the last [`Wire::reset`].
+    pub fn pipelines(&self) -> u64 {
+        self.pipelines.load(Ordering::SeqCst)
+    }
+
+    /// Zero the operation and pipeline counts (connection counts are kept).
     pub fn reset(&self) {
         for op in &self.ops {
             op.store(0, Ordering::SeqCst);
         }
+        self.pipelines.store(0, Ordering::SeqCst);
     }
 
     /// Connections ever established.
@@ -108,11 +101,18 @@ impl Wire {
 }
 
 /// A backend wrapper: counts into a [`Wire`], runs the hooks.
+///
+/// A pipeline is forwarded to the inner backend as one, less the requests
+/// whose `before` hook failed them: every `before` runs first, every
+/// `after` once the inner pipeline has answered. [`Hooked::unpipelined`]
+/// runs a pipeline's requests one at a time instead, each with its hooks,
+/// as a backend that does not pipeline would.
 pub struct Hooked<B> {
     inner: B,
     wire: Arc<Wire>,
     before: Arc<Before>,
     after: Arc<After>,
+    unpipelined: bool,
 }
 
 impl<B: Backend> Hooked<B> {
@@ -123,7 +123,19 @@ impl<B: Backend> Hooked<B> {
             wire: Arc::default(),
             before: Arc::new(Box::new(|_| Ok(()))),
             after: Arc::new(Box::new(|_| {})),
+            unpipelined: false,
         }
+    }
+
+    /// Run every pipeline's requests one at a time, hooks between them.
+    pub fn unpipelined(mut self) -> Hooked<B> {
+        self.unpipelined = true;
+        self
+    }
+
+    /// The wrapped backend.
+    pub fn inner(&self) -> &B {
+        &self.inner
     }
 
     /// Run `hook` before every operation.
@@ -164,6 +176,7 @@ impl<B: Backend> Backend for Hooked<B> {
             wire: Arc::clone(&self.wire),
             before: Arc::clone(&self.before),
             after: Arc::clone(&self.after),
+            unpipelined: self.unpipelined,
         }))
     }
 }
@@ -175,10 +188,11 @@ struct HookedConn {
     wire: Arc<Wire>,
     before: Arc<Before>,
     after: Arc<After>,
+    unpipelined: bool,
 }
 
 impl HookedConn {
-    fn call<R>(
+    fn run<R>(
         &mut self,
         op: Op,
         target: &str,
@@ -191,11 +205,27 @@ impl HookedConn {
             (self.after)(&call);
             answer
         });
+        self.note(&result);
+        result
+    }
+
+    /// Count a transport error the first time this connection returns one.
+    fn note<R>(&mut self, result: &Result<R, StorageError>) {
         if matches!(result, Err(StorageError::Connect(_))) && !self.faulted {
             self.faulted = true;
             self.wire.live_faulted.fetch_add(1, Ordering::SeqCst);
         }
-        result
+    }
+
+    /// How a hook sees `req`.
+    fn call<'a>(&self, req: &'a Request) -> Call<'a> {
+        let (op, target) = match req {
+            Request::Tables => (Op::Tables, ""),
+            Request::Schema(table) => (Op::TableSchema, table.as_str()),
+            Request::Execute(sql) => (Op::Execute, sql.as_str()),
+            Request::Revision => (Op::Revision, ""),
+        };
+        Call { op, conn: self.id, target }
     }
 }
 
@@ -210,26 +240,68 @@ impl Drop for HookedConn {
 
 impl Connection for HookedConn {
     fn execute(&mut self, db_id: &str, sql: &str) -> Result<QueryResult, StorageError> {
-        self.call(Op::Execute, sql, |c| c.execute(db_id, sql))
+        self.run(Op::Execute, sql, |c| c.execute(db_id, sql))
     }
 
     fn ping(&mut self) -> Result<(), StorageError> {
-        self.call(Op::Ping, "", |c| c.ping())
+        self.run(Op::Ping, "", |c| c.ping())
     }
 
     fn databases(&mut self) -> Result<Vec<String>, StorageError> {
-        self.call(Op::Databases, "", |c| c.databases())
+        self.run(Op::Databases, "", |c| c.databases())
     }
 
     fn tables(&mut self, db_id: &str) -> Result<Vec<String>, StorageError> {
-        self.call(Op::Tables, "", |c| c.tables(db_id))
+        self.run(Op::Tables, "", |c| c.tables(db_id))
     }
 
     fn table_schema(&mut self, db_id: &str, table: &str) -> Result<TableSchema, StorageError> {
-        self.call(Op::TableSchema, table, |c| c.table_schema(db_id, table))
+        self.run(Op::TableSchema, table, |c| c.table_schema(db_id, table))
     }
 
     fn revision(&mut self, db_id: &str) -> Result<u64, StorageError> {
-        self.call(Op::Revision, "", |c| c.revision(db_id))
+        self.run(Op::Revision, "", |c| c.revision(db_id))
+    }
+
+    fn pipeline(&mut self, db_id: &str, reqs: &[Request]) -> Vec<Result<Reply, StorageError>> {
+        self.wire.pipelines.fetch_add(1, Ordering::SeqCst);
+        if self.unpipelined {
+            return reqs
+                .iter()
+                .map(|req| {
+                    let call = self.call(req);
+                    self.run(call.op, call.target, |c| req.send(c, db_id))
+                })
+                .collect();
+        }
+        let mut replies: Vec<Option<Result<Reply, StorageError>>> = Vec::new();
+        let mut sent = Vec::new();
+        for req in reqs {
+            let call = self.call(req);
+            self.wire.ops[call.op as usize].fetch_add(1, Ordering::SeqCst);
+            match (self.before)(&call) {
+                Ok(()) => {
+                    sent.push(req.clone());
+                    replies.push(None);
+                }
+                Err(e) => replies.push(Some(Err(e))),
+            }
+        }
+        let mut answers = self.inner.pipeline(db_id, &sent).into_iter();
+        for req in &sent {
+            (self.after)(&self.call(req));
+        }
+        let replies: Vec<_> = replies
+            .into_iter()
+            .map(|reply| {
+                reply.or_else(|| answers.next()).unwrap_or_else(|| {
+                    Err(StorageError::Introspect("the pipeline answered too few".into()))
+                })
+            })
+            .collect();
+        for reply in &replies {
+            self.note(reply);
+        }
+        replies
     }
 }

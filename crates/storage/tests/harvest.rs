@@ -1,22 +1,20 @@
-//! The harvest under a pool: round trips — the listing, one table's
-//! schema, one page of rows — pulled off one queue by the caller's
-//! connection and by whatever connections the pool can lend must build the
-//! mirror a single connection builds, really overlap on the wire, never
-//! wait for or starve a checkout, issue exactly the round trips the
-//! protocol names (a refresh whose prediction holds: revision, one wave,
-//! revision), survive lent connections that died while parked and units
-//! for tables the listing no longer has, catch a write that lands
-//! mid-harvest — and a refresh must be single-flight per database.
-//! Interleavings are forced with counters and condition variables; no test
-//! decides anything on elapsed time (the bounded waits below only turn a
-//! hang into a failure).
+//! The harvest under a pool: requests — the listing, one table's schema,
+//! one page of rows — sent in pipelines over one pooled connection must
+//! build the mirror a bare connection builds, issue exactly the requests
+//! and pipelines the protocol names (a refresh whose prediction holds: the
+//! dispatch's revision read, then one pipeline ending in `after`), survive
+//! connections that died while parked and requests for tables the listing
+//! no longer has, give up on a revision that keeps moving — and a refresh
+//! must be single-flight per database. Interleavings are forced with
+//! counters and condition variables; no test decides anything on elapsed
+//! time (the bounded waits below only turn a hang into a failure).
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use codes_storage::testing::{Call, Hooked, Op, Wire};
+use codes_storage::testing::{Hooked, Op};
 use codes_storage::{
     introspect, Backend, Catalog, CatalogService, Connection, ConnectionPool, FaultSpec,
     FlakyBackend, IntrospectOptions, MemoryBackend, PoolConfig, StorageError, SyncOutcome,
@@ -34,10 +32,6 @@ struct Arrivals {
 }
 
 impl Arrivals {
-    fn reset(&self) {
-        *self.count.lock().expect("no panic under this lock") = 0;
-    }
-
     fn arrive(&self) {
         *self.count.lock().expect("no panic under this lock") += 1;
         self.moved.notify_all();
@@ -54,12 +48,6 @@ impl Arrivals {
         }
         Ok(())
     }
-}
-
-/// The round trips of a harvest, as opposed to the revision reads around
-/// it and the pool's probes.
-fn in_wave(call: &Call<'_>) -> bool {
-    matches!(call.op, Op::Tables | Op::TableSchema | Op::Execute)
 }
 
 // ---------------------------------------------------------------------
@@ -157,8 +145,8 @@ fn assert_same_mirror(pooled: &Catalog, solo: &Catalog, context: &str) {
 fn assert_conserved(service: &CatalogService) {
     let stats = service.pool().stats();
     assert_eq!(stats.checkouts, stats.checkins + stats.discarded(), "{stats:?}");
-    assert_eq!(stats.in_use, 0, "every lent connection came back: {stats:?}");
-    assert_eq!(stats.exhausted, 0, "lending never waits for a slot: {stats:?}");
+    assert_eq!(stats.in_use, 0, "every connection came back: {stats:?}");
+    assert_eq!(stats.exhausted, 0, "no checkout waited out its timeout: {stats:?}");
 }
 
 /// The `SELECT` that fetches page `page` of `table`.
@@ -187,9 +175,9 @@ fn table_rows(words: &[u64], page_size: usize) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Whatever the shape of the database and however many connections
-    /// the pool can lend, the pooled harvest builds the mirror a single
-    /// connection builds: table order, row order, schemas, revision.
+    /// Whatever the shape of the database and the pool's capacity, the
+    /// pooled harvest builds the mirror a bare connection builds, on one
+    /// connection: table order, row order, schemas, revision.
     #[test]
     fn pooled_harvest_equals_the_single_connection_harvest(
         words in prop::collection::vec(0u64..u64::MAX, 1..8),
@@ -205,9 +193,7 @@ proptest! {
             let pooled = service.attach(DB).expect("pooled");
             assert_same_mirror(&pooled, &solo, &format!("capacity {capacity}, rows {rows:?}"));
             assert_conserved(&service);
-            // The widest wave of an attach: every table's schema and first page.
-            let helpers = (2 * rows.len()).saturating_sub(1).min(capacity - 1) as u64;
-            prop_assert!(service.pool().stats().established <= 1 + helpers);
+            prop_assert_eq!(service.pool().stats().established, 1);
         }
     }
 
@@ -265,120 +251,75 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// (ii) It really overlaps.
+// (ii) Request accounting.
 // ---------------------------------------------------------------------
 
-/// Attach a `tables`-table database through a backend whose `table_schema`
-/// and `execute` do not answer until `parties` connections are inside them
-/// at once. An attach has nothing to predict from, so its first wave is
-/// the listing alone and its second every table's schema and first page.
-/// Returns the distinct connections that were inside, and the pool's
-/// establishments.
-fn attach_through_a_rendezvous(tables: usize, capacity: usize, parties: u64) -> (usize, u64) {
-    let arrivals = Arc::new(Arrivals::default());
-    let inside = Arc::new(Mutex::new(HashSet::new()));
-    let (seen, latch) = (Arc::clone(&inside), Arc::clone(&arrivals));
-    let backend = Hooked::new(MemoryBackend::new(vec![database(&vec![3; tables])])).before(
-        move |call| {
-            if !matches!(call.op, Op::TableSchema | Op::Execute) {
-                return Ok(());
-            }
-            seen.lock().expect("no panic under this lock").insert(call.conn);
-            latch.arrive();
-            latch.wait_for(parties)
-        },
-    );
-    let service = service_over(Arc::new(backend), capacity, IntrospectOptions::default());
-    let catalog = service.attach(DB).expect("the rendezvous is met");
-    assert_eq!(catalog.table_count(), tables);
-    assert_conserved(&service);
-    let distinct = inside.lock().expect("no panic under this lock").len();
-    (distinct, service.pool().stats().established)
-}
-
-#[test]
-fn every_table_is_on_the_wire_at_once_when_the_pool_can_lend() {
-    assert_eq!(
-        attach_through_a_rendezvous(4, 8, 8),
-        (8, 8),
-        "four schemas and four first pages, eight connections"
-    );
-    assert_eq!(attach_through_a_rendezvous(4, 4, 4), (4, 4), "capacity bounds the overlap");
-    assert_eq!(attach_through_a_rendezvous(5, 3, 3), (3, 3), "capacity bounds the overlap");
-    assert_eq!(
-        attach_through_a_rendezvous(2, 8, 4),
-        (4, 4),
-        "never more helpers than the wave has units, less the caller's"
-    );
-}
-
-#[test]
-fn the_same_harvest_runs_serially_on_a_pool_of_one() {
-    assert_eq!(attach_through_a_rendezvous(4, 1, 1), (1, 1));
-}
-
-/// The tentpole's claim, forced: after a write that moves no page
-/// boundary, the refresh puts the listing, every schema and every page
-/// inside the backend at once — the rendezvous below answers nothing until
-/// all seven are in — and the whole refresh is the dispatch's revision
-/// read, that one wave, and the revision read that closes it.
+/// The tentpole's claim, counted: after a write that moves no page
+/// boundary, the refresh is the dispatch's revision read and one pipeline
+/// of the listing, every schema, every page and the revision read that
+/// closes it, in that order, on one connection.
 #[test]
 fn a_refresh_whose_prediction_holds_is_one_wave() {
-    const WAVE: u64 = 1 + 3 + 3;
     let store = MemoryBackend::new(vec![database(&[3, 40, 3])]);
     let admin = MemoryBackend::over(store.store());
     let armed = Arc::new(AtomicBool::new(false));
-    let arrivals = Arc::new(Arrivals::default());
-    let inside = Arc::new(Mutex::new(HashSet::new()));
     let log = Arc::new(Mutex::new(Vec::new()));
-    let (on, latch, seen, trace) =
-        (Arc::clone(&armed), Arc::clone(&arrivals), Arc::clone(&inside), Arc::clone(&log));
+    let (on, trace) = (Arc::clone(&armed), Arc::clone(&log));
     let backend = Hooked::new(store).before(move |call| {
-        if !on.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        trace.lock().expect("no panic under this lock").push((call.op, call.target.to_string()));
-        if in_wave(call) {
-            seen.lock().expect("no panic under this lock").insert(call.conn);
-            latch.arrive();
-            latch.wait_for(WAVE)?;
+        if on.load(Ordering::SeqCst) {
+            let seen = (call.op, call.target.to_string(), call.conn);
+            trace.lock().expect("no panic under this lock").push(seen);
         }
         Ok(())
     });
+    let wire = backend.wire();
     let service = service_over(Arc::new(backend), 8, IntrospectOptions::default());
     service.attach(DB).expect("attach");
 
     write_row(&admin, "t1", 100);
+    wire.reset();
     armed.store(true, Ordering::SeqCst);
-    let outcome = service.sync(DB).expect("the rendezvous is met");
+    let outcome = service.sync(DB).expect("refresh");
     assert!(matches!(outcome, SyncOutcome::Refreshed { .. }), "{outcome:?}");
     armed.store(false, Ordering::SeqCst);
 
-    let distinct = inside.lock().expect("no panic under this lock").len() as u64;
-    assert_eq!(distinct, WAVE, "the listing, three schemas and three pages at once");
+    assert_eq!(wire.pipelines(), 1, "one pipeline after the dispatch's read");
     let log = log.lock().expect("no panic under this lock").clone();
-    assert_eq!(log.len() as u64, 1 + WAVE + 1, "revision, the wave, revision: {log:?}");
-    assert_eq!(log[0].0, Op::Revision, "the dispatch's read opens it: {log:?}");
-    assert_eq!(log[log.len() - 1].0, Op::Revision, "`after` closes it: {log:?}");
-    let mut wave: Vec<(Op, String)> = log[1..log.len() - 1].to_vec();
-    wave.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-    let mut expected = vec![(Op::Tables, String::new())];
+    let conns: HashSet<u64> = log.iter().map(|(_, _, conn)| *conn).collect();
+    assert_eq!(conns.len(), 1, "one connection: {log:?}");
+    let requests: Vec<(Op, String)> = log.into_iter().map(|(op, target, _)| (op, target)).collect();
+    let mut expected = vec![(Op::Revision, String::new()), (Op::Tables, String::new())];
     for table in ["t0", "t1", "t2"] {
         expected.push((Op::TableSchema, table.to_string()));
+    }
+    for table in ["t0", "t1", "t2"] {
         expected.push((Op::Execute, page_sql(table, 256, 0)));
     }
-    expected.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-    assert_eq!(wave, expected);
+    expected.push((Op::Revision, String::new()));
+    assert_eq!(requests, expected);
 
     let fresh = fresh_introspection(&admin, &IntrospectOptions::default());
-    assert_same_mirror(&service.catalog(DB).expect("attached"), &fresh, "one-wave refresh");
+    assert_same_mirror(&service.catalog(DB).expect("attached"), &fresh, "one-pipeline refresh");
     assert_conserved(&service);
 }
 
-// ---------------------------------------------------------------------
-// (iii) Lending never waits or starves.
-// ---------------------------------------------------------------------
+#[test]
+fn the_same_harvest_runs_serially_on_a_pool_of_one() {
+    let inside = Arc::new(Mutex::new(HashSet::new()));
+    let seen = Arc::clone(&inside);
+    let backend = Hooked::new(MemoryBackend::new(vec![database(&[3; 4])])).before(move |call| {
+        seen.lock().expect("no panic under this lock").insert(call.conn);
+        Ok(())
+    });
+    let service = service_over(Arc::new(backend), 1, IntrospectOptions::default());
+    assert_eq!(service.attach(DB).expect("attach").table_count(), 4);
+    assert_conserved(&service);
+    let distinct = inside.lock().expect("no panic under this lock").len();
+    assert_eq!((distinct, service.pool().stats().established), (1, 1));
+}
 
+/// Every slot but one is held by someone else: the refresh takes that one
+/// and runs whole on it, without waiting for or disturbing the others.
 #[test]
 fn a_pool_with_nothing_to_lend_harvests_on_the_callers_connection() {
     let backend = Arc::new(MemoryBackend::new(vec![database(&[5, 5, 5, 5])]));
@@ -386,13 +327,10 @@ fn a_pool_with_nothing_to_lend_harvests_on_the_callers_connection() {
     let wire = hooked.wire();
     let service = service_over(Arc::new(hooked), 3, IntrospectOptions::default());
 
-    let held: Vec<_> =
+    let mut held: Vec<_> =
         (0..3).map(|_| service.pool().checkout().expect("capacity free")).collect();
-    assert!(service.pool().try_checkout().is_none(), "every slot is out");
-    let mut held = held;
     drop(held.pop());
 
-    // One slot is free and the refresh's own checkout takes it.
     service.attach(DB).expect("attach on one connection");
     write_row(&backend, "t1", 100);
     wire.reset();
@@ -404,21 +342,14 @@ fn a_pool_with_nothing_to_lend_harvests_on_the_callers_connection() {
     assert_eq!(wire.connects(), 3, "on the connection it had");
 
     let stats = service.pool().stats();
-    assert_eq!(stats.exhausted, 0, "a helper that finds no slot does not wait for one");
+    assert_eq!(stats.exhausted, 0, "nothing waited for a slot");
     assert_eq!(stats.in_use, 2, "the held guards were never disturbed");
     drop(held);
     assert_conserved(&service);
-
-    // `try_checkout` hands out what `checkout` would have.
-    let lent = service.pool().try_checkout().expect("slots are free again");
-    assert_eq!(service.pool().stats().established, 3, "a parked connection, not a new one");
-    drop(lent);
-    service.pool().close();
-    assert!(service.pool().try_checkout().is_none(), "a closed pool lends nothing");
 }
 
 // ---------------------------------------------------------------------
-// (iv) Op accounting.
+// (iii) Op accounting.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -449,7 +380,10 @@ fn a_refresh_issues_exactly_the_round_trips_the_protocol_names() {
     every_page.sort();
 
     service.attach(DB).expect("attach");
-    assert_eq!(wire.count(Op::Revision), 2, "an attach reads before and after");
+    // [before, listing], [schemas, first pages, revision], [t2's and t3's
+    // second pages, revision], [t3's third page, after].
+    assert_eq!(wire.pipelines(), 4);
+    assert_eq!(wire.count(Op::Revision), 4, "`before`, and one closing each later pipeline");
     assert_eq!(wire.count(Op::Tables), 1);
     assert_eq!(wire.count(Op::TableSchema), 4);
     assert_eq!(wire.count(Op::Execute), 7);
@@ -458,13 +392,15 @@ fn a_refresh_issues_exactly_the_round_trips_the_protocol_names() {
     wire.reset();
     assert_eq!(service.sync(DB).expect("steady"), SyncOutcome::Unchanged);
     assert_eq!(wire.count(Op::Revision), 1, "an unchanged sync is one read");
+    assert_eq!(wire.pipelines(), 0);
     assert_eq!(wire.count(Op::Tables) + wire.count(Op::TableSchema) + wire.count(Op::Execute), 0);
 
-    // A write inside a page: the prediction holds, one wave.
+    // A write inside a page: the prediction holds, one pipeline.
     write_row(&backend, "t1", 100);
     wire.reset();
     assert!(matches!(service.sync(DB).expect("refresh"), SyncOutcome::Refreshed { .. }));
     assert_eq!(wire.count(Op::Revision), 2, "the dispatch's read is the harvest's `before`");
+    assert_eq!(wire.pipelines(), 1);
     assert_eq!(wire.count(Op::Tables), 1);
     assert_eq!(wire.count(Op::TableSchema), 4);
     assert_eq!(wire.count(Op::Execute), 7);
@@ -472,13 +408,15 @@ fn a_refresh_issues_exactly_the_round_trips_the_protocol_names() {
     assert_eq!(take_pages(), every_page, "the predicted pages, each once");
 
     // Four more rows fill t1's page: the predicted page comes back full,
-    // and one more page follows it.
+    // and one more page follows it in a second pipeline, which ends in its
+    // own revision read.
     for id in 101..105 {
         write_row(&backend, "t1", id);
     }
     wire.reset();
     assert!(matches!(service.sync(DB).expect("refresh"), SyncOutcome::Refreshed { .. }));
-    assert_eq!(wire.count(Op::Revision), 2);
+    assert_eq!(wire.count(Op::Revision), 3);
+    assert_eq!(wire.pipelines(), 2);
     assert_eq!(wire.count(Op::Tables), 1);
     assert_eq!(wire.count(Op::TableSchema), 4);
     assert_eq!(wire.count(Op::Execute), 8, "t1's second page, after its first came back full");
@@ -490,7 +428,7 @@ fn a_refresh_issues_exactly_the_round_trips_the_protocol_names() {
 }
 
 // ---------------------------------------------------------------------
-// (v) Conservation and robustness under faults.
+// (iv) Conservation and robustness under faults.
 // ---------------------------------------------------------------------
 
 /// Connections the test has killed: every operation on one, probes
@@ -509,79 +447,6 @@ impl Morgue {
         }
         Ok(())
     }
-}
-
-/// The failure rule, interleaving forced: four connections each hold one
-/// unit of the refresh's wave — the caller's the listing, the three lent
-/// ones a schema each — when the lent ones turn out to have died while
-/// parked. Their units go back to the caller's connection, which runs the
-/// whole wave, the refresh succeeds, and the dead connections are
-/// discarded at checkin.
-#[test]
-fn a_lent_connection_that_died_while_parked_hands_its_table_back() {
-    let store = MemoryBackend::new(vec![database(&[4, 4, 4, 4])]);
-    let admin = MemoryBackend::over(store.store());
-    let (morgue, arrivals) = (Arc::new(Morgue::default()), Arc::new(Arrivals::default()));
-    let inside = Arc::new(Mutex::new(HashSet::new()));
-    let ran = Arc::new(Mutex::new(Vec::new()));
-    let armed = Arc::new(AtomicBool::new(false));
-    let (dead, latch, seen, log, on) = (
-        Arc::clone(&morgue),
-        Arc::clone(&arrivals),
-        Arc::clone(&inside),
-        Arc::clone(&ran),
-        Arc::clone(&armed),
-    );
-    let backend = Hooked::new(store).before(move |call| {
-        let refreshing = on.load(Ordering::SeqCst);
-        // Each connection's first round trip of a wave waits until four
-        // connections are inside it: the attach's second wave (its listing
-        // runs alone), and the refresh's only one.
-        if in_wave(call)
-            && (refreshing || call.op != Op::Tables)
-            && seen.lock().expect("no panic under this lock").insert(call.conn)
-        {
-            latch.arrive();
-            latch.wait_for(4)?;
-            // The caller's first round trip is the listing; every other
-            // connection in the refresh was lent, and is found dead.
-            if refreshing && call.op != Op::Tables {
-                dead.kill(call.conn);
-            }
-        }
-        if refreshing && in_wave(call) {
-            log.lock().expect("no panic under this lock").push((call.conn, call.op));
-        }
-        dead.check(call.conn)
-    });
-    let wire = backend.wire();
-    let service = service_over(Arc::new(backend), 4, IntrospectOptions::default());
-    service.attach(DB).expect("attach");
-    assert_eq!(service.pool().stats().established, 4, "the attach left four parked connections");
-
-    write_row(&admin, "t3", 100);
-    wire.reset();
-    inside.lock().expect("no panic under this lock").clear();
-    arrivals.reset();
-    armed.store(true, Ordering::SeqCst);
-    assert!(matches!(service.sync(DB).expect("refresh"), SyncOutcome::Refreshed { .. }));
-
-    assert_eq!(service.catalog(DB).expect("attached").database.tables[3].rows.len(), 5);
-    assert_eq!(wire.count(Op::TableSchema), 4 + 3, "three schemas were asked for twice");
-    assert_eq!(wire.count(Op::Execute), 4, "every page once");
-    let ran = ran.lock().expect("no panic under this lock").clone();
-    let caller = ran.iter().find(|(_, op)| *op == Op::Tables).expect("a listing").0;
-    assert_eq!(
-        ran.iter().filter(|(conn, _)| *conn == caller).count(),
-        1 + 4 + 4,
-        "the caller's connection ran the whole wave: {ran:?}"
-    );
-    assert_eq!(ran.len(), 1 + 4 + 4 + 3, "and each dead one a single unit: {ran:?}");
-    assert_eq!(wire.count(Op::Ping), 3, "each tainted guard was probed once at checkin");
-    let stats = service.pool().stats();
-    assert_eq!(stats.discarded_broken, 3, "and discarded: {stats:?}");
-    assert_eq!(stats.idle, 1, "the caller's connection is the one left: {stats:?}");
-    assert_conserved(&service);
 }
 
 struct Storm {
@@ -647,7 +512,7 @@ fn under_chaos_only_faults_injected_on_live_connections_fail_a_refresh() {
     assert!(
         storm.errors.iter().all(|e| e.contains("injected")),
         "every failed refresh is a fault the injector raised on a live connection, never a \
-         connection that was parked dead or lent: {:?}",
+         connection that was parked dead: {:?}",
         storm.errors
     );
     assert!(storm.refreshed > 50, "refreshes do get through: {}", storm.refreshed);
@@ -705,58 +570,24 @@ fn a_unit_for_a_table_the_listing_no_longer_has_never_fails_the_pass() {
 }
 
 // ---------------------------------------------------------------------
-// (vi) A write landing mid-harvest.
+// (v) A revision that keeps moving.
 // ---------------------------------------------------------------------
 
-/// A backend that writes a row to the store whenever `when(connection)`
-/// says so on an `execute`, and in every pass holds `table_schema` until
-/// two connections are inside it, so a helper is certain to run an
-/// `execute` of its own.
-fn writing_backend(
-    when: impl Fn(u64) -> bool + Send + Sync + 'static,
-) -> (Arc<dyn Backend>, Arc<Wire>) {
+/// Every page request writes a row to the store before the backend sees
+/// it: no pass's bracket ever holds.
+#[test]
+fn a_revision_that_keeps_moving_is_the_same_typed_error() {
     let store = MemoryBackend::new(vec![database(&[4, 4, 4, 4])]);
     let admin = MemoryBackend::over(store.store());
-    let inside = Arrivals::default();
     let written = AtomicU64::new(0);
     let backend = Hooked::new(store).before(move |call| {
-        match call.op {
-            Op::Tables => inside.reset(),
-            Op::TableSchema => {
-                inside.arrive();
-                inside.wait_for(2)?;
-            }
-            Op::Execute if when(call.conn) => {
-                write_row(&admin, "t0", 1000 + written.fetch_add(1, Ordering::SeqCst) as i64);
-            }
-            _ => {}
+        if call.op == Op::Execute {
+            write_row(&admin, "t0", 1000 + written.fetch_add(1, Ordering::SeqCst) as i64);
         }
         Ok(())
     });
     let wire = backend.wire();
-    (Arc::new(backend), wire)
-}
-
-#[test]
-fn a_write_on_a_helpers_connection_mid_harvest_is_caught_and_retried() {
-    // Connection 0 is the caller's (the first established); the first
-    // `execute` on any other writes, once.
-    let fired = AtomicBool::new(false);
-    let (backend, wire) =
-        writing_backend(move |conn| conn != 0 && !fired.swap(true, Ordering::SeqCst));
-    let service = service_over(Arc::clone(&backend), 8, IntrospectOptions::default());
-    let catalog = service.attach(DB).expect("the second pass is quiet");
-    assert_eq!(wire.count(Op::Tables), 2, "the token bracket failed the first pass");
-    assert_eq!(catalog.database.tables[0].rows.len(), 5, "the mirror has the written row");
-    let live = backend.connect().expect("connect").revision(DB).expect("revision");
-    assert_eq!(catalog.revision, live);
-    assert_conserved(&service);
-}
-
-#[test]
-fn a_revision_that_keeps_moving_is_the_same_typed_error() {
-    let (backend, wire) = writing_backend(|_| true);
-    let service = service_over(backend, 8, IntrospectOptions::default());
+    let service = service_over(Arc::new(backend), 8, IntrospectOptions::default());
     let err = service.attach(DB).expect_err("never consistent");
     assert_eq!(err.kind(), "storage_introspect");
     assert!(err.to_string().contains("revision kept moving during harvest"), "{err}");
