@@ -9,11 +9,14 @@
 //!    baseline.
 //! 2. **pooled checkout** — against a warm pool: the recycled connection
 //!    skips establishment entirely.
-//! 3. **introspect (full harvest)** — an attach over the default 8-slot
-//!    pool, on one of its connections. It predicts nothing: a pipeline of
-//!    the opening revision read and the listing, one of every schema and
-//!    every first page, then one per further page of the 1500-row `txn`
-//!    table, each closed by a revision read.
+//! 3. **introspect (full harvest)** — attaches over the default 8-slot
+//!    pool, on one of its connections. The first predicts nothing: a
+//!    pipeline of the opening revision read and the listing, one of every
+//!    schema and every first page, then one per further page of the
+//!    1500-row `txn` table, each closed by a revision read (8 wire waits
+//!    with the connect). Every later one re-attaches over the installed
+//!    catalog, which predicts it: one pipeline, so the p50 is a
+//!    re-attach's.
 //! 4. **refresh after a one-row write** — what a dispatch pays after a
 //!    write: its revision read (which doubles as the harvest's `before`)
 //!    and one pipeline predicted from the catalog it replaces: the listing,
