@@ -4,10 +4,11 @@
 //! and pipelines the protocol names (a refresh whose prediction holds: the
 //! dispatch's revision read, then one pipeline ending in `after`), survive
 //! connections that died while parked and requests for tables the listing
-//! no longer has, give up on a revision that keeps moving — and a refresh
-//! must be single-flight per database. Interleavings are forced with
-//! counters and condition variables; no test decides anything on elapsed
-//! time (the bounded waits below only turn a hang into a failure).
+//! no longer has, retry a pass a write landed in, give up on a revision
+//! that keeps moving — and a refresh must be single-flight per database.
+//! Interleavings are forced with counters and condition variables; no test
+//! decides anything on elapsed time (the bounded waits below only turn a
+//! hang into a failure).
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -570,8 +571,36 @@ fn a_unit_for_a_table_the_listing_no_longer_has_never_fails_the_pass() {
 }
 
 // ---------------------------------------------------------------------
-// (v) A revision that keeps moving.
+// (v) A write landing mid-harvest, and a revision that keeps moving.
 // ---------------------------------------------------------------------
+
+/// A store that does not pipeline answers the harvest's requests one at a
+/// time, and the first page request writes a row before the backend sees
+/// it: the closing revision read catches the write, the pass is retried
+/// once, and the retry's mirror holds the written row.
+#[test]
+fn a_write_between_two_requests_of_the_harvest_is_caught_and_retried() {
+    let store = MemoryBackend::new(vec![database(&[4, 4, 4, 4])]);
+    let admin = MemoryBackend::over(store.store());
+    let fired = AtomicBool::new(false);
+    let backend = Hooked::new(store)
+        .before(move |call| {
+            if call.op == Op::Execute && !fired.swap(true, Ordering::SeqCst) {
+                write_row(&admin, "t0", 1000);
+            }
+            Ok(())
+        })
+        .unpipelined();
+    let wire = backend.wire();
+    let backend: Arc<dyn Backend> = Arc::new(backend);
+    let service = service_over(Arc::clone(&backend), 8, IntrospectOptions::default());
+    let catalog = service.attach(DB).expect("the second pass is quiet");
+    assert_eq!(wire.count(Op::Tables), 2, "the revision bracket failed the first pass");
+    assert_eq!(catalog.database.tables[0].rows.len(), 5, "the mirror has the written row");
+    let live = backend.connect().expect("connect").revision(DB).expect("revision");
+    assert_eq!(catalog.revision, live);
+    assert_conserved(&service);
+}
 
 /// Every page request writes a row to the store before the backend sees
 /// it: no pass's bracket ever holds.
