@@ -3,32 +3,34 @@
 //!
 //! The backend is the in-memory engine wrapped in a latency-only fault
 //! plan (every connect and every operation pays a fixed wire delay), and
-//! the database is Bank-Financials. Six rows:
+//! the database is Bank-Financials. Seven rows:
 //!
 //! 1. **cold connect** — a fresh establishment per request, the no-pool
 //!    baseline.
 //! 2. **pooled checkout** — against a warm pool: the recycled connection
 //!    skips establishment entirely.
-//! 3. **introspect (full harvest)** — attaches over the default 8-slot
-//!    pool, on one of its connections. The first predicts nothing: a
-//!    pipeline of the opening revision read and the listing, one of every
-//!    schema and every first page, then one per further page of the
-//!    1500-row `txn` table, each closed by a revision read (8 wire waits
-//!    with the connect). Every later one re-attaches over the installed
-//!    catalog, which predicts it: one pipeline, so the p50 is a
-//!    re-attach's.
-//! 4. **refresh after a one-row write** — what a dispatch pays after a
+//! 3. **attach, cold (first harvest)** — the first attach over the
+//!    default 8-slot pool, on one of its connections. It predicts
+//!    nothing: the connect, a pipeline of the opening revision read and
+//!    the listing, then one of every table's schema beside its
+//!    `SELECT *` and the closing revision read. 3 wire waits, whatever
+//!    the row counts (the 1500-row `txn` table included); one sample.
+//! 4. **introspect (full harvest)** — re-attaches over the installed
+//!    catalog, which predicts every table: one pipeline of the opening
+//!    revision read, the listing, every schema and `SELECT *`, and the
+//!    closing read.
+//! 5. **refresh after a one-row write** — what a dispatch pays after a
 //!    write: its revision read (which doubles as the harvest's `before`)
 //!    and one pipeline predicted from the catalog it replaces: the listing,
-//!    every schema, every page and the closing revision read. Two wire
-//!    waits; the server's work on the pipeline's requests is serial, as on
-//!    one real session.
-//! 5. **the same refresh, observer building index + profile** — with a
+//!    every schema and `SELECT *`, and the closing revision read. Two wire
+//!    waits, however many rows the write added; the server's work on the
+//!    pipeline's requests is serial, as on one real session.
+//! 6. **the same refresh, observer building index + profile** — with a
 //!    revision observer that derives the BM25 value index and the schema
 //!    profile from the fresh mirror, as the serving layer's does, once the
 //!    pipeline has answered; the commit that installs it is a few map
 //!    inserts.
-//! 6. **sync (revision check)** — on an unchanged backend: the fast path
+//! 7. **sync (revision check)** — on an unchanged backend: the fast path
 //!    the serving layer takes on every dispatch outside its revision lease.
 //!
 //! Beside each p50 the table prints the wire waits the backend counted per
@@ -173,9 +175,11 @@ fn main() {
         ConnectionPool::new(Arc::clone(&backend), PoolConfig::default()),
         IntrospectOptions::default(),
     );
-    let full = timed(iterations.min(25), &wire, || {
+    let attach = || {
         service.attach(DB).expect("attach succeeds");
-    });
+    };
+    let cold_attach = timed(1, &wire, attach);
+    let full = timed(iterations.min(25), &wire, attach);
     let mut client_ids = 1_000_000i64..;
     let refresh = refreshes(&service, &admin, &wire, iterations.min(25), &mut client_ids);
     let observed = observed_service(&backend);
@@ -194,6 +198,7 @@ fn main() {
     for (label, row, baseline) in [
         ("cold connect (per request)", &cold, None),
         ("pooled checkout (recycled)", &pooled, Some(&cold)),
+        ("attach, cold (first harvest)", &cold_attach, None),
         ("introspect (full harvest)", &full, None),
         ("refresh after a one-row write", &refresh, None),
         (

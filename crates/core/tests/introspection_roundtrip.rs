@@ -13,7 +13,7 @@ use std::sync::Arc;
 use codes::{build_prompt, PromptOptions};
 use codes_datasets::finance::bank_financials_db;
 use codes_retrieval::ValueIndex;
-use codes_storage::{introspect, Backend, IntrospectOptions, MemoryBackend};
+use codes_storage::{introspect, Backend, MemoryBackend};
 
 fn prompt_for(db: &sqlengine::Database) -> String {
     let idx = ValueIndex::build(db);
@@ -28,10 +28,7 @@ fn introspected_catalog_renders_a_byte_identical_figure4_prompt() {
 
     let backend = MemoryBackend::new(vec![bank_financials_db(1)]);
     let mut conn = backend.connect().expect("in-memory connect");
-    // A small page size forces the paged row harvest to actually paginate.
-    let options = IntrospectOptions { page_size: 7 };
-    let catalog =
-        introspect(&mut conn, "bank_financials", &options).expect("introspection succeeds");
+    let catalog = introspect(&mut conn, "bank_financials").expect("introspection succeeds");
 
     assert_eq!(
         prompt_for(&catalog.database),
@@ -50,7 +47,7 @@ fn introspected_mirror_carries_the_backend_revision_stamp() {
         store.get("bank_financials").expect("db registered").revision()
     };
     let mut conn = backend.connect().expect("connect");
-    let catalog = introspect(&mut conn, "bank_financials", &IntrospectOptions::default())
+    let catalog = introspect(&mut conn, "bank_financials")
         .expect("introspection succeeds");
     assert_eq!(catalog.revision, live_revision, "catalog stamp matches the live backend");
     assert_eq!(
@@ -63,7 +60,7 @@ fn introspected_mirror_carries_the_backend_revision_stamp() {
     // Re-introspecting an unchanged backend observes the same token —
     // the 'equal revisions imply identical catalog state' invariant that
     // keeps cache generations stable across redundant refreshes.
-    let again = introspect(&mut conn, "bank_financials", &IntrospectOptions::default())
+    let again = introspect(&mut conn, "bank_financials")
         .expect("re-introspection succeeds");
     assert_eq!(again.revision, catalog.revision);
 
@@ -77,7 +74,7 @@ fn introspected_mirror_carries_the_backend_revision_stamp() {
         .expect("client table")
         .insert(vec![9_999.into(), "Zora".into(), "F".into(), "Jesenik".into(), 1.into()])
         .expect("row fits");
-    let refreshed = introspect(&mut conn, "bank_financials", &IntrospectOptions::default())
+    let refreshed = introspect(&mut conn, "bank_financials")
         .expect("introspection after mutation succeeds");
     assert_ne!(refreshed.revision, catalog.revision, "mutations move the stamp");
 }
@@ -99,7 +96,7 @@ fn prepare_catalog_reconciles_value_index_and_cache_generation() {
 
     let backend = MemoryBackend::new(vec![bank_financials_db(1)]);
     let mut conn = backend.connect().expect("connect");
-    let catalog = introspect(&mut conn, "bank_financials", &IntrospectOptions::default())
+    let catalog = introspect(&mut conn, "bank_financials")
         .expect("introspection succeeds");
 
     system.prepare_database(&catalog.database);
@@ -119,7 +116,7 @@ fn prepare_catalog_reconciles_value_index_and_cache_generation() {
                 .expect("row fits");
         })
         .expect("db registered");
-    let refreshed = introspect(&mut conn, "bank_financials", &IntrospectOptions::default())
+    let refreshed = introspect(&mut conn, "bank_financials")
         .expect("re-introspection succeeds");
     system.prepare_database(&refreshed.database);
     assert!(

@@ -1,8 +1,8 @@
-//! A catalog harvested by several pooled connections side by side must
-//! render the database prompt a single connection's harvest renders: the
-//! Figure-4 bytes depend on table order, row order (representative values,
-//! the BM25 value index) and every schema fact, so this is where a mirror
-//! assembled in the wrong order would show.
+//! A catalog harvested over a pooled connection must render the database
+//! prompt a bare connection's harvest renders: the Figure-4 bytes depend
+//! on table order, row order (representative values, the BM25 value
+//! index) and every schema fact, so this is where a mirror assembled in
+//! the wrong order would show.
 
 use std::sync::Arc;
 
@@ -23,26 +23,19 @@ fn prompt_for(db: &sqlengine::Database) -> String {
 #[test]
 fn pooled_harvest_renders_the_single_connection_prompt() {
     let backend = Arc::new(MemoryBackend::new(vec![bank_financials_db(1)]));
-    for page_size in [7, 64, 256] {
-        let options = IntrospectOptions { page_size };
-        let solo = introspect(&mut backend.connect().expect("connect"), "bank_financials", &options)
-            .expect("single connection");
-        let expected = prompt_for(&solo.database);
-        for capacity in [1usize, 2, 8] {
-            let pool = ConnectionPool::with_registry(
-                Arc::clone(&backend) as Arc<dyn Backend>,
-                PoolConfig { capacity, ..PoolConfig::default() },
-                &codes_obs::Registry::new(),
-            );
-            let pooled = CatalogService::new(pool, options)
-                .attach("bank_financials")
-                .expect("pooled harvest");
-            assert_eq!(pooled.revision, solo.revision);
-            assert_eq!(
-                prompt_for(&pooled.database),
-                expected,
-                "page size {page_size}, pool capacity {capacity}"
-            );
-        }
+    let solo = introspect(&mut backend.connect().expect("connect"), "bank_financials")
+        .expect("single connection");
+    let expected = prompt_for(&solo.database);
+    for capacity in [1usize, 2, 8] {
+        let pool = ConnectionPool::with_registry(
+            Arc::clone(&backend) as Arc<dyn Backend>,
+            PoolConfig { capacity, ..PoolConfig::default() },
+            &codes_obs::Registry::new(),
+        );
+        let pooled = CatalogService::new(pool, IntrospectOptions::default())
+            .attach("bank_financials")
+            .expect("pooled harvest");
+        assert_eq!(pooled.revision, solo.revision);
+        assert_eq!(prompt_for(&pooled.database), expected, "pool capacity {capacity}");
     }
 }

@@ -232,10 +232,10 @@ impl RevisionReads {
 
 /// A store that does not pipeline answers the refresh's requests one at a
 /// time, and a write lands between two of them: after the listing and the
-/// schemas, before the first page. The closing revision read sees it, the
-/// pass is discarded and retried, and the retry is committed once, for the
-/// revision installed; the cache generation moves once, and the discarded
-/// pass built nothing that could stay resident.
+/// first schema, before the first table's rows. The closing revision read
+/// sees it, the pass is discarded and retried, and the retry is committed
+/// once, for the revision installed; the cache generation moves once, and
+/// the discarded pass built nothing that could stay resident.
 #[test]
 fn a_write_between_two_requests_of_a_pipeline_retries_and_commits_once() {
     let armed = Arc::new(AtomicBool::new(false));

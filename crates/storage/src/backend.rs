@@ -78,7 +78,8 @@ pub enum Request {
     Tables,
     /// [`Connection::table_schema`] of this table.
     Schema(String),
-    /// [`Connection::execute`] of this SQL (introspection's pages).
+    /// [`Connection::execute`] of this SQL (introspection's `SELECT *`
+    /// of one table's rows).
     Execute(String),
     /// [`Connection::revision`].
     Revision,
@@ -144,7 +145,7 @@ impl Connection for Box<dyn Connection> {
 }
 
 /// Quote an identifier for embedding in generated SQL (introspection's
-/// paged row harvest). Doubles embedded quotes, so arbitrary table names
+/// `SELECT *` of each table). Doubles embedded quotes, so arbitrary table names
 /// round-trip through the engine's lexer.
 pub(crate) fn quote_ident(name: &str) -> String {
     let mut quoted = String::with_capacity(name.len() + 2);

@@ -5,21 +5,19 @@
 //! and representative-value prompt sections feed on — but *discovered at
 //! runtime* over the [`crate::Connection`] trait instead of requiring a
 //! pre-registered database. The result is an executable mirror: schema
-//! via the catalog-introspection calls, rows harvested through paged
-//! `SELECT`s over the same wire every query takes, so everything
+//! via the catalog-introspection calls, each table's rows through one
+//! `SELECT *` over the same wire every query takes, so everything
 //! downstream (Figure-4 prompt construction, value indexing, EX-style
 //! execution of candidate SQL) works on the mirror exactly as it would on
 //! a hand-registered catalog.
 //!
 //! **Pipelines.** Every fact is one request — the table listing, one
-//! table's schema, one page of one table's rows — and a harvest sends them
-//! in [`Connection::pipeline`]s over one connection: every request it can
-//! name up front at once. A refresh names them all: the mirror it replaces
-//! predicts the listing, every schema and every page, so when nothing but
-//! rows within a page moved the harvest is one pipeline. What the
-//! prediction missed follows in further pipelines: a newly listed table's
-//! schema and first page, the next page of a table whose last page came
-//! back full.
+//! table's schema, one table's rows — and a harvest sends them in
+//! [`Connection::pipeline`]s over one connection, a table's rows beside
+//! its schema. A pass is at most two pipelines. A refresh's first names
+//! the listing and every table the mirror it replaces predicts; a second
+//! follows only for listed tables nobody predicted. An attach predicts
+//! nothing: the listing, then every listed table.
 //!
 //! **Revision stamping.** The backend's revision token is read before the
 //! harvest (the first request of its first pipeline, unless the caller has
@@ -35,6 +33,8 @@
 //! schema yields a fresh token and bumps generations exactly like a local
 //! catalog mutation.
 
+use std::ops::Range;
+
 use sqlengine::{Database, Row, TableSchema};
 
 use crate::backend::{quote_ident, Connection, Reply, Request};
@@ -45,18 +45,10 @@ use crate::service::{Commit, Observer};
 /// mid-read before giving up.
 const CONSISTENCY_RETRIES: u32 = 3;
 
-/// Introspection tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct IntrospectOptions {
-    /// Rows fetched per paged `SELECT` during the row harvest.
-    pub page_size: usize,
-}
-
-impl Default for IntrospectOptions {
-    fn default() -> IntrospectOptions {
-        IntrospectOptions { page_size: 256 }
-    }
-}
+/// Introspection options: there are none. [`crate::CatalogService::new`]
+/// takes it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IntrospectOptions {}
 
 /// A catalog discovered from a live connection.
 #[derive(Debug, Clone)]
@@ -112,32 +104,27 @@ fn introspect_err(context: &str, e: StorageError) -> StorageError {
 }
 
 /// Build a [`Catalog`] for `db_id` over `conn`.
-pub fn introspect(
-    conn: &mut dyn Connection,
-    db_id: &str,
-    options: &IntrospectOptions,
-) -> Result<Catalog, StorageError> {
-    introspect_with(conn, None, None, db_id, options, None).map(|(catalog, _)| catalog)
+pub fn introspect(conn: &mut dyn Connection, db_id: &str) -> Result<Catalog, StorageError> {
+    introspect_with(conn, None, None, db_id, None).map(|(catalog, _)| catalog)
 }
 
 /// [`introspect`] with what a [`crate::CatalogService`] can add:
-/// `prediction`, the mirror this one replaces, whose tables and row counts
-/// name the first pipeline; `known`, a revision token the caller has just
-/// read; and `observer`, whose build runs on the mirror once its bracket
-/// has held. `known` stands in for the first pass's `before` read —
-/// anything that moved since it was read still fails `before == after` —
-/// and a retry reads its own.
+/// `prediction`, the mirror this one replaces, whose tables name the first
+/// pipeline; `known`, a revision token the caller has just read; and
+/// `observer`, whose build runs on the mirror once its bracket has held.
+/// `known` stands in for the first pass's `before` read — anything that
+/// moved since it was read still fails `before == after` — and a retry
+/// reads its own.
 pub(crate) fn introspect_with(
     conn: &mut dyn Connection,
     prediction: Option<&Database>,
     mut known: Option<u64>,
     db_id: &str,
-    options: &IntrospectOptions,
     observer: Option<&Observer>,
 ) -> Result<(Catalog, Option<Commit>), StorageError> {
     let mut last_moved = (0u64, 0u64);
     for _ in 0..=CONSISTENCY_RETRIES {
-        match harvest(conn, prediction, known.take(), db_id, options)? {
+        match harvest(conn, prediction, known.take(), db_id)? {
             Bracket::Held(before, mut database) => {
                 database.set_revision(before);
                 let commit = observer.map(|observe| observe(&database));
@@ -160,76 +147,51 @@ enum Bracket {
     Moved(u64, u64),
 }
 
-/// One harvest pass: a first pipeline of the listing and everything
-/// `prediction` names, then follow-up pipelines for what it missed, until
-/// every listed table's page chain has ended on a short page. `before` is
-/// `known`, or the first request of the first pipeline. The first pipeline
-/// of a pass with a prediction ends in a revision read, and so does every
-/// later one: a pass stops as soon as one has moved.
+/// One harvest pass, at most two pipelines: the listing beside every
+/// predicted table, then every listed table nobody predicted. `before` is
+/// `known`, or the first request of the first pipeline. The first
+/// pipeline of a pass with a prediction ends in a revision read, and so
+/// does the second.
 fn harvest(
     conn: &mut dyn Connection,
     prediction: Option<&Database>,
     known: Option<u64>,
     db_id: &str,
-    options: &IntrospectOptions,
 ) -> Result<Bracket, StorageError> {
-    let mut pass = Pass { db_id, page_size: options.page_size.max(1), tables: Vec::new() };
-    let predicted = prediction.map_or(&[][..], |db| &db.tables[..]);
-    let ats: Vec<usize> = predicted.iter().map(|table| pass.table(&table.schema.name)).collect();
-    let mut units: Vec<Unit> = ats.iter().map(|&at| Unit::Schema(at)).collect();
-    for (&at, table) in ats.iter().zip(predicted) {
-        for _ in 0..=table.rows.len() / pass.page_size {
-            units.push(pass.next_page(at));
-        }
+    let mut pass = Pass { db_id, tables: Vec::new() };
+    for table in prediction.map_or(&[][..], |db| &db.tables[..]) {
+        pass.table(&table.schema.name);
     }
-    let first = pass.send(conn, known.is_none(), true, units, prediction.is_some())?;
+    let predicted = pass.tables.len();
+    let first = pass.send(conn, known.is_none(), true, 0..predicted, prediction.is_some())?;
     let (Some(before), Some(listing)) = (known.or(first.before), first.listing) else {
         unreachable!("the first pipeline reads the listing, and `before` unless it is known")
     };
-    let mut after = first.after;
-    // Units asked for a predicted table the listing no longer has are
-    // dropped from here on, their failures included.
+    // Tables the listing names that nobody predicted join the pass here.
+    // Tables predicted but no longer listed are dropped from here on,
+    // their failures included.
     let listed: Vec<usize> = listing.iter().map(|name| pass.table(name)).collect();
-    loop {
-        // Of the listed tables that failed, the earliest-listed one is
-        // reported: what a serial walk of the listing reports.
-        for &at in &listed {
-            if let Some((_, e)) = pass.tables[at].failed.take() {
-                return Err(e);
-            }
-        }
-        if let Some(after) = after.filter(|&after| after != before) {
-            return Ok(Bracket::Moved(before, after));
-        }
-        let mut units = Vec::new();
-        for &at in &listed {
-            let table = &pass.tables[at];
-            if table.pages.is_empty() {
-                // Listed but not predicted: its schema beside its first page.
-                units.push(Unit::Schema(at));
-                units.push(pass.next_page(at));
-            } else if table.chain_open(pass.page_size) {
-                units.push(pass.next_page(at));
-            }
-        }
-        if units.is_empty() && after.is_some() {
-            break;
-        }
-        after = pass.send(conn, false, false, units, true)?.after;
+    // An attach asks for every listed table here. A refresh asks only for
+    // those nobody predicted, and not once its first bracket has moved.
+    let mut after = first.after;
+    let unpredicted = predicted..pass.tables.len();
+    if prediction.is_none() || (after == Some(before) && !unpredicted.is_empty()) {
+        after = pass.send(conn, false, false, unpredicted, true)?.after;
     }
-    Ok(Bracket::Held(before, pass.assemble(&listing, &listed)?))
+    // Of the listed tables that failed, the earliest-listed one is
+    // reported: what a serial walk of the listing reports.
+    for &at in &listed {
+        if let Some(e) = pass.tables[at].failed.take() {
+            return Err(e);
+        }
+    }
+    match after {
+        Some(after) if after != before => Ok(Bracket::Moved(before, after)),
+        _ => Ok(Bracket::Held(before, pass.assemble(&listing, &listed)?)),
+    }
 }
 
-/// One request of a harvest besides the listing and the revision reads.
-#[derive(Debug, Clone, Copy)]
-enum Unit {
-    /// `table_schema` of [`Pass::tables`]`[at]`.
-    Schema(usize),
-    /// Page `page` of that table's rows: `LIMIT page_size OFFSET page × page_size`.
-    Page(usize, usize),
-}
-
-/// What one pipeline read besides its units' answers.
+/// What one pipeline read besides its tables' answers.
 struct Sent {
     before: Option<u64>,
     listing: Option<Vec<String>>,
@@ -251,47 +213,16 @@ fn mismatched(db_id: &str, request: &str) -> StorageError {
 /// What a pass knows of one table, predicted or listed.
 struct TableHarvest {
     name: String,
-    schema: Option<TableSchema>,
-    /// Every page asked for so far, in order; `Some` once answered.
-    pages: Vec<Option<Vec<Row>>>,
-    /// The failure of one of its units, ranked as a serial chain would
-    /// have hit it: the schema (0) before page `p` (`p + 1`).
-    failed: Option<(usize, StorageError)>,
-}
-
-impl TableHarvest {
-    fn fail(&mut self, rank: usize, e: StorageError) {
-        if self.failed.as_ref().is_none_or(|(first, _)| rank < *first) {
-            self.failed = Some((rank, e));
-        }
-    }
-
-    /// Whether the page chain goes on: every page asked for has come back,
-    /// and full. A short page, the empty one included, ends it.
-    fn chain_open(&self, page_size: usize) -> bool {
-        self.pages.iter().all(|page| page.as_ref().is_some_and(|rows| rows.len() == page_size))
-    }
-
-    /// The rows, through the first short page: what the serial chain
-    /// would have fetched. Pages predicted past it come back empty.
-    fn rows(&mut self, page_size: usize) -> Vec<Row> {
-        let mut rows = Vec::new();
-        for page in self.pages.drain(..).flatten() {
-            let full = page.len() == page_size;
-            rows.extend(page);
-            if !full {
-                break;
-            }
-        }
-        rows
-    }
+    /// Its schema and rows, once both have come back.
+    harvested: Option<(TableSchema, Vec<Row>)>,
+    /// Why they did not: the schema's failure before the rows'.
+    failed: Option<StorageError>,
 }
 
 /// One harvest pass's state between pipelines.
 struct Pass<'a> {
     db_id: &'a str,
-    page_size: usize,
-    /// Every table the pass has asked about; units index into it.
+    /// Every table the pass has asked about, predicted ones first.
     tables: Vec<TableHarvest>,
 }
 
@@ -301,20 +232,8 @@ impl Pass<'_> {
         if let Some(at) = self.tables.iter().position(|table| table.name == name) {
             return at;
         }
-        self.tables.push(TableHarvest {
-            name: name.to_string(),
-            schema: None,
-            pages: Vec::new(),
-            failed: None,
-        });
+        self.tables.push(TableHarvest { name: name.to_string(), harvested: None, failed: None });
         self.tables.len() - 1
-    }
-
-    /// Ask for the next page of table `at`.
-    fn next_page(&mut self, at: usize) -> Unit {
-        let pages = &mut self.tables[at].pages;
-        pages.push(None);
-        Unit::Page(at, pages.len() - 1)
     }
 
     /// The mirror, in listing order, so it does not depend on what was
@@ -330,13 +249,11 @@ impl Pass<'_> {
             let twice = || {
                 StorageError::Introspect(format!("{db_id}: backend listed table '{name}' twice"))
             };
-            let table = &mut self.tables[at];
             // A name listed twice shares one harvest: its second sighting
-            // finds the schema already taken.
-            let Some(schema) = table.schema.take() else {
+            // finds it already taken.
+            let Some((schema, rows)) = self.tables[at].harvested.take() else {
                 return Err(twice());
             };
-            let rows = table.rows(self.page_size);
             // `create_table` stamps local revisions freely; the final
             // `set_revision` overwrites them with the backend's token.
             let created = database.create_table(schema).map_err(|_| twice())?;
@@ -358,42 +275,32 @@ impl Pass<'_> {
         Ok(database)
     }
 
-    /// The request that runs `unit`.
-    fn request(&self, unit: Unit) -> Request {
-        match unit {
-            Unit::Schema(at) => Request::Schema(self.tables[at].name.clone()),
-            Unit::Page(at, page) => Request::Execute(format!(
-                "SELECT * FROM {} LIMIT {} OFFSET {}",
-                quote_ident(&self.tables[at].name),
-                self.page_size,
-                page * self.page_size
-            )),
-        }
-    }
-
     /// Send one pipeline over `conn`: a revision read when `before`, the
-    /// listing when `list`, `units`, and a revision read when `after`; fold
-    /// the units' answers in. The pass fails on a failed revision read or
-    /// listing, and on a unit that failed at the transport (the connection
-    /// is gone); any other unit failure is its table's, judged once the
-    /// listing is known.
+    /// listing when `list`, the schema and rows of each of `tables`, and a
+    /// revision read when `after`; fold the tables' answers in. The pass
+    /// fails on a failed revision read or listing, and on a table request
+    /// that failed at the transport (the connection is gone); any other
+    /// failure is its table's, judged once the listing is known.
     fn send(
         &mut self,
         conn: &mut dyn Connection,
         before: bool,
         list: bool,
-        units: Vec<Unit>,
+        tables: Range<usize>,
         after: bool,
     ) -> Result<Sent, StorageError> {
         let db_id = self.db_id;
-        let mut reqs = Vec::with_capacity(units.len() + 3);
+        let mut reqs = Vec::with_capacity(2 * tables.len() + 3);
         if before {
             reqs.push(Request::Revision);
         }
         if list {
             reqs.push(Request::Tables);
         }
-        reqs.extend(units.iter().map(|&unit| self.request(unit)));
+        for table in &self.tables[tables.clone()] {
+            reqs.push(Request::Schema(table.name.clone()));
+            reqs.push(Request::Execute(format!("SELECT * FROM {}", quote_ident(&table.name))));
+        }
         if after {
             reqs.push(Request::Revision);
         }
@@ -409,35 +316,30 @@ impl Pass<'_> {
             Some(_) => return Err(mismatched(db_id, "the table listing")),
             None => None,
         };
-        for unit in units {
-            let (at, rank, outcome) = match (unit, next()) {
-                (_, Err(e @ StorageError::Connect(_))) => return Err(e),
-                (Unit::Schema(at), Ok(Reply::Schema(schema))) => {
-                    let table = &mut self.tables[at];
-                    if schema.name.eq_ignore_ascii_case(&table.name) {
-                        table.schema = Some(schema);
-                        continue;
-                    }
-                    let e = StorageError::Introspect(format!(
-                        "{db_id}: backend described table '{}' when asked for '{}'",
-                        schema.name, table.name
-                    ));
-                    (at, 0, e)
+        for table in &mut self.tables[tables] {
+            let schema = match next() {
+                Err(e @ StorageError::Connect(_)) => return Err(e),
+                Ok(Reply::Schema(schema)) if schema.name.eq_ignore_ascii_case(&table.name) => {
+                    Ok(schema)
                 }
-                (Unit::Page(at, page), Ok(Reply::Rows(result))) => {
-                    self.tables[at].pages[page] = Some(result.rows);
-                    continue;
-                }
-                (Unit::Schema(at), reply) => {
-                    (at, 0, reply.err().unwrap_or_else(|| mismatched(db_id, "a schema request")))
-                }
-                (Unit::Page(at, page), reply) => {
-                    let e = reply.err().unwrap_or_else(|| mismatched(db_id, "a page"));
-                    let name = &self.tables[at].name;
-                    (at, page + 1, introspect_err(&format!("{db_id}.{name} row harvest"), e))
+                Ok(Reply::Schema(schema)) => Err(StorageError::Introspect(format!(
+                    "{db_id}: backend described table '{}' when asked for '{}'",
+                    schema.name, table.name
+                ))),
+                reply => Err(reply.err().unwrap_or_else(|| mismatched(db_id, "a schema request"))),
+            };
+            let rows = match next() {
+                Err(e @ StorageError::Connect(_)) => return Err(e),
+                Ok(Reply::Rows(result)) => Ok(result.rows),
+                reply => {
+                    let e = reply.err().unwrap_or_else(|| mismatched(db_id, "a row read"));
+                    Err(introspect_err(&format!("{db_id}.{} row harvest", table.name), e))
                 }
             };
-            self.tables[at].fail(rank, outcome);
+            match (schema, rows) {
+                (Ok(schema), Ok(rows)) => table.harvested = Some((schema, rows)),
+                (Err(e), _) | (_, Err(e)) => table.failed = Some(e),
+            }
         }
         let after = if after { Some(revision(db_id, next())?) } else { None };
         Ok(Sent { before, listing, after })
@@ -485,15 +387,14 @@ mod tests {
         let source_revision = source.revision();
         let backend = MemoryBackend::new(vec![source]);
         let mut conn = backend.connect().expect("connect");
-        let catalog =
-            introspect(&mut conn, "shop", &IntrospectOptions::default()).expect("introspects");
+        let catalog = introspect(&mut conn, "shop").expect("introspects");
 
         assert_eq!(catalog.revision, source_revision, "stamped with the backend's token");
         assert_eq!(catalog.database.revision(), source_revision);
         assert_eq!(catalog.table_count(), 2);
         assert_eq!(catalog.column_count(), 5);
         let items = catalog.database.table("items").expect("mirrored");
-        assert_eq!(items.rows.len(), 700, "paged harvest crosses page boundaries");
+        assert_eq!(items.rows.len(), 700, "every row is harvested");
         assert_eq!(items.schema.columns[1].comment.as_deref(), Some("display name"));
         assert_eq!(items.schema.foreign_keys.len(), 1, "FK edges survive");
         // Row content and order survive the wire.
@@ -504,8 +405,7 @@ mod tests {
     fn unknown_database_keeps_its_kind() {
         let backend = MemoryBackend::new(vec![]);
         let mut conn = backend.connect().expect("connect");
-        let err = introspect(&mut conn, "nowhere", &IntrospectOptions::default())
-            .expect_err("no such db");
+        let err = introspect(&mut conn, "nowhere").expect_err("no such db");
         assert_eq!(err.kind(), "unknown_database");
     }
 }

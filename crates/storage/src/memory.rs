@@ -2,7 +2,7 @@
 //!
 //! What used to be "a `HashMap<String, Database>` handed directly to the
 //! serving layer" is now a shared store behind the trait: connections
-//! execute through [`sqlengine::execute_query_governed`], introspection
+//! execute through [`sqlengine::execute_query`], introspection
 //! reads schemas out of the live catalog, and revision tokens are the
 //! engine's own mutation stamps. The store stays mutable from outside
 //! (tests, chaos suites, live administration) through
@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use sqlengine::{Database, ExecLimits, QueryResult, TableSchema};
+use sqlengine::{Database, QueryResult, TableSchema};
 
 use crate::backend::{Backend, Connection, Reply, Request};
 use crate::error::StorageError;
@@ -26,7 +26,6 @@ pub type SharedStore = Arc<RwLock<HashMap<String, Database>>>;
 /// [`Backend`] over in-process [`sqlengine`] databases.
 pub struct MemoryBackend {
     store: SharedStore,
-    limits: ExecLimits,
 }
 
 impl MemoryBackend {
@@ -34,20 +33,13 @@ impl MemoryBackend {
     /// execution budgets (trusted in-process callers).
     pub fn new(dbs: Vec<Database>) -> MemoryBackend {
         let store = dbs.into_iter().map(|db| (db.name.clone(), db)).collect();
-        MemoryBackend { store: Arc::new(RwLock::new(store)), limits: ExecLimits::unlimited() }
+        MemoryBackend { store: Arc::new(RwLock::new(store)) }
     }
 
     /// A backend over an existing shared store (e.g. one also wrapped by a
     /// fault-injecting backend).
     pub fn over(store: SharedStore) -> MemoryBackend {
-        MemoryBackend { store, limits: ExecLimits::unlimited() }
-    }
-
-    /// This backend with every [`Connection::execute`] governed by
-    /// `limits`.
-    pub fn with_limits(mut self, limits: ExecLimits) -> MemoryBackend {
-        self.limits = limits;
-        self
+        MemoryBackend { store }
     }
 
     /// A handle to the live store.
@@ -83,14 +75,13 @@ impl Backend for MemoryBackend {
     }
 
     fn connect(&self) -> Result<Box<dyn Connection>, StorageError> {
-        Ok(Box::new(MemoryConnection { store: Arc::clone(&self.store), limits: self.limits }))
+        Ok(Box::new(MemoryConnection { store: Arc::clone(&self.store) }))
     }
 }
 
 /// One session against the shared in-memory store.
 struct MemoryConnection {
     store: SharedStore,
-    limits: ExecLimits,
 }
 
 impl MemoryConnection {
@@ -106,11 +97,10 @@ impl MemoryConnection {
         f(db)
     }
 
-    fn run_sql(&self, db: &Database, sql: &str) -> Result<QueryResult, StorageError> {
-        sqlengine::execute_query_governed(db, sql, &self.limits)
-            .map(|(result, _stats)| result)
-            .map_err(StorageError::Engine)
-    }
+}
+
+fn run_sql(db: &Database, sql: &str) -> Result<QueryResult, StorageError> {
+    sqlengine::execute_query(db, sql).map_err(StorageError::Engine)
 }
 
 fn table_names(db: &Database) -> Vec<String> {
@@ -125,7 +115,7 @@ fn schema_of(db: &Database, table: &str) -> Result<TableSchema, StorageError> {
 
 impl Connection for MemoryConnection {
     fn execute(&mut self, db_id: &str, sql: &str) -> Result<QueryResult, StorageError> {
-        self.with_db(db_id, |db| self.run_sql(db, sql))
+        self.with_db(db_id, |db| run_sql(db, sql))
     }
 
     fn ping(&mut self) -> Result<(), StorageError> {
@@ -165,7 +155,7 @@ impl Connection for MemoryConnection {
             .map(|req| match req {
                 Request::Tables => Ok(Reply::Tables(table_names(db))),
                 Request::Schema(table) => schema_of(db, table).map(Reply::Schema),
-                Request::Execute(sql) => self.run_sql(db, sql).map(Reply::Rows),
+                Request::Execute(sql) => run_sql(db, sql).map(Reply::Rows),
                 Request::Revision => Ok(Reply::Revision(db.revision())),
             })
             .collect()

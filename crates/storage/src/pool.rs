@@ -383,11 +383,6 @@ impl PooledConn {
         }
     }
 
-    /// Whether a connection-level failure was observed on this checkout.
-    pub fn is_tainted(&self) -> bool {
-        self.tainted
-    }
-
     /// Whether the backend answered any operation on this checkout. A
     /// tainted guard that never did failed on its first operation: nothing
     /// ran, and the connection most likely died while parked.

@@ -8,7 +8,7 @@
 //! re-introspects and swaps the catalog only when the backend's token
 //! moved, one re-introspection per database at a time however many
 //! dispatches saw the token move. An introspection runs on one pooled
-//! connection, and a re-introspection asks for everything the catalog it
+//! connection, and a re-introspection asks for every table the catalog it
 //! replaces predicts in one pipeline (DESIGN.md §4k). Every install runs
 //! the registered revision observer in two halves: its build derives state
 //! from the fresh mirror on the caller's thread once the harvest's bracket
@@ -64,7 +64,6 @@ pub enum SyncOutcome {
 /// Live view of the databases served through one storage backend.
 pub struct CatalogService {
     pool: ConnectionPool,
-    options: IntrospectOptions,
     catalogs: RwLock<HashMap<String, Arc<Catalog>>>,
     /// One lock per database that has ever been installed. `sync` holds it
     /// across a re-introspection so concurrent dispatches share one, and
@@ -74,11 +73,10 @@ pub struct CatalogService {
 }
 
 impl CatalogService {
-    /// A service over `pool` with the given introspection options.
-    pub fn new(pool: ConnectionPool, options: IntrospectOptions) -> CatalogService {
+    /// A service over `pool`. [`IntrospectOptions`] has no field left.
+    pub fn new(pool: ConnectionPool, _options: IntrospectOptions) -> CatalogService {
         CatalogService {
             pool,
-            options,
             catalogs: RwLock::new(HashMap::new()),
             refreshing: Mutex::new(HashMap::new()),
             observer: RwLock::new(None),
@@ -145,9 +143,7 @@ impl CatalogService {
         let installed = self.catalog(db_id);
         let prediction = installed.as_ref().map(|catalog| &catalog.database);
         let observer = self.observer.read().clone();
-        self.read(|conn| {
-            introspect_with(conn, prediction, known, db_id, &self.options, observer.as_ref())
-        })
+        self.read(|conn| introspect_with(conn, prediction, known, db_id, observer.as_ref()))
     }
 
     /// Insert a harvested catalog and run its observer's commit. The

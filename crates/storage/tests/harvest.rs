@@ -1,8 +1,9 @@
 //! The harvest under a pool: requests — the listing, one table's schema,
-//! one page of rows — sent in pipelines over one pooled connection must
+//! one table's rows — sent in pipelines over one pooled connection must
 //! build the mirror a bare connection builds, issue exactly the requests
-//! and pipelines the protocol names (a refresh whose prediction holds: the
-//! dispatch's revision read, then one pipeline ending in `after`), survive
+//! and pipelines the protocol names (at most two pipelines a pass; a
+//! refresh whose prediction holds: the dispatch's revision read, then one
+//! pipeline ending in `after`), survive
 //! connections that died while parked and requests for tables the listing
 //! no longer has, retry a pass a write landed in, give up on a revision
 //! that keeps moving — and a refresh must be single-flight per database.
@@ -88,11 +89,7 @@ fn add_table(db: &mut Database, name: &str, rows: usize) {
     }
 }
 
-fn service_over(
-    backend: Arc<dyn Backend>,
-    capacity: usize,
-    options: IntrospectOptions,
-) -> CatalogService {
+fn service_over(backend: Arc<dyn Backend>, capacity: usize) -> CatalogService {
     let pool = ConnectionPool::with_registry(
         backend,
         // Long enough that a checkout that waited would be seen as a hang,
@@ -100,7 +97,7 @@ fn service_over(
         PoolConfig { capacity, checkout_timeout: Duration::from_secs(30), ..PoolConfig::default() },
         &codes_obs::Registry::new(),
     );
-    CatalogService::new(pool, options)
+    CatalogService::new(pool, IntrospectOptions::default())
 }
 
 fn write_row(backend: &MemoryBackend, table: &str, id: i64) {
@@ -124,8 +121,8 @@ fn drop_table(backend: &MemoryBackend, table: &str) {
 }
 
 /// What a single connection harvests from `backend` right now.
-fn fresh_introspection(backend: &dyn Backend, options: &IntrospectOptions) -> Catalog {
-    introspect(&mut backend.connect().expect("connect"), DB, options).expect("single connection")
+fn fresh_introspection(backend: &dyn Backend) -> Catalog {
+    introspect(&mut backend.connect().expect("connect"), DB).expect("single connection")
 }
 
 fn assert_same_mirror(pooled: &Catalog, solo: &Catalog, context: &str) {
@@ -150,24 +147,24 @@ fn assert_conserved(service: &CatalogService) {
     assert_eq!(stats.exhausted, 0, "no checkout waited out its timeout: {stats:?}");
 }
 
-/// The `SELECT` that fetches page `page` of `table`.
-fn page_sql(table: &str, page_size: usize, page: usize) -> String {
-    format!("SELECT * FROM \"{table}\" LIMIT {page_size} OFFSET {}", page * page_size)
+/// The `SELECT` that fetches every row of `table`.
+fn rows_sql(table: &str) -> String {
+    format!("SELECT * FROM \"{table}\"")
 }
 
 // ---------------------------------------------------------------------
 // (i) Equivalence.
 // ---------------------------------------------------------------------
 
-/// 0–6 tables; among them an empty one, exact multiples of the page size,
-/// one row short of a page, and anything up to 700 rows.
-fn table_rows(words: &[u64], page_size: usize) -> Vec<usize> {
+/// 0–6 tables; among them empty ones, short ones (under ten rows), ones of
+/// 700 rows, and anything in between.
+fn table_rows(words: &[u64]) -> Vec<usize> {
     words
         .iter()
         .map(|w| match w % 5 {
             0 => 0,
-            1 => page_size * (1 + (w / 5 % 3) as usize),
-            2 => page_size - 1,
+            1 => 1 + (w / 5 % 9) as usize,
+            2 => 700,
             _ => (w / 5 % 701) as usize,
         })
         .collect()
@@ -178,58 +175,63 @@ proptest! {
 
     /// Whatever the shape of the database and the pool's capacity, the
     /// pooled harvest builds the mirror a bare connection builds, on one
-    /// connection: table order, row order, schemas, revision.
+    /// connection and in two pipelines: table order, row order, schemas,
+    /// revision.
     #[test]
     fn pooled_harvest_equals_the_single_connection_harvest(
-        words in prop::collection::vec(0u64..u64::MAX, 1..8),
+        words in prop::collection::vec(0u64..u64::MAX, 0..7),
     ) {
-        let page_size = 8 + (words[0] % 56) as usize;
-        let rows = table_rows(&words[1..], page_size);
-        let options = IntrospectOptions { page_size };
+        let rows = table_rows(&words);
         let backend = Arc::new(MemoryBackend::new(vec![database(&rows)]));
-        let solo = fresh_introspection(backend.as_ref(), &options);
+        let solo = fresh_introspection(backend.as_ref());
         prop_assert_eq!(solo.table_count(), rows.len());
         for capacity in [1usize, 2, 8] {
-            let service = service_over(Arc::clone(&backend) as Arc<dyn Backend>, capacity, options);
+            let hooked = Hooked::new(MemoryBackend::over(backend.store()));
+            let wire = hooked.wire();
+            let service = service_over(Arc::new(hooked), capacity);
             let pooled = service.attach(DB).expect("pooled");
             assert_same_mirror(&pooled, &solo, &format!("capacity {capacity}, rows {rows:?}"));
             assert_conserved(&service);
             prop_assert_eq!(service.pool().stats().established, 1);
+            // [before, listing], then every table.
+            prop_assert_eq!(wire.pipelines(), 2);
         }
     }
 
     /// Whatever moved between the attach and the sync — a table added or
-    /// dropped, a column renamed, rows grown or shrunk across a page
-    /// boundary — the refresh, predicted from the mirror it replaces,
-    /// installs the mirror a fresh single-connection introspection builds.
+    /// dropped, a column renamed, rows grown or shrunk by up to 300 — the
+    /// refresh, predicted from the mirror it replaces, installs the mirror
+    /// a fresh single-connection introspection builds, in one pipeline
+    /// after the dispatch's read, two when a table was added.
     #[test]
     fn a_refreshed_mirror_equals_a_fresh_introspection_whatever_moved(
-        words in prop::collection::vec(0u64..u64::MAX, 3..9),
+        words in prop::collection::vec(0u64..u64::MAX, 2..8),
     ) {
-        let page_size = 8 + (words[0] % 56) as usize;
-        let rows = table_rows(&words[3..], page_size);
-        let options = IntrospectOptions { page_size };
+        let rows = table_rows(&words[2..]);
         let capacity = [1usize, 2, 8][(words[1] % 3) as usize];
+        let by = 1 + (words[1] / 3 % 300) as usize;
         let backend = Arc::new(MemoryBackend::new(vec![database(&rows)]));
-        let service = service_over(Arc::clone(&backend) as Arc<dyn Backend>, capacity, options);
+        let hooked = Hooked::new(MemoryBackend::over(backend.store()));
+        let wire = hooked.wire();
+        let service = service_over(Arc::new(hooked), capacity);
         service.attach(DB).expect("attach");
 
-        let victim = format!("t{}", (words[2] / 5) as usize % rows.len().max(1));
-        let mutation = words[2] % 5;
+        let victim = format!("t{}", (words[0] / 5) as usize % rows.len().max(1));
+        let mutation = words[0] % 5;
         backend
             .mutate(DB, |db| {
                 match (mutation, db.tables.iter_mut().find(|t| t.schema.name == victim)) {
-                    (0, _) => add_table(db, "added", (words[2] / 5 % 300) as usize),
+                    (0, _) => add_table(db, "added", (words[0] / 5 % 300) as usize),
                     (1, _) => db.tables.retain(|t| t.schema.name != victim),
                     (2, Some(table)) => table.schema.columns[1].name = "renamed".to_string(),
                     (3, Some(table)) => {
                         let n = table.rows.len() as i64;
-                        for j in n..n + page_size as i64 + 1 {
+                        for j in n..n + by as i64 {
                             table.rows.push(vec![j.into(), "grown".into(), 0.0.into()]);
                         }
                     }
                     (_, Some(table)) => {
-                        let keep = table.rows.len().saturating_sub(page_size + 1);
+                        let keep = table.rows.len().saturating_sub(by);
                         table.rows.truncate(keep);
                     }
                     (_, None) => {}
@@ -238,9 +240,12 @@ proptest! {
             })
             .expect("db exists");
 
+        wire.reset();
         let outcome = service.sync(DB).expect("refresh");
         prop_assert!(matches!(outcome, SyncOutcome::Refreshed { .. }), "{:?}", outcome);
-        let fresh = fresh_introspection(backend.as_ref(), &options);
+        // A table added is one nobody predicted: a second pipeline.
+        prop_assert_eq!(wire.pipelines(), 1 + u64::from(mutation == 0));
+        let fresh = fresh_introspection(backend.as_ref());
         let refreshed = service.catalog(DB).expect("attached");
         assert_same_mirror(
             &refreshed,
@@ -255,10 +260,9 @@ proptest! {
 // (ii) Request accounting.
 // ---------------------------------------------------------------------
 
-/// The tentpole's claim, counted: after a write that moves no page
-/// boundary, the refresh is the dispatch's revision read and one pipeline
-/// of the listing, every schema, every page and the revision read that
-/// closes it, in that order, on one connection.
+/// After a write, the refresh is the dispatch's revision read and one
+/// pipeline of the listing, every table's schema beside its rows, and the
+/// revision read that closes it, in that order, on one connection.
 #[test]
 fn a_refresh_whose_prediction_holds_is_one_wave() {
     let store = MemoryBackend::new(vec![database(&[3, 40, 3])]);
@@ -274,7 +278,7 @@ fn a_refresh_whose_prediction_holds_is_one_wave() {
         Ok(())
     });
     let wire = backend.wire();
-    let service = service_over(Arc::new(backend), 8, IntrospectOptions::default());
+    let service = service_over(Arc::new(backend), 8);
     service.attach(DB).expect("attach");
 
     write_row(&admin, "t1", 100);
@@ -292,14 +296,12 @@ fn a_refresh_whose_prediction_holds_is_one_wave() {
     let mut expected = vec![(Op::Revision, String::new()), (Op::Tables, String::new())];
     for table in ["t0", "t1", "t2"] {
         expected.push((Op::TableSchema, table.to_string()));
-    }
-    for table in ["t0", "t1", "t2"] {
-        expected.push((Op::Execute, page_sql(table, 256, 0)));
+        expected.push((Op::Execute, rows_sql(table)));
     }
     expected.push((Op::Revision, String::new()));
     assert_eq!(requests, expected);
 
-    let fresh = fresh_introspection(&admin, &IntrospectOptions::default());
+    let fresh = fresh_introspection(&admin);
     assert_same_mirror(&service.catalog(DB).expect("attached"), &fresh, "one-pipeline refresh");
     assert_conserved(&service);
 }
@@ -312,7 +314,7 @@ fn the_same_harvest_runs_serially_on_a_pool_of_one() {
         seen.lock().expect("no panic under this lock").insert(call.conn);
         Ok(())
     });
-    let service = service_over(Arc::new(backend), 1, IntrospectOptions::default());
+    let service = service_over(Arc::new(backend), 1);
     assert_eq!(service.attach(DB).expect("attach").table_count(), 4);
     assert_conserved(&service);
     let distinct = inside.lock().expect("no panic under this lock").len();
@@ -326,7 +328,7 @@ fn a_pool_with_nothing_to_lend_harvests_on_the_callers_connection() {
     let backend = Arc::new(MemoryBackend::new(vec![database(&[5, 5, 5, 5])]));
     let hooked = Hooked::new(MemoryBackend::over(backend.store()));
     let wire = hooked.wire();
-    let service = service_over(Arc::new(hooked), 3, IntrospectOptions::default());
+    let service = service_over(Arc::new(hooked), 3);
 
     let mut held: Vec<_> =
         (0..3).map(|_| service.pool().checkout().expect("capacity free")).collect();
@@ -339,7 +341,7 @@ fn a_pool_with_nothing_to_lend_harvests_on_the_callers_connection() {
     assert!(matches!(outcome, SyncOutcome::Refreshed { .. }), "{outcome:?}");
     assert_eq!(service.catalog(DB).expect("attached").database.tables[1].rows.len(), 6);
     assert_eq!(wire.count(Op::TableSchema), 4, "the whole harvest ran");
-    assert_eq!(wire.count(Op::Execute), 4, "every predicted page, once");
+    assert_eq!(wire.count(Op::Execute), 4, "every predicted table's rows, once");
     assert_eq!(wire.connects(), 3, "on the connection it had");
 
     let stats = service.pool().stats();
@@ -355,11 +357,9 @@ fn a_pool_with_nothing_to_lend_harvests_on_the_callers_connection() {
 
 #[test]
 fn a_refresh_issues_exactly_the_round_trips_the_protocol_names() {
-    // Page size 10: 0 rows → 1 page, 5 → 1, 10 → 2 (a full page, then the
-    // empty one that ends the chain), 25 → 3.
     let backend = Arc::new(MemoryBackend::new(vec![database(&[0, 5, 10, 25])]));
-    let pages = Arc::new(Mutex::new(Vec::new()));
-    let sql = Arc::clone(&pages);
+    let reads = Arc::new(Mutex::new(Vec::new()));
+    let sql = Arc::clone(&reads);
     let hooked = Hooked::new(MemoryBackend::over(backend.store())).before(move |call| {
         if call.op == Op::Execute {
             sql.lock().expect("no panic under this lock").push(call.target.to_string());
@@ -367,28 +367,18 @@ fn a_refresh_issues_exactly_the_round_trips_the_protocol_names() {
         Ok(())
     });
     let wire = hooked.wire();
-    let options = IntrospectOptions { page_size: 10 };
-    let service = service_over(Arc::new(hooked), 8, options);
-    let take_pages = || {
-        let mut taken = std::mem::take(&mut *pages.lock().expect("no panic under this lock"));
-        taken.sort();
-        taken
-    };
-    let mut every_page: Vec<String> = [("t0", 1), ("t1", 1), ("t2", 2), ("t3", 3)]
-        .into_iter()
-        .flat_map(|(table, n)| (0..n).map(move |page| page_sql(table, 10, page)))
-        .collect();
-    every_page.sort();
+    let service = service_over(Arc::new(hooked), 8);
+    let take_reads = || std::mem::take(&mut *reads.lock().expect("no panic under this lock"));
+    let every_table: Vec<String> = ["t0", "t1", "t2", "t3"].map(rows_sql).to_vec();
 
     service.attach(DB).expect("attach");
-    // [before, listing], [schemas, first pages, revision], [t2's and t3's
-    // second pages, revision], [t3's third page, after].
-    assert_eq!(wire.pipelines(), 4);
-    assert_eq!(wire.count(Op::Revision), 4, "`before`, and one closing each later pipeline");
+    // [before, listing], then [every schema beside its rows, after].
+    assert_eq!(wire.pipelines(), 2);
+    assert_eq!(wire.count(Op::Revision), 2, "`before`, and `after` closing the second");
     assert_eq!(wire.count(Op::Tables), 1);
     assert_eq!(wire.count(Op::TableSchema), 4);
-    assert_eq!(wire.count(Op::Execute), 7);
-    assert_eq!(take_pages(), every_page, "each page asked for once");
+    assert_eq!(wire.count(Op::Execute), 4);
+    assert_eq!(take_reads(), every_table, "each table read once, in listing order");
 
     wire.reset();
     assert_eq!(service.sync(DB).expect("steady"), SyncOutcome::Unchanged);
@@ -396,7 +386,7 @@ fn a_refresh_issues_exactly_the_round_trips_the_protocol_names() {
     assert_eq!(wire.pipelines(), 0);
     assert_eq!(wire.count(Op::Tables) + wire.count(Op::TableSchema) + wire.count(Op::Execute), 0);
 
-    // A write inside a page: the prediction holds, one pipeline.
+    // A one-row write: the prediction holds, one pipeline.
     write_row(&backend, "t1", 100);
     wire.reset();
     assert!(matches!(service.sync(DB).expect("refresh"), SyncOutcome::Refreshed { .. }));
@@ -404,28 +394,93 @@ fn a_refresh_issues_exactly_the_round_trips_the_protocol_names() {
     assert_eq!(wire.pipelines(), 1);
     assert_eq!(wire.count(Op::Tables), 1);
     assert_eq!(wire.count(Op::TableSchema), 4);
-    assert_eq!(wire.count(Op::Execute), 7);
+    assert_eq!(wire.count(Op::Execute), 4);
     assert_eq!(wire.count(Op::Databases), 0);
-    assert_eq!(take_pages(), every_page, "the predicted pages, each once");
+    assert_eq!(take_reads(), every_table, "the predicted tables, each once");
 
-    // Four more rows fill t1's page: the predicted page comes back full,
-    // and one more page follows it in a second pipeline, which ends in its
-    // own revision read.
-    for id in 101..105 {
-        write_row(&backend, "t1", id);
-    }
+    // A table nobody predicted: its schema and rows follow in a second
+    // pipeline, which ends in its own revision read.
+    backend.mutate(DB, |db| add_table(db, "t4", 3)).expect("db exists");
     wire.reset();
     assert!(matches!(service.sync(DB).expect("refresh"), SyncOutcome::Refreshed { .. }));
     assert_eq!(wire.count(Op::Revision), 3);
     assert_eq!(wire.pipelines(), 2);
     assert_eq!(wire.count(Op::Tables), 1);
-    assert_eq!(wire.count(Op::TableSchema), 4);
-    assert_eq!(wire.count(Op::Execute), 8, "t1's second page, after its first came back full");
-    every_page.push(page_sql("t1", 10, 1));
-    every_page.sort();
-    assert_eq!(take_pages(), every_page);
-    assert_eq!(service.catalog(DB).expect("attached").database.tables[1].rows.len(), 10);
+    assert_eq!(wire.count(Op::TableSchema), 5);
+    assert_eq!(wire.count(Op::Execute), 5, "t4's rows, after the listing named it");
+    let mut expected = every_table.clone();
+    expected.push(rows_sql("t4"));
+    assert_eq!(take_reads(), expected);
+    assert_eq!(service.catalog(DB).expect("attached").database.tables[4].rows.len(), 3);
     assert_conserved(&service);
+}
+
+/// Bank-Financials' `txn` has 1,500 rows. Attached, it is two pipelines,
+/// whatever the row count, and the mirror holds every row in the source's
+/// order.
+#[test]
+fn a_1500_row_table_attaches_in_two_pipelines_row_for_row() {
+    let source = database(&[1500]);
+    let hooked = Hooked::new(MemoryBackend::new(vec![source.clone()]));
+    let wire = hooked.wire();
+    let service = service_over(Arc::new(hooked), 8);
+    let catalog = service.attach(DB).expect("attach");
+    assert_eq!(wire.pipelines(), 2, "[before, listing], then [schema, rows, after]");
+    assert_eq!(wire.count(Op::Execute), 1, "one read of the table");
+    assert_eq!(catalog.database.tables[0].rows, source.tables[0].rows, "row for row, in order");
+    assert_conserved(&service);
+}
+
+/// Growing a table by 300 rows still costs a refresh the dispatch's read
+/// and one pipeline: how many rows a table holds never asks for another
+/// round trip.
+#[test]
+fn a_refresh_after_a_table_grows_by_300_rows_is_one_pipeline() {
+    let store = MemoryBackend::new(vec![database(&[3, 40])]);
+    let admin = MemoryBackend::over(store.store());
+    let hooked = Hooked::new(store);
+    let wire = hooked.wire();
+    let service = service_over(Arc::new(hooked), 8);
+    service.attach(DB).expect("attach");
+
+    for id in 1000..1300 {
+        write_row(&admin, "t1", id);
+    }
+    wire.reset();
+    assert!(matches!(service.sync(DB).expect("refresh"), SyncOutcome::Refreshed { .. }));
+    assert_eq!(wire.pipelines(), 1);
+    assert_eq!(wire.count(Op::Revision), 2, "the dispatch's read and `after`");
+    let refreshed = service.catalog(DB).expect("attached");
+    assert_eq!(refreshed.database.tables[1].rows.len(), 340);
+    assert_same_mirror(&refreshed, &fresh_introspection(&admin), "grown by 300 rows");
+    assert_conserved(&service);
+}
+
+/// No request of an attach or a refresh pages with `LIMIT` or `OFFSET`:
+/// a page read without `ORDER BY` is not a consistent read on a real
+/// database.
+#[test]
+fn no_harvest_request_pages_with_limit_or_offset() {
+    let store = MemoryBackend::new(vec![database(&[0, 7, 700])]);
+    let admin = MemoryBackend::over(store.store());
+    let sent = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&sent);
+    let hooked = Hooked::new(store).before(move |call| {
+        log.lock().expect("no panic under this lock").push(call.target.to_string());
+        Ok(())
+    });
+    let service = service_over(Arc::new(hooked), 8);
+    service.attach(DB).expect("attach");
+    write_row(&admin, "t2", 1000);
+    admin.mutate(DB, |db| add_table(db, "added", 300)).expect("db exists");
+    assert!(matches!(service.sync(DB).expect("refresh"), SyncOutcome::Refreshed { .. }));
+
+    let sent = sent.lock().expect("no panic under this lock").clone();
+    assert!(sent.iter().any(|target| target.starts_with("SELECT")), "rows were read: {sent:?}");
+    for target in &sent {
+        let upper = target.to_ascii_uppercase();
+        assert!(!upper.contains("LIMIT") && !upper.contains("OFFSET"), "paged: {target}");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -471,7 +526,7 @@ fn refresh_storm(spec: FaultSpec) -> Storm {
     let backend =
         Hooked::new(FlakyBackend::new(store, spec)).before(move |call| dead.check(call.conn));
     let wire = backend.wire();
-    let service = service_over(Arc::new(backend), 8, IntrospectOptions::default());
+    let service = service_over(Arc::new(backend), 8);
     assert!((0..50).any(|_| service.attach(DB).is_ok()), "attach beats the injector");
 
     let (mut errors, mut refreshed) = (Vec::new(), 0);
@@ -543,11 +598,11 @@ fn a_unit_for_a_table_the_listing_no_longer_has_never_fails_the_pass() {
             None => Ok(()),
         }
     });
-    let service = service_over(Arc::new(backend), 8, IntrospectOptions::default());
+    let service = service_over(Arc::new(backend), 8);
     service.attach(DB).expect("attach");
     asked.lock().expect("no panic under this lock").clear();
 
-    // t1 (two pages) is gone: its schema and both pages fail at the backend.
+    // t1 is gone: its schema and rows fail at the backend.
     drop_table(&admin, "t1");
     let outcome = service.sync(DB).expect("a dropped table's failures do not fail the refresh");
     assert!(matches!(outcome, SyncOutcome::Refreshed { .. }), "{outcome:?}");
@@ -555,17 +610,19 @@ fn a_unit_for_a_table_the_listing_no_longer_has_never_fails_the_pass() {
         asked.lock().expect("no panic under this lock").iter().any(|table| table == "t1"),
         "the prediction did ask for t1"
     );
-    let fresh = fresh_introspection(&admin, &IntrospectOptions::default());
+    let fresh = fresh_introspection(&admin);
     assert_same_mirror(&service.catalog(DB).expect("attached"), &fresh, "t1 dropped");
 
-    // Now t0 goes, and both listed tables behind it fail: t3 in its page,
-    // t2 in its schema. Listing order decides which is reported.
+    // Now t0 goes, and both listed tables behind it fail: t3 in its row
+    // read, t2 in its schema and its row read. Listing order decides which
+    // table is reported, and of t2's two failures the schema's is.
     let before = service.catalog(DB).expect("attached").revision;
     *failing.lock().expect("no panic under this lock") = vec!["t0", "\"t3\"", "t2"];
     drop_table(&admin, "t0");
     let err = service.sync(DB).expect_err("listed tables failed");
     assert_eq!(err.kind(), "storage_introspect");
     assert!(err.to_string().contains("injected failure of t2"), "earliest-listed: {err}");
+    assert!(!err.to_string().contains("row harvest"), "the schema before the rows: {err}");
     assert_eq!(service.catalog(DB).expect("attached").revision, before, "nothing installed");
     assert_conserved(&service);
 }
@@ -575,7 +632,7 @@ fn a_unit_for_a_table_the_listing_no_longer_has_never_fails_the_pass() {
 // ---------------------------------------------------------------------
 
 /// A store that does not pipeline answers the harvest's requests one at a
-/// time, and the first page request writes a row before the backend sees
+/// time, and the first row read writes a row before the backend sees
 /// it: the closing revision read catches the write, the pass is retried
 /// once, and the retry's mirror holds the written row.
 #[test]
@@ -593,7 +650,7 @@ fn a_write_between_two_requests_of_the_harvest_is_caught_and_retried() {
         .unpipelined();
     let wire = backend.wire();
     let backend: Arc<dyn Backend> = Arc::new(backend);
-    let service = service_over(Arc::clone(&backend), 8, IntrospectOptions::default());
+    let service = service_over(Arc::clone(&backend), 8);
     let catalog = service.attach(DB).expect("the second pass is quiet");
     assert_eq!(wire.count(Op::Tables), 2, "the revision bracket failed the first pass");
     assert_eq!(catalog.database.tables[0].rows.len(), 5, "the mirror has the written row");
@@ -602,7 +659,7 @@ fn a_write_between_two_requests_of_the_harvest_is_caught_and_retried() {
     assert_conserved(&service);
 }
 
-/// Every page request writes a row to the store before the backend sees
+/// Every row read writes a row to the store before the backend sees
 /// it: no pass's bracket ever holds.
 #[test]
 fn a_revision_that_keeps_moving_is_the_same_typed_error() {
@@ -616,7 +673,7 @@ fn a_revision_that_keeps_moving_is_the_same_typed_error() {
         Ok(())
     });
     let wire = backend.wire();
-    let service = service_over(Arc::new(backend), 8, IntrospectOptions::default());
+    let service = service_over(Arc::new(backend), 8);
     let err = service.attach(DB).expect_err("never consistent");
     assert_eq!(err.kind(), "storage_introspect");
     assert!(err.to_string().contains("revision kept moving during harvest"), "{err}");
@@ -651,7 +708,7 @@ fn concurrent_syncs_after_one_write_share_one_refresh() {
         Ok(())
     });
     let wire = backend.wire();
-    let service = service_over(Arc::new(backend), 8, IntrospectOptions::default());
+    let service = service_over(Arc::new(backend), 8);
     let observed = Arc::new(AtomicU64::new(0));
     let counter = Arc::clone(&observed);
     service.set_revision_observer(Box::new(move |_| {

@@ -315,11 +315,7 @@ fn memory_pipelines_under_a_concurrent_writer_match_their_tail_revision() {
             };
             assert_eq!(head, tail, "no write lands inside a pipeline");
             let expected = rows_at.lock().expect("no panic under this lock")[tail];
-            assert_eq!(
-                rows.row_count(),
-                expected,
-                "the page is the tail revision's"
-            );
+            assert_eq!(rows.row_count(), expected, "the rows are the tail revision's");
             checked += 1;
         }
     });
