@@ -73,7 +73,7 @@ pub struct CatalogService {
 }
 
 impl CatalogService {
-    /// A service over `pool`. [`IntrospectOptions`] has no field left.
+    /// A service over `pool`. [`IntrospectOptions`] has no field.
     pub fn new(pool: ConnectionPool, _options: IntrospectOptions) -> CatalogService {
         CatalogService {
             pool,
