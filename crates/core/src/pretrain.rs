@@ -76,8 +76,6 @@ pub fn pretrain_with_capacity(
             // Incremental pre-training: start from StarCoder's corpus, then
             // continue on the SQL-centric corpus (SQL slice seen twice).
             let increment = build_corpus(&CorpusConfig::codes(cfg.scale, cfg.seed ^ 0xC0DE));
-            let mut merged = base;
-            merged.merge(increment.clone());
             // Second epoch over the SQL-related slice.
             let second_epoch: Vec<codes_corpus::Document> = increment
                 .documents
@@ -85,6 +83,8 @@ pub fn pretrain_with_capacity(
                 .filter(|d| d.slice == Slice::SqlRelated)
                 .cloned()
                 .collect();
+            let mut merged = base;
+            merged.merge(increment);
             merged.documents.extend(second_epoch);
             train_on(catalog, spec, capacity, &merged)
         }
@@ -119,11 +119,15 @@ fn train_on(catalog: &SketchCatalog, spec: &LmSpec, capacity: Capacity, corpus: 
     let bpe_sample: Vec<&str> = texts.iter().take(600).copied().collect();
     let bpe = Bpe::train(&bpe_sample, capacity.bpe_vocab);
 
-    // 2. Language model over BPE tokens.
+    // 2. Language model over BPE tokens. The corpus repeats its words far
+    //    more often than it has distinct ones, so each is encoded once.
     let mut lm = NgramLm::new(capacity.ngram_order, bpe.vocab_size());
+    let mut words = HashMap::new();
+    let mut tokens = Vec::new();
     for text in &texts {
-        let normalized = normalize_sql(text);
-        lm.observe(&bpe.encode(&normalized));
+        tokens.clear();
+        encode_memo(&bpe, &normalize_sql(text), &mut words, &mut tokens);
+        lm.observe(&tokens);
     }
 
     // 3. Sketch library mined from the SQL content.
@@ -178,18 +182,8 @@ impl PretrainedLm {
         if let Some(&ll) = memo.likelihoods.get(sql) {
             return ll;
         }
-        // `Bpe::encode` word by word, through the memo.
         let mut tokens: Vec<TokenId> = Vec::new();
-        for word in normalize_sql(sql).split_whitespace() {
-            match memo.words.get(word) {
-                Some(ids) => tokens.extend_from_slice(ids),
-                None => {
-                    let ids = self.bpe.encode_word(word);
-                    tokens.extend_from_slice(&ids);
-                    memo.words.insert(word.to_string(), ids);
-                }
-            }
-        }
+        encode_memo(&self.bpe, &normalize_sql(sql), &mut memo.words, &mut tokens);
         let ll = self.mean_log2_prob(&tokens);
         memo.likelihoods.insert(sql.to_string(), ll);
         ll
@@ -216,6 +210,21 @@ impl PretrainedLm {
             return f64::INFINITY;
         }
         2f64.powf(-total_lp / total_tokens as f64)
+    }
+}
+
+/// `Bpe::encode(text)` appended to `out`, word by word through `words`,
+/// which holds each distinct word's encoding once it has been worked out.
+fn encode_memo(bpe: &Bpe, text: &str, words: &mut HashMap<String, Vec<TokenId>>, out: &mut Vec<TokenId>) {
+    for word in text.split_whitespace() {
+        match words.get(word) {
+            Some(ids) => out.extend_from_slice(ids),
+            None => {
+                let ids = bpe.encode_word(word);
+                out.extend_from_slice(&ids);
+                words.insert(word.to_string(), ids);
+            }
+        }
     }
 }
 

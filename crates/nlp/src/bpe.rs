@@ -5,10 +5,14 @@
 //! text into subword ids that the n-gram language model consumes. Vocabulary
 //! size is one of the capacity knobs of the simulated model sizes.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Token id type.
 pub type TokenId = u32;
+
+/// Two adjacent token ids.
+type Pair = (TokenId, TokenId);
 
 /// A trained BPE tokenizer.
 #[derive(Debug, Clone)]
@@ -53,23 +57,36 @@ impl Bpe {
             }
         }
 
-        // 2. Iteratively merge the most frequent adjacent pair.
+        // 2. Pair counts over every word type, and which word types hold
+        //    each pair. A word is listed under every pair it holds, and
+        //    may stay listed under pairs it has since lost.
+        let mut words: Vec<(Vec<TokenId>, u64)> = word_counts.into_iter().collect();
+        let mut pair_counts: HashMap<Pair, u64> = HashMap::new();
+        let mut holders: HashMap<Pair, Vec<usize>> = HashMap::new();
+        for (w, (seq, count)) in words.iter().enumerate() {
+            for p in seq.windows(2) {
+                *pair_counts.entry((p[0], p[1])).or_insert(0) += count;
+                holders.entry((p[0], p[1])).or_default().push(w);
+            }
+        }
+        // Highest count first, then smallest ids. An entry whose count no
+        // longer matches `pair_counts` is stale and dropped when popped.
+        let mut heap: BinaryHeap<(u64, Reverse<Pair>)> =
+            pair_counts.iter().map(|(&pair, &count)| (count, Reverse(pair))).collect();
+
+        // 3. Repeatedly merge the most frequent adjacent pair. Every merge
+        //    applied has count ≥ 2 and replaces at least one occurrence, so
+        //    each shortens the corpus by at least one token: the loop ends
+        //    once the vocabulary is full or no pair repeats.
         let mut merges: HashMap<(TokenId, TokenId), (TokenId, usize)> = HashMap::new();
         let mut rank = 0usize;
         while tokens.len() < vocab_size {
-            let mut pair_counts: HashMap<(TokenId, TokenId), u64> = HashMap::new();
-            for (seq, count) in &word_counts {
-                for w in seq.windows(2) {
-                    *pair_counts.entry((w[0], w[1])).or_insert(0) += count;
-                }
-            }
-            // Deterministic tie-break: highest count, then smallest ids.
-            let Some((&best_pair, &best_count)) = pair_counts
-                .iter()
-                .max_by_key(|(pair, count)| (*count, std::cmp::Reverse(**pair)))
-            else {
+            let Some((best_count, Reverse(best_pair))) = heap.pop() else {
                 break;
             };
+            if pair_counts.get(&best_pair) != Some(&best_count) {
+                continue;
+            }
             if best_count < 2 {
                 break;
             }
@@ -77,11 +94,38 @@ impl Bpe {
             let merged_id = intern(merged_str, &mut tokens, &mut vocab);
             merges.insert(best_pair, (merged_id, rank));
             rank += 1;
-            // Apply the merge to every word.
-            let old: Vec<(Vec<TokenId>, u64)> = word_counts.drain().collect();
-            for (seq, count) in old {
-                let merged = apply_merge(&seq, best_pair, merged_id);
-                *word_counts.entry(merged).or_insert(0) += count;
+            // Re-count only the words that hold the pair: take out all of
+            // their windows and put back those of the merged sequence.
+            let mut deltas: HashMap<Pair, i64> = HashMap::new();
+            for w in holders.remove(&best_pair).unwrap_or_default() {
+                let (seq, count) = &mut words[w];
+                // Listed once per occurrence, or since lost: nothing to do.
+                if !seq.windows(2).any(|p| (p[0], p[1]) == best_pair) {
+                    continue;
+                }
+                let count = *count as i64;
+                for p in seq.windows(2) {
+                    *deltas.entry((p[0], p[1])).or_insert(0) -= count;
+                }
+                *seq = apply_merge(seq, best_pair, merged_id);
+                for p in seq.windows(2) {
+                    *deltas.entry((p[0], p[1])).or_insert(0) += count;
+                    if p.contains(&merged_id) {
+                        holders.entry((p[0], p[1])).or_default().push(w);
+                    }
+                }
+            }
+            for (pair, delta) in deltas {
+                if delta == 0 {
+                    continue;
+                }
+                let count = pair_counts.entry(pair).or_insert(0);
+                *count = count.checked_add_signed(delta).expect("a pair count never goes below zero");
+                if *count == 0 {
+                    pair_counts.remove(&pair);
+                } else {
+                    heap.push((*count, Reverse(pair)));
+                }
             }
         }
 
@@ -109,7 +153,9 @@ impl Bpe {
         if let Some(&end) = self.vocab.get("</w>") {
             seq.push(end);
         }
-        // Repeatedly apply the lowest-rank applicable merge.
+        // Repeatedly apply the lowest-rank applicable merge. Each pass
+        // shortens the sequence by one, so the loop runs at most the
+        // word's length in passes.
         loop {
             let mut best: Option<(usize, (TokenId, usize))> = None; // (pos, (merged, rank))
             for (i, w) in seq.windows(2).enumerate() {
