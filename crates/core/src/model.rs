@@ -2,7 +2,7 @@
 //! scoring and beam decoding (§8, §9.1.4: "a beam search produces 4 SQL
 //! candidates, picking the first executable one as the outcome").
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -31,12 +31,12 @@ const W_PRIOR: f64 = 0.55;
 pub struct FineTuned {
     /// intent-bucket -> (template id -> count)
     bucket_counts: HashMap<String, HashMap<usize, u64>>,
-    /// marginal template counts
-    template_counts: HashMap<usize, u64>,
+    /// Marginal template counts.
+    pub template_counts: HashMap<usize, u64>,
     total: u64,
     /// Learned NL-alias -> (table, column, stored value) mappings
     /// (domain knowledge absorbed from training data).
-    alias_map: HashMap<String, (String, String, String)>,
+    pub alias_map: HashMap<String, (String, String, String)>,
     /// Template ids newly learned during fine-tuning (within capacity).
     pub learned_templates: Vec<usize>,
 }
@@ -584,6 +584,9 @@ pub fn finetune<'a>(
 ) {
     let mut ft = model.finetuned.take().unwrap_or_default();
     let mut alias_votes: HashMap<String, HashMap<(String, String, String), u32>> = HashMap::new();
+    // Schema words are column references, not value aliases; each
+    // database's are read once per call.
+    let mut schema_words: HashMap<*const Database, HashSet<String>> = HashMap::new();
     let capacity = model.pretrained.capacity;
     for (sample, db) in samples {
         let Some(template_id) = model.catalog.template_of_sql(&sample.sql) else {
@@ -596,7 +599,18 @@ pub fn finetune<'a>(
         ft.total += 1;
         // Alias learning: gold predicates whose value the question never
         // mentions must be referenced through some other question word.
-        collect_alias_votes(sample, db, &mut alias_votes);
+        let words = schema_words.entry(db).or_insert_with(|| {
+            db.tables
+                .iter()
+                .flat_map(|t| {
+                    std::iter::once(t.schema.name.clone())
+                        .chain(t.schema.columns.iter().map(|c| c.name.clone()))
+                        .chain(t.schema.columns.iter().filter_map(|c| c.comment.clone()))
+                })
+                .flat_map(|s| codes_nlp::words(&s))
+                .collect()
+        });
+        collect_alias_votes(sample, db, words, &mut alias_votes);
     }
     // Fine-tuning re-allocates sketch capacity toward the training
     // distribution: the most frequent training shapes are learned first,
@@ -644,6 +658,7 @@ const STOPWORDS: &[&str] = &[
 fn collect_alias_votes(
     sample: &Sample,
     db: &Database,
+    schema_words: &HashSet<String>,
     votes: &mut HashMap<String, HashMap<(String, String, String), u32>>,
 ) {
     let Ok(query) = sqlengine::parse_query(&sample.sql) else {
@@ -653,17 +668,6 @@ fn collect_alias_votes(
     let qwords: Vec<String> = codes_nlp::words(&lower_q)
         .into_iter()
         .filter(|w| w.len() >= 4 && !STOPWORDS.contains(&w.as_str()))
-        .collect();
-    // Schema words are column references, not value aliases.
-    let schema_words: std::collections::HashSet<String> = db
-        .tables
-        .iter()
-        .flat_map(|t| {
-            std::iter::once(t.schema.name.clone())
-                .chain(t.schema.columns.iter().map(|c| c.name.clone()))
-                .chain(t.schema.columns.iter().filter_map(|c| c.comment.clone()))
-        })
-        .flat_map(|s| codes_nlp::words(&s))
         .collect();
     for (table, column, value) in eq_text_predicates(&query, db) {
         if lower_q.contains(&value.to_lowercase()) {

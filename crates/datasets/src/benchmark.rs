@@ -5,6 +5,7 @@ use rand::SeedableRng;
 
 use sqlengine::Database;
 
+use crate::parallel::{build_threads, map_in_order};
 use crate::sample::Sample;
 use crate::synth::{domains, generate_database, DbGenConfig};
 use crate::templates::generate_samples;
@@ -90,9 +91,10 @@ pub fn build_benchmark(name: &str, cfg: &BenchmarkConfig) -> Benchmark {
     let split = specs.len() - n_dev_domains;
     let db_cfg = if cfg.bird { DbGenConfig::bird() } else { DbGenConfig::spider() };
 
+    // Databases are built here, in domain order, so revision tokens are
+    // handed out in that order; each one's samples come from its own RNG.
     let mut databases = Vec::new();
-    let mut train = Vec::new();
-    let mut dev = Vec::new();
+    let mut seeds = Vec::new();
     for (di, spec) in specs.iter().enumerate() {
         for inst in 0..cfg.instances_per_domain {
             let db_seed = cfg.seed
@@ -102,19 +104,25 @@ pub fn build_benchmark(name: &str, cfg: &BenchmarkConfig) -> Benchmark {
             if cfg.instances_per_domain > 1 {
                 db.name = format!("{}_{}", spec.name, inst);
             }
-            let is_dev = di >= split;
-            let n = if is_dev { cfg.dev_samples_per_db } else { cfg.train_samples_per_db };
-            let mut rng = StdRng::seed_from_u64(db_seed ^ 0xABCD);
-            let mut samples = generate_samples(&db, n, &mut rng, cfg.bird);
-            for s in &mut samples {
-                s.db_id = db.name.clone();
-            }
-            if is_dev {
-                dev.extend(samples);
-            } else {
-                train.extend(samples);
-            }
             databases.push(db);
+            seeds.push((db_seed, di >= split));
+        }
+    }
+    let jobs: Vec<(&Database, &(u64, bool))> = databases.iter().zip(&seeds).collect();
+    let generated = map_in_order(&jobs, build_threads(), |&(db, &(db_seed, is_dev))| {
+        let n = if is_dev { cfg.dev_samples_per_db } else { cfg.train_samples_per_db };
+        generate_samples(db, n, &mut StdRng::seed_from_u64(db_seed ^ 0xABCD), cfg.bird)
+    });
+    let mut train = Vec::new();
+    let mut dev = Vec::new();
+    for ((db, &(_, is_dev)), mut samples) in jobs.into_iter().zip(generated) {
+        for s in &mut samples {
+            s.db_id = db.name.clone();
+        }
+        if is_dev {
+            dev.extend(samples);
+        } else {
+            train.extend(samples);
         }
     }
     Benchmark { name: name.to_string(), databases, train, dev }

@@ -12,13 +12,15 @@
 //!   new-domain datasets;
 //! * [`synth`] + [`templates`] — the underlying schema and question/SQL
 //!   generators;
-//! * [`rename`] — schema renaming with aligned gold-SQL rewriting.
+//! * [`rename`] — schema renaming with aligned gold-SQL rewriting;
+//! * [`parallel`] — the order-preserving parallel map build-time work uses.
 
 pub mod academic;
 pub mod benchmark;
 pub mod drspider;
 pub mod finance;
 pub mod lexicon;
+pub mod parallel;
 pub mod perturb;
 pub mod rename;
 pub mod sample;

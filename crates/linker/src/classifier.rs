@@ -5,6 +5,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use codes_datasets::parallel::{build_threads, map_in_order};
 use codes_datasets::{Benchmark, Sample};
 use sqlengine::{Column, Database, Table};
 
@@ -236,28 +237,49 @@ fn uses_column(sample: &Sample, table: &Table, column: &Column) -> bool {
 type LabelledRows = Vec<(Vec<f64>, bool)>;
 
 /// Expand samples into per-table and per-column training rows, profiling
-/// each database once into `profiles`.
+/// each database once into `profiles`. Profiles and rows are built on the
+/// caller; contiguous chunks of samples extract their features on
+/// [`build_threads`] threads, each chunk into one flat buffer holding, per
+/// sample, each table's row followed by its columns' rows.
 fn build_training_data(
     samples: &[Sample],
     benchmark: &Benchmark,
     use_ek: bool,
     profiles: &Profiles,
 ) -> (LabelledRows, LabelledRows) {
+    let supervised: Vec<(&Sample, &Database, Arc<SchemaProfile>)> = samples
+        .iter()
+        .filter(|s| !s.used_tables.is_empty()) // manually annotated seeds without supervision
+        .filter_map(|s| benchmark.database(&s.db_id).map(|db| (s, db, profiles.of(db))))
+        .collect();
+    let threads = build_threads();
+    let chunks: Vec<_> = supervised.chunks(supervised.len().div_ceil(4 * threads).max(1)).collect();
+    let features = map_in_order(&chunks, threads, |chunk| {
+        let mut flat = Vec::new();
+        for (s, _, profile) in *chunk {
+            let f = schema_features(&s.question, s.external_knowledge.as_deref(), use_ek, profile);
+            for (table, columns) in f.tables.iter().zip(&f.columns) {
+                flat.extend(table);
+                flat.extend(columns.iter().flatten());
+            }
+        }
+        flat
+    });
     let mut table_data = Vec::new();
     let mut column_data = Vec::new();
-    for s in samples {
-        let Some(db) = benchmark.database(&s.db_id) else {
-            continue;
+    for (chunk, flat) in chunks.iter().zip(&features) {
+        let mut rest = flat.as_slice();
+        let mut row = |width: usize| {
+            let (row, tail) = rest.split_at(width);
+            rest = tail;
+            row.to_vec()
         };
-        if s.used_tables.is_empty() {
-            continue; // manually annotated seeds without supervision
-        }
-        let features =
-            schema_features(&s.question, s.external_knowledge.as_deref(), use_ek, &profiles.of(db));
-        for (t, table) in db.tables.iter().enumerate() {
-            table_data.push((features.tables[t].to_vec(), uses_table(s, table)));
-            for (c, column) in table.schema.columns.iter().enumerate() {
-                column_data.push((features.columns[t][c].to_vec(), uses_column(s, table, column)));
+        for (s, db, _) in *chunk {
+            for table in &db.tables {
+                table_data.push((row(TABLE_FEATURES), uses_table(s, table)));
+                for column in &table.schema.columns {
+                    column_data.push((row(COLUMN_FEATURES), uses_column(s, table, column)));
+                }
             }
         }
     }
