@@ -177,3 +177,30 @@ fn set_op_column_count_mismatch_is_an_error() {
     let err = execute_query(&db, "SELECT id, x FROM a UNION SELECT id FROM b");
     assert!(err.is_err());
 }
+
+/// Column references bind lazily: a bad reference fails only when a row
+/// evaluates it, so an empty input, a short-circuited conjunct or an
+/// unreached disjunct never raises it. SQLite rejects all five at prepare;
+/// the executability verdicts of generated SQL rest on this behaviour.
+#[test]
+fn bind_errors_are_raised_only_by_evaluated_rows() {
+    let db = database_from_script(
+        "lazy",
+        "CREATE TABLE e (a INTEGER, b TEXT);
+         CREATE TABLE t (a INTEGER, b TEXT);
+         INSERT INTO t VALUES (1, 'x'), (2, 'y');",
+    )
+    .unwrap();
+    for sql in [
+        "SELECT nosuch FROM e",
+        "SELECT a FROM e WHERE nosuch = 1",
+        "SELECT a FROM t WHERE 0 AND nosuch = 1",
+        "SELECT a FROM e GROUP BY nosuch",
+    ] {
+        let r = execute_query(&db, sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert!(r.rows.is_empty(), "{sql}");
+    }
+    // Row 1 satisfies `a = 1`, so OR never reads `nosuch`; row 2 does.
+    let err = execute_query(&db, "SELECT a FROM t WHERE a = 1 OR nosuch = 1").unwrap_err();
+    assert_eq!(err, sqlengine::Error::Bind("no such column: nosuch".into()));
+}
