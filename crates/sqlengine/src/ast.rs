@@ -417,10 +417,9 @@ impl Expr {
 
 /// Aggregate function names the executor understands.
 pub fn is_aggregate_name(name: &str) -> bool {
-    matches!(
-        name.to_ascii_uppercase().as_str(),
-        "COUNT" | "SUM" | "AVG" | "MIN" | "MAX" | "TOTAL" | "GROUP_CONCAT"
-    )
+    ["COUNT", "SUM", "AVG", "MIN", "MAX", "TOTAL", "GROUP_CONCAT"]
+        .iter()
+        .any(|aggregate| aggregate.eq_ignore_ascii_case(name))
 }
 
 // ---------------------------------------------------------------------------

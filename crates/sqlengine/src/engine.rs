@@ -80,13 +80,18 @@ pub fn execute_query_naive(
 /// return `Ok(())`: pre-pricing only ever sheds work the governor would
 /// reject, it never introduces new failure modes.
 pub fn preprice_query(db: &Database, sql: &str, limits: &ExecLimits) -> Result<()> {
+    match parse_statement(sql) {
+        Ok(Statement::Query(q)) => preprice_ast(db, &q, limits),
+        _ => Ok(()),
+    }
+}
+
+/// [`preprice_query`] for an already-parsed query.
+pub fn preprice_ast(db: &Database, q: &crate::ast::Query, limits: &ExecLimits) -> Result<()> {
     let Some(budget_rows) = limits.max_intermediate_rows else {
         return Ok(());
     };
-    let Ok(Statement::Query(q)) = parse_statement(sql) else {
-        return Ok(());
-    };
-    let Ok(plan) = crate::plan::lower_query(db, &q, PlanMode::Optimized) else {
+    let Ok(plan) = crate::plan::lower_query(db, q, PlanMode::Optimized) else {
         return Ok(());
     };
     let est = crate::cost::estimate_node(db, &plan);

@@ -1,21 +1,29 @@
 //! Tree-walking query executor with deterministic cost accounting.
 //!
-//! Working rows are `Cow<[Value]>`: base-table scans borrow rows from the
-//! catalog and only join matches / derived results are materialized, so
-//! scan-filter-project queries never copy the table.
+//! Rows are read where they lie. A working row is a run of parts, each the
+//! cells of one base-table row or of one shared derived-table row: a scan
+//! copies nothing, a filter keeps the rows it is handed, and a join output
+//! lists its inputs' parts instead of copying their cells. Every operator
+//! binds the column references of the expressions it evaluates to slot
+//! indices before its row loop, and expressions evaluate to borrowed
+//! values, so filters, comparisons, `LIKE`, `IN`, group keys and aggregate
+//! arguments read cells in place. A cell is cloned only when it goes into
+//! the returned [`QueryResult`] or a computed sort key.
 //!
 //! Execution is governed: the executor consults its [`Governor`] at every
 //! operator boundary (scan, join pair, grouped row, projected row, nested
 //! query) so runaway statements fail with [`Error::BudgetExceeded`] instead
-//! of wedging the process. `Executor::new` runs ungoverned (unlimited
-//! budgets); untrusted/generated SQL goes through [`Executor::with_limits`].
+//! of wedging the process. Rows held by reference charge the bytes they
+//! would occupy materialized, so budgets do not depend on the
+//! representation. `Executor::new` runs ungoverned (unlimited budgets);
+//! untrusted/generated SQL goes through [`Executor::with_limits`].
 
 // This module executes model-generated SQL; a panic here escapes into beam
 // search and evaluation workers. Every fallible case must return an Error.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use crate::ast::*;
@@ -24,7 +32,7 @@ use crate::cost::{ExecStats, HASH_JOIN_THRESHOLD};
 use crate::error::{Error, Result};
 use crate::functions::{concat_text, eval_scalar, like_match};
 use crate::governor::{ExecLimits, Governor};
-use crate::plan::{PlanMode, PlanNode, Scope, ScopeCol};
+use crate::plan::{PlanMode, PlanNode, Scope};
 use crate::result::QueryResult;
 use crate::types::DataType;
 use crate::value::{Row, Value};
@@ -46,37 +54,346 @@ pub struct Executor<'a> {
     /// Uncorrelated subqueries are evaluated once and memoized (keyed by
     /// AST address, which is stable for the duration of one execution).
     scalar_cache: HashMap<usize, Value>,
-    in_cache: HashMap<usize, (std::collections::HashSet<Value>, bool)>,
+    in_cache: HashMap<usize, (HashSet<Value>, bool)>,
     exists_cache: HashMap<usize, bool>,
 }
 
-/// A working row: borrowed from a base table or owned (join outputs,
-/// derived tables).
-type CowRow<'a> = Cow<'a, [Value]>;
+static NULL: Value = Value::Null;
+
+/// The cells of one base-table row, or of one derived-table row shared by
+/// every working row that reads it.
+#[derive(Clone)]
+enum Part<'a> {
+    Table(&'a [Value]),
+    Shared(Rc<[Value]>),
+}
+
+impl Part<'_> {
+    fn cells(&self) -> &[Value] {
+        match self {
+            Part::Table(cells) => cells,
+            Part::Shared(cells) => cells,
+        }
+    }
+}
+
+/// A working row: the cells of its parts, end to end. A scan row is one
+/// part; a join output row lists the parts of its left then right input.
+#[derive(Clone)]
+struct WorkRow<'a> {
+    head: Part<'a>,
+    tail: Vec<Part<'a>>,
+}
+
+impl<'a> WorkRow<'a> {
+    fn table(cells: &'a [Value]) -> WorkRow<'a> {
+        WorkRow { head: Part::Table(cells), tail: Vec::new() }
+    }
+
+    fn shared(cells: Row) -> WorkRow<'a> {
+        WorkRow { head: Part::Shared(cells.into()), tail: Vec::new() }
+    }
+
+    fn parts(&self) -> impl Iterator<Item = &Part<'a>> {
+        std::iter::once(&self.head).chain(&self.tail)
+    }
+
+    fn len(&self) -> usize {
+        self.parts().map(|p| p.cells().len()).sum()
+    }
+
+    fn cell(&self, mut idx: usize) -> Option<&Value> {
+        for part in self.parts() {
+            let cells = part.cells();
+            if idx < cells.len() {
+                return Some(&cells[idx]);
+            }
+            idx -= cells.len();
+        }
+        None
+    }
+
+    /// This row followed by `right`, sharing both rows' cells.
+    fn join(&self, right: &WorkRow<'a>) -> WorkRow<'a> {
+        let mut tail = Vec::with_capacity(self.tail.len() + 1 + right.tail.len());
+        tail.extend(self.tail.iter().cloned());
+        tail.extend(right.parts().cloned());
+        WorkRow { head: self.head.clone(), tail }
+    }
+
+    /// The approximate footprint the row would have materialized.
+    fn bytes(&self) -> u64 {
+        self.parts().map(|p| row_bytes(p.cells())).sum()
+    }
+
+    /// The row whose cell `k` is `self.cell(indices[k])` (NULL past the
+    /// end). When `indices` moves whole parts, as the optimizer's join
+    /// reordering does, the parts are reordered; otherwise the cells are
+    /// gathered into a new part.
+    fn permuted(&self, indices: &[usize]) -> WorkRow<'a> {
+        let mut parts: Vec<Part<'a>> = Vec::with_capacity(1 + self.tail.len());
+        let mut k = 0;
+        while k < indices.len() {
+            let Some(part) = self.part_starting_at(indices[k]) else { break };
+            let run = part.cells().len();
+            if indices.len() < k + run || (0..run).any(|j| indices[k + j] != indices[k] + j) {
+                break;
+            }
+            parts.push(part.clone());
+            k += run;
+        }
+        if k < indices.len() {
+            let gathered = indices.iter().map(|&i| self.cell(i).cloned().unwrap_or(Value::Null));
+            return WorkRow::shared(gathered.collect());
+        }
+        let mut parts = parts.into_iter();
+        match parts.next() {
+            Some(head) => WorkRow { head, tail: parts.collect() },
+            None => WorkRow::table(&[]),
+        }
+    }
+
+    /// The non-empty part whose first cell is cell `idx`.
+    fn part_starting_at(&self, idx: usize) -> Option<&Part<'a>> {
+        let mut start = 0;
+        for part in self.parts() {
+            let len = part.cells().len();
+            if start == idx && len > 0 {
+                return Some(part);
+            }
+            start += len;
+        }
+        None
+    }
+}
+
+/// The rows of one group: all of `rows`, or those at `members`.
+#[derive(Clone, Copy)]
+struct Group<'r, 'a> {
+    rows: &'r [WorkRow<'a>],
+    members: Option<&'r [usize]>,
+}
+
+impl<'r, 'a> Group<'r, 'a> {
+    fn len(&self) -> usize {
+        self.members.map_or(self.rows.len(), <[usize]>::len)
+    }
+
+    fn get(&self, k: usize) -> Option<&'r WorkRow<'a>> {
+        match self.members {
+            Some(members) => self.rows.get(*members.get(k)?),
+            None => self.rows.get(k),
+        }
+    }
+}
 
 /// Evaluation context: a single row, an un-materialized join pair, or a
 /// group of rows (aggregate queries). In group context, bare columns read
 /// from the group's first row (SQLite semantics).
 enum Ctx<'r, 'a> {
-    Row(&'r [Value]),
-    /// A candidate join row: left part + right part (not yet concatenated).
-    Pair(&'r [Value], &'r [Value]),
-    Group(&'r [CowRow<'a>]),
+    Row(&'r WorkRow<'a>),
+    /// A candidate join row: left part + right part (not yet joined).
+    Pair(&'r WorkRow<'a>, &'r WorkRow<'a>),
+    Group(Group<'r, 'a>),
 }
 
 impl<'r, 'a> Ctx<'r, 'a> {
-    fn cell(&self, idx: usize) -> Option<&Value> {
+    fn cell(&self, idx: usize) -> Option<&'r Value> {
         match self {
-            Ctx::Row(r) => r.get(idx),
+            Ctx::Row(r) => r.cell(idx),
             Ctx::Pair(l, r) => {
-                if idx < l.len() {
-                    l.get(idx)
+                let left = l.len();
+                if idx < left {
+                    l.cell(idx)
                 } else {
-                    r.get(idx - l.len())
+                    r.cell(idx - left)
                 }
             }
-            Ctx::Group(rows) => rows.first().and_then(|r| r.as_ref().get(idx)),
+            Ctx::Group(group) => group.get(0).and_then(|r| r.cell(idx)),
         }
+    }
+}
+
+/// The column references of the expressions one operator evaluates,
+/// resolved against its input scope before its row loop. A reference that
+/// does not resolve keeps its error, raised only if a row evaluates it.
+struct Bound {
+    slots: Vec<(*const Expr, Result<usize>)>,
+}
+
+impl Bound {
+    fn new<'e>(scope: &Scope<'_>, exprs: impl IntoIterator<Item = &'e Expr>) -> Bound {
+        fn visit(e: &Expr, scope: &Scope<'_>, slots: &mut Vec<(*const Expr, Result<usize>)>) {
+            match e {
+                Expr::Column { table, name } => {
+                    slots.push((e as *const Expr, scope.resolve(table.as_deref(), name)))
+                }
+                Expr::Literal(_) | Expr::ScalarSubquery(_) | Expr::Exists { .. } => {}
+                Expr::Unary { expr, .. }
+                | Expr::InSubquery { expr, .. }
+                | Expr::IsNull { expr, .. }
+                | Expr::Cast { expr, .. } => visit(expr, scope, slots),
+                Expr::Binary { left: a, right: b, .. } | Expr::Like { expr: a, pattern: b, .. } => {
+                    visit(a, scope, slots);
+                    visit(b, scope, slots);
+                }
+                Expr::Between { expr, low, high, .. } => {
+                    for x in [expr, low, high] {
+                        visit(x, scope, slots);
+                    }
+                }
+                Expr::Function { args: list, .. } => {
+                    list.iter().for_each(|x| visit(x, scope, slots))
+                }
+                Expr::InList { expr, list, .. } => {
+                    visit(expr, scope, slots);
+                    list.iter().for_each(|x| visit(x, scope, slots));
+                }
+                Expr::Case { operand, branches, else_expr } => {
+                    operand.iter().for_each(|x| visit(x, scope, slots));
+                    for (cond, result) in branches {
+                        visit(cond, scope, slots);
+                        visit(result, scope, slots);
+                    }
+                    else_expr.iter().for_each(|x| visit(x, scope, slots));
+                }
+            }
+        }
+        let mut slots = Vec::new();
+        for e in exprs {
+            visit(e, scope, &mut slots);
+        }
+        Bound { slots }
+    }
+
+    fn slot(&self, column: &Expr) -> Result<usize> {
+        match self.slots.iter().find(|(e, _)| std::ptr::eq(*e, column)) {
+            Some((_, slot)) => slot.clone(),
+            None => Err(Error::Internal(format!("column {column} evaluated outside its binding"))),
+        }
+    }
+}
+
+/// One projection item, bound: every scope column, the columns of one
+/// binding (or the wildcard's error when it names none), or an expression.
+enum Item<'e> {
+    All(usize),
+    Columns(Vec<usize>),
+    NoSuchTable(&'e str),
+    Expr(&'e Expr),
+}
+
+/// A GROUP BY term, bound: the expression it groups by (itself, the
+/// projection expression its alias or position names), or a position out
+/// of range.
+enum GroupKey<'e> {
+    Expr(&'e Expr),
+    BadPosition(i64),
+}
+
+/// An ORDER BY term of a SELECT core, bound: a projected value (position
+/// or alias) or an expression over the source scope.
+enum OrderKey<'e> {
+    Output(usize),
+    Expr(&'e Expr),
+}
+
+/// A SELECT core's clauses bound to its FROM scope once, before its rows
+/// are grouped and projected.
+struct SelectBinding<'e> {
+    bound: Bound,
+    items: Vec<Item<'e>>,
+    group_keys: Vec<GroupKey<'e>>,
+    order_keys: Vec<OrderKey<'e>>,
+}
+
+impl<'e> SelectBinding<'e> {
+    fn new(s: &'e Select, order_by: &'e [OrderItem], scope: &Scope<'_>) -> SelectBinding<'e> {
+        // Aliases for GROUP BY / ORDER BY fallback resolution.
+        let aliases: Vec<(String, usize)> = s
+            .projection
+            .iter()
+            .enumerate()
+            .filter_map(|(i, item)| match item {
+                SelectItem::Expr { alias: Some(a), .. } => Some((a.to_lowercase(), i)),
+                _ => None,
+            })
+            .collect();
+        let alias = |name: &str| {
+            let lname = name.to_lowercase();
+            aliases.iter().find(|(a, _)| *a == lname).map(|&(_, i)| i)
+        };
+        let unresolved = |name: &str| scope.resolve(None, name).is_err();
+
+        let items: Vec<Item<'e>> = s
+            .projection
+            .iter()
+            .map(|item| match item {
+                SelectItem::Wildcard => Item::All(scope.cols.len()),
+                SelectItem::QualifiedWildcard(t) => {
+                    let cols: Vec<usize> = scope.bound_to(t).collect();
+                    if cols.is_empty() {
+                        Item::NoSuchTable(t)
+                    } else {
+                        Item::Columns(cols)
+                    }
+                }
+                SelectItem::Expr { expr, .. } => Item::Expr(expr),
+            })
+            .collect();
+        let width: usize = items
+            .iter()
+            .map(|item| match item {
+                Item::All(n) => *n,
+                Item::Columns(cols) => cols.len(),
+                Item::NoSuchTable(_) | Item::Expr(_) => 1,
+            })
+            .sum();
+        let projected = |i: usize| match s.projection.get(i) {
+            Some(SelectItem::Expr { expr, .. }) => Some(expr),
+            _ => None,
+        };
+
+        let group_keys = s
+            .group_by
+            .iter()
+            .map(|g| match g {
+                Expr::Column { table: None, name } if unresolved(name) => {
+                    GroupKey::Expr(alias(name).and_then(projected).unwrap_or(g))
+                }
+                Expr::Literal(Value::Integer(k)) => {
+                    match projected(k.wrapping_sub(1) as usize) {
+                        Some(expr) => GroupKey::Expr(expr),
+                        None => GroupKey::BadPosition(*k),
+                    }
+                }
+                _ => GroupKey::Expr(g),
+            })
+            .collect();
+        let order_keys = order_by
+            .iter()
+            .map(|item| match &item.expr {
+                Expr::Literal(Value::Integer(k)) if (*k as usize) >= 1 && (*k as usize) <= width => {
+                    OrderKey::Output((*k - 1) as usize)
+                }
+                Expr::Column { table: None, name } if unresolved(name) => match alias(name) {
+                    Some(i) => OrderKey::Output(i),
+                    None => OrderKey::Expr(&item.expr),
+                },
+                e => OrderKey::Expr(e),
+            })
+            .collect();
+
+        let exprs = items
+            .iter()
+            .filter_map(|item| match item {
+                Item::Expr(e) => Some(*e),
+                _ => None,
+            })
+            .chain(&s.group_by)
+            .chain(&s.having)
+            .chain(order_by.iter().map(|o| &o.expr));
+        SelectBinding { bound: Bound::new(scope, exprs), items, group_keys, order_keys }
     }
 }
 
@@ -163,11 +480,11 @@ impl<'a> Executor<'a> {
                         dedup_rows(rows)
                     }
                     (SetOpKind::Intersect, _) => {
-                        let rset: std::collections::HashSet<Row> = r.rows.into_iter().collect();
+                        let rset: HashSet<Row> = r.rows.into_iter().collect();
                         dedup_rows(l.rows.into_iter().filter(|row| rset.contains(row)).collect())
                     }
                     (SetOpKind::Except, _) => {
-                        let rset: std::collections::HashSet<Row> = r.rows.into_iter().collect();
+                        let rset: HashSet<Row> = r.rows.into_iter().collect();
                         dedup_rows(l.rows.into_iter().filter(|row| !rset.contains(row)).collect())
                     }
                 };
@@ -226,10 +543,10 @@ impl<'a> Executor<'a> {
     }
 
     fn apply_limit(&mut self, result: &mut QueryResult, limit: Option<&Expr>, offset: Option<&Expr>) -> Result<()> {
-        let scope = Scope::default();
-        let empty: Row = Vec::new();
+        let bound = Bound::new(&Scope::default(), offset.into_iter().chain(limit));
+        let empty = WorkRow::table(&[]);
         if let Some(off) = offset {
-            let v = self.eval(off, &scope, &Ctx::Row(&empty))?;
+            let v = self.eval(off, &bound, &Ctx::Row(&empty))?;
             let n = v.as_f64().unwrap_or(0.0).max(0.0) as usize;
             if n < result.rows.len() {
                 result.rows.drain(..n);
@@ -238,7 +555,7 @@ impl<'a> Executor<'a> {
             }
         }
         if let Some(lim) = limit {
-            let v = self.eval(lim, &scope, &Ctx::Row(&empty))?;
+            let v = self.eval(lim, &bound, &Ctx::Row(&empty))?;
             let n = v.as_f64().unwrap_or(0.0).max(0.0) as usize;
             result.rows.truncate(n);
         }
@@ -278,121 +595,57 @@ impl<'a> Executor<'a> {
             || s.having.as_ref().is_some_and(Expr::contains_aggregate);
         let aggregate_mode = !s.group_by.is_empty() || has_aggregate;
 
-        // Alias map for ORDER BY / HAVING fallback resolution.
-        let aliases: Vec<(String, usize)> = s
-            .projection
-            .iter()
-            .enumerate()
-            .filter_map(|(i, item)| match item {
-                SelectItem::Expr { alias: Some(a), .. } => Some((a.to_lowercase(), i)),
-                _ => None,
-            })
-            .collect();
-
-        // Materialize output units (each evaluated in its own context).
-        let mut projected: Vec<(Row, Vec<Value>)> = Vec::new(); // (projection, sort keys)
-        let out_columns = self.output_columns(&s.projection, &scope)?;
-
-        let project_unit = |exec: &mut Executor<'a>, ctx: &Ctx<'_, 'a>| -> Result<(Row, Vec<Value>)> {
-            let mut out = Vec::with_capacity(s.projection.len());
-            for item in &s.projection {
-                match item {
-                    SelectItem::Wildcard => {
-                        for i in 0..scope.cols.len() {
-                            out.push(ctx.cell(i).cloned().unwrap_or(Value::Null));
-                        }
-                    }
-                    SelectItem::QualifiedWildcard(t) => {
-                        let lt = t.to_lowercase();
-                        let mut any = false;
-                        for (i, c) in scope.cols.iter().enumerate() {
-                            if c.binding == lt {
-                                any = true;
-                                out.push(ctx.cell(i).cloned().unwrap_or(Value::Null));
-                            }
-                        }
-                        if !any {
-                            return Err(Error::Bind(format!("no such table in wildcard: {t}")));
-                        }
-                    }
-                    SelectItem::Expr { expr, .. } => out.push(exec.eval(expr, &scope, ctx)?),
-                }
-            }
-            let mut keys = Vec::with_capacity(order_by.len());
-            for item in order_by {
-                let v = match &item.expr {
-                    Expr::Literal(Value::Integer(k)) if (*k as usize) >= 1 && (*k as usize) <= out.len() => {
-                        out[(*k - 1) as usize].clone()
-                    }
-                    Expr::Column { table: None, name } => {
-                        // Alias first when it is not a source column.
-                        match scope.resolve(None, name) {
-                            Ok(_) => exec.eval(&item.expr, &scope, ctx)?,
-                            Err(_) => {
-                                let lname = name.to_lowercase();
-                                match aliases.iter().find(|(a, _)| *a == lname) {
-                                    Some((_, i)) => out[*i].clone(),
-                                    None => exec.eval(&item.expr, &scope, ctx)?,
-                                }
-                            }
-                        }
-                    }
-                    e => exec.eval(e, &scope, ctx)?,
-                };
-                keys.push(v);
-            }
-            Ok((out, keys))
-        };
-
+        let out_columns = output_columns(&s.projection, &scope);
+        let sel = SelectBinding::new(s, order_by, &scope);
+        // Output units (each evaluated in its own context): (projection, sort keys).
+        let mut projected: Vec<(Row, Vec<Value>)> = Vec::new();
         if aggregate_mode {
-            // Group rows.
             self.stats.rows_grouped += rows.len() as u64;
-            let mut order: Vec<Vec<Value>> = Vec::new();
-            let mut groups: HashMap<Vec<Value>, Vec<CowRow<'a>>> = HashMap::new();
             if s.group_by.is_empty() {
-                order.push(Vec::new());
-                groups.insert(Vec::new(), rows);
+                let group = Group { rows: &rows, members: None };
+                self.emit_group(s, &sel, group, &mut projected)?;
             } else {
-                for row in rows {
+                // Group keys borrow the cells they read; a group's rows are
+                // kept as indices in order of first appearance.
+                let mut groups: HashMap<Vec<Cow<'_, Value>>, usize> = HashMap::new();
+                let mut members: Vec<Vec<usize>> = Vec::new();
+                let mut key: Vec<Cow<'_, Value>> = Vec::with_capacity(sel.group_keys.len());
+                for (i, row) in rows.iter().enumerate() {
                     self.gov.tick()?;
-                    let mut key = Vec::with_capacity(s.group_by.len());
-                    for g in &s.group_by {
-                        key.push(self.eval_group_key(g, &scope, row.as_ref(), &aliases, &s.projection)?);
+                    key.clear();
+                    for g in &sel.group_keys {
+                        key.push(match g {
+                            GroupKey::Expr(e) => self.eval(e, &sel.bound, &Ctx::Row(row))?,
+                            GroupKey::BadPosition(k) => {
+                                return Err(Error::Bind(format!("GROUP BY position {k} out of range")))
+                            }
+                        });
                     }
-                    match groups.get_mut(&key) {
-                        Some(bucket) => bucket.push(row),
+                    match groups.get(key.as_slice()) {
+                        Some(&g) => members[g].push(i),
                         None => {
-                            order.push(key.clone());
-                            groups.insert(key, vec![row]);
+                            groups.insert(key.clone(), members.len());
+                            members.push(vec![i]);
                         }
                     }
                 }
-            }
-            for key in order {
-                let bucket = groups
-                    .remove(&key)
-                    .ok_or_else(|| Error::Internal("group key vanished between passes".into()))?;
-                let ctx = Ctx::Group(&bucket);
-                self.gov.tick()?;
-                if let Some(h) = &s.having {
-                    if self.eval(h, &scope, &ctx)?.truthiness() != Some(true) {
-                        continue;
-                    }
+                for m in &members {
+                    let group = Group { rows: &rows, members: Some(m) };
+                    self.emit_group(s, &sel, group, &mut projected)?;
                 }
-                projected.push(project_unit(self, &ctx)?);
             }
         } else {
             for row in &rows {
                 self.gov.tick()?;
-                projected.push(project_unit(self, &Ctx::Row(row.as_ref()))?);
+                projected.push(self.project_unit(&sel, &Ctx::Row(row))?);
             }
         }
 
         // DISTINCT before ordering (first occurrence wins).
         if s.distinct {
             self.stats.rows_grouped += projected.len() as u64;
-            let mut seen = std::collections::HashSet::new();
-            projected.retain(|(row, _)| seen.insert(row.clone()));
+            let first = first_occurrences(projected.iter().map(|(row, _)| row));
+            projected = projected.into_iter().zip(first).filter_map(|(unit, f)| f.then_some(unit)).collect();
         }
 
         let ordered = !order_by.is_empty();
@@ -417,60 +670,50 @@ impl<'a> Executor<'a> {
         Ok(result)
     }
 
-    /// GROUP BY terms may be plain expressions, projection aliases, or
-    /// 1-based output positions.
-    fn eval_group_key(
+    /// HAVING-filter one group and project it as one output unit.
+    fn emit_group(
         &mut self,
-        g: &Expr,
-        scope: &Scope,
-        row: &[Value],
-        aliases: &[(String, usize)],
-        projection: &[SelectItem],
-    ) -> Result<Value> {
-        let resolve_alias = |name: &str| -> Option<&Expr> {
-            let lname = name.to_lowercase();
-            aliases.iter().find(|(a, _)| *a == lname).and_then(|(_, i)| match &projection[*i] {
-                SelectItem::Expr { expr, .. } => Some(expr),
-                _ => None,
-            })
-        };
-        match g {
-            Expr::Column { table: None, name } if scope.resolve(None, name).is_err() => {
-                match resolve_alias(name) {
-                    Some(expr) => self.eval(expr, scope, &Ctx::Row(row)),
-                    None => self.eval(g, scope, &Ctx::Row(row)), // surface the bind error
-                }
+        s: &Select,
+        sel: &SelectBinding<'_>,
+        group: Group<'_, 'a>,
+        projected: &mut Vec<(Row, Vec<Value>)>,
+    ) -> Result<()> {
+        let ctx = Ctx::Group(group);
+        self.gov.tick()?;
+        if let Some(h) = &s.having {
+            if self.eval(h, &sel.bound, &ctx)?.truthiness() != Some(true) {
+                return Ok(());
             }
-            Expr::Literal(Value::Integer(k)) => {
-                let idx = (*k - 1) as usize;
-                match projection.get(idx) {
-                    Some(SelectItem::Expr { expr, .. }) => self.eval(expr, scope, &Ctx::Row(row)),
-                    _ => Err(Error::Bind(format!("GROUP BY position {k} out of range"))),
-                }
-            }
-            _ => self.eval(g, scope, &Ctx::Row(row)),
         }
+        projected.push(self.project_unit(sel, &ctx)?);
+        Ok(())
     }
 
-    fn output_columns(&mut self, projection: &[SelectItem], scope: &Scope) -> Result<Vec<String>> {
-        let mut out = Vec::new();
-        for item in projection {
+    /// Evaluate one output unit: its projected row and its sort keys.
+    fn project_unit(&mut self, sel: &SelectBinding<'_>, ctx: &Ctx<'_, 'a>) -> Result<(Row, Vec<Value>)> {
+        let cell = |i: usize| ctx.cell(i).cloned().unwrap_or(Value::Null);
+        let mut out = Vec::with_capacity(sel.items.len());
+        for item in &sel.items {
             match item {
-                SelectItem::Wildcard => out.extend(scope.cols.iter().map(|c| c.display.clone())),
-                SelectItem::QualifiedWildcard(t) => {
-                    let lt = t.to_lowercase();
-                    out.extend(scope.cols.iter().filter(|c| c.binding == lt).map(|c| c.display.clone()));
+                Item::All(n) => out.extend((0..*n).map(cell)),
+                Item::Columns(cols) => out.extend(cols.iter().map(|&i| cell(i))),
+                Item::NoSuchTable(t) => {
+                    return Err(Error::Bind(format!("no such table in wildcard: {t}")))
                 }
-                SelectItem::Expr { expr, alias } => out.push(match alias {
-                    Some(a) => a.clone(),
-                    None => match expr {
-                        Expr::Column { name, .. } => name.clone(),
-                        other => other.to_string(),
-                    },
-                }),
+                Item::Expr(expr) => out.push(self.eval(expr, &sel.bound, ctx)?.into_owned()),
             }
         }
-        Ok(out)
+        let mut keys = Vec::with_capacity(sel.order_keys.len());
+        for key in &sel.order_keys {
+            keys.push(match key {
+                OrderKey::Output(i) => out
+                    .get(*i)
+                    .cloned()
+                    .ok_or_else(|| Error::Internal(format!("ORDER BY output {i} out of range")))?,
+                OrderKey::Expr(e) => self.eval(e, &sel.bound, ctx)?.into_owned(),
+            });
+        }
+        Ok((out, keys))
     }
 
     // -- plan execution ------------------------------------------------------
@@ -483,61 +726,68 @@ impl<'a> Executor<'a> {
     /// AST walker. It propagates through row-for-row nodes (`Permute`) and
     /// bounds each producing node's own loop; join and filter *inputs* run
     /// uncapped because their required input size is unknown.
-    fn exec_plan(&mut self, node: &PlanNode, cap: Option<usize>) -> Result<(Scope, Vec<CowRow<'a>>)> {
+    fn exec_plan<'p>(
+        &mut self,
+        node: &'p PlanNode,
+        cap: Option<usize>,
+    ) -> Result<(Scope<'p>, Vec<WorkRow<'a>>)>
+    where
+        'a: 'p,
+    {
         match node {
             // SELECT without FROM evaluates over a single empty row.
-            PlanNode::Empty => Ok((Scope::default(), vec![Cow::Owned(Vec::new())])),
+            PlanNode::Empty => Ok((Scope::default(), vec![WorkRow::table(&[])])),
             PlanNode::Scan { table, binding } => self.scan_table(table, binding, cap),
             PlanNode::Derived { query, binding } => self.derived_rows(query, binding, cap),
             PlanNode::Filter { input, predicate } => {
                 let (scope, rows) = self.exec_plan(input, None)?;
+                let bound = Bound::new(&scope, [predicate]);
                 let mut kept = Vec::new();
                 for row in rows {
                     if cap.is_some_and(|c| kept.len() >= c) {
                         break;
                     }
                     self.gov.tick()?;
-                    if self.eval(predicate, &scope, &Ctx::Row(row.as_ref()))?.truthiness()
-                        == Some(true)
-                    {
+                    if self.eval(predicate, &bound, &Ctx::Row(&row))?.truthiness() == Some(true) {
                         kept.push(row);
                     }
                 }
                 Ok((scope, kept))
             }
             PlanNode::Join { left, right, kind, on, equi } => {
-                let (scope, lrows) = self.exec_plan(left, None)?;
+                let (mut scope, lrows) = self.exec_plan(left, None)?;
                 let (right_scope, rrows) = self.exec_plan(right, None)?;
-                let mut combined = scope.clone();
-                combined.cols.extend(right_scope.cols.iter().cloned());
-                let rows = match kind {
-                    JoinKind::Cross => self.nested_loop(lrows, &rrows, None, &combined, false, cap)?,
-                    JoinKind::Inner => {
-                        // Prefer optimizer-extracted keys; otherwise detect a
-                        // bare equi ON at runtime exactly like the pre-plan
-                        // executor did.
-                        let keys = match equi {
-                            Some(e) => Some((e.left_key, e.right_key, e.residual.as_ref())),
-                            None => on
-                                .as_ref()
-                                .and_then(|o| self.equi_join_cols(o, &scope, &right_scope))
-                                .map(|(li, ri)| (li, ri, None)),
-                        };
-                        match keys {
-                            Some((li, ri, residual))
-                                if (lrows.len() as u64) * (rrows.len() as u64)
-                                    > HASH_JOIN_THRESHOLD =>
-                            {
-                                self.hash_join(lrows, &rrows, li, ri, residual, &combined, cap)?
-                            }
-                            _ => self.nested_loop(lrows, &rrows, on.as_ref(), &combined, false, cap)?,
-                        }
+                // Prefer optimizer-extracted keys; otherwise detect a bare
+                // equi ON at runtime exactly like the pre-plan executor did.
+                let keys = match (kind, equi) {
+                    (JoinKind::Inner, Some(e)) => Some((e.left_key, e.right_key, e.residual.as_ref())),
+                    (JoinKind::Inner, None) => on
+                        .as_ref()
+                        .and_then(|o| equi_join_cols(o, &scope, &right_scope))
+                        .map(|(li, ri)| (li, ri, None)),
+                    _ => None,
+                };
+                scope.cols.extend(right_scope.cols);
+                let residual = keys.and_then(|(_, _, r)| r);
+                let bound = Bound::new(&scope, on.iter().chain(residual));
+                let width = scope.cols.len();
+                let rows = match (kind, keys) {
+                    (JoinKind::Inner, Some((li, ri, residual)))
+                        if (lrows.len() as u64) * (rrows.len() as u64) > HASH_JOIN_THRESHOLD =>
+                    {
+                        self.hash_join(lrows, &rrows, li, ri, residual, &bound, cap)?
                     }
-                    JoinKind::Left => {
-                        self.nested_loop(lrows, &rrows, on.as_ref(), &combined, true, cap)?
+                    (JoinKind::Cross, _) => {
+                        self.nested_loop(lrows, &rrows, None, &bound, width, false, cap)?
+                    }
+                    (JoinKind::Inner, _) => {
+                        self.nested_loop(lrows, &rrows, on.as_ref(), &bound, width, false, cap)?
+                    }
+                    (JoinKind::Left, _) => {
+                        self.nested_loop(lrows, &rrows, on.as_ref(), &bound, width, true, cap)?
                     }
                 };
-                Ok((combined, rows))
+                Ok((scope, rows))
             }
             PlanNode::Permute { input, indices } => {
                 let (scope, rows) = self.exec_plan(input, cap)?;
@@ -547,16 +797,12 @@ impl<'a> Executor<'a> {
                         Error::Internal(format!("permute index {i} out of scope"))
                     })?);
                 }
-                let mut out: Vec<CowRow<'a>> = Vec::with_capacity(rows.len());
+                let mut out = Vec::with_capacity(rows.len());
                 for row in rows {
                     self.gov.tick()?;
-                    let src = row.as_ref();
-                    let mut permuted = Vec::with_capacity(indices.len());
-                    for &i in indices {
-                        permuted.push(src.get(i).cloned().unwrap_or(Value::Null));
-                    }
-                    self.gov.charge_intermediate(1, row_bytes(&permuted))?;
-                    out.push(Cow::Owned(permuted));
+                    let permuted = row.permuted(indices);
+                    self.gov.charge_intermediate(1, permuted.bytes())?;
+                    out.push(permuted);
                 }
                 Ok((Scope { cols }, out))
             }
@@ -576,28 +822,17 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn scan_table(
+    fn scan_table<'p>(
         &mut self,
         name: &str,
-        binding: &str,
+        binding: &'p str,
         cap: Option<usize>,
-    ) -> Result<(Scope, Vec<CowRow<'a>>)> {
-        let table = self
-            .db
-            .table(name)
-            .ok_or_else(|| Error::Bind(format!("no such table: {name}")))?;
-        let scope = Scope {
-            cols: table
-                .schema
-                .columns
-                .iter()
-                .map(|c| ScopeCol {
-                    binding: binding.to_string(),
-                    name: c.name.to_lowercase(),
-                    display: c.name.clone(),
-                })
-                .collect(),
-        };
+    ) -> Result<(Scope<'p>, Vec<WorkRow<'a>>)>
+    where
+        'a: 'p,
+    {
+        let db = self.db;
+        let table = db.table(name).ok_or_else(|| Error::Bind(format!("no such table: {name}")))?;
         let take = match cap {
             Some(c) => table.rows.len().min(c),
             None => table.rows.len(),
@@ -606,151 +841,122 @@ impl<'a> Executor<'a> {
         // Borrowed scan: rows count against the budget, bytes do not
         // (nothing is copied).
         self.gov.charge_intermediate(take as u64, 0)?;
-        Ok((scope, table.rows.iter().take(take).map(|r| Cow::Borrowed(r.as_slice())).collect()))
+        let rows = table.rows.iter().take(take).map(|r| WorkRow::table(r)).collect();
+        Ok((Scope::of_table(table, binding), rows))
     }
 
-    fn derived_rows(
+    fn derived_rows<'p>(
         &mut self,
         subquery: &Query,
-        binding: &str,
+        binding: &'p str,
         cap: Option<usize>,
-    ) -> Result<(Scope, Vec<CowRow<'a>>)> {
+    ) -> Result<(Scope<'p>, Vec<WorkRow<'a>>)> {
         self.stats.subqueries += 1;
         let mut result = self.query(subquery)?;
         if let Some(c) = cap {
             result.rows.truncate(c);
         }
         self.gov.charge_intermediate(result.rows.len() as u64, rows_bytes(&result.rows))?;
-        let scope = Scope {
-            cols: result
-                .columns
-                .iter()
-                .map(|c| ScopeCol {
-                    binding: binding.to_string(),
-                    name: c.to_lowercase(),
-                    display: c.clone(),
-                })
-                .collect(),
-        };
-        Ok((scope, result.rows.into_iter().map(Cow::Owned).collect()))
+        let rows = result.rows.into_iter().map(WorkRow::shared).collect();
+        Ok((Scope::of_names(result.columns, binding), rows))
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn nested_loop(
         &mut self,
-        left: Vec<CowRow<'a>>,
-        right: &[CowRow<'a>],
+        left: Vec<WorkRow<'a>>,
+        right: &[WorkRow<'a>],
         on: Option<&Expr>,
-        combined: &Scope,
+        bound: &Bound,
+        width: usize,
         left_outer: bool,
         cap: Option<usize>,
-    ) -> Result<Vec<CowRow<'a>>> {
-        let right_width = combined.cols.len().saturating_sub(left.first().map(|r| r.len()).unwrap_or(0));
-        let mut out: Vec<CowRow<'a>> = Vec::new();
+    ) -> Result<Vec<WorkRow<'a>>> {
+        let right_width = width.saturating_sub(left.first().map_or(0, WorkRow::len));
+        let pad = right_width.max(right.first().map_or(0, WorkRow::len));
+        let mut nulls: Option<WorkRow<'a>> = None;
+        let right_bytes: Vec<u64> = right.iter().map(WorkRow::bytes).collect();
+        let mut out: Vec<WorkRow<'a>> = Vec::new();
         'outer: for lrow in left {
+            let left_bytes = lrow.bytes();
             let mut matched = false;
-            for rrow in right {
+            for (rrow, right_bytes) in right.iter().zip(&right_bytes) {
                 if cap.is_some_and(|c| out.len() >= c) {
                     break 'outer;
                 }
                 self.stats.join_pairs += 1;
                 self.gov.tick()?;
                 let keep = match on {
-                    Some(pred) => self
-                        .eval(pred, combined, &Ctx::Pair(lrow.as_ref(), rrow.as_ref()))?
-                        .truthiness()
-                        == Some(true),
+                    Some(pred) => {
+                        self.eval(pred, bound, &Ctx::Pair(&lrow, rrow))?.truthiness() == Some(true)
+                    }
                     None => true,
                 };
                 if keep {
                     matched = true;
-                    let mut candidate = lrow.as_ref().to_vec();
-                    candidate.extend(rrow.iter().cloned());
-                    self.gov.charge_intermediate(1, row_bytes(&candidate))?;
-                    out.push(Cow::Owned(candidate));
+                    self.gov.charge_intermediate(1, left_bytes + right_bytes)?;
+                    out.push(lrow.join(rrow));
                 }
             }
             if cap.is_some_and(|c| out.len() >= c) {
                 break;
             }
             if left_outer && !matched {
-                let mut padded = lrow.into_owned();
-                padded.extend(std::iter::repeat_n(Value::Null, right_width.max(right.first().map(|r| r.len()).unwrap_or(0))));
-                self.gov.charge_intermediate(1, row_bytes(&padded))?;
-                out.push(Cow::Owned(padded));
+                let nulls = nulls.get_or_insert_with(|| WorkRow::shared(vec![Value::Null; pad]));
+                self.gov.charge_intermediate(1, left_bytes + nulls.bytes())?;
+                out.push(lrow.join(nulls));
             }
         }
         Ok(out)
     }
 
-    /// Detect `left.col = right.col` (either direction) for hash joins.
-    fn equi_join_cols(&self, on: &Expr, left: &Scope, right: &Scope) -> Option<(usize, usize)> {
-        let Expr::Binary { left: a, op: BinaryOp::Eq, right: b } = on else {
-            return None;
-        };
-        let col = |e: &Expr, scope: &Scope| -> Option<usize> {
-            if let Expr::Column { table, name } = e {
-                scope.resolve(table.as_deref(), name).ok()
-            } else {
-                None
-            }
-        };
-        match (col(a, left), col(b, right)) {
-            (Some(li), Some(ri)) => Some((li, ri)),
-            _ => match (col(b, left), col(a, right)) {
-                (Some(li), Some(ri)) => Some((li, ri)),
-                _ => None,
-            },
-        }
-    }
-
+    #[allow(clippy::too_many_arguments)]
     fn hash_join(
         &mut self,
-        left: Vec<CowRow<'a>>,
-        right: &[CowRow<'a>],
+        left: Vec<WorkRow<'a>>,
+        right: &[WorkRow<'a>],
         li: usize,
         ri: usize,
         residual: Option<&Expr>,
-        combined: &Scope,
+        bound: &Bound,
         cap: Option<usize>,
-    ) -> Result<Vec<CowRow<'a>>> {
-        let mut index: HashMap<Value, Vec<usize>> = HashMap::with_capacity(right.len());
+    ) -> Result<Vec<WorkRow<'a>>> {
+        let mut index: HashMap<&Value, Vec<usize>> = HashMap::with_capacity(right.len());
         for (i, row) in right.iter().enumerate() {
-            let key = &row[ri];
+            let key = join_key(row, ri)?;
             if key.is_null() {
                 continue;
             }
-            index.entry(key.clone()).or_default().push(i);
+            index.entry(key).or_default().push(i);
         }
-        let mut out: Vec<CowRow<'a>> = Vec::new();
-        for lrow in left {
+        let mut out: Vec<WorkRow<'a>> = Vec::new();
+        for lrow in &left {
             if cap.is_some_and(|c| out.len() >= c) {
                 break;
             }
             self.stats.join_pairs += 1; // one probe per left row
             self.gov.tick()?;
-            let key = &lrow[li];
+            let key = join_key(lrow, li)?;
             if key.is_null() {
                 continue;
             }
             if let Some(matches) = index.get(key) {
                 self.stats.join_pairs += matches.len() as u64;
+                let left_bytes = lrow.bytes();
                 for &i in matches {
                     if cap.is_some_and(|c| out.len() >= c) {
                         break;
                     }
+                    let rrow = &right[i];
                     if let Some(pred) = residual {
-                        let keep = self
-                            .eval(pred, combined, &Ctx::Pair(lrow.as_ref(), right[i].as_ref()))?
-                            .truthiness()
+                        let keep = self.eval(pred, bound, &Ctx::Pair(lrow, rrow))?.truthiness()
                             == Some(true);
                         if !keep {
                             continue;
                         }
                     }
-                    let mut candidate = lrow.as_ref().to_vec();
-                    candidate.extend(right[i].iter().cloned());
-                    self.gov.charge_intermediate(1, row_bytes(&candidate))?;
-                    out.push(Cow::Owned(candidate));
+                    self.gov.charge_intermediate(1, left_bytes + rrow.bytes())?;
+                    out.push(lrow.join(rrow));
                 }
             }
         }
@@ -759,73 +965,64 @@ impl<'a> Executor<'a> {
 
     // -- expressions ---------------------------------------------------------
 
-    fn eval(&mut self, e: &Expr, scope: &Scope, ctx: &Ctx<'_, 'a>) -> Result<Value> {
-        match e {
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Column { table, name } => {
-                let idx = scope.resolve(table.as_deref(), name)?;
-                Ok(ctx.cell(idx).cloned().unwrap_or(Value::Null))
-            }
+    /// Evaluate `e` over `ctx`. Column references and literals come back
+    /// borrowed; only computed values are owned.
+    fn eval<'v>(&mut self, e: &'v Expr, b: &Bound, ctx: &Ctx<'v, 'a>) -> Result<Cow<'v, Value>> {
+        Ok(match e {
+            Expr::Literal(v) => Cow::Borrowed(v),
+            Expr::Column { .. } => Cow::Borrowed(ctx.cell(b.slot(e)?).unwrap_or(&NULL)),
             Expr::Unary { op, expr } => {
-                let v = self.eval(expr, scope, ctx)?;
-                match op {
-                    UnaryOp::Neg => v.neg(),
-                    UnaryOp::Not => Ok(match v.truthiness() {
+                let v = self.eval(expr, b, ctx)?;
+                Cow::Owned(match op {
+                    UnaryOp::Neg => v.neg()?,
+                    UnaryOp::Not => match v.truthiness() {
                         None => Value::Null,
-                        Some(b) => Value::Integer((!b) as i64),
-                    }),
-                }
+                        Some(t) => Value::Integer((!t) as i64),
+                    },
+                })
             }
-            Expr::Binary { left, op, right } => self.eval_binary(left, *op, right, scope, ctx),
+            Expr::Binary { left, op, right } => Cow::Owned(self.eval_binary(left, *op, right, b, ctx)?),
             Expr::Function { name, args, distinct, star } => {
-                self.eval_function(name, args, *distinct, *star, scope, ctx)
+                Cow::Owned(self.eval_function(name, args, *distinct, *star, b, ctx)?)
             }
             Expr::Case { operand, branches, else_expr } => {
                 let op_val = match operand {
-                    Some(op) => Some(self.eval(op, scope, ctx)?),
+                    Some(op) => Some(self.eval(op, b, ctx)?),
                     None => None,
                 };
                 for (cond, result) in branches {
                     let hit = match &op_val {
-                        Some(v) => {
-                            let c = self.eval(cond, scope, ctx)?;
-                            v.sql_eq(&c) == Some(true)
-                        }
-                        None => self.eval(cond, scope, ctx)?.truthiness() == Some(true),
+                        Some(v) => v.sql_eq(&*self.eval(cond, b, ctx)?) == Some(true),
+                        None => self.eval(cond, b, ctx)?.truthiness() == Some(true),
                     };
                     if hit {
-                        return self.eval(result, scope, ctx);
+                        return self.eval(result, b, ctx);
                     }
                 }
                 match else_expr {
-                    Some(e) => self.eval(e, scope, ctx),
-                    None => Ok(Value::Null),
+                    Some(e) => return self.eval(e, b, ctx),
+                    None => Cow::Borrowed(&NULL),
                 }
             }
             Expr::InList { expr, list, negated } => {
-                let needle = self.eval(expr, scope, ctx)?;
+                let needle = self.eval(expr, b, ctx)?;
                 if needle.is_null() {
-                    return Ok(Value::Null);
+                    return Ok(Cow::Borrowed(&NULL));
                 }
                 let mut saw_null = false;
                 for item in list {
-                    let v = self.eval(item, scope, ctx)?;
-                    match needle.sql_eq(&v) {
-                        Some(true) => return Ok(Value::Integer(!negated as i64)),
+                    match needle.sql_eq(&*self.eval(item, b, ctx)?) {
+                        Some(true) => return Ok(Cow::Owned(Value::Integer(!negated as i64))),
                         Some(false) => {}
                         None => saw_null = true,
                     }
                 }
-                if saw_null {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Integer(*negated as i64))
-                }
+                Cow::Owned(if saw_null { Value::Null } else { Value::Integer(*negated as i64) })
             }
             Expr::InSubquery { expr, query, negated } => {
-                let needle = self.eval(expr, scope, ctx)?;
+                let needle = self.eval(expr, b, ctx)?;
                 if needle.is_null() {
-                    return Ok(Value::Null);
+                    return Ok(Cow::Borrowed(&NULL));
                 }
                 let key = query.as_ref() as *const Query as usize;
                 if !self.in_cache.contains_key(&key) {
@@ -834,7 +1031,7 @@ impl<'a> Executor<'a> {
                     if !sub.rows.is_empty() && sub.rows[0].len() != 1 {
                         return Err(Error::Exec("IN subquery must return one column".into()));
                     }
-                    let mut set = std::collections::HashSet::with_capacity(sub.rows.len());
+                    let mut set = HashSet::with_capacity(sub.rows.len());
                     let mut saw_null = false;
                     for row in sub.rows {
                         let v = row.into_iter().next().unwrap_or(Value::Null);
@@ -847,18 +1044,18 @@ impl<'a> Executor<'a> {
                     self.in_cache.insert(key, (set, saw_null));
                 }
                 let (set, saw_null) = &self.in_cache[&key];
-                if set.contains(&needle) {
-                    Ok(Value::Integer(!negated as i64))
+                Cow::Owned(if set.contains(needle.as_ref()) {
+                    Value::Integer(!negated as i64)
                 } else if *saw_null {
-                    Ok(Value::Null)
+                    Value::Null
                 } else {
-                    Ok(Value::Integer(*negated as i64))
-                }
+                    Value::Integer(*negated as i64)
+                })
             }
             Expr::ScalarSubquery(q) => {
                 let key = q.as_ref() as *const Query as usize;
                 if let Some(v) = self.scalar_cache.get(&key) {
-                    return Ok(v.clone());
+                    return Ok(Cow::Owned(v.clone()));
                 }
                 self.stats.subqueries += 1;
                 let sub = self.query(q)?;
@@ -872,79 +1069,87 @@ impl<'a> Executor<'a> {
                     }
                 };
                 self.scalar_cache.insert(key, value.clone());
-                Ok(value)
+                Cow::Owned(value)
             }
             Expr::Exists { query, negated } => {
                 let key = query.as_ref() as *const Query as usize;
-                if let Some(&has_rows) = self.exists_cache.get(&key) {
-                    return Ok(Value::Integer((has_rows != *negated) as i64));
-                }
-                self.stats.subqueries += 1;
-                let sub = self.query(query)?;
-                let has_rows = !sub.rows.is_empty();
-                self.exists_cache.insert(key, has_rows);
-                Ok(Value::Integer((has_rows != *negated) as i64))
+                let has_rows = match self.exists_cache.get(&key) {
+                    Some(&has_rows) => has_rows,
+                    None => {
+                        self.stats.subqueries += 1;
+                        let has_rows = !self.query(query)?.rows.is_empty();
+                        self.exists_cache.insert(key, has_rows);
+                        has_rows
+                    }
+                };
+                Cow::Owned(Value::Integer((has_rows != *negated) as i64))
             }
             Expr::Between { expr, low, high, negated } => {
-                let v = self.eval(expr, scope, ctx)?;
-                let lo = self.eval(low, scope, ctx)?;
-                let hi = self.eval(high, scope, ctx)?;
+                let v = self.eval(expr, b, ctx)?;
+                let lo = self.eval(low, b, ctx)?;
+                let hi = self.eval(high, b, ctx)?;
                 let ge = v.sql_cmp(&lo).map(|o| o != std::cmp::Ordering::Less);
                 let le = v.sql_cmp(&hi).map(|o| o != std::cmp::Ordering::Greater);
-                Ok(match and3(ge, le) {
+                Cow::Owned(match and3(ge, le) {
                     None => Value::Null,
-                    Some(b) => Value::Integer((b != *negated) as i64),
+                    Some(t) => Value::Integer((t != *negated) as i64),
                 })
             }
             Expr::Like { expr, pattern, negated } => {
-                let v = self.eval(expr, scope, ctx)?;
-                let p = self.eval(pattern, scope, ctx)?;
+                let v = self.eval(expr, b, ctx)?;
+                let p = self.eval(pattern, b, ctx)?;
                 if v.is_null() || p.is_null() {
-                    return Ok(Value::Null);
+                    return Ok(Cow::Borrowed(&NULL));
                 }
-                let hit = like_match(&v.render(), &p.render());
-                Ok(Value::Integer((hit != *negated) as i64))
+                let hit = like_match(&rendered(&v), &rendered(&p));
+                Cow::Owned(Value::Integer((hit != *negated) as i64))
             }
             Expr::IsNull { expr, negated } => {
-                let v = self.eval(expr, scope, ctx)?;
-                Ok(Value::Integer((v.is_null() != *negated) as i64))
+                let v = self.eval(expr, b, ctx)?;
+                Cow::Owned(Value::Integer((v.is_null() != *negated) as i64))
             }
             Expr::Cast { expr, type_name } => {
-                let v = self.eval(expr, scope, ctx)?;
-                Ok(v.cast(DataType::from_sql_name(type_name)))
+                Cow::Owned(self.eval(expr, b, ctx)?.cast(DataType::from_sql_name(type_name)))
             }
-        }
+        })
     }
 
-    fn eval_binary(&mut self, left: &Expr, op: BinaryOp, right: &Expr, scope: &Scope, ctx: &Ctx<'_, 'a>) -> Result<Value> {
+    fn eval_binary(
+        &mut self,
+        left: &Expr,
+        op: BinaryOp,
+        right: &Expr,
+        b: &Bound,
+        ctx: &Ctx<'_, 'a>,
+    ) -> Result<Value> {
         // Short-circuiting three-valued AND/OR.
         match op {
             BinaryOp::And => {
-                let l = self.eval(left, scope, ctx)?.truthiness();
+                let l = self.eval(left, b, ctx)?.truthiness();
                 if l == Some(false) {
                     return Ok(Value::Integer(0));
                 }
-                let r = self.eval(right, scope, ctx)?.truthiness();
+                let r = self.eval(right, b, ctx)?.truthiness();
                 return Ok(match and3(l, r) {
                     None => Value::Null,
-                    Some(b) => Value::Integer(b as i64),
+                    Some(t) => Value::Integer(t as i64),
                 });
             }
             BinaryOp::Or => {
-                let l = self.eval(left, scope, ctx)?.truthiness();
+                let l = self.eval(left, b, ctx)?.truthiness();
                 if l == Some(true) {
                     return Ok(Value::Integer(1));
                 }
-                let r = self.eval(right, scope, ctx)?.truthiness();
+                let r = self.eval(right, b, ctx)?.truthiness();
                 return Ok(match or3(l, r) {
                     None => Value::Null,
-                    Some(b) => Value::Integer(b as i64),
+                    Some(t) => Value::Integer(t as i64),
                 });
             }
             _ => {}
         }
-        let l = self.eval(left, scope, ctx)?;
-        let r = self.eval(right, scope, ctx)?;
+        let l = self.eval(left, b, ctx)?;
+        let r = self.eval(right, b, ctx)?;
         match op {
             BinaryOp::Add => l.add(&r),
             BinaryOp::Sub => l.sub(&r),
@@ -957,7 +1162,7 @@ impl<'a> Executor<'a> {
                     None => Value::Null,
                     Some(ord) => {
                         use std::cmp::Ordering::*;
-                        let b = match op {
+                        let t = match op {
                             BinaryOp::Eq => ord == Equal,
                             BinaryOp::NotEq => ord != Equal,
                             BinaryOp::Lt => ord == Less,
@@ -966,7 +1171,7 @@ impl<'a> Executor<'a> {
                             BinaryOp::GtEq => ord != Less,
                             _ => unreachable!(),
                         };
-                        Value::Integer(b as i64)
+                        Value::Integer(t as i64)
                     }
                 })
             }
@@ -974,29 +1179,34 @@ impl<'a> Executor<'a> {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn eval_function(
         &mut self,
         name: &str,
         args: &[Expr],
         distinct: bool,
         star: bool,
-        scope: &Scope,
+        b: &Bound,
         ctx: &Ctx<'_, 'a>,
     ) -> Result<Value> {
-        let upper = name.to_ascii_uppercase();
-        let aggregate_call = star || (is_aggregate_name(&upper) && !(matches!(upper.as_str(), "MIN" | "MAX") && args.len() >= 2));
+        let upper: Cow<'_, str> = if name.bytes().any(|c| c.is_ascii_lowercase()) {
+            Cow::Owned(name.to_ascii_uppercase())
+        } else {
+            Cow::Borrowed(name)
+        };
+        let aggregate_call = star || (is_aggregate_name(&upper) && !(matches!(&*upper, "MIN" | "MAX") && args.len() >= 2));
         if aggregate_call {
-            let rows = match ctx {
-                Ctx::Group(rows) => *rows,
+            let group = match ctx {
+                Ctx::Group(group) => *group,
                 Ctx::Row(_) | Ctx::Pair(..) => {
                     return Err(Error::Bind(format!("misuse of aggregate function {upper}")));
                 }
             };
-            return self.eval_aggregate(&upper, args, distinct, star, scope, rows);
+            return self.eval_aggregate(&upper, args, distinct, star, b, group);
         }
         let mut vals = Vec::with_capacity(args.len());
         for a in args {
-            vals.push(self.eval(a, scope, ctx)?);
+            vals.push(self.eval(a, b, ctx)?);
         }
         eval_scalar(&upper, &vals)
     }
@@ -1007,27 +1217,28 @@ impl<'a> Executor<'a> {
         args: &[Expr],
         distinct: bool,
         star: bool,
-        scope: &Scope,
-        rows: &[CowRow<'a>],
+        b: &Bound,
+        group: Group<'_, 'a>,
     ) -> Result<Value> {
         if star {
-            return Ok(Value::Integer(rows.len() as i64));
+            return Ok(Value::Integer(group.len() as i64));
         }
         if args.len() != 1 {
             return Err(Error::Type(format!("aggregate {name} expects one argument")));
         }
-        // Evaluate the argument once per row.
-        let mut vals = Vec::with_capacity(rows.len());
-        for row in rows {
+        // Evaluate the argument once per row, reading cells in place.
+        let mut vals: Vec<Cow<'_, Value>> = Vec::with_capacity(group.len());
+        for k in 0..group.len() {
             self.gov.tick()?;
-            let v = self.eval(&args[0], scope, &Ctx::Row(row.as_ref()))?;
+            let Some(row) = group.get(k) else { break };
+            let v = self.eval(&args[0], b, &Ctx::Row(row))?;
             if !v.is_null() {
                 vals.push(v);
             }
         }
         if distinct {
-            let mut seen = std::collections::HashSet::new();
-            vals.retain(|v| seen.insert(v.clone()));
+            let first = first_occurrences(vals.iter());
+            vals = vals.into_iter().zip(first).filter_map(|(v, f)| f.then_some(v)).collect();
         }
         match name {
             "COUNT" => Ok(Value::Integer(vals.len() as i64)),
@@ -1035,13 +1246,13 @@ impl<'a> Executor<'a> {
                 if vals.is_empty() {
                     return Ok(if name == "TOTAL" { Value::Real(0.0) } else { Value::Null });
                 }
-                let all_int = vals.iter().all(|v| matches!(v, Value::Integer(_)));
+                let all_int = vals.iter().all(|v| matches!(**v, Value::Integer(_)));
                 if all_int && name == "SUM" {
                     let mut acc: i64 = 0;
                     let mut overflowed = false;
                     for v in &vals {
-                        if let Value::Integer(i) = v {
-                            match acc.checked_add(*i) {
+                        if let Value::Integer(i) = **v {
+                            match acc.checked_add(i) {
                                 Some(n) => acc = n,
                                 None => {
                                     overflowed = true;
@@ -1054,29 +1265,87 @@ impl<'a> Executor<'a> {
                         return Ok(Value::Integer(acc));
                     }
                 }
-                let sum: f64 = vals.iter().filter_map(Value::as_f64).sum();
+                let sum: f64 = vals.iter().filter_map(|v| v.as_f64()).sum();
                 Ok(Value::Real(sum))
             }
             "AVG" => {
                 if vals.is_empty() {
                     return Ok(Value::Null);
                 }
-                let sum: f64 = vals.iter().filter_map(Value::as_f64).sum();
+                let sum: f64 = vals.iter().filter_map(|v| v.as_f64()).sum();
                 Ok(Value::Real(sum / vals.len() as f64))
             }
-            "MIN" => Ok(vals.into_iter().min().unwrap_or(Value::Null)),
-            "MAX" => Ok(vals.into_iter().max().unwrap_or(Value::Null)),
+            "MIN" => Ok(vals.into_iter().min().map_or(Value::Null, Cow::into_owned)),
+            "MAX" => Ok(vals.into_iter().max().map_or(Value::Null, Cow::into_owned)),
             "GROUP_CONCAT" => {
                 if vals.is_empty() {
                     return Ok(Value::Null);
                 }
-                Ok(Value::Text(
-                    vals.iter().map(Value::render).collect::<Vec<_>>().join(","),
-                ))
+                Ok(Value::Text(vals.iter().map(|v| v.render()).collect::<Vec<_>>().join(",")))
             }
             other => Err(Error::Unsupported(format!("aggregate {other}"))),
         }
     }
+}
+
+/// Output column names of a SELECT core over `scope`.
+fn output_columns(projection: &[SelectItem], scope: &Scope<'_>) -> Vec<String> {
+    let mut out = Vec::new();
+    for item in projection {
+        match item {
+            SelectItem::Wildcard => out.extend(scope.cols.iter().map(|c| c.name.to_string())),
+            SelectItem::QualifiedWildcard(t) => {
+                out.extend(scope.bound_to(t).map(|i| scope.cols[i].name.to_string()))
+            }
+            SelectItem::Expr { expr, alias } => out.push(match alias {
+                Some(a) => a.clone(),
+                None => match expr {
+                    Expr::Column { name, .. } => name.clone(),
+                    other => other.to_string(),
+                },
+            }),
+        }
+    }
+    out
+}
+
+/// Detect `left.col = right.col` (either direction) for hash joins.
+fn equi_join_cols(on: &Expr, left: &Scope<'_>, right: &Scope<'_>) -> Option<(usize, usize)> {
+    let Expr::Binary { left: a, op: BinaryOp::Eq, right: b } = on else {
+        return None;
+    };
+    let col = |e: &Expr, scope: &Scope<'_>| -> Option<usize> {
+        if let Expr::Column { table, name } = e {
+            scope.resolve(table.as_deref(), name).ok()
+        } else {
+            None
+        }
+    };
+    match (col(a, left), col(b, right)) {
+        (Some(li), Some(ri)) => Some((li, ri)),
+        _ => match (col(b, left), col(a, right)) {
+            (Some(li), Some(ri)) => Some((li, ri)),
+            _ => None,
+        },
+    }
+}
+
+fn join_key<'r>(row: &'r WorkRow<'_>, i: usize) -> Result<&'r Value> {
+    row.cell(i).ok_or_else(|| Error::Internal(format!("join key {i} outside its row")))
+}
+
+/// A value as text for `LIKE`: text borrowed, anything else rendered.
+fn rendered(v: &Value) -> Cow<'_, str> {
+    match v {
+        Value::Text(t) => Cow::Borrowed(t),
+        other => Cow::Owned(other.render()),
+    }
+}
+
+/// For each item, whether no equal item precedes it.
+fn first_occurrences<T: std::hash::Hash + Eq>(items: impl Iterator<Item = T>) -> Vec<bool> {
+    let mut seen = HashSet::new();
+    items.map(|item| seen.insert(item)).collect()
 }
 
 fn and3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
@@ -1096,8 +1365,8 @@ fn or3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
 }
 
 fn dedup_rows(rows: Vec<Row>) -> Vec<Row> {
-    let mut seen = std::collections::HashSet::new();
-    rows.into_iter().filter(|r| seen.insert(r.clone())).collect()
+    let first = first_occurrences(rows.iter());
+    rows.into_iter().zip(first).filter_map(|(row, f)| f.then_some(row)).collect()
 }
 
 /// Approximate footprint of one materialized row.

@@ -1,11 +1,14 @@
 //! Scalar (non-aggregate) SQL functions.
 
+use std::borrow::Borrow;
+
 use crate::error::{Error, Result};
 use crate::types::DataType;
 use crate::value::{format_real, Value};
 
-/// Evaluate a scalar function over already-evaluated arguments.
-pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
+/// Evaluate a scalar function over already-evaluated arguments, owned or
+/// borrowed.
+pub fn eval_scalar<V: Borrow<Value>>(name: &str, args: &[V]) -> Result<Value> {
     let arity = |n: usize| -> Result<()> {
         if args.len() == n {
             Ok(())
@@ -24,7 +27,7 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
         }
         "LENGTH" => {
             arity(1)?;
-            Ok(match &args[0] {
+            Ok(match args[0].borrow() {
                 Value::Null => Value::Null,
                 Value::Text(t) => Value::Integer(t.chars().count() as i64),
                 other => Value::Integer(other.render().chars().count() as i64),
@@ -32,27 +35,27 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
         }
         "UPPER" => {
             arity(1)?;
-            Ok(text_map(&args[0], |t| t.to_uppercase()))
+            Ok(text_map(args[0].borrow(), |t| t.to_uppercase()))
         }
         "LOWER" => {
             arity(1)?;
-            Ok(text_map(&args[0], |t| t.to_lowercase()))
+            Ok(text_map(args[0].borrow(), |t| t.to_lowercase()))
         }
         "TRIM" => {
             arity(1)?;
-            Ok(text_map(&args[0], |t| t.trim().to_string()))
+            Ok(text_map(args[0].borrow(), |t| t.trim().to_string()))
         }
         "LTRIM" => {
             arity(1)?;
-            Ok(text_map(&args[0], |t| t.trim_start().to_string()))
+            Ok(text_map(args[0].borrow(), |t| t.trim_start().to_string()))
         }
         "RTRIM" => {
             arity(1)?;
-            Ok(text_map(&args[0], |t| t.trim_end().to_string()))
+            Ok(text_map(args[0].borrow(), |t| t.trim_end().to_string()))
         }
         "ABS" => {
             arity(1)?;
-            Ok(match &args[0] {
+            Ok(match args[0].borrow() {
                 Value::Null => Value::Null,
                 Value::Integer(i) => Value::Integer(i.wrapping_abs()),
                 Value::Real(r) => Value::Real(r.abs()),
@@ -64,14 +67,14 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
                 return Err(Error::Type("ROUND expects 1 or 2 arguments".into()));
             }
             let digits = if args.len() == 2 {
-                match &args[1] {
+                match args[1].borrow() {
                     Value::Null => return Ok(Value::Null),
                     v => v.as_f64().unwrap_or(0.0) as i32,
                 }
             } else {
                 0
             };
-            Ok(match &args[0] {
+            Ok(match args[0].borrow() {
                 Value::Null => Value::Null,
                 v => {
                     let x = v.as_f64().unwrap_or(0.0);
@@ -84,7 +87,7 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
             if args.len() != 2 && args.len() != 3 {
                 return Err(Error::Type("SUBSTR expects 2 or 3 arguments".into()));
             }
-            let Value::Text(ref s) = (match &args[0] {
+            let Value::Text(ref s) = (match args[0].borrow() {
                 Value::Null => return Ok(Value::Null),
                 Value::Text(t) => Value::Text(t.clone()),
                 other => Value::Text(other.render()),
@@ -92,12 +95,12 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
                 unreachable!()
             };
             let chars: Vec<char> = s.chars().collect();
-            let start = match &args[1] {
+            let start = match args[1].borrow() {
                 Value::Null => return Ok(Value::Null),
                 v => v.as_f64().unwrap_or(1.0) as i64,
             };
             let len = if args.len() == 3 {
-                match &args[2] {
+                match args[2].borrow() {
                     Value::Null => return Ok(Value::Null),
                     v => Some(v.as_f64().unwrap_or(0.0) as i64),
                 }
@@ -122,7 +125,7 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
         }
         "REPLACE" => {
             arity(3)?;
-            match (&args[0], &args[1], &args[2]) {
+            match (args[0].borrow(), args[1].borrow(), args[2].borrow()) {
                 (Value::Null, _, _) | (_, Value::Null, _) | (_, _, Value::Null) => Ok(Value::Null),
                 (s, from, to) => {
                     let (s, from, to) = (s.render(), from.render(), to.render());
@@ -136,7 +139,7 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
         }
         "INSTR" => {
             arity(2)?;
-            match (&args[0], &args[1]) {
+            match (args[0].borrow(), args[1].borrow()) {
                 (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
                 (hay, needle) => {
                     let (h, n) = (hay.render(), needle.render());
@@ -151,21 +154,21 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
             if args.is_empty() {
                 return Err(Error::Type(format!("{name} expects at least one argument")));
             }
-            Ok(args.iter().find(|v| !v.is_null()).cloned().unwrap_or(Value::Null))
+            Ok(args.iter().map(Borrow::borrow).find(|v| !v.is_null()).cloned().unwrap_or(Value::Null))
         }
         "NULLIF" => {
             arity(2)?;
-            if args[0].sql_eq(&args[1]) == Some(true) {
+            if args[0].borrow().sql_eq(args[1].borrow()) == Some(true) {
                 Ok(Value::Null)
             } else {
-                Ok(args[0].clone())
+                Ok(args[0].borrow().clone())
             }
         }
         "IIF" => {
             arity(3)?;
-            match args[0].truthiness() {
-                Some(true) => Ok(args[1].clone()),
-                _ => Ok(args[2].clone()),
+            match args[0].borrow().truthiness() {
+                Some(true) => Ok(args[1].borrow().clone()),
+                _ => Ok(args[2].borrow().clone()),
             }
         }
         // Scalar MIN/MAX over two or more arguments (SQLite semantics:
@@ -174,11 +177,11 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
             if args.len() < 2 {
                 return Err(Error::Type(format!("scalar {name} needs at least 2 arguments")));
             }
-            if args.iter().any(Value::is_null) {
+            if args.iter().any(|v| v.borrow().is_null()) {
                 return Ok(Value::Null);
             }
-            let mut best = args[0].clone();
-            for v in &args[1..] {
+            let mut best = args[0].borrow().clone();
+            for v in args[1..].iter().map(Borrow::borrow) {
                 let replace = if name == "MIN" { v < &best } else { v > &best };
                 if replace {
                     best = v.clone();
@@ -189,7 +192,7 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
         "TYPEOF" => {
             arity(1)?;
             Ok(Value::Text(
-                match args[0].data_type() {
+                match args[0].borrow().data_type() {
                     None => "null",
                     Some(DataType::Integer) => "integer",
                     Some(DataType::Real) => "real",
@@ -213,19 +216,24 @@ fn text_map(v: &Value, f: impl Fn(&str) -> String) -> Value {
 /// SQL LIKE pattern matching: `%` any run, `_` any single character.
 /// Case-insensitive for ASCII, as in SQLite's default collation.
 pub fn like_match(text: &str, pattern: &str) -> bool {
-    fn norm(s: &str) -> Vec<char> {
-        s.chars().map(|c| c.to_ascii_lowercase()).collect()
+    if text.is_ascii() && pattern.is_ascii() {
+        wildcard(text.as_bytes(), pattern.as_bytes(), b'%', b'_', u8::to_ascii_lowercase)
+    } else {
+        let chars = |s: &str| s.chars().collect::<Vec<char>>();
+        wildcard(&chars(text), &chars(pattern), '%', '_', char::to_ascii_lowercase)
     }
-    let t = norm(text);
-    let p = norm(pattern);
-    // Classic two-pointer wildcard match with backtracking on '%'.
+}
+
+/// Classic two-pointer wildcard match with backtracking on `any`, comparing
+/// units after `fold`.
+fn wildcard<T: Copy + PartialEq>(t: &[T], p: &[T], any: T, one: T, fold: fn(&T) -> T) -> bool {
     let (mut ti, mut pi) = (0usize, 0usize);
     let (mut star_p, mut star_t) = (usize::MAX, 0usize);
     while ti < t.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
+        if pi < p.len() && (p[pi] == one || fold(&p[pi]) == fold(&t[ti])) {
             ti += 1;
             pi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
+        } else if pi < p.len() && p[pi] == any {
             star_p = pi;
             star_t = ti;
             pi += 1;
@@ -237,7 +245,7 @@ pub fn like_match(text: &str, pattern: &str) -> bool {
             return false;
         }
     }
-    while pi < p.len() && p[pi] == '%' {
+    while pi < p.len() && p[pi] == any {
         pi += 1;
     }
     pi == p.len()
@@ -283,40 +291,40 @@ mod tests {
 
     #[test]
     fn substr_matches_sqlite() {
-        assert_eq!(eval_scalar("SUBSTR", &[t("2009-03-04"), 1.into(), 4.into()]).unwrap(), t("2009"));
-        assert_eq!(eval_scalar("SUBSTR", &[t("hello"), 2.into()]).unwrap(), t("ello"));
-        assert_eq!(eval_scalar("SUBSTR", &[t("hello"), Value::Integer(-3), 2.into()]).unwrap(), t("ll"));
-        assert_eq!(eval_scalar("SUBSTR", &[Value::Null, 1.into()]).unwrap(), Value::Null);
+        assert_eq!(eval_scalar("SUBSTR", &[t("2009-03-04"), Value::Integer(1), Value::Integer(4)]).unwrap(), t("2009"));
+        assert_eq!(eval_scalar("SUBSTR", &[t("hello"), Value::Integer(2)]).unwrap(), t("ello"));
+        assert_eq!(eval_scalar("SUBSTR", &[t("hello"), Value::Integer(-3), Value::Integer(2)]).unwrap(), t("ll"));
+        assert_eq!(eval_scalar("SUBSTR", &[Value::Null, Value::Integer(1)]).unwrap(), Value::Null);
     }
 
     #[test]
     fn numeric_functions() {
         assert_eq!(eval_scalar("ABS", &[Value::Integer(-4)]).unwrap(), Value::Integer(4));
-        assert_eq!(eval_scalar("ROUND", &[Value::Real(2.567), 2.into()]).unwrap(), Value::Real(2.57));
+        assert_eq!(eval_scalar("ROUND", &[Value::Real(2.567), Value::Integer(2)]).unwrap(), Value::Real(2.57));
         assert_eq!(eval_scalar("ROUND", &[Value::Real(2.5)]).unwrap(), Value::Real(3.0));
     }
 
     #[test]
     fn null_handling_functions() {
         assert_eq!(
-            eval_scalar("COALESCE", &[Value::Null, Value::Null, 7.into()]).unwrap(),
+            eval_scalar("COALESCE", &[Value::Null, Value::Null, Value::Integer(7)]).unwrap(),
             Value::Integer(7)
         );
-        assert_eq!(eval_scalar("NULLIF", &[1.into(), 1.into()]).unwrap(), Value::Null);
-        assert_eq!(eval_scalar("NULLIF", &[1.into(), 2.into()]).unwrap(), Value::Integer(1));
-        assert_eq!(eval_scalar("IIF", &[0.into(), t("y"), t("n")]).unwrap(), t("n"));
+        assert_eq!(eval_scalar("NULLIF", &[Value::Integer(1), Value::Integer(1)]).unwrap(), Value::Null);
+        assert_eq!(eval_scalar("NULLIF", &[Value::Integer(1), Value::Integer(2)]).unwrap(), Value::Integer(1));
+        assert_eq!(eval_scalar("IIF", &[Value::Integer(0), t("y"), t("n")]).unwrap(), t("n"));
     }
 
     #[test]
     fn scalar_min_max() {
-        assert_eq!(eval_scalar("MIN", &[3.into(), 1.into(), 2.into()]).unwrap(), Value::Integer(1));
-        assert_eq!(eval_scalar("MAX", &[3.into(), Value::Null]).unwrap(), Value::Null);
+        assert_eq!(eval_scalar("MIN", &[Value::Integer(3), Value::Integer(1), Value::Integer(2)]).unwrap(), Value::Integer(1));
+        assert_eq!(eval_scalar("MAX", &[Value::Integer(3), Value::Null]).unwrap(), Value::Null);
     }
 
     #[test]
     fn unknown_function_is_unsupported() {
         assert!(matches!(
-            eval_scalar("FROBNICATE", &[]),
+            eval_scalar::<Value>("FROBNICATE", &[]),
             Err(crate::error::Error::Unsupported(_))
         ));
     }

@@ -50,7 +50,7 @@ pub use cost::{estimate_node, Cost, Estimate, ExecStats, HASH_JOIN_THRESHOLD};
 pub use engine::{
     apply_statement, database_from_script, execute_ast, execute_ast_governed, execute_query,
     execute_query_governed, execute_query_naive, execute_query_plan, execute_query_with_stats,
-    load_script, preprice_query, schema_to_ddl,
+    load_script, preprice_ast, preprice_query, schema_to_ddl,
 };
 pub use error::{Error, FailureClass, Resource, Result};
 /// Alias emphasizing the execution-failure role of [`Error`] at call sites

@@ -37,7 +37,7 @@
 use crate::ast::*;
 use crate::catalog::Database;
 use crate::cost::{estimate_node, split_conjuncts};
-use crate::plan::{factor_binding, lower_relation, static_factor_scope, EquiJoin, PlanNode, Scope};
+use crate::plan::{from_bindings, lower_relation, static_factor_scope, EquiJoin, PlanNode, Scope};
 use crate::value::Value;
 
 /// Counter: rewrites present in chosen plans, labelled by rule
@@ -100,16 +100,16 @@ fn is_safe(e: &Expr, scope: &Scope) -> bool {
 /// `binding.column` form (resolved against `scope`) and collect the set of
 /// bindings referenced. Returns None if any reference fails to resolve or
 /// the expression contains a subquery/function.
-fn qualify(e: &Expr, scope: &Scope, bindings: &mut Vec<String>) -> Option<Expr> {
+fn qualify<'s>(e: &Expr, scope: &Scope<'s>, bindings: &mut Vec<&'s str>) -> Option<Expr> {
     Some(match e {
         Expr::Literal(v) => Expr::Literal(v.clone()),
         Expr::Column { table, name } => {
             let idx = scope.resolve(table.as_deref(), name).ok()?;
             let col = scope.cols.get(idx)?;
-            if !bindings.iter().any(|b| *b == col.binding) {
-                bindings.push(col.binding.clone());
+            if !bindings.contains(&col.binding) {
+                bindings.push(col.binding);
             }
-            Expr::Column { table: Some(col.binding.clone()), name: col.name.clone() }
+            Expr::Column { table: Some(col.binding.to_string()), name: col.name.to_string() }
         }
         Expr::Unary { op, expr } => {
             Expr::Unary { op: *op, expr: Box::new(qualify(expr, scope, bindings)?) }
@@ -178,16 +178,16 @@ fn and_all(conjuncts: Vec<Expr>) -> Option<Expr> {
 
 /// A qualified conjunct with the bindings it references.
 #[derive(Debug, Clone)]
-struct Conjunct {
+struct Conjunct<'s> {
     expr: Expr,
-    bindings: Vec<String>,
+    bindings: Vec<&'s str>,
 }
 
 /// One FROM factor with its static scope and join metadata.
-struct Factor<'a> {
-    factor: &'a TableFactor,
-    binding: String,
-    scope: Scope,
+struct Factor<'s> {
+    factor: &'s TableFactor,
+    binding: &'s str,
+    scope: Scope<'s>,
     /// Join kind that introduced this factor (None for the base factor).
     kind: Option<JoinKind>,
 }
@@ -247,10 +247,10 @@ fn make_join(
 
 /// A leaf prepared for tree building: its plan (scan + pushed filters),
 /// scope, binding, and original factor index.
-struct Leaf {
+struct Leaf<'s> {
     node: PlanNode,
-    scope: Scope,
-    binding: String,
+    scope: Scope<'s>,
+    binding: &'s str,
     /// Index of this factor in syntactic order (for permutation).
     position: usize,
 }
@@ -260,12 +260,12 @@ struct Leaf {
 /// bindings are in scope. Returns the tree, the factor positions in build
 /// order, and the indices of any pool conjuncts that could not be attached
 /// (the caller must keep those in the top filter).
-fn build_region_tree(mut leaves: Vec<Leaf>, pool: &[Conjunct]) -> (PlanNode, Vec<usize>, Vec<usize>) {
+fn build_region_tree(mut leaves: Vec<Leaf<'_>>, pool: &[Conjunct<'_>]) -> (PlanNode, Vec<usize>, Vec<usize>) {
     let mut used = vec![false; pool.len()];
     let first = leaves.remove(0);
     let mut node = first.node;
     let mut scope = first.scope;
-    let mut present = vec![first.binding.clone()];
+    let mut present = vec![first.binding];
     let mut positions = vec![first.position];
     for leaf in leaves {
         let mut conjuncts = Vec::new();
@@ -296,7 +296,7 @@ fn build_region_tree(mut leaves: Vec<Leaf>, pool: &[Conjunct]) -> (PlanNode, Vec
 /// leaf, then repeatedly add the factor minimizing the estimated size of
 /// the next join, treating equi-connected factors (a pool conjunct
 /// bridging the current set and the candidate) as key-joins.
-fn greedy_order(db: &Database, leaves: &[Leaf], pool: &[Conjunct]) -> Vec<usize> {
+fn greedy_order(db: &Database, leaves: &[Leaf<'_>], pool: &[Conjunct<'_>]) -> Vec<usize> {
     let n = leaves.len();
     let card: Vec<f64> = leaves.iter().map(|l| estimate_node(db, &l.node).rows).collect();
     let mut remaining: Vec<usize> = (0..n).collect();
@@ -330,7 +330,7 @@ fn greedy_order(db: &Database, leaves: &[Leaf], pool: &[Conjunct]) -> Vec<usize>
         }
         let i = remaining.remove(best_slot);
         cur_rows = if order.is_empty() { card[i] } else { best_est };
-        present.push(&leaves[i].binding);
+        present.push(leaves[i].binding);
         order.push(i);
     }
     order
@@ -419,20 +419,13 @@ fn try_optimize(
     // Collect factors with static scopes; bail if any scope is unknown
     // (missing table, underivable subquery columns) so lazy runtime errors
     // surface exactly as they would under naive execution.
-    let mut factors: Vec<Factor<'_>> = Vec::new();
-    factors.push(Factor {
-        factor: &from.base,
-        binding: factor_binding(&from.base),
-        scope: static_factor_scope(db, &from.base)?,
-        kind: None,
-    });
-    for join in &from.joins {
-        factors.push(Factor {
-            factor: &join.factor,
-            binding: factor_binding(&join.factor),
-            scope: static_factor_scope(db, &join.factor)?,
-            kind: Some(join.kind),
-        });
+    let bindings = from_bindings(from);
+    let joined = std::iter::once((&from.base, None))
+        .chain(from.joins.iter().map(|j| (&j.factor, Some(j.kind))));
+    let mut factors: Vec<Factor<'_>> = Vec::with_capacity(bindings.len());
+    for ((factor, kind), binding) in joined.zip(&bindings) {
+        let scope = static_factor_scope(db, factor, binding)?;
+        factors.push(Factor { factor, binding, scope, kind });
     }
 
     // All binding names must be distinct, or column references become
@@ -496,8 +489,7 @@ fn try_optimize(
             break;
         }
     }
-    let region_bindings: Vec<&str> =
-        factors[..region_end].iter().map(|f| f.binding.as_str()).collect();
+    let region_bindings: Vec<&str> = factors[..region_end].iter().map(|f| f.binding).collect();
 
     // Classify WHERE conjuncts: pushed to a leaf, pooled into the region,
     // merged into a later inner join, or kept in the top filter.
@@ -556,7 +548,7 @@ fn try_optimize(
             if let Some(pred) = and_all(pushed[i].clone()) {
                 node = PlanNode::Filter { input: Box::new(node), predicate: pred };
             }
-            Leaf { node, scope: f.scope.clone(), binding: f.binding.clone(), position: i }
+            Leaf { node, scope: f.scope.clone(), binding: f.binding, position: i }
         })
         .collect();
 
@@ -580,7 +572,7 @@ fn try_optimize(
                 Leaf {
                     node: l.node.clone(),
                     scope: l.scope.clone(),
-                    binding: l.binding.clone(),
+                    binding: l.binding,
                     position: l.position,
                 }
             })
@@ -681,7 +673,7 @@ fn limit_cap(
     order_by: &[OrderItem],
     limit: Option<&Expr>,
     offset: Option<&Expr>,
-    scope: &Scope,
+    scope: &Scope<'_>,
 ) -> Option<usize> {
     if limit.is_none() && offset.is_none() {
         return None;
@@ -693,10 +685,7 @@ fn limit_cap(
         match item {
             SelectItem::Wildcard => {}
             SelectItem::QualifiedWildcard(t) => {
-                let lt = t.to_lowercase();
-                if !scope.cols.iter().any(|c| c.binding == lt) {
-                    return None;
-                }
+                scope.bound_to(t).next()?;
             }
             SelectItem::Expr { expr, .. } => {
                 if expr.contains_aggregate() || !is_safe(expr, scope) {

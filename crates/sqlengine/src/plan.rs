@@ -20,8 +20,10 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![deny(missing_docs)]
 
+use std::borrow::Cow;
+
 use crate::ast::*;
-use crate::catalog::Database;
+use crate::catalog::{Database, Table};
 use crate::cost;
 use crate::error::{Error, Result};
 use crate::parser::parse_statement;
@@ -147,38 +149,69 @@ pub enum PlanNode {
     },
 }
 
-/// One column visible inside a SELECT core.
+/// One column visible inside a SELECT core. The name borrows from the
+/// catalog (or owns a derived table's output name) and keeps its case;
+/// lookups compare it exactly as `str::to_lowercase` would.
 #[derive(Debug, Clone)]
-pub(crate) struct ScopeCol {
+pub(crate) struct ScopeCol<'s> {
     /// Lower-cased binding name (table alias or table name).
-    pub(crate) binding: String,
-    /// Lower-cased column name.
-    pub(crate) name: String,
-    /// Original display name used for `*` expansion and output naming.
-    pub(crate) display: String,
+    pub(crate) binding: &'s str,
+    /// Column name as declared, used for `*` expansion and output naming.
+    pub(crate) name: Cow<'s, str>,
 }
 
 /// The ordered column namespace of a relational node's output.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Scope {
+pub(crate) struct Scope<'s> {
     /// Columns in output order.
-    pub(crate) cols: Vec<ScopeCol>,
+    pub(crate) cols: Vec<ScopeCol<'s>>,
 }
 
-impl Scope {
+/// A name as a case-insensitive key: `eq(s)` is `s.to_lowercase() ==
+/// name.to_lowercase()`, without allocating when both sides are ASCII.
+struct Folded<'n>(Cow<'n, str>);
+
+impl<'n> Folded<'n> {
+    fn new(name: &'n str) -> Folded<'n> {
+        Folded(if name.is_ascii() { Cow::Borrowed(name) } else { Cow::Owned(name.to_lowercase()) })
+    }
+
+    fn eq(&self, s: &str) -> bool {
+        // Neither side has an ASCII capital left after `to_lowercase`, so
+        // ignoring ASCII case is exact.
+        if s.is_ascii() {
+            s.eq_ignore_ascii_case(&self.0)
+        } else {
+            s.to_lowercase().eq_ignore_ascii_case(&self.0)
+        }
+    }
+}
+
+impl<'s> Scope<'s> {
+    /// The columns of a base table bound under `binding`.
+    pub(crate) fn of_table(table: &'s Table, binding: &'s str) -> Scope<'s> {
+        let cols = table.schema.columns.iter();
+        Scope { cols: cols.map(|c| ScopeCol { binding, name: Cow::Borrowed(&c.name) }).collect() }
+    }
+
+    /// Output columns of a derived table bound under `binding`.
+    pub(crate) fn of_names(names: Vec<String>, binding: &'s str) -> Scope<'s> {
+        Scope { cols: names.into_iter().map(|n| ScopeCol { binding, name: Cow::Owned(n) }).collect() }
+    }
+
     /// Resolve a (possibly qualified) column reference to its index.
     pub(crate) fn resolve(&self, table: Option<&str>, name: &str) -> Result<usize> {
-        let lname = name.to_lowercase();
+        let key = Folded::new(name);
         match table {
             Some(t) => {
-                let lt = t.to_lowercase();
+                let tkey = Folded::new(t);
                 self.cols
                     .iter()
-                    .position(|c| c.binding == lt && c.name == lname)
+                    .position(|c| tkey.eq(c.binding) && key.eq(&c.name))
                     .ok_or_else(|| Error::Bind(format!("no such column: {t}.{name}")))
             }
             None => {
-                let mut it = self.cols.iter().enumerate().filter(|(_, c)| c.name == lname);
+                let mut it = self.cols.iter().enumerate().filter(|(_, c)| key.eq(&c.name));
                 match (it.next(), it.next()) {
                     (Some((i, _)), None) => Ok(i),
                     (Some(_), Some(_)) => Err(Error::Bind(format!("ambiguous column: {name}"))),
@@ -186,6 +219,12 @@ impl Scope {
                 }
             }
         }
+    }
+
+    /// Indices of the columns bound under `binding` (a `t.*` wildcard).
+    pub(crate) fn bound_to(&self, binding: &str) -> impl Iterator<Item = usize> + '_ {
+        let key = binding.to_lowercase();
+        self.cols.iter().enumerate().filter(move |(_, c)| c.binding == key).map(|(i, _)| i)
     }
 }
 
@@ -301,24 +340,21 @@ pub fn lower_query(db: &Database, q: &Query, mode: PlanMode) -> Result<PlanNode>
 fn derived_columns(db: &Database, q: &Query) -> Option<Vec<String>> {
     match &q.body {
         SetExpr::Select(s) => {
+            let bindings = s.from.as_ref().map(from_bindings).unwrap_or_default();
             let scope = match &s.from {
-                Some(from) => static_from_scope(db, from)?,
+                Some(from) => static_from_scope(db, from, &bindings)?,
                 None => Scope::default(),
             };
             let mut out = Vec::new();
             for item in &s.projection {
                 match item {
                     SelectItem::Wildcard => {
-                        out.extend(scope.cols.iter().map(|c| c.display.clone()))
+                        out.extend(scope.cols.iter().map(|c| c.name.to_string()))
                     }
                     SelectItem::QualifiedWildcard(t) => {
-                        let lt = t.to_lowercase();
-                        let mut any = false;
-                        for c in scope.cols.iter().filter(|c| c.binding == lt) {
-                            any = true;
-                            out.push(c.display.clone());
-                        }
-                        if !any {
+                        let start = out.len();
+                        out.extend(scope.bound_to(t).map(|i| scope.cols[i].name.to_string()));
+                        if out.len() == start {
                             return None;
                         }
                     }
@@ -342,74 +378,59 @@ fn derived_columns(db: &Database, q: &Query) -> Option<Vec<String>> {
     }
 }
 
-/// The scope a factor will have at runtime, computed statically. None when
-/// the table is missing or a derived column list cannot be determined —
-/// callers must then fall back to the naive plan so the runtime error (or
-/// lack of one, for empty inputs) surfaces unchanged.
-pub(crate) fn static_factor_scope(db: &Database, f: &TableFactor) -> Option<Scope> {
-    let binding = factor_binding(f);
+/// The lower-cased binding of every factor of a FROM clause, in order.
+pub(crate) fn from_bindings(from: &FromClause) -> Vec<String> {
+    std::iter::once(&from.base).chain(from.joins.iter().map(|j| &j.factor)).map(factor_binding).collect()
+}
+
+/// The scope a factor bound under `binding` will have at runtime, computed
+/// statically. None when the table is missing or a derived column list
+/// cannot be determined — callers must then fall back to the naive plan
+/// so the runtime error (or lack of one, for empty inputs) surfaces
+/// unchanged.
+pub(crate) fn static_factor_scope<'s>(
+    db: &'s Database,
+    f: &TableFactor,
+    binding: &'s str,
+) -> Option<Scope<'s>> {
     match f {
-        TableFactor::Table { name, .. } => {
-            let table = db.table(name)?;
-            Some(Scope {
-                cols: table
-                    .schema
-                    .columns
-                    .iter()
-                    .map(|c| ScopeCol {
-                        binding: binding.clone(),
-                        name: c.name.to_lowercase(),
-                        display: c.name.clone(),
-                    })
-                    .collect(),
-            })
-        }
+        TableFactor::Table { name, .. } => Some(Scope::of_table(db.table(name)?, binding)),
         TableFactor::Derived { subquery, .. } => {
-            let cols = derived_columns(db, subquery)?;
-            Some(Scope {
-                cols: cols
-                    .into_iter()
-                    .map(|c| ScopeCol {
-                        binding: binding.clone(),
-                        name: c.to_lowercase(),
-                        display: c,
-                    })
-                    .collect(),
-            })
+            Some(Scope::of_names(derived_columns(db, subquery)?, binding))
         }
     }
 }
 
-/// The combined scope of a whole FROM clause, computed statically.
-pub(crate) fn static_from_scope(db: &Database, from: &FromClause) -> Option<Scope> {
-    let mut scope = static_factor_scope(db, &from.base)?;
-    for join in &from.joins {
-        let right = static_factor_scope(db, &join.factor)?;
-        scope.cols.extend(right.cols);
+/// The combined scope of a whole FROM clause, computed statically;
+/// `bindings` is [`from_bindings`] of `from`.
+pub(crate) fn static_from_scope<'s>(
+    db: &'s Database,
+    from: &FromClause,
+    bindings: &'s [String],
+) -> Option<Scope<'s>> {
+    let factors = std::iter::once(&from.base).chain(from.joins.iter().map(|j| &j.factor));
+    let mut scope = Scope::default();
+    for (f, binding) in factors.zip(bindings) {
+        scope.cols.extend(static_factor_scope(db, f, binding)?.cols);
     }
     Some(scope)
 }
 
 /// The static output columns of a relational plan node as
-/// `(binding, column)` pairs, or None when a leaf cannot be resolved.
-/// Used by the schema-preservation property tests.
+/// `(binding, column)` pairs, lower-cased, or None when a leaf cannot be
+/// resolved. Used by the schema-preservation property tests.
 pub fn output_bindings(db: &Database, node: &PlanNode) -> Option<Vec<(String, String)>> {
     let scope = node_scope(db, node)?;
-    Some(scope.cols.into_iter().map(|c| (c.binding, c.name)).collect())
+    Some(scope.cols.into_iter().map(|c| (c.binding.to_string(), c.name.to_lowercase())).collect())
 }
 
 /// Static scope of a relational plan node.
-pub(crate) fn node_scope(db: &Database, node: &PlanNode) -> Option<Scope> {
+fn node_scope<'s>(db: &'s Database, node: &'s PlanNode) -> Option<Scope<'s>> {
     match node {
         PlanNode::Empty => Some(Scope::default()),
-        PlanNode::Scan { table, binding } => {
-            let factor = TableFactor::Table { name: table.clone(), alias: Some(binding.clone()) };
-            static_factor_scope(db, &factor)
-        }
+        PlanNode::Scan { table, binding } => Some(Scope::of_table(db.table(table)?, binding)),
         PlanNode::Derived { query, binding } => {
-            let factor =
-                TableFactor::Derived { subquery: query.clone(), alias: binding.clone() };
-            static_factor_scope(db, &factor)
+            Some(Scope::of_names(derived_columns(db, query)?, binding))
         }
         PlanNode::Filter { input, .. } | PlanNode::Cap { input, .. } => node_scope(db, input),
         PlanNode::Join { left, right, .. } => {
@@ -587,9 +608,11 @@ mod tests {
             panic!("expected query")
         };
         let SetExpr::Select(s) = &q.body else { panic!("expected select") };
-        let scope = static_from_scope(&db, s.from.as_ref().unwrap()).unwrap();
+        let from = s.from.as_ref().unwrap();
+        let bindings = from_bindings(from);
+        let scope = static_from_scope(&db, from, &bindings).unwrap();
         let cols: Vec<(String, String)> =
-            scope.cols.iter().map(|c| (c.binding.clone(), c.name.clone())).collect();
+            scope.cols.iter().map(|c| (c.binding.to_string(), c.name.to_string())).collect();
         assert_eq!(
             cols,
             vec![
