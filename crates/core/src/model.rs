@@ -9,8 +9,10 @@ use std::time::Instant;
 use codes_datasets::Sample;
 use codes_obs::{Span, STAGE_EXECUTION_SELECTION, STAGE_GENERATION};
 use codes_retrieval::ValueMatch;
+use sqlengine::ast::Statement;
 use sqlengine::{
-    catch_panics, execute_query_governed, preprice_query, with_retry, Database, ExecLimits,
+    catch_panics, execute_ast_governed, parse_statement, preprice_ast, with_retry, Database,
+    ExecLimits,
 };
 
 use crate::config::{Capacity, Config};
@@ -478,13 +480,20 @@ pub fn select_first_executable_batch(
                         // being run (and re-run on retry) to its inevitable
                         // budget kill. Pre-pricing is deterministic, so its
                         // shed verdict is memoized like an execution one.
-                        let ok = preprice_query(db, &c.sql, &limits).is_ok()
-                            && with_retry(&limits, retries, |attempt_limits| {
-                                catch_panics(|| {
-                                    execute_query_governed(db, &c.sql, attempt_limits).map(|_| ())
-                                })
-                            })
-                            .is_ok();
+                        // The candidate is parsed once; a statement that
+                        // does not parse as a query is non-executable.
+                        let ok = match parse_statement(&c.sql) {
+                            Ok(Statement::Query(q)) => {
+                                preprice_ast(db, &q, &limits).is_ok()
+                                    && with_retry(&limits, retries, |attempt_limits| {
+                                        catch_panics(|| {
+                                            execute_ast_governed(db, &q, attempt_limits).map(|_| ())
+                                        })
+                                    })
+                                    .is_ok()
+                            }
+                            _ => false,
+                        };
                         memo.insert(c.sql.clone(), ok);
                         ok
                     }
