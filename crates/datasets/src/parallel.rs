@@ -1,9 +1,10 @@
-//! An order-preserving parallel map for build-time work that is
-//! independent per item (benchmark samples, classifier features).
+//! An order-preserving parallel map for work that is independent per item
+//! (benchmark samples, classifier features, evaluated samples).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The threads build-time work may use: every core the process may run on.
+/// The threads parallel work may use: every core the process may run on
+/// (one when that is unknown).
 pub fn build_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

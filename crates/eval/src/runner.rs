@@ -17,6 +17,7 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use codes::{CodesSystem, InferenceRequest};
+use codes_datasets::parallel::{build_threads, map_in_order};
 use codes_datasets::{Hardness, Sample};
 use codes_obs::StageTimings;
 use sqlengine::{Database, ExecLimits};
@@ -40,7 +41,7 @@ pub struct EvalConfig {
     pub compute_he: bool,
     /// Cap on evaluated samples (None = all).
     pub limit: Option<usize>,
-    /// Worker threads.
+    /// Threads, the caller's included (default: every core).
     pub threads: usize,
     /// Resource budgets for every metric execution. Defaults to
     /// [`ExecLimits::evaluation`]: deterministic budgets sized so realistic
@@ -56,14 +57,10 @@ impl Default for EvalConfig {
             compute_ves: true,
             compute_he: false,
             limit: None,
-            threads: num_threads(),
+            threads: build_threads(),
             exec_limits: ExecLimits::evaluation(),
         }
     }
-}
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16)
 }
 
 /// Aggregate outcome of one evaluation run.
@@ -158,8 +155,7 @@ pub fn evaluate(
     let samples = &samples[..limit];
     let variants = build_variants(&by_name, cfg);
     let work: Vec<(usize, &Sample)> = samples.iter().enumerate().collect();
-    let mut results = run_indexed(system, &work, &by_name, &variants, cfg, &|_, _| {});
-    results.sort_by_key(|(index, _)| *index);
+    let results = run_indexed(system, &work, &by_name, &variants, cfg, &|_, _| {});
     let results: Vec<SampleResult> = results.into_iter().map(|(_, r)| r).collect();
     (summarize(&results), results)
 }
@@ -261,10 +257,12 @@ fn build_variants<'a>(
     }
 }
 
-/// Evaluate `work` (sample-index pairs) across [`EvalConfig::threads`]
-/// worker threads, invoking `sink` for each finished sample from the worker
-/// that produced it. Samples referencing an unknown database are skipped,
-/// matching the non-indexed path. Returned pairs are unordered.
+/// Evaluate `work` (sample-index pairs) on up to [`EvalConfig::threads`]
+/// threads, the caller's included, invoking `sink` for each finished
+/// sample from the thread that produced it. Samples referencing an unknown
+/// database are skipped, matching the non-indexed path. Pairs come back in
+/// work order. Each sample runs inside its own fault boundary, so a panic
+/// that still reaches here is a harness bug and resumes on the caller.
 fn run_indexed(
     system: &CodesSystem,
     work: &[(usize, &Sample)],
@@ -273,35 +271,13 @@ fn run_indexed(
     cfg: &EvalConfig,
     sink: &(dyn Fn(usize, &SampleResult) + Sync),
 ) -> Vec<(usize, SampleResult)> {
-    let threads = cfg.threads.max(1);
-    let chunk = work.len().div_ceil(threads).max(1);
-    let mut results: Vec<(usize, SampleResult)> = Vec::with_capacity(work.len());
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for part in work.chunks(chunk) {
-            handles.push(scope.spawn(move |_| {
-                part.iter()
-                    .filter_map(|&(index, s)| {
-                        let db = by_name.get(s.db_id.as_str())?;
-                        let result =
-                            eval_one_isolated(system, s, db, variants.get(s.db_id.as_str()), cfg);
-                        sink(index, &result);
-                        Some((index, result))
-                    })
-                    .collect::<Vec<(usize, SampleResult)>>()
-            }));
-        }
-        for h in handles {
-            // Per-sample isolation means a worker panic can only come from
-            // outside the fault boundary (harness bug); drop that chunk and
-            // keep the run alive rather than aborting the whole evaluation.
-            if let Ok(part) = h.join() {
-                results.extend(part);
-            }
-        }
-    })
-    .unwrap_or_default();
-    results
+    let evaluated = map_in_order(work, cfg.threads, |&(index, s)| {
+        let db = by_name.get(s.db_id.as_str())?;
+        let result = eval_one_isolated(system, s, db, variants.get(s.db_id.as_str()), cfg);
+        sink(index, &result);
+        Some((index, result))
+    });
+    evaluated.into_iter().flatten().collect()
 }
 
 /// Evaluate one sample inside a fault boundary. A panic anywhere in the
