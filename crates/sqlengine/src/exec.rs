@@ -167,23 +167,38 @@ impl<'a> WorkRow<'a> {
     }
 }
 
-/// The rows of one group: all of `rows`, or those at `members`.
+/// A SELECT core's output units in production order: their projected rows,
+/// and their ORDER BY keys laid end to end (one per ORDER BY term).
+#[derive(Default)]
+struct Units {
+    rows: Vec<Row>,
+    keys: Vec<Value>,
+}
+
+/// The rows of one group: all of `rows`, or the chain that starts at
+/// `first` and follows `next` (`NO_ROW` ends it).
 #[derive(Clone, Copy)]
 struct Group<'r, 'a> {
     rows: &'r [WorkRow<'a>],
-    members: Option<&'r [usize]>,
+    first: usize,
+    next: Option<&'r [usize]>,
 }
 
+const NO_ROW: usize = usize::MAX;
+
 impl<'r, 'a> Group<'r, 'a> {
-    fn len(&self) -> usize {
-        self.members.map_or(self.rows.len(), <[usize]>::len)
+    fn all(rows: &'r [WorkRow<'a>]) -> Group<'r, 'a> {
+        Group { rows, first: if rows.is_empty() { NO_ROW } else { 0 }, next: None }
     }
 
-    fn get(&self, k: usize) -> Option<&'r WorkRow<'a>> {
-        match self.members {
-            Some(members) => self.rows.get(*members.get(k)?),
-            None => self.rows.get(k),
-        }
+    fn iter(&self) -> impl Iterator<Item = &'r WorkRow<'a>> {
+        let (rows, next) = (self.rows, self.next);
+        let start = (self.first != NO_ROW).then_some(self.first);
+        std::iter::successors(start, move |&i| {
+            let j = next.map_or(i + 1, |next| next[i]);
+            (j < rows.len()).then_some(j)
+        })
+        .map(move |i| &rows[i])
     }
 }
 
@@ -209,7 +224,7 @@ impl<'r, 'a> Ctx<'r, 'a> {
                     r.cell(idx - left)
                 }
             }
-            Ctx::Group(group) => group.get(0).and_then(|r| r.cell(idx)),
+            Ctx::Group(group) => group.iter().next().and_then(|r| r.cell(idx)),
         }
     }
 }
@@ -303,6 +318,8 @@ enum OrderKey<'e> {
 struct SelectBinding<'e> {
     bound: Bound,
     items: Vec<Item<'e>>,
+    /// Values per projected row.
+    width: usize,
     group_keys: Vec<GroupKey<'e>>,
     order_keys: Vec<OrderKey<'e>>,
 }
@@ -393,7 +410,7 @@ impl<'e> SelectBinding<'e> {
             .chain(&s.group_by)
             .chain(&s.having)
             .chain(order_by.iter().map(|o| &o.expr));
-        SelectBinding { bound: Bound::new(scope, exprs), items, group_keys, order_keys }
+        SelectBinding { bound: Bound::new(scope, exprs), items, width, group_keys, order_keys }
     }
 }
 
@@ -597,18 +614,17 @@ impl<'a> Executor<'a> {
 
         let out_columns = output_columns(&s.projection, &scope);
         let sel = SelectBinding::new(s, order_by, &scope);
-        // Output units (each evaluated in its own context): (projection, sort keys).
-        let mut projected: Vec<(Row, Vec<Value>)> = Vec::new();
+        let mut units = Units::default();
         if aggregate_mode {
             self.stats.rows_grouped += rows.len() as u64;
             if s.group_by.is_empty() {
-                let group = Group { rows: &rows, members: None };
-                self.emit_group(s, &sel, group, &mut projected)?;
+                self.emit_group(s, &sel, Group::all(&rows), &mut units)?;
             } else {
-                // Group keys borrow the cells they read; a group's rows are
-                // kept as indices in order of first appearance.
+                // Group keys borrow the cells they read. Each group is a
+                // chain of row indices, in order of first appearance.
                 let mut groups: HashMap<Vec<Cow<'_, Value>>, usize> = HashMap::new();
-                let mut members: Vec<Vec<usize>> = Vec::new();
+                let mut ends: Vec<(usize, usize)> = Vec::new();
+                let mut next = vec![NO_ROW; rows.len()];
                 let mut key: Vec<Cow<'_, Value>> = Vec::with_capacity(sel.group_keys.len());
                 for (i, row) in rows.iter().enumerate() {
                     self.gov.tick()?;
@@ -622,48 +638,62 @@ impl<'a> Executor<'a> {
                         });
                     }
                     match groups.get(key.as_slice()) {
-                        Some(&g) => members[g].push(i),
+                        Some(&g) => {
+                            next[ends[g].1] = i;
+                            ends[g].1 = i;
+                        }
                         None => {
-                            groups.insert(key.clone(), members.len());
-                            members.push(vec![i]);
+                            groups.insert(key.clone(), ends.len());
+                            ends.push((i, i));
                         }
                     }
                 }
-                for m in &members {
-                    let group = Group { rows: &rows, members: Some(m) };
-                    self.emit_group(s, &sel, group, &mut projected)?;
+                for &(first, _) in &ends {
+                    let group = Group { rows: &rows, first, next: Some(&next) };
+                    self.emit_group(s, &sel, group, &mut units)?;
                 }
             }
         } else {
             for row in &rows {
                 self.gov.tick()?;
-                projected.push(self.project_unit(&sel, &Ctx::Row(row))?);
+                self.project_unit(&sel, &Ctx::Row(row), &mut units)?;
             }
         }
 
+        let Units { mut rows, mut keys } = units;
+        let nkeys = order_by.len();
         // DISTINCT before ordering (first occurrence wins).
         if s.distinct {
-            self.stats.rows_grouped += projected.len() as u64;
-            let first = first_occurrences(projected.iter().map(|(row, _)| row));
-            projected = projected.into_iter().zip(first).filter_map(|(unit, f)| f.then_some(unit)).collect();
+            self.stats.rows_grouped += rows.len() as u64;
+            let first = first_occurrences(rows.iter());
+            let mut k = 0;
+            keys.retain(|_| {
+                k += 1;
+                first[(k - 1) / nkeys]
+            });
+            let mut unit = first.iter();
+            rows.retain(|_| unit.next().copied().unwrap_or(true));
         }
 
         let ordered = !order_by.is_empty();
         if ordered {
-            self.stats.record_sort(projected.len());
-            let desc_flags: Vec<bool> = order_by.iter().map(|o| o.desc).collect();
-            projected.sort_by(|(_, ka), (_, kb)| {
-                for (i, desc) in desc_flags.iter().enumerate() {
-                    let ord = ka[i].total_cmp(&kb[i]);
+            // A stable sort of unit indices by their keys, then the rows in
+            // that order.
+            self.stats.record_sort(rows.len());
+            let key = |u: usize| &keys[u * nkeys..(u + 1) * nkeys];
+            let mut order: Vec<usize> = (0..rows.len()).collect();
+            order.sort_by(|&a, &b| {
+                for ((ka, kb), item) in key(a).iter().zip(key(b)).zip(order_by) {
+                    let ord = ka.total_cmp(kb);
                     if ord != std::cmp::Ordering::Equal {
-                        return if *desc { ord.reverse() } else { ord };
+                        return if item.desc { ord.reverse() } else { ord };
                     }
                 }
                 std::cmp::Ordering::Equal
             });
+            rows = order.into_iter().map(|u| std::mem::take(&mut rows[u])).collect();
         }
 
-        let rows: Vec<Row> = projected.into_iter().map(|(r, _)| r).collect();
         self.stats.rows_output += rows.len() as u64;
         let mut result = QueryResult::new(out_columns, rows, ordered);
         self.apply_limit(&mut result, limit, offset)?;
@@ -676,7 +706,7 @@ impl<'a> Executor<'a> {
         s: &Select,
         sel: &SelectBinding<'_>,
         group: Group<'_, 'a>,
-        projected: &mut Vec<(Row, Vec<Value>)>,
+        units: &mut Units,
     ) -> Result<()> {
         let ctx = Ctx::Group(group);
         self.gov.tick()?;
@@ -685,14 +715,13 @@ impl<'a> Executor<'a> {
                 return Ok(());
             }
         }
-        projected.push(self.project_unit(sel, &ctx)?);
-        Ok(())
+        self.project_unit(sel, &ctx, units)
     }
 
     /// Evaluate one output unit: its projected row and its sort keys.
-    fn project_unit(&mut self, sel: &SelectBinding<'_>, ctx: &Ctx<'_, 'a>) -> Result<(Row, Vec<Value>)> {
+    fn project_unit(&mut self, sel: &SelectBinding<'_>, ctx: &Ctx<'_, 'a>, units: &mut Units) -> Result<()> {
         let cell = |i: usize| ctx.cell(i).cloned().unwrap_or(Value::Null);
-        let mut out = Vec::with_capacity(sel.items.len());
+        let mut out = Vec::with_capacity(sel.width);
         for item in &sel.items {
             match item {
                 Item::All(n) => out.extend((0..*n).map(cell)),
@@ -703,9 +732,8 @@ impl<'a> Executor<'a> {
                 Item::Expr(expr) => out.push(self.eval(expr, &sel.bound, ctx)?.into_owned()),
             }
         }
-        let mut keys = Vec::with_capacity(sel.order_keys.len());
         for key in &sel.order_keys {
-            keys.push(match key {
+            units.keys.push(match key {
                 OrderKey::Output(i) => out
                     .get(*i)
                     .cloned()
@@ -713,7 +741,8 @@ impl<'a> Executor<'a> {
                 OrderKey::Expr(e) => self.eval(e, &sel.bound, ctx)?.into_owned(),
             });
         }
-        Ok((out, keys))
+        units.rows.push(out);
+        Ok(())
     }
 
     // -- plan execution ------------------------------------------------------
@@ -1221,16 +1250,15 @@ impl<'a> Executor<'a> {
         group: Group<'_, 'a>,
     ) -> Result<Value> {
         if star {
-            return Ok(Value::Integer(group.len() as i64));
+            return Ok(Value::Integer(group.iter().count() as i64));
         }
         if args.len() != 1 {
             return Err(Error::Type(format!("aggregate {name} expects one argument")));
         }
         // Evaluate the argument once per row, reading cells in place.
-        let mut vals: Vec<Cow<'_, Value>> = Vec::with_capacity(group.len());
-        for k in 0..group.len() {
+        let mut vals: Vec<Cow<'_, Value>> = Vec::with_capacity(group.iter().count());
+        for row in group.iter() {
             self.gov.tick()?;
-            let Some(row) = group.get(k) else { break };
             let v = self.eval(&args[0], b, &Ctx::Row(row))?;
             if !v.is_null() {
                 vals.push(v);
