@@ -126,31 +126,26 @@ impl<'a> WorkRow<'a> {
         self.parts().map(|p| row_bytes(p.cells())).sum()
     }
 
-    /// The row whose cell `k` is `self.cell(indices[k])` (NULL past the
-    /// end). When `indices` moves whole parts, as the optimizer's join
-    /// reordering does, the parts are reordered; otherwise the cells are
-    /// gathered into a new part.
-    fn permuted(&self, indices: &[usize]) -> WorkRow<'a> {
-        let mut parts: Vec<Part<'a>> = Vec::with_capacity(1 + self.tail.len());
+    /// The row whose cell `k` is `self.cell(indices[k])`, built by
+    /// reordering whole parts; None when `indices` splits a part. The
+    /// optimizer permutes only whole base-table rows.
+    fn permuted(&self, indices: &[usize]) -> Option<WorkRow<'a>> {
+        let mut row = WorkRow::table(&[]);
         let mut k = 0;
         while k < indices.len() {
-            let Some(part) = self.part_starting_at(indices[k]) else { break };
+            let part = self.part_starting_at(indices[k])?;
             let run = part.cells().len();
             if indices.len() < k + run || (0..run).any(|j| indices[k + j] != indices[k] + j) {
-                break;
+                return None;
             }
-            parts.push(part.clone());
+            if k == 0 {
+                row.head = part.clone();
+            } else {
+                row.tail.push(part.clone());
+            }
             k += run;
         }
-        if k < indices.len() {
-            let gathered = indices.iter().map(|&i| self.cell(i).cloned().unwrap_or(Value::Null));
-            return WorkRow::shared(gathered.collect());
-        }
-        let mut parts = parts.into_iter();
-        match parts.next() {
-            Some(head) => WorkRow { head, tail: parts.collect() },
-            None => WorkRow::table(&[]),
-        }
+        Some(row)
     }
 
     /// The non-empty part whose first cell is cell `idx`.
@@ -829,7 +824,9 @@ impl<'a> Executor<'a> {
                 let mut out = Vec::with_capacity(rows.len());
                 for row in rows {
                     self.gov.tick()?;
-                    let permuted = row.permuted(indices);
+                    let permuted = row.permuted(indices).ok_or_else(|| {
+                        Error::Internal(format!("permutation {indices:?} splits a row part"))
+                    })?;
                     self.gov.charge_intermediate(1, permuted.bytes())?;
                     out.push(permuted);
                 }

@@ -437,9 +437,8 @@ fn fixtures() -> Vec<(Database, Vec<String>)> {
     ]
 }
 
-/// Digests recorded on the executor that copied every evaluated cell and
-/// every joined row; the executor that reads rows in place must match
-/// them bit for bit.
+/// Recorded when this test was added. A change to the executor must
+/// reproduce them bit for bit; a mismatch is a behaviour change.
 const STATEMENTS_NAIVE: u64 = 0x28439fa3e27406bb;
 const STATEMENTS_OPTIMIZED: u64 = 0x209a0634f32aa3ac;
 const GENERATED_NAIVE: u64 = 0x048a56d478bdc6f7;
