@@ -14,9 +14,7 @@ use std::time::Instant;
 
 use codes_bench::workbench;
 use codes_eval::TextTable;
-use sqlengine::{
-    database_from_script, execute_query_naive, execute_query_plan, Database, ExecLimits, PlanMode,
-};
+use sqlengine::{database_from_script, execute_query_plan, Database, ExecLimits, PlanMode};
 
 /// Star schema sized so naive cross products are painful but still finish
 /// under the evaluation budgets: `fact` 300 rows, two small dimensions
@@ -85,10 +83,7 @@ fn run_mode(db: &Database, sql: &str, mode: PlanMode, limits: &ExecLimits) -> Ve
     (0..REPS)
         .map(|_| {
             let started = Instant::now();
-            let result = match mode {
-                PlanMode::Naive => execute_query_naive(db, sql, limits),
-                PlanMode::Optimized => execute_query_plan(db, sql, limits, PlanMode::Optimized),
-            };
+            let result = execute_query_plan(db, sql, limits, mode);
             assert!(result.is_ok(), "workload statement failed: {sql}: {:?}", result.err());
             started.elapsed().as_secs_f64() * 1000.0
         })
@@ -111,8 +106,8 @@ fn main() {
     let mut all_opt = Vec::new();
     for (label, sql) in WORKLOAD {
         // Both plans must agree before timing means anything.
-        let (naive_result, _) =
-            execute_query_naive(&db, sql, &limits).expect("naive workload statement runs");
+        let (naive_result, _) = execute_query_plan(&db, sql, &limits, PlanMode::Naive)
+            .expect("naive workload statement runs");
         let (opt_result, _) = execute_query_plan(&db, sql, &limits, PlanMode::Optimized)
             .expect("optimized workload statement runs");
         assert!(

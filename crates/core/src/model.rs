@@ -11,8 +11,7 @@ use codes_obs::{Span, STAGE_EXECUTION_SELECTION, STAGE_GENERATION};
 use codes_retrieval::ValueMatch;
 use sqlengine::ast::Statement;
 use sqlengine::{
-    catch_panics, execute_ast_governed, parse_statement, preprice_ast, with_retry, Database,
-    ExecLimits,
+    catch_panics, execute_ast_governed, parse_statement, with_retry, Database, ExecLimits,
 };
 
 use crate::config::{Capacity, Config};
@@ -473,24 +472,17 @@ pub fn select_first_executable_batch(
                 c.executable = match memo.get(&c.sql) {
                     Some(&verdict) => verdict,
                     None => {
-                        // Pre-price before spending any retry/governor
-                        // budget: a candidate whose cheapest plan is
-                        // estimated far beyond the intermediate-row budget
-                        // is shed with a typed transient error instead of
-                        // being run (and re-run on retry) to its inevitable
-                        // budget kill. Pre-pricing is deterministic, so its
-                        // shed verdict is memoized like an execution one.
-                        // The candidate is parsed once; a statement that
-                        // does not parse as a query is non-executable.
+                        // The candidate is parsed once and run under the
+                        // governor; a statement that does not parse as a
+                        // query is non-executable.
                         let ok = match parse_statement(&c.sql) {
                             Ok(Statement::Query(q)) => {
-                                preprice_ast(db, &q, &limits).is_ok()
-                                    && with_retry(&limits, retries, |attempt_limits| {
-                                        catch_panics(|| {
-                                            execute_ast_governed(db, &q, attempt_limits).map(|_| ())
-                                        })
+                                let run = |attempt_limits: &ExecLimits| {
+                                    catch_panics(|| {
+                                        execute_ast_governed(db, &q, attempt_limits).map(|_| ())
                                     })
-                                    .is_ok()
+                                };
+                                with_retry(&limits, retries, run).is_ok()
                             }
                             _ => false,
                         };

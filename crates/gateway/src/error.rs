@@ -247,9 +247,6 @@ fn map_engine_error(err: &sqlengine::Error) -> WireError {
         Q::Unsupported(_) => (422, "engine_unsupported"),
         Q::UnknownTable(_) => (404, "engine_unknown_table"),
         Q::BudgetExceeded { .. } => (504, "engine_budget"),
-        // The cost-based planner shed the statement before execution:
-        // same transient class as a budget kill, same status family.
-        Q::CostShed { .. } => (504, "engine_cost_shed"),
         // A bug on our side of the wire, never the client's.
         Q::Internal(_) => (500, "engine_internal"),
     };

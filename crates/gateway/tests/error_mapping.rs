@@ -26,7 +26,6 @@ fn engine_errors() -> Vec<sqlengine::Error> {
             spent: 2,
             limit: 1,
         },
-        sqlengine::Error::CostShed { estimated_rows: 1_000_000, budget_rows: 10_000 },
         sqlengine::Error::Internal(msg()),
     ]
 }
@@ -100,7 +99,6 @@ fn engine_error_table_is_total_and_exact() {
         ("unsupported", 422, "engine_unsupported"),
         ("unknown_table", 404, "engine_unknown_table"),
         ("budget", 504, "engine_budget"),
-        ("cost_shed", 504, "engine_cost_shed"),
         ("internal", 500, "engine_internal"),
     ];
     let errors = engine_errors();
@@ -256,7 +254,6 @@ fn failure_responses_are_byte_stable() {
         (422, None, r#"{"v":1,"error":{"code":"engine_unsupported","message":"inference failed: unsupported: x","retryable":false}}"#),
         (404, None, r#"{"v":1,"error":{"code":"engine_unknown_table","message":"inference failed: unknown table: x","retryable":false}}"#),
         (504, None, r#"{"v":1,"error":{"code":"engine_budget","message":"inference failed: budget exceeded: time (2 spent, limit 1)","retryable":false}}"#),
-        (504, None, r#"{"v":1,"error":{"code":"engine_cost_shed","message":"inference failed: cost shed: plan estimated 1000000 intermediate rows against a budget of 10000","retryable":false}}"#),
         (500, None, r#"{"v":1,"error":{"code":"engine_internal","message":"inference failed: internal error: x","retryable":false}}"#),
     ];
     let mut all: Vec<codes::Error> = serve_errors();

@@ -365,16 +365,13 @@ fn fault_plan_outcomes_are_reproducible_for_admitted_ids() {
     assert!(first.iter().any(|k| *k == "ok"), "healthy ids still serve: {first:?}");
 }
 
-/// Backend for the optimizer-shedding regression: every inference executes
-/// a tenant-dependent statement under serving budgets. The `heavy` tenant
-/// always asks for a catastrophic triple cross join; other tenants run a
-/// cheap equi join. With `preprice` set the backend prices the statement
-/// first — the cost-based planner's estimate against the intermediate-row
-/// budget — and sheds with the typed transient [`sqlengine::Error::CostShed`]
-/// instead of grinding the governor to its budget kill.
-struct PricedSqlBackend {
+/// Backend for the budget-isolation storm: every inference executes a
+/// tenant-dependent statement under serving budgets. The `heavy` tenant
+/// always asks for a catastrophic triple cross join, which the governor
+/// kills at its intermediate-row budget; other tenants run a cheap equi
+/// join.
+struct TenantSqlBackend {
     db: Arc<sqlengine::Database>,
-    preprice: bool,
 }
 
 const HEAVY_SQL: &str = "SELECT b0.id FROM big AS b0, big AS b1, big AS b2";
@@ -390,7 +387,7 @@ fn tenant_limits() -> sqlengine::ExecLimits {
     }
 }
 
-impl Backend for PricedSqlBackend {
+impl Backend for TenantSqlBackend {
     fn infer(
         &self,
         request: &InferenceRequest,
@@ -398,11 +395,7 @@ impl Backend for PricedSqlBackend {
         _config: &codes::Config,
     ) -> Result<BackendReply, sqlengine::Error> {
         let sql = if request.db_id == "heavy" { HEAVY_SQL } else { LIGHT_SQL };
-        let limits = tenant_limits();
-        if self.preprice {
-            sqlengine::preprice_query(&self.db, sql, &limits)?;
-        }
-        sqlengine::execute_query_governed(&self.db, sql, &limits)?;
+        sqlengine::execute_query_governed(&self.db, sql, &tenant_limits())?;
         Ok(BackendReply {
             sql: sql.to_string(),
             degradations: vec![],
@@ -414,11 +407,10 @@ impl Backend for PricedSqlBackend {
 }
 
 #[test]
-fn preprice_sheds_cross_join_tenant_with_fewer_budget_transients() {
+fn cross_join_tenant_hits_its_budget_while_light_tenant_serves() {
     silence_injected_panics();
-    // 100-row base table: the triple cross join estimates at 10^6
-    // intermediate rows against a 10^4 budget — far past the shed factor —
-    // while actually executing it burns the whole budget before failing.
+    // 100-row base table: the triple cross join would materialize 10^6
+    // intermediate rows against a 10^4 budget, so the governor kills it.
     let mut script = String::from(
         "CREATE TABLE big (id INTEGER PRIMARY KEY, val INTEGER);\n\
          CREATE TABLE small (id INTEGER PRIMARY KEY, val INTEGER);\n",
@@ -436,66 +428,38 @@ fn preprice_sheds_cross_join_tenant_with_fewer_budget_transients() {
             .counter(sqlengine::BUDGET_DENIED, &[("resource", "intermediate_rows")])
             .get()
     };
-    let shed = || codes_obs::global().counter(sqlengine::PLAN_PREPRICE_SHED, &[]).get();
 
-    // One seeded chaos storm per mode: identical request ids, identical
-    // fault rolls, a fresh pool each time. Every fourth request targets the
+    // One seeded chaos storm: every fourth request targets the
     // cross-join-heavy tenant.
-    let run_storm = |preprice: bool| -> (u64, u64, usize) {
-        let denied_before = denied();
-        let shed_before = shed();
-        let backend = FaultyBackend::new(
-            PricedSqlBackend { db: Arc::clone(&db), preprice },
-            chaos_plan(),
-        );
-        let mut config = chaos_config();
-        config.queue_capacity = 128; // storm-sized: no submit-time shedding
-        let pool = Pool::start(backend, config);
-        let mut tickets = Vec::new();
-        for i in 0..80 {
-            let tenant = if i % 4 == 0 { "heavy" } else { "light" };
-            let request = InferenceRequest::new(tenant, format!("q{i}"));
-            tickets.push(pool.submit(request).expect("storm fits the queue"));
+    let denied_before = denied();
+    let backend = FaultyBackend::new(TenantSqlBackend { db: Arc::clone(&db) }, chaos_plan());
+    let mut config = chaos_config();
+    config.queue_capacity = 128; // storm-sized: no submit-time shedding
+    let pool = Pool::start(backend, config);
+    let mut tickets = Vec::new();
+    for i in 0..80 {
+        let tenant = if i % 4 == 0 { "heavy" } else { "light" };
+        let request = InferenceRequest::new(tenant, format!("q{i}"));
+        tickets.push(pool.submit(request).expect("storm fits the queue"));
+    }
+    let mut served = 0;
+    for ticket in tickets {
+        if ticket
+            .wait_timeout(Duration::from_secs(20))
+            .expect("every storm request resolves")
+            .is_ok()
+        {
+            served += 1;
         }
-        let mut served = 0;
-        for ticket in tickets {
-            if ticket
-                .wait_timeout(Duration::from_secs(20))
-                .expect("every storm request resolves")
-                .is_ok()
-            {
-                served += 1;
-            }
-        }
-        pool.shutdown();
-        (denied() - denied_before, shed() - shed_before, served)
-    };
+    }
+    pool.shutdown();
 
-    let (baseline_denied, baseline_shed, baseline_served) = run_storm(false);
-    let (priced_denied, priced_shed, priced_served) = run_storm(true);
-
-    // Baseline: heavy statements run to their governor kill, charging the
-    // intermediate-row budget every time; nothing is pre-priced.
-    assert!(
-        baseline_denied > 0,
-        "baseline heavy tenant must hit the intermediate-row budget (denied {baseline_denied})"
-    );
-    assert_eq!(baseline_shed, 0, "baseline never pre-prices");
-    // Pre-priced: every heavy statement that reaches the backend is shed by
-    // estimate before execution, so the budget counter never moves — i.e.
-    // strictly fewer BudgetExceeded transients than baseline.
-    assert!(
-        priced_shed > 0,
-        "pre-pricing must shed the cross-join tenant (shed {priced_shed})"
-    );
-    assert_eq!(
-        priced_denied, 0,
-        "pre-priced heavy statements never reach the governor's budget kill"
-    );
-    assert!(priced_denied < baseline_denied);
-    // Shedding is tenant-local: the light tenant still gets served through
-    // the same storm.
-    assert!(baseline_served > 0 && priced_served > 0, "light tenant serves in both modes");
+    // Heavy statements run to their governor kill, charging the
+    // intermediate-row budget; the kill is tenant-local, so the light
+    // tenant still gets served through the same storm.
+    let denied = denied() - denied_before;
+    assert!(denied > 0, "heavy tenant must hit the intermediate-row budget (denied {denied})");
+    assert!(served > 0, "light tenant serves through the storm");
 }
 
 /// Echoes normally except for one poison question, which panics the

@@ -11,9 +11,8 @@
 //!   logical plan will be: per-node output-cardinality and cpu/io
 //!   estimates from catalog row counts (the in-memory catalog makes base
 //!   cardinalities exact; selectivities are classic textbook defaults).
-//!   The optimizer uses these estimates to rank join orders, and beam
-//!   selection uses [`Estimate::inter_rows`] to shed catastrophic plans
-//!   before they spend governor budget.
+//!   The optimizer uses these estimates to rank join orders; the
+//!   governor, not the estimate, decides whether a statement may run.
 
 use crate::ast::{BinaryOp, Expr, JoinKind, Query, SelectItem, SetExpr};
 use crate::catalog::Database;
@@ -105,11 +104,6 @@ impl Cost {
 pub struct Estimate {
     /// Estimated output cardinality.
     pub rows: f64,
-    /// Estimated rows the governor will charge as intermediate results
-    /// (scans + join outputs + derived materializations), accumulated over
-    /// the subtree. Beam pre-pricing compares this against the
-    /// intermediate-row budget.
-    pub inter_rows: f64,
     /// Estimated cpu/io cost of the subtree.
     pub cost: Cost,
 }
@@ -218,27 +212,21 @@ fn estimate_query_rows(db: &Database, q: &Query, depth: usize) -> f64 {
 
 fn estimate_at(db: &Database, node: &PlanNode, depth: usize) -> Estimate {
     match node {
-        PlanNode::Empty => {
-            Estimate { rows: 1.0, inter_rows: 0.0, cost: Cost { cpu: 1.0, io: 0.0 } }
-        }
+        PlanNode::Empty => Estimate { rows: 1.0, cost: Cost { cpu: 1.0, io: 0.0 } },
         PlanNode::Scan { table, .. } => {
             let n = db.table(table).map_or(0.0, |t| t.rows.len() as f64);
-            Estimate { rows: n, inter_rows: n, cost: Cost { cpu: 0.0, io: n } }
+            Estimate { rows: n, cost: Cost { cpu: 0.0, io: n } }
         }
         PlanNode::Derived { query, .. } => {
             let n = estimate_query_rows(db, query, depth);
             // A derived table pays io twice: the inner query produces the
             // rows and the outer materializes them.
-            Estimate { rows: n, inter_rows: 2.0 * n, cost: Cost { cpu: n, io: 2.0 * n } }
+            Estimate { rows: n, cost: Cost { cpu: n, io: 2.0 * n } }
         }
         PlanNode::Filter { input, predicate } => {
             let e = estimate_at(db, input, depth);
             let sel = predicate_selectivity(predicate);
-            Estimate {
-                rows: e.rows * sel,
-                inter_rows: e.inter_rows,
-                cost: e.cost.plus(Cost { cpu: e.rows, io: 0.0 }),
-            }
+            Estimate { rows: e.rows * sel, cost: e.cost.plus(Cost { cpu: e.rows, io: 0.0 }) }
         }
         PlanNode::Join { left, right, kind, on, equi } => {
             let l = estimate_at(db, left, depth);
@@ -271,58 +259,15 @@ fn estimate_at(db: &Database, node: &PlanNode, depth: usize) -> Estimate {
             } else {
                 nested_cpu
             };
-            Estimate {
-                rows: out,
-                inter_rows: l.inter_rows + r.inter_rows + out,
-                cost: l.cost.plus(r.cost).plus(Cost { cpu, io: 0.0 }),
-            }
+            Estimate { rows: out, cost: l.cost.plus(r.cost).plus(Cost { cpu, io: 0.0 }) }
         }
         PlanNode::Permute { input, .. } => {
             let e = estimate_at(db, input, depth);
-            Estimate {
-                rows: e.rows,
-                inter_rows: e.inter_rows,
-                cost: e.cost.plus(Cost { cpu: e.rows, io: 0.0 }),
-            }
+            Estimate { rows: e.rows, cost: e.cost.plus(Cost { cpu: e.rows, io: 0.0 }) }
         }
         PlanNode::Cap { input, cap } => {
             let e = estimate_at(db, input, depth);
-            Estimate { rows: e.rows.min(*cap as f64), inter_rows: e.inter_rows, cost: e.cost }
-        }
-        PlanNode::Project { input, items, distinct } => {
-            let e = estimate_at(db, input, depth);
-            let rows = if *distinct { e.rows * 0.7 } else { e.rows };
-            Estimate {
-                rows,
-                inter_rows: e.inter_rows,
-                cost: e.cost.plus(Cost { cpu: e.rows * items.len().max(1) as f64, io: 0.0 }),
-            }
-        }
-        PlanNode::Aggregate { input, group_by, .. } => {
-            let e = estimate_at(db, input, depth);
-            let rows = if group_by.is_empty() { 1.0 } else { e.rows.sqrt().max(1.0) };
-            Estimate {
-                rows,
-                inter_rows: e.inter_rows,
-                cost: e.cost.plus(Cost { cpu: e.rows, io: 0.0 }),
-            }
-        }
-        PlanNode::Sort { input, .. } => {
-            let e = estimate_at(db, input, depth);
-            let n = e.rows.max(1.0);
-            Estimate {
-                rows: e.rows,
-                inter_rows: e.inter_rows,
-                cost: e.cost.plus(Cost { cpu: n * n.log2().max(1.0), io: 0.0 }),
-            }
-        }
-        PlanNode::Limit { input, limit, .. } => {
-            let e = estimate_at(db, input, depth);
-            let rows = match limit {
-                Some(Expr::Literal(Value::Integer(n))) if *n >= 0 => e.rows.min(*n as f64),
-                _ => e.rows,
-            };
-            Estimate { rows, inter_rows: e.inter_rows, cost: e.cost }
+            Estimate { rows: e.rows.min(*cap as f64), cost: e.cost }
         }
     }
 }

@@ -40,7 +40,8 @@ pub fn execute_query_governed(
 
 /// Execute a `SELECT` query under resource budgets with an explicit
 /// [`PlanMode`]. `PlanMode::Naive` runs the syntactic reference plan; the
-/// differential harness compares it against `PlanMode::Optimized`.
+/// differential harness and the optimizer benchmark compare it against
+/// `PlanMode::Optimized`.
 pub fn execute_query_plan(
     db: &Database,
     sql: &str,
@@ -58,61 +59,8 @@ pub fn execute_query_plan(
     }
 }
 
-/// Execute a `SELECT` query under resource budgets with the naive
-/// (syntactic-order, un-rewritten) plan. Reference semantics for the
-/// differential harness and the optimizer benchmark baseline.
-pub fn execute_query_naive(
-    db: &Database,
-    sql: &str,
-    limits: &ExecLimits,
-) -> Result<(QueryResult, ExecStats)> {
-    execute_query_plan(db, sql, limits, PlanMode::Naive)
-}
-
-/// Pre-price a candidate `SELECT` before spending governor budget on it.
-///
-/// Lowers and optimizes the statement, estimates its intermediate-row
-/// footprint, and returns [`Error::CostShed`] when the estimate exceeds
-/// [`crate::optimizer::PREPRICE_SHED_FACTOR`] times the governor's
-/// intermediate-row budget — i.e. when even the best plan found is all but
-/// certain to die of [`Error::BudgetExceeded`] anyway. Statements that do
-/// not parse, are not queries, or have no finite intermediate-row budget
-/// return `Ok(())`: pre-pricing only ever sheds work the governor would
-/// reject, it never introduces new failure modes.
-pub fn preprice_query(db: &Database, sql: &str, limits: &ExecLimits) -> Result<()> {
-    match parse_statement(sql) {
-        Ok(Statement::Query(q)) => preprice_ast(db, &q, limits),
-        _ => Ok(()),
-    }
-}
-
-/// [`preprice_query`] for an already-parsed query.
-pub fn preprice_ast(db: &Database, q: &crate::ast::Query, limits: &ExecLimits) -> Result<()> {
-    let Some(budget_rows) = limits.max_intermediate_rows else {
-        return Ok(());
-    };
-    let Ok(plan) = crate::plan::lower_query(db, q, PlanMode::Optimized) else {
-        return Ok(());
-    };
-    let est = crate::cost::estimate_node(db, &plan);
-    let threshold = crate::optimizer::PREPRICE_SHED_FACTOR * budget_rows as f64;
-    if est.inter_rows > threshold {
-        codes_obs::global().counter(crate::optimizer::PLAN_PREPRICE_SHED, &[]).inc();
-        return Err(Error::CostShed {
-            estimated_rows: est.inter_rows.min(u64::MAX as f64) as u64,
-            budget_rows,
-        });
-    }
-    Ok(())
-}
-
-/// Execute a parsed query AST directly (used by the generator, which builds
-/// ASTs and only serializes them for output).
-pub fn execute_ast(db: &Database, query: &crate::ast::Query) -> Result<(QueryResult, ExecStats)> {
-    execute_ast_governed(db, query, &ExecLimits::unlimited())
-}
-
-/// Execute a parsed query AST under resource budgets.
+/// Execute a parsed query AST under resource budgets (execution-guided
+/// selection parses each candidate once and runs it here).
 pub fn execute_ast_governed(
     db: &Database,
     query: &crate::ast::Query,

@@ -77,16 +77,6 @@ pub enum Error {
         /// The configured limit.
         limit: u64,
     },
-    /// The cost-based planner estimated the statement's intermediate-row
-    /// footprint far beyond the governor budget and shed it before
-    /// execution started. Transient like [`Error::BudgetExceeded`]: the
-    /// same statement can run under a larger budget.
-    CostShed {
-        /// Estimated intermediate rows for the chosen plan.
-        estimated_rows: u64,
-        /// The governor's intermediate-row budget at pricing time.
-        budget_rows: u64,
-    },
     /// An engine invariant broke (including a caught panic from a fault
     /// boundary). Reported instead of unwinding through callers.
     Internal(String),
@@ -106,7 +96,6 @@ impl Error {
             Error::Unsupported(_) => "unsupported",
             Error::UnknownTable(_) => "unknown_table",
             Error::BudgetExceeded { .. } => "budget",
-            Error::CostShed { .. } => "cost_shed",
             Error::Internal(_) => "internal",
         }
     }
@@ -118,7 +107,7 @@ impl Error {
     /// (retrying a panic with a smaller budget cannot help).
     pub fn class(&self) -> FailureClass {
         match self {
-            Error::BudgetExceeded { .. } | Error::CostShed { .. } => FailureClass::Transient,
+            Error::BudgetExceeded { .. } => FailureClass::Transient,
             _ => FailureClass::Permanent,
         }
     }
@@ -143,10 +132,6 @@ impl fmt::Display for Error {
             Error::BudgetExceeded { resource, spent, limit } => {
                 write!(f, "budget exceeded: {} ({spent} spent, limit {limit})", resource.label())
             }
-            Error::CostShed { estimated_rows, budget_rows } => write!(
-                f,
-                "cost shed: plan estimated {estimated_rows} intermediate rows against a budget of {budget_rows}"
-            ),
             Error::Internal(m) => write!(f, "internal error: {m}"),
         }
     }
@@ -177,7 +162,6 @@ mod tests {
             Error::Unsupported(String::new()).kind(),
             Error::UnknownTable(String::new()).kind(),
             Error::BudgetExceeded { resource: Resource::Time, spent: 0, limit: 0 }.kind(),
-            Error::CostShed { estimated_rows: 0, budget_rows: 0 }.kind(),
             Error::Internal(String::new()).kind(),
         ];
         let unique: std::collections::HashSet<_> = kinds.iter().collect();
@@ -190,10 +174,6 @@ mod tests {
         assert_eq!(budget.class(), FailureClass::Transient);
         assert!(budget.is_transient());
         assert!(budget.to_string().contains("rows"));
-        let shed = Error::CostShed { estimated_rows: 1_000_000, budget_rows: 10_000 };
-        assert_eq!(shed.class(), FailureClass::Transient);
-        assert!(shed.is_transient());
-        assert_eq!(shed.kind(), "cost_shed");
         for permanent in [
             Error::Parse("p".into()),
             Error::Bind("b".into()),

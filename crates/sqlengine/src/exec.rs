@@ -839,12 +839,6 @@ impl<'a> Executor<'a> {
                 };
                 self.exec_plan(input, Some(effective))
             }
-            PlanNode::Project { .. }
-            | PlanNode::Aggregate { .. }
-            | PlanNode::Sort { .. }
-            | PlanNode::Limit { .. } => Err(Error::Internal(
-                "presentation plan node reached the relational executor".into(),
-            )),
         }
     }
 

@@ -48,9 +48,9 @@ pub mod value;
 pub use catalog::{Column, Database, ForeignKey, Table, TableSchema};
 pub use cost::{estimate_node, Cost, Estimate, ExecStats, HASH_JOIN_THRESHOLD};
 pub use engine::{
-    apply_statement, database_from_script, execute_ast, execute_ast_governed, execute_query,
-    execute_query_governed, execute_query_naive, execute_query_plan, execute_query_with_stats,
-    load_script, preprice_ast, preprice_query, schema_to_ddl,
+    apply_statement, database_from_script, execute_ast_governed, execute_query,
+    execute_query_governed, execute_query_plan, execute_query_with_stats, load_script,
+    schema_to_ddl,
 };
 pub use error::{Error, FailureClass, Resource, Result};
 /// Alias emphasizing the execution-failure role of [`Error`] at call sites
@@ -60,9 +60,9 @@ pub use error::Error as ExecError;
 pub use governor::{
     catch_panics, with_retry, with_retry_paced, Backoff, ExecLimits, Governor, BUDGET_DENIED,
 };
-pub use optimizer::{optimize_select, PLAN_PREPRICE_SHED, PLAN_REWRITES, PREPRICE_SHED_FACTOR};
+pub use optimizer::{optimize_select, PLAN_REWRITES};
 pub use parser::{parse_query, parse_script, parse_statement};
-pub use plan::{lower_query, lower_relation, output_bindings, EquiJoin, PlanMode, PlanNode};
+pub use plan::{lower_relation, output_bindings, EquiJoin, PlanMode, PlanNode};
 pub use result::QueryResult;
 pub use types::DataType;
 pub use value::{Row, Value};

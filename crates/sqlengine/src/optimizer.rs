@@ -45,17 +45,6 @@ use crate::value::Value;
 /// `fallback_naive`).
 pub const PLAN_REWRITES: &str = "codes_sqlengine_plan_rewrites_total";
 
-/// Counter: beam candidates shed by pre-execution cost pricing before
-/// spending any governor budget.
-pub const PLAN_PREPRICE_SHED: &str = "codes_sqlengine_plan_preprice_shed_total";
-
-/// A candidate query is shed when its estimated intermediate-row footprint
-/// exceeds this multiple of the governor's intermediate-row budget.
-/// Conservative: estimates for the catastrophic case (unfiltered cross
-/// joins) are exact products of base cardinalities, while moderately wrong
-/// selectivity guesses stay well under 4x.
-pub const PREPRICE_SHED_FACTOR: f64 = 4.0;
-
 // -- safety analysis ---------------------------------------------------------
 
 /// Whether `e` is *total* over `scope`: every column reference resolves
@@ -358,11 +347,7 @@ fn count_rewrites(node: &PlanNode, pushdowns: u64) {
                 *cap += 1;
                 walk(input, hash, permute, cap);
             }
-            PlanNode::Filter { input, .. }
-            | PlanNode::Project { input, .. }
-            | PlanNode::Aggregate { input, .. }
-            | PlanNode::Sort { input, .. }
-            | PlanNode::Limit { input, .. } => walk(input, hash, permute, cap),
+            PlanNode::Filter { input, .. } => walk(input, hash, permute, cap),
             PlanNode::Empty | PlanNode::Scan { .. } | PlanNode::Derived { .. } => {}
         }
     }

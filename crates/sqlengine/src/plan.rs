@@ -7,12 +7,9 @@
 //! keeps its ON predicate, and the whole WHERE clause sits in one `Filter`
 //! on top. The optimizer (`crate::optimizer`) rewrites that tree —
 //! predicate pushdown, join reordering, hash-join key extraction, LIMIT
-//! capping — without changing the bag of rows it produces.
-//!
-//! [`lower_query`] additionally wraps the relational core with the
-//! presentation operators (project/aggregate/sort/limit) so
-//! [`Database::explain`] can render the whole pipeline with per-node cost
-//! estimates from `crate::cost`.
+//! capping — without changing the bag of rows it produces. Projection,
+//! grouping, ordering and LIMIT are not plan nodes: the executor applies
+//! them to the relational core's rows directly.
 
 // Plans are built from model-generated SQL on the inference hot path; a
 // panic here escapes into beam search. Every fallible case must return an
@@ -24,9 +21,7 @@ use std::borrow::Cow;
 
 use crate::ast::*;
 use crate::catalog::{Database, Table};
-use crate::cost;
 use crate::error::{Error, Result};
-use crate::parser::parse_statement;
 
 /// Which plan the executor runs for each SELECT core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,11 +48,8 @@ pub struct EquiJoin {
     pub residual: Option<Expr>,
 }
 
-/// One node of a logical plan.
-///
-/// `Scan`/`Derived`/`Filter`/`Join`/`Permute`/`Cap` form the relational
-/// core the executor runs; `Project`/`Aggregate`/`Sort`/`Limit` wrap it in
-/// the full tree built by [`lower_query`] for EXPLAIN and estimation.
+/// One node of a logical plan: the relational core (FROM/WHERE) of one
+/// SELECT, which the executor runs.
 #[derive(Debug, Clone)]
 pub enum PlanNode {
     /// FROM-less SELECT: a single empty row under an empty scope.
@@ -110,42 +102,6 @@ pub enum PlanNode {
         input: Box<PlanNode>,
         /// Maximum rows to produce (LIMIT + OFFSET).
         cap: usize,
-    },
-    /// Projection wrapper (explain/estimation only).
-    Project {
-        /// Input node.
-        input: Box<PlanNode>,
-        /// Select items.
-        items: Vec<SelectItem>,
-        /// Whether DISTINCT applies.
-        distinct: bool,
-    },
-    /// Aggregation wrapper (explain/estimation only).
-    Aggregate {
-        /// Input node.
-        input: Box<PlanNode>,
-        /// GROUP BY expressions.
-        group_by: Vec<Expr>,
-        /// HAVING predicate.
-        having: Option<Expr>,
-        /// Aggregate select items.
-        items: Vec<SelectItem>,
-    },
-    /// Sort wrapper (explain/estimation only).
-    Sort {
-        /// Input node.
-        input: Box<PlanNode>,
-        /// ORDER BY keys.
-        keys: Vec<OrderItem>,
-    },
-    /// Limit/offset wrapper (explain/estimation only).
-    Limit {
-        /// Input node.
-        input: Box<PlanNode>,
-        /// LIMIT expression.
-        limit: Option<Expr>,
-        /// OFFSET expression.
-        offset: Option<Expr>,
     },
 }
 
@@ -277,61 +233,6 @@ pub fn lower_relation(from: Option<&FromClause>, selection: Option<Expr>) -> Pla
     node
 }
 
-/// Lower a whole query into a full plan tree (relational core plus
-/// project/aggregate/sort/limit wrappers) for EXPLAIN and estimation.
-/// Only plain SELECT bodies are supported; set operations return
-/// [`Error::Unsupported`].
-pub fn lower_query(db: &Database, q: &Query, mode: PlanMode) -> Result<PlanNode> {
-    let s = match &q.body {
-        SetExpr::Select(s) => s,
-        _ => {
-            return Err(Error::Unsupported(
-                "plan lowering supports plain SELECT queries only".into(),
-            ))
-        }
-    };
-    let relational = match mode {
-        PlanMode::Naive => lower_relation(s.from.as_ref(), s.selection.clone()),
-        PlanMode::Optimized => crate::optimizer::optimize_select(
-            db,
-            s,
-            &q.order_by,
-            q.limit.as_ref(),
-            q.offset.as_ref(),
-        ),
-    };
-    let has_aggregate = s
-        .projection
-        .iter()
-        .any(|item| matches!(item, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
-        || s.having.as_ref().is_some_and(Expr::contains_aggregate);
-    let mut node = if !s.group_by.is_empty() || has_aggregate {
-        PlanNode::Aggregate {
-            input: Box::new(relational),
-            group_by: s.group_by.clone(),
-            having: s.having.clone(),
-            items: s.projection.clone(),
-        }
-    } else {
-        PlanNode::Project {
-            input: Box::new(relational),
-            items: s.projection.clone(),
-            distinct: s.distinct,
-        }
-    };
-    if !q.order_by.is_empty() {
-        node = PlanNode::Sort { input: Box::new(node), keys: q.order_by.clone() };
-    }
-    if q.limit.is_some() || q.offset.is_some() {
-        node = PlanNode::Limit {
-            input: Box::new(node),
-            limit: q.limit.clone(),
-            offset: q.offset.clone(),
-        };
-    }
-    Ok(node)
-}
-
 // -- static scopes -----------------------------------------------------------
 
 /// Output column names of a query, computed without executing it. Returns
@@ -446,118 +347,6 @@ fn node_scope<'s>(db: &'s Database, node: &'s PlanNode) -> Option<Scope<'s>> {
             }
             Some(Scope { cols })
         }
-        PlanNode::Project { .. }
-        | PlanNode::Aggregate { .. }
-        | PlanNode::Sort { .. }
-        | PlanNode::Limit { .. } => None,
-    }
-}
-
-// -- EXPLAIN rendering -------------------------------------------------------
-
-impl PlanNode {
-    fn describe(&self) -> String {
-        match self {
-            PlanNode::Empty => "Empty".to_string(),
-            PlanNode::Scan { table, binding } => {
-                if table.to_lowercase() == *binding {
-                    format!("Scan {table}")
-                } else {
-                    format!("Scan {table} AS {binding}")
-                }
-            }
-            PlanNode::Derived { binding, .. } => format!("Derived AS {binding}"),
-            PlanNode::Filter { predicate, .. } => format!("Filter {predicate}"),
-            PlanNode::Join { kind, on, equi, .. } => {
-                let kind = match kind {
-                    JoinKind::Inner => "inner",
-                    JoinKind::Left => "left",
-                    JoinKind::Cross => "cross",
-                };
-                let strategy = match equi {
-                    Some(e) => {
-                        let residual = match &e.residual {
-                            Some(r) => format!(" residual {r}"),
-                            None => String::new(),
-                        };
-                        format!(" hash(l[{}] = r[{}]){residual}", e.left_key, e.right_key)
-                    }
-                    None => String::new(),
-                };
-                match on {
-                    Some(on) => format!("Join {kind}{strategy} ON {on}"),
-                    None => format!("Join {kind}{strategy}"),
-                }
-            }
-            PlanNode::Permute { indices, .. } => format!("Permute {indices:?}"),
-            PlanNode::Cap { cap, .. } => format!("Cap {cap}"),
-            PlanNode::Project { items, distinct, .. } => {
-                let d = if *distinct { "distinct " } else { "" };
-                format!("Project {d}[{} cols]", items.len())
-            }
-            PlanNode::Aggregate { group_by, .. } => {
-                format!("Aggregate [{} group keys]", group_by.len())
-            }
-            PlanNode::Sort { keys, .. } => format!("Sort [{} keys]", keys.len()),
-            PlanNode::Limit { limit, offset, .. } => {
-                let l = limit.as_ref().map_or("-".to_string(), |e| e.to_string());
-                match offset {
-                    Some(o) => format!("Limit {l} OFFSET {o}"),
-                    None => format!("Limit {l}"),
-                }
-            }
-        }
-    }
-
-    fn children(&self) -> Vec<&PlanNode> {
-        match self {
-            PlanNode::Empty | PlanNode::Scan { .. } | PlanNode::Derived { .. } => Vec::new(),
-            PlanNode::Filter { input, .. }
-            | PlanNode::Permute { input, .. }
-            | PlanNode::Cap { input, .. }
-            | PlanNode::Project { input, .. }
-            | PlanNode::Aggregate { input, .. }
-            | PlanNode::Sort { input, .. }
-            | PlanNode::Limit { input, .. } => vec![input],
-            PlanNode::Join { left, right, .. } => vec![left, right],
-        }
-    }
-
-    fn render_into(&self, db: &Database, depth: usize, out: &mut String) {
-        let est = cost::estimate_node(db, self);
-        let indent = "  ".repeat(depth);
-        out.push_str(&format!(
-            "{indent}{}  (est rows={:.1} cpu={:.1} io={:.1})\n",
-            self.describe(),
-            est.rows,
-            est.cost.cpu,
-            est.cost.io
-        ));
-        for child in self.children() {
-            child.render_into(db, depth + 1, out);
-        }
-    }
-
-    /// Render this plan as an indented tree with per-node cost estimates.
-    pub fn render(&self, db: &Database) -> String {
-        let mut out = String::new();
-        self.render_into(db, 0, &mut out);
-        out
-    }
-}
-
-impl Database {
-    /// EXPLAIN-style debug helper: parse `sql`, lower and optimize it, and
-    /// return the chosen plan rendered as an indented tree with per-node
-    /// cost estimates. Supports plain SELECT statements.
-    pub fn explain(&self, sql: &str) -> Result<String> {
-        match parse_statement(sql)? {
-            Statement::Query(q) => {
-                let plan = lower_query(self, &q, PlanMode::Optimized)?;
-                Ok(plan.render(self))
-            }
-            _ => Err(Error::Unsupported("EXPLAIN supports SELECT statements only".into())),
-        }
     }
 }
 
@@ -565,6 +354,7 @@ impl Database {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::parser::parse_statement;
 
     fn db() -> Database {
         crate::engine::database_from_script(
@@ -623,20 +413,5 @@ mod tests {
                 ("b".into(), "y".into()),
             ]
         );
-    }
-
-    #[test]
-    fn explain_renders_per_node_estimates() {
-        let db = db();
-        let text = db.explain("SELECT x FROM t WHERE x > 3 LIMIT 2").unwrap();
-        assert!(text.contains("Scan t"), "{text}");
-        assert!(text.contains("est rows="), "{text}");
-        assert!(text.contains("Limit 2"), "{text}");
-    }
-
-    #[test]
-    fn explain_rejects_non_select() {
-        let db = db();
-        assert!(db.explain("INSERT INTO t VALUES (2, 2)").is_err());
     }
 }

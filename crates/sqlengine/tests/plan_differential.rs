@@ -16,13 +16,13 @@
 //! * `Ok` vs permanent error (either direction) is a divergence: rewrites
 //!   must never invent or swallow statement errors.
 //! * Permanent vs permanent: the error kinds must agree.
-//! * A transient (budget/shed) failure on either side is allowed: plans
+//! * A transient (budget) failure on either side is allowed: plans
 //!   spend resources differently by design.
 //!
 //! On divergence a greedy minimizer shrinks the failing query (dropping
 //! predicates, `LIMIT`, `ORDER BY`, trailing join factors) while the
 //! divergence persists, then the test fails printing the seed, the catalog
-//! script, the minimal SQL and the engine's `EXPLAIN` of it.
+//! script and the minimal SQL, which together reproduce the failure.
 
 mod querygen;
 
@@ -30,8 +30,7 @@ use querygen::{gen_catalog, gen_spec, Frag, SelectKind, Spec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqlengine::{
-    database_from_script, execute_query_naive, execute_query_plan, Database, ExecLimits, PlanMode,
-    QueryResult,
+    database_from_script, execute_query_plan, Database, ExecLimits, PlanMode, QueryResult,
 };
 
 /// Deterministic budgets: no deadline (wall-clock kills would make runs
@@ -77,7 +76,7 @@ fn sub_multiset(small: &QueryResult, big: &QueryResult) -> bool {
 fn divergence(db: &Database, spec: &Spec) -> Option<String> {
     let sql = spec.to_sql();
     let lim = limits();
-    let naive: RunResult = execute_query_naive(db, &sql, &lim);
+    let naive: RunResult = execute_query_plan(db, &sql, &lim, PlanMode::Naive);
     let opt: RunResult = execute_query_plan(db, &sql, &lim, PlanMode::Optimized);
     match (naive, opt) {
         (Ok((n, _)), Ok((o, _))) => {
@@ -100,7 +99,9 @@ fn divergence(db: &Database, spec: &Spec) -> Option<String> {
                 }
                 let mut full_spec = spec.clone();
                 full_spec.limit = None;
-                if let Ok((full, _)) = execute_query_naive(db, &full_spec.to_sql(), &lim) {
+                if let Ok((full, _)) =
+                    execute_query_plan(db, &full_spec.to_sql(), &lim, PlanMode::Naive)
+                {
                     if !sub_multiset(&o, &full) || !sub_multiset(&n, &full) {
                         return Some("LIMIT result not contained in un-limited result".into());
                     }
@@ -237,14 +238,12 @@ fn run_seed(seed: u64) {
             if let Some(why) = divergence(&db, &spec) {
                 let minimal = minimize(&db, &spec);
                 let sql = minimal.to_sql();
-                let explain = db.explain(&sql).unwrap_or_else(|e| format!("(explain failed: {e})"));
                 panic!(
                     "plan divergence (seed {seed}, catalog {catalog_idx})\n\
                      original SQL: {}\n\
                      minimal SQL:  {sql}\n\
                      divergence:   {}\n\
-                     catalog:\n{}\n\
-                     EXPLAIN:\n{explain}",
+                     catalog:\n{}",
                     spec.to_sql(),
                     divergence(&db, &minimal).unwrap_or(why),
                     cat.script,
