@@ -468,11 +468,13 @@ impl<'a> Executor<'a> {
             SetExpr::SetOp { op, all, left, right } => {
                 let l = self.set_expr(left)?;
                 let r = self.set_expr(right)?;
-                if !l.rows.is_empty() && !r.rows.is_empty() && l.rows[0].len() != r.rows[0].len() {
+                // Widths come from the operands' columns, so an empty side
+                // is checked too.
+                if l.columns.len() != r.columns.len() {
                     return Err(Error::Exec(format!(
                         "set operands have different column counts ({} vs {})",
-                        l.rows[0].len(),
-                        r.rows[0].len()
+                        l.columns.len(),
+                        r.columns.len()
                     )));
                 }
                 self.stats.rows_grouped += (l.rows.len() + r.rows.len()) as u64;

@@ -171,11 +171,22 @@ fn limit_zero_and_offset_beyond_end() {
     );
 }
 
+/// Operand widths must match whether or not a side has rows: an
+/// empty-sided union bound as a derived table would read shifted cells.
 #[test]
 fn set_op_column_count_mismatch_is_an_error() {
     let db = db();
-    let err = execute_query(&db, "SELECT id, x FROM a UNION SELECT id FROM b");
-    assert!(err.is_err());
+    let mismatch = sqlengine::Error::Exec("set operands have different column counts (2 vs 1)".into());
+    for sql in [
+        "SELECT id, x FROM a UNION SELECT id FROM b",
+        "SELECT id, x FROM a WHERE 0 UNION SELECT id FROM b",
+        "SELECT id, x FROM a UNION SELECT id FROM b WHERE 0",
+        "SELECT id, x FROM a WHERE 0 EXCEPT SELECT id FROM b WHERE 0",
+        "SELECT a.id FROM (SELECT id, x FROM a WHERE 0 UNION SELECT id FROM b) AS d \
+         JOIN a ON a.id = d.id",
+    ] {
+        assert_eq!(execute_query(&db, sql).unwrap_err(), mismatch, "{sql}");
+    }
 }
 
 /// Column references bind lazily: a bad reference fails only when a row
