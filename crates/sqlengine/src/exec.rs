@@ -293,16 +293,18 @@ enum Item<'e> {
     Expr(&'e Expr),
 }
 
-/// A GROUP BY term, bound: the expression it groups by (itself, the
-/// projection expression its alias or position names), or a position out
-/// of range.
+/// A GROUP BY term, bound: the expression it groups by (itself, or the
+/// projection expression its alias or position names), the source slot a
+/// position names inside a wildcard, or the error its position raises.
 enum GroupKey<'e> {
     Expr(&'e Expr),
-    BadPosition(i64),
+    Slot(usize),
+    Invalid(Error),
 }
 
-/// An ORDER BY term of a SELECT core, bound: a projected value (position
-/// or alias) or an expression over the source scope.
+/// An ORDER BY term of a SELECT core, bound: a projected value (its
+/// offset in the output row, named by position or alias) or an expression
+/// over the source scope.
 enum OrderKey<'e> {
     Output(usize),
     Expr(&'e Expr),
@@ -353,17 +355,30 @@ impl<'e> SelectBinding<'e> {
                 SelectItem::Expr { expr, .. } => Item::Expr(expr),
             })
             .collect();
-        let width: usize = items
+        let widths: Vec<usize> = items
             .iter()
             .map(|item| match item {
                 Item::All(n) => *n,
                 Item::Columns(cols) => cols.len(),
                 Item::NoSuchTable(_) | Item::Expr(_) => 1,
             })
-            .sum();
+            .collect();
+        let width: usize = widths.iter().sum();
         let projected = |i: usize| match s.projection.get(i) {
             Some(SelectItem::Expr { expr, .. }) => Some(expr),
             _ => None,
+        };
+        // The output offset of item `i`, and the item holding output
+        // column `c` with `c`'s place inside it.
+        let offset = |i: usize| widths[..i].iter().sum::<usize>();
+        let output = |mut c: usize| {
+            for (item, &w) in items.iter().zip(&widths) {
+                if c < w {
+                    return Some((item, c));
+                }
+                c -= w;
+            }
+            None
         };
 
         let group_keys = s
@@ -373,12 +388,17 @@ impl<'e> SelectBinding<'e> {
                 Expr::Column { table: None, name } if unresolved(name) => {
                     GroupKey::Expr(alias(name).and_then(projected).unwrap_or(g))
                 }
-                Expr::Literal(Value::Integer(k)) => {
-                    match projected(k.wrapping_sub(1) as usize) {
-                        Some(expr) => GroupKey::Expr(expr),
-                        None => GroupKey::BadPosition(*k),
+                Expr::Literal(Value::Integer(k)) => match output(k.wrapping_sub(1) as usize) {
+                    Some((Item::Expr(expr), _)) => GroupKey::Expr(expr),
+                    Some((Item::All(_), c)) => GroupKey::Slot(c),
+                    Some((Item::Columns(cols), c)) => GroupKey::Slot(cols[c]),
+                    Some((Item::NoSuchTable(t), _)) => {
+                        GroupKey::Invalid(Error::Bind(format!("no such table in wildcard: {t}")))
                     }
-                }
+                    None => {
+                        GroupKey::Invalid(Error::Bind(format!("GROUP BY position {k} out of range")))
+                    }
+                },
                 _ => GroupKey::Expr(g),
             })
             .collect();
@@ -389,7 +409,7 @@ impl<'e> SelectBinding<'e> {
                     OrderKey::Output((*k - 1) as usize)
                 }
                 Expr::Column { table: None, name } if unresolved(name) => match alias(name) {
-                    Some(i) => OrderKey::Output(i),
+                    Some(i) => OrderKey::Output(offset(i)),
                     None => OrderKey::Expr(&item.expr),
                 },
                 e => OrderKey::Expr(e),
@@ -629,9 +649,8 @@ impl<'a> Executor<'a> {
                     for g in &sel.group_keys {
                         key.push(match g {
                             GroupKey::Expr(e) => self.eval(e, &sel.bound, &Ctx::Row(row))?,
-                            GroupKey::BadPosition(k) => {
-                                return Err(Error::Bind(format!("GROUP BY position {k} out of range")))
-                            }
+                            GroupKey::Slot(i) => Cow::Borrowed(row.cell(*i).unwrap_or(&NULL)),
+                            GroupKey::Invalid(e) => return Err(e.clone()),
                         });
                     }
                     match groups.get(key.as_slice()) {

@@ -189,6 +189,40 @@ fn set_op_column_count_mismatch_is_an_error() {
     }
 }
 
+/// Three rows whose names sort opposite to their ids.
+fn g() -> Database {
+    database_from_script(
+        "g",
+        "CREATE TABLE g (id INTEGER PRIMARY KEY, name TEXT);
+         INSERT INTO g VALUES (1, 'c'), (2, 'b'), (3, 'a');",
+    )
+    .unwrap()
+}
+
+/// An ORDER BY alias and a GROUP BY position name output columns, which a
+/// wildcard before them widens.
+#[test]
+fn order_and_group_terms_name_output_columns() {
+    let db = g();
+    let ids = |sql: &str| -> Vec<Value> {
+        let r = execute_query(&db, sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        r.rows.iter().map(|row| row[0].clone()).collect()
+    };
+    let one_two_three: Vec<Value> = (1..=3).map(Value::Integer).collect();
+    assert_eq!(ids("SELECT *, id AS x FROM g ORDER BY x"), one_two_three);
+    assert_eq!(ids("SELECT g.*, id AS x FROM g ORDER BY x"), one_two_three);
+    let r = execute_query(&db, "SELECT *, 1 AS x ORDER BY x").unwrap();
+    assert_eq!(r.rows, vec![vec![Value::Integer(1)]]);
+    // Position 3 is `name AS k`: three groups, one per name.
+    let r = execute_query(&db, "SELECT *, name AS k FROM g GROUP BY 3 ORDER BY k").unwrap();
+    assert_eq!(r.rows.len(), 3);
+    assert_eq!(r.rows[0][2], Value::Text("a".into()));
+    // Position 2 is the wildcard's `name`.
+    assert_eq!(ids("SELECT * FROM g GROUP BY 2 ORDER BY name").len(), 3);
+    let err = execute_query(&db, "SELECT *, name AS k FROM g GROUP BY 4").unwrap_err();
+    assert_eq!(err, sqlengine::Error::Bind("GROUP BY position 4 out of range".into()));
+}
+
 /// Column references bind lazily: a bad reference fails only when a row
 /// evaluates it, so an empty input, a short-circuited conjunct or an
 /// unreached disjunct never raises it. SQLite rejects all five at prepare;
