@@ -30,8 +30,9 @@
 //!    profile from the fresh mirror, as the serving layer's does, once the
 //!    pipeline has answered; the commit that installs it is a few map
 //!    inserts.
-//! 7. **sync (revision check)** — on an unchanged backend: the fast path
-//!    the serving layer takes on every dispatch outside its revision lease.
+//! 7. **sync (revision check)** — on an unchanged backend: the check the
+//!    serving layer makes on every dispatch over a backend that cannot
+//!    push commits.
 //!
 //! Beside each p50 the table prints the wire waits the backend counted per
 //! iteration (connects and probes included): the round trips the path

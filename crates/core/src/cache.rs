@@ -6,13 +6,12 @@
 //! Every key embeds the database's generation: [`SystemCache::invalidate_database`]
 //! bumps it explicitly and [`SystemCache::observe_revision`] when the
 //! `sqlengine` catalog revision moved, so older entries become unreachable at
-//! once and leave by LRU pressure. A **revision lease**
-//! ([`SystemCache::confirm_revision`], [`SystemCache::revision_lease_live`])
-//! lets dispatches of a confirmed generation skip the store's revision read
-//! for [`REVISION_LEASE`]. A database's generation, last-seen revision and
-//! lease are one entry under one lock, so every bump ends the lease at once.
-//! DESIGN.md §4f tables the key, invalidation, admission, sizing and metrics;
-//! §4k the lease.
+//! once and leave by LRU pressure. A database's generation and last-seen
+//! revision are one entry under one lock. A store that announces its
+//! commits reaches [`SystemCache::observe_revision_token`] before its write
+//! returns, so no admission after a write can be served a pre-write answer
+//! (DESIGN.md §4k). DESIGN.md §4f tables the key, invalidation, admission,
+//! sizing and metrics.
 //!
 //! One [`SystemCache`] belongs to one trained system: keys do not embed the
 //! model or classifier weights, so sharing a cache between systems with
@@ -23,9 +22,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use codes_obs::{Clock, Counter, Gauge, Registry};
+use codes_obs::{Counter, Gauge, Registry};
 use parking_lot::{Mutex, RwLock};
 use sqlengine::Database;
 
@@ -84,11 +83,6 @@ pub struct SystemCacheStats {
     pub invalidations: u64,
 }
 
-/// How long one confirmed revision read vouches for a database's cache
-/// generation: at most ten revision reads per second per database, and an
-/// unannounced write is served stale for at most this long.
-pub const REVISION_LEASE: Duration = Duration::from_millis(100);
-
 /// Everything the cache knows about one database.
 #[derive(Default)]
 struct DbState {
@@ -96,9 +90,6 @@ struct DbState {
     generation: u64,
     /// The last `sqlengine` catalog revision observed, once one was.
     revision: Option<u64>,
-    /// When a revision read last confirmed `generation`. Every bump clears
-    /// it, so a lease only ever vouches for the current generation.
-    confirmed_at: Option<Instant>,
 }
 
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -122,24 +113,16 @@ pub struct SystemCache {
     dbs: RwLock<HashMap<String, DbState>>,
     full: Sharded<FullKey, CachedAnswer>,
     invalidations: Arc<Counter>,
-    clock: Clock,
 }
 
 impl SystemCache {
     /// The result cache, registering its metrics in `registry` — the
     /// serving stack passes `codes_obs::global()`, tests a private registry.
-    pub fn with_registry(registry: &Registry, settings: CacheSettings) -> SystemCache {
-        SystemCache::with_clock(registry, settings, Clock::real())
-    }
-
-    /// [`SystemCache::with_registry`] reading time from `clock` — tests
-    /// hand in [`Clock::manual`] to walk a revision lease to its end.
-    pub fn with_clock(registry: &Registry, _settings: CacheSettings, clock: Clock) -> SystemCache {
+    pub fn with_registry(registry: &Registry, _settings: CacheSettings) -> SystemCache {
         SystemCache {
             dbs: RwLock::new(HashMap::new()),
             full: Sharded::new(CAPACITY, SHARDS, registry),
             invalidations: registry.counter("codes_cache_invalidations_total", &[]),
-            clock,
         }
     }
 
@@ -149,11 +132,10 @@ impl SystemCache {
     }
 
     /// Every bump, explicit or revision-triggered, counts as an
-    /// invalidation and ends the lease.
+    /// invalidation.
     fn bump(&self, state: &mut DbState) -> u64 {
         self.invalidations.inc();
         state.generation += 1;
-        state.confirmed_at = None;
         state.generation
     }
 
@@ -177,38 +159,13 @@ impl SystemCache {
     }
 
     /// [`SystemCache::observe_revision`] for callers that hold a revision
-    /// token without the catalog itself — e.g. a storage layer that read
-    /// the token over a live connection.
+    /// token without the catalog itself — e.g. a store announcing a commit,
+    /// or a storage layer that read the token over a live connection.
     pub fn observe_revision_token(&self, db_id: &str, revision: u64) -> u64 {
         self.update(db_id, |state| match state.revision.replace(revision) {
             Some(seen) if seen != revision => self.bump(state),
             _ => state.generation,
         })
-    }
-
-    /// Whether a revision read confirmed `db_id`'s *current* generation
-    /// less than [`REVISION_LEASE`] ago, so a dispatch may take the
-    /// installed catalog without asking the store.
-    pub fn revision_lease_live(&self, db_id: &str) -> bool {
-        let confirmed_at = self.dbs.read().get(db_id).and_then(|state| state.confirmed_at);
-        confirmed_at.is_some_and(|at| self.clock.now().duration_since(at) < REVISION_LEASE)
-    }
-
-    /// Record that a revision read found the store at the installed
-    /// catalog. `generation` is the one the caller read *before* that read
-    /// (plus the observer's one bump when its own sync refreshed), never
-    /// the one current now: an invalidation that landed in between has
-    /// moved the generation on, and a confirmation for any generation but
-    /// the current one is dropped — it vouches for nothing now, and kept,
-    /// one for a generation not reached yet would come alive at a later
-    /// bump. The next dispatch checks again.
-    pub fn confirm_revision(&self, db_id: &str, generation: u64) {
-        let now = self.clock.now();
-        self.update(db_id, |state| {
-            if state.generation == generation {
-                state.confirmed_at = Some(now);
-            }
-        });
     }
 
     /// Admission-path lookup.
@@ -539,12 +496,11 @@ mod tests {
     }
 
     /// Threads on one database interleave fresh revision tokens, explicit
-    /// bumps, confirmations and lease reads. Every bump lands exactly once,
-    /// and afterwards only a confirmation of the final generation brings
-    /// the lease back.
+    /// bumps and generation reads: every bump lands exactly once, and no
+    /// reader ever sees the generation go back.
     #[test]
     fn concurrent_per_database_state_loses_no_bump() {
-        let (_clock, cache) = manual_cache();
+        let cache = SystemCache::with_registry(&Registry::new(), CacheSettings::default());
         cache.observe_revision_token("db", 0);
         std::thread::scope(|scope| {
             for thread in 0..4u64 {
@@ -563,8 +519,7 @@ mod tests {
                                 assert!(cache.observe_revision_token("db", token) > seen);
                             }
                             1 => assert!(cache.invalidate_database("db") > seen),
-                            2 => cache.confirm_revision("db", read),
-                            _ => drop(cache.revision_lease_live("db")),
+                            _ => {}
                         }
                     }
                 });
@@ -573,132 +528,6 @@ mod tests {
         // Each thread made 125 observations and 125 explicit bumps.
         assert_eq!(cache.generation("db"), 4 * 250);
         assert_eq!(cache.stats().invalidations, 4 * 250);
-
-        let last = cache.invalidate_database("db");
-        for generation in (0..last).chain([last + 1]) {
-            cache.confirm_revision("db", generation);
-            assert!(!cache.revision_lease_live("db"), "confirmed {generation}, final is {last}");
-        }
-        cache.confirm_revision("db", last);
-        assert!(cache.revision_lease_live("db"));
-    }
-
-    fn manual_cache() -> (Clock, SystemCache) {
-        let clock = Clock::manual();
-        let cache =
-            SystemCache::with_clock(&Registry::new(), CacheSettings::default(), clock.clone());
-        (clock, cache)
-    }
-
-    #[test]
-    fn a_lease_vouches_for_one_generation_for_one_lease_length() {
-        let (clock, cache) = manual_cache();
-        let tick = Duration::from_nanos(1);
-        assert!(!cache.revision_lease_live("db"), "nothing was ever confirmed");
-        cache.confirm_revision("db", 0);
-        assert!(cache.revision_lease_live("db"));
-        assert!(!cache.revision_lease_live("other"), "one lease per database");
-
-        clock.advance(REVISION_LEASE - tick);
-        assert!(cache.revision_lease_live("db"), "a tick short of its end");
-        clock.advance(tick);
-        assert!(!cache.revision_lease_live("db"), "over at REVISION_LEASE exactly");
-
-        cache.confirm_revision("db", 0);
-        assert!(cache.revision_lease_live("db"));
-        cache.invalidate_database("db");
-        assert!(!cache.revision_lease_live("db"), "an explicit bump ends it with no time passed");
-        cache.confirm_revision("db", 0);
-        assert!(!cache.revision_lease_live("db"), "a confirmation for the old generation is void");
-        cache.confirm_revision("db", 1);
-        cache.confirm_revision("db", 2);
-        assert!(
-            cache.revision_lease_live("db"),
-            "one for a generation not reached yet displaces nothing"
-        );
-
-        cache.observe_revision_token("db", 7);
-        assert!(cache.revision_lease_live("db"), "a first sighting bumps nothing");
-        cache.observe_revision_token("db", 8);
-        assert_eq!(cache.generation("db"), 2, "an observed revision change bumps");
-        assert!(
-            !cache.revision_lease_live("db"),
-            "which ends the lease too; the early confirmation of 2 was dropped, not parked"
-        );
-    }
-
-    /// One step of an interleaving of dispatches, writers and time.
-    #[derive(Debug, Clone, Copy)]
-    enum LeaseOp {
-        /// A dispatch confirms `current + 1 - back`: the generation it read
-        /// before its revision read, which since fell 0–2 bumps behind — or
-        /// (`back == 0`) one it expected a refresh's bump to produce.
-        Confirm { back: u64 },
-        /// An explicit invalidation.
-        Bump,
-        /// A refresh observed under this revision token (may bump).
-        Observe(u64),
-        /// Time passes, in quarter leases.
-        Advance(u32),
-    }
-
-    /// The vendored proptest draws integers: `code % 4` picks the step,
-    /// `code / 4` (0–5) is its argument.
-    fn lease_op(code: u64) -> LeaseOp {
-        let arg = code / 4;
-        match code % 4 {
-            0 => LeaseOp::Confirm { back: arg % 4 },
-            1 => LeaseOp::Bump,
-            2 => LeaseOp::Observe(arg % 3),
-            _ => LeaseOp::Advance(arg as u32),
-        }
-    }
-
-    proptest::proptest! {
-        /// Whatever the interleaving: a live lease was confirmed for the
-        /// current generation less than a lease ago, and a bump is never
-        /// followed by a live lease without a confirmation after it.
-        #[test]
-        fn a_live_lease_is_a_fresh_confirmation_of_the_current_generation(
-            codes in proptest::prop::collection::vec(0u64..24, 0..48),
-        ) {
-            let (clock, cache) = manual_cache();
-            let mut now = Duration::ZERO;
-            // The last confirmation that named the then-current generation.
-            let mut confirmed: Option<(u64, Duration)> = None;
-            let mut bumped_since = false;
-            for op in codes.iter().copied().map(lease_op) {
-                let before = cache.generation("db");
-                match op {
-                    LeaseOp::Confirm { back } => {
-                        let generation = (before + 1).saturating_sub(back);
-                        cache.confirm_revision("db", generation);
-                        if generation == before {
-                            confirmed = Some((generation, now));
-                            bumped_since = false;
-                        }
-                    }
-                    LeaseOp::Bump => {
-                        cache.invalidate_database("db");
-                    }
-                    LeaseOp::Observe(revision) => {
-                        cache.observe_revision_token("db", revision);
-                    }
-                    LeaseOp::Advance(quarters) => {
-                        let step = REVISION_LEASE / 4 * quarters;
-                        clock.advance(step);
-                        now += step;
-                    }
-                }
-                let current = cache.generation("db");
-                bumped_since |= current != before;
-                let live = cache.revision_lease_live("db");
-                let expected = confirmed
-                    .is_some_and(|(generation, at)| generation == current && now - at < REVISION_LEASE);
-                proptest::prop_assert!(live == expected, "live {live}, expected {expected} after {op:?}");
-                proptest::prop_assert!(!(live && bumped_since), "live after a bump: {:?}", op);
-            }
-        }
     }
 
     #[test]

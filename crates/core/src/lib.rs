@@ -27,7 +27,7 @@ pub mod system;
 
 pub use cache::{
     config_fingerprint, normalize_question, CacheSettings, CachedAnswer, SystemCache,
-    SystemCacheStats, REVISION_LEASE,
+    SystemCacheStats,
 };
 pub use config::{table4_models, Architecture, Capacity, Config, CorpusLineage, LmSpec, ModelSize};
 pub use error::Error;

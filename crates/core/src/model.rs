@@ -65,11 +65,6 @@ impl FineTuned {
     pub fn knows_alias(&self, word: &str) -> bool {
         self.alias_map.contains_key(word)
     }
-
-    /// Number of learned alias mappings.
-    pub fn alias_count(&self) -> usize {
-        self.alias_map.len()
-    }
 }
 
 /// One decoded candidate with its score breakdown.

@@ -228,11 +228,6 @@ fn encode_memo(bpe: &Bpe, text: &str, words: &mut HashMap<String, Vec<TokenId>>,
     }
 }
 
-/// Count how many SQL statements a corpus contains (diagnostics).
-pub fn count_sql_statements(corpus: &Corpus) -> usize {
-    corpus.texts().iter().map(|t| extract_sql(t).len()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

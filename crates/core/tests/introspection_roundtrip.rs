@@ -65,15 +65,14 @@ fn introspected_mirror_carries_the_backend_revision_stamp() {
     assert_eq!(again.revision, catalog.revision);
 
     // A live mutation moves the token, and the fresh mirror carries it.
-    let store = backend.store();
-    store
-        .write()
-        .get_mut("bank_financials")
-        .expect("db registered")
-        .table_mut("client")
-        .expect("client table")
-        .insert(vec![9_999.into(), "Zora".into(), "F".into(), "Jesenik".into(), 1.into()])
-        .expect("row fits");
+    backend
+        .mutate("bank_financials", |db| {
+            db.table_mut("client")
+                .expect("client table")
+                .insert(vec![9_999.into(), "Zora".into(), "F".into(), "Jesenik".into(), 1.into()])
+                .expect("row fits");
+        })
+        .expect("db registered");
     let refreshed = introspect(&mut conn, "bank_financials")
         .expect("introspection after mutation succeeds");
     assert_ne!(refreshed.revision, catalog.revision, "mutations move the stamp");

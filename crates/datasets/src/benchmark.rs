@@ -28,11 +28,6 @@ impl Benchmark {
     pub fn database(&self, db_id: &str) -> Option<&Database> {
         self.databases.iter().find(|d| d.name == db_id)
     }
-
-    /// All train questions (for retriever indexing).
-    pub fn train_questions(&self) -> Vec<String> {
-        self.train.iter().map(|s| s.question.clone()).collect()
-    }
 }
 
 /// Scale knobs for benchmark construction. Defaults produce a benchmark

@@ -165,11 +165,6 @@ pub fn value_alias(value: &str) -> Option<&'static str> {
     VALUE_ALIASES.iter().find(|(v, _)| *v == value).map(|(_, a)| *a)
 }
 
-/// Inverse alias lookup: the stored code for an NL phrase.
-pub fn value_code(alias: &str) -> Option<&'static str> {
-    VALUE_ALIASES.iter().find(|(_, a)| *a == alias).map(|(v, _)| *v)
-}
-
 /// Look up synonyms of a word (lower-case), if any.
 pub fn synonyms_of(word: &str) -> Option<&'static [&'static str]> {
     SYNONYMS

@@ -101,11 +101,6 @@ impl EvalOutcome {
     pub fn ves_pct(&self) -> f64 {
         self.ves * 100.0
     }
-
-    /// HE as a percentage.
-    pub fn he_pct(&self) -> f64 {
-        self.he * 100.0
-    }
 }
 
 /// Per-sample evaluation record (also consumed by the bench harness for

@@ -378,14 +378,14 @@ fn attach_endpoint_introspects_live_databases() {
     let rev0 = json.get("revision").and_then(Json::as_i64).expect("revision");
 
     // Mutate the live store; re-attaching observes the new revision.
-    store
-        .write()
-        .get_mut("shop")
-        .expect("shop exists")
-        .table_mut("items")
-        .expect("items exists")
-        .insert(vec![2.into(), "rope".into()])
-        .expect("row fits");
+    MemoryBackend::over(store)
+        .mutate("shop", |db| {
+            db.table_mut("items")
+                .expect("items exists")
+                .insert(vec![2.into(), "rope".into()])
+                .expect("row fits");
+        })
+        .expect("shop exists");
     let second = client.post_json("/v1/databases", &[], &attach_body).expect("re-attach");
     assert_eq!(second.status, 200);
     let rev1 =

@@ -1,10 +1,11 @@
 //! The two gates the `live_catalog` benchmark holds every run to, caught in
 //! tier-1 and over real HTTP: behind a write and its invalidation, the next
-//! `POST /v1/infer` costs exactly two generation bumps and one `tables()`
+//! `POST /v1/infer` costs exactly two generation bumps — the store's
+//! announcement of the commit and the invalidation — and one `tables()`
 //! listing and is answered from the post-write mirror, and the requests
-//! behind it ride that dispatch's revision lease without touching storage
-//! (DESIGN.md §4k). The cache reads a manual clock that never moves, so the
-//! lease cannot run out however slowly the test machine answers.
+//! behind it take the installed catalog without touching storage, because
+//! nothing announced since differs from it (DESIGN.md §4k). No clock is
+//! read anywhere on that path.
 
 mod common;
 
@@ -15,7 +16,7 @@ use codes::{
     SketchCatalog, SystemCache,
 };
 use codes_gateway::{Gateway, HttpClient};
-use codes_obs::{Clock, Registry};
+use codes_obs::Registry;
 use codes_router::{Router, RouterConfig, ShardSpec};
 use codes_serve::{ServeConfig, SystemBackend};
 use codes_storage::testing::{Hooked, Op};
@@ -62,8 +63,7 @@ fn infer(client: &mut HttpClient, question: &str) -> (String, bool) {
 /// that `announce` makes known.
 fn a_write_costs_two_bumps_and_one_listing(announce: impl FnOnce(&mut HttpClient, &SystemCache)) {
     let registry = Arc::new(Registry::new());
-    let cache =
-        Arc::new(SystemCache::with_clock(&registry, CacheSettings::default(), Clock::manual()));
+    let cache = Arc::new(SystemCache::with_registry(&registry, CacheSettings::default()));
     let sketches = Arc::new(SketchCatalog::build());
     let spec = table4_models().into_iter().find(|m| m.name == "CodeS-1B").expect("known model");
     let lm = pretrain(&sketches, &spec, &PretrainConfig { scale: 10, seed: 3 });
@@ -110,7 +110,7 @@ fn a_write_costs_two_bumps_and_one_listing(announce: impl FnOnce(&mut HttpClient
     let (sql, cached) = infer(&mut client, "How many tickets are there?");
     assert!(!cached, "the invalidation put the pre-write answer out of reach");
     assert!(sql.contains("tickets"), "answered from the post-write mirror: {sql}");
-    assert_eq!(cache.stats().invalidations, 2, "the invalidation, then the observed revision");
+    assert_eq!(cache.stats().invalidations, 2, "the announced revision, then the invalidation");
     assert_eq!(listings() - attach_listings, 1, "one re-introspection");
 
     let checkouts = service.pool().stats().checkouts;
@@ -121,11 +121,11 @@ fn a_write_costs_two_bumps_and_one_listing(announce: impl FnOnce(&mut HttpClient
     assert_eq!(service.pool().stats().checkouts, checkouts, "nine dispatches, no storage checkout");
     assert_eq!(cache.stats().invalidations, 2);
 
-    // What the operator sees: nine of the eleven dispatches never asked the store.
+    // What the operator sees: ten of the eleven dispatches never asked the store.
     let metrics = client.get("/metrics", &[]).expect("metrics").body_str();
     for series in [
-        "codes_serve_catalog_checks_total{outcome=\"leased\"} 9",
-        "codes_serve_catalog_checks_total{outcome=\"unchanged\"} 1",
+        "codes_serve_catalog_checks_total{outcome=\"current\"} 10",
+        "codes_serve_catalog_checks_total{outcome=\"unchanged\"} 0",
         "codes_serve_catalog_checks_total{outcome=\"refreshed\"} 1",
         "codes_serve_catalog_checks_total{outcome=\"attached\"} 0",
         "codes_serve_catalog_checks_total{outcome=\"failed\"} 0",

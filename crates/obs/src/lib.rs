@@ -23,8 +23,6 @@
 //!   in-memory trace ring and feed a per-stage duration histogram.
 //! * **Export** — [`Registry::render_prometheus`] (text exposition
 //!   format) and [`Registry::trace_dump`] (JSON array of span records).
-//! * **Clock** ([`Clock`]) — the time source a timed policy reads: real
-//!   in production, manual (advanced by hand) in tests.
 //! * **Journal** ([`Journal`]) — the append-only JSONL file the eval
 //!   harness and the gateway audit log both write, healing a torn tail.
 //!
@@ -42,13 +40,11 @@
 //! are static (`stage`, `resource`, `from`, `to`); label values are the
 //! only dynamic part.
 
-pub mod clock;
 pub mod journal;
 pub mod metrics;
 pub mod stages;
 pub mod trace;
 
-pub use clock::Clock;
 pub use journal::{Journal, JournalError};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, BUCKET_BOUNDS_NS,

@@ -31,9 +31,9 @@ pub const BATCH_SIZE: &str = "codes_serve_batch_size";
 /// Batch-bypass counter name (`reason` label: mismatch).
 pub const BATCH_BYPASS: &str = "codes_serve_batch_bypass_total";
 /// Catalog-check counter name: how each [`crate::SystemBackend`] dispatch
-/// settled which catalog to serve (`outcome` label: leased — inside a live
-/// revision lease, the store was not asked — or what the one `sync` found:
-/// unchanged / refreshed / attached / failed).
+/// settled which catalog to serve (`outcome` label: current — no announced
+/// commit differs from the installed catalog, the store was not asked — or
+/// what the one `sync` found: unchanged / refreshed / attached / failed).
 pub const CATALOG_CHECKS: &str = "codes_serve_catalog_checks_total";
 
 impl BreakerState {
@@ -122,7 +122,7 @@ impl ServeMetrics {
 /// [`crate::SystemBackend`]'s handles, one per `outcome` of
 /// [`CATALOG_CHECKS`]; registered once, a dispatch touches one atomic.
 pub(crate) struct CatalogChecks {
-    pub(crate) leased: Arc<Counter>,
+    pub(crate) current: Arc<Counter>,
     pub(crate) unchanged: Arc<Counter>,
     pub(crate) refreshed: Arc<Counter>,
     pub(crate) attached: Arc<Counter>,
@@ -133,7 +133,7 @@ impl CatalogChecks {
     pub(crate) fn new(registry: &Registry) -> CatalogChecks {
         let outcome = |outcome| registry.counter(CATALOG_CHECKS, &[("outcome", outcome)]);
         CatalogChecks {
-            leased: outcome("leased"),
+            current: outcome("current"),
             unchanged: outcome("unchanged"),
             refreshed: outcome("refreshed"),
             attached: outcome("attached"),

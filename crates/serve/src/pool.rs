@@ -29,7 +29,7 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -113,18 +113,26 @@ pub struct BackendReply {
 ///
 /// The databases served are no longer owned `Database` values: they live
 /// behind a [`codes_storage::Backend`] and are mirrored locally through
-/// introspection. A dispatch outside a live revision lease
-/// ([`codes::REVISION_LEASE`]; DESIGN.md §4k) re-syncs the target catalog —
-/// a revision change observed on the live backend refreshes the mirror,
-/// rebuilds its value index, and bumps the system cache's generation
-/// exactly like a local catalog mutation would. A sync *failure* degrades
-/// instead of failing: the last-known catalog serves the request, with the
-/// storage failure recorded as a degradation on the reply.
+/// introspection. Freshness is pushed (DESIGN.md §4k): the backend announces
+/// every commit to this backend's hook before the write returns, and the
+/// hook records the revision and bumps the system cache's generation. A
+/// dispatch takes the installed catalog without asking storage while no
+/// announced revision differs from it, and re-syncs otherwise — the sync
+/// refreshes the mirror and rebuilds its value index. A backend that cannot
+/// push is synced on every dispatch. A sync *failure* degrades instead of
+/// failing: the last-known catalog serves the request, with the storage
+/// failure recorded as a degradation on the reply.
 pub struct SystemBackend {
     system: Arc<CodesSystem>,
     service: Arc<CatalogService>,
     checks: CatalogChecks,
+    /// The newest revision announced per database; `None` when the storage
+    /// backend cannot push.
+    announced: Option<Arc<Announced>>,
 }
+
+/// Revisions a storage backend announced, by database.
+type Announced = Mutex<HashMap<String, u64>>;
 
 impl SystemBackend {
     /// Serve `system` over `dbs`: the databases move into an in-memory
@@ -144,10 +152,11 @@ impl SystemBackend {
     /// attach or refresh builds the database's value index and schema
     /// profile once its harvest's revision bracket has held, then
     /// installs them and reconciles the cache generation beside the
-    /// catalog — then attaches every database the backend
-    /// exposes. Attach failures are not fatal here: the first dispatch
-    /// retries via sync and surfaces a typed error if the database never
-    /// becomes reachable.
+    /// catalog — subscribes to the backend's commits, then attaches every
+    /// database the backend exposes, so every catalog installed was read
+    /// after the subscription. Attach failures are not fatal here: the
+    /// first dispatch retries via sync and surfaces a typed error if the
+    /// database never becomes reachable.
     pub fn with_catalogs(system: Arc<CodesSystem>, service: Arc<CatalogService>) -> SystemBackend {
         SystemBackend::with_registry(system, service, &codes_obs::global())
     }
@@ -166,8 +175,27 @@ impl SystemBackend {
             let system = Arc::clone(&observer_system);
             Box::new(move || system.commit_database(prepared))
         }));
+        // Record, then bump: a request admitted under the bumped generation
+        // is dispatched after the record, so it re-syncs. Once this backend
+        // is dropped, announcements are ignored.
+        let announced = Arc::new(Announced::default());
+        let (heard, cache) = (Arc::downgrade(&announced), system.cache().map(Arc::downgrade));
+        let subscribed = service.subscribe(Arc::new(move |db_id: &str, revision: u64| {
+            let Some(heard) = heard.upgrade() else {
+                return;
+            };
+            heard.lock().insert(db_id.to_string(), revision);
+            if let Some(cache) = cache.as_ref().and_then(Weak::upgrade) {
+                cache.observe_revision_token(db_id, revision);
+            }
+        }));
         let _ = service.attach_all();
-        SystemBackend { system, service, checks: CatalogChecks::new(registry) }
+        SystemBackend {
+            system,
+            service,
+            checks: CatalogChecks::new(registry),
+            announced: subscribed.then_some(announced),
+        }
     }
 
     /// The catalog service this backend serves from (the gateway's attach
@@ -176,42 +204,34 @@ impl SystemBackend {
         &self.service
     }
 
-    /// Fetch the catalog for one dispatch: as installed inside a live
-    /// revision lease, after a sync otherwise. A failed sync serves the
-    /// last-known catalog with a degradation note; a database with no
-    /// catalog at all is the caller's addressing error.
+    /// Fetch the catalog for one dispatch: as installed while no announced
+    /// revision differs from it, after a sync otherwise. A failed sync
+    /// serves the last-known catalog with a degradation note; a database
+    /// with no catalog at all is the caller's addressing error.
     fn catalog_for(
         &self,
         db_id: &str,
     ) -> Result<(Arc<codes_storage::Catalog>, Option<String>), sqlengine::Error> {
-        let cache = self.system.cache();
-        let degradation = if cache.is_some_and(|cache| cache.revision_lease_live(db_id)) {
-            self.checks.leased.inc();
-            None
-        } else {
-            // Read before the revision read: an invalidation landing
-            // anywhere after this moves the generation past the one
-            // confirmed below, and the next dispatch checks again.
-            let before = cache.map(|cache| (cache, cache.generation(db_id)));
-            match self.service.sync(db_id) {
-                Ok(outcome) => {
-                    // A refresh bumped the generation once, through the
-                    // revision observer.
-                    let (checks, bumps) = match outcome {
-                        SyncOutcome::Unchanged => (&self.checks.unchanged, 0),
-                        SyncOutcome::Refreshed { .. } => (&self.checks.refreshed, 1),
-                        SyncOutcome::Attached => (&self.checks.attached, 0),
-                    };
-                    checks.inc();
-                    if let Some((cache, generation)) = before {
-                        cache.confirm_revision(db_id, generation + bumps);
-                    }
-                    None
+        if let (Some(announced), Some(installed)) = (&self.announced, self.service.catalog(db_id)) {
+            let newest = announced.lock().get(db_id).copied();
+            if newest.is_none_or(|revision| revision == installed.revision) {
+                self.checks.current.inc();
+                return Ok((installed, None));
+            }
+        }
+        let degradation = match self.service.sync(db_id) {
+            Ok(outcome) => {
+                match outcome {
+                    SyncOutcome::Unchanged => &self.checks.unchanged,
+                    SyncOutcome::Refreshed { .. } => &self.checks.refreshed,
+                    SyncOutcome::Attached => &self.checks.attached,
                 }
-                Err(e) => {
-                    self.checks.failed.inc();
-                    Some(format!("storage sync failed ({e}); serving last-known catalog"))
-                }
+                .inc();
+                None
+            }
+            Err(e) => {
+                self.checks.failed.inc();
+                Some(format!("storage sync failed ({e}); serving last-known catalog"))
             }
         };
         match self.service.catalog(db_id) {

@@ -234,8 +234,9 @@ impl RevisionReads {
 /// time, and a write lands between two of them: after the listing and the
 /// first schema, before the first table's rows. The closing revision read
 /// sees it, the pass is discarded and retried, and the retry is committed
-/// once, for the revision installed; the cache generation moves once, and
-/// the discarded pass built nothing that could stay resident.
+/// once, for the revision installed; the cache generation moves once per
+/// announced write and never for the commit, and the discarded pass built
+/// nothing that could stay resident.
 #[test]
 fn a_write_between_two_requests_of_a_pipeline_retries_and_commits_once() {
     let armed = Arc::new(AtomicBool::new(false));
@@ -271,7 +272,11 @@ fn a_write_between_two_requests_of_a_pipeline_retries_and_commits_once() {
     let revisions: Vec<u64> = builds.iter().map(|build| build.revision).collect();
     assert_eq!(revisions, vec![to], "only the pass whose bracket held built anything");
     assert_eq!(observed.commits(), vec![to], "one commit, for the installed revision");
-    assert_eq!(stack.cache.generation(DB), generation + 1, "one bump for the refresh");
+    assert_eq!(
+        stack.cache.generation(DB),
+        generation + 2,
+        "one bump per announced write; the retried refresh commits none"
+    );
     let index = builds[0].index.upgrade().expect("the committed index is held");
     assert!(builds[0].profile.upgrade().is_some(), "the committed profile is held");
     assert!(Arc::ptr_eq(&index, &stack.system.value_index_snapshot()[DB]));
@@ -281,7 +286,7 @@ fn a_write_between_two_requests_of_a_pipeline_retries_and_commits_once() {
 /// A write lands as the closing read goes out: that pass's bracket fails
 /// and it retries. The failed pass builds nothing; the passing one is
 /// committed once, for the revision installed, and the cache generation
-/// moves once.
+/// moves once per announced write and never for the commit.
 #[test]
 fn a_write_at_the_closing_read_retries_and_commits_once() {
     let reads = RevisionReads::new();
@@ -318,7 +323,11 @@ fn a_write_at_the_closing_read_retries_and_commits_once() {
     let revisions: Vec<u64> = builds.iter().map(|build| build.revision).collect();
     assert_eq!(revisions, vec![to], "a build for the pass whose bracket held, none for the other");
     assert_eq!(observed.commits(), vec![to], "one commit, for the installed revision");
-    assert_eq!(stack.cache.generation(DB), generation + 1, "one bump for the refresh");
+    assert_eq!(
+        stack.cache.generation(DB),
+        generation + 2,
+        "one bump per announced write; the retried refresh commits none"
+    );
 
     let index = builds[0].index.upgrade().expect("the committed index is held");
     assert!(builds[0].profile.upgrade().is_some(), "the committed profile is held");

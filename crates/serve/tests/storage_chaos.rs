@@ -6,7 +6,6 @@
 //! through re-introspection must bump the cache generation so no
 //! post-change request is served a pre-change cached result.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -15,10 +14,10 @@ use codes::{
     PromptOptions, SketchCatalog, SystemCache,
 };
 use codes_datasets::finance::bank_financials_db;
-use codes_serve::{Backend, BackendReply, InferenceRequest, Pool, ServeConfig, SystemBackend};
+use codes_serve::{Backend, InferenceRequest, Pool, ServeConfig, SystemBackend};
 use codes_storage::{
-    CatalogService, ConnectionPool, FaultSpec, FlakyBackend, IntrospectOptions, MemoryBackend,
-    PoolConfig,
+    CatalogService, Connection, ConnectionPool, FaultSpec, FlakyBackend, IntrospectOptions,
+    MemoryBackend, PoolConfig, StorageError,
 };
 
 const DB: &str = "bank_financials";
@@ -49,42 +48,20 @@ fn storm_spec(seed: u64) -> FaultSpec {
     FaultSpec { seed, connect_fail: 0.10, io_fail: 0.04, silent_break: 0.04, ..FaultSpec::default() }
 }
 
-/// [`SystemBackend`] with the revision lease ended before every dispatch
-/// while `storming` is up. A live lease keeps dispatches off storage —
-/// correctly — and a storm is here to cross the faulty wire: invalidating
-/// from the submitting side cannot do it (all 64 submissions land before
-/// the first dispatch, and one dispatch's check then shields the rest),
-/// so the bump is made where it cannot be early, at the dispatch itself.
-/// Outside a storm the lease and the result cache work as shipped.
-struct StormBackend {
-    inner: SystemBackend,
-    cache: Arc<SystemCache>,
-    storming: Arc<AtomicBool>,
-}
+/// The faulty store without its commit announcements. A store that pushes
+/// keeps dispatches off storage until it announces a write — correctly —
+/// and a storm is here to cross the faulty wire: a backend that cannot push
+/// is synced on every dispatch, so every dispatch of a storm does, and the
+/// mid-storm change below is found by a read, not told.
+struct CannotPush<B>(B);
 
-impl Backend for StormBackend {
-    fn infer(
-        &self,
-        request: &InferenceRequest,
-        id: u64,
-        config: &codes::Config,
-    ) -> Result<BackendReply, sqlengine::Error> {
-        self.infer_batch(&[(request, id)], config).pop().expect("one result per batch member")
+impl<B: codes_storage::Backend> codes_storage::Backend for CannotPush<B> {
+    fn name(&self) -> &str {
+        self.0.name()
     }
 
-    fn infer_batch(
-        &self,
-        requests: &[(&InferenceRequest, u64)],
-        config: &codes::Config,
-    ) -> Vec<Result<BackendReply, sqlengine::Error>> {
-        if self.storming.load(Ordering::SeqCst) {
-            self.cache.invalidate_database(DB);
-        }
-        self.inner.infer_batch(requests, config)
-    }
-
-    fn has_database(&self, db_id: &str) -> Option<bool> {
-        self.inner.has_database(db_id)
+    fn connect(&self) -> Result<Box<dyn Connection>, StorageError> {
+        self.0.connect()
     }
 }
 
@@ -100,7 +77,7 @@ fn chaos_storm_recycles_broken_connections_and_enforces_the_revision_fence() {
     // A private registry: pools built with `ConnectionPool::new` share the
     // process-global one, and the accounting below must see this pool only.
     let storage_pool = ConnectionPool::with_registry(
-        Arc::new(flaky),
+        Arc::new(CannotPush(flaky)),
         PoolConfig {
             capacity: 4,
             checkout_timeout: Duration::from_millis(500),
@@ -110,12 +87,7 @@ fn chaos_storm_recycles_broken_connections_and_enforces_the_revision_fence() {
         &registry,
     );
     let service = Arc::new(CatalogService::new(storage_pool, IntrospectOptions::default()));
-    let storming = Arc::new(AtomicBool::new(false));
-    let backend = StormBackend {
-        inner: SystemBackend::with_catalogs(Arc::clone(&system), Arc::clone(&service)),
-        cache: Arc::clone(&cache),
-        storming: Arc::clone(&storming),
-    };
+    let backend = SystemBackend::with_catalogs(Arc::clone(&system), Arc::clone(&service));
 
     // `with_catalogs` already tried to attach, but under a 10% connect-fail
     // storm that attempt may have been refused; retry until the catalog is
@@ -141,7 +113,6 @@ fn chaos_storm_recycles_broken_connections_and_enforces_the_revision_fence() {
     let pool = Pool::start_with_registry(backend, config, registry);
 
     let storm = |pool: &Pool| {
-        storming.store(true, Ordering::SeqCst);
         let mut tickets = Vec::new();
         let mut shed = 0usize;
         for i in 0..64 {
@@ -177,20 +148,19 @@ fn chaos_storm_recycles_broken_connections_and_enforces_the_revision_fence() {
             );
         }
     }
-    storming.store(false, Ordering::SeqCst);
 
     // Mid-storm catalog change: a live mutation moves the backend's
     // revision token. Nothing local touched the mirror — only
     // re-introspection can observe this.
     let generation_before = cache.generation(DB);
-    store
-        .write()
-        .get_mut(DB)
-        .expect("db registered")
-        .table_mut("client")
-        .expect("client table")
-        .insert(vec![9_999.into(), "Zora".into(), "F".into(), "Jesenik".into(), 1.into()])
-        .expect("row fits");
+    MemoryBackend::over(store)
+        .mutate(DB, |db| {
+            db.table_mut("client")
+                .expect("client table")
+                .insert(vec![9_999.into(), "Zora".into(), "F".into(), "Jesenik".into(), 1.into()])
+                .expect("row fits");
+        })
+        .expect("db registered");
 
     // The fence: an explicit sync (retried past injected faults) observes
     // the moved revision, and the wired observer bumps the generation
@@ -273,6 +243,7 @@ fn chaos_storm_recycles_broken_connections_and_enforces_the_revision_fence() {
 fn sync_failure_serves_the_stale_catalog_with_a_degradation_note() {
     let system = sft_system(None);
     let memory = MemoryBackend::new(vec![bank_financials_db(1)]);
+    let store = memory.store();
     let storage_pool = ConnectionPool::with_registry(
         Arc::new(memory),
         PoolConfig::default(),
@@ -290,9 +261,18 @@ fn sync_failure_serves_the_stale_catalog_with_a_degradation_note() {
         clean.degradations
     );
 
-    // Sever the storage path entirely: every future sync fails, but the
-    // last-known catalog keeps serving — degraded, not down.
+    // Sever the storage path entirely, then write: the announced write
+    // makes the next dispatch sync, the sync fails, and the last-known
+    // catalog keeps serving — degraded, not down.
     service.pool().close();
+    MemoryBackend::over(store)
+        .mutate(DB, |db| {
+            db.table_mut("client")
+                .expect("client table")
+                .insert(vec![9_999.into(), "Zora".into(), "F".into(), "Jesenik".into(), 1.into()])
+                .expect("row fits");
+        })
+        .expect("db registered");
     let stale = backend.infer(&request, 2, &config).expect("stale-serve dispatch");
     assert!(
         stale.degradations.iter().any(|d| d.contains("storage sync failed")),

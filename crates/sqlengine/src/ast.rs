@@ -96,11 +96,6 @@ impl Query {
     pub fn leftmost_select(&self) -> &Select {
         self.body.leftmost_select()
     }
-
-    /// True when the top level of the query imposes an output ordering.
-    pub fn is_ordered(&self) -> bool {
-        !self.order_by.is_empty()
-    }
 }
 
 /// The body of a query: SELECT cores combined by set operators.

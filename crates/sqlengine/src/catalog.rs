@@ -111,11 +111,6 @@ impl TableSchema {
     pub fn column(&self, name: &str) -> Option<&Column> {
         self.column_index(name).map(|i| &self.columns[i])
     }
-
-    /// All primary-key columns.
-    pub fn primary_key_columns(&self) -> Vec<&Column> {
-        self.columns.iter().filter(|c| c.primary_key).collect()
-    }
 }
 
 /// A table: schema plus row storage.

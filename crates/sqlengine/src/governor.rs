@@ -119,12 +119,6 @@ impl ExecLimits {
             max_recursion_depth: self.max_recursion_depth.map(|n| (n / 2).max(1)),
         }
     }
-
-    /// True when no limit is set (governed execution degenerates to the
-    /// ungoverned fast path).
-    pub fn is_unlimited(&self) -> bool {
-        *self == ExecLimits::unlimited()
-    }
 }
 
 impl Default for ExecLimits {

@@ -376,11 +376,11 @@ mod tests {
     fn cross_type_total_order() {
         let null = Value::Null;
         let one = Value::Integer(1);
-        let pi = Value::Real(3.14);
+        let real = Value::Real(3.25);
         let txt = Value::Text("a".into());
         assert!(null < one);
-        assert!(one < pi);
-        assert!(pi < txt);
+        assert!(one < real);
+        assert!(real < txt);
     }
 
     #[test]

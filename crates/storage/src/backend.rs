@@ -21,6 +21,15 @@
 //! the lot (libpq's pipeline mode is the model). The default runs them one
 //! by one, so every connection pipelines correctly; a remote backend
 //! overrides it to pay one round trip, and a wrapper forwards it.
+//!
+//! **Commit announcements.** [`Backend::subscribe`] registers a
+//! [`CommitHook`] the backend calls with `(db_id, revision)` for every
+//! commit, after the commit is visible and before the write returns — so a
+//! client that was told nothing knows nothing moved. A backend that cannot
+//! push answers `false` (the default) and its clients read
+//! [`Connection::revision`] instead; a wrapper forwards it (DESIGN.md §4k).
+
+use std::sync::Arc;
 
 use sqlengine::{QueryResult, TableSchema};
 
@@ -34,7 +43,19 @@ pub trait Backend: Send + Sync {
     /// Open a new connection. Remote-ish backends may refuse
     /// ([`StorageError::Connect`]); the pool re-establishes with backoff.
     fn connect(&self) -> Result<Box<dyn Connection>, StorageError>;
+
+    /// Call `hook` with `(db_id, revision)` after every commit from now on,
+    /// before the write returns. Returns whether the backend can: the
+    /// default cannot, and a client then learns of commits only by reading
+    /// [`Connection::revision`]. A hook must not write to the store.
+    fn subscribe(&self, _hook: CommitHook) -> bool {
+        false
+    }
 }
+
+/// What [`Backend::subscribe`] registers: called with the database id and
+/// its revision after each commit.
+pub type CommitHook = Arc<dyn Fn(&str, u64) + Send + Sync>;
 
 /// One live session against a backend. `Send` but not `Sync`: a connection
 /// belongs to exactly one caller at a time (the pool enforces this).

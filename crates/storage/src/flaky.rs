@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use sqlengine::{QueryResult, TableSchema};
 
-use crate::backend::{Backend, Connection, Reply, Request};
+use crate::backend::{Backend, CommitHook, Connection, Reply, Request};
 use crate::error::StorageError;
 
 /// Deterministic fault plan for a [`FlakyBackend`]. Probabilities are in
@@ -145,6 +145,12 @@ impl<B: Backend> Backend for FlakyBackend<B> {
             ops: 0,
             broken: false,
         }))
+    }
+
+    /// Forwarded untouched: an announcement is the server's, not a
+    /// session's, so no fault or latency applies to it.
+    fn subscribe(&self, hook: CommitHook) -> bool {
+        self.inner.subscribe(hook)
     }
 }
 

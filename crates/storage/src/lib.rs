@@ -38,7 +38,7 @@ mod service;
 #[doc(hidden)]
 pub mod testing;
 
-pub use backend::{Backend, Connection, Reply, Request};
+pub use backend::{Backend, CommitHook, Connection, Reply, Request};
 pub use error::StorageError;
 pub use flaky::{FaultSpec, FlakyBackend};
 pub use introspect::{introspect, Catalog, IntrospectOptions};

@@ -8,20 +8,64 @@
 //! (tests, chaos suites, live administration) through
 //! [`MemoryBackend::mutate`], which is exactly how a "schema change on the
 //! live backend" is simulated.
+//!
+//! The store pushes: [`MemoryBackend::mutate`] and
+//! [`MemoryBackend::insert_database`] are its only writers, and each calls
+//! every [`Backend::subscribe`]d hook with the database's new revision once
+//! the store lock is released and before it returns. Hooks live in the
+//! shared store, so a backend opened [`MemoryBackend::over`] another's
+//! store hears that one's writes. Announcements go out in commit order.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use sqlengine::{Database, QueryResult, TableSchema};
 
-use crate::backend::{Backend, Connection, Reply, Request};
+use crate::backend::{Backend, CommitHook, Connection, Reply, Request};
 use crate::error::StorageError;
 
-/// The shared database store a [`MemoryBackend`] serves. Cloning the
-/// `Arc` shares the live state: mutations through one handle are visible
-/// to every connection.
-pub type SharedStore = Arc<RwLock<HashMap<String, Database>>>;
+/// The shared database store a [`MemoryBackend`] serves. Clones share the
+/// live state: a write through one handle is visible to every connection
+/// and announced to every subscriber. It offers no write lock: every write
+/// goes through a [`MemoryBackend`], which announces it.
+#[derive(Clone)]
+pub struct SharedStore(Arc<Store>);
+
+struct Store {
+    dbs: RwLock<HashMap<String, Database>>,
+    hooks: Mutex<Vec<CommitHook>>,
+}
+
+impl SharedStore {
+    /// Read the live databases, holding off writers until the guard drops.
+    pub fn read(&self) -> impl Deref<Target = HashMap<String, Database>> + '_ {
+        self.0.dbs.read()
+    }
+
+    /// Run `write` under the write lock and, when it succeeds, announce
+    /// `db_id`'s revision once the lock is released. The hook list is
+    /// locked before the store is, so commits are announced in the order
+    /// they were made.
+    fn commit<R>(
+        &self,
+        db_id: &str,
+        write: impl FnOnce(&mut HashMap<String, Database>) -> Result<R, StorageError>,
+    ) -> Result<R, StorageError> {
+        let mut dbs = self.0.dbs.write();
+        let result = write(&mut dbs)?;
+        let revision = dbs.get(db_id).map(Database::revision);
+        let hooks = self.0.hooks.lock();
+        drop(dbs);
+        if let Some(revision) = revision {
+            for hook in hooks.iter() {
+                hook(db_id, revision);
+            }
+        }
+        Ok(result)
+    }
+}
 
 /// [`Backend`] over in-process [`sqlengine`] databases.
 pub struct MemoryBackend {
@@ -32,8 +76,9 @@ impl MemoryBackend {
     /// A backend serving `dbs`, keyed by database name, with unlimited
     /// execution budgets (trusted in-process callers).
     pub fn new(dbs: Vec<Database>) -> MemoryBackend {
-        let store = dbs.into_iter().map(|db| (db.name.clone(), db)).collect();
-        MemoryBackend { store: Arc::new(RwLock::new(store)) }
+        let dbs = dbs.into_iter().map(|db| (db.name.clone(), db)).collect();
+        let store = Store { dbs: RwLock::new(dbs), hooks: Mutex::default() };
+        MemoryBackend { store: SharedStore(Arc::new(store)) }
     }
 
     /// A backend over an existing shared store (e.g. one also wrapped by a
@@ -44,28 +89,30 @@ impl MemoryBackend {
 
     /// A handle to the live store.
     pub fn store(&self) -> SharedStore {
-        Arc::clone(&self.store)
+        self.store.clone()
     }
 
     /// Mutate one database in place (DDL, row changes). The engine stamps
     /// a fresh revision through `table_mut`/`create_table`, so the change
     /// is observable to re-introspection exactly like any local catalog
-    /// mutation.
+    /// mutation, and announced to every subscriber before this returns.
     pub fn mutate<R>(
         &self,
         db_id: &str,
         f: impl FnOnce(&mut Database) -> R,
     ) -> Result<R, StorageError> {
-        let mut store = self.store.write();
-        let db = store
-            .get_mut(db_id)
-            .ok_or_else(|| StorageError::UnknownDatabase(db_id.to_string()))?;
-        Ok(f(db))
+        self.store.commit(db_id, |dbs| {
+            let db = dbs
+                .get_mut(db_id)
+                .ok_or_else(|| StorageError::UnknownDatabase(db_id.to_string()))?;
+            Ok(f(db))
+        })
     }
 
-    /// Add (or replace) a database in the live store.
+    /// Add (or replace) a database in the live store, and announce it.
     pub fn insert_database(&self, db: Database) {
-        self.store.write().insert(db.name.clone(), db);
+        let db_id = db.name.clone();
+        let _ = self.store.commit(&db_id, |dbs| Ok(dbs.insert(db_id.clone(), db)));
     }
 }
 
@@ -75,7 +122,12 @@ impl Backend for MemoryBackend {
     }
 
     fn connect(&self) -> Result<Box<dyn Connection>, StorageError> {
-        Ok(Box::new(MemoryConnection { store: Arc::clone(&self.store) }))
+        Ok(Box::new(MemoryConnection { store: self.store.clone() }))
+    }
+
+    fn subscribe(&self, hook: CommitHook) -> bool {
+        self.store.0.hooks.lock().push(hook);
+        true
     }
 }
 
@@ -212,6 +264,41 @@ mod tests {
             .expect("shop exists");
         let after = conn.revision("shop").expect("revision");
         assert_ne!(before, after, "mutation must stamp a fresh token");
+    }
+
+    /// Every commit is announced once, in order, with the revision a
+    /// connection over another handle on the store already reads when the
+    /// hook runs.
+    #[test]
+    fn every_commit_is_announced_after_it_is_visible() {
+        let backend = MemoryBackend::new(vec![fixture()]);
+        let heard: Arc<Mutex<Vec<(String, u64, u64)>>> = Arc::default();
+        let (log, reader) = (Arc::clone(&heard), MemoryBackend::over(backend.store()));
+        assert!(backend.subscribe(Arc::new(move |db_id, revision| {
+            let mut conn = reader.connect().expect("connect");
+            let visible = conn.revision(db_id).expect("revision");
+            log.lock().push((db_id.to_string(), revision, visible));
+        })));
+        backend
+            .mutate("shop", |db| {
+                db.table_mut("items").expect("items").insert(vec![3.into(), "tnt".into()])
+            })
+            .expect("shop exists")
+            .expect("row fits");
+        let mut depot = Database::new("depot");
+        depot.bump_revision();
+        backend.insert_database(depot);
+        assert!(backend.mutate("nowhere", |_| ()).is_err(), "no commit, no announcement");
+
+        let mut conn = backend.connect().expect("connect");
+        let expected: Vec<_> = ["shop", "depot"]
+            .into_iter()
+            .map(|db| {
+                let revision = conn.revision(db).expect("revision");
+                (db.to_string(), revision, revision)
+            })
+            .collect();
+        assert_eq!(*heard.lock(), expected);
     }
 
     #[test]

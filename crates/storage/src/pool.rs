@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use sqlengine::{Backoff, QueryResult, TableSchema};
 
-use crate::backend::{Backend, Connection, Reply, Request};
+use crate::backend::{Backend, CommitHook, Connection, Reply, Request};
 use crate::error::StorageError;
 use crate::metrics::{PoolMetrics, PoolStats};
 
@@ -130,6 +130,11 @@ impl ConnectionPool {
     /// The backend this pool connects to.
     pub fn backend(&self) -> &Arc<dyn Backend> {
         &self.inner.backend
+    }
+
+    /// [`Backend::subscribe`] on the backend this pool connects to.
+    pub fn subscribe(&self, hook: CommitHook) -> bool {
+        self.inner.backend.subscribe(hook)
     }
 
     /// Configured capacity.

@@ -18,6 +18,9 @@
 //! builds the value index and schema profile and commits them with
 //! `SystemCache::observe_revision`, so a schema change on the live backend
 //! bumps cache generations exactly like a local catalog mutation.
+//! [`CatalogService::subscribe`] hands a commit hook to the backend: a
+//! client the backend can push to needs a `sync` only after a commit it
+//! was told of (DESIGN.md §4k).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -25,7 +28,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 use sqlengine::Database;
 
-use crate::backend::Connection;
+use crate::backend::{CommitHook, Connection};
 use crate::error::StorageError;
 use crate::introspect::{introspect_with, Catalog, IntrospectOptions};
 use crate::pool::{ConnectionPool, PooledConn};
@@ -86,6 +89,12 @@ impl CatalogService {
     /// The underlying pool (for health/metrics inspection).
     pub fn pool(&self) -> &ConnectionPool {
         &self.pool
+    }
+
+    /// [`crate::Backend::subscribe`] on the backend behind the pool: `hook`
+    /// hears every commit from now on, if the backend can push.
+    pub fn subscribe(&self, hook: CommitHook) -> bool {
+        self.pool.subscribe(hook)
     }
 
     /// Register the revision observer (replacing any previous one). The

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use sqlengine::{QueryResult, TableSchema};
 
-use crate::backend::{Backend, Connection, Reply, Request};
+use crate::backend::{Backend, CommitHook, Connection, Reply, Request};
 use crate::error::StorageError;
 
 /// The six [`Connection`] operations. A pipeline's requests count as the
@@ -178,6 +178,10 @@ impl<B: Backend> Backend for Hooked<B> {
             after: Arc::clone(&self.after),
             unpipelined: self.unpipelined,
         }))
+    }
+
+    fn subscribe(&self, hook: CommitHook) -> bool {
+        self.inner.subscribe(hook)
     }
 }
 
