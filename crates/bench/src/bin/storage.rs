@@ -3,7 +3,7 @@
 //!
 //! The backend is the in-memory engine wrapped in a latency-only fault
 //! plan (every connect and every operation pays a fixed wire delay), and
-//! the database is Bank-Financials. Seven rows:
+//! the database is Bank-Financials. Eight rows:
 //!
 //! 1. **cold connect** — a fresh establishment per request, the no-pool
 //!    baseline.
@@ -19,18 +19,23 @@
 //!    catalog, which predicts every table: one pipeline of the opening
 //!    revision read, the listing, every schema and `SELECT *`, and the
 //!    closing read.
-//! 5. **refresh after a one-row write** — what a dispatch pays after a
-//!    write: its revision read (which doubles as the harvest's `before`)
-//!    and one pipeline predicted from the catalog it replaces: the listing,
-//!    every schema and `SELECT *`, and the closing revision read. Two wire
+//! 5. **refresh after a one-row write** — what `CatalogService::sync` pays
+//!    after a write (a dispatch over a backend that cannot push pays it):
+//!    its revision read (which doubles as the harvest's `before`) and one
+//!    pipeline predicted from the catalog it replaces: the listing, every
+//!    schema and `SELECT *`, and the closing revision read. Two wire
 //!    waits, however many rows the write added; the server's work on the
 //!    pipeline's requests is serial, as on one real session.
-//! 6. **the same refresh, observer building index + profile** — with a
-//!    revision observer that derives the BM25 value index and the schema
-//!    profile from the fresh mirror, as the serving layer's does, once the
-//!    pipeline has answered; the commit that installs it is a few map
-//!    inserts.
-//! 7. **sync (revision check)** — on an unchanged backend: the check the
+//! 6. **refresh after an announced write** — what a dispatch pays after a
+//!    write the backend announced: `CatalogService::sync_announced` takes
+//!    the announced revision as the harvest's `before`, so the refresh is
+//!    the same one pipeline alone. One wire wait.
+//! 7. **the same refresh, observer building index + profile** — row 5
+//!    with a revision observer that derives the BM25 value index and the
+//!    schema profile from the fresh mirror, as the serving layer's does,
+//!    once the pipeline has answered; the commit that installs it is a few
+//!    map inserts.
+//! 8. **sync (revision check)** — on an unchanged backend: the check the
 //!    serving layer makes on every dispatch over a backend that cannot
 //!    push commits.
 //!
@@ -38,6 +43,7 @@
 //! iteration (connects and probes included): the round trips the path
 //! paid, whatever else its latency is.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -48,7 +54,7 @@ use codes_linker::SchemaProfile;
 use codes_retrieval::ValueIndex;
 use codes_storage::{
     Backend, CatalogService, ConnectionPool, FaultSpec, FlakyBackend, IntrospectOptions,
-    MemoryBackend, PoolConfig, SyncOutcome,
+    MemoryBackend, PoolConfig, StorageError, SyncOutcome,
 };
 
 /// A row's latencies, sorted, and the wire waits it paid per iteration.
@@ -102,17 +108,18 @@ fn write_client(admin: &MemoryBackend, client_id: i64) {
 }
 
 /// Refreshes after one-row writes, each timed from the write to the
-/// installed catalog.
+/// catalog `sync` installs.
 fn refreshes(
     service: &CatalogService,
     admin: &MemoryBackend,
     wire: &Remote,
     iterations: usize,
     client_ids: &mut std::ops::RangeFrom<i64>,
+    sync: impl Fn(&CatalogService) -> Result<SyncOutcome, StorageError>,
 ) -> Row {
     timed(iterations, wire, || {
         write_client(admin, client_ids.next().expect("unbounded range"));
-        let outcome = service.sync(DB).expect("refresh succeeds");
+        let outcome = sync(service).expect("refresh succeeds");
         assert!(matches!(outcome, SyncOutcome::Refreshed { .. }), "the write moved the token");
     })
 }
@@ -182,11 +189,24 @@ fn main() {
     let cold_attach = timed(1, &wire, attach);
     let full = timed(iterations.min(25), &wire, attach);
     let mut client_ids = 1_000_000i64..;
-    let refresh = refreshes(&service, &admin, &wire, iterations.min(25), &mut client_ids);
+    let sync_db = |service: &CatalogService| service.sync(DB);
+    let refresh = refreshes(&service, &admin, &wire, iterations.min(25), &mut client_ids, sync_db);
+    // The store announces each write before it returns; the newest
+    // announcement is what a dispatch would sync to.
+    let heard = Arc::new(AtomicU64::new(0));
+    let hook = Arc::clone(&heard);
+    let pushes = service.subscribe(Arc::new(move |_: &str, revision: u64| {
+        hook.store(revision, Ordering::SeqCst);
+    }));
+    assert!(pushes, "the memory store announces its commits");
+    let refresh_announced =
+        refreshes(&service, &admin, &wire, iterations.min(25), &mut client_ids, |service| {
+            service.sync_announced(DB, Some(heard.load(Ordering::SeqCst)))
+        });
     let observed = observed_service(&backend);
     observed.attach(DB).expect("attach succeeds");
     let refresh_observed =
-        refreshes(&observed, &admin, &wire, iterations.min(25), &mut client_ids);
+        refreshes(&observed, &admin, &wire, iterations.min(25), &mut client_ids, sync_db);
     let sync = timed(iterations, &wire, || {
         service.sync(DB).expect("sync succeeds");
     });
@@ -202,6 +222,7 @@ fn main() {
         ("attach, cold (first harvest)", &cold_attach, None),
         ("introspect (full harvest)", &full, None),
         ("refresh after a one-row write", &refresh, None),
+        ("refresh after an announced write", &refresh_announced, None),
         (
             "refresh after a one-row write, observer building index + profile",
             &refresh_observed,

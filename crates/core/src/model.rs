@@ -631,7 +631,7 @@ pub fn finetune<'a>(
     // Keep alias mappings with at least 2 agreeing votes and a clear winner.
     for (word, votes) in alias_votes {
         let mut ranked: Vec<((String, String, String), u32)> = votes.into_iter().collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1));
+        ranked.sort_by_key(|ranked| std::cmp::Reverse(ranked.1));
         if let Some((mapping, count)) = ranked.first() {
             let runner_up = ranked.get(1).map(|(_, c)| *c).unwrap_or(0);
             if *count >= 2 && *count >= runner_up * 2 {

@@ -30,7 +30,7 @@ pub fn map_in_order<T: Sync, R: Send>(
         std::iter::from_fn(claim).map_while(|i| Some((i, f(items.get(i)?)))).collect()
     };
     std::thread::scope(|scope| {
-        let spawned: Vec<_> = (0..helpers).map(|_| scope.spawn(&work)).collect();
+        let spawned: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
         let mut done = work();
         for helper in spawned {
             done.extend(helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));

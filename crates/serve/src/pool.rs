@@ -118,7 +118,9 @@ pub struct BackendReply {
 /// hook records the revision and bumps the system cache's generation. A
 /// dispatch takes the installed catalog without asking storage while no
 /// announced revision differs from it, and re-syncs otherwise — the sync
-/// refreshes the mirror and rebuilds its value index. A backend that cannot
+/// takes the announced revision as its refresh's opening read, so it
+/// crosses the wire only for the refresh's pipelines, then refreshes the
+/// mirror and rebuilds its value index. A backend that cannot
 /// push is synced on every dispatch. A sync *failure* degrades instead of
 /// failing: the last-known catalog serves the request, with the storage
 /// failure recorded as a degradation on the reply.
@@ -205,21 +207,23 @@ impl SystemBackend {
     }
 
     /// Fetch the catalog for one dispatch: as installed while no announced
-    /// revision differs from it, after a sync otherwise. A failed sync
-    /// serves the last-known catalog with a degradation note; a database
-    /// with no catalog at all is the caller's addressing error.
+    /// revision differs from it, after a sync otherwise — to the announced
+    /// revision, when there is one, which saves the sync its revision read.
+    /// A failed sync serves the last-known catalog with a degradation note;
+    /// a database with no catalog at all is the caller's addressing error.
     fn catalog_for(
         &self,
         db_id: &str,
     ) -> Result<(Arc<codes_storage::Catalog>, Option<String>), sqlengine::Error> {
+        let mut newest = None;
         if let (Some(announced), Some(installed)) = (&self.announced, self.service.catalog(db_id)) {
-            let newest = announced.lock().get(db_id).copied();
+            newest = announced.lock().get(db_id).copied();
             if newest.is_none_or(|revision| revision == installed.revision) {
                 self.checks.current.inc();
                 return Ok((installed, None));
             }
         }
-        let degradation = match self.service.sync(db_id) {
+        let degradation = match self.service.sync_announced(db_id, newest) {
             Ok(outcome) => {
                 match outcome {
                     SyncOutcome::Unchanged => &self.checks.unchanged,
@@ -927,10 +931,10 @@ fn supervisor_loop(inner: Arc<Inner>, mut workers: Vec<Option<JoinHandle<()>>>) 
             !inner.shutdown.load(Ordering::SeqCst) || !inner.queue_rx.is_empty()
         };
 
-        for slot in 0..workers.len() {
-            let finished = workers[slot].as_ref().is_some_and(|h| h.is_finished());
+        for (slot, worker) in workers.iter_mut().enumerate() {
+            let finished = worker.as_ref().is_some_and(|h| h.is_finished());
             if finished {
-                let handle = workers[slot].take().expect("checked Some above");
+                let handle = worker.take().expect("checked Some above");
                 match handle.join() {
                     Ok(()) => {
                         // Clean exit: either shutdown drain finished or the
@@ -939,7 +943,7 @@ fn supervisor_loop(inner: Arc<Inner>, mut workers: Vec<Option<JoinHandle<()>>>) 
                         // re-filled before this handle ran down).
                         if keep_serving(&inner) {
                             let generation = inner.slots[slot].generation.load(Ordering::SeqCst);
-                            workers[slot] = Some(spawn_worker(&inner, slot, generation));
+                            *worker = Some(spawn_worker(&inner, slot, generation));
                         }
                     }
                     Err(payload) => {
@@ -964,7 +968,7 @@ fn supervisor_loop(inner: Arc<Inner>, mut workers: Vec<Option<JoinHandle<()>>>) 
                         let generation =
                             inner.slots[slot].generation.fetch_add(1, Ordering::SeqCst) + 1;
                         if keep_serving(&inner) || !inner.in_flight.lock().is_empty() {
-                            workers[slot] = Some(spawn_worker(&inner, slot, generation));
+                            *worker = Some(spawn_worker(&inner, slot, generation));
                         }
                     }
                 }
@@ -974,7 +978,7 @@ fn supervisor_loop(inner: Arc<Inner>, mut workers: Vec<Option<JoinHandle<()>>>) 
             // Wedge detection: only a worker that owns an in-flight request
             // and has stopped heartbeating is wedged — idle workers always
             // heartbeat within one interval.
-            if workers[slot].is_some() && inner.heartbeat_age(slot) > inner.config.wedged_after {
+            if worker.is_some() && inner.heartbeat_age(slot) > inner.config.wedged_after {
                 let orphan = {
                     let mut in_flight = inner.in_flight.lock();
                     let orphan = match in_flight.get(&slot) {
@@ -998,8 +1002,8 @@ fn supervisor_loop(inner: Arc<Inner>, mut workers: Vec<Option<JoinHandle<()>>>) 
                     // to a fresh generation; the old thread exits on its
                     // own when it notices the bump.
                     let generation = inner.slots[slot].generation.fetch_add(1, Ordering::SeqCst) + 1;
-                    drop(workers[slot].take());
-                    workers[slot] = Some(spawn_worker(&inner, slot, generation));
+                    drop(worker.take());
+                    *worker = Some(spawn_worker(&inner, slot, generation));
                 }
             }
         }

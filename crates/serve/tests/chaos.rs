@@ -361,8 +361,8 @@ fn fault_plan_outcomes_are_reproducible_for_admitted_ids() {
     let first = run();
     let second = run();
     assert_eq!(first, second, "same seed, same ids, same outcomes");
-    assert!(first.iter().any(|k| *k == "worker_panic"), "plan injects panics: {first:?}");
-    assert!(first.iter().any(|k| *k == "ok"), "healthy ids still serve: {first:?}");
+    assert!(first.contains(&"worker_panic"), "plan injects panics: {first:?}");
+    assert!(first.contains(&"ok"), "healthy ids still serve: {first:?}");
 }
 
 /// Backend for the budget-isolation storm: every inference executes a

@@ -3,8 +3,8 @@
 //! [`SystemBackend`] asks storage only when an announced revision differs
 //! from the catalog it has installed. The stack runs over a storage backend
 //! that counts its wire operations. Nothing here reads a clock or sleeps;
-//! the one forced interleaving is held by a latch (its bounded waits only
-//! turn a hang into a failure).
+//! each forced interleaving is held by a latch (its bounded waits only turn
+//! a hang into a failure).
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -28,25 +28,55 @@ const DB: &str = "shop";
 /// off a mirror that has seen [`Stack::write`]: which catalog a dispatch
 /// was handed is read off its SQL.
 const PROBE: &str = "How many tickets are there?";
-/// What a refresh after [`Stack::write`] adds to the `revision()` count:
-/// the sync's read that saw the store move, the one closing the pipeline
-/// the mirror it replaces predicts, and the one closing the pipeline that
-/// asks for the new table (DESIGN.md §4k).
-const REFRESH_READS: u64 = 3;
+/// What a dispatch's refresh after [`Stack::write`] adds to the
+/// `revision()` count: the read closing the pipeline the mirror it
+/// replaces predicts, and the one closing the pipeline that asks for the
+/// new table. The announced revision is the pass's `before` (DESIGN.md
+/// §4k).
+const DISPATCH_REFRESH_READS: u64 = 2;
+/// What an explicit [`CatalogService::sync`] after [`Stack::write`] adds:
+/// its own read that saw the store move, then the two closing reads.
+const SYNC_REFRESH_READS: u64 = 3;
 /// What an attach adds: its opening read, and the one closing the pipeline
 /// that follows the listing.
 const ATTACH_READS: u64 = 2;
-/// Releases a held `revision()` or fails the test, never hangs it.
+/// Releases a held operation or fails the test, never hangs it.
 const HANG: Duration = Duration::from_secs(30);
 
 // ---------------------------------------------------------------------
-// A latch that holds one `revision()` read, answer in hand, until the test
-// lets it return; the store under the stack counts what crosses the wire.
+// A latch that holds one operation until the test lets it go on; the store
+// under the stack counts what crosses the wire.
 // ---------------------------------------------------------------------
 
 struct Latch {
+    hold: Hold,
     entered: Sender<()>,
     release: Receiver<()>,
+}
+
+/// Where a [`Latch`] parks the operation it holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Hold {
+    /// A `revision()` read, answer in hand.
+    RevisionAnswered,
+    /// A `tables()` listing, before it goes out.
+    ListingUnsent,
+}
+
+/// Park here if the armed latch holds at `hold`, until the test releases it.
+fn park(slot: &Mutex<Option<Latch>>, hold: Hold) {
+    let latch = {
+        let mut armed = slot.lock().expect("latch lock");
+        match armed.take() {
+            Some(latch) if latch.hold == hold => latch,
+            other => {
+                *armed = other;
+                return;
+            }
+        }
+    };
+    latch.entered.send(()).expect("the test waits for the held operation");
+    latch.release.recv_timeout(HANG).expect("the test releases the held operation");
 }
 
 /// A storage backend wrapper that does not forward
@@ -124,17 +154,19 @@ impl Stack {
 
         let admin = MemoryBackend::new(vec![shop(DB)]);
         let latch: Arc<Mutex<Option<Latch>>> = Arc::default();
-        let held = Arc::clone(&latch);
-        let counting = Hooked::new(MemoryBackend::over(admin.store())).after(move |call| {
-            if call.op != Op::Revision {
-                return;
-            }
-            let latch = held.lock().expect("latch lock").take();
-            if let Some(latch) = latch {
-                latch.entered.send(()).expect("the test waits for the held read");
-                latch.release.recv_timeout(HANG).expect("the test releases the held read");
-            }
-        });
+        let (unsent, answered) = (Arc::clone(&latch), Arc::clone(&latch));
+        let counting = Hooked::new(MemoryBackend::over(admin.store()))
+            .before(move |call| {
+                if call.op == Op::Tables {
+                    park(&unsent, Hold::ListingUnsent);
+                }
+                Ok(())
+            })
+            .after(move |call| {
+                if call.op == Op::Revision {
+                    park(&answered, Hold::RevisionAnswered);
+                }
+            });
         let wire = counting.wire();
         let store: Arc<dyn codes_storage::Backend> = match push {
             true => Arc::new(counting),
@@ -168,12 +200,12 @@ impl Stack {
         counts
     }
 
-    /// Arm the latch: the next `revision()` reads its answer, reports on
-    /// the returned receiver and parks until the returned sender fires.
-    fn hold_next_revision(&self) -> (Receiver<()>, Sender<()>) {
+    /// Arm the latch: the next operation `hold` names reports on the
+    /// returned receiver and parks until the returned sender fires.
+    fn hold_next(&self, hold: Hold) -> (Receiver<()>, Sender<()>) {
         let (entered, entered_rx) = channel();
         let (release_tx, release) = channel();
-        *self.latch.lock().expect("latch lock") = Some(Latch { entered, release });
+        *self.latch.lock().expect("latch lock") = Some(Latch { hold, entered, release });
         (entered_rx, release_tx)
     }
 
@@ -193,6 +225,29 @@ impl Stack {
     /// store's own announcement is all the stack hears of it.
     fn write(&self) {
         self.create_table("tickets");
+    }
+
+    /// A write that adds no table: one more row in `events`.
+    fn insert_event(&self, id: i64) {
+        self.admin
+            .mutate(DB, |db| {
+                let events = db.table_mut("events").expect("events");
+                events.insert(vec![id.into(), format!("event {id}").into()]).expect("row fits");
+            })
+            .expect("shop is registered");
+    }
+
+    /// The store's revision, read past the counted wire.
+    fn live_revision(&self) -> u64 {
+        let mut conn = codes_storage::Backend::connect(&self.admin).expect("connect");
+        conn.revision(DB).expect("shop is registered")
+    }
+
+    /// The installed mirror's revision and its `events` row count.
+    fn mirror(&self) -> (u64, usize) {
+        let catalog = self.service.catalog(DB).expect("attached");
+        let events = catalog.database.table("events").expect("events").rows.len();
+        (catalog.revision, events)
     }
 
     fn create_table(&self, table: &str) {
@@ -254,12 +309,13 @@ fn a_backend_that_cannot_push_is_synced_on_every_dispatch() {
     let fresh = stack.dispatch();
     assert!(fresh.sql.contains("tickets"), "the read found the write: {}", fresh.sql);
     assert_eq!(stack.cache.generation(DB), 1, "the refresh observed the revision");
-    assert_eq!((stack.revisions(), stack.listings()), (5 + REFRESH_READS, 1));
+    assert_eq!((stack.revisions(), stack.listings()), (5 + SYNC_REFRESH_READS, 1));
+    assert_eq!(stack.wire.standalone(), 5 + 1, "each dispatch's own read");
 }
 
 /// Item 3's bug, fixed: a write nobody invalidates is served by the very
-/// next dispatch, and costs that dispatch exactly a sync that sees the
-/// store move and the refresh behind it.
+/// next dispatch, and costs that dispatch exactly the refresh's pipelines:
+/// the announced revision is the refresh's opening read.
 #[test]
 fn an_announced_write_is_served_by_the_next_dispatch() {
     let stack = Stack::start();
@@ -271,18 +327,74 @@ fn an_announced_write_is_served_by_the_next_dispatch() {
     let fresh = stack.dispatch();
     assert!(fresh.sql.contains("tickets"), "the post-write mirror ({})", fresh.sql);
     assert!(fresh.degradations.is_empty(), "{:?}", fresh.degradations);
-    // The sync's revision read; the pipeline the replaced mirror predicts
-    // (listing, the schema and rows of `events`, revision); the pipeline
-    // for the new table (its schema and rows, revision).
-    assert_eq!(stack.traffic(), [2, 0, 0, 1, 2, REFRESH_READS, 2]);
+    // The pipeline the replaced mirror predicts (listing, the schema and
+    // rows of `events`, revision); the pipeline for the new table (its
+    // schema and rows, revision). Nothing outside them.
+    assert_eq!(stack.traffic(), [2, 0, 0, 1, 2, DISPATCH_REFRESH_READS, 2]);
+    assert_eq!(stack.wire.standalone(), 0, "two round trips");
     assert_eq!(stack.cache.generation(DB), 1, "the refresh's commit found nothing new");
 
     stack.dispatch();
-    assert_eq!(stack.traffic()[5], REFRESH_READS, "the refreshed mirror is current");
+    assert_eq!(stack.traffic()[5], DISPATCH_REFRESH_READS, "the refreshed mirror is current");
     assert_eq!(
         (stack.checks("current"), stack.checks("refreshed"), stack.checks("unchanged")),
         (2, 1, 0)
     );
+}
+
+/// A write that adds no table costs the next dispatch one round trip: the
+/// pipeline the replaced mirror predicts, closed by the read that brackets
+/// it. The announced revision is its `before`, so no read goes out alone.
+#[test]
+fn a_one_row_write_costs_the_next_dispatch_one_pipeline() {
+    let stack = Stack::start();
+    stack.dispatch();
+    stack.insert_event(3);
+    let fresh = stack.dispatch();
+    assert!(fresh.degradations.is_empty(), "{:?}", fresh.degradations);
+    // Listing, the schema and rows of `events`, revision.
+    assert_eq!(stack.traffic(), [1, 0, 0, 1, 1, 1, 1]);
+    assert_eq!(stack.wire.standalone(), 0, "one round trip");
+    assert_eq!(stack.mirror(), (stack.live_revision(), 3), "the mirror is the written store");
+    assert_eq!(stack.cache.generation(DB), 1, "the announcement's one bump");
+    assert_eq!((stack.checks("current"), stack.checks("refreshed")), (1, 1));
+}
+
+/// A write that lands after the announcement a dispatch acts on, before
+/// its pipeline goes out, fails that pipeline's bracket: the pass is
+/// retried once, with its own opening read, and the mirror and the cache
+/// end at the newest revision.
+#[test]
+fn a_write_after_the_announcement_costs_one_retried_pass() {
+    let stack = Stack::start();
+    stack.insert_event(3);
+    let (entered, release) = stack.hold_next(Hold::ListingUnsent);
+    let d1 = std::thread::scope(|scope| {
+        let d1 = scope.spawn(|| stack.dispatch());
+        entered.recv_timeout(HANG).expect("D1 is about to send its pipeline");
+        stack.insert_event(4);
+        release.send(()).expect("D1 is parked on the latch");
+        d1.join().expect("D1 answered")
+    });
+    assert!(d1.degradations.is_empty(), "{:?}", d1.degradations);
+    // The pass on the announced revision: listing, `events`, revision —
+    // which saw the second write. The retry: revision, listing, `events`,
+    // revision.
+    assert_eq!(stack.traffic(), [2, 0, 0, 2, 2, 3, 2]);
+    assert_eq!(stack.wire.standalone(), 0, "two round trips, one per pass");
+
+    let newest = stack.live_revision();
+    assert_eq!(stack.mirror(), (newest, 4), "the mirror is the newest store");
+    let generation = stack.cache.generation(DB);
+    assert_eq!(generation, 2, "one bump per announced write; the refresh commits none");
+    assert_eq!(
+        stack.cache.observe_revision_token(DB, newest),
+        generation,
+        "the cache last saw the newest revision: observing it again bumps nothing"
+    );
+    stack.dispatch();
+    assert_eq!(stack.traffic()[6], 2, "the next dispatch finds its mirror current");
+    assert_eq!((stack.checks("current"), stack.checks("refreshed")), (1, 1));
 }
 
 #[test]
@@ -305,7 +417,7 @@ fn an_invalidation_without_a_write_reads_nothing() {
         stack.dispatch();
     }
     assert_eq!(stack.service.pool().stats().checkouts, checkouts, "the nine behind it: current");
-    assert_eq!(stack.revisions(), REFRESH_READS);
+    assert_eq!(stack.revisions(), DISPATCH_REFRESH_READS);
 }
 
 #[test]
@@ -315,11 +427,11 @@ fn a_refresh_by_anyone_else_leaves_nothing_to_check() {
     stack.write();
     let outcome = stack.service.sync(DB).expect("healthy store");
     assert!(matches!(outcome, SyncOutcome::Refreshed { .. }), "{outcome:?}");
-    assert_eq!(stack.revisions(), REFRESH_READS, "their refresh");
+    assert_eq!(stack.revisions(), SYNC_REFRESH_READS, "their refresh");
 
     // What they installed is the revision the store announced.
     let after = stack.dispatch();
-    assert_eq!(stack.revisions(), REFRESH_READS, "the next dispatch asks nothing");
+    assert_eq!(stack.revisions(), SYNC_REFRESH_READS, "the next dispatch asks nothing");
     assert!(after.sql.contains("tickets"), "and serves what they installed: {}", after.sql);
     assert_eq!(stack.cache.generation(DB), 1, "the announcement's one bump");
     assert_eq!((stack.checks("current"), stack.checks("refreshed")), (2, 0));
@@ -369,14 +481,15 @@ fn a_severed_store_is_seen_by_the_first_dispatch_after_a_write() {
 }
 
 /// A write is never lost to a race. An announced write sends D1 to the
-/// store; its revision read is held with the answer in hand while a second
-/// write lands and is invalidated. Whatever D1 installs, D2 — submitted
-/// after the second write returned — serves it.
+/// store; the read closing its refresh's first pipeline is held with the
+/// answer in hand while a second write lands and is invalidated. Whatever
+/// D1 installs, D2 — submitted after the second write returned — serves
+/// it.
 #[test]
 fn an_invalidation_landing_mid_read_is_not_lost() {
     let stack = Stack::start();
     stack.write();
-    let (entered, release) = stack.hold_next_revision();
+    let (entered, release) = stack.hold_next(Hold::RevisionAnswered);
     let d1 = std::thread::scope(|scope| {
         let d1 = scope.spawn(|| stack.dispatch());
         entered.recv_timeout(HANG).expect("D1 reached its revision read");
@@ -427,7 +540,7 @@ fn catalog_checks_are_counted_by_outcome() {
     assert_eq!(counts, [25 + 9 + 1, 0, 1, 1, 2]);
     assert_eq!(
         stack.revisions(),
-        REFRESH_READS + ATTACH_READS,
+        DISPATCH_REFRESH_READS + ATTACH_READS,
         "37 healthy dispatches: a refresh and an attach"
     );
 }

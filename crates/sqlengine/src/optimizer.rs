@@ -65,9 +65,9 @@ fn is_safe(e: &Expr, scope: &Scope) -> bool {
         Expr::Unary { op: UnaryOp::Neg, .. } => false,
         Expr::Binary { left, right, .. } => is_safe(left, scope) && is_safe(right, scope),
         Expr::Case { operand, branches, else_expr } => {
-            operand.as_deref().map_or(true, |o| is_safe(o, scope))
+            operand.as_deref().is_none_or(|o| is_safe(o, scope))
                 && branches.iter().all(|(c, r)| is_safe(c, scope) && is_safe(r, scope))
-                && else_expr.as_deref().map_or(true, |e| is_safe(e, scope))
+                && else_expr.as_deref().is_none_or(|e| is_safe(e, scope))
         }
         Expr::InList { expr, list, .. } => {
             is_safe(expr, scope) && list.iter().all(|i| is_safe(i, scope))

@@ -7,7 +7,10 @@
 //! cheap check a dispatch makes — one pooled revision read — that
 //! re-introspects and swaps the catalog only when the backend's token
 //! moved, one re-introspection per database at a time however many
-//! dispatches saw the token move. An introspection runs on one pooled
+//! dispatches saw the token move. `sync_announced` is the same check with
+//! the token already in hand: the revision the backend announced is the
+//! refresh's opening read, so a dispatch after a write pays the refresh's
+//! pipelines and nothing else. An introspection runs on one pooled
 //! connection, and a re-introspection asks for every table the catalog it
 //! replaces predicts in one pipeline (DESIGN.md §4k). Every install runs
 //! the registered revision observer in two halves: its build derives state
@@ -180,11 +183,28 @@ impl CatalogService {
     /// Reconcile one attached catalog with the live backend: read the
     /// revision over a pooled connection and re-introspect only on change.
     pub fn sync(&self, db_id: &str) -> Result<SyncOutcome, StorageError> {
+        self.sync_announced(db_id, None)
+    }
+
+    /// [`CatalogService::sync`], with `announced` — a revision the backend
+    /// announced for `db_id` — in place of its revision read (DESIGN.md
+    /// §4k). When it is not installed it stands in for the refresh's
+    /// opening read too, so the refresh is one pipeline whose closing read
+    /// brackets it; a write that landed after the announcement fails that
+    /// bracket, and the retry reads its own.
+    pub fn sync_announced(
+        &self,
+        db_id: &str,
+        announced: Option<u64>,
+    ) -> Result<SyncOutcome, StorageError> {
         let Some(current) = self.catalog(db_id) else {
             self.attach(db_id)?;
             return Ok(SyncOutcome::Attached);
         };
-        let live = self.read(|conn| conn.revision(db_id))?;
+        let live = match announced {
+            Some(announced) => announced,
+            None => self.read(|conn| conn.revision(db_id))?,
+        };
         if live == current.revision {
             return Ok(SyncOutcome::Unchanged);
         }
@@ -197,7 +217,8 @@ impl CatalogService {
             return Ok(SyncOutcome::Refreshed { from: current.revision, to: live });
         }
         // `live` is as good as a `before` read now unless a refresh was
-        // installed since it was taken and is not it: then it is known stale.
+        // installed since `current` was looked up and is not it: then
+        // `live` is known stale, and the pass reads its own.
         let known = (installed == Some(current.revision)).then_some(live);
         let fresh = self.install(db_id, self.harvest(db_id, known)?);
         Ok(SyncOutcome::Refreshed { from: current.revision, to: fresh.revision })

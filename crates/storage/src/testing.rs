@@ -54,6 +54,7 @@ pub type After = Box<dyn Fn(&Call<'_>) + Send + Sync>;
 pub struct Wire {
     ops: [AtomicU64; 6],
     pipelines: AtomicU64,
+    pipelined: AtomicU64,
     connects: AtomicU64,
     live: AtomicI64,
     peak: AtomicI64,
@@ -71,12 +72,20 @@ impl Wire {
         self.pipelines.load(Ordering::SeqCst)
     }
 
+    /// Operations issued outside any pipeline since the last
+    /// [`Wire::reset`]: with [`Wire::pipelines`], the round trips paid.
+    pub fn standalone(&self) -> u64 {
+        let ops: u64 = self.ops.iter().map(|op| op.load(Ordering::SeqCst)).sum();
+        ops.saturating_sub(self.pipelined.load(Ordering::SeqCst))
+    }
+
     /// Zero the operation and pipeline counts (connection counts are kept).
     pub fn reset(&self) {
         for op in &self.ops {
             op.store(0, Ordering::SeqCst);
         }
         self.pipelines.store(0, Ordering::SeqCst);
+        self.pipelined.store(0, Ordering::SeqCst);
     }
 
     /// Connections ever established.
@@ -269,6 +278,7 @@ impl Connection for HookedConn {
 
     fn pipeline(&mut self, db_id: &str, reqs: &[Request]) -> Vec<Result<Reply, StorageError>> {
         self.wire.pipelines.fetch_add(1, Ordering::SeqCst);
+        self.wire.pipelined.fetch_add(reqs.len() as u64, Ordering::SeqCst);
         if self.unpipelined {
             return reqs
                 .iter()
